@@ -187,7 +187,7 @@ def _require_type(io: _Io, args):
 def _cmd_cone(args, io: _Io) -> int:
     t = _require_type(io, args)
     mc = moduli_cone(t)
-    metrics = cone_metrics(t)
+    metrics = cone_metrics(mc)
     results = _cone_json(mc, metrics)
     if args.sample:
         seed = int(os.environ.get("TROPMAP_SEED", args.seed))
@@ -205,7 +205,7 @@ def _cmd_cone(args, io: _Io) -> int:
 def _cmd_superabundant(args, io: _Io) -> int:
     t = _require_type(io, args)
     mc = moduli_cone(t)
-    metrics = cone_metrics(t)
+    metrics = cone_metrics(mc)
     results = _cone_json(mc, metrics)
     code = EXIT_OK if metrics.superabundant else EXIT_PREDICATE_FALSE
     return io.report(

@@ -53,7 +53,8 @@ def parse_rational(value) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Serialize canonically: ``p/q`` with q > 0 and gcd(|p|, q) = 1;
     integers omit the denominator."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -23,15 +23,16 @@ from .exactgeom import (
     Cone,
     RatMatrix,
     RatVec,
+    ONE,
     ZERO,
     canonical_cone,
     cone_is_face,
     format_rational,
-    lp_feasible,
     nullspace,
     fan_cone_intersection,
     rank,
     ratvec,
+    solve_nonneg,
     vadd,
     vscale,
     zero_cone,
@@ -173,6 +174,8 @@ def _length_constraints(t: CombinatorialType) -> list[list[Fraction]]:
     bounded = t.bounded_edge_ids()
     eindex = {eid: i for i, eid in enumerate(bounded)}
     parent, non_tree = _spanning_tree(t)
+    if len(parent) != len(_finite_vertices(t)) - 1:
+        raise ValueError("the finite vertices are not connected by bounded edges")
     rows: list[list[Fraction]] = []
     for e in non_tree:
         coeff: dict[str, RatVec] = {}
@@ -212,33 +215,52 @@ def _length_constraints(t: CombinatorialType) -> list[list[Fraction]]:
     return rows
 
 
-def _length_support(t: CombinatorialType) -> tuple[set[str], dict[str, list[Fraction]]]:
-    """Which bounded edges can have positive length on the cone; returns the
-    set plus one witness length vector per positive edge."""
-    bounded = t.bounded_edge_ids()
-    cons = _length_constraints(t)
-    eqs = [(row, 0) for row in cons]
-    witnesses: dict[str, list[Fraction]] = {}
-    positive: set[str] = set()
-    for i, eid in enumerate(bounded):
-        sel = [ZERO] * len(bounded)
-        sel[i] = Fraction(1)
-        w = lp_feasible(len(bounded), eqs=eqs, geqs=[(sel, 1)], nonneg=range(len(bounded)))
+def _unit(n: int, i: int) -> list[Fraction]:
+    return [ONE if j == i else ZERO for j in range(n)]
+
+
+def _nonneg_support(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[set[int], list[Fraction]]:
+    """Which coordinates can be positive on the cone {x >= 0 : rows . x = 0},
+    and one point of the cone positive on all of them.
+
+    Each LP asks for x >= shift, written x = shift + s with s >= 0 so that
+    it needs no slack rows.  One LP with every coordinate at least 1 settles
+    the common case of a cone with a strictly positive point; otherwise one
+    LP per coordinate, skipping coordinates an earlier witness made positive.
+    """
+
+    def witness(shift: list[Fraction]) -> Optional[list[Fraction]]:
+        rhs = [-sum(c * x for c, x in zip(row, shift) if c) for row in rows]
+        s = solve_nonneg(rows, rhs) if rows else [ZERO] * n
+        return None if s is None else [a + b for a, b in zip(shift, s)]
+
+    point = witness([ONE] * n)
+    if point is not None:
+        return set(range(n)), point
+    support: set[int] = set()
+    point = [ZERO] * n
+    for i in range(n):
+        if i in support:
+            continue
+        w = witness(_unit(n, i))
         if w is not None:
-            positive.add(eid)
-            witnesses[eid] = w
-    return positive, witnesses
+            support.update(j for j, x in enumerate(w) if x > 0)
+            point = [a + b for a, b in zip(point, w)]
+    return support, point
 
 
 def moduli_cone(t: CombinatorialType) -> ModuliCone:
     """The explicit presentation of the cone of maps of this type with its
     exact dimension.
 
-    In embedded mode position blocks are unconstrained and the dimension is
-    the number of variables minus the rank of the equations augmented by the
-    forced-zero length rows.  In strict fan mode positions are confined to
-    their vertex cones and the dimension is recomputed through the cone
-    generators.
+    In embedded mode positions are unconstrained.  The finite graph is
+    connected, so one base point and the E bounded edge lengths fix every
+    position, and the lengths obey only the closing conditions of the
+    independent cycles (ambient-dimension rows per cycle).  The dimension is
+    the ambient dimension plus E minus the rank of those rows together with
+    one selector row per forced-zero length.  In strict fan mode positions
+    are confined to their vertex cones and the dimension is recomputed
+    through the cone generators.
     """
     variables = _variables(t)
     equations = _equations(t)
@@ -249,17 +271,12 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
             ineqs.append(("cone_membership", vid, t.vertex_cones[vid]))
 
     if t.fan.embedded:
-        positive, _ = _length_support(t)
-        forced = tuple(e for e in bounded if e not in positive)
-        rows = [list(r) for r in equations]
-        width = len(variables)
-        base = width - len(bounded)
-        for i, eid in enumerate(bounded):
-            if eid in forced:
-                row = [ZERO] * width
-                row[base + i] = Fraction(1)
-                rows.append(row)
-        dim = width - rank(rows)
+        cons = _length_constraints(t)
+        support, _ = _nonneg_support(cons, len(bounded))
+        zero = [i for i in range(len(bounded)) if i not in support]
+        forced = tuple(bounded[i] for i in zero)
+        selectors = [_unit(len(bounded), i) for i in zero]
+        dim = t.fan.ambient_dim + len(bounded) - rank(cons + selectors)
     else:
         dim, forced = _strict_dim(t)
     return ModuliCone(
@@ -309,20 +326,8 @@ def _strict_dim(t: CombinatorialType) -> tuple[int, tuple[str, ...]]:
     bounded = t.bounded_edge_ids()
     columns, eq_y, owners = _strict_generator_system(t)
     ny = len(columns)
-    eqs = [(row, 0) for row in eq_y]
-    support = []
-    for j in range(ny):
-        sel = [ZERO] * ny
-        sel[j] = Fraction(1)
-        support.append(
-            lp_feasible(ny, eqs=eqs, geqs=[(sel, 1)], nonneg=range(ny)) is not None
-        )
-    rows = [list(r) for r in eq_y]
-    for j in range(ny):
-        if not support[j]:
-            row = [ZERO] * ny
-            row[j] = Fraction(1)
-            rows.append(row)
+    support, _ = _nonneg_support(eq_y, ny)
+    rows = eq_y + [_unit(ny, j) for j in range(ny) if j not in support]
     kernel = nullspace(rows, ncols=ny)
     # dimension of the image cone in x-space
     x_width = len(columns[0]) if columns else 0
@@ -335,11 +340,7 @@ def _strict_dim(t: CombinatorialType) -> tuple[int, tuple[str, ...]]:
         images.append(img)
     dim = rank(images) if images else 0
     forced = tuple(
-        eid
-        for j, eid in (
-            (j, bounded[owners[j][1]]) for j in range(ny) if owners[j][0] == "len"
-        )
-        if not support[j]
+        bounded[i] for j, (kind, i) in enumerate(owners) if kind == "len" and j not in support
     )
     return dim, forced
 
@@ -358,22 +359,26 @@ def overvalence(t: CombinatorialType) -> int:
     return total
 
 
-def cone_metrics(t: CombinatorialType) -> ConeMetrics:
+def cone_metrics(t: CombinatorialType | ModuliCone) -> ConeMetrics:
     """Dimension against the expected dimension
     (ambient - 3)(1 - b1) + n - overvalence, with n the number of markings;
     the type is superabundant when the actual dimension is strictly larger.
+
+    Accepts the type, or its :class:`ModuliCone` when the caller already
+    has one, so the cone is not built twice.
     """
+    mc = t if isinstance(t, ModuliCone) else moduli_cone(t)
+    t = mc.type
     b1 = betti_and_genus(t.graph)[0]
     n_markings = len(t.graph.markings)
     ov = overvalence(t)
     expected = (t.fan.ambient_dim - 3) * (1 - b1) + n_markings - ov
-    dim = moduli_cone(t).dim
     return ConeMetrics(
-        dim=dim,
+        dim=mc.dim,
         expected_dim=expected,
         overvalence=ov,
         b1=b1,
-        superabundant=dim > expected,
+        superabundant=mc.dim > expected,
     )
 
 
@@ -688,8 +693,12 @@ def limit_of_family(fam: Family, t_star) -> LimitResult:
 # interior sampling
 
 def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
-    """A deterministic pseudo-random rational point in the relative interior
-    of the cone (all lengths strictly positive), realized as a map.
+    """A deterministic rational point in the relative interior of the cone
+    (all lengths strictly positive), realized as a map.
+
+    In embedded mode the seed perturbs the lengths along the cycle space and
+    picks the base position.  In strict fan mode the point depends on the
+    type alone and the seed is not used.
 
     Raises :class:`InfeasibleCone` when some length is forced to zero.
     """
@@ -699,15 +708,12 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
         )
     t = mc.type
     if not t.fan.embedded:
-        return _sample_strict(mc, seed)
+        return _sample_strict(t)
     rng = random.Random(seed)
     n = t.fan.ambient_dim
     bounded = t.bounded_edge_ids()
-    _, witnesses = _length_support(t)
-    ell = [ZERO] * len(bounded)
-    for w in witnesses.values():
-        ell = [a + b for a, b in zip(ell, w)]
     cons = _length_constraints(t)
+    _, ell = _nonneg_support(cons, len(bounded))
     kernel = nullspace(cons, ncols=len(bounded))
     if kernel and bounded:
         coeffs = [Fraction(rng.randint(-8, 8)) for _ in kernel]
@@ -757,22 +763,13 @@ def _assemble(t: CombinatorialType, lengths: Mapping[str, Fraction], positions: 
     return m
 
 
-def _sample_strict(mc: ModuliCone, seed: int) -> TropicalStableMap:
-    t = mc.type
-    rng = random.Random(seed)
+def _sample_strict(t: CombinatorialType) -> TropicalStableMap:
     bounded = t.bounded_edge_ids()
     columns, eq_y, owners = _strict_generator_system(t)
-    ny = len(columns)
-    eqs = [(row, 0) for row in eq_y]
-    point = [ZERO] * ny
-    for j in range(ny):
-        sel = [ZERO] * ny
-        sel[j] = Fraction(1)
-        w = lp_feasible(ny, eqs=eqs, geqs=[(sel, 1)], nonneg=range(ny))
-        if w is not None:
-            point = [a + b for a, b in zip(point, w)]
-        elif owners[j][0] == "len":
-            raise InfeasibleCone(f"length {bounded[owners[j][1]]} is zero on the whole cone")
+    support, point = _nonneg_support(eq_y, len(columns))
+    for j, (kind, i) in enumerate(owners):
+        if kind == "len" and j not in support:
+            raise InfeasibleCone(f"length {bounded[i]} is zero on the whole cone")
     x_width = len(columns[0]) if columns else 0
     x = [ZERO] * x_width
     for j, c in enumerate(point):
@@ -788,5 +785,4 @@ def _sample_strict(mc: ModuliCone, seed: int) -> TropicalStableMap:
     realized = canonical_type(combinatorial_type(m))
     if realized != canonical_type(t):
         raise InfeasibleCone("no interior point realizes the type: positions degenerate to faces")
-    _ = rng
     return m

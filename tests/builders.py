@@ -55,6 +55,30 @@ def path_two_vertices():
     return build_map(2, ["x", "y"], bounded, rays, {"x": (0, 0), "y": (1, 0)})
 
 
+def rectangle_cycle(a, b):
+    """The a x b rectangle cycle in the plane {x3 = 0} of R^3: 2(a + b) unit
+    bounded edges, a diagonal marked ray at each corner and a pair of +-e3
+    rays at every other vertex.  Its cone has dimension E + 1 against the
+    expected E."""
+    pts = (
+        [(x, 0) for x in range(a)]
+        + [(a, y) for y in range(b)]
+        + [(x, b) for x in range(a, 0, -1)]
+        + [(0, y) for y in range(b, 0, -1)]
+    )
+    n = len(pts)
+    corners = {(0, 0): (-1, -1, 0), (a, 0): (1, -1, 0), (a, b): (1, 1, 0), (0, b): (-1, 1, 0)}
+    bounded, rays = [], []
+    for i, (p, q) in enumerate(zip(pts, pts[1:] + pts[:1])):
+        u = (q[0] - p[0], q[1] - p[1], 0)
+        bounded.append((f"s{i}", (f"v{i}", f"v{(i + 1) % n}"), u, 1, f"v{i}", 1))
+        for u in [corners[p]] if p in corners else [(0, 0, 1), (0, 0, -1)]:
+            k = len(rays)
+            rays.append((f"r{k}", f"v{i}", u, 1, f"p{k}"))
+    positions = {f"v{i}": (x, y, 0) for i, (x, y) in enumerate(pts)}
+    return build_map(3, [f"v{i}" for i in range(n)], bounded, rays, positions)
+
+
 def bent_square(branch_lengths=(1, 1, 2)):
     """Square cycle in the plane of R^3 with three out-of-plane branches at
     the given distances; the fourth corner keeps an in-plane ray.  The unique

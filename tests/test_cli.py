@@ -1,11 +1,14 @@
 """CLI: commands, exit codes, pipelines."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tropmap
 from tropmap.cli import main
 from tropmap.documents import Document, serialize_document
 from tropmap.gallery import square_loop
@@ -56,6 +59,22 @@ class TestCommands:
         assert code == 0
         sample = json.loads(out)["results"]["sample"]
         assert sample["positions"]
+
+    def test_moduli_cone_built_once(self, capsys, monkeypatch, square_loop_doc):
+        calls = []
+        real = tropmap.moduli.moduli_cone
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(tropmap.moduli, "moduli_cone", counting)
+        monkeypatch.setattr(tropmap.cli, "moduli_cone", counting)
+        for argv in (["cone"], ["cone", "--sample"], ["superabundant"]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, monkeypatch, [argv[0], square_loop_doc] + argv[1:])
+            assert code == 0
+            assert len(calls) == 1, argv
 
     def test_superabundant_exit_codes(self, capsys, monkeypatch, square_loop_doc, tmp_path):
         code, _, _ = run_cli(capsys, monkeypatch, ["superabundant", square_loop_doc])
@@ -185,10 +204,15 @@ class TestErrorHandling:
 
 class TestSubprocess:
     def test_entry_point_pipe(self, tmp_path):
+        # the subprocesses import the same tropmap as this test run
+        src = str(Path(tropmap.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         first = subprocess.run(
             [sys.executable, "-m", "tropmap.cli", "example", "figure1", "--t", "1/2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert first.returncode == 0
         second = subprocess.run(
@@ -196,6 +220,7 @@ class TestSubprocess:
             input=first.stdout,
             capture_output=True,
             text=True,
+            env=env,
         )
         assert second.returncode == 0
         assert json.loads(second.stdout)["results"]["well_spaced"] is True

@@ -47,6 +47,9 @@ class TestRationals:
         assert format_rational(Fraction(1, 2)) == "1/2"
         assert format_rational(Fraction(-4, 2)) == "-2"
         assert format_rational(Fraction(0)) == "0"
+        assert format_rational(0) == "0"
+        assert format_rational(3) == "3"
+        assert format_rational(-2) == "-2"
 
     @given(st.fractions())
     def test_roundtrip(self, q):

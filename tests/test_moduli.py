@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropmap import moduli
 from tropmap import (
     InfeasibleCone,
     affine,
@@ -27,7 +28,22 @@ from tropmap.exactgeom import auto_rays_fan, build_fan, rank
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, make_type, stable_map
 
-from builders import build_map, path_two_vertices, random_feasible_map, three_rays
+from builders import build_map, path_two_vertices, random_feasible_map, rectangle_cycle, three_rays
+from oracles import bareiss_rank
+
+
+def _raw_type(bounded, rays):
+    """An embedded type built straight from edge data, with no balancing."""
+    finite = sorted({v for _, ends, *_ in bounded for v in ends} | {at for _, at, *_ in rays})
+    vs = [Vertex(v) for v in finite] + [Vertex(f"inf:{eid}") for eid, *_ in rays]
+    es = [Edge(eid, ends, Fraction(l)) for eid, ends, _, _, _, l in bounded]
+    es += [Edge(eid, (at, f"inf:{eid}"), INF) for eid, at, _, _, _ in rays]
+    mk = [Marking(lbl, f"inf:{eid}") for eid, _, _, _, lbl in rays]
+    c = tropical_curve(vs, es, mk)
+    fan = auto_rays_fan(2, [u for _, _, u, _, _ in rays], embedded=True)
+    data = {eid: EdgeMapData(tuple(u), w, tail) for eid, _, u, w, tail, _ in bounded}
+    data |= {eid: EdgeMapData(tuple(u), w, at) for eid, at, u, w, _ in rays}
+    return make_type(c, fan, data)
 
 
 def _infeasible_two_cycle():
@@ -41,15 +57,35 @@ def _infeasible_two_cycle():
         ("r3", "y", (1, 0), 1, "p3"),
         ("r4", "y", (0, 1), 1, "p4"),
     ]
-    vs = [Vertex("x"), Vertex("y")] + [Vertex(f"inf:r{i}") for i in range(1, 5)]
-    es = [Edge(eid, ends, Fraction(l)) for eid, ends, _, _, _, l in bounded]
-    es += [Edge(eid, (at, f"inf:{eid}"), INF) for eid, at, _, _, _ in rays]
-    mk = [Marking(lbl, f"inf:{eid}") for eid, _, _, _, lbl in rays]
-    c = tropical_curve(vs, es, mk)
-    fan = auto_rays_fan(2, [u for _, _, u, _, _ in rays], embedded=True)
-    data = {eid: EdgeMapData(tuple(u), w, tail) for eid, _, u, w, tail, _ in bounded}
-    data |= {eid: EdgeMapData(tuple(u), w, at) for eid, at, u, w, _ in rays}
-    return make_type(c, fan, data)
+    return _raw_type(bounded, rays)
+
+
+def _partly_forced_cycle():
+    """c1 runs x -> y and c2 runs y -> x in the same direction, so the cycle
+    closes only with len(c1) + len(c2) = 0: non-negativity, not the
+    equations, forces both to zero.  The bridge b to z stays free."""
+    bounded = [
+        ("c1", ("x", "y"), (1, 0), 1, "x", 1),
+        ("c2", ("x", "y"), (1, 0), 1, "y", 1),
+        ("b", ("y", "z"), (1, 1), 1, "y", 1),
+    ]
+    rays = [
+        ("r1", "x", (0, -1), 1, "p1"),
+        ("r2", "y", (0, 1), 1, "p2"),
+        ("r3", "z", (1, 0), 1, "p3"),
+        ("r4", "z", (0, 1), 1, "p4"),
+    ]
+    return _raw_type(bounded, rays)
+
+
+def _oracle_dim(mc):
+    """The dimension by the independent elimination oracle: all variables
+    minus the rank of every edge equation plus one selector row per
+    forced-zero length."""
+    selectors = [
+        [int(v == f"len:{eid}") for v in mc.variables] for eid in mc.forced_zero_lengths
+    ]
+    return len(mc.variables) - bareiss_rank(list(mc.equations) + selectors)
 
 
 class TestModuliCone:
@@ -106,6 +142,53 @@ class TestModuliCone:
         )
         mc = moduli_cone(combinatorial_type(m))
         assert mc.dim == 1  # the vertex slides along the ray
+
+
+class TestCycleSpaceDimension:
+    """The embedded dimension, computed on the cycle space of the lengths,
+    against elimination over the full edge equations."""
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 2), (1, 4), (2, 3), (1, 5), (2, 4), (3, 3)])
+    def test_rectangle_cycles(self, a, b):
+        mc = moduli_cone(combinatorial_type(rectangle_cycle(a, b)))
+        assert mc.dim == _oracle_dim(mc) == 2 * (a + b) + 1
+
+    def test_fixtures(self):
+        maps = (three_rays(2), three_rays(3), path_two_vertices(), square_loop(), speyer_tree(), hat_demo())
+        types = [combinatorial_type(m) for m in maps]
+        for t in types + [_infeasible_two_cycle(), _partly_forced_cycle()]:
+            mc = moduli_cone(t)
+            assert mc.dim == _oracle_dim(mc)
+
+    def test_random_feasible(self):
+        rng = random.Random(424242)
+        for _ in range(40):
+            mc = moduli_cone(combinatorial_type(random_feasible_map(rng)))
+            assert mc.dim == _oracle_dim(mc)
+
+    def test_partly_forced_lengths(self):
+        # the all-positive LP fails, so support comes from the per-edge LPs
+        mc = moduli_cone(_partly_forced_cycle())
+        assert mc.forced_zero_lengths == ("c1", "c2")
+        assert not mc.has_positive_point
+        assert mc.dim == _oracle_dim(mc) == 3  # translations plus the bridge
+
+    def test_support_skips_covered_coordinates(self, monkeypatch):
+        calls = []
+        real = moduli.solve_nonneg
+
+        def counting(rows, rhs):
+            calls.append(rhs)
+            return real(rows, rhs)
+
+        monkeypatch.setattr(moduli, "solve_nonneg", counting)
+        rows = [[Fraction(x) for x in r] for r in ((1, -1, 0, 0), (0, 0, 1, 1))]
+        support, point = moduli._nonneg_support(rows, 4)
+        assert support == {0, 1}
+        assert point[0] > 0 and point[1] > 0 and point[2] == point[3] == 0
+        assert all(sum(c * x for c, x in zip(r, point)) == 0 for r in rows)
+        # all coordinates at once, then x0 (whose witness covers x1), x2, x3
+        assert len(calls) == 4
 
 
 class TestMetrics:
