@@ -31,6 +31,7 @@ from .moduli import (
 from .wellspaced import (
     Assumptions,
     CertificateError,
+    build_figure1_family,
     hat_curve,
     is_well_spaced,
     realizability_verdict,
@@ -286,7 +287,7 @@ def _cmd_example(args, io: _Io) -> int:
     if name not in gallery.GALLERY_NAMES:
         raise DocumentError("", f"unknown example {name!r}; available: {', '.join(gallery.GALLERY_NAMES)}")
     if name == "figure1" and args.t is None:
-        fam = gallery.figure1_family(args.n)
+        fam = build_figure1_family(args.n)
         doc = Document("family", fam)
         sys.stdout.write(serialize_document(doc, io.pretty))
         print(f"example figure1 family (n={args.n})", file=sys.stderr)

@@ -77,8 +77,15 @@ def vscale(c, a: Sequence) -> RatVec:
     return tuple(c * Fraction(x) for x in a)
 
 
+def _exact(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def vdot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b, strict=True)), ZERO)
+    """Exact dot product.  ``int`` and ``Fraction`` entries are used as they
+    are (integer vectors multiply in ``int``); anything else is converted."""
+    total = sum(_exact(x) * _exact(y) for x, y in zip(a, b, strict=True))
+    return total if isinstance(total, Fraction) else Fraction(total)
 
 
 def is_zero_vec(a: Sequence) -> bool:
@@ -176,21 +183,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -
             vec[pc] = -red[r][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """One exact solution of Ax = b, or None when inconsistent."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    aug = [list(row) + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [ZERO] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +526,6 @@ def fan_cone_intersection(f: Fan, cones_: Sequence[Cone]) -> Cone:
                 "cones do not meet in a common face (fan is not valid)"
             )
     return result
-
-
-def smallest_containing_cone(f: Fan, vectors: Iterable[Sequence[Fraction]]) -> Optional[Cone]:
-    """Smallest fan cone containing all the given vectors, or None."""
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    candidates = [c for c in f.cones if all(cone_contains(c, v) for v in vecs)]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda c: (c.dim(), len(c.rays), c.rays))
-    best = candidates[0]
-    if not all(cone_contains_cone(d, best) for d in candidates):
-        return None
-    return best
 
 
 def fan_validate(f: Fan) -> list[str]:

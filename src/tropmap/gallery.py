@@ -22,8 +22,7 @@ from . import curves
 from .curves import Edge, Marking, Vertex, tropical_curve
 from .exactgeom import auto_rays_fan
 from .maps import EdgeMapData, TropicalStableMap, stable_map
-from .moduli import Family
-from .wellspaced import build_figure1_family, figure1_member
+from .wellspaced import figure1_member
 
 GALLERY_NAMES = ("figure1", "square-loop", "speyer-tree", "hat-demo")
 
@@ -120,10 +119,6 @@ def hat_demo() -> TropicalStableMap:
     ]
     positions = {"v": (0, 0), "x": (1, 0)}
     return _build_map(2, vertices, bounded, rays, positions)
-
-
-def figure1_family(n: int = 3) -> Family:
-    return build_figure1_family(n)
 
 
 def gallery_map(name: str, n: int = 3, t=None) -> TropicalStableMap:

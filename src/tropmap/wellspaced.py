@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import curves
@@ -37,6 +38,7 @@ from .exactgeom import (
     auto_rays_fan,
     is_zero_vec,
     nullspace,
+    primitive,
     primitive_rational,
     rank,
     ratvec,
@@ -121,10 +123,17 @@ def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
 class Arrangement:
     """The projected arrangement in the quotient by the cycle span:
     a quotient map (rows form a basis of the annihilator of V's directions)
-    and the deduplicated primitive projective representatives."""
+    and the deduplicated primitive projective representatives, sorted.
+
+    ``sources[i]`` is an ambient vector whose projection represents
+    ``vectors[i]``: a positive integral multiple of a vertex offset from the
+    base point or of an edge direction.  A covector vanishing on V vanishes
+    on a representative exactly when it vanishes on its source, so
+    containment patterns are read off the sources without lifting."""
 
     quotient_map: tuple[RatVec, ...]
     vectors: tuple[IntVec, ...]
+    sources: tuple[IntVec, ...]
 
 
 @dataclass(frozen=True)
@@ -139,10 +148,10 @@ class HyperplaneFlat:
     rank: int
 
 
-def _projective_rep(vec: Sequence[Fraction]) -> Optional[IntVec]:
+def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
     if all(x == 0 for x in vec):
         return None
-    rep = primitive_rational(vec)
+    rep = primitive(vec)
     for x in rep:
         if x > 0:
             return rep
@@ -154,30 +163,28 @@ def _projective_rep(vec: Sequence[Fraction]) -> Optional[IntVec]:
 def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> Arrangement:
     """Project vertex offsets (for vertices off V) and all edge directions to
     the quotient by V's directions, keeping one primitive representative per
-    projective class."""
+    projective class.
+
+    The projection runs over the integers: the quotient rows are scaled by
+    one common positive denominator and each vector by its own, and neither
+    scaling changes a projective class.  The first vector met in each class
+    (vertices before edges) is kept as its source."""
     if cd is None:
         cd = cycle_data(m)
     n = m.fan.ambient_dim
-    ann = nullspace([list(b) for b in cd.direction_basis], ncols=n)
-    quotient = tuple(tuple(row) for row in ann)
-    reps: set[IntVec] = set()
-
-    def project(vec: Sequence[Fraction]) -> Optional[IntVec]:
-        img = tuple(vdot(row, vec) for row in quotient)
-        return _projective_rep(img)
-
-    for vid in m.curve.unmarked_vertex_ids():
-        rep = project(vsub(m.positions[vid], cd.base_point))
+    quotient = tuple(tuple(row) for row in nullspace([list(b) for b in cd.direction_basis], ncols=n))
+    scale = lcm(*(x.denominator for row in quotient for x in row))
+    integral = [[x.numerator * (scale // x.denominator) for x in row] for row in quotient]
+    offsets = (vsub(m.positions[vid], cd.base_point) for vid in m.curve.unmarked_vertex_ids())
+    candidates = [primitive_rational(v) for v in offsets if not is_zero_vec(v)]
+    candidates += [m.edge_data[e.id].u for e in m.curve.edges]
+    sources: dict[IntVec, IntVec] = {}
+    for vec in candidates:
+        rep = _projective_rep([sum(a * b for a, b in zip(row, vec)) for row in integral])
         if rep is not None:
-            reps.add(rep)
-    for e in m.curve.edges:
-        d = m.edge_data[e.id]
-        if is_zero_vec(d.u):
-            continue
-        rep = project(ratvec(d.u))
-        if rep is not None:
-            reps.add(rep)
-    return Arrangement(quotient, tuple(sorted(reps)))
+            sources.setdefault(rep, tuple(vec))
+    reps = sorted(sources)
+    return Arrangement(quotient, tuple(reps), tuple(sources[r] for r in reps))
 
 
 def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[IntVec]:
@@ -194,7 +201,9 @@ def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[
     return frozenset(closed)
 
 
-def enumerate_flats(m: TropicalStableMap, cd: Optional[CycleData] = None) -> list[HyperplaneFlat]:
+def enumerate_flats(
+    m: TropicalStableMap, cd: Optional[CycleData] = None, arr: Optional[Arrangement] = None
+) -> list[HyperplaneFlat]:
     """All hyperplane containment patterns: flats of the projected
     arrangement of rank at most codim - 1, each with a certifying normal.
 
@@ -204,7 +213,8 @@ def enumerate_flats(m: TropicalStableMap, cd: Optional[CycleData] = None) -> lis
         cd = cycle_data(m)
     if cd.codim == 0:
         raise ValueError("cycle image spans the ambient space: no containing hyperplane")
-    arr = build_arrangement(m, cd)
+    if arr is None:
+        arr = build_arrangement(m, cd)
     max_rank = cd.codim - 1
     flats: set[frozenset[IntVec]] = {frozenset()}
     frontier: set[frozenset[IntVec]] = {frozenset()}
@@ -262,33 +272,17 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
     return primitive_rational(phi)
 
 
-def pattern_of_normal(m: TropicalStableMap, cd: CycleData, normal: Sequence[Fraction]) -> tuple[IntVec, ...]:
+def pattern_of_normal(
+    m: TropicalStableMap, cd: CycleData, normal: Sequence[Fraction], arr: Optional[Arrangement] = None
+) -> tuple[IntVec, ...]:
     """The containment pattern cut by an explicit hyperplane normal (which
     must vanish on V's directions)."""
-    arr = build_arrangement(m, cd)
-    psi = tuple(Fraction(x) for x in normal)
+    if arr is None:
+        arr = build_arrangement(m, cd)
     for b in cd.direction_basis:
-        if vdot(psi, b) != 0:
+        if vdot(normal, b) != 0:
             raise ValueError("normal does not vanish on the cycle span")
-    ann: list[IntVec] = []
-    for rep in arr.vectors:
-        lift = _lift_rep(arr, rep)
-        if vdot(psi, lift) == 0:
-            ann.append(rep)
-    return tuple(sorted(ann))
-
-
-def _lift_rep(arr: Arrangement, rep: IntVec) -> RatVec:
-    # solve quotient_map . x = rep for any x; representatives live in the
-    # quotient, evaluation of ambient covectors vanishing on V is well
-    # defined on any lift
-    from .exactgeom import solve_linear
-
-    rows = [list(row) for row in arr.quotient_map]
-    x = solve_linear(rows, list(map(Fraction, rep)))
-    if x is None:
-        raise ValueError("representative is not in the quotient image")
-    return tuple(x)
+    return tuple(rep for rep, src in zip(arr.vectors, arr.sources) if vdot(normal, src) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,12 @@ class TrappedSubcurve:
         return tuple(sorted(d for _, d in self.boundary))
 
 
-def subcurve_in_flat(m: TropicalStableMap, flat: HyperplaneFlat, cd: Optional[CycleData] = None) -> TrappedSubcurve:
+def subcurve_in_flat(
+    m: TropicalStableMap,
+    flat: HyperplaneFlat,
+    cd: Optional[CycleData] = None,
+    arr: Optional[Arrangement] = None,
+) -> TrappedSubcurve:
     """Vertices are in H when the normal kills their offset from the base
     point; an edge is in H when both endpoints are and its direction is
     annihilated.  Boundary vertices are the component's vertices incident to
@@ -315,30 +314,25 @@ def subcurve_in_flat(m: TropicalStableMap, flat: HyperplaneFlat, cd: Optional[Cy
     to the cycle inside the component."""
     if cd is None:
         cd = cycle_data(m)
-    if pattern_of_normal(m, cd, ratvec(flat.normal)) != flat.zero_set:
+    phi = flat.normal
+    if pattern_of_normal(m, cd, phi, arr) != flat.zero_set:
         raise ValueError("flat was not generated for this map")
-    phi = ratvec(flat.normal)
-    base = cd.base_point
-    in_h_vertex = {
-        vid: vdot(phi, vsub(m.positions[vid], base)) == 0
-        for vid in m.curve.unmarked_vertex_ids()
-    }
     marked = m.curve.marked_vertex_ids
-
-    def edge_in_h(e: Edge) -> bool:
-        a, b = e.ends
-        for end in (a, b):
-            if end not in marked and not in_h_vertex.get(end, False):
-                return False
-        return vdot(phi, ratvec(m.edge_data[e.id].u)) == 0
+    level = vdot(phi, cd.base_point)
+    in_h = set(marked)
+    in_h.update(vid for vid in m.curve.unmarked_vertex_ids() if vdot(phi, m.positions[vid]) == level)
+    edges_in_h = {
+        e.id for e in m.curve.edges
+        if e.ends[0] in in_h and e.ends[1] in in_h and vdot(phi, m.edge_data[e.id].u) == 0
+    }
 
     component = set(cd.cycle_vertices)
-    comp_edges = {eid for eid in cd.cycle_edges}
+    comp_edges = set(cd.cycle_edges)
     frontier = list(component)
     while frontier:
         vid = frontier.pop()
         for e in m.curve.edges_at(vid):
-            if not edge_in_h(e):
+            if e.id not in edges_in_h:
                 continue
             comp_edges.add(e.id)
             for end in e.ends:
@@ -414,16 +408,19 @@ def multiset_passes(distances: Sequence[Fraction]) -> bool:
     return sum(1 for d in distances if d == low) >= 2
 
 
-def is_well_spaced(m: TropicalStableMap) -> WellSpacedReport:
+def is_well_spaced(m: TropicalStableMap, cd: Optional[CycleData] = None) -> WellSpacedReport:
     """Evaluate the predicate on every hyperplane flat; the first failing
-    flat is the witness."""
-    cd = cycle_data(m)
+    flat is the witness.  The cycle data and the arrangement are computed
+    once and shared by every flat."""
+    if cd is None:
+        cd = cycle_data(m)
     if cd.codim == 0:
         raise ValueError("cycle image spans the ambient space: no containing hyperplane")
+    arr = build_arrangement(m, cd)
     records = []
     witness = None
-    for flat in enumerate_flats(m, cd):
-        sub = subcurve_in_flat(m, flat, cd)
+    for flat in enumerate_flats(m, cd, arr):
+        sub = subcurve_in_flat(m, flat, cd, arr)
         ok = multiset_passes(sub.distance_multiset())
         rec = FlatRecord(flat, sub, ok)
         records.append(rec)
@@ -438,7 +435,7 @@ def well_spaced_or_vacuous(m: TropicalStableMap) -> bool:
     cd = cycle_data(m)
     if cd.codim == 0:
         return True
-    return is_well_spaced(m).overall
+    return is_well_spaced(m, cd).overall
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +595,12 @@ def realizability_verdict(m: TropicalStableMap, assume: Assumptions = Assumption
     diags = validate_map(m)
     if diags:
         raise ValueError(f"verdict requires a valid map: {diags[0]}")
+    return _rule_cascade(m, assume)
+
+
+def _rule_cascade(m: TropicalStableMap, assume: Assumptions) -> Verdict:
+    """The rules of :func:`realizability_verdict` on a map its caller has
+    already validated."""
     b1, g = betti_and_genus(m.curve)
     if g == 0:
         return Verdict("Realizable", "R0", "genus 0")
@@ -629,7 +632,9 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
         member_diags = [d for d in validate_map(member) if "stability" not in d]
         if member_diags:
             raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
-        verdict = realizability_verdict(member, Assumptions(star_realizable=assume.star_realizable))
+        # members are validated above with stability waived, as families
+        # may pass through 2-valent vertices that only the limit resolves
+        verdict = _rule_cascade(member, Assumptions(star_realizable=assume.star_realizable))
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"

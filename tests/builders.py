@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tropmap import INF, stable_map, validate_map
+from tropmap import INF, affine, combinatorial_type, make_family, stable_map, validate_map
 from tropmap.curves import Edge, Marking, Vertex, tropical_curve
-from tropmap.exactgeom import auto_rays_fan, primitive, vector_content
+from tropmap.exactgeom import auto_rays_fan, complete_orthant_fan, primitive, vector_content
 from tropmap.maps import EdgeMapData
 
 
@@ -129,6 +129,65 @@ def parallel_pair():
         ("rb", "B", (1, 0), 2, "pb"),
     ]
     return build_map(2, ["A", "B"], bounded, rays, {"A": (0, 0), "B": (1, 0)})
+
+
+def tilted_parallel_pair():
+    """A two-edge cycle along (3, 2, 6) in R^3.  The quotient rows by its
+    span, (-2/3, 1, 0) and (-2, 0, 1), have different denominators."""
+    bounded = [
+        ("e1", ("A", "B"), (3, 2, 6), 1, "A", 1),
+        ("e2", ("A", "B"), (3, 2, 6), 1, "A", 1),
+    ]
+    rays = [
+        ("ra1", "A", (1, 0, 0), 1, "pa1"),
+        ("ra2", "A", (-7, -4, -12), 1, "pa2"),
+        ("rb1", "B", (0, 1, 0), 1, "pb1"),
+        ("rb2", "B", (2, 1, 4), 3, "pb2"),
+    ]
+    m = build_map(3, ["A", "B"], bounded, rays, {"A": (0, 0, 0), "B": (3, 2, 6)})
+    assert validate_map(m) == []
+    return m
+
+
+def strict_unstable_member_family():
+    """A genus-one family in ``complete_orthant_fan(2, embedded=False)``:
+    a triangle cycle at (3, 2) with edges of length 1 - t, and a 2-valent
+    vertex d = (2 - t, 1 - t) on the bounded edge from a.  For t < 1, d lies
+    in the open positive quadrant, so members fail only the stability
+    axiom, and their planar cycle is vacuously well-spaced (rule R1).  At
+    t = 1 the cycle contracts to a genus-one vertex and d reaches the ray
+    e1, where the limit map is valid."""
+    vertices = [Vertex(v) for v in ("a", "b", "c", "d")]
+    edges = [
+        Edge("ab", ("a", "b"), Fraction(1)),
+        Edge("bc", ("b", "c"), Fraction(1)),
+        Edge("ca", ("c", "a"), Fraction(1)),
+        Edge("ad", ("a", "d"), Fraction(1)),
+    ]
+    data = {
+        "ab": EdgeMapData((1, 0), 1, "a"),
+        "bc": EdgeMapData((-1, 1), 1, "b"),
+        "ca": EdgeMapData((0, -1), 1, "c"),
+        "ad": EdgeMapData((-1, -1), 1, "a"),
+    }
+    markings = []
+    for eid, at, u in (("rd", "d", (-1, -1)), ("rb", "b", (2, -1)), ("rc", "c", (-1, 2))):
+        vertices.append(Vertex(f"inf:{eid}"))
+        edges.append(Edge(eid, (at, f"inf:{eid}"), INF))
+        markings.append(Marking(f"p{eid}", f"inf:{eid}"))
+        data[eid] = EdgeMapData(u, 1, at)
+    positions = {"a": (3, 2), "b": (4, 2), "c": (3, 3), "d": (2, 1)}
+    fan = complete_orthant_fan(2, embedded=False)
+    member = stable_map(tropical_curve(vertices, edges, markings), fan, positions, data)
+    assert validate_map(member) == ["stability violated at 2-valent vertex d"]
+    shrink = affine(1, -1)
+    lengths = {"ab": shrink, "bc": shrink, "ca": shrink, "ad": affine(1, 1)}
+    return make_family(
+        combinatorial_type(member),
+        lengths,
+        base_vertex="a",
+        base_position=(affine(3), affine(2)),
+    )
 
 
 def lone_genus_one_vertex(ambient=2):

@@ -149,3 +149,73 @@ def euler_betti(num_vertices, edge_pairs) -> int:
             parent[ra] = rb
             comps -= 1
     return len(edge_pairs) - num_vertices + comps
+
+
+def projective_class(quotient, vec):
+    """The image of ``vec`` under the rows of ``quotient``, computed in
+    Fractions, as a primitive integral vector whose first nonzero entry is
+    positive; None when the image is zero."""
+    img = [sum((Fraction(q) * Fraction(x) for q, x in zip(row, vec)), Fraction(0)) for row in quotient]
+    if all(x == 0 for x in img):
+        return None
+    den = 1
+    for x in img:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in img]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    rep = [x // g for x in ints]
+    first = next(x for x in rep if x != 0)
+    return tuple(-x for x in rep) if first < 0 else tuple(rep)
+
+
+def fraction_projection(m, base_point, quotient):
+    """Sorted projective classes of the vertex offsets from ``base_point``
+    and of the nonzero edge directions of a map."""
+    vecs = [
+        [Fraction(p) - Fraction(b) for p, b in zip(m.positions[vid], base_point)]
+        for vid in m.curve.unmarked_vertex_ids()
+    ]
+    vecs += [m.edge_data[e.id].u for e in m.curve.edges]
+    reps = {projective_class(quotient, v) for v in vecs}
+    return tuple(sorted(reps - {None}))
+
+
+def _solve(rows, rhs):
+    """One solution of rows . x = rhs by Gauss-Jordan elimination over
+    Fractions; the system must be consistent."""
+    n = len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[n] != 0 for row in aug[r:]):
+        raise ValueError("inconsistent system")
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return x
+
+
+def lift_pattern(quotient, vectors, normal):
+    """The representatives annihilated by an ambient covector vanishing on
+    the cycle span: lift each representative through the quotient map and
+    evaluate the covector on the lift."""
+    out = []
+    for rep in vectors:
+        lift = _solve(quotient, rep)
+        if sum((Fraction(a) * b for a, b in zip(normal, lift)), Fraction(0)) == 0:
+            out.append(tuple(rep))
+    return tuple(sorted(out))

@@ -31,7 +31,7 @@ from tropmap import (
 from tropmap.cli import main as cli_main
 from tropmap.documents import Document, DocumentError, load_document, serialize_document
 from tropmap.exactgeom import ratvec, vdot, vsub
-from tropmap.gallery import figure1_family, hat_demo, speyer_tree, square_loop
+from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.wellspaced import build_arrangement
 
 from builders import random_connected_multigraph, random_feasible_map
@@ -93,7 +93,7 @@ def test_criterion_4_moduli_round_trip():
     gallery_types = [
         combinatorial_type(m) for m in (square_loop(), speyer_tree(), hat_demo())
     ]
-    gallery_types.append(canonical_type(figure1_family(3).type))
+    gallery_types.append(canonical_type(build_figure1_family(3).type))
     for t in gallery_types:
         for seed in range(5):
             s = sample_interior(moduli_cone(t), seed)
@@ -172,7 +172,7 @@ def test_criterion_5_flat_soundness():
         "square-loop": square_loop(),
         "speyer-tree": speyer_tree(),
         "hat-demo": hat_demo(),
-        "figure1(t=1/2)": limit_of_family(figure1_family(3), Fraction(1, 2)).map,
+        "figure1(t=1/2)": limit_of_family(build_figure1_family(3), Fraction(1, 2)).map,
     }
     checked = 0
     for name, m in maps.items():
@@ -266,8 +266,8 @@ def test_criterion_8_cli_round_trip_and_fuzz(monkeypatch):
         Document("map", square_loop()),
         Document("map", speyer_tree()),
         Document("map", hat_demo()),
-        Document("map", limit_of_family(figure1_family(3), Fraction(1, 2)).map),
-        Document("family", figure1_family(3)),
+        Document("map", limit_of_family(build_figure1_family(3), Fraction(1, 2)).map),
+        Document("family", build_figure1_family(3)),
         Document("type", combinatorial_type(square_loop())),
         Document("fan", square_loop().fan),
         Document("curve", square_loop().curve),
@@ -287,7 +287,7 @@ def test_criterion_8_cli_round_trip_and_fuzz(monkeypatch):
     # documented exit codes on the gallery
     code, out = run(["validate"], serialize_document(docs[0]))
     assert code == 0 and json.loads(out)["exit_code"] == 0
-    fam_text = serialize_document(Document("family", figure1_family(3)))
+    fam_text = serialize_document(Document("family", build_figure1_family(3)))
     code, limit_out = run(["limit", "--t", "1"], fam_text)
     assert code == 0
     code, out = run(["wellspaced"], limit_out)

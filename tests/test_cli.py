@@ -13,6 +13,8 @@ from tropmap.cli import main
 from tropmap.documents import Document, serialize_document
 from tropmap.gallery import square_loop
 
+from builders import strict_unstable_member_family
+
 
 def run_cli(capsys, monkeypatch, args, stdin=""):
     monkeypatch.setattr("sys.stdin", _FakeStdin(stdin))
@@ -123,6 +125,17 @@ class TestCommands:
         assert code == 0
         results = json.loads(out)["results"]
         assert results == {"verdict": "Realizable", "rule": "R4", "reason": "Theorem A"}
+
+    def test_verdict_family_with_unstable_members(self, capsys, monkeypatch, tmp_path):
+        fam = strict_unstable_member_family()
+        fam_path = tmp_path / "family.json"
+        fam_path.write_text(serialize_document(Document("family", fam)))
+        limit_doc = serialize_document(Document("map", tropmap.limit_of_family(fam, 1).map))
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["verdict", "--family", str(fam_path)], stdin=limit_doc
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["rule"] == "R4"
 
     def test_verdict_member(self, capsys, monkeypatch):
         _, doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--t", "1/2"])

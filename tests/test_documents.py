@@ -12,7 +12,8 @@ from tropmap.documents import (
     load_document,
     serialize_document,
 )
-from tropmap.gallery import figure1_family, hat_demo, speyer_tree, square_loop
+from tropmap.gallery import hat_demo, speyer_tree, square_loop
+from tropmap.wellspaced import build_figure1_family
 
 
 def _gallery_documents():
@@ -20,7 +21,7 @@ def _gallery_documents():
         Document("map", square_loop()),
         Document("map", speyer_tree()),
         Document("map", hat_demo()),
-        Document("family", figure1_family(3)),
+        Document("family", build_figure1_family(3)),
         Document("type", combinatorial_type(square_loop())),
         Document("fan", square_loop().fan),
         Document("curve", square_loop().curve),

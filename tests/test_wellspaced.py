@@ -23,12 +23,21 @@ from tropmap import (
     validate_map,
     well_spaced_or_vacuous,
 )
+from tropmap import wellspaced
 from tropmap.exactgeom import ratvec, vdot
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
-from tropmap.wellspaced import build_arrangement, multiset_passes, pattern_of_normal
+from tropmap.wellspaced import _PROBES, build_arrangement, multiset_passes, pattern_of_normal
 
-from builders import bent_square, build_map, lone_genus_one_vertex, three_rays
-from oracles import subset_closure_flats
+from builders import (
+    bent_square,
+    build_map,
+    lone_genus_one_vertex,
+    random_feasible_map,
+    strict_unstable_member_family,
+    three_rays,
+    tilted_parallel_pair,
+)
+from oracles import fraction_projection, lift_pattern, projective_class, subset_closure_flats
 
 
 class TestCycleData:
@@ -115,6 +124,77 @@ class TestFlats:
             cd = cycle_data(m)
             for flat in enumerate_flats(m, cd):
                 assert pattern_of_normal(m, cd, ratvec(flat.normal)) == flat.zero_set
+
+
+class TestIntegerProjection:
+    """The integer projection and the source-vector patterns against the
+    Fraction projection and the lift-based patterns of the oracles."""
+
+    @staticmethod
+    def _maps():
+        maps = [square_loop(), speyer_tree(), hat_demo(), hat_curve(hat_demo(), 1)]
+        maps += [bent_square(b) for b in ((1, 1, 2), (1, 2, 3), (Fraction(1, 3), Fraction(2, 5), 1))]
+        for n in (3, 4):
+            fam = build_figure1_family(n)
+            maps += [limit_of_family(fam, t).map for t in (Fraction(2, 7), Fraction(5, 11), 1)]
+        maps.append(tilted_parallel_pair())
+        rng = random.Random(17)
+        for _ in range(120):
+            m = random_feasible_map(rng, max_vertices=5)
+            if betti_and_genus(m.curve)[1] == 1:
+                maps.append(m)
+        return [m for m in maps if cycle_data(m).codim > 0]
+
+    def test_against_fraction_oracles(self):
+        rng = random.Random(29)
+        denominators = set()
+        for m in self._maps():
+            cd = cycle_data(m)
+            arr = build_arrangement(m, cd)
+            q = arr.quotient_map
+            assert arr.vectors == fraction_projection(m, cd.base_point, q)
+            assert [projective_class(q, src) for src in arr.sources] == list(arr.vectors)
+            denominators.add(frozenset(max(x.denominator for x in row) for row in q))
+            normals = [f.normal for f in enumerate_flats(m, cd, arr)]
+            for _ in range(5):
+                psi = [rng.randint(-3, 3) for _ in q]
+                normals.append([vdot(psi, col) for col in zip(*q)])
+            for normal in normals:
+                assert pattern_of_normal(m, cd, normal, arr) == lift_pattern(q, arr.vectors, normal)
+        # quotient rows with different denominators share one common scale
+        assert frozenset({1, 3}) in denominators
+
+
+class TestWorkDoneOnce:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(wellspaced, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wellspaced, name, counted)
+        return calls
+
+    def test_one_arrangement_and_cycle_data_per_map(self, monkeypatch):
+        maps = (speyer_tree(), bent_square(), figure1_member(4, Fraction(1, 2)))
+        arrangements = self._count(monkeypatch, "build_arrangement")
+        cycles = self._count(monkeypatch, "cycle_data")
+        for m in maps:
+            for predicate in (is_well_spaced, well_spaced_or_vacuous):
+                arrangements.clear()
+                cycles.clear()
+                predicate(m)
+                assert (len(arrangements), len(cycles)) == (1, 1)
+
+    def test_one_validation_per_probe_member(self, monkeypatch):
+        fam = build_figure1_family(3)
+        target = limit_of_family(fam, 1).map
+        validations = self._count(monkeypatch, "validate_map")
+        assert realizability_verdict(target, Assumptions(family=fam)).rule == "R4"
+        assert len(validations) == 1 + len(_PROBES)
 
 
 class TestSubcurve:
@@ -289,6 +369,20 @@ class TestVerdicts:
         wrong = make_family(loop_type, {e: affine(1) for e in loop_type.bounded_edge_ids()})
         with pytest.raises(CertificateError):
             realizability_verdict(target, Assumptions(family=wrong))
+
+    def test_certificate_members_may_be_unstable(self):
+        # members fail only the stability axiom, which the certificate waives;
+        # the limit itself is valid and reaches rule R4
+        fam = strict_unstable_member_family()
+        lim = limit_of_family(fam, 1)
+        assert lim.contracted_edges == ("ab", "bc", "ca")
+        assert validate_map(lim.map) == []
+        assert realizability_verdict(lim.map).rule == "R5"
+        member = limit_of_family(fam, Fraction(1, 2)).map
+        with pytest.raises(ValueError, match="stability"):
+            realizability_verdict(member)
+        v = realizability_verdict(lim.map, Assumptions(family=fam))
+        assert (v.verdict, v.rule, v.reason) == ("Realizable", "R4", "Theorem A")
 
     def test_certificate_ignored_when_direct_rule_fires(self):
         fam = build_figure1_family(3)
