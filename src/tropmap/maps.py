@@ -69,12 +69,22 @@ class EdgeMapData:
     w: int
     tail: str
 
+    def head(self, edge: Edge) -> str:
+        """The endpoint of ``edge`` other than the tail (the tail itself on a
+        self-loop)."""
+        a, b = edge.ends
+        return a if b == self.tail else b
 
-@dataclass(frozen=True)
-class TropicalStableMap:
-    curve: TropicalCurve
-    fan: Fan
-    positions: Mapping[str, RatVec]
+    def reversed(self, edge: Edge) -> EdgeMapData:
+        """The same edge oriented head -> tail: negated direction, same
+        weight."""
+        return EdgeMapData(tuple(-x for x in self.u), self.w, self.head(edge))
+
+
+class _EdgeDirections:
+    """Direction lookups shared by maps and types through their
+    ``edge_data``."""
+
     edge_data: Mapping[str, EdgeMapData]
 
     def direction_from(self, edge: Edge, vid: str) -> IntVec:
@@ -85,6 +95,26 @@ class TropicalStableMap:
     def weighted_direction(self, edge_id: str) -> IntVec:
         d = self.edge_data[edge_id]
         return tuple(d.w * x for x in d.u)
+
+
+@dataclass(frozen=True)
+class TropicalStableMap(_EdgeDirections):
+    curve: TropicalCurve
+    fan: Fan
+    positions: Mapping[str, RatVec]
+    edge_data: Mapping[str, EdgeMapData]
+
+
+def _orient_leaves(graph: TropicalCurve, edge_data: Mapping[str, EdgeMapData]) -> dict[str, EdgeMapData]:
+    """Reverse every marked leaf-edge whose tail is the marked end, so the
+    tail is the finite endpoint."""
+    data = dict(edge_data)
+    marked = graph.marked_vertex_ids
+    for e in graph.edges:
+        d = data.get(e.id)
+        if d is not None and d.tail in marked:
+            data[e.id] = d.reversed(e)
+    return data
 
 
 def stable_map(
@@ -100,17 +130,7 @@ def stable_map(
     endpoint.
     """
     pos = {vid: ratvec(p) for vid, p in positions.items()}
-    data = dict(edge_data)
-    marked = curve.marked_vertex_ids
-    for e in curve.edges:
-        d = data.get(e.id)
-        if d is None:
-            continue
-        a, b = e.ends
-        finite_end = b if a in marked else a
-        if (a in marked or b in marked) and d.tail != finite_end:
-            data[e.id] = EdgeMapData(tuple(-x for x in d.u), d.w, finite_end)
-    return TropicalStableMap(curve, fan, pos, data)
+    return TropicalStableMap(curve, fan, pos, _orient_leaves(curve, edge_data))
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +199,12 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
     for e in m.curve.edges:
         if m.curve.is_marked_leaf_edge(e):
             continue
-        d = m.edge_data[e.id]
-        tail = d.tail
-        head = e.ends[0] if e.ends[1] == tail else e.ends[1]
         if e.ends[0] == e.ends[1]:
             continue  # contracted by the loop rule; no displacement constraint
+        d = m.edge_data[e.id]
         assert not isinstance(e.length, InfiniteLength)
         expected = vscale(e.length * d.w, ratvec(d.u))
-        actual = vsub(m.positions[head], m.positions[tail])
+        actual = vsub(m.positions[d.head(e)], m.positions[d.tail])
         if actual != expected:
             diags.append(
                 f"integrality violated on edge {e.id}: displacement "
@@ -288,7 +306,7 @@ PLACEHOLDER_LENGTH = Fraction(1)
 
 
 @dataclass(frozen=True)
-class CombinatorialType:
+class CombinatorialType(_EdgeDirections):
     """A map with lengths and positions forgotten.
 
     ``graph`` carries placeholder length 1 on every bounded edge (a type has
@@ -304,14 +322,6 @@ class CombinatorialType:
 
     def bounded_edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.graph.edges if not self.graph.is_marked_leaf_edge(e))
-
-    def weighted_direction(self, edge_id: str) -> IntVec:
-        d = self.edge_data[edge_id]
-        return tuple(d.w * x for x in d.u)
-
-    def direction_from(self, edge: Edge, vid: str) -> IntVec:
-        d = self.edge_data[edge.id]
-        return d.u if d.tail == vid else tuple(-x for x in d.u)
 
 
 @dataclass(frozen=True)
@@ -347,16 +357,10 @@ def make_type(
     for vid in graph.unmarked_vertex_ids():
         cones.setdefault(vid, zero_cone(fan.ambient_dim))
     cones = {vid: canonical_cone(c) for vid, c in cones.items() if vid not in marked}
-    data = dict(edge_data)
     for e in graph.edges:
-        d = data.get(e.id)
-        if d is None:
+        if e.id not in edge_data:
             raise ValueError(f"edge {e.id} has no direction/weight data")
-        a, b = e.ends
-        finite_end = b if a in marked else a
-        if (a in marked or b in marked) and d.tail != finite_end:
-            data[e.id] = EdgeMapData(tuple(-x for x in d.u), d.w, finite_end)
-    return CombinatorialType(graph, fan, cones, data)
+    return CombinatorialType(graph, fan, cones, _orient_leaves(graph, edge_data))
 
 
 def combinatorial_type(m: TropicalStableMap) -> CombinatorialType:
@@ -419,8 +423,7 @@ def canonical_edge_data(graph: TropicalCurve, data: Mapping[str, EdgeMapData]) -
         elif _lex_positive(d.u):
             out[e.id] = d
         else:
-            other = a if d.tail == b else b
-            out[e.id] = EdgeMapData(tuple(-x for x in d.u), d.w, other)
+            out[e.id] = d.reversed(e)
     return out
 
 
@@ -562,25 +565,23 @@ def _match_edges(
         d1, d2 = t1.edge_data[e1.id], t2.edge_data[e2.id]
         if d1.w != d2.w:
             return out
-        a1 = d1.tail
-        b1 = e1.ends[0] if e1.ends[1] == a1 else e1.ends[1]
+        a1, b1 = d1.tail, d1.head(e1)
+        neg = d1.reversed(e1).u
         if e1.ends[0] == e1.ends[1]:
             if e2.ends[0] != e2.ends[1] or vmap[a1] != e2.ends[0]:
                 return out
             if d1.u == d2.u:
                 out.append(False)
-            if tuple(-x for x in d1.u) == d2.u:
+            if neg == d2.u:
                 out.append(True)
-            if d1.u == d2.u == tuple(-x for x in d1.u):
-                out = [False, True]  # contracted loop: both orientations
-            return sorted(set(out))
+            return out  # a contracted loop matches in both orientations
         if {vmap[a1], vmap[b1]} != set(e2.ends):
             return out
         if d2.tail == vmap[a1] and d1.u == d2.u:
             out.append(False)
-        if d2.tail == vmap[b1] and tuple(-x for x in d1.u) == d2.u:
+        if d2.tail == vmap[b1] and neg == d2.u:
             out.append(True)
-        return sorted(set(out))
+        return out
 
     group_list = sorted(groups)
 

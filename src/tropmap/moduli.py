@@ -35,7 +35,7 @@ from .exactgeom import (
     solve_nonneg,
     vadd,
     vscale,
-    zero_cone,
+    vsub,
 )
 from .maps import (
     CombinatorialType,
@@ -107,16 +107,14 @@ def _equations(t: CombinatorialType) -> RatMatrix:
     width = n * len(finite) + len(bounded)
     rows = []
     for eid in bounded:
-        e = t.graph.edge(eid)
         d = t.edge_data[eid]
-        tail = d.tail
-        head = e.ends[0] if e.ends[1] == tail else e.ends[1]
+        head = d.head(t.graph.edge(eid))
         wd = t.weighted_direction(eid)
         for k in range(n):
             row = [ZERO] * width
-            if head != tail:
+            if head != d.tail:
                 row[n * vindex[head] + k] += 1
-                row[n * vindex[tail] + k] -= 1
+                row[n * vindex[d.tail] + k] -= 1
             row[n * len(finite) + eindex[eid]] -= Fraction(wd[k])
             rows.append(tuple(row))
     return tuple(rows)
@@ -167,6 +165,26 @@ def _path_to_root(parent, vid) -> list[tuple[Edge, int]]:
     return path
 
 
+def _positions_from_lengths(
+    t: CombinatorialType, lengths: Mapping[str, Fraction], base_vertex: str, base_point: Sequence
+) -> dict[str, RatVec]:
+    """Vertex positions fixed by the bounded edge lengths along the spanning
+    tree, shifted so that ``base_vertex`` lands on ``base_point``."""
+    finite = _finite_vertices(t)
+    if base_vertex not in finite:
+        raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
+    parent, _ = _spanning_tree(t)
+    if len(parent) != len(finite) - 1:
+        raise ValueError("could not derive positions: finite graph not spanned")
+    # the BFS inserts every parent before its children
+    walk = {finite[0]: tuple([ZERO] * t.fan.ambient_dim)}
+    for vid, (up, e, sign) in parent.items():
+        step = vscale(sign * lengths[e.id], t.weighted_direction(e.id))
+        walk[vid] = vadd(walk[up], step)
+    shift = vsub(ratvec(base_point), walk[base_vertex])
+    return {vid: vadd(walk[vid], shift) for vid in finite}
+
+
 def _length_constraints(t: CombinatorialType) -> list[list[Fraction]]:
     """Closing conditions on the lengths alone: one ambient-dimension block
     per independent cycle of the finite graph."""
@@ -184,10 +202,9 @@ def _length_constraints(t: CombinatorialType) -> list[list[Fraction]]:
             cur = coeff.get(eid, tuple([ZERO] * n))
             coeff[eid] = vadd(cur, ratvec(vec))
 
-        a, b = e.ends
         d = t.weighted_direction(e.id)
         tail = t.edge_data[e.id].tail
-        head = a if b == tail else b
+        head = t.edge_data[e.id].head(e)
         if head != tail:
             add(e.id, d)
             # tree path from head back to tail cancels the displacement
@@ -290,58 +307,64 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     )
 
 
-def _strict_generator_system(t: CombinatorialType):
-    """Parametrize positions by non-negative coefficients on the vertex-cone
-    rays; returns (columns per y-variable of the x = (positions, lengths)
-    map, equation rows over y)."""
+def _strict_generator_system(t: CombinatorialType) -> tuple[list[tuple[str, RatVec]], list[list[Fraction]]]:
+    """Parametrize positions by non-negative coefficients y on the
+    vertex-cone rays, followed by one coordinate per bounded length.
+
+    Returns the rays as (vertex, ray) in y order and the edge equations over
+    y: for each bounded edge and coordinate k, +r[k] on the head cone's rays,
+    -r[k] on the tail cone's rays and -w*u[k] on the edge's length.
+    """
     n = t.fan.ambient_dim
-    finite = _finite_vertices(t)
     bounded = t.bounded_edge_ids()
-    x_width = n * len(finite) + len(bounded)
-    vindex = {vid: i for i, vid in enumerate(finite)}
-    columns: list[RatVec] = []
-    owners: list[tuple[str, int]] = []
-    for vid in finite:
-        rays = canonical_cone(t.vertex_cones[vid]).rays
-        for r in rays:
-            col = [ZERO] * x_width
-            for k in range(n):
-                col[n * vindex[vid] + k] = Fraction(r[k])
-            columns.append(tuple(col))
-            owners.append(("ray", 0))
+    rays = [
+        (vid, ratvec(r))
+        for vid in _finite_vertices(t)
+        for r in canonical_cone(t.vertex_cones[vid]).rays
+    ]
+    rows = []
     for i, eid in enumerate(bounded):
-        col = [ZERO] * x_width
-        col[n * len(finite) + i] = Fraction(1)
-        columns.append(tuple(col))
-        owners.append(("len", i))
-    # equations in x-space pulled back to y-space
-    eq_x = _equations(t)
-    eq_y = []
-    for row in eq_x:
-        eq_y.append([sum(row[j] * col[j] for j in range(x_width)) for col in columns])
-    return columns, eq_y, owners
+        d = t.edge_data[eid]
+        head = d.head(t.graph.edge(eid))
+        wd = t.weighted_direction(eid)
+        for k in range(n):
+            row = [ZERO] * (len(rays) + len(bounded))
+            if head != d.tail:
+                for j, (vid, r) in enumerate(rays):
+                    if vid == head:
+                        row[j] = r[k]
+                    elif vid == d.tail:
+                        row[j] = -r[k]
+            row[len(rays) + i] = -Fraction(wd[k])
+            rows.append(row)
+    return rays, rows
+
+
+def _strict_point(
+    t: CombinatorialType, rays: Sequence[tuple[str, RatVec]], y: Sequence[Fraction]
+) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
+    """The positions and lengths of the generator coordinates ``y``."""
+    n = t.fan.ambient_dim
+    positions = {vid: tuple([ZERO] * n) for vid in _finite_vertices(t)}
+    for (vid, r), c in zip(rays, y):
+        if c != 0:
+            positions[vid] = vadd(positions[vid], vscale(c, r))
+    return positions, dict(zip(t.bounded_edge_ids(), y[len(rays):]))
 
 
 def _strict_dim(t: CombinatorialType) -> tuple[int, tuple[str, ...]]:
     bounded = t.bounded_edge_ids()
-    columns, eq_y, owners = _strict_generator_system(t)
-    ny = len(columns)
+    rays, eq_y = _strict_generator_system(t)
+    ny = len(rays) + len(bounded)
     support, _ = _nonneg_support(eq_y, ny)
     rows = eq_y + [_unit(ny, j) for j in range(ny) if j not in support]
-    kernel = nullspace(rows, ncols=ny)
-    # dimension of the image cone in x-space
-    x_width = len(columns[0]) if columns else 0
+    # dimension of the image cone in (positions, lengths) space
     images = []
-    for vec in kernel:
-        img = [ZERO] * x_width
-        for j, c in enumerate(vec):
-            if c != 0:
-                img = [a + c * b for a, b in zip(img, columns[j])]
-        images.append(img)
+    for vec in nullspace(rows, ncols=ny):
+        positions, lengths = _strict_point(t, rays, vec)
+        images.append([x for p in positions.values() for x in p] + list(lengths.values()))
     dim = rank(images) if images else 0
-    forced = tuple(
-        bounded[i] for j, (kind, i) in enumerate(owners) if kind == "len" and j not in support
-    )
+    forced = tuple(eid for i, eid in enumerate(bounded) if len(rays) + i not in support)
     return dim, forced
 
 
@@ -517,42 +540,6 @@ class Family:
     positions: Mapping[str, tuple[AffineFn, ...]]
 
 
-def _derive_positions(
-    t: CombinatorialType,
-    lengths: Mapping[str, AffineFn],
-    base_vertex: str,
-    base_position: Sequence[AffineFn],
-) -> dict[str, tuple[AffineFn, ...]]:
-    n = t.fan.ambient_dim
-    parent, _ = _spanning_tree(t)
-    positions = {base_vertex: tuple(base_position)}
-    finite = _finite_vertices(t)
-    remaining = [v for v in finite if v != base_vertex]
-    while remaining:
-        progressed = False
-        for vid in list(remaining):
-            up, e, sign = parent.get(vid, (None, None, 0))
-            if up is None or up not in positions:
-                continue
-            wd = t.weighted_direction(e.id)
-            ell = lengths[e.id]
-            coords = []
-            for k in range(n):
-                delta = Fraction(sign * wd[k])
-                coords.append(
-                    AffineFn(
-                        positions[up][k].const + delta * ell.const,
-                        positions[up][k].slope + delta * ell.slope,
-                    )
-                )
-            positions[vid] = tuple(coords)
-            remaining.remove(vid)
-            progressed = True
-        if not progressed:
-            raise ValueError("could not derive positions: finite graph not spanned")
-    return positions
-
-
 def make_family(
     t: CombinatorialType,
     lengths: Mapping[str, AffineFn],
@@ -580,10 +567,16 @@ def make_family(
                 f"length of {eid} is not positive on [0,1): {format_affine(fn)}"
             )
     if positions is None:
-        finite = _finite_vertices(t)
-        base = base_vertex if base_vertex is not None else finite[0]
+        base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
         base_pos = tuple(base_position) if base_position is not None else tuple(affine(0) for _ in range(n))
-        positions = _derive_positions(t, lengths, base, base_pos)
+        # positions are affine in t: walk the constant and the slope parts
+        consts = _positions_from_lengths(
+            t, {eid: fn.const for eid, fn in lengths.items()}, base, [fn.const for fn in base_pos]
+        )
+        slopes = _positions_from_lengths(
+            t, {eid: fn.slope for eid, fn in lengths.items()}, base, [fn.slope for fn in base_pos]
+        )
+        positions = {vid: tuple(map(AffineFn, consts[vid], slopes[vid])) for vid in consts}
     positions = {vid: tuple(p) for vid, p in positions.items()}
     fam = Family(t, dict(lengths), positions)
     for probe in (Fraction(0), Fraction(1, 2)):
@@ -611,12 +604,11 @@ def _check_member(fam: Family, t_val: Fraction) -> None:
         if e.ends[0] == e.ends[1]:
             continue
         d = t.edge_data[eid]
-        tail = d.tail
-        head = e.ends[0] if e.ends[1] == tail else e.ends[1]
+        head, tail = fam.positions[d.head(e)], fam.positions[d.tail]
         wd = t.weighted_direction(eid)
         ell = fam.lengths[eid].at(t_val)
         for k in range(n):
-            lhs = fam.positions[head][k].at(t_val) - fam.positions[tail][k].at(t_val)
+            lhs = head[k].at(t_val) - tail[k].at(t_val)
             if lhs != ell * Fraction(wd[k]):
                 raise ValueError(
                     f"family inconsistent on edge {eid} at t={format_rational(t_val)}"
@@ -627,19 +619,29 @@ def format_affine(fn: AffineFn) -> str:
     return f"{format_rational(fn.const)} + ({format_rational(fn.slope)})*t"
 
 
+def _map_from_lengths(
+    t: CombinatorialType, lengths: Mapping[str, Fraction], positions: Mapping[str, Sequence]
+) -> TropicalStableMap:
+    """The map of type ``t`` with the given lengths on its non-leaf edges and
+    the given vertex positions (not validated)."""
+    edges = [
+        e if t.graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, lengths[e.id])
+        for e in t.graph.edges
+    ]
+    c = tropical_curve(t.graph.vertices, edges, t.graph.markings)
+    return stable_map(c, t.fan, positions, t.edge_data)
+
+
+def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
+    """The lengths and the positions of the member at ``t_val``."""
+    lengths = {eid: fn.at(t_val) for eid, fn in fam.lengths.items()}
+    positions = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in fam.positions.items()}
+    return lengths, positions
+
+
 def evaluate_family(fam: Family, t_val) -> TropicalStableMap:
     """The member map at one parameter value (no contraction applied)."""
-    t_val = Fraction(t_val)
-    t = fam.type
-    edges = []
-    for e in t.graph.edges:
-        if t.graph.is_marked_leaf_edge(e):
-            edges.append(e)
-        else:
-            edges.append(Edge(e.id, e.ends, fam.lengths[e.id].at(t_val)))
-    c = tropical_curve(t.graph.vertices, edges, t.graph.markings)
-    pos = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in fam.positions.items()}
-    return stable_map(c, t.fan, pos, dict(t.edge_data))
+    return _map_from_lengths(fam.type, *_family_at(fam, Fraction(t_val)))
 
 
 @dataclass(frozen=True)
@@ -660,32 +662,19 @@ def limit_of_family(fam: Family, t_star) -> LimitResult:
     t_star = Fraction(t_star)
     if t_star < 0 or t_star > 1:
         raise ValueError(f"parameter {format_rational(t_star)} outside [0, 1]")
-    member = evaluate_family(fam, t_star)
-    zero_edges = tuple(
-        sorted(
-            eid
-            for eid in fam.type.bounded_edge_ids()
-            if fam.lengths[eid].at(t_star) == 0
-        )
-    )
+    lengths, positions = _family_at(fam, t_star)
+    zero_edges = tuple(sorted(eid for eid, ell in lengths.items() if ell == 0))
     if not zero_edges:
-        return LimitResult(t_star, member, fam.type, ())
+        return LimitResult(t_star, _map_from_lengths(fam.type, lengths, positions), fam.type, ())
     limit_type, vmap = _contract_with_map(fam.type, zero_edges)
-    edges = []
-    for e in limit_type.graph.edges:
-        if limit_type.graph.is_marked_leaf_edge(e):
-            edges.append(e)
-        else:
-            edges.append(Edge(e.id, e.ends, fam.lengths[e.id].at(t_star)))
-    c = tropical_curve(limit_type.graph.vertices, edges, limit_type.graph.markings)
-    positions: dict[str, RatVec] = {}
+    merged: dict[str, RatVec] = {}
     for old, new in vmap.items():
-        if old in member.positions:
-            p = member.positions[old]
-            if new in positions and positions[new] != p:
+        if old in positions:
+            p = positions[old]
+            if new in merged and merged[new] != p:
                 raise ValueError(f"merged vertices of {new} have distinct limit positions")
-            positions[new] = p
-    limit_map = stable_map(c, fam.type.fan, positions, dict(limit_type.edge_data))
+            merged[new] = p
+    limit_map = _map_from_lengths(limit_type, lengths, merged)
     return LimitResult(t_star, limit_map, limit_type, zero_edges)
 
 
@@ -707,8 +696,22 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
             f"lengths {mc.forced_zero_lengths} are zero on the whole cone"
         )
     t = mc.type
-    if not t.fan.embedded:
-        return _sample_strict(t)
+    if t.fan.embedded:
+        positions, lengths = _sample_embedded(t, seed)
+    else:
+        positions, lengths = _sample_strict(t)
+    m = _map_from_lengths(t, lengths, positions)
+    diags = [d for d in validate_map(m) if "stability" not in d]
+    if diags:
+        raise InfeasibleCone(f"sampled point does not realize the type: {diags[0]}")
+    if not t.fan.embedded and canonical_type(combinatorial_type(m)) != canonical_type(t):
+        raise InfeasibleCone("no interior point realizes the type: positions degenerate to faces")
+    return m
+
+
+def _sample_embedded(t: CombinatorialType, seed: int) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
+    """The positions and lengths of one point of the embedded-mode cone with
+    every length positive, perturbed along the cycle space by the seed."""
     rng = random.Random(seed)
     n = t.fan.ambient_dim
     bounded = t.bounded_edge_ids()
@@ -727,62 +730,16 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
             ell = [a + scale * b for a, b in zip(ell, perturb)]
     lengths = dict(zip(bounded, ell))
     base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
-    positions = _positions_from_lengths(t, lengths, base)
-    return _assemble(t, lengths, positions)
+    return _positions_from_lengths(t, lengths, _finite_vertices(t)[0], base), lengths
 
 
-def _positions_from_lengths(t, lengths: Mapping[str, Fraction], base: RatVec) -> dict[str, RatVec]:
-    finite = _finite_vertices(t)
-    parent, _ = _spanning_tree(t)
-    positions = {finite[0]: base}
-    remaining = [v for v in finite if v != finite[0]]
-    while remaining:
-        for vid in list(remaining):
-            up, e, sign = parent.get(vid, (None, None, 0))
-            if up is None or up not in positions:
-                continue
-            wd = t.weighted_direction(e.id)
-            step = vscale(Fraction(sign) * lengths[e.id], ratvec(wd))
-            positions[vid] = vadd(positions[up], step)
-            remaining.remove(vid)
-    return positions
-
-
-def _assemble(t: CombinatorialType, lengths: Mapping[str, Fraction], positions: Mapping[str, RatVec]) -> TropicalStableMap:
-    edges = []
-    for e in t.graph.edges:
-        if t.graph.is_marked_leaf_edge(e):
-            edges.append(e)
-        else:
-            edges.append(Edge(e.id, e.ends, lengths[e.id]))
-    c = tropical_curve(t.graph.vertices, edges, t.graph.markings)
-    m = stable_map(c, t.fan, dict(positions), dict(t.edge_data))
-    diags = [d for d in validate_map(m) if "stability" not in d]
-    if diags:
-        raise InfeasibleCone(f"sampled point does not realize the type: {diags[0]}")
-    return m
-
-
-def _sample_strict(t: CombinatorialType) -> TropicalStableMap:
+def _sample_strict(t: CombinatorialType) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
+    """The positions and lengths of one point of the strict-mode cone with
+    every length positive."""
     bounded = t.bounded_edge_ids()
-    columns, eq_y, owners = _strict_generator_system(t)
-    support, point = _nonneg_support(eq_y, len(columns))
-    for j, (kind, i) in enumerate(owners):
-        if kind == "len" and j not in support:
-            raise InfeasibleCone(f"length {bounded[i]} is zero on the whole cone")
-    x_width = len(columns[0]) if columns else 0
-    x = [ZERO] * x_width
-    for j, c in enumerate(point):
-        if c != 0:
-            x = [a + c * b for a, b in zip(x, columns[j])]
-    n = t.fan.ambient_dim
-    finite = _finite_vertices(t)
-    positions = {
-        vid: tuple(x[n * i + k] for k in range(n)) for i, vid in enumerate(finite)
-    }
-    lengths = {eid: x[n * len(finite) + i] for i, eid in enumerate(bounded)}
-    m = _assemble(t, lengths, positions)
-    realized = canonical_type(combinatorial_type(m))
-    if realized != canonical_type(t):
-        raise InfeasibleCone("no interior point realizes the type: positions degenerate to faces")
-    return m
+    rays, eq_y = _strict_generator_system(t)
+    support, point = _nonneg_support(eq_y, len(rays) + len(bounded))
+    for i, eid in enumerate(bounded):
+        if len(rays) + i not in support:
+            raise InfeasibleCone(f"length {eid} is zero on the whole cone")
+    return _strict_point(t, rays, point)

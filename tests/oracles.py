@@ -219,3 +219,30 @@ def lift_pattern(quotient, vectors, normal):
         if sum((Fraction(a) * b for a, b in zip(normal, lift)), Fraction(0)) == 0:
             out.append(tuple(rep))
     return tuple(sorted(out))
+
+
+def dense_pull_back(t, equations):
+    """The strict-mode edge equations over the generator coordinates y: each
+    row of the (positions, lengths) equation matrix multiplied into dense
+    generator columns, one per ray of each finite vertex's cone (vertices in
+    curve order) and one unit column per bounded length."""
+    n = t.fan.ambient_dim
+    marked = {mk.vertex for mk in t.graph.markings}
+    finite = [v.id for v in t.graph.vertices if v.id not in marked]
+    bounded = [e.id for e in t.graph.edges if not (set(e.ends) & marked)]
+    width = n * len(finite) + len(bounded)
+    columns = []
+    for i, vid in enumerate(finite):
+        for r in t.vertex_cones[vid].rays:
+            col = [Fraction(0)] * width
+            for k in range(n):
+                col[n * i + k] = Fraction(r[k])
+            columns.append(col)
+    for i in range(len(bounded)):
+        col = [Fraction(0)] * width
+        col[n * len(finite) + i] = Fraction(1)
+        columns.append(col)
+    return [
+        [sum(row[j] * col[j] for j in range(width)) for col in columns]
+        for row in equations
+    ]

@@ -198,7 +198,7 @@ class TestErrorHandling:
         assert "pointer" in report["diagnostics"][0]
 
     def test_pointer_surfaces(self, capsys, monkeypatch, square_loop_doc):
-        raw = json.loads(open(square_loop_doc).read())
+        raw = json.loads(Path(square_loop_doc).read_text())
         raw["curve"]["edges"][0]["ends"][1] = "ghost"
         code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin=json.dumps(raw))
         assert code == 2

@@ -1,5 +1,7 @@
 """Maps: axiom validation, types, automorphisms, stars."""
 
+from fractions import Fraction
+
 import pytest
 
 from tropmap import (
@@ -15,9 +17,9 @@ from tropmap import (
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.exactgeom import build_fan, cone, zero_cone
 from tropmap.gallery import square_loop
-from tropmap.maps import EdgeMapData
+from tropmap.maps import EdgeMapData, make_type
 
-from builders import build_map, parallel_pair, three_rays
+from builders import build_map, parallel_pair, path_two_vertices, three_rays
 from oracles import exhaustive_automorphisms
 
 
@@ -116,6 +118,35 @@ class TestValidate:
         m2 = stable_map(m.curve, m.fan, m.positions, flipped)
         assert validate_map(m2) == []
         assert canonical_map(m2) == canonical_map(m)
+
+
+class TestEdgeOrientation:
+    def test_head_and_reversed(self):
+        e = Edge("e", ("x", "y"), Fraction(1))
+        d = EdgeMapData((1, -2), 3, "x")
+        assert d.head(e) == "y"
+        assert d.reversed(e) == EdgeMapData((-1, 2), 3, "y")
+        assert d.reversed(e).reversed(e) == d
+
+    def test_contracted_loop(self):
+        loop = Edge("l", ("x", "x"), Fraction(1))
+        d = EdgeMapData((0, 0), 0, "x")
+        assert d.head(loop) == "x"
+        assert d.reversed(loop) == d
+
+    def test_leaf_tail_moves_to_finite_end(self):
+        # a marked ray given from its marked end is reversed by both
+        # constructors; the bounded edge keeps its orientation
+        m = path_two_vertices()
+        e = m.curve.edge("rx1")
+        data = dict(m.edge_data, rx1=m.edge_data["rx1"].reversed(e))
+        assert data["rx1"].tail == "inf:rx1"
+        assert stable_map(m.curve, m.fan, m.positions, data).edge_data == m.edge_data
+        t = make_type(m.curve, m.fan, data)
+        assert t.edge_data == combinatorial_type(m).edge_data
+        del data["e"]
+        with pytest.raises(ValueError, match="edge e has no direction"):
+            make_type(m.curve, m.fan, data)
 
 
 class TestTypes:

@@ -24,12 +24,20 @@ from tropmap import (
     validate_map,
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
-from tropmap.exactgeom import auto_rays_fan, build_fan, rank
+from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, rank
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, make_type, stable_map
+from tropmap.wellspaced import build_figure1_family
 
-from builders import build_map, path_two_vertices, random_feasible_map, rectangle_cycle, three_rays
-from oracles import bareiss_rank
+from builders import (
+    build_map,
+    path_two_vertices,
+    random_feasible_map,
+    rectangle_cycle,
+    strict_unstable_member_family,
+    three_rays,
+)
+from oracles import bareiss_rank, dense_pull_back
 
 
 def _raw_type(bounded, rays):
@@ -58,6 +66,45 @@ def _infeasible_two_cycle():
         ("r4", "y", (0, 1), 1, "p4"),
     ]
     return _raw_type(bounded, rays)
+
+
+def _strict_segment(fan, positions):
+    """Two vertices o, x on a line joined by an edge of length 2 in a strict
+    one-dimensional fan, o with one ray and x with two."""
+    vs = [Vertex("o"), Vertex("x"), Vertex("q1"), Vertex("q2"), Vertex("q3")]
+    es = [
+        Edge("e", ("o", "x"), Fraction(2)),
+        Edge("r1", ("o", "q1"), INF),
+        Edge("r2", ("x", "q2"), INF),
+        Edge("r3", ("x", "q3"), INF),
+    ]
+    mk = [Marking("p1", "q1"), Marking("p2", "q2"), Marking("p3", "q3")]
+    c = tropical_curve(vs, es, mk)
+    data = {
+        "e": EdgeMapData((1,), 1, "o"),
+        "r1": EdgeMapData((-1,), 1, "o"),
+        "r2": EdgeMapData((1,), 2, "x"),
+        "r3": EdgeMapData((-1,), 1, "x"),
+    }
+    return stable_map(c, fan, positions, data)
+
+
+def _strict_ray_vertex():
+    fan = build_fan(1, [[(1,)], [(-1,)]], embedded=False)
+    vs = [Vertex("o"), Vertex("q1"), Vertex("q2")]
+    es = [Edge("r1", ("o", "q1"), INF), Edge("r2", ("o", "q2"), INF)]
+    mk = [Marking("p1", "q1"), Marking("p2", "q2")]
+    c = tropical_curve(vs, es, mk)
+    return stable_map(
+        c, fan, {"o": (2,)},
+        {"r1": EdgeMapData((1,), 1, "o"), "r2": EdgeMapData((-1,), 1, "o")},
+    )
+
+
+def _strict_origin():
+    fan = build_fan(2, [[(1, 0)], [(0, 1)], [(-1, -1)]], embedded=False)
+    m = three_rays(2)
+    return stable_map(m.curve, fan, m.positions, m.edge_data)
 
 
 def _partly_forced_cycle():
@@ -124,24 +171,36 @@ class TestModuliCone:
 
     def test_strict_mode_pins_origin(self):
         # one vertex forced into the zero cone of a strict fan: no moduli
-        fan = build_fan(2, [[(1, 0)], [(0, 1)], [(-1, -1)]], embedded=False)
-        m = three_rays(2)
-        m2 = stable_map(m.curve, fan, m.positions, m.edge_data)
-        mc = moduli_cone(combinatorial_type(m2))
+        mc = moduli_cone(combinatorial_type(_strict_origin()))
         assert mc.dim == 0
 
     def test_strict_mode_ray_vertex(self):
-        fan = build_fan(1, [[(1,)], [(-1,)]], embedded=False)
-        vs = [Vertex("o"), Vertex("q1"), Vertex("q2")]
-        es = [Edge("r1", ("o", "q1"), INF), Edge("r2", ("o", "q2"), INF)]
-        mk = [Marking("p1", "q1"), Marking("p2", "q2")]
-        c = tropical_curve(vs, es, mk)
-        m = stable_map(
-            c, fan, {"o": (2,)},
-            {"r1": EdgeMapData((1,), 1, "o"), "r2": EdgeMapData((-1,), 1, "o")},
-        )
-        mc = moduli_cone(combinatorial_type(m))
+        mc = moduli_cone(combinatorial_type(_strict_ray_vertex()))
         assert mc.dim == 1  # the vertex slides along the ray
+
+
+class TestStrictGeneratorRows:
+    """The strict-mode edge equations over the ray and length coordinates,
+    built edge by edge, against the dense pull-back of the full equations."""
+
+    @staticmethod
+    def _check(t):
+        _, rows = moduli._strict_generator_system(t)
+        assert rows == dense_pull_back(t, moduli._equations(t))
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+    def test_rectangle_cycles(self, a, b):
+        m = rectangle_cycle(a, b)
+        fan = complete_orthant_fan(3, embedded=False)
+        self._check(combinatorial_type(stable_map(m.curve, fan, m.positions, m.edge_data)))
+
+    def test_fixtures(self):
+        line = build_fan(1, [[(1,)], [(-1,)]], embedded=False)
+        maps = [_strict_origin(), _strict_ray_vertex(), _strict_segment(line, {"o": (0,), "x": (2,)})]
+        fam = strict_unstable_member_family()
+        types = [combinatorial_type(m) for m in maps] + [fam.type, limit_of_family(fam, 1).type]
+        for t in types:
+            self._check(t)
 
 
 class TestCycleSpaceDimension:
@@ -332,22 +391,7 @@ class TestFamilies:
         # a vertex at the origin (zero cone) merging with a vertex on a ray:
         # the merged vertex lands in the largest common face, the zero cone
         fan = build_fan(1, [[(1,)], [(-1,)]], embedded=False)
-        vs = [Vertex("o"), Vertex("x"), Vertex("q1"), Vertex("q2"), Vertex("q3")]
-        es = [
-            Edge("e", ("o", "x"), Fraction(2)),
-            Edge("r1", ("o", "q1"), INF),
-            Edge("r2", ("x", "q2"), INF),
-            Edge("r3", ("x", "q3"), INF),
-        ]
-        mk = [Marking("p1", "q1"), Marking("p2", "q2"), Marking("p3", "q3")]
-        c = tropical_curve(vs, es, mk)
-        data = {
-            "e": EdgeMapData((1,), 1, "o"),
-            "r1": EdgeMapData((-1,), 1, "o"),
-            "r2": EdgeMapData((1,), 2, "x"),
-            "r3": EdgeMapData((-1,), 1, "x"),
-        }
-        m = stable_map(c, fan, {"o": (0,), "x": (2,)}, data)
+        m = _strict_segment(fan, {"o": (0,), "x": (2,)})
         assert validate_map(m) == []
         t = combinatorial_type(m)
         assert t.vertex_cones["o"].rays == ()
@@ -361,23 +405,7 @@ class TestFamilies:
 
     def test_strict_family_position_exits_cone(self):
         fan = build_fan(1, [[(1,)]], embedded=False)
-        vs = [Vertex("o"), Vertex("x"), Vertex("q1"), Vertex("q2"), Vertex("q3")]
-        es = [
-            Edge("e", ("o", "x"), Fraction(2)),
-            Edge("r1", ("o", "q1"), INF),
-            Edge("r2", ("x", "q2"), INF),
-            Edge("r3", ("x", "q3"), INF),
-        ]
-        mk = [Marking("p1", "q1"), Marking("p2", "q2"), Marking("p3", "q3")]
-        c = tropical_curve(vs, es, mk)
-        data = {
-            "e": EdgeMapData((1,), 1, "o"),
-            "r1": EdgeMapData((-1,), 1, "o"),
-            "r2": EdgeMapData((1,), 2, "x"),
-            "r3": EdgeMapData((-1,), 1, "x"),
-        }
-        m = stable_map(c, fan, {"o": (1,), "x": (3,)}, data)
-        t = combinatorial_type(m)
+        t = combinatorial_type(_strict_segment(fan, {"o": (1,), "x": (3,)}))
         base = (affine(1, -4),)  # the base vertex walks out of the ray cone
         with pytest.raises(ValueError, match="exits its cone"):
             make_family(t, {"e": affine(2)}, base_vertex="o", base_position=base)
@@ -401,6 +429,51 @@ class TestFamilies:
         fam = make_family(t, {"e": affine(1)})
         with pytest.raises(ValueError):
             limit_of_family(fam, Fraction(3, 2))
+
+    def test_any_finite_base_vertex(self):
+        # deriving positions from any finite vertex and its own position in
+        # the family gives the family back
+        for fam in (build_figure1_family(3), strict_unstable_member_family()):
+            for vid in fam.type.graph.unmarked_vertex_ids():
+                again = make_family(
+                    fam.type, fam.lengths, base_vertex=vid, base_position=fam.positions[vid]
+                )
+                assert again == fam, vid
+
+    def test_base_vertex_must_be_finite(self):
+        fam = build_figure1_family(3)
+        for vid in ("nowhere", "q01"):  # unknown, marked
+            with pytest.raises(ValueError, match=vid):
+                make_family(fam.type, fam.lengths, base_vertex=vid)
+
+
+def _linearity_families():
+    fams = [build_figure1_family(n) for n in range(3, 7)]
+    fams.append(strict_unstable_member_family())
+    rng = random.Random(31337)
+    while len(fams) < 15:
+        m = random_feasible_map(rng)
+        bounded = [e for e in m.curve.edges if not m.curve.is_marked_leaf_edge(e)]
+        if any(e.length == 0 for e in bounded):
+            continue
+        # uniform scaling keeps every cycle closed
+        lengths = {e.id: affine(e.length, -e.length / 2) for e in bounded}
+        fams.append(make_family(combinatorial_type(m), lengths))
+    return fams
+
+
+class TestFamilyPositions:
+    """Family positions come from one walk on the constant parts and one on
+    the slopes; at every t they must equal the walk on the lengths at t."""
+
+    @pytest.mark.parametrize("t_val", [Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(99, 100)])
+    def test_members_match_the_walk(self, t_val):
+        for fam in _linearity_families():
+            base = fam.type.graph.unmarked_vertex_ids()[0]
+            lengths = {eid: fn.at(t_val) for eid, fn in fam.lengths.items()}
+            point = tuple(fn.at(t_val) for fn in fam.positions[base])
+            walk = moduli._positions_from_lengths(fam.type, lengths, base, point)
+            assert evaluate_family(fam, t_val).positions == walk
 
 
 class TestSampleInterior:
