@@ -4,7 +4,9 @@ Everything in this module is computed over the rationals with
 :class:`fractions.Fraction`; no floating point is used anywhere.  Cones are
 stored by their generating rays only, and membership questions are answered
 by solving the non-negative combination problem exactly with a small
-phase-one simplex.  Face lattices are computed on demand.
+phase-one simplex.  Faces, intersections and point locations are read off
+canonical ray sets (sorted primitive extreme rays), with one common-face LP
+deciding whether two cones meet in a face of both.
 """
 
 from __future__ import annotations
@@ -296,13 +298,15 @@ def lp_feasible(
     for k, (coeffs, b) in enumerate(geqs):
         emit(coeffs, b, slack_idx=k)
 
+    if not a_rows:
+        return [ZERO] * num_vars
     y = solve_nonneg(a_rows, rhs)
     if y is None:
         return None
     out = []
     for v in range(num_vars):
         pos, neg = cols[v]
-        val = y[pos] if pos < len(y) else ZERO
+        val = y[pos]
         if neg is not None:
             val -= y[neg]
         out.append(val)
@@ -382,59 +386,54 @@ def canonical_cone(c: Cone) -> Cone:
     return Cone(c.ambient_dim, tuple(sorted(extreme)))
 
 
-def cone_contains_cone(big: Cone, small: Cone) -> bool:
-    return all(cone_contains(big, ratvec(r)) for r in small.rays) if small.rays else True
+def _common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
+    """The intersection of two canonical pointed cones when it is a face of
+    both, else None.
 
-
-def _face_functional_exists(ambient: int, zero_rays: Sequence[IntVec], pos_rays: Sequence[IntVec]) -> bool:
-    # exists a covector vanishing on zero_rays and >= 1 on pos_rays
-    eqs = [(list(r), 0) for r in zero_rays]
-    geqs = [(list(r), 1) for r in pos_rays]
-    return lp_feasible(ambient, eqs=eqs, geqs=geqs) is not None
+    The rays the cones share span their common face exactly when one
+    covector vanishes on those rays, is <= -1 on the other rays of ``c1``
+    and >= 1 on the other rays of ``c2``; the cone on the shared rays is
+    then the intersection.
+    """
+    in_c2 = set(c2.rays)
+    shared = tuple(r for r in c1.rays if r in in_c2)
+    eqs = [(r, 0) for r in shared]
+    geqs = [([-x for x in r], 1) for r in c1.rays if r not in in_c2]
+    geqs += [(r, 1) for r in c2.rays if r not in shared]
+    if lp_feasible(c1.ambient_dim, eqs=eqs, geqs=geqs) is None:
+        return None
+    return Cone(c1.ambient_dim, shared)
 
 
 def cone_is_face(face: Cone, c: Cone) -> bool:
-    """Is ``face`` a face of ``c``?  Both are compared in canonical form."""
-    cc = canonical_cone(c)
+    """Is ``face`` a face of ``c``?  Both are compared in canonical form,
+    where a face of a pointed cone is the cone on a subset of its rays.
+
+    Raises ValueError when ``c`` is not pointed.
+    """
     fc = canonical_cone(face)
-    if fc == cc:
-        return True
-    if not cone_contains_cone(cc, fc):
-        return False
-    inside = [r for r in cc.rays if cone_contains(fc, ratvec(r))]
-    outside = [r for r in cc.rays if r not in inside]
-    # the face must be generated by the rays of c it contains
-    span_cone = Cone(cc.ambient_dim, tuple(inside))
-    if not cone_contains_cone(span_cone, fc):
-        return False
-    return _face_functional_exists(cc.ambient_dim, inside, outside)
+    cc = canonical_cone(c)
+    if not cone_is_pointed(cc):
+        raise ValueError("face test requires a pointed cone")
+    return set(fc.rays) <= set(cc.rays) and _common_face(fc, cc) is not None
 
 
 def cone_faces(c: Cone) -> list[Cone]:
-    """All faces of a pointed cone, in canonical form (the cone included)."""
+    """All faces of a pointed cone, in canonical form (the cone included),
+    sorted by number of rays, so the cone itself comes last.
+
+    Raises ValueError when the cone is not pointed.
+    """
     cc = canonical_cone(c)
     if not cone_is_pointed(cc):
         raise ValueError("face enumeration requires a pointed cone")
-    faces = {cc}
-    n = len(cc.rays)
-    for size in range(n):
-        for subset in itertools.combinations(range(n), size):
-            zero = [cc.rays[i] for i in subset]
-            pos = [cc.rays[i] for i in range(n) if i not in subset]
-            if _face_functional_exists(cc.ambient_dim, zero, pos):
-                faces.add(canonical_cone(Cone(cc.ambient_dim, tuple(zero))))
+    faces = {zero_cone(cc.ambient_dim), cc}  # pointed: the empty ray set is a face
+    for size in range(1, len(cc.rays)):
+        for subset in itertools.combinations(cc.rays, size):
+            face = _common_face(Cone(cc.ambient_dim, subset), cc)
+            if face is not None:
+                faces.add(face)
     return sorted(faces, key=lambda f: (len(f.rays), f.rays))
-
-
-def _pair_intersects_in_common_face(c1: Cone, c2: Cone) -> bool:
-    # Separating-functional criterion: phi vanishing on the candidate common
-    # face, <= -1 on the remaining rays of c1 and >= 1 on those of c2.
-    s = [r for r in c1.rays if cone_contains(c2, ratvec(r))]
-    t = [r for r in c2.rays if cone_contains(c1, ratvec(r))]
-    eqs = [(list(r), 0) for r in s + t]
-    geqs = [([-x for x in r], 1) for r in c1.rays if r not in s]
-    geqs += [(list(r), 1) for r in c2.rays if r not in t]
-    return lp_feasible(c1.ambient_dim, eqs=eqs, geqs=geqs) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -495,36 +494,35 @@ def cone_locate(f: Fan, p: Sequence[Fraction]) -> Optional[Cone]:
     """The unique minimal cone of the fan whose relative interior contains p,
     or None when p is outside the support.
 
-    Raises ValueError on a dimension mismatch.
+    The fan's cones must be canonical, as :func:`build_fan` makes them: the
+    minimal cone is the one whose rays every cone containing p shares.
+    Raises ValueError on a dimension mismatch, and when no such cone exists
+    because cones of the fan overlap or a face is missing.
     """
     if len(p) != f.ambient_dim:
         raise ValueError(f"point of length {len(p)} located in fan of ambient dimension {f.ambient_dim}")
     candidates = [c for c in f.cones if cone_contains(c, p)]
     if not candidates:
         return None
-    minimal = [c for c in candidates if all(cone_contains_cone(d, c) for d in candidates)]
+    shared = set.intersection(*(set(c.rays) for c in candidates))
+    minimal = [c for c in candidates if set(c.rays) == shared]
     if len(minimal) != 1:
-        raise ValueError("fan is not closed under faces near the given point")
+        raise ValueError("fan cones overlap or miss a face near the given point")
     return minimal[0]
 
 
 def fan_cone_intersection(f: Fan, cones_: Sequence[Cone]) -> Cone:
     """Intersection of cones of a valid fan (their largest common face).
 
-    Two fan cones meet in a common face generated by the rays of either one
-    lying in the other; the result is verified to be a face of every input.
+    The cones are canonicalized, and fan cones must be pointed, as
+    :func:`build_fan` makes them.  Raises ValueError when two of them
+    overlap without meeting in a common face (the fan is not valid).
     """
     result = canonical_cone(cones_[0])
     for other in cones_[1:]:
-        other = canonical_cone(other)
-        s = [r for r in result.rays if cone_contains(other, ratvec(r))]
-        t = [r for r in other.rays if cone_contains(result, ratvec(r))]
-        result = canonical_cone(Cone(f.ambient_dim, tuple(s + t)))
-    for c in cones_:
-        if not cone_is_face(result, c):
-            raise ValueError(
-                "cones do not meet in a common face (fan is not valid)"
-            )
+        result = _common_face(result, canonical_cone(other))
+        if result is None:
+            raise ValueError("cones do not meet in a common face (fan is not valid)")
     return result
 
 
@@ -535,7 +533,7 @@ def fan_validate(f: Fan) -> list[str]:
     closure under faces, and pairwise intersection in common faces.
     """
     diags: list[str] = []
-    usable: list[Cone] = []
+    usable: list[tuple[Cone, list[Cone]]] = []
     for c in f.cones:
         bad = False
         for r in c.rays:
@@ -549,21 +547,21 @@ def fan_validate(f: Fan) -> list[str]:
                 diags.append(f"non-primitive ray {r} (content {vector_content(r)})")
         if bad:
             continue
-        if not cone_is_pointed(c):
+        try:
+            usable.append((c, cone_faces(c)))
+        except ValueError:
             diags.append(f"cone {c.rays} is not pointed")
-            continue
-        usable.append(c)
-    canon = {canonical_cone(c) for c in usable}
+    canon = {faces[-1] for _, faces in usable}  # each cone's own canonical form
     if zero_cone(f.ambient_dim) not in canon:
         diags.append("missing zero cone")
     if len(canon) != len(usable):
         diags.append("duplicate cones (equal after canonicalization)")
-    for c in usable:
-        for face in cone_faces(c):
+    for c, faces in usable:
+        for face in faces:
             if face not in canon:
                 diags.append(f"missing face {face.rays} of cone {c.rays}")
     ordered = sorted(canon, key=lambda c: (len(c.rays), c.rays))
     for c1, c2 in itertools.combinations(ordered, 2):
-        if not _pair_intersects_in_common_face(c1, c2):
+        if _common_face(c1, c2) is None:
             diags.append(f"cones {c1.rays} and {c2.rays} do not meet in a common face")
     return diags

@@ -466,11 +466,12 @@ def decorated_isomorphisms(
     preserving genus, weights, directions up to reorientation (a reversed
     edge negates its direction), and — via ``vertex_ok`` — the vertex cones.
 
-    The default ``vertex_ok`` demands equal canonical cones.
+    The default ``vertex_ok`` demands equal vertex cones, which types hold
+    in canonical form.
     """
     if vertex_ok is None:
         def vertex_ok(v1: str, v2: str) -> bool:
-            return canonical_cone(t1.vertex_cones[v1]) == canonical_cone(t2.vertex_cones[v2])
+            return t1.vertex_cones[v1] == t2.vertex_cones[v2]
 
     g1, g2 = t1.graph, t2.graph
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):

@@ -25,7 +25,7 @@ from .exactgeom import (
     RatVec,
     ONE,
     ZERO,
-    canonical_cone,
+    cone_contains,
     cone_is_face,
     format_rational,
     nullspace,
@@ -320,7 +320,7 @@ def _strict_generator_system(t: CombinatorialType) -> tuple[list[tuple[str, RatV
     rays = [
         (vid, ratvec(r))
         for vid in _finite_vertices(t)
-        for r in canonical_cone(t.vertex_cones[vid]).rays
+        for r in t.vertex_cones[vid].rays
     ]
     rows = []
     for i, eid in enumerate(bounded):
@@ -450,8 +450,8 @@ def _contract_with_map(
 
 def contract_type(t: CombinatorialType, edges: Iterable[str]) -> CombinatorialType:
     """Contract the listed bounded edges; merged vertices receive the
-    smallest fan cone containing all their cones, and surviving edge
-    decorations are unchanged."""
+    intersection of their cones (their largest common face), and surviving
+    edge decorations are unchanged."""
     return _contract_with_map(t, edges)[0]
 
 
@@ -578,6 +578,16 @@ def make_family(
         )
         positions = {vid: tuple(map(AffineFn, consts[vid], slopes[vid])) for vid in consts}
     positions = {vid: tuple(p) for vid, p in positions.items()}
+    if not t.fan.embedded:
+        # cones are convex, so membership at t = 0 and t = 1 pins the whole
+        # affine path inside the cone
+        for probe in (Fraction(0), Fraction(1)):
+            for vid, fns in positions.items():
+                p = tuple(fn.at(probe) for fn in fns)
+                if not cone_contains(t.vertex_cones[vid], p):
+                    raise ValueError(
+                        f"position of {vid} exits its cone at t={format_rational(probe)}"
+                    )
     fam = Family(t, dict(lengths), positions)
     for probe in (Fraction(0), Fraction(1, 2)):
         _check_member(fam, probe)
@@ -587,18 +597,6 @@ def make_family(
 def _check_member(fam: Family, t_val: Fraction) -> None:
     t = fam.type
     n = t.fan.ambient_dim
-    if not t.fan.embedded:
-        from .exactgeom import cone_contains
-
-        # cones are convex, so membership at t = 0 and t = 1 pins the whole
-        # affine path inside the cone
-        for probe in (Fraction(0), Fraction(1)):
-            for vid, fns in fam.positions.items():
-                p = tuple(fn.at(probe) for fn in fns)
-                if not cone_contains(t.vertex_cones[vid], p):
-                    raise ValueError(
-                        f"position of {vid} exits its cone at t={format_rational(probe)}"
-                    )
     for eid in t.bounded_edge_ids():
         e = t.graph.edge(eid)
         if e.ends[0] == e.ends[1]:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own algorithms: rank is computed by
 fraction-free Bareiss elimination on integer matrices, flats by brute-force
 closure of every subset, automorphisms by exhaustive permutation search over
-raw adjacency data.
+raw adjacency data.  The cone and fan references decide faces,
+intersections and locations by LP membership tests of every ray and point,
+where the library reads them off canonical ray sets.
 """
 
 from __future__ import annotations
@@ -11,6 +13,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from tropmap.exactgeom import (
+    Cone,
+    canonical_cone,
+    cone_contains,
+    cone_is_pointed,
+    lp_feasible,
+    ratvec,
+    vector_content,
+    zero_cone,
+)
 
 
 def bareiss_rank(rows) -> int:
@@ -246,3 +259,124 @@ def dense_pull_back(t, equations):
         [sum(row[j] * col[j] for j in range(width)) for col in columns]
         for row in equations
     ]
+
+
+def _contains_cone(big, small) -> bool:
+    return all(cone_contains(big, ratvec(r)) for r in small.rays)
+
+
+def _face_functional_exists(ambient, zero_rays, pos_rays) -> bool:
+    # a covector vanishing on zero_rays and >= 1 on pos_rays
+    eqs = [(list(r), 0) for r in zero_rays]
+    geqs = [(list(r), 1) for r in pos_rays]
+    return lp_feasible(ambient, eqs=eqs, geqs=geqs) is not None
+
+
+def ref_cone_is_face(face, c) -> bool:
+    """Is ``face`` a face of ``c``: contained in ``c``, generated by the rays
+    of ``c`` it contains, and cut out by a supporting covector."""
+    cc = canonical_cone(c)
+    fc = canonical_cone(face)
+    if fc == cc:
+        return True
+    if not _contains_cone(cc, fc):
+        return False
+    inside = [r for r in cc.rays if cone_contains(fc, ratvec(r))]
+    outside = [r for r in cc.rays if r not in inside]
+    if not _contains_cone(Cone(cc.ambient_dim, tuple(inside)), fc):
+        return False
+    return _face_functional_exists(cc.ambient_dim, inside, outside)
+
+
+def ref_cone_faces(c) -> list:
+    """Faces of a pointed cone: every ray subset cut out by a supporting
+    covector, each canonicalized again."""
+    cc = canonical_cone(c)
+    if not cone_is_pointed(cc):
+        raise ValueError("face enumeration requires a pointed cone")
+    faces = {cc}
+    n = len(cc.rays)
+    for size in range(n):
+        for subset in itertools.combinations(range(n), size):
+            zero = [cc.rays[i] for i in subset]
+            pos = [cc.rays[i] for i in range(n) if i not in subset]
+            if _face_functional_exists(cc.ambient_dim, zero, pos):
+                faces.add(canonical_cone(Cone(cc.ambient_dim, tuple(zero))))
+    return sorted(faces, key=lambda f: (len(f.rays), f.rays))
+
+
+def ref_pair_meets_in_common_face(c1, c2) -> bool:
+    """A covector vanishing on the rays of either cone lying in the other,
+    <= -1 on the remaining rays of ``c1`` and >= 1 on those of ``c2``."""
+    s = [r for r in c1.rays if cone_contains(c2, ratvec(r))]
+    t = [r for r in c2.rays if cone_contains(c1, ratvec(r))]
+    eqs = [(list(r), 0) for r in s + t]
+    geqs = [([-x for x in r], 1) for r in c1.rays if r not in s]
+    geqs += [(list(r), 1) for r in c2.rays if r not in t]
+    return lp_feasible(c1.ambient_dim, eqs=eqs, geqs=geqs) is not None
+
+
+def ref_fan_cone_intersection(f, cones_):
+    """The cone on the rays of either cone lying in the other, folded over
+    the inputs, then checked to be a face of every input."""
+    result = canonical_cone(cones_[0])
+    for other in cones_[1:]:
+        other = canonical_cone(other)
+        s = [r for r in result.rays if cone_contains(other, ratvec(r))]
+        t = [r for r in other.rays if cone_contains(result, ratvec(r))]
+        result = canonical_cone(Cone(f.ambient_dim, tuple(s + t)))
+    for c in cones_:
+        if not ref_cone_is_face(result, c):
+            raise ValueError("cones do not meet in a common face (fan is not valid)")
+    return result
+
+
+def ref_cone_locate(f, p):
+    """The fan cone containing p that every cone containing p contains."""
+    if len(p) != f.ambient_dim:
+        raise ValueError("dimension mismatch")
+    candidates = [c for c in f.cones if cone_contains(c, p)]
+    if not candidates:
+        return None
+    minimal = [c for c in candidates if all(_contains_cone(d, c) for d in candidates)]
+    if len(minimal) != 1:
+        raise ValueError("fan is not closed under faces near the given point")
+    return minimal[0]
+
+
+def ref_fan_validate(f) -> list[str]:
+    """The fan diagnostics, with faces and pairwise intersections decided by
+    the references above."""
+    diags: list[str] = []
+    usable = []
+    for c in f.cones:
+        bad = False
+        for r in c.rays:
+            if len(r) != f.ambient_dim:
+                diags.append(f"ray {r} has length {len(r)}, expected {f.ambient_dim}")
+                bad = True
+            elif all(x == 0 for x in r):
+                diags.append(f"zero ray generator in cone {c.rays}")
+                bad = True
+            elif vector_content(r) != 1:
+                diags.append(f"non-primitive ray {r} (content {vector_content(r)})")
+        if bad:
+            continue
+        if not cone_is_pointed(c):
+            diags.append(f"cone {c.rays} is not pointed")
+            continue
+        usable.append(c)
+    canon = {canonical_cone(c) for c in usable}
+    if zero_cone(f.ambient_dim) not in canon:
+        diags.append("missing zero cone")
+    if len(canon) != len(usable):
+        diags.append("duplicate cones (equal after canonicalization)")
+    for c in usable:
+        for face in ref_cone_faces(c):
+            if face not in canon:
+                diags.append(f"missing face {face.rays} of cone {c.rays}")
+    ordered = sorted(canon, key=lambda c: (len(c.rays), c.rays))
+    for c1, c2 in itertools.combinations(ordered, 2):
+        if not ref_pair_meets_in_common_face(c1, c2):
+            diags.append(f"cones {c1.rays} and {c2.rays} do not meet in a common face")
+    return diags

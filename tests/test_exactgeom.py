@@ -1,11 +1,13 @@
 """Rationals, exact elimination, cones, and fans."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmap import combinatorial_type, moduli_cone
+from tropmap import combinatorial_type, exactgeom, moduli_cone
 from tropmap.exactgeom import (
     auto_rays_fan,
     build_fan,
@@ -17,6 +19,7 @@ from tropmap.exactgeom import (
     cone_is_pointed,
     cone_locate,
     fan,
+    fan_cone_intersection,
     fan_validate,
     format_rational,
     lp_feasible,
@@ -28,7 +31,14 @@ from tropmap.exactgeom import (
     zero_cone,
 )
 
-from oracles import bareiss_rank
+from oracles import (
+    bareiss_rank,
+    ref_cone_faces,
+    ref_cone_is_face,
+    ref_cone_locate,
+    ref_fan_cone_intersection,
+    ref_fan_validate,
+)
 
 
 class TestRationals:
@@ -118,6 +128,9 @@ class TestLp:
     def test_geq_with_nonneg(self):
         assert lp_feasible(1, eqs=[((1,), -1)], nonneg=(0,)) is None
 
+    def test_no_constraints(self):
+        assert lp_feasible(2) == [0, 0]
+
 
 class TestCones:
     def test_membership(self):
@@ -146,6 +159,8 @@ class TestCones:
         assert cone_is_face(zero_cone(2), quad)
         assert cone_is_face(quad, quad)
         assert not cone_is_face(cone(2, [(1, 1)]), quad)
+        with pytest.raises(ValueError):
+            cone_is_face(zero_cone(2), cone(2, [(1, 0), (-1, 0)]))
 
 
 class TestFans:
@@ -212,3 +227,106 @@ class TestConeLocate:
         for face in cone_faces(located):
             if face != located:
                 assert not cone_contains(face, p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _random_fan(rng: random.Random):
+    """A build_fan fan in R^2 (three draws in four) or R^3 from one or two
+    cones of one to four nonzero rays with entries in [-2, 2]; None when a
+    cone is not pointed."""
+    n = rng.choice((2, 2, 2, 3))
+    ray_lists = []
+    for _ in range(rng.randint(1, 2)):
+        rays = []
+        size = rng.randint(1, 4)
+        while len(rays) < size:
+            r = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(r):
+                rays.append(r)
+        ray_lists.append(rays)
+    try:
+        return build_fan(n, ray_lists)
+    except ValueError:
+        return None
+
+
+def _check_against_references(f: exactgeom.Fan, rng: random.Random) -> bool:
+    """Compare the face, intersection and location routines with the
+    membership-test references on one fan.  On a fan the references call
+    valid the answers must be equal; otherwise an answer may only turn into
+    a ValueError.  Returns whether the fan is valid."""
+    diags = fan_validate(f)
+    assert diags == ref_fan_validate(f)
+    valid = not diags
+
+    def agree(got, want):
+        assert got == want or (not valid and got is ValueError and want is not ValueError)
+
+    for c in f.cones:
+        assert cone_faces(c) == ref_cone_faces(c)
+    pairs = list(itertools.product(f.cones, repeat=2))
+    for a, b in rng.sample(pairs, min(len(pairs), 8)):
+        assert cone_is_face(a, b) == ref_cone_is_face(a, b)
+        agree(_outcome(fan_cone_intersection, f, [a, b]), _outcome(ref_fan_cone_intersection, f, [a, b]))
+    for _ in range(3):
+        cs = rng.sample(f.cones, min(len(f.cones), 3))
+        agree(_outcome(fan_cone_intersection, f, cs), _outcome(ref_fan_cone_intersection, f, cs))
+    n = f.ambient_dim
+    points = [ratvec(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
+    for c in rng.sample(f.cones, min(len(f.cones), 3)):
+        points.append(ratvec(sum(r[k] for r in c.rays) for k in range(n)))
+    for p in points:
+        agree(_outcome(cone_locate, f, p), _outcome(ref_cone_locate, f, p))
+    return valid
+
+
+class TestAgainstMembershipReferences:
+    def test_random_fans(self):
+        rng = random.Random(20161018)
+        checked = valid = 0
+        while checked < 200:
+            f = _random_fan(rng)
+            if f is None:
+                continue
+            valid += _check_against_references(f, rng)
+            checked += 1
+        assert 20 <= valid <= 180  # both kinds of fan are exercised
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_builder_fans(self, n):
+        rng = random.Random(n)
+        axis = (1,) + (0,) * (n - 1)
+        for f in (complete_orthant_fan(n), auto_rays_fan(n, [axis, tuple(-x for x in axis)])):
+            assert _check_against_references(f, rng)
+
+    def test_overlapping_cones_do_not_meet_in_the_zero_cone(self):
+        # the cones share no ray, yet both contain (1, -3/7, -2/7)
+        a = [(1, -1, 2), (1, 0, -2)]
+        b = [(-1, 2, 1), (1, 0, 1), (2, -1, -1)]
+        p = (Fraction(1), Fraction(-3, 7), Fraction(-2, 7))
+        assert cone_contains(cone(3, a), p) and cone_contains(cone(3, b), p)
+        f = build_fan(3, [a, b])
+        with pytest.raises(ValueError, match="common face"):
+            fan_cone_intersection(f, [cone(3, a), cone(3, b)])
+
+    def test_orthant_validation_lp_count(self, monkeypatch):
+        calls = []
+        real = exactgeom.solve_nonneg
+
+        def counting(rows, rhs):
+            calls.append(len(rows))
+            return real(rows, rhs)
+
+        f = complete_orthant_fan(2)
+        monkeypatch.setattr(exactgeom, "solve_nonneg", counting)
+        assert fan_validate(f) == []
+        # per quadrant: pointedness, one membership LP per ray when
+        # canonicalizing, one LP per one-ray subset; per ray: pointedness;
+        # then one common-face LP for each of the 36 pairs of cones
+        assert len(calls) == 4 * (1 + 2 + 2) + 4 * 1 + 36

@@ -410,6 +410,19 @@ class TestFamilies:
         with pytest.raises(ValueError, match="exits its cone"):
             make_family(t, {"e": affine(2)}, base_vertex="o", base_position=base)
 
+    def test_strict_membership_checked_once_per_endpoint(self, monkeypatch):
+        calls = []
+        real = moduli.cone_contains
+
+        def counting(c, p):
+            calls.append(p)
+            return real(c, p)
+
+        monkeypatch.setattr(moduli, "cone_contains", counting)
+        fam = strict_unstable_member_family()
+        # each of the four vertices at t = 0 and at t = 1
+        assert len(calls) == 2 * len(fam.positions) == 8
+
     def test_square_loop_family_keeps_cycle_closed(self):
         t = combinatorial_type(square_loop())
         lengths = {
