@@ -11,6 +11,7 @@ document loader unwraps report envelopes, so commands compose in pipelines:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -321,7 +322,10 @@ def _parse_cli_rational(text) -> Fraction:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; it does not depend on the input, so it is
+    built once per process."""
     parser = argparse.ArgumentParser(
         prog="tropmap",
         description="Combinatorics of parametrized tropical stable maps: "
@@ -384,7 +388,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     io = _Io(args)
     try:
-        return args.fn(args, io)
+        with documents.shared_fans():
+            return args.fn(args, io)
     except DocumentError as exc:
         return io.fail(args.command, [{"pointer": exc.pointer, "message": exc.message}])
     except (ValueError, KeyError) as exc:

@@ -10,9 +10,11 @@ input.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from . import curves
 from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex, tropical_curve
@@ -24,7 +26,14 @@ from .exactgeom import (
     parse_rational,
     vector_content,
 )
-from .maps import CombinatorialType, EdgeMapData, TropicalStableMap, make_type, stable_map
+from .maps import (
+    CombinatorialType,
+    EdgeMapData,
+    TropicalStableMap,
+    balancing_diagnostics,
+    make_type,
+    stable_map,
+)
 from .moduli import AffineFn, Family, make_family
 
 FORMAT_VERSION = "1"
@@ -100,7 +109,33 @@ def _read_int_vector(raw, pointer: str, ambient: Optional[int]) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 # fans
 
+# fans parsed inside the innermost ``shared_fans`` block, by their raw JSON
+_shared_fans: ContextVar[Optional[dict[str, Fan]]] = ContextVar("tropmap_shared_fans", default=None)
+
+
+@contextmanager
+def shared_fans() -> Iterator[None]:
+    """Within the block, each distinct fan document is built once: a map
+    and a family that carry the same fan share one :class:`Fan`.  The CLI
+    opens one block per command, so nothing is kept across commands."""
+    token = _shared_fans.set({})
+    try:
+        yield
+    finally:
+        _shared_fans.reset(token)
+
+
 def parse_fan(raw, pointer: str, warnings: list[str]) -> Fan:
+    memo = _shared_fans.get()
+    if memo is None:
+        return _parse_fan(raw, pointer)
+    key = json.dumps(raw, sort_keys=True)
+    if key not in memo:
+        memo[key] = _parse_fan(raw, pointer)
+    return memo[key]
+
+
+def _parse_fan(raw, pointer: str) -> Fan:
     ambient = _get(raw, "ambient_dim", pointer, int)
     _expect(ambient >= 0, f"{pointer}/ambient_dim", "expected a natural number")
     cones_raw = _get(raw, "cones", pointer, list)
@@ -290,6 +325,9 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
         ]
         vertex_cones[vid] = cone(f.ambient_dim, rays)
     _expect("positions" not in raw, f"{pointer}/positions", "types carry no positions")
+    for vid, message in balancing_diagnostics(c, data, f.ambient_dim):
+        index = next(i for i, v in enumerate(c.vertices) if v.id == vid)
+        raise DocumentError(f"{pointer}/curve/vertices/{index}", message)
     return make_type(c, f, data, vertex_cones)
 
 

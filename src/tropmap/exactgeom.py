@@ -1,12 +1,17 @@
 """Exact rational vectors, matrices, cones, and fans.
 
-Everything in this module is computed over the rationals with
-:class:`fractions.Fraction`; no floating point is used anywhere.  Cones are
-stored by their generating rays only, and membership questions are answered
-by solving the non-negative combination problem exactly with a small
-phase-one simplex.  Faces, intersections and point locations are read off
-canonical ray sets (sorted primitive extreme rays), with one common-face LP
-deciding whether two cones meet in a face of both.
+No floating point is used anywhere.  Values are rationals: ``int`` where
+they are integral and :class:`fractions.Fraction` otherwise.  Elimination
+(:func:`rref`, :func:`rank`, :func:`nullspace`) scales each row to integers
+and runs fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
+1968), so the per-map layers, which hold each map at one common
+denominator, compute on integers throughout and build a ``Fraction`` only
+for a result that leaves them.  Cones are stored by their generating rays
+only, and membership questions are answered by solving the non-negative
+combination problem exactly with a small phase-one simplex.  Faces,
+intersections and point locations are read off canonical ray sets (sorted
+primitive extreme rays), with one common-face LP deciding whether two cones
+meet in a face of both.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 RatVec = tuple[Fraction, ...]
@@ -83,11 +89,12 @@ def _exact(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def vdot(a: Sequence, b: Sequence) -> Fraction:
-    """Exact dot product.  ``int`` and ``Fraction`` entries are used as they
-    are (integer vectors multiply in ``int``); anything else is converted."""
-    total = sum(_exact(x) * _exact(y) for x, y in zip(a, b, strict=True))
-    return total if isinstance(total, Fraction) else Fraction(total)
+def vdot(a: Sequence, b: Sequence):
+    """Exact dot product of vectors of ``int`` and ``Fraction`` entries: an
+    ``int`` when both vectors are integral, else a ``Fraction``."""
+    if len(a) != len(b):
+        raise ValueError(f"dot product of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def is_zero_vec(a: Sequence) -> bool:
@@ -111,55 +118,63 @@ def primitive(vec: Sequence[int]) -> IntVec:
 
 def primitive_rational(vec: Sequence[Fraction]) -> IntVec:
     """Scale a nonzero rational vector to its primitive integer multiple."""
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive representative")
-    lcm = 1
-    for x in fracs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fracs]
-    return primitive(ints)
+    return primitive(_integer_rows([vec])[0])
 
 
 # ---------------------------------------------------------------------------
 # exact elimination
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with exact pivots; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its entries' denominators."""
+    out = []
+    for row in rows:
+        row = [_exact(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the rows scaled to integers.
+
+    Returns (m, pivots, d): row i < len(pivots) of ``m`` is d times row i of
+    the reduced row echelon form, and the remaining rows are zero.  Every
+    entry stays a minor of the scaled matrix, so each division is exact.
+    """
+    m = _integer_rows(rows)
+    prev = 1
     pivots: list[int] = []
+    if not m:
+        return m, pivots, prev
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        pv = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, prev
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns)."""
+    m, pivots, d = _eliminate(rows)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals, by exact-pivot elimination.
-
-    The empty matrix has rank 0.
-    """
-    return len(rref(rows)[1])
+    """Rank over the rationals.  The empty matrix has rank 0."""
+    return len(_eliminate(rows)[1])
 
 
 def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -168,23 +183,35 @@ def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [list(col) for col in zip(*rows)]
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[RatVec]:
-    """Basis of the right kernel {x : Ax = 0}."""
+def _kernel(rows: Sequence[Sequence], ncols: Optional[int]) -> tuple[list[IntVec], int]:
+    """Integer vectors s*k for the :func:`nullspace` basis vectors k, and the
+    common positive scale s."""
     if not rows:
-        if ncols is None:
-            return []
-        return [tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)]
+        n = 0 if ncols is None else ncols
+        return [tuple(int(j == i) for j in range(n)) for i in range(n)], 1
     n = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    m, pivots, d = _eliminate(rows)
+    sign = 1 if d > 0 else -1
     basis = []
-    for fc in free:
-        vec = [ZERO] * n
-        vec[fc] = ONE
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[fc] = sign * d
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            vec[pc] = -sign * m[r][fc]
         basis.append(tuple(vec))
-    return basis
+    return basis, sign * d
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[RatVec]:
+    """Basis of the right kernel {x : Ax = 0}: one vector per non-pivot
+    column, with 1 there and 0 in every other non-pivot column."""
+    basis, scale = _kernel(rows, ncols)
+    return [tuple(Fraction(x, scale) for x in vec) for vec in basis]
+
+
+def integer_nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[IntVec]:
+    """The :func:`nullspace` basis times one common positive integer."""
+    return _kernel(rows, ncols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +357,7 @@ class Cone:
     def dim(self) -> int:
         if not self.rays:
             return 0
-        return rank([[Fraction(x) for x in r] for r in self.rays])
+        return rank(self.rays)
 
     def is_zero(self) -> bool:
         return not self.rays
@@ -424,7 +451,11 @@ def cone_faces(c: Cone) -> list[Cone]:
 
     Raises ValueError when the cone is not pointed.
     """
-    cc = canonical_cone(c)
+    return _faces(canonical_cone(c))
+
+
+def _faces(cc: Cone) -> list[Cone]:
+    """:func:`cone_faces` of a cone already in canonical form."""
     if not cone_is_pointed(cc):
         raise ValueError("face enumeration requires a pointed cone")
     faces = {zero_cone(cc.ambient_dim), cc}  # pointed: the empty ray set is a face
@@ -466,7 +497,7 @@ def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], em
         c = canonical_cone(cone(ambient_dim, rays))
         if len(c.rays) > 14:
             raise ValueError("cone with more than 14 extreme rays: out of desk scale")
-        for f in cone_faces(c):
+        for f in _faces(c):
             all_cones.add(f)
     return fan(ambient_dim, all_cones, embedded)
 

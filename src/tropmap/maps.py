@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import curves
@@ -48,8 +50,6 @@ from .exactgeom import (
     rank,
     ratvec,
     vector_content,
-    vscale,
-    vsub,
     zero_cone,
 )
 
@@ -98,11 +98,36 @@ class _EdgeDirections:
 
 
 @dataclass(frozen=True)
+class ScaledMap:
+    """A map's positions and finite edge lengths times one common positive
+    denominator, as integers."""
+
+    denominator: int
+    positions: Mapping[str, IntVec]
+    lengths: Mapping[str, int]
+
+
+@dataclass(frozen=True)
 class TropicalStableMap(_EdgeDirections):
     curve: TropicalCurve
     fan: Fan
     positions: Mapping[str, RatVec]
     edge_data: Mapping[str, EdgeMapData]
+
+    @cached_property
+    def scaled(self) -> ScaledMap:
+        """The positions and finite lengths times D, the lcm of their
+        denominators.  The per-map decisions (validation, cycle span,
+        arrangement, trapped subcurves) run on these integers; every one of
+        them is invariant under scaling by D."""
+        lengths = {e.id: e.length for e in self.curve.edges if not isinstance(e.length, InfiniteLength)}
+        d = lcm(*(x.denominator for x in lengths.values()),
+                *(x.denominator for p in self.positions.values() for x in p))
+        return ScaledMap(
+            d,
+            {vid: tuple(x.numerator * (d // x.denominator) for x in p) for vid, p in self.positions.items()},
+            {eid: x.numerator * (d // x.denominator) for eid, x in lengths.items()},
+        )
 
 
 def _orient_leaves(graph: TropicalCurve, edge_data: Mapping[str, EdgeMapData]) -> dict[str, EdgeMapData]:
@@ -195,36 +220,24 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
     if diags:
         return diags
 
-    # integrality along bounded edges
+    # integrality along bounded edges, at the common denominator
+    scaled = m.scaled
     for e in m.curve.edges:
         if m.curve.is_marked_leaf_edge(e):
             continue
         if e.ends[0] == e.ends[1]:
             continue  # contracted by the loop rule; no displacement constraint
         d = m.edge_data[e.id]
-        assert not isinstance(e.length, InfiniteLength)
-        expected = vscale(e.length * d.w, ratvec(d.u))
-        actual = vsub(m.positions[d.head(e)], m.positions[d.tail])
-        if actual != expected:
+        step = scaled.lengths[e.id] * d.w
+        actual = [h - t for h, t in zip(scaled.positions[d.head(e)], scaled.positions[d.tail])]
+        if actual != [step * x for x in d.u]:
+            displacement = tuple(format_rational(Fraction(x, scaled.denominator)) for x in actual)
             diags.append(
                 f"integrality violated on edge {e.id}: displacement "
-                f"{tuple(map(format_rational, actual))} != length*weight*direction"
+                f"{displacement} != length*weight*direction"
             )
 
-    # balancing at finite vertices
-    for vid in finite_ids:
-        total = [Fraction(0)] * ambient
-        for e in m.curve.edges_at(vid):
-            if e.ends[0] == e.ends[1]:
-                continue  # the two half-edges of a loop cancel
-            out = m.direction_from(e, vid)
-            w = m.edge_data[e.id].w
-            total = [t + w * x for t, x in zip(total, out)]
-        if not is_zero_vec(total):
-            diags.append(
-                f"balancing violated at vertex {vid}: net weighted direction "
-                f"{tuple(map(format_rational, total))}"
-            )
+    diags.extend(msg for _, msg in balancing_diagnostics(m.curve, m.edge_data, ambient))
 
     # stability of 2-valent vertices
     for vid in finite_ids:
@@ -258,6 +271,27 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
     return diags
 
 
+def balancing_diagnostics(
+    graph: TropicalCurve, edge_data: Mapping[str, EdgeMapData], ambient: int
+) -> list[tuple[str, str]]:
+    """(vertex, diagnostic) for every finite vertex whose outgoing weighted
+    directions do not sum to zero.  Needs directions and weights only, so
+    it applies to maps and types alike."""
+    out = []
+    for vid in graph.unmarked_vertex_ids():
+        total = [0] * ambient
+        for e in graph.edges_at(vid):
+            if e.ends[0] == e.ends[1]:
+                continue  # the two half-edges of a loop cancel
+            d = edge_data[e.id]
+            w = d.w if d.tail == vid else -d.w
+            total = [t + w * x for t, x in zip(total, d.u)]
+        if any(total):
+            net = tuple(map(format_rational, total))
+            out.append((vid, f"balancing violated at vertex {vid}: net weighted direction {net}"))
+    return out
+
+
 def _star_in_single_cone_interior(m: TropicalStableMap, vid: str) -> bool:
     """Is the image of the star of a 2-valent vertex contained in the
     relative interior of a single cone?
@@ -272,19 +306,19 @@ def _star_in_single_cone_interior(m: TropicalStableMap, vid: str) -> bool:
     sigma = cone_locate(m.fan, m.positions[vid])
     if sigma is None:
         return False
-    span_rows = [ratvec(r) for r in sigma.rays]
+    span_rows = list(sigma.rays)
     for e in m.curve.edges_at(vid):
         dirs = [m.direction_from(e, vid)]
         if e.ends[0] == e.ends[1]:
             dirs.append(tuple(-x for x in dirs[0]))
         for u in dirs:
             w = m.edge_data[e.id].w
-            d = [Fraction(w * x) for x in u]
+            d = tuple(w * x for x in u)
             if is_zero_vec(d):
                 continue
             if not span_rows:
                 return False
-            if rank(span_rows + [tuple(d)]) != rank(span_rows):
+            if rank(span_rows + [d]) != rank(span_rows):
                 return False
     return True
 

@@ -15,6 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import curves
@@ -35,7 +37,6 @@ from .exactgeom import (
     solve_nonneg,
     vadd,
     vscale,
-    vsub,
 )
 from .maps import (
     CombinatorialType,
@@ -169,20 +170,25 @@ def _positions_from_lengths(
     t: CombinatorialType, lengths: Mapping[str, Fraction], base_vertex: str, base_point: Sequence
 ) -> dict[str, RatVec]:
     """Vertex positions fixed by the bounded edge lengths along the spanning
-    tree, shifted so that ``base_vertex`` lands on ``base_point``."""
+    tree, shifted so that ``base_vertex`` lands on ``base_point``.  The walk
+    runs on integers at the common denominator of the lengths and the base
+    point."""
     finite = _finite_vertices(t)
     if base_vertex not in finite:
         raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
     parent, _ = _spanning_tree(t)
     if len(parent) != len(finite) - 1:
         raise ValueError("could not derive positions: finite graph not spanned")
+    base_point = ratvec(base_point)
+    den = lcm(*(x.denominator for x in lengths.values()), *(x.denominator for x in base_point))
+    scaled = {eid: x.numerator * (den // x.denominator) for eid, x in lengths.items()}
     # the BFS inserts every parent before its children
-    walk = {finite[0]: tuple([ZERO] * t.fan.ambient_dim)}
+    walk = {finite[0]: (0,) * t.fan.ambient_dim}
     for vid, (up, e, sign) in parent.items():
-        step = vscale(sign * lengths[e.id], t.weighted_direction(e.id))
-        walk[vid] = vadd(walk[up], step)
-    shift = vsub(ratvec(base_point), walk[base_vertex])
-    return {vid: vadd(walk[vid], shift) for vid in finite}
+        step = sign * scaled[e.id]
+        walk[vid] = tuple(a + step * x for a, x in zip(walk[up], t.weighted_direction(e.id)))
+    shift = [x.numerator * (den // x.denominator) - a for x, a in zip(base_point, walk[base_vertex])]
+    return {vid: tuple(Fraction(a + b, den) for a, b in zip(walk[vid], shift)) for vid in finite}
 
 
 def _length_constraints(t: CombinatorialType) -> list[list[Fraction]]:
@@ -530,6 +536,16 @@ def affine(const, slope=0) -> AffineFn:
 
 
 @dataclass(frozen=True)
+class ScaledFamily:
+    """A family's constants and slopes, as (constant, slope) pairs of
+    integers, times one common positive denominator."""
+
+    denominator: int
+    lengths: Mapping[str, tuple[int, int]]
+    positions: Mapping[str, tuple[tuple[int, int], ...]]
+
+
+@dataclass(frozen=True)
 class Family:
     """A one-parameter family of maps of a fixed type on t in [0, 1]:
     every length and position coordinate is an affine function of t, all
@@ -538,6 +554,24 @@ class Family:
     type: CombinatorialType
     lengths: Mapping[str, AffineFn]
     positions: Mapping[str, tuple[AffineFn, ...]]
+
+    @cached_property
+    def scaled(self) -> ScaledFamily:
+        """The constants and slopes times D, the lcm of their denominators:
+        at t = p/q every length and coordinate is (D*const*q + D*slope*p)
+        over D*q."""
+        fns = [*self.lengths.values(), *(fn for fns in self.positions.values() for fn in fns)]
+        d = lcm(*(x.denominator for fn in fns for x in (fn.const, fn.slope)))
+
+        def pair(fn: AffineFn) -> tuple[int, int]:
+            c, s = fn.const, fn.slope
+            return c.numerator * (d // c.denominator), s.numerator * (d // s.denominator)
+
+        return ScaledFamily(
+            d,
+            {eid: pair(fn) for eid, fn in self.lengths.items()},
+            {vid: tuple(map(pair, fns)) for vid, fns in self.positions.items()},
+        )
 
 
 def make_family(
@@ -577,40 +611,42 @@ def make_family(
             t, {eid: fn.slope for eid, fn in lengths.items()}, base, [fn.slope for fn in base_pos]
         )
         positions = {vid: tuple(map(AffineFn, consts[vid], slopes[vid])) for vid in consts}
-    positions = {vid: tuple(p) for vid, p in positions.items()}
+    fam = Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
     if not t.fan.embedded:
         # cones are convex, so membership at t = 0 and t = 1 pins the whole
-        # affine path inside the cone
+        # affine path inside the cone; membership is invariant under scaling
         for probe in (Fraction(0), Fraction(1)):
-            for vid, fns in positions.items():
-                p = tuple(fn.at(probe) for fn in fns)
-                if not cone_contains(t.vertex_cones[vid], p):
+            for vid, pairs in fam.scaled.positions.items():
+                point = tuple(_scaled_at(x, probe) for x in pairs)
+                if not cone_contains(t.vertex_cones[vid], point):
                     raise ValueError(
                         f"position of {vid} exits its cone at t={format_rational(probe)}"
                     )
-    fam = Family(t, dict(lengths), positions)
     for probe in (Fraction(0), Fraction(1, 2)):
         _check_member(fam, probe)
     return fam
 
 
+def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
+    """A (const, slope) pair of a :class:`ScaledFamily` at t = p/q, times q."""
+    const, slope = pair
+    return const * t_val.denominator + slope * t_val.numerator
+
+
 def _check_member(fam: Family, t_val: Fraction) -> None:
+    """The edge equations at ``t_val``, on the family's integers."""
     t = fam.type
-    n = t.fan.ambient_dim
+    scaled = fam.scaled
     for eid in t.bounded_edge_ids():
         e = t.graph.edge(eid)
         if e.ends[0] == e.ends[1]:
             continue
         d = t.edge_data[eid]
-        head, tail = fam.positions[d.head(e)], fam.positions[d.tail]
-        wd = t.weighted_direction(eid)
-        ell = fam.lengths[eid].at(t_val)
-        for k in range(n):
-            lhs = head[k].at(t_val) - tail[k].at(t_val)
-            if lhs != ell * Fraction(wd[k]):
-                raise ValueError(
-                    f"family inconsistent on edge {eid} at t={format_rational(t_val)}"
-                )
+        head, tail = scaled.positions[d.head(e)], scaled.positions[d.tail]
+        ell = _scaled_at(scaled.lengths[eid], t_val)
+        for h, a, x in zip(head, tail, t.weighted_direction(eid)):
+            if _scaled_at(h, t_val) - _scaled_at(a, t_val) != ell * x:
+                raise ValueError(f"family inconsistent on edge {eid} at t={format_rational(t_val)}")
 
 
 def format_affine(fn: AffineFn) -> str:
@@ -631,9 +667,15 @@ def _map_from_lengths(
 
 
 def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
-    """The lengths and the positions of the member at ``t_val``."""
-    lengths = {eid: fn.at(t_val) for eid, fn in fam.lengths.items()}
-    positions = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in fam.positions.items()}
+    """The lengths and the positions of the member at ``t_val``, evaluated
+    on the family's integers."""
+    scaled = fam.scaled
+    den = scaled.denominator * t_val.denominator
+    lengths = {eid: Fraction(_scaled_at(x, t_val), den) for eid, x in scaled.lengths.items()}
+    positions = {
+        vid: tuple(Fraction(_scaled_at(x, t_val), den) for x in pairs)
+        for vid, pairs in scaled.positions.items()
+    }
     return lengths, positions
 
 

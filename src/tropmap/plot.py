@@ -3,14 +3,17 @@
 Pure projection, no layout: finite vertices become dots, bounded edges
 segments, unbounded rays truncated stubs, and (for superabundant genus-one
 maps) the trace of the first containing hyperplane is overlaid as a dashed
-line.  Diagnostics only; float arithmetic is fine here.
+line.  Coordinates are computed exactly and rounded to four decimals when
+written; only the length of a ray stub involves a square root, which is
+taken to twenty decimals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
-from .exactgeom import is_zero_vec, ratvec, vdot
+from .exactgeom import is_zero_vec, vdot
 from .maps import TropicalStableMap
 
 _STYLE = {
@@ -19,6 +22,21 @@ _STYLE = {
     "h": "stroke:#b40;stroke-width:0.03;stroke-dasharray:0.12,0.08",
     "vertex": "fill:#06c",
 }
+_MARGIN = Fraction(1, 2)
+_SQRT_DIGITS = 20
+
+
+def _fmt(x: Fraction) -> str:
+    """``x`` rounded half to even to four decimals."""
+    r = round(x * 10**4)
+    whole, frac = divmod(abs(r), 10**4)
+    return f"{'-' if r < 0 else ''}{whole}.{frac:04d}"
+
+
+def _sqrt(n: int) -> Fraction:
+    """The square root of a natural number, to ``_SQRT_DIGITS`` decimals."""
+    scale = 10**_SQRT_DIGITS
+    return Fraction(isqrt(n * scale * scale), scale)
 
 
 def render_svg(m: TropicalStableMap, axes: tuple[int, int] = (0, 1), radius=Fraction(3)) -> str:
@@ -26,21 +44,18 @@ def render_svg(m: TropicalStableMap, axes: tuple[int, int] = (0, 1), radius=Frac
     n = m.fan.ambient_dim
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"axes {axes} out of range for ambient dimension {n}")
-    radius = float(radius)
+    radius = Fraction(radius)
 
-    def project(p) -> tuple[float, float]:
-        return float(p[i]), float(p[j])
+    def project(p) -> tuple[Fraction, Fraction]:
+        return Fraction(p[i]), Fraction(p[j])
 
-    points = [project(p) for p in m.positions.values()] or [(0.0, 0.0)]
+    points = [project(p) for p in m.positions.values()] or [(Fraction(0), Fraction(0))]
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
-    lo_x, hi_x = min(xs) - radius - 0.5, max(xs) + radius + 0.5
-    lo_y, hi_y = min(ys) - radius - 0.5, max(ys) + radius + 0.5
+    lo_x, hi_x = min(xs) - radius - _MARGIN, max(xs) + radius + _MARGIN
+    lo_y, hi_y = min(ys) - radius - _MARGIN, max(ys) + radius + _MARGIN
 
-    def fmt(x: float) -> str:
-        return f"{x:.4f}"
-
-    def svg_y(y: float) -> float:
+    def svg_y(y: Fraction) -> Fraction:
         return hi_y + lo_y - y  # flip so larger coordinates point up
 
     lines = []
@@ -53,25 +68,25 @@ def render_svg(m: TropicalStableMap, axes: tuple[int, int] = (0, 1), radius=Frac
             if is_zero_vec(d.u):
                 continue
             p = project(m.positions[finite])
-            u = (float(d.u[i]), float(d.u[j]))
-            norm = (u[0] ** 2 + u[1] ** 2) ** 0.5
-            if norm == 0:
+            u = (d.u[i], d.u[j])
+            if u == (0, 0):
                 continue
+            norm = _sqrt(u[0] ** 2 + u[1] ** 2)
             q = (p[0] + radius * u[0] / norm, p[1] + radius * u[1] / norm)
-            lines.append(_line(p, q, "ray", fmt, svg_y))
+            lines.append(_line(p, q, "ray", svg_y))
         elif a != b:
-            lines.append(_line(project(m.positions[a]), project(m.positions[b]), "edge", fmt, svg_y))
+            lines.append(_line(project(m.positions[a]), project(m.positions[b]), "edge", svg_y))
 
     h_trace = _hyperplane_trace(m, (i, j))
     if h_trace is not None:
         (p, q) = _clip_line(h_trace, (lo_x, lo_y, hi_x, hi_y))
         if p is not None:
-            lines.append(_line(p, q, "h", fmt, svg_y))
+            lines.append(_line(p, q, "h", svg_y))
 
     for vid, pos in sorted(m.positions.items()):
         x, y = project(pos)
         lines.append(
-            f'<circle cx="{fmt(x)}" cy="{fmt(svg_y(y))}" r="0.08" style="{_STYLE["vertex"]}">'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(svg_y(y))}" r="0.08" style="{_STYLE["vertex"]}">'
             f"<title>{vid}</title></circle>"
         )
 
@@ -79,16 +94,16 @@ def render_svg(m: TropicalStableMap, axes: tuple[int, int] = (0, 1), radius=Frac
     height = hi_y - lo_y
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{fmt(lo_x)} {fmt(lo_y)} {fmt(width)} {fmt(height)}" '
+        f'viewBox="{_fmt(lo_x)} {_fmt(lo_y)} {_fmt(width)} {_fmt(height)}" '
         'width="640" height="640">'
     )
     return "\n".join([header, *lines, "</svg>"]) + "\n"
 
 
-def _line(p, q, style, fmt, svg_y) -> str:
+def _line(p, q, style, svg_y) -> str:
     return (
-        f'<line x1="{fmt(p[0])}" y1="{fmt(svg_y(p[1]))}" '
-        f'x2="{fmt(q[0])}" y2="{fmt(svg_y(q[1]))}" style="{_STYLE[style]}"/>'
+        f'<line x1="{_fmt(p[0])}" y1="{_fmt(svg_y(p[1]))}" '
+        f'x2="{_fmt(q[0])}" y2="{_fmt(svg_y(q[1]))}" style="{_STYLE[style]}"/>'
     )
 
 
@@ -107,14 +122,14 @@ def _hyperplane_trace(m: TropicalStableMap, axes):
         flats = enumerate_flats(m, cd)
     except ValueError:
         return None
-    normal = ratvec(flats[0].normal)
+    normal = flats[0].normal
     i, j = axes
-    a, b = float(normal[i]), float(normal[j])
+    a, b = normal[i], normal[j]
     if a == 0 and b == 0:
         return None
-    c = float(vdot(normal, cd.base_point))
+    c = vdot(normal, cd.base_point)
     # the trace of {normal . x = normal . base} in the (i, j)-plane through base
-    off = sum(float(normal[k]) * float(cd.base_point[k]) for k in range(len(normal)) if k not in (i, j))
+    off = sum(normal[k] * cd.base_point[k] for k in range(len(normal)) if k not in (i, j))
     return (a, b, c - off)
 
 
@@ -124,17 +139,17 @@ def _clip_line(trace, box):
     pts = []
     if b != 0:
         for x in (lo_x, hi_x):
-            y = (c - a * x) / b
-            if lo_y - 1e-9 <= y <= hi_y + 1e-9:
+            y = Fraction(c - a * x) / b
+            if lo_y <= y <= hi_y:
                 pts.append((x, y))
     if a != 0:
         for y in (lo_y, hi_y):
-            x = (c - b * y) / a
-            if lo_x - 1e-9 <= x <= hi_x + 1e-9:
+            x = Fraction(c - b * y) / a
+            if lo_x <= x <= hi_x:
                 pts.append((x, y))
     uniq = []
     for p in pts:
-        if not any(abs(p[0] - q[0]) + abs(p[1] - q[1]) < 1e-9 for q in uniq):
+        if p not in uniq:
             uniq.append(p)
     if len(uniq) < 2:
         return None, None

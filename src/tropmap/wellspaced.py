@@ -30,21 +30,17 @@ from math import lcm
 from typing import Optional, Sequence
 
 from . import curves
-from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
+from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from .exactgeom import (
     IntVec,
     RatVec,
-    ZERO,
     auto_rays_fan,
-    is_zero_vec,
+    integer_nullspace,
     nullspace,
     primitive,
-    primitive_rational,
     rank,
-    ratvec,
     rref,
     vdot,
-    vsub,
 )
 from .maps import (
     EdgeMapData,
@@ -84,16 +80,15 @@ def cycle_data(m: TropicalStableMap) -> CycleData:
     else:
         genus_vertex = next(v.id for v in m.curve.vertices if v.genus == 1)
         cyc_v, cyc_e = (genus_vertex,), ()
-    base = m.positions[cyc_v[0]]
-    dirs: list[RatVec] = []
-    for vid in cyc_v:
-        dirs.append(vsub(m.positions[vid], base))
-    for eid in cyc_e:
-        dirs.append(ratvec(m.edge_data[eid].u))
-    basis_rows, pivots = rref([list(d) for d in dirs if not is_zero_vec(d)])
+    # offsets at the map's common denominator span the same space
+    positions = m.scaled.positions
+    base = positions[cyc_v[0]]
+    dirs = [[a - b for a, b in zip(positions[vid], base)] for vid in cyc_v]
+    dirs += [m.edge_data[eid].u for eid in cyc_e]
+    basis_rows, pivots = rref([d for d in dirs if any(d)])
     basis = tuple(tuple(basis_rows[i]) for i in range(len(pivots)))
     codim = m.fan.ambient_dim - len(basis)
-    return CycleData(cyc_v, cyc_e, base, basis, codim, codim >= 1)
+    return CycleData(cyc_v, cyc_e, m.positions[cyc_v[0]], basis, codim, codim >= 1)
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -122,8 +117,9 @@ def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
 @dataclass(frozen=True)
 class Arrangement:
     """The projected arrangement in the quotient by the cycle span:
-    a quotient map (rows form a basis of the annihilator of V's directions)
-    and the deduplicated primitive projective representatives, sorted.
+    a quotient map (rows form a basis of the annihilator of V's directions),
+    the same rows times one common positive integer, and the deduplicated
+    primitive projective representatives, sorted.
 
     ``sources[i]`` is an ambient vector whose projection represents
     ``vectors[i]``: a positive integral multiple of a vertex offset from the
@@ -134,6 +130,7 @@ class Arrangement:
     quotient_map: tuple[RatVec, ...]
     vectors: tuple[IntVec, ...]
     sources: tuple[IntVec, ...]
+    integer_quotient: tuple[IntVec, ...]
 
 
 @dataclass(frozen=True)
@@ -166,17 +163,19 @@ def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> A
     projective class.
 
     The projection runs over the integers: the quotient rows are scaled by
-    one common positive denominator and each vector by its own, and neither
-    scaling changes a projective class.  The first vector met in each class
-    (vertices before edges) is kept as its source."""
+    one common positive denominator, the offsets are taken at the map's
+    common denominator, and neither scaling changes a projective class.  The
+    first vector met in each class (vertices before edges) is kept as its
+    source."""
     if cd is None:
         cd = cycle_data(m)
-    n = m.fan.ambient_dim
-    quotient = tuple(tuple(row) for row in nullspace([list(b) for b in cd.direction_basis], ncols=n))
+    quotient = tuple(nullspace(cd.direction_basis, ncols=m.fan.ambient_dim))
     scale = lcm(*(x.denominator for row in quotient for x in row))
-    integral = [[x.numerator * (scale // x.denominator) for x in row] for row in quotient]
-    offsets = (vsub(m.positions[vid], cd.base_point) for vid in m.curve.unmarked_vertex_ids())
-    candidates = [primitive_rational(v) for v in offsets if not is_zero_vec(v)]
+    integral = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in quotient)
+    positions = m.scaled.positions
+    base = positions[cd.cycle_vertices[0]]
+    offsets = ([a - b for a, b in zip(positions[vid], base)] for vid in m.curve.unmarked_vertex_ids())
+    candidates = [primitive(v) for v in offsets if any(v)]
     candidates += [m.edge_data[e.id].u for e in m.curve.edges]
     sources: dict[IntVec, IntVec] = {}
     for vec in candidates:
@@ -184,11 +183,11 @@ def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> A
         if rep is not None:
             sources.setdefault(rep, tuple(vec))
     reps = sorted(sources)
-    return Arrangement(quotient, tuple(reps), tuple(sources[r] for r in reps))
+    return Arrangement(quotient, tuple(reps), tuple(sources[r] for r in reps), integral)
 
 
 def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[IntVec]:
-    rows = [list(map(Fraction, v)) for v in subset]
+    rows = list(subset)
     if not rows:
         return frozenset()
     base_rank = rank(rows)
@@ -196,9 +195,12 @@ def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[
     for w in vectors:
         if w in closed:
             continue
-        if rank(rows + [list(map(Fraction, w))]) == base_rank:
+        if rank(rows + [w]) == base_rank:
             closed.add(w)
     return frozenset(closed)
+
+
+MAX_ARRANGEMENT_VECTORS = 12
 
 
 def enumerate_flats(
@@ -207,7 +209,9 @@ def enumerate_flats(
     """All hyperplane containment patterns: flats of the projected
     arrangement of rank at most codim - 1, each with a certifying normal.
 
-    Raises ValueError when codim is zero (no hyperplane contains the cycle).
+    Raises ValueError when codim is zero (no hyperplane contains the cycle)
+    and when the arrangement has more than twelve vectors: the number of
+    flats can grow like two to that number.
     """
     if cd is None:
         cd = cycle_data(m)
@@ -215,6 +219,11 @@ def enumerate_flats(
         raise ValueError("cycle image spans the ambient space: no containing hyperplane")
     if arr is None:
         arr = build_arrangement(m, cd)
+    if len(arr.vectors) > MAX_ARRANGEMENT_VECTORS:
+        raise ValueError(
+            f"flat enumeration capped at {MAX_ARRANGEMENT_VECTORS} arrangement vectors, "
+            f"got {len(arr.vectors)}"
+        )
     max_rank = cd.codim - 1
     flats: set[frozenset[IntVec]] = {frozenset()}
     frontier: set[frozenset[IntVec]] = {frozenset()}
@@ -239,9 +248,7 @@ def enumerate_flats(
 
 
 def _flat_rank(flat: frozenset[IntVec]) -> int:
-    if not flat:
-        return 0
-    return rank([list(map(Fraction, v)) for v in flat])
+    return rank(list(flat))
 
 
 def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) -> IntVec:
@@ -249,15 +256,14 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
     arrangement vector.  A generic combination of a kernel basis works; the
     powers-of-t trick makes the search deterministic."""
     c = len(arr.quotient_map)
-    rows = [list(map(Fraction, v)) for v in flat]
-    kernel = nullspace(rows, ncols=c)
+    kernel = integer_nullspace(list(flat), ncols=c)
     if not kernel:
         raise ValueError("flat spans the quotient: no hyperplane certifies it")
     excluded = [v for v in arr.vectors if v not in flat]
     t = 1
     while True:
-        psi = [ZERO] * c
-        scale = Fraction(1)
+        psi = [0] * c
+        scale = 1
         for vec in kernel:
             psi = [a + scale * b for a, b in zip(psi, vec)]
             scale *= t
@@ -266,10 +272,10 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
         t += 1
         if t > 4 * (len(excluded) + 1) * (len(kernel) + 1):
             raise RuntimeError("failed to certify flat with a generic normal")
-    phi = [ZERO] * ambient
-    for coef, row in zip(psi, arr.quotient_map):
+    phi = [0] * ambient
+    for coef, row in zip(psi, arr.integer_quotient):
         phi = [a + coef * b for a, b in zip(phi, row)]
-    return primitive_rational(phi)
+    return primitive(phi)
 
 
 def pattern_of_normal(
@@ -318,9 +324,10 @@ def subcurve_in_flat(
     if pattern_of_normal(m, cd, phi, arr) != flat.zero_set:
         raise ValueError("flat was not generated for this map")
     marked = m.curve.marked_vertex_ids
-    level = vdot(phi, cd.base_point)
+    positions = m.scaled.positions
+    level = vdot(phi, positions[cd.cycle_vertices[0]])
     in_h = set(marked)
-    in_h.update(vid for vid in m.curve.unmarked_vertex_ids() if vdot(phi, m.positions[vid]) == level)
+    in_h.update(vid for vid in m.curve.unmarked_vertex_ids() if vdot(phi, positions[vid]) == level)
     edges_in_h = {
         e.id for e in m.curve.edges
         if e.ends[0] in in_h and e.ends[1] in in_h and vdot(phi, m.edge_data[e.id].u) == 0
@@ -350,7 +357,7 @@ def subcurve_in_flat(
                 outside = True
                 break
         if outside:
-            boundary.append((vid, dist[vid]))
+            boundary.append((vid, Fraction(dist[vid], m.scaled.denominator)))
     return TrappedSubcurve(tuple(sorted(component)), tuple(sorted(comp_edges)), tuple(boundary))
 
 
@@ -359,23 +366,26 @@ def _distances_to_cycle(
     component: set[str],
     comp_edges: set[str],
     cd: CycleData,
-) -> dict[str, Fraction]:
-    dist: dict[str, Fraction] = {}
-    heap: list[tuple[Fraction, str]] = []
+) -> dict[str, int]:
+    """Shortest intrinsic distances to the cycle inside the component, in
+    units of one over the map's common denominator."""
+    lengths = m.scaled.lengths
+    dist: dict[str, int] = {}
+    heap: list[tuple[int, str]] = []
     for vid in cd.cycle_vertices:
-        dist[vid] = ZERO
-        heapq.heappush(heap, (ZERO, vid))
+        dist[vid] = 0
+        heapq.heappush(heap, (0, vid))
     while heap:
         d, vid = heapq.heappop(heap)
         if dist.get(vid, None) is not None and d > dist[vid]:
             continue
         for e in m.curve.edges_at(vid):
-            if e.id not in comp_edges or isinstance(e.length, InfiniteLength):
+            if e.id not in comp_edges or e.id not in lengths:
                 continue
             for end in e.ends:
                 if end == vid or end not in component:
                     continue
-                nd = d + e.length
+                nd = d + lengths[e.id]
                 if end not in dist or nd < dist[end]:
                     dist[end] = nd
                     heapq.heappush(heap, (nd, end))

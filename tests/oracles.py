@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the library's own algorithms: rank is computed by
-fraction-free Bareiss elimination on integer matrices, flats by brute-force
+fraction-free Bareiss elimination on integer matrices (and the library's
+fraction-free echelon forms are checked against plain Fraction elimination), flats by brute-force
 closure of every subset, automorphisms by exhaustive permutation search over
 raw adjacency data.  The cone and fan references decide faces,
 intersections and locations by LP membership tests of every ray and point,
@@ -63,6 +64,27 @@ def bareiss_rank(rows) -> int:
         if r == n_rows:
             break
     return r
+
+
+def ref_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions,
+    dividing each pivot row by its pivot; returns (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def subset_closure_flats(vectors, max_rank) -> set[frozenset]:

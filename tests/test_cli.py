@@ -189,6 +189,66 @@ class TestCommands:
             assert json.loads(out)["results"]["valid"] is True
 
 
+class TestPerCommandWork:
+    def test_parser_is_built_once_and_serves_every_command(self, capsys, monkeypatch, square_loop_doc):
+        assert tropmap.cli._build_parser() is tropmap.cli._build_parser()
+        code, out, _ = run_cli(capsys, monkeypatch, ["validate", square_loop_doc])
+        assert (code, json.loads(out)["command"]) == (0, "validate")
+        code, out, _ = run_cli(capsys, monkeypatch, ["cone", square_loop_doc])
+        assert (code, json.loads(out)["command"]) == (0, "cone")
+        assert json.loads(out)["results"]["dim"] == 5
+
+    def test_each_fan_is_built_once_per_command(self, capsys, monkeypatch, tmp_path):
+        _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "4"])
+        fam_path = tmp_path / "family.json"
+        fam_path.write_text(fam_doc)
+        _, limit_doc, _ = run_cli(capsys, monkeypatch, ["limit", "--t", "1"], stdin=fam_doc)
+        calls = []
+        real = tropmap.documents.build_fan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tropmap.documents, "build_fan", counting)
+        for expected in (1, 2):
+            # the map and the family carry the same fan; a new command
+            # parses it again
+            code, _, _ = run_cli(capsys, monkeypatch, ["verdict", "--family", str(fam_path)], stdin=limit_doc)
+            assert code == 0
+            assert len(calls) == expected
+
+
+class TestUnbalancedTypes:
+    @staticmethod
+    def _unbalanced_type(capsys, monkeypatch, square_loop_doc) -> str:
+        _, out, _ = run_cli(capsys, monkeypatch, ["type", square_loop_doc])
+        raw = json.loads(out)["results"]["type"]
+        raw["edge_data"]["m0"]["w"] = 2
+        return json.dumps(raw)
+
+    @pytest.mark.parametrize("command", ["cone", "superabundant"])
+    def test_cone_commands_refuse(self, capsys, monkeypatch, square_loop_doc, command):
+        doc = self._unbalanced_type(capsys, monkeypatch, square_loop_doc)
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2
+        diag = json.loads(out)["diagnostics"][0]
+        assert diag["pointer"] == "/curve/vertices/0"
+        assert diag["message"].startswith("balancing violated at vertex c0")
+        assert "superabundant" not in err
+
+    def test_limit_refuses_a_family_of_unbalanced_type(self, capsys, monkeypatch):
+        _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1"])
+        raw = json.loads(fam_doc)
+        raw["type"]["edge_data"]["f1"]["w"] = 3
+        code, out, _ = run_cli(capsys, monkeypatch, ["limit", "--t", "1/2"], stdin=json.dumps(raw))
+        assert code == 2
+        vertices = [v["id"] for v in raw["type"]["curve"]["vertices"]]
+        diag = json.loads(out)["diagnostics"][0]
+        assert diag["pointer"] == f"/type/curve/vertices/{vertices.index('a')}"
+        assert "balancing violated at vertex a" in diag["message"]
+
+
 class TestErrorHandling:
     def test_malformed_input_exit_two(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin="{broken")

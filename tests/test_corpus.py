@@ -1,0 +1,38 @@
+"""Byte-for-byte identity of CLI outputs on the recorded corpus, and no
+floating point anywhere in the package."""
+
+import ast
+import json
+from pathlib import Path
+
+import corpus
+
+DATA = Path(__file__).parent / "data" / "cli_corpus.json"
+SRC = Path(__file__).parent.parent / "src" / "tropmap"
+
+
+def test_cli_outputs_match_the_recorded_corpus():
+    recorded = json.loads(DATA.read_text(encoding="utf-8"))
+    computed = corpus.compute()
+    assert sorted(computed) == sorted(recorded)
+    for name, records in recorded.items():
+        for want, got in zip(records, computed[name], strict=True):
+            assert got == want, f"{name}: {' '.join(want['argv'])}"
+
+
+def test_corpus_covers_the_required_cases():
+    recorded = json.loads(DATA.read_text(encoding="utf-8"))
+    assert sum(name.startswith("figure1 ") for name in recorded) == 4 * len(corpus.FIGURE1_T)
+    assert sum(name.startswith("rectangle ") for name in recorded) == 16
+    assert sum(name.startswith("random genus one") for name in recorded) >= 40
+
+
+def test_no_float_in_the_package():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offenders.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                offenders.append(f"{path.name}:{node.lineno} float")
+    assert offenders == []

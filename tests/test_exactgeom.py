@@ -22,10 +22,13 @@ from tropmap.exactgeom import (
     fan_cone_intersection,
     fan_validate,
     format_rational,
+    integer_nullspace,
     lp_feasible,
+    nullspace,
     parse_rational,
     rank,
     ratvec,
+    rref,
     solve_nonneg,
     transpose,
     zero_cone,
@@ -38,6 +41,21 @@ from oracles import (
     ref_cone_locate,
     ref_fan_cone_intersection,
     ref_fan_validate,
+    ref_rref,
+)
+
+rational_matrices = st.integers(1, 8).flatmap(
+    lambda nr: st.integers(1, 8).flatmap(
+        lambda nc: st.lists(
+            st.lists(
+                st.fractions(max_denominator=6, min_value=-5, max_value=5),
+                min_size=nc,
+                max_size=nc,
+            ),
+            min_size=nr,
+            max_size=nr,
+        )
+    )
 )
 
 
@@ -89,27 +107,37 @@ class TestRank:
         assert rank(eq) == 11
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 8).flatmap(
-            lambda nr: st.integers(1, 8).flatmap(
-                lambda nc: st.lists(
-                    st.lists(
-                        st.fractions(
-                            max_denominator=6, min_value=-5, max_value=5
-                        ),
-                        min_size=nc,
-                        max_size=nc,
-                    ),
-                    min_size=nr,
-                    max_size=nr,
-                )
-            )
-        )
-    )
+    @given(rational_matrices)
     def test_rank_transpose_and_oracle(self, rows):
         r = rank(rows)
         assert r == rank(transpose(rows))
         assert r == bareiss_rank(rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices, st.integers(-3, 3))
+    def test_echelon_forms_against_fraction_elimination(self, rows, c):
+        rows = rows + [[x + c * y for x, y in zip(rows[0], rows[-1])]]  # a dependent row
+        red, pivots = rref(rows)
+        assert (red, pivots) == ref_rref(rows)
+        assert rank(rows) == len(pivots)
+        kernel = nullspace(rows)
+        free = [c for c in range(len(rows[0])) if c not in pivots]
+        assert len(kernel) == len(free)
+        for vec, fc in zip(kernel, free):
+            assert [vec[c] for c in free] == [int(c == fc) for c in free]
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        scaled = integer_nullspace(rows)
+        assert all(type(x) is int for vec in scaled for x in vec)
+        if kernel:
+            scale = scaled[0][free[0]]
+            assert scale > 0
+            assert [[scale * x for x in vec] for vec in kernel] == [list(vec) for vec in scaled]
+
+    def test_empty_kernels(self):
+        assert nullspace([], ncols=2) == [(1, 0), (0, 1)]
+        assert integer_nullspace([], ncols=2) == [(1, 0), (0, 1)]
+        assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(Fraction(-2, 3), 1)]
+        assert integer_nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(-2, 3)]
 
 
 class TestLp:
@@ -314,6 +342,20 @@ class TestAgainstMembershipReferences:
         f = build_fan(3, [a, b])
         with pytest.raises(ValueError, match="common face"):
             fan_cone_intersection(f, [cone(3, a), cone(3, b)])
+
+    def test_orthant_build_lp_count(self, monkeypatch):
+        calls = []
+        real = exactgeom.solve_nonneg
+
+        def counting(rows, rhs):
+            calls.append(len(rows))
+            return real(rows, rhs)
+
+        monkeypatch.setattr(exactgeom, "solve_nonneg", counting)
+        assert len(complete_orthant_fan(3).cones) == 27
+        # per octant, canonicalized once: one membership LP per ray, then
+        # pointedness and one LP per one- and two-ray subset
+        assert len(calls) == 8 * (3 + 1 + 3 + 3)
 
     def test_orthant_validation_lp_count(self, monkeypatch):
         calls = []

@@ -52,6 +52,24 @@ class TestValidate:
         diags = validate_map(m)
         assert any("integrality" in d and "e" in d for d in diags)
 
+    def test_integrality_at_the_common_denominator(self):
+        bounded = [("e", ("a", "b"), (1, 0), 2, "a", Fraction(1, 3))]
+        rays = [
+            ("ra1", "a", (-1, 1), 1, "p1"),
+            ("ra2", "a", (-1, -1), 1, "p2"),
+            ("rb1", "b", (1, 1), 1, "p3"),
+            ("rb2", "b", (1, -1), 1, "p4"),
+        ]
+        m = build_map(2, ["a", "b"], bounded, rays, {"a": (Fraction(1, 2), 0), "b": (Fraction(7, 6), 0)})
+        assert m.scaled.denominator == 6
+        assert m.scaled.positions == {"a": (3, 0), "b": (7, 0)}
+        assert m.scaled.lengths == {"e": 2}
+        assert validate_map(m) == []
+        moved = build_map(2, ["a", "b"], bounded, rays, {"a": (Fraction(1, 2), 0), "b": (Fraction(5, 4), 0)})
+        assert validate_map(moved) == [
+            "integrality violated on edge e: displacement ('3/4', '0') != length*weight*direction"
+        ]
+
     def test_stability_two_valent(self):
         m = build_map(
             2,

@@ -1,6 +1,9 @@
 """Genus-one analysis: cycles, flats, spacing, the hat, and verdicts."""
 
+import io
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +27,9 @@ from tropmap import (
     well_spaced_or_vacuous,
 )
 from tropmap import wellspaced
-from tropmap.exactgeom import ratvec, vdot
+from tropmap.cli import main
+from tropmap.documents import Document, serialize_document
+from tropmap.exactgeom import primitive, ratvec, vdot, vector_content
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.wellspaced import _PROBES, build_arrangement, multiset_passes, pattern_of_normal
 
@@ -124,6 +129,52 @@ class TestFlats:
             cd = cycle_data(m)
             for flat in enumerate_flats(m, cd):
                 assert pattern_of_normal(m, cd, ratvec(flat.normal)) == flat.zero_set
+
+
+def many_directions_pair():
+    """A two-edge cycle along e1 in R^7 whose vertex A carries rays in
+    thirteen directions of distinct projective classes in the quotient."""
+    unit = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    pairs = [(i, i + 1) for i in range(5)] + [(0, 2), (1, 3)]
+    quotient_dirs = unit + [tuple(a + b for a, b in zip(unit[i], unit[j])) for i, j in pairs]
+    dirs = [(0,) + d for d in quotient_dirs]
+    rest = tuple(-sum(d[k] for d in dirs) for k in range(7))
+    bounded = [
+        ("e1", ("A", "B"), (1,) + (0,) * 6, 1, "A", 1),
+        ("e2", ("A", "B"), (1,) + (0,) * 6, 1, "A", 1),
+    ]
+    rays = [(f"r{k}", "A", d, 1, f"p{k}") for k, d in enumerate(dirs)]
+    rays += [
+        ("rest", "A", primitive(rest), vector_content(rest), "prest"),
+        ("ra", "A", (-1,) + (0,) * 6, 2, "pa"),
+        ("rb", "B", (1,) + (0,) * 6, 2, "pb"),
+    ]
+    origin = (0,) * 7
+    return build_map(7, ["A", "B"], bounded, rays, {"A": origin, "B": (1,) + origin[1:]})
+
+
+class TestArrangementCap:
+    def test_oversized_arrangement_is_refused_quickly(self, capsys, monkeypatch):
+        m = many_directions_pair()
+        assert validate_map(m) == []
+        cd = cycle_data(m)
+        assert cd.codim == 6
+        assert len(build_arrangement(m, cd).vectors) > wellspaced.MAX_ARRANGEMENT_VECTORS
+        doc = serialize_document(Document("map", m))
+        for command in ("wellspaced", "verdict"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            start = time.perf_counter()
+            code = main([command])
+            elapsed = time.perf_counter() - start
+            out = capsys.readouterr().out
+            assert code == 2, command
+            message = json.loads(out)["diagnostics"][0]["message"]
+            assert message == "flat enumeration capped at 12 arrangement vectors, got 14"
+            assert elapsed < 2, command
+
+    def test_no_committed_map_reaches_the_cap(self):
+        maps = TestIntegerProjection._maps() + [figure1_member(6, Fraction(1, 2)), figure1_member(6, 1)]
+        assert max(len(build_arrangement(m).vectors) for m in maps) < wellspaced.MAX_ARRANGEMENT_VECTORS
 
 
 class TestIntegerProjection:
