@@ -143,7 +143,9 @@ def _cone_json(mc, metrics) -> dict:
         "b1": metrics.b1,
         "superabundant": metrics.superabundant,
         "variables": list(mc.variables),
-        "equations": [[format_rational(x) for x in row] for row in mc.equations],
+        "equations": [
+            {"edge": eq.edge, "head": eq.head, "tail": eq.tail, "wu": list(eq.wu)} for eq in mc.equations
+        ],
         "forced_zero_lengths": list(mc.forced_zero_lengths),
         "has_positive_point": mc.has_positive_point,
     }

@@ -448,16 +448,14 @@ def load_document(text: str) -> LoadResult:
         raise DocumentError("", f"invalid JSON: {exc.msg} at offset {exc.pos}") from None
     if not isinstance(raw, dict):
         raise DocumentError("", "expected a JSON object")
-    if "command" in raw and "results" in raw:
+    while "command" in raw and "results" in raw:
         results = raw["results"]
         _expect(isinstance(results, dict), "/results", "expected an object")
-        for key in ("map", "family", "type", "curve", "fan"):
-            if key in results:
-                inner = dict(results[key]) if isinstance(results[key], dict) else None
-                _expect(inner is not None, f"/results/{key}", "expected an object")
-                inner.setdefault("kind", key)
-                return load_document(json.dumps(inner))
-        raise DocumentError("/results", "report contains no document to extract")
+        key = next((k for k in ("map", "family", "type", "curve", "fan") if k in results), None)
+        _expect(key is not None, "/results", "report contains no document to extract")
+        _expect(isinstance(results[key], dict), f"/results/{key}", "expected an object")
+        # error pointers below are relative to the inner document
+        raw = {"kind": key, **results[key]}
     warnings: list[str] = []
     kind = _infer_kind(raw)
     version = raw.get("format_version", FORMAT_VERSION)

@@ -116,11 +116,6 @@ def primitive(vec: Sequence[int]) -> IntVec:
     return tuple(int(x) // g for x in vec)
 
 
-def primitive_rational(vec: Sequence[Fraction]) -> IntVec:
-    """Scale a nonzero rational vector to its primitive integer multiple."""
-    return primitive(_integer_rows([vec])[0])
-
-
 # ---------------------------------------------------------------------------
 # exact elimination
 
@@ -545,13 +540,13 @@ def cone_locate(f: Fan, p: Sequence[Fraction]) -> Optional[Cone]:
 def fan_cone_intersection(f: Fan, cones_: Sequence[Cone]) -> Cone:
     """Intersection of cones of a valid fan (their largest common face).
 
-    The cones are canonicalized, and fan cones must be pointed, as
-    :func:`build_fan` makes them.  Raises ValueError when two of them
+    The cones must be canonical and pointed, as :func:`build_fan` and the
+    vertex cones of a type make them.  Raises ValueError when two of them
     overlap without meeting in a common face (the fan is not valid).
     """
-    result = canonical_cone(cones_[0])
+    result = cones_[0]
     for other in cones_[1:]:
-        result = _common_face(result, canonical_cone(other))
+        result = _common_face(result, other)
         if result is None:
             raise ValueError("cones do not meet in a common face (fan is not valid)")
     return result

@@ -129,6 +129,13 @@ class TropicalStableMap(_EdgeDirections):
             {eid: x.numerator * (d // x.denominator) for eid, x in lengths.items()},
         )
 
+    @cached_property
+    def located_cones(self) -> Mapping[str, Optional[Cone]]:
+        """The minimal fan cone holding each finite vertex's position
+        (:func:`cone_locate`; None outside the fan support).  Validation and
+        the combinatorial type of a strict fan map read it."""
+        return {vid: cone_locate(self.fan, self.positions[vid]) for vid in self.curve.unmarked_vertex_ids()}
+
 
 def _orient_leaves(graph: TropicalCurve, edge_data: Mapping[str, EdgeMapData]) -> dict[str, EdgeMapData]:
     """Reverse every marked leaf-edge whose tail is the marked end, so the
@@ -249,7 +256,7 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
     # position membership in the fan support
     if not m.fan.embedded:
         for vid in finite_ids:
-            if cone_locate(m.fan, m.positions[vid]) is None:
+            if m.located_cones[vid] is None:
                 diags.append(f"vertex {vid}: position outside the fan support")
 
     if data is not None:
@@ -303,7 +310,7 @@ def _star_in_single_cone_interior(m: TropicalStableMap, vid: str) -> bool:
     """
     if m.fan.embedded:
         return True
-    sigma = cone_locate(m.fan, m.positions[vid])
+    sigma = m.located_cones[vid]
     if sigma is None:
         return False
     span_rows = list(sigma.rays)
@@ -407,7 +414,7 @@ def combinatorial_type(m: TropicalStableMap) -> CombinatorialType:
     cones: dict[str, Cone] = {}
     if not m.fan.embedded:
         for vid in m.curve.unmarked_vertex_ids():
-            located = cone_locate(m.fan, m.positions[vid])
+            located = m.located_cones[vid]
             if located is None:
                 raise ValueError(f"vertex {vid}: position outside the fan support")
             cones[vid] = located

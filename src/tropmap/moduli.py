@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
 from .curves import Edge, betti_and_genus, tropical_curve
 from .exactgeom import (
     Cone,
-    RatMatrix,
+    IntVec,
     RatVec,
     ONE,
     ZERO,
@@ -58,20 +58,30 @@ class InfeasibleCone(ValueError):
 # ---------------------------------------------------------------------------
 # presentation
 
+class EdgeEquation(NamedTuple):
+    """position(head) - position(tail) = length * wu on one bounded edge;
+    head equals tail on a self-loop, where the equation reads 0 = length * wu."""
+
+    edge: str
+    head: str
+    tail: str
+    wu: IntVec
+
+
 @dataclass(frozen=True)
 class ModuliCone:
-    """Equation/inequality presentation of the cone of maps of a fixed type.
+    """Equation presentation of the cone of maps of a fixed type.
 
     ``variables`` lists one position block per finite vertex followed by one
-    length per bounded edge; ``equations`` has ambient-dimension rows per
-    bounded edge.  ``forced_zero_lengths`` are the edges that vanish on every
-    point of the cone.
+    length per bounded edge; ``equations`` has one entry per bounded edge.
+    Lengths are non-negative and, in strict fan mode, each position lies in
+    its vertex cone.  ``forced_zero_lengths`` are the edges that vanish on
+    every point of the cone.
     """
 
     type: CombinatorialType
     variables: tuple[str, ...]
-    equations: RatMatrix
-    inequalities: tuple[tuple, ...]
+    equations: tuple[EdgeEquation, ...]
     dim: int
     forced_zero_lengths: tuple[str, ...]
     has_positive_point: bool
@@ -99,26 +109,13 @@ def _variables(t: CombinatorialType) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _equations(t: CombinatorialType) -> RatMatrix:
-    n = t.fan.ambient_dim
-    finite = _finite_vertices(t)
-    vindex = {vid: i for i, vid in enumerate(finite)}
-    bounded = t.bounded_edge_ids()
-    eindex = {eid: i for i, eid in enumerate(bounded)}
-    width = n * len(finite) + len(bounded)
-    rows = []
-    for eid in bounded:
+def _edge_equations(t: CombinatorialType) -> tuple[EdgeEquation, ...]:
+    """One :class:`EdgeEquation` per bounded edge, in bounded-edge order."""
+    out = []
+    for eid in t.bounded_edge_ids():
         d = t.edge_data[eid]
-        head = d.head(t.graph.edge(eid))
-        wd = t.weighted_direction(eid)
-        for k in range(n):
-            row = [ZERO] * width
-            if head != d.tail:
-                row[n * vindex[head] + k] += 1
-                row[n * vindex[d.tail] + k] -= 1
-            row[n * len(finite) + eindex[eid]] -= Fraction(wd[k])
-            rows.append(tuple(row))
-    return tuple(rows)
+        out.append(EdgeEquation(eid, d.head(t.graph.edge(eid)), d.tail, t.weighted_direction(eid)))
+    return tuple(out)
 
 
 def _spanning_tree(t: CombinatorialType) -> tuple[dict[str, tuple[str, Edge, int]], list[Edge]]:
@@ -157,15 +154,6 @@ def _spanning_tree(t: CombinatorialType) -> tuple[dict[str, tuple[str, Edge, int
     return parent, non_tree
 
 
-def _path_to_root(parent, vid) -> list[tuple[Edge, int]]:
-    path = []
-    while vid in parent:
-        up, e, sign = parent[vid]
-        path.append((e, sign))
-        vid = up
-    return path
-
-
 def _positions_from_lengths(
     t: CombinatorialType, lengths: Mapping[str, Fraction], base_vertex: str, base_point: Sequence
 ) -> dict[str, RatVec]:
@@ -191,49 +179,35 @@ def _positions_from_lengths(
     return {vid: tuple(Fraction(a + b, den) for a, b in zip(walk[vid], shift)) for vid in finite}
 
 
-def _length_constraints(t: CombinatorialType) -> list[list[Fraction]]:
+def _length_constraints(t: CombinatorialType) -> list[list[int]]:
     """Closing conditions on the lengths alone: one ambient-dimension block
-    per independent cycle of the finite graph."""
-    n = t.fan.ambient_dim
+    per independent cycle of the finite graph.
+
+    Along the spanning tree each position is the root's plus a linear form
+    in the lengths, edge -> coefficient vector; a non-tree edge closes the
+    cycle form(tail) - form(head) + w*u * length = 0.
+    """
     bounded = t.bounded_edge_ids()
     eindex = {eid: i for i, eid in enumerate(bounded)}
     parent, non_tree = _spanning_tree(t)
     if len(parent) != len(_finite_vertices(t)) - 1:
         raise ValueError("the finite vertices are not connected by bounded edges")
-    rows: list[list[Fraction]] = []
+    # the BFS inserts every parent before its children
+    forms: dict[str, dict[str, IntVec]] = {_finite_vertices(t)[0]: {}}
+    for vid, (up, e, sign) in parent.items():
+        forms[vid] = {**forms[up], e.id: tuple(sign * x for x in t.weighted_direction(e.id))}
+    rows: list[list[int]] = []
     for e in non_tree:
-        coeff: dict[str, RatVec] = {}
-
-        def add(eid: str, vec) -> None:
-            cur = coeff.get(eid, tuple([ZERO] * n))
-            coeff[eid] = vadd(cur, ratvec(vec))
-
-        d = t.weighted_direction(e.id)
-        tail = t.edge_data[e.id].tail
-        head = t.edge_data[e.id].head(e)
-        if head != tail:
-            add(e.id, d)
-            # tree path from head back to tail cancels the displacement
-            pa = _path_to_root(parent, tail)
-            pb = _path_to_root(parent, head)
-            sa = {x[0].id for x in pa}
-            sb = {x[0].id for x in pb}
-            for edge, sign in pa:
-                if edge.id not in sb:
-                    add(edge.id, vscale(sign, t.weighted_direction(edge.id)))
-            for edge, sign in pb:
-                if edge.id not in sa:
-                    add(edge.id, vscale(-sign, t.weighted_direction(edge.id)))
-        else:
-            add(e.id, d)
-        for k in range(n):
-            row = [ZERO] * len(bounded)
-            nonzero = False
-            for eid, vec in coeff.items():
-                if vec[k] != 0:
-                    row[eindex[eid]] = vec[k]
-                    nonzero = True
-            if nonzero:
+        d = t.edge_data[e.id]
+        tail, head = forms[d.tail], forms[d.head(e)]
+        for k, x in enumerate(t.weighted_direction(e.id)):
+            row = [0] * len(bounded)
+            row[eindex[e.id]] = x
+            for eid, vec in tail.items():
+                row[eindex[eid]] += vec[k]
+            for eid, vec in head.items():
+                row[eindex[eid]] -= vec[k]
+            if any(row):
                 rows.append(row)
     return rows
 
@@ -285,14 +259,8 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     are confined to their vertex cones and the dimension is recomputed
     through the cone generators.
     """
-    variables = _variables(t)
-    equations = _equations(t)
+    equations = _edge_equations(t)
     bounded = t.bounded_edge_ids()
-    ineqs: list[tuple] = [("nonneg_length", eid) for eid in bounded]
-    if not t.fan.embedded:
-        for vid in _finite_vertices(t):
-            ineqs.append(("cone_membership", vid, t.vertex_cones[vid]))
-
     if t.fan.embedded:
         cons = _length_constraints(t)
         support, _ = _nonneg_support(cons, len(bounded))
@@ -301,19 +269,20 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
         selectors = [_unit(len(bounded), i) for i in zero]
         dim = t.fan.ambient_dim + len(bounded) - rank(cons + selectors)
     else:
-        dim, forced = _strict_dim(t)
+        dim, forced = _strict_dim(t, equations)
     return ModuliCone(
         type=t,
-        variables=variables,
+        variables=_variables(t),
         equations=equations,
-        inequalities=tuple(ineqs),
         dim=dim,
         forced_zero_lengths=forced,
         has_positive_point=not forced,
     )
 
 
-def _strict_generator_system(t: CombinatorialType) -> tuple[list[tuple[str, RatVec]], list[list[Fraction]]]:
+def _strict_generator_system(
+    t: CombinatorialType, equations: Sequence[EdgeEquation]
+) -> tuple[list[tuple[str, RatVec]], list[list[Fraction]]]:
     """Parametrize positions by non-negative coefficients y on the
     vertex-cone rays, followed by one coordinate per bounded length.
 
@@ -321,27 +290,22 @@ def _strict_generator_system(t: CombinatorialType) -> tuple[list[tuple[str, RatV
     y: for each bounded edge and coordinate k, +r[k] on the head cone's rays,
     -r[k] on the tail cone's rays and -w*u[k] on the edge's length.
     """
-    n = t.fan.ambient_dim
-    bounded = t.bounded_edge_ids()
     rays = [
         (vid, ratvec(r))
         for vid in _finite_vertices(t)
         for r in t.vertex_cones[vid].rays
     ]
     rows = []
-    for i, eid in enumerate(bounded):
-        d = t.edge_data[eid]
-        head = d.head(t.graph.edge(eid))
-        wd = t.weighted_direction(eid)
-        for k in range(n):
-            row = [ZERO] * (len(rays) + len(bounded))
-            if head != d.tail:
+    for i, eq in enumerate(equations):
+        for k, x in enumerate(eq.wu):
+            row = [ZERO] * (len(rays) + len(equations))
+            if eq.head != eq.tail:
                 for j, (vid, r) in enumerate(rays):
-                    if vid == head:
+                    if vid == eq.head:
                         row[j] = r[k]
-                    elif vid == d.tail:
+                    elif vid == eq.tail:
                         row[j] = -r[k]
-            row[len(rays) + i] = -Fraction(wd[k])
+            row[len(rays) + i] = -Fraction(x)
             rows.append(row)
     return rays, rows
 
@@ -358,9 +322,9 @@ def _strict_point(
     return positions, dict(zip(t.bounded_edge_ids(), y[len(rays):]))
 
 
-def _strict_dim(t: CombinatorialType) -> tuple[int, tuple[str, ...]]:
+def _strict_dim(t: CombinatorialType, equations: Sequence[EdgeEquation]) -> tuple[int, tuple[str, ...]]:
     bounded = t.bounded_edge_ids()
-    rays, eq_y = _strict_generator_system(t)
+    rays, eq_y = _strict_generator_system(t, equations)
     ny = len(rays) + len(bounded)
     support, _ = _nonneg_support(eq_y, ny)
     rows = eq_y + [_unit(ny, j) for j in range(ny) if j not in support]
@@ -622,8 +586,9 @@ def make_family(
                     raise ValueError(
                         f"position of {vid} exits its cone at t={format_rational(probe)}"
                     )
+    equations = _edge_equations(t)
     for probe in (Fraction(0), Fraction(1, 2)):
-        _check_member(fam, probe)
+        _check_member(fam, equations, probe)
     return fam
 
 
@@ -633,20 +598,17 @@ def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
     return const * t_val.denominator + slope * t_val.numerator
 
 
-def _check_member(fam: Family, t_val: Fraction) -> None:
+def _check_member(fam: Family, equations: Sequence[EdgeEquation], t_val: Fraction) -> None:
     """The edge equations at ``t_val``, on the family's integers."""
-    t = fam.type
     scaled = fam.scaled
-    for eid in t.bounded_edge_ids():
-        e = t.graph.edge(eid)
-        if e.ends[0] == e.ends[1]:
+    for eq in equations:
+        if eq.head == eq.tail:
             continue
-        d = t.edge_data[eid]
-        head, tail = scaled.positions[d.head(e)], scaled.positions[d.tail]
-        ell = _scaled_at(scaled.lengths[eid], t_val)
-        for h, a, x in zip(head, tail, t.weighted_direction(eid)):
+        head, tail = scaled.positions[eq.head], scaled.positions[eq.tail]
+        ell = _scaled_at(scaled.lengths[eq.edge], t_val)
+        for h, a, x in zip(head, tail, eq.wu):
             if _scaled_at(h, t_val) - _scaled_at(a, t_val) != ell * x:
-                raise ValueError(f"family inconsistent on edge {eid} at t={format_rational(t_val)}")
+                raise ValueError(f"family inconsistent on edge {eq.edge} at t={format_rational(t_val)}")
 
 
 def format_affine(fn: AffineFn) -> str:
@@ -739,7 +701,7 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
     if t.fan.embedded:
         positions, lengths = _sample_embedded(t, seed)
     else:
-        positions, lengths = _sample_strict(t)
+        positions, lengths = _sample_strict(t, mc.equations)
     m = _map_from_lengths(t, lengths, positions)
     diags = [d for d in validate_map(m) if "stability" not in d]
     if diags:
@@ -773,11 +735,13 @@ def _sample_embedded(t: CombinatorialType, seed: int) -> tuple[dict[str, RatVec]
     return _positions_from_lengths(t, lengths, _finite_vertices(t)[0], base), lengths
 
 
-def _sample_strict(t: CombinatorialType) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
+def _sample_strict(
+    t: CombinatorialType, equations: Sequence[EdgeEquation]
+) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
     """The positions and lengths of one point of the strict-mode cone with
     every length positive."""
     bounded = t.bounded_edge_ids()
-    rays, eq_y = _strict_generator_system(t)
+    rays, eq_y = _strict_generator_system(t, equations)
     support, point = _nonneg_support(eq_y, len(rays) + len(bounded))
     for i, eid in enumerate(bounded):
         if len(rays) + i not in support:

@@ -256,6 +256,32 @@ def lift_pattern(quotient, vectors, normal):
     return tuple(sorted(out))
 
 
+def dense_equations(t):
+    """The edge equations of a type as a dense matrix over the (positions,
+    lengths) columns: one position block per finite vertex (curve order),
+    then one length per bounded edge.  For each bounded edge and coordinate
+    k the row has +1 on the head's position, -1 on the tail's and -w*u[k]
+    on the edge's length; a self-loop keeps the length entry only."""
+    n = t.fan.ambient_dim
+    marked = {mk.vertex for mk in t.graph.markings}
+    finite = [v.id for v in t.graph.vertices if v.id not in marked]
+    bounded = [e for e in t.graph.edges if not (set(e.ends) & marked)]
+    vindex = {vid: i for i, vid in enumerate(finite)}
+    width = n * len(finite) + len(bounded)
+    rows = []
+    for i, e in enumerate(bounded):
+        d = t.edge_data[e.id]
+        head = e.ends[0] if e.ends[1] == d.tail else e.ends[1]
+        for k in range(n):
+            row = [Fraction(0)] * width
+            if head != d.tail:
+                row[n * vindex[head] + k] += 1
+                row[n * vindex[d.tail] + k] -= 1
+            row[n * len(finite) + i] -= d.w * d.u[k]
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
 def dense_pull_back(t, equations):
     """The strict-mode edge equations over the generator coordinates y: each
     row of the (positions, lengths) equation matrix multiplied into dense

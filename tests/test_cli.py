@@ -53,7 +53,12 @@ class TestCommands:
         results = json.loads(out)["results"]
         assert (results["dim"], results["expected_dim"]) == (5, 4)
         assert results["superabundant"] is True
-        assert len(results["equations"]) == 12
+        assert results["equations"] == [
+            {"edge": "s0", "head": "c1", "tail": "c0", "wu": [1, 0, 0]},
+            {"edge": "s1", "head": "c2", "tail": "c1", "wu": [0, 1, 0]},
+            {"edge": "s2", "head": "c3", "tail": "c2", "wu": [-1, 0, 0]},
+            {"edge": "s3", "head": "c0", "tail": "c3", "wu": [0, -1, 0]},
+        ]
 
     def test_cone_sample_env_seed(self, capsys, monkeypatch, square_loop_doc):
         monkeypatch.setenv("TROPMAP_SEED", "4")

@@ -36,3 +36,30 @@ def test_no_float_in_the_package():
             elif isinstance(node, ast.Name) and node.id == "float":
                 offenders.append(f"{path.name}:{node.lineno} float")
     assert offenders == []
+
+
+def test_every_top_level_definition_has_a_reference():
+    """Each top-level function and class of the package is read (as a name
+    or an attribute) somewhere outside its own definition, in the package
+    or its tests."""
+    paths = [*sorted(SRC.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    definitions = [
+        (path, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    referenced: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.setdefault(node.attr, []).append(node)
+    unused = []
+    for path, definition in definitions:
+        own = set(ast.walk(definition))
+        if all(node in own for node in referenced.get(definition.name, [])):
+            unused.append(f"{path.name}:{definition.lineno} {definition.name}")
+    assert unused == []

@@ -1,11 +1,14 @@
 """Document I/O: round trips, pointered diagnostics, fuzz robustness."""
 
+import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from tropmap import combinatorial_type
+from tropmap import combinatorial_type, documents
+from tropmap.cli import main
 from tropmap.documents import (
     Document,
     DocumentError,
@@ -58,6 +61,28 @@ class TestRoundTrip:
         }
         loaded = load_document(json.dumps(envelope))
         assert loaded.document.payload == doc.payload
+
+    def test_envelope_parsed_once(self, capsys, monkeypatch):
+        family = serialize_document(Document("family", build_figure1_family(3)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(family))
+        assert main(["limit", "--t", "1"]) == 0
+        envelope = capsys.readouterr().out
+        calls = []
+
+        def counting(name):
+            real = getattr(json, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        fake = SimpleNamespace(loads=counting("loads"), dumps=counting("dumps"), JSONDecodeError=json.JSONDecodeError)
+        monkeypatch.setattr(documents, "json", fake)
+        loaded = load_document(envelope)
+        assert loaded.document.kind == "map"
+        assert calls == ["loads"]
 
 
 class TestDiagnostics:

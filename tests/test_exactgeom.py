@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmap import combinatorial_type, exactgeom, moduli_cone
+from tropmap import combinatorial_type, exactgeom
 from tropmap.exactgeom import (
     auto_rays_fan,
     build_fan,
@@ -36,6 +36,7 @@ from tropmap.exactgeom import (
 
 from oracles import (
     bareiss_rank,
+    dense_equations,
     ref_cone_faces,
     ref_cone_is_face,
     ref_cone_locate,
@@ -101,7 +102,7 @@ class TestRank:
         # computed with the Bareiss oracle before wiring up the modules
         from tropmap.gallery import square_loop
 
-        eq = moduli_cone(combinatorial_type(square_loop())).equations
+        eq = dense_equations(combinatorial_type(square_loop()))
         assert len(eq) == 12 and len(eq[0]) == 16
         assert bareiss_rank(eq) == 11
         assert rank(eq) == 11

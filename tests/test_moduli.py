@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmap import moduli
+from tropmap import exactgeom, moduli
 from tropmap import (
     InfeasibleCone,
     affine,
@@ -25,7 +25,7 @@ from tropmap import (
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, rank
-from tropmap.gallery import hat_demo, speyer_tree, square_loop
+from tropmap.gallery import gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
 
@@ -37,7 +37,7 @@ from builders import (
     strict_unstable_member_family,
     three_rays,
 )
-from oracles import bareiss_rank, dense_pull_back
+from oracles import bareiss_rank, dense_equations, dense_pull_back
 
 
 def _raw_type(bounded, rays):
@@ -132,28 +132,30 @@ def _oracle_dim(mc):
     selectors = [
         [int(v == f"len:{eid}") for v in mc.variables] for eid in mc.forced_zero_lengths
     ]
-    return len(mc.variables) - bareiss_rank(list(mc.equations) + selectors)
+    return len(mc.variables) - bareiss_rank(list(dense_equations(mc.type)) + selectors)
 
 
 class TestModuliCone:
     def test_three_rays_translations_only(self):
         mc = moduli_cone(combinatorial_type(three_rays(2)))
         assert len(mc.variables) == 2
-        assert mc.equations == ()
+        assert dense_equations(mc.type) == ()
         assert mc.dim == 2
 
     def test_path_rank_and_dim(self):
         mc = moduli_cone(combinatorial_type(path_two_vertices()))
         assert len(mc.variables) == 5
-        assert len(mc.equations) == 2
-        assert rank(mc.equations) == 2
+        eqs = dense_equations(mc.type)
+        assert len(eqs) == 2
+        assert rank(eqs) == 2
         assert mc.dim == 3
 
     def test_square_loop(self):
         mc = moduli_cone(combinatorial_type(square_loop()))
         assert len(mc.variables) == 16
-        assert len(mc.equations) == 12
-        assert rank(mc.equations) == 11
+        eqs = dense_equations(mc.type)
+        assert len(eqs) == 12
+        assert rank(eqs) == 11
         assert mc.dim == 5
         assert mc.has_positive_point
 
@@ -161,7 +163,8 @@ class TestModuliCone:
         for m in (square_loop(), path_two_vertices(), speyer_tree()):
             t = combinatorial_type(m)
             mc = moduli_cone(t)
-            assert len(mc.equations) == t.fan.ambient_dim * len(t.bounded_edge_ids())
+            assert len(dense_equations(t)) == t.fan.ambient_dim * len(t.bounded_edge_ids())
+            assert len(mc.equations) == len(t.bounded_edge_ids())
 
     def test_infeasible_cycle_flagged(self):
         mc = moduli_cone(_infeasible_two_cycle())
@@ -185,8 +188,8 @@ class TestStrictGeneratorRows:
 
     @staticmethod
     def _check(t):
-        _, rows = moduli._strict_generator_system(t)
-        assert rows == dense_pull_back(t, moduli._equations(t))
+        _, rows = moduli._strict_generator_system(t, moduli._edge_equations(t))
+        assert rows == dense_pull_back(t, dense_equations(t))
 
     @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
     def test_rectangle_cycles(self, a, b):
@@ -201,6 +204,46 @@ class TestStrictGeneratorRows:
         types = [combinatorial_type(m) for m in maps] + [fam.type, limit_of_family(fam, 1).type]
         for t in types:
             self._check(t)
+
+
+def _expand(mc):
+    """The sparse edge equations of ``mc`` written out as dense rows over
+    ``mc.variables``."""
+    index = {v: i for i, v in enumerate(mc.variables)}
+    rows = []
+    for eq in mc.equations:
+        for k, x in enumerate(eq.wu):
+            row = [Fraction(0)] * len(mc.variables)
+            if eq.head != eq.tail:
+                row[index[f"pos:{eq.head}:{k}"]] += 1
+                row[index[f"pos:{eq.tail}:{k}"]] -= 1
+            row[index[f"len:{eq.edge}"]] -= x
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestSparseEquations:
+    """One (edge, head, tail, w*u) entry per bounded edge, written out over
+    the variables, is the dense oracle matrix."""
+
+    def test_gallery(self):
+        for m in (square_loop(), speyer_tree(), hat_demo(), gallery_map("figure1", 3, Fraction(1, 2))):
+            mc = moduli_cone(combinatorial_type(m))
+            assert _expand(mc) == dense_equations(mc.type)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 3), (3, 3)])
+    def test_rectangle_cycles(self, a, b):
+        mc = moduli_cone(combinatorial_type(rectangle_cycle(a, b)))
+        assert _expand(mc) == dense_equations(mc.type)
+
+    def test_strict_fan_types(self):
+        m = rectangle_cycle(2, 1)
+        rect = stable_map(m.curve, complete_orthant_fan(3, embedded=False), m.positions, m.edge_data)
+        fam = strict_unstable_member_family()
+        types = [combinatorial_type(x) for x in (rect, _strict_origin(), _strict_ray_vertex())]
+        for t in types + [fam.type, limit_of_family(fam, 1).type]:
+            mc = moduli_cone(t)
+            assert _expand(mc) == dense_equations(t)
 
 
 class TestCycleSpaceDimension:
@@ -350,6 +393,21 @@ class TestIsFace:
         wide = make_type(c, fan, data)
         with pytest.raises(ValueError, match="capped"):
             is_face(wide, wide)
+
+    def test_type_cones_are_not_canonicalized_again(self, monkeypatch):
+        fam = build_figure1_family(3)
+        limit = limit_of_family(fam, 1)
+        calls = []
+        real = exactgeom.canonical_cone
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(exactgeom, "canonical_cone", counting)
+        monkeypatch.setattr("tropmap.maps.canonical_cone", counting)
+        assert is_face(limit.type, fam.type) is not None
+        assert len(calls) == 276
 
 
 class TestFamilies:
@@ -526,3 +584,19 @@ class TestSampleInterior:
     def test_determinism(self):
         mc = moduli_cone(combinatorial_type(square_loop()))
         assert sample_interior(mc, 5) == sample_interior(mc, 5)
+
+    def test_strict_sample_locates_each_vertex_once(self, monkeypatch):
+        m = rectangle_cycle(3, 3)
+        strict = stable_map(m.curve, complete_orthant_fan(3, embedded=False), m.positions, m.edge_data)
+        mc = moduli_cone(combinatorial_type(strict))
+        calls = []
+        real = exactgeom.cone_locate
+
+        def counting(f, p):
+            calls.append(p)
+            return real(f, p)
+
+        monkeypatch.setattr("tropmap.maps.cone_locate", counting)
+        sample_interior(mc, 0)
+        # one per finite vertex, shared by validation and the type check
+        assert len(calls) == len(strict.curve.unmarked_vertex_ids()) == 12
