@@ -8,10 +8,15 @@ and runs fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
 denominator, compute on integers throughout and build a ``Fraction`` only
 for a result that leaves them.  Cones are stored by their generating rays
 only, and membership questions are answered by solving the non-negative
-combination problem exactly with a small phase-one simplex.  Faces,
-intersections and point locations are read off canonical ray sets (sorted
-primitive extreme rays), with one common-face LP deciding whether two cones
-meet in a face of both.
+combination problem exactly with an integer-preserving phase-one simplex
+(:func:`solve_nonneg`), the LP counterpart of that elimination: every row of
+the LP is scaled by one common denominator, and the tableau is kept in ints
+as T = d * R, with R the rational tableau and d > 0 the last pivot.  The
+denominator is common to all rows because Bland's rule reads sums of rows,
+so each pivot, and each witness, is the one the rational simplex would
+choose.  Faces, intersections and point locations are read off canonical
+ray sets (sorted primitive extreme rays), with one common-face LP deciding
+whether two cones meet in a face of both.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ IntVec = tuple[int, ...]
 RatMatrix = tuple[RatVec, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,65 +214,84 @@ def integer_nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] =
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (phase-one simplex with Bland's rule)
+# exact linear feasibility (integer-preserving phase-one simplex, Bland's rule)
+#
+# Every row of [A | b] is scaled by one common positive integer L, the lcm
+# of all denominators, and the tableau is kept in ints with T = d * R: R is
+# the rational tableau of the scaled LP and d > 0 the last pivot (1 before
+# the first).  A pivot on (r, c) with p = T[r][c] maps every other row to
+# (p * T[i] - T[i][c] * T[r]) // d, rows with T[i][c] = 0 included, and
+# makes p the new d.  T is then the adjugate of the basis times the scaled
+# LP and d the basis's determinant, so every division is exact (Edmonds,
+# J. Res. NBS 71B, 1967).  Ratios are compared by cross-multiplying, and d
+# cancels from every sign and comparison.  Against the unscaled LP, R
+# differs only by the factor L on the rows that still carry an artificial,
+# whose sum gives the phase-one reduced costs, so Bland's rule picks the
+# same pivots and the witness is the rational simplex's.  Rows scaled apart
+# would be reweighted in that sum, and another column could enter.
+# Artificial columns are never read, so the tableau keeps only the
+# structural columns and b.
 
 def solve_nonneg(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Find y >= 0 with Ay = b, exactly; None when infeasible."""
+    """Find y >= 0 with Ay = b, exactly; None when infeasible.
+
+    Entries are ints or Fractions.  The witness is a basic solution, one
+    ``Fraction`` per column.
+    """
     m = len(a_rows)
     if m == 0:
         return []
     n = len(a_rows[0])
-    tableau: list[list[Fraction]] = []
-    for row, b in zip(a_rows, rhs, strict=True):
-        row = [Fraction(x) for x in row]
-        b = Fraction(b)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tableau.append(row + [ZERO] * m + [b])
-    for i in range(m):
-        tableau[i][n + i] = ONE
-    width = n + m
-    basis = [n + i for i in range(m)]
+    rows = [[*row, b] for row, b in zip(a_rows, rhs, strict=True)]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    tableau: list[list[int]] = []
+    for row in rows:
+        row = [x.numerator * (den // x.denominator) for x in row]
+        tableau.append([-x for x in row] if row[-1] < 0 else row)
+    basis = [n + i for i in range(m)]  # column n + i: the artificial of row i
+    d = 1
 
     while True:
-        art_rows = [i for i in range(m) if basis[i] >= n]
+        art_rows = [row for row, col in zip(tableau, basis) if col >= n]
         if not art_rows:
             break
-        entering = -1
-        for j in range(n):
-            # reduced cost of column j for "minimize sum of artificials"
-            if sum(tableau[i][j] for i in art_rows) > 0:
-                entering = j
-                break
-        if entering < 0:
+        # first column with a positive reduced cost for "minimize the sum
+        # of the artificials"
+        sums = map(sum, zip(*art_rows))
+        entering = next((j for j, s in zip(range(n), sums) if s > 0), None)
+        if entering is None:
             break
         leaving = -1
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving < 0:
                     leaving = i
-        if leaving < 0:
-            break
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [x / piv for x in tableau[leaving]]
-        for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leaving])]
+                    continue
+                # row[-1] / a against the best ratio so far, cross-multiplied
+                best = tableau[leaving]
+                left, right = row[-1] * best[entering], best[-1] * a
+                if left < right or (left == right and basis[i] < basis[leaving]):
+                    leaving = i
+        top = tableau[leaving]
+        p = top[entering]
+        for i, row in enumerate(tableau):
+            if i != leaving:
+                f = row[entering]
+                if f:
+                    tableau[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+                elif p != d:
+                    tableau[i] = [p * x // d for x in row]
+        d = p
         basis[leaving] = entering
 
-    for i in range(m):
-        if basis[i] >= n and tableau[i][width] != 0:
-            return None
     y = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            y[basis[i]] = tableau[i][width]
+    for row, col in zip(tableau, basis):
+        if col >= n:
+            if row[-1]:
+                return None
+        else:
+            y[col] = Fraction(row[-1], d)
     return y
 
 
@@ -297,23 +320,23 @@ def lp_feasible(
     slack_base = ncols
     ncols += len(geqs)
 
-    a_rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    a_rows: list[list] = []
+    rhs: list = []
 
     def emit(coeffs, b, slack_idx=None):
-        row = [ZERO] * ncols
+        row = [0] * ncols
         for v, c in enumerate(coeffs):
-            c = Fraction(c)
             if c == 0:
                 continue
+            c = _exact(c)
             pos, neg = cols[v]
             row[pos] += c
             if neg is not None:
                 row[neg] -= c
         if slack_idx is not None:
-            row[slack_base + slack_idx] = Fraction(-1)
+            row[slack_base + slack_idx] = -1
         a_rows.append(row)
-        rhs.append(Fraction(b))
+        rhs.append(_exact(b))
 
     for coeffs, b in eqs:
         emit(coeffs, b)
@@ -403,7 +426,7 @@ def canonical_cone(c: Cone) -> Cone:
     extreme = []
     for i, r in enumerate(prim):
         others = Cone(c.ambient_dim, tuple(prim[:i] + prim[i + 1:]))
-        if not cone_contains(others, ratvec(r)):
+        if not cone_contains(others, r):
             extreme.append(r)
     return Cone(c.ambient_dim, tuple(sorted(extreme)))
 

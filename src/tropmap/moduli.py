@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -25,7 +25,6 @@ from .exactgeom import (
     Cone,
     IntVec,
     RatVec,
-    ONE,
     ZERO,
     cone_contains,
     cone_is_face,
@@ -77,6 +76,13 @@ class ModuliCone:
     Lengths are non-negative and, in strict fan mode, each position lies in
     its vertex cone.  ``forced_zero_lengths`` are the edges that vanish on
     every point of the cone.
+
+    ``support_point`` is the point of the support LP, positive on every
+    coordinate that can be positive: the bounded lengths in embedded mode,
+    the vertex-ray coefficients followed by the lengths in strict fan mode.
+    ``cycle_rows`` are the closing conditions on the lengths in embedded
+    mode and empty in strict fan mode.  :func:`sample_interior` starts from
+    both.
     """
 
     type: CombinatorialType
@@ -85,6 +91,8 @@ class ModuliCone:
     dim: int
     forced_zero_lengths: tuple[str, ...]
     has_positive_point: bool
+    support_point: tuple[Fraction, ...] = field(repr=False, compare=False)
+    cycle_rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -212,11 +220,11 @@ def _length_constraints(t: CombinatorialType) -> list[list[int]]:
     return rows
 
 
-def _unit(n: int, i: int) -> list[Fraction]:
-    return [ONE if j == i else ZERO for j in range(n)]
+def _unit(n: int, i: int) -> list[int]:
+    return [int(j == i) for j in range(n)]
 
 
-def _nonneg_support(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[set[int], list[Fraction]]:
+def _nonneg_support(rows: Sequence[Sequence], n: int) -> tuple[set[int], list[Fraction]]:
     """Which coordinates can be positive on the cone {x >= 0 : rows . x = 0},
     and one point of the cone positive on all of them.
 
@@ -226,12 +234,12 @@ def _nonneg_support(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[set[int
     LP per coordinate, skipping coordinates an earlier witness made positive.
     """
 
-    def witness(shift: list[Fraction]) -> Optional[list[Fraction]]:
+    def witness(shift: list[int]) -> Optional[list[Fraction]]:
         rhs = [-sum(c * x for c, x in zip(row, shift) if c) for row in rows]
         s = solve_nonneg(rows, rhs) if rows else [ZERO] * n
         return None if s is None else [a + b for a, b in zip(shift, s)]
 
-    point = witness([ONE] * n)
+    point = witness([1] * n)
     if point is not None:
         return set(range(n)), point
     support: set[int] = set()
@@ -262,14 +270,15 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     equations = _edge_equations(t)
     bounded = t.bounded_edge_ids()
     if t.fan.embedded:
-        cons = _length_constraints(t)
-        support, _ = _nonneg_support(cons, len(bounded))
+        cycle_rows = _length_constraints(t)
+        support, point = _nonneg_support(cycle_rows, len(bounded))
         zero = [i for i in range(len(bounded)) if i not in support]
         forced = tuple(bounded[i] for i in zero)
         selectors = [_unit(len(bounded), i) for i in zero]
-        dim = t.fan.ambient_dim + len(bounded) - rank(cons + selectors)
+        dim = t.fan.ambient_dim + len(bounded) - rank(cycle_rows + selectors)
     else:
-        dim, forced = _strict_dim(t, equations)
+        cycle_rows = []
+        dim, forced, point = _strict_dim(t, equations)
     return ModuliCone(
         type=t,
         variables=_variables(t),
@@ -277,6 +286,8 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
         dim=dim,
         forced_zero_lengths=forced,
         has_positive_point=not forced,
+        support_point=tuple(point),
+        cycle_rows=tuple(map(tuple, cycle_rows)),
     )
 
 
@@ -290,11 +301,7 @@ def _strict_generator_system(
     y: for each bounded edge and coordinate k, +r[k] on the head cone's rays,
     -r[k] on the tail cone's rays and -w*u[k] on the edge's length.
     """
-    rays = [
-        (vid, ratvec(r))
-        for vid in _finite_vertices(t)
-        for r in t.vertex_cones[vid].rays
-    ]
+    rays = _vertex_rays(t)
     rows = []
     for i, eq in enumerate(equations):
         for k, x in enumerate(eq.wu):
@@ -310,6 +317,15 @@ def _strict_generator_system(
     return rays, rows
 
 
+def _vertex_rays(t: CombinatorialType) -> list[tuple[str, RatVec]]:
+    """The rays of every finite vertex's cone as (vertex, ray), in y order."""
+    return [
+        (vid, ratvec(r))
+        for vid in _finite_vertices(t)
+        for r in t.vertex_cones[vid].rays
+    ]
+
+
 def _strict_point(
     t: CombinatorialType, rays: Sequence[tuple[str, RatVec]], y: Sequence[Fraction]
 ) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
@@ -322,11 +338,15 @@ def _strict_point(
     return positions, dict(zip(t.bounded_edge_ids(), y[len(rays):]))
 
 
-def _strict_dim(t: CombinatorialType, equations: Sequence[EdgeEquation]) -> tuple[int, tuple[str, ...]]:
+def _strict_dim(
+    t: CombinatorialType, equations: Sequence[EdgeEquation]
+) -> tuple[int, tuple[str, ...], list[Fraction]]:
+    """The dimension, the forced-zero lengths and the support point of the
+    strict-mode cone."""
     bounded = t.bounded_edge_ids()
     rays, eq_y = _strict_generator_system(t, equations)
     ny = len(rays) + len(bounded)
-    support, _ = _nonneg_support(eq_y, ny)
+    support, point = _nonneg_support(eq_y, ny)
     rows = eq_y + [_unit(ny, j) for j in range(ny) if j not in support]
     # dimension of the image cone in (positions, lengths) space
     images = []
@@ -335,7 +355,7 @@ def _strict_dim(t: CombinatorialType, equations: Sequence[EdgeEquation]) -> tupl
         images.append([x for p in positions.values() for x in p] + list(lengths.values()))
     dim = rank(images) if images else 0
     forced = tuple(eid for i, eid in enumerate(bounded) if len(rays) + i not in support)
-    return dim, forced
+    return dim, forced, point
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +719,9 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
         )
     t = mc.type
     if t.fan.embedded:
-        positions, lengths = _sample_embedded(t, seed)
+        positions, lengths = _sample_embedded(mc, seed)
     else:
-        positions, lengths = _sample_strict(t, mc.equations)
+        positions, lengths = _strict_point(t, _vertex_rays(t), mc.support_point)
     m = _map_from_lengths(t, lengths, positions)
     diags = [d for d in validate_map(m) if "stability" not in d]
     if diags:
@@ -711,15 +731,16 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
     return m
 
 
-def _sample_embedded(t: CombinatorialType, seed: int) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
+def _sample_embedded(mc: ModuliCone, seed: int) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
     """The positions and lengths of one point of the embedded-mode cone with
-    every length positive, perturbed along the cycle space by the seed."""
+    every length positive: the support point perturbed along the cycle
+    space by the seed."""
     rng = random.Random(seed)
+    t = mc.type
     n = t.fan.ambient_dim
     bounded = t.bounded_edge_ids()
-    cons = _length_constraints(t)
-    _, ell = _nonneg_support(cons, len(bounded))
-    kernel = nullspace(cons, ncols=len(bounded))
+    ell = mc.support_point
+    kernel = nullspace(mc.cycle_rows, ncols=len(bounded))
     if kernel and bounded:
         coeffs = [Fraction(rng.randint(-8, 8)) for _ in kernel]
         perturb = [ZERO] * len(bounded)
@@ -733,17 +754,3 @@ def _sample_embedded(t: CombinatorialType, seed: int) -> tuple[dict[str, RatVec]
     lengths = dict(zip(bounded, ell))
     base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
     return _positions_from_lengths(t, lengths, _finite_vertices(t)[0], base), lengths
-
-
-def _sample_strict(
-    t: CombinatorialType, equations: Sequence[EdgeEquation]
-) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
-    """The positions and lengths of one point of the strict-mode cone with
-    every length positive."""
-    bounded = t.bounded_edge_ids()
-    rays, eq_y = _strict_generator_system(t, equations)
-    support, point = _nonneg_support(eq_y, len(rays) + len(bounded))
-    for i, eid in enumerate(bounded):
-        if len(rays) + i not in support:
-            raise InfeasibleCone(f"length {eid} is zero on the whole cone")
-    return _strict_point(t, rays, point)

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: rank is computed by
 fraction-free Bareiss elimination on integer matrices (and the library's
 fraction-free echelon forms are checked against plain Fraction elimination), flats by brute-force
 closure of every subset, automorphisms by exhaustive permutation search over
-raw adjacency data.  The cone and fan references decide faces,
+raw adjacency data, and non-negative linear systems by a phase-one simplex
+over Fractions.  The cone and fan references decide faces,
 intersections and locations by LP membership tests of every ray and point,
 where the library reads them off canonical ray sets.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Optional, Sequence
 
 from tropmap.exactgeom import (
     Cone,
@@ -307,6 +309,74 @@ def dense_pull_back(t, equations):
         [sum(row[j] * col[j] for j in range(width)) for col in columns]
         for row in equations
     ]
+
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def ref_solve_nonneg(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    """Find y >= 0 with Ay = b, exactly; None when infeasible.
+
+    The phase-one simplex with Bland's rule over ``Fraction``s that the
+    library's integer-preserving simplex must agree with, witness for
+    witness.
+    """
+    m = len(a_rows)
+    if m == 0:
+        return []
+    n = len(a_rows[0])
+    tableau: list[list[Fraction]] = []
+    for row, b in zip(a_rows, rhs, strict=True):
+        row = [Fraction(x) for x in row]
+        b = Fraction(b)
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        tableau.append(row + [ZERO] * m + [b])
+    for i in range(m):
+        tableau[i][n + i] = ONE
+    width = n + m
+    basis = [n + i for i in range(m)]
+
+    while True:
+        art_rows = [i for i in range(m) if basis[i] >= n]
+        if not art_rows:
+            break
+        entering = -1
+        for j in range(n):
+            # reduced cost of column j for "minimize sum of artificials"
+            if sum(tableau[i][j] for i in art_rows) > 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][width] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            break
+        piv = tableau[leaving][entering]
+        tableau[leaving] = [x / piv for x in tableau[leaving]]
+        for i in range(m):
+            if i != leaving and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leaving])]
+        basis[leaving] = entering
+
+    for i in range(m):
+        if basis[i] >= n and tableau[i][width] != 0:
+            return None
+    y = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            y[basis[i]] = tableau[i][width]
+    return y
 
 
 def _contains_cone(big, small) -> bool:

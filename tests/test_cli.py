@@ -13,7 +13,7 @@ from tropmap.cli import main
 from tropmap.documents import Document, serialize_document
 from tropmap.gallery import square_loop
 
-from builders import strict_unstable_member_family
+from builders import rectangle_cycle, strict_unstable_member_family
 
 
 def run_cli(capsys, monkeypatch, args, stdin=""):
@@ -82,6 +82,27 @@ class TestCommands:
             code, _, _ = run_cli(capsys, monkeypatch, [argv[0], square_loop_doc] + argv[1:])
             assert code == 0
             assert len(calls) == 1, argv
+
+    def test_sample_reuses_the_cone_support_lp(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "rectangle.json"
+        path.write_text(serialize_document(Document("map", rectangle_cycle(4, 4))))
+        calls = []
+
+        def counting(name):
+            real = getattr(tropmap.moduli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_length_constraints", "solve_nonneg"):
+            monkeypatch.setattr(tropmap.moduli, name, counting(name))
+        code, _, _ = run_cli(capsys, monkeypatch, ["cone", str(path), "--sample"])
+        assert code == 0
+        # the cycle rows and the all-positive support LP, once each
+        assert sorted(calls) == ["_length_constraints", "solve_nonneg"]
 
     def test_superabundant_exit_codes(self, capsys, monkeypatch, square_loop_doc, tmp_path):
         code, _, _ = run_cli(capsys, monkeypatch, ["superabundant", square_loop_doc])

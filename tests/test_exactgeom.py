@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmap import combinatorial_type, exactgeom
+from tropmap import combinatorial_type, exactgeom, moduli
 from tropmap.exactgeom import (
     auto_rays_fan,
     build_fan,
@@ -33,7 +33,9 @@ from tropmap.exactgeom import (
     transpose,
     zero_cone,
 )
+from tropmap.wellspaced import build_figure1_family
 
+from builders import rectangle_cycle
 from oracles import (
     bareiss_rank,
     dense_equations,
@@ -43,6 +45,7 @@ from oracles import (
     ref_fan_cone_intersection,
     ref_fan_validate,
     ref_rref,
+    ref_solve_nonneg,
 )
 
 rational_matrices = st.integers(1, 8).flatmap(
@@ -159,6 +162,75 @@ class TestLp:
 
     def test_no_constraints(self):
         assert lp_feasible(2) == [0, 0]
+
+    def test_witnesses_match_the_fraction_simplex_on_random_lps(self):
+        rng = random.Random(8080)
+        for _ in range(2400):
+            rows, rhs = _random_lp(rng)
+            _assert_same_witness(rows, rhs)
+
+    def test_rows_are_scaled_by_one_common_denominator(self):
+        # scaled by 2 on its own, the first row would cancel the second in
+        # the phase-one reduced cost of column 1, and column 2 would enter
+        rows = [[-1, Fraction(-1, 2), 1], [0, 1, 1]]
+        assert solve_nonneg(rows, [0, 2]) == [0, Fraction(4, 3), Fraction(2, 3)]
+        _assert_same_witness(rows, [0, 2])
+
+    def test_witnesses_match_the_fraction_simplex_on_library_lps(self, monkeypatch):
+        recorded = []
+        real = exactgeom.solve_nonneg
+
+        def recording(rows, rhs):
+            recorded.append(([list(r) for r in rows], list(rhs)))
+            return real(rows, rhs)
+
+        monkeypatch.setattr(exactgeom, "solve_nonneg", recording)
+        monkeypatch.setattr(moduli, "solve_nonneg", recording)
+        assert fan_validate(complete_orthant_fan(3)) == []
+        fam = build_figure1_family(3)
+        assert moduli.is_face(moduli.limit_of_family(fam, 1).type, fam.type) is not None
+        mc = moduli.moduli_cone(combinatorial_type(rectangle_cycle(3, 3)))
+        moduli.sample_interior(mc, seed=5)
+        assert len(recorded) > 300
+        for rows, rhs in recorded:
+            _assert_same_witness(rows, rhs)
+
+
+def _random_lp(rng):
+    """A small LP with rational entries; it may have negative right-hand
+    sides, zero and duplicate rows, b = 0, or no solution."""
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+
+    def random_row():
+        # rows at different scales: Bland's rule must see them unweighted
+        den = rng.choice((1, 2, 3, 4, 12))
+        return [
+            0 if rng.random() < 0.3 else Fraction(rng.randint(-6, 6), rng.choice((1, den)))
+            for _ in range(n)
+        ]
+
+    rows = [random_row() for _ in range(m)]
+    kind = rng.randrange(4)
+    if kind == 0:  # feasible by construction, often degenerate
+        y = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, y)) for row in rows]
+    elif kind == 1:
+        rhs = [0] * m
+    else:
+        rhs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5))) for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        rows[j], rhs[j] = list(rows[i]), rhs[i] * rng.choice((1, -1, Fraction(1, 2)))
+    if rng.random() < 0.15:
+        i = rng.randrange(m)
+        rows[i] = [0] * n
+    return rows, rhs
+
+
+def _assert_same_witness(rows, rhs):
+    got, want = solve_nonneg(rows, rhs), ref_solve_nonneg(rows, rhs)
+    assert got == want, (rows, rhs)
+    assert got is None or all(type(x) is Fraction for x in got)
 
 
 class TestCones:
