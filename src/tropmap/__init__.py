@@ -16,6 +16,7 @@ from .curves import (
     Vertex,
     betti_and_genus,
     contract_edge,
+    contract_edges,
     curve_lints,
     discrete_data,
     genus,

@@ -153,8 +153,11 @@ def tropical_curve(
     return TropicalCurve(vs, es, ms)
 
 
-def _components(c: TropicalCurve) -> list[set[str]]:
-    parent = {v.id: v.id for v in c.vertices}
+def _classes(vertex_ids: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]:
+    """Union-find over the vertex ids joined by the edges: each id maps to
+    the smallest id of its class.  An edge naming an unlisted vertex joins
+    nothing, so unvalidated curves can be checked."""
+    parent = {v: v for v in vertex_ids}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -162,18 +165,16 @@ def _components(c: TropicalCurve) -> list[set[str]]:
             x = parent[x]
         return x
 
-    for e in c.edges:
-        a, b = (find(x) for x in e.ends)
-        if a != b:
-            parent[a] = b
-    comps: dict[str, set[str]] = {}
-    for v in c.vertices:
-        comps.setdefault(find(v.id), set()).add(v.id)
-    return list(comps.values())
+    for e in edges:
+        a, b = e.ends
+        if a in parent and b in parent:
+            a, b = sorted((find(a), find(b)))
+            parent[b] = a
+    return {v: find(v) for v in parent}
 
 
 def is_connected(c: TropicalCurve) -> bool:
-    return len(_components(c)) <= 1
+    return len(set(_classes((v.id for v in c.vertices), c.edges).values())) <= 1
 
 
 def validate_curve(c: TropicalCurve) -> list[str]:
@@ -247,37 +248,40 @@ def is_smooth(c: TropicalCurve) -> bool:
     )
 
 
-def contract_edge(c: TropicalCurve, edge_id: str) -> TropicalCurve:
-    """Contract one edge.
+def contract_edges(c: TropicalCurve, edge_ids: Iterable[str]) -> tuple[TropicalCurve, dict[str, str]]:
+    """Contract a set of edges in one pass.
 
-    Distinct endpoints merge into a vertex (the lexicographically smaller id)
-    of summed genus; a self-loop is deleted and bumps its vertex's genus by
-    one.  Either way the total genus is preserved.  Marked leaf-edges cannot
-    be contracted.
+    Each class of vertices joined by contracted edges merges into its
+    smallest id.  The merged genus is the sum of the class's genera plus its
+    first Betti number (contracted edges minus vertices plus one), so the
+    total genus is preserved.  Marked leaf-edges cannot be contracted.
+    Returns the curve and the map from each old vertex id to its survivor.
     """
-    if not c.has_edge(edge_id):
-        raise ValueError(f"unknown edge {edge_id}")
-    e = c.edge(edge_id)
-    if c.is_marked_leaf_edge(e):
-        raise ValueError(f"cannot contract marked leaf-edge {edge_id}")
-    a, b = e.ends
-    if a == b:
-        vertices = [
-            Vertex(v.id, v.genus + 1) if v.id == a else v for v in c.vertices
-        ]
-        edges = [f for f in c.edges if f.id != edge_id]
-        return tropical_curve(vertices, edges, c.markings)
-    keep, drop = (a, b) if a < b else (b, a)
-    merged_genus = c.vertex(a).genus + c.vertex(b).genus
-    vertices = [Vertex(keep, merged_genus) if v.id == keep else v
-                for v in c.vertices if v.id != drop]
-    edges = []
-    for f in c.edges:
-        if f.id == edge_id:
-            continue
-        ends = tuple(keep if x == drop else x for x in f.ends)
-        edges.append(Edge(f.id, ends, f.length))  # type: ignore[arg-type]
-    return tropical_curve(vertices, edges, c.markings)
+    edge_set = set(edge_ids)
+    for eid in sorted(edge_set):
+        if not c.has_edge(eid):
+            raise ValueError(f"unknown edge {eid}")
+        if c.is_marked_leaf_edge(c.edge(eid)):
+            raise ValueError(f"cannot contract marked leaf-edge {eid}")
+    contracted = [c.edge(eid) for eid in edge_set]
+    root = _classes((v.id for v in c.vertices), contracted)
+    merged_genus: dict[str, int] = {}
+    for v in c.vertices:
+        merged_genus[root[v.id]] = merged_genus.get(root[v.id], 1) + v.genus - 1
+    for e in contracted:
+        merged_genus[root[e.ends[0]]] += 1
+    vertices = [Vertex(v.id, merged_genus[v.id]) for v in c.vertices if root[v.id] == v.id]
+    edges = [
+        Edge(e.id, (root.get(e.ends[0], e.ends[0]), root.get(e.ends[1], e.ends[1])), e.length)
+        for e in c.edges
+        if e.id not in edge_set
+    ]
+    return tropical_curve(vertices, edges, c.markings), root
+
+
+def contract_edge(c: TropicalCurve, edge_id: str) -> TropicalCurve:
+    """Contract one edge (see :func:`contract_edges`)."""
+    return contract_edges(c, [edge_id])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,22 @@ class CombinatorialType(_EdgeDirections):
     def bounded_edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.graph.edges if not self.graph.is_marked_leaf_edge(e))
 
+    @cached_property
+    def vertex_profiles(self) -> Mapping[str, tuple]:
+        """(genus, valence, sorted edge signatures) of each finite vertex;
+        isomorphisms preserve it."""
+        g = self.graph
+        return {
+            vid: (g.vertex(vid).genus, g.valence(vid),
+                  tuple(sorted(_edge_signature(self, e, vid) for e in g.edges_at(vid))))
+            for vid in g.unmarked_vertex_ids()
+        }
+
+    @cached_property
+    def marked_edges(self) -> Mapping[str, Edge]:
+        """The leaf-edge of each marking label."""
+        return {m.label: self.graph.marked_edge(m.label) for m in self.graph.markings}
+
 
 @dataclass(frozen=True)
 class RecessionType:
@@ -492,12 +508,6 @@ def _edge_signature(t: CombinatorialType, e: Edge, vid: str) -> tuple:
     return (t.edge_data[e.id].w, t.direction_from(e, vid))
 
 
-def _vertex_profile(t: CombinatorialType, vid: str) -> tuple:
-    sigs = sorted(_edge_signature(t, e, vid) for e in t.graph.edges_at(vid))
-    v = t.graph.vertex(vid)
-    return (v.genus, t.graph.valence(vid), tuple(sigs))
-
-
 def decorated_isomorphisms(
     t1: CombinatorialType,
     t2: CombinatorialType,
@@ -522,13 +532,12 @@ def decorated_isomorphisms(
     if set(labels1) != set(labels2):
         return
 
-    marked1 = g1.marked_vertex_ids
     vmap: dict[str, str] = {}
     used: set[str] = set()
     for label, v1 in labels1.items():
         v2 = labels2[label]
-        e1, e2 = g1.marked_edge(label), g2.marked_edge(label)
-        d1, d2 = t1.edge_data[e1.id], t2.edge_data[e2.id]
+        d1 = t1.edge_data[t1.marked_edges[label].id]
+        d2 = t2.edge_data[t2.marked_edges[label].id]
         if (d1.u, d1.w) != (d2.u, d2.w):
             return
         vmap[v1] = v2
@@ -536,7 +545,7 @@ def decorated_isomorphisms(
 
     free1 = sorted(g1.unmarked_vertex_ids(), key=lambda v: (-g1.valence(v), v))
     free2 = set(g2.unmarked_vertex_ids())
-    profiles2 = {v: _vertex_profile(t2, v) for v in free2}
+    profiles1, profiles2 = t1.vertex_profiles, t2.vertex_profiles
 
     def edges_between(t: CombinatorialType, a: str, b: str) -> list[Edge]:
         return [e for e in t.graph.edges_at(a) if set(e.ends) == ({a, b} if a != b else {a})]
@@ -546,9 +555,8 @@ def decorated_isomorphisms(
             yield dict(vmap)
             return
         v1 = free1[idx]
-        prof1 = _vertex_profile(t1, v1)
         for v2 in sorted(free2 - used):
-            if profiles2[v2] != prof1 or not vertex_ok(v1, v2):
+            if profiles2[v2] != profiles1[v1] or not vertex_ok(v1, v2):
                 continue
             ok = True
             for u1, u2 in vmap.items():
@@ -579,12 +587,7 @@ def _match_edges(
     vmap: dict[str, str],
 ) -> Iterator[tuple[dict[str, str], dict[str, tuple[str, bool]]]]:
     g1, g2 = t1.graph, t2.graph
-    emap: dict[str, tuple[str, bool]] = {}
-    labels2 = {m.label: m.vertex for m in g2.markings}
-    for m1 in g1.markings:
-        e1 = g1.marked_edge(m1.label)
-        e2 = g2.marked_edge(m1.label)
-        emap[e1.id] = (e2.id, False)
+    emap = {e1.id: (t2.marked_edges[label].id, False) for label, e1 in t1.marked_edges.items()}
 
     groups: dict[tuple[str, str], list[Edge]] = {}
     for e in g1.edges:

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from . import curves
 from .curves import Edge, betti_and_genus, tropical_curve
 from .exactgeom import (
-    Cone,
     IntVec,
     RatVec,
     ZERO,
@@ -44,7 +43,6 @@ from .maps import (
     canonical_type,
     combinatorial_type,
     decorated_isomorphisms,
-    make_type,
     stable_map,
     validate_map,
 )
@@ -400,42 +398,27 @@ def cone_metrics(t: CombinatorialType | ModuliCone) -> ConeMetrics:
 
 def _contract_with_map(
     t: CombinatorialType, edges: Iterable[str]
-) -> tuple[CombinatorialType, dict[str, str]]:
-    edge_set = set(edges)
-    for eid in edge_set:
-        if not t.graph.has_edge(eid):
-            raise ValueError(f"unknown edge {eid}")
-        if t.graph.is_marked_leaf_edge(t.graph.edge(eid)):
-            raise ValueError(f"cannot contract marked leaf-edge {eid}")
-    graph = t.graph
-    vmap = {v.id: v.id for v in graph.vertices}
-    for eid in sorted(edge_set):
-        live = {vmap[x] for x in t.graph.edge(eid).ends}
-        before = {v.id for v in graph.vertices}
-        graph = curves.contract_edge(graph, eid)
-        after = {v.id for v in graph.vertices}
-        gone = before - after
-        if gone:
-            (dropped,) = gone
-            kept = min(live)
-            vmap = {k: (kept if v == dropped else v) for k, v in vmap.items()}
+) -> tuple[CombinatorialType, dict[str, str], dict[str, list[str]]]:
+    """The contracted type, the map from old to surviving vertex ids, and
+    each survivor's class of old vertices."""
+    graph, vmap = curves.contract_edges(t.graph, edges)
     classes: dict[str, list[str]] = {}
     for old, new in vmap.items():
         classes.setdefault(new, []).append(old)
-    cones: dict[str, Cone] = {}
-    for new, olds in classes.items():
-        members = [t.vertex_cones[o] for o in olds if o in t.vertex_cones]
-        if not members:
-            continue
-        # a merged vertex sits where all its pieces degenerate: the largest
-        # common face of their cones (their intersection in a valid fan)
-        cones[new] = fan_cone_intersection(t.fan, members)
-    data = {eid: d for eid, d in t.edge_data.items() if eid not in edge_set}
-    fixed = {}
-    for eid, d in data.items():
-        fixed[eid] = EdgeMapData(d.u, d.w, vmap[d.tail])
-    new_type = make_type(graph, t.fan, fixed, cones)
-    return new_type, vmap
+    # a merged vertex sits where all its pieces degenerate: the largest
+    # common face of their cones (their intersection in a valid fan); the
+    # type's cones are canonical, and so are their common faces
+    cones = {
+        new: fan_cone_intersection(t.fan, [t.vertex_cones[o] for o in olds])
+        for new, olds in classes.items()
+        if new in t.vertex_cones
+    }
+    data = {
+        eid: EdgeMapData(d.u, d.w, vmap[d.tail])
+        for eid, d in t.edge_data.items()
+        if graph.has_edge(eid)
+    }
+    return CombinatorialType(graph, t.fan, cones, data), vmap, classes
 
 
 def contract_type(t: CombinatorialType, edges: Iterable[str]) -> CombinatorialType:
@@ -479,13 +462,7 @@ def is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitnes
     if needed < 0 or len(tb.graph.markings) != len(ta.graph.markings):
         return None
     for subset in itertools.combinations(bounded, needed):
-        try:
-            tc, vmap = _contract_with_map(tb, subset)
-        except ValueError:
-            continue
-        classes: dict[str, list[str]] = {}
-        for old, new in vmap.items():
-            classes.setdefault(new, []).append(old)
+        tc, vmap, classes = _contract_with_map(tb, subset)
 
         def vertex_ok(vc: str, va: str) -> bool:
             target = ta.vertex_cones[va]
@@ -688,7 +665,7 @@ def limit_of_family(fam: Family, t_star) -> LimitResult:
     zero_edges = tuple(sorted(eid for eid, ell in lengths.items() if ell == 0))
     if not zero_edges:
         return LimitResult(t_star, _map_from_lengths(fam.type, lengths, positions), fam.type, ())
-    limit_type, vmap = _contract_with_map(fam.type, zero_edges)
+    limit_type, vmap, _ = _contract_with_map(fam.type, zero_edges)
     merged: dict[str, RatVec] = {}
     for old, new in vmap.items():
         if old in positions:

@@ -260,8 +260,12 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
     if not kernel:
         raise ValueError("flat spans the quotient: no hyperplane certifies it")
     excluded = [v for v in arr.vectors if v not in flat]
-    t = 1
-    while True:
+    # psi(t) = sum_i t^i kernel[i].  An excluded vector lies outside the
+    # span of the flat, so some kernel vector is non-zero on it, and psi(t)
+    # on it is a non-zero polynomial of degree at most len(kernel) - 1: it
+    # rules out at most len(kernel) - 1 values of t, and one of the first
+    # len(excluded) * (len(kernel) - 1) + 1 positive integers survives.
+    for t in range(1, len(excluded) * (len(kernel) - 1) + 2):
         psi = [0] * c
         scale = 1
         for vec in kernel:
@@ -269,9 +273,8 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
             scale *= t
         if all(vdot(psi, v) != 0 for v in excluded):
             break
-        t += 1
-        if t > 4 * (len(excluded) + 1) * (len(kernel) + 1):
-            raise RuntimeError("failed to certify flat with a generic normal")
+    else:
+        raise ValueError("failed to certify flat with a generic normal")
     phi = [0] * ambient
     for coef, row in zip(psi, arr.integer_quotient):
         phi = [a + coef * b for a, b in zip(phi, row)]

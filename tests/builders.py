@@ -277,3 +277,23 @@ def random_feasible_map(rng: random.Random, ambient=None, max_vertices=4):
     diags = validate_map(m)
     assert diags == [], diags
     return m
+
+
+def random_shrinking_family(rng: random.Random):
+    """A family over a random feasible map with a bounded edge that shrinks a
+    known set of bounded edges to length zero at t = 1: tree maps shrink a
+    random nonempty subset, maps with a cycle shrink every bounded edge (in
+    proportion, so the cycle stays closed).  Returns (family, shrunk ids)."""
+    while True:
+        m = random_feasible_map(rng)
+        bounded = [e for e in m.curve.edges if not m.curve.is_marked_leaf_edge(e)]
+        if bounded:
+            break
+    ids = [e.id for e in bounded]
+    if "cyc" in ids:
+        shrink = set(ids)
+        lengths = {e.id: affine(e.length, -e.length) for e in bounded}
+    else:
+        shrink = {eid for eid in ids if rng.random() < 0.5} or {rng.choice(ids)}
+        lengths = {eid: affine(1, -1) if eid in shrink else affine(1) for eid in ids}
+    return make_family(combinatorial_type(m), lengths), shrink

@@ -7,7 +7,9 @@ closure of every subset, automorphisms by exhaustive permutation search over
 raw adjacency data, and non-negative linear systems by a phase-one simplex
 over Fractions.  The cone and fan references decide faces,
 intersections and locations by LP membership tests of every ray and point,
-where the library reads them off canonical ray sets.
+where the library reads them off canonical ray sets.  Edge contraction
+rebuilds the curve once per contracted edge, where the library contracts a
+set of edges in one pass.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from tropmap.curves import Edge, TropicalCurve, Vertex, tropical_curve
 from tropmap.exactgeom import (
     Cone,
     canonical_cone,
@@ -498,3 +501,36 @@ def ref_fan_validate(f) -> list[str]:
         if not ref_pair_meets_in_common_face(c1, c2):
             diags.append(f"cones {c1.rays} and {c2.rays} do not meet in a common face")
     return diags
+
+
+def ref_contract_edge(c: TropicalCurve, edge_id: str) -> TropicalCurve:
+    """Contract one edge.
+
+    Distinct endpoints merge into a vertex (the lexicographically smaller id)
+    of summed genus; a self-loop is deleted and bumps its vertex's genus by
+    one.  Either way the total genus is preserved.  Marked leaf-edges cannot
+    be contracted.
+    """
+    if not c.has_edge(edge_id):
+        raise ValueError(f"unknown edge {edge_id}")
+    e = c.edge(edge_id)
+    if c.is_marked_leaf_edge(e):
+        raise ValueError(f"cannot contract marked leaf-edge {edge_id}")
+    a, b = e.ends
+    if a == b:
+        vertices = [
+            Vertex(v.id, v.genus + 1) if v.id == a else v for v in c.vertices
+        ]
+        edges = [f for f in c.edges if f.id != edge_id]
+        return tropical_curve(vertices, edges, c.markings)
+    keep, drop = (a, b) if a < b else (b, a)
+    merged_genus = c.vertex(a).genus + c.vertex(b).genus
+    vertices = [Vertex(keep, merged_genus) if v.id == keep else v
+                for v in c.vertices if v.id != drop]
+    edges = []
+    for f in c.edges:
+        if f.id == edge_id:
+            continue
+        ends = tuple(keep if x == drop else x for x in f.ends)
+        edges.append(Edge(f.id, ends, f.length))  # type: ignore[arg-type]
+    return tropical_curve(vertices, edges, c.markings)

@@ -300,6 +300,18 @@ class TestErrorHandling:
         )
         assert code == 2
 
+    def test_uncertified_flat_is_a_diagnostic(self, capsys, monkeypatch):
+        # with every pairing forced to zero no normal certifies a flat, so
+        # the bounded search falls through
+        _, doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--t", "1/2"])
+        monkeypatch.setattr(tropmap.wellspaced, "vdot", lambda a, b: 0)
+        code, out, err = run_cli(capsys, monkeypatch, ["wellspaced"], stdin=doc)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [
+            {"pointer": "", "message": "failed to certify flat with a generic normal"}
+        ]
+        assert "Traceback" not in err
+
 
 class TestSubprocess:
     def test_entry_point_pipe(self, tmp_path):

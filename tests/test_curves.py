@@ -10,6 +10,7 @@ from tropmap import (
     INF,
     betti_and_genus,
     contract_edge,
+    contract_edges,
     curve_lints,
     discrete_data,
     is_smooth,
@@ -21,7 +22,7 @@ from tropmap.curves import Edge, Marking, Vertex
 from tropmap.exactgeom import auto_rays_fan
 
 from builders import random_connected_multigraph
-from oracles import euler_betti
+from oracles import euler_betti, ref_contract_edge
 
 
 def _segment():
@@ -152,6 +153,72 @@ class TestRandomGraphProperties:
             assert out.markings == c.markings
             if e.ends[0] == e.ends[1]:
                 assert betti_and_genus(out)[0] == b1 - 1
+
+
+def _with_marked_leaves(rng: random.Random, c):
+    """The curve with a marked leaf-edge at a random subset of its
+    genus-zero vertices."""
+    vertices, edges, markings = list(c.vertices), list(c.edges), []
+    for v in c.vertices:
+        if v.genus == 0 and rng.random() < 0.5:
+            vertices.append(Vertex(f"inf:{v.id}"))
+            edges.append(Edge(f"l{v.id}", (v.id, f"inf:{v.id}"), INF))
+            markings.append(Marking(f"p{v.id}", f"inf:{v.id}"))
+    return tropical_curve(vertices, edges, markings)
+
+
+def _fold(c, edge_ids):
+    for eid in sorted(edge_ids):
+        c = ref_contract_edge(c, eid)
+    return c
+
+
+class TestContractEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_equals_the_per_edge_fold(self, seed):
+        rng = random.Random(seed)
+        c = _with_marked_leaves(rng, random_connected_multigraph(rng))
+        inner = [e.id for e in c.edges if not c.is_marked_leaf_edge(e)]
+        subset = [eid for eid in inner if rng.random() < 0.5]
+        out, vmap = contract_edges(c, subset)
+        assert out == _fold(c, subset)
+        survivors = {v.id for v in out.vertices}
+        assert set(vmap) == {v.id for v in c.vertices}
+        assert all(vmap[s] == s for s in survivors)
+        assert all(vmap[v] in survivors and vmap[v] <= v for v in vmap)
+        assert all(vmap[c.edge(eid).ends[0]] == vmap[c.edge(eid).ends[1]] for eid in subset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_refusals_match_the_fold(self, seed):
+        rng = random.Random(seed)
+        c = _with_marked_leaves(rng, random_connected_multigraph(rng))
+        # marked leaf-edges may be drawn; unknown ids sort first or last
+        subset = [e.id for e in c.edges if rng.random() < 0.5] + rng.choice([[], ["a"], ["z"]])
+        try:
+            expected = _fold(c, subset)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                contract_edges(c, subset)
+            assert str(info.value) == str(exc)
+        else:
+            assert contract_edges(c, subset)[0] == expected
+
+    def test_unknown_ends_are_tolerated(self):
+        vs = [Vertex("a"), Vertex("b")]
+        loose = Edge("e", ("a", "z"), Fraction(1))
+        c = tropical_curve(vs, [loose, Edge("f", ("a", "b"), Fraction(1))])
+        assert validate_curve(c) == ["edge e references unknown vertex z"]
+        out, vmap = contract_edges(c, ["f"])
+        assert out.edges == (loose,) and vmap == {"a": "a", "b": "a"}
+        apart = tropical_curve(vs, [loose, Edge("g", ("y", "z"), Fraction(1))])
+        assert validate_curve(apart) == [
+            "edge e references unknown vertex z",
+            "edge g references unknown vertex y",
+            "edge g references unknown vertex z",
+            "curve is disconnected",
+        ]
 
 
 class TestDiscreteData:

@@ -1,11 +1,12 @@
 """Moduli cones: dimension, metrics, contraction, faces, families, sampling."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tropmap import exactgeom, moduli
+from tropmap import curves, exactgeom, moduli
 from tropmap import (
     InfeasibleCone,
     affine,
@@ -24,7 +25,7 @@ from tropmap import (
     validate_map,
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
-from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, rank
+from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, rank
 from tropmap.gallery import gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
@@ -407,7 +408,35 @@ class TestIsFace:
         monkeypatch.setattr(exactgeom, "canonical_cone", counting)
         monkeypatch.setattr("tropmap.maps.canonical_cone", counting)
         assert is_face(limit.type, fam.type) is not None
-        assert len(calls) == 276
+        assert len(calls) == 28  # all from cone_is_face in the vertex check
+
+    def test_one_curve_rebuild_per_subset_tried(self, monkeypatch):
+        fam = build_figure1_family(3)
+        limit = limit_of_family(fam, 1)
+        bounded = fam.type.bounded_edge_ids()
+        subsets = list(itertools.combinations(bounded, len(bounded) - len(limit.type.bounded_edge_ids())))
+        calls = []
+        real = curves.tropical_curve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "tropical_curve", counting)
+        w = is_face(limit.type, fam.type)
+        assert len(calls) == subsets.index(w.contracted_edges) + 1 > 1
+
+    def test_overlapping_vertex_cones_raise(self):
+        # two cones of an invalid fan overlap in a cone that is a face of
+        # neither: contracting the edge between their vertices is an error,
+        # not a failed match
+        fan = build_fan(2, [[(1, 0), (0, 1)], [(1, 1), (1, -1)]], embedded=False)
+        c = tropical_curve([Vertex("x"), Vertex("y")], [Edge("e", ("x", "y"), Fraction(1))])
+        cones = {"x": cone(2, [(1, 0), (0, 1)]), "y": cone(2, [(1, 1), (1, -1)])}
+        tb = make_type(c, fan, {"e": EdgeMapData((1, 0), 1, "x")}, cones)
+        ta = make_type(tropical_curve([Vertex("x")], []), fan, {})
+        with pytest.raises(ValueError, match="cones do not meet in a common face"):
+            is_face(ta, tb)
 
 
 class TestFamilies:
