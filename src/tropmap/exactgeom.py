@@ -406,6 +406,8 @@ def cone_is_pointed(c: Cone) -> bool:
     non-negative dependence."""
     if not c.rays:
         return True
+    if len(c.rays) == 1:  # one ray depends on itself only when it is zero
+        return any(c.rays[0])
     k = len(c.rays)
     eqs = [([c.rays[i][coord] for i in range(k)], 0) for coord in range(c.ambient_dim)]
     geqs = [([1] * k, 1)]

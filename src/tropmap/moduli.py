@@ -11,13 +11,13 @@ as a diagnostic rather than an exception.
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
 from .curves import Edge, betti_and_genus, tropical_curve
@@ -442,14 +442,52 @@ class FaceWitness:
 MAX_FACE_SEARCH_EDGES = 16
 
 
+def _signature(d: EdgeMapData) -> tuple:
+    """What every decorated isomorphism keeps of a bounded edge, and
+    contraction of other edges leaves unchanged: its weight and its
+    direction up to sign."""
+    return d.w, max(d.u, tuple(-x for x in d.u))
+
+
+def _legs(t: CombinatorialType) -> dict[str, tuple]:
+    """Direction and weight of each marking's leaf-edge, by label."""
+    return {label: (t.edge_data[e.id].u, t.edge_data[e.id].w) for label, e in t.marked_edges.items()}
+
+
+def _subsets_by_class(items: Sequence[str], classes: Sequence, take: Mapping) -> Iterator[tuple[str, ...]]:
+    """The subsets of ``items`` holding ``take[k]`` members of each class
+    ``k`` (``classes[i]`` is the class of ``items[i]``), in the order in which
+    ``itertools.combinations`` lists subsets of their size.  ``take`` maps
+    every class to at most its number of members."""
+    if not any(take.values()):
+        yield ()
+        return
+    for i, k in enumerate(classes):
+        if take[k]:
+            later = classes[i + 1:]
+            for tail in _subsets_by_class(items[i + 1:], later, {**take, k: take[k] - 1}):
+                yield (items[i], *tail)
+            if later.count(k) < take[k]:
+                return  # a subset starting further on would lack a member of class k
+
+
 def is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitness]:
     """Search for an edge-contraction of ``tb`` matching ``ta``.
 
     Returns a witness whose vertex map also certifies the per-vertex face
     condition (the cone of each image vertex is a face of the cone of every
-    merged vertex), or None.  The search is exhaustive over contraction
-    subsets and decorated isomorphisms and refuses instances with more than
-    sixteen bounded edges.
+    merged vertex), or None.  Refuses instances with more than sixteen
+    bounded edges.
+
+    A decorated isomorphism keeps each bounded edge's weight and direction up
+    to sign, and contraction leaves the surviving edges unchanged, so only a
+    signature-compatible subset can contract to ``ta``: one that holds, of
+    each (weight, ±direction) class, what ``tb``'s bounded edges have beyond
+    ``ta``'s, and only when the marked legs agree label by label.  The search
+    is exhaustive over these subsets, in ``itertools.combinations`` order,
+    and their decorated isomorphisms; the first witness found is returned.
+    The "cones do not meet in a common face" ``ValueError`` comes only from
+    a subset that is tried.
     """
     ta = canonical_type(ta)
     tb = canonical_type(tb)
@@ -458,10 +496,12 @@ def is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitnes
         raise ValueError(
             f"face search capped at {MAX_FACE_SEARCH_EDGES} bounded edges, got {len(bounded)}"
         )
-    needed = len(bounded) - len(ta.bounded_edge_ids())
-    if needed < 0 or len(tb.graph.markings) != len(ta.graph.markings):
+    signatures = [_signature(tb.edge_data[eid]) for eid in bounded]
+    surplus = Counter(signatures)
+    surplus.subtract(_signature(ta.edge_data[eid]) for eid in ta.bounded_edge_ids())
+    if min(surplus.values(), default=0) < 0 or _legs(ta) != _legs(tb):
         return None
-    for subset in itertools.combinations(bounded, needed):
+    for subset in _subsets_by_class(bounded, signatures, surplus):
         tc, vmap, classes = _contract_with_map(tb, subset)
 
         def vertex_ok(vc: str, va: str) -> bool:

@@ -79,6 +79,28 @@ def rectangle_cycle(a, b):
     return build_map(3, [f"v{i}" for i in range(n)], bounded, rays, positions)
 
 
+def rectangle_family(a, b, shrink):
+    """The a x b rectangle cycle as a family whose listed bounded edges
+    shrink to length 0 at t = 1 and whose other edges keep length 1.  The
+    cycle stays closed when ``shrink`` takes as many edges from a side as
+    from the side parallel to it."""
+    t = combinatorial_type(rectangle_cycle(a, b))
+    return make_family(t, {eid: affine(1, -1) if eid in shrink else affine(1) for eid in t.bounded_edge_ids()})
+
+
+def collinear_chain_family(k, shrink):
+    """A chain of k unit edges c0 … c{k-1} along e1 in the plane, with a
+    marked ray at each end and unmarked 2-valent vertices between them, as a
+    family whose listed edges shrink to length 0 at t = 1.  All edges carry
+    one decoration, so contracting any m of them gives the same type."""
+    vertices = [f"v{i}" for i in range(k + 1)]
+    bounded = [(f"c{i}", (f"v{i}", f"v{i + 1}"), (1, 0), 1, f"v{i}", 1) for i in range(k)]
+    rays = [("r0", "v0", (-1, 0), 1, "p0"), ("r1", f"v{k}", (1, 0), 1, "p1")]
+    m = build_map(2, vertices, bounded, rays, {v: (i, 0) for i, v in enumerate(vertices)})
+    lengths = {eid: affine(1, -1) if eid in shrink else affine(1) for eid, *_ in bounded}
+    return make_family(combinatorial_type(m), lengths)
+
+
 def bent_square(branch_lengths=(1, 1, 2)):
     """Square cycle in the plane of R^3 with three out-of-plane branches at
     the given distances; the fourth corner keeps an in-plane ray.  The unique

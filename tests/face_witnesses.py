@@ -44,13 +44,17 @@ def _witness_json(fam) -> dict:
     return record
 
 
-def compute() -> dict[str, dict]:
-    out = {f"figure1 n={n}": _witness_json(build_figure1_family(n)) for n in FIGURE1_N}
-    out["strict unstable member"] = _witness_json(strict_unstable_member_family())
+def families() -> dict:
+    """The recorded families by name."""
+    out = {f"figure1 n={n}": build_figure1_family(n) for n in FIGURE1_N}
+    out["strict unstable member"] = strict_unstable_member_family()
     for seed in RANDOM_SEEDS:
-        fam, _ = random_shrinking_family(random.Random(seed))
-        out[f"random shrinking seed={seed}"] = _witness_json(fam)
+        out[f"random shrinking seed={seed}"] = random_shrinking_family(random.Random(seed))[0]
     return out
+
+
+def compute() -> dict[str, dict]:
+    return {name: _witness_json(fam) for name, fam in families().items()}
 
 
 if __name__ == "__main__":

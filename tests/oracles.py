@@ -9,7 +9,9 @@ over Fractions.  The cone and fan references decide faces,
 intersections and locations by LP membership tests of every ray and point,
 where the library reads them off canonical ray sets.  Edge contraction
 rebuilds the curve once per contracted edge, where the library contracts a
-set of edges in one pass.
+set of edges in one pass.  The face search contracts every edge subset of
+the right size, where the library tries only the subsets whose edge
+weights and directions can match.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from tropmap.exactgeom import (
     Cone,
     canonical_cone,
     cone_contains,
+    cone_is_face,
     cone_is_pointed,
     lp_feasible,
     ratvec,
     vector_content,
     zero_cone,
 )
+from tropmap.maps import CombinatorialType, canonical_type, decorated_isomorphisms
+from tropmap.moduli import MAX_FACE_SEARCH_EDGES, FaceWitness, _contract_with_map
 
 
 def bareiss_rank(rows) -> int:
@@ -534,3 +539,36 @@ def ref_contract_edge(c: TropicalCurve, edge_id: str) -> TropicalCurve:
         ends = tuple(keep if x == drop else x for x in f.ends)
         edges.append(Edge(f.id, ends, f.length))  # type: ignore[arg-type]
     return tropical_curve(vertices, edges, c.markings)
+
+
+def ref_is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitness]:
+    """The face search over every subset of as many bounded edges as ``tb``
+    has beyond ``ta``, in ``itertools.combinations`` order: the first subset
+    whose contraction is decorated-isomorphic to ``ta``, with the vertex
+    cones of each merged class having the image vertex's cone as a face,
+    gives the witness."""
+    ta = canonical_type(ta)
+    tb = canonical_type(tb)
+    bounded = tb.bounded_edge_ids()
+    if len(bounded) > MAX_FACE_SEARCH_EDGES:
+        raise ValueError(
+            f"face search capped at {MAX_FACE_SEARCH_EDGES} bounded edges, got {len(bounded)}"
+        )
+    needed = len(bounded) - len(ta.bounded_edge_ids())
+    if needed < 0 or len(tb.graph.markings) != len(ta.graph.markings):
+        return None
+    for subset in itertools.combinations(bounded, needed):
+        tc, vmap, classes = _contract_with_map(tb, subset)
+
+        def vertex_ok(vc: str, va: str) -> bool:
+            target = ta.vertex_cones[va]
+            return all(
+                cone_is_face(target, tb.vertex_cones[old])
+                for old in classes[vc]
+                if old in tb.vertex_cones
+            )
+
+        for c_vmap, c_emap in decorated_isomorphisms(tc, ta, vertex_ok=vertex_ok):
+            full_vmap = {old: c_vmap[new] for old, new in vmap.items() if new in c_vmap}
+            return FaceWitness(tuple(sorted(subset)), full_vmap, c_emap)
+    return None

@@ -248,6 +248,9 @@ class TestCones:
     def test_pointed(self):
         assert cone_is_pointed(cone(2, [(1, 0), (0, 1)]))
         assert not cone_is_pointed(cone(2, [(1, 0), (-1, 0)]))
+        # one ray: the only non-negative dependence is that of a zero ray
+        assert cone_is_pointed(cone(2, [(2, -1)]))
+        assert not cone_is_pointed(cone(2, [(0, 0)]))
 
     def test_faces_of_quadrant(self):
         faces = cone_faces(cone(2, [(1, 0), (0, 1)]))
@@ -442,6 +445,7 @@ class TestAgainstMembershipReferences:
         monkeypatch.setattr(exactgeom, "solve_nonneg", counting)
         assert fan_validate(f) == []
         # per quadrant: pointedness, one membership LP per ray when
-        # canonicalizing, one LP per one-ray subset; per ray: pointedness;
-        # then one common-face LP for each of the 36 pairs of cones
-        assert len(calls) == 4 * (1 + 2 + 2) + 4 * 1 + 36
+        # canonicalizing, one LP per one-ray subset; a ray's pointedness
+        # needs no LP; then one common-face LP for each of the 36 pairs of
+        # cones
+        assert len(calls) == 4 * (1 + 2 + 2) + 36

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from builders import (
     path_two_vertices,
     random_feasible_map,
     rectangle_cycle,
+    rectangle_family,
     strict_unstable_member_family,
     three_rays,
 )
@@ -408,13 +410,9 @@ class TestIsFace:
         monkeypatch.setattr(exactgeom, "canonical_cone", counting)
         monkeypatch.setattr("tropmap.maps.canonical_cone", counting)
         assert is_face(limit.type, fam.type) is not None
-        assert len(calls) == 28  # all from cone_is_face in the vertex check
+        assert len(calls) == 20  # all from cone_is_face in the vertex check
 
     def test_one_curve_rebuild_per_subset_tried(self, monkeypatch):
-        fam = build_figure1_family(3)
-        limit = limit_of_family(fam, 1)
-        bounded = fam.type.bounded_edge_ids()
-        subsets = list(itertools.combinations(bounded, len(bounded) - len(limit.type.bounded_edge_ids())))
         calls = []
         real = curves.tropical_curve
 
@@ -422,9 +420,28 @@ class TestIsFace:
             calls.append(args)
             return real(*args, **kwargs)
 
+        def signature(t, eid):
+            d = t.edge_data[eid]
+            return d.w, max(d.u, tuple(-x for x in d.u))
+
+        # figure1: only the witness carries the edge classes the face lacks;
+        # the rectangle: only vertical edges may contract, and the witness
+        # is the third such subset
+        cases = [(build_figure1_family(3), 1), (rectangle_family(1, 2, {"s1", "s5"}), 3)]
+        cases = [(fam, limit_of_family(fam, 1).type, tried) for fam, tried in cases]
         monkeypatch.setattr(curves, "tropical_curve", counting)
-        w = is_face(limit.type, fam.type)
-        assert len(calls) == subsets.index(w.contracted_edges) + 1 > 1
+        for fam, limit, tried in cases:
+            bounded = fam.type.bounded_edge_ids()
+            surplus = Counter(signature(fam.type, e) for e in bounded)
+            surplus.subtract(signature(limit, e) for e in limit.bounded_edge_ids())
+            compatible = [
+                s
+                for s in itertools.combinations(bounded, len(bounded) - len(limit.bounded_edge_ids()))
+                if Counter(signature(fam.type, e) for e in s) == +surplus
+            ]
+            calls.clear()
+            w = is_face(limit, fam.type)
+            assert len(calls) == compatible.index(w.contracted_edges) + 1 == tried
 
     def test_overlapping_vertex_cones_raise(self):
         # two cones of an invalid fan overlap in a cone that is a face of
