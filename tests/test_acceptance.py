@@ -261,8 +261,9 @@ def test_criterion_7_limit_face_property():
     _report(7, elapsed < 10.0, f"50 family limits admit face witnesses ({elapsed:.2f}s < 10s)")
 
 
-def test_criterion_8_cli_round_trip_and_fuzz(monkeypatch):
-    docs = [
+def criterion_8_documents():
+    """The documents that criterion 8 round-trips and mutates."""
+    return [
         Document("map", square_loop()),
         Document("map", speyer_tree()),
         Document("map", hat_demo()),
@@ -272,6 +273,10 @@ def test_criterion_8_cli_round_trip_and_fuzz(monkeypatch):
         Document("fan", square_loop().fan),
         Document("curve", square_loop().curve),
     ]
+
+
+def test_criterion_8_cli_round_trip_and_fuzz(monkeypatch):
+    docs = criterion_8_documents()
     for doc in docs:
         text = serialize_document(doc)
         again = serialize_document(load_document(text).document)

@@ -3,6 +3,8 @@
 import io
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +19,8 @@ from tropmap.documents import (
 )
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.wellspaced import build_figure1_family
+
+DIAGNOSTICS = Path(__file__).parent / "data" / "load_diagnostics.json"
 
 
 def _gallery_documents():
@@ -93,6 +97,18 @@ class TestDiagnostics:
         loaded = load_document(json.dumps(raw))
         assert any("normalized" in w for w in loaded.warnings)
         assert loaded.document.payload == square_loop()
+
+    @pytest.mark.parametrize("spelling, canonical", [
+        ("+3", "3"), ("03", "3"), ("-0", "0"), (" 3", "3"), ("3 ", "3"), ("1_000", "1000"),
+        ("6/4", "3/2"), ("3/-4", "-3/4"), ("0/5", "0"), ("3/1", "3"), ("-03/06", "-1/2"),
+        ("\u0663", "3"), ("1/\u0664", "1/4"),
+    ])
+    def test_non_canonical_spellings_warn_and_normalize(self, spelling, canonical):
+        raw = json.loads(serialize_document(Document("map", square_loop())))
+        raw["positions"]["c0"][0] = spelling
+        loaded = load_document(json.dumps(raw))
+        assert loaded.warnings == [f"/positions/c0/0: normalized {spelling!r} to {canonical!r}"]
+        assert loaded.document.payload.positions["c0"][0] == Fraction(canonical)
 
     def test_unknown_vertex_pointer(self):
         raw = json.loads(serialize_document(Document("curve", square_loop().curve)))
@@ -188,3 +204,14 @@ class TestFuzz:
                 load_document(text)
             except DocumentError as err:
                 assert isinstance(err.pointer, str)
+
+
+def test_load_outcomes_match_the_recorded_diagnostics():
+    import load_diagnostics  # it imports this module
+
+    recorded = json.loads(DIAGNOSTICS.read_text(encoding="utf-8"))
+    computed = load_diagnostics.compute()
+    assert sorted(computed) == sorted(recorded)
+    for name, records in recorded.items():
+        for i, (want, got) in enumerate(zip(records, computed[name], strict=True)):
+            assert got == want, f"{name} #{i}"
