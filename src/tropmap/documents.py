@@ -2,9 +2,12 @@
 
 Rationals travel as canonical strings "p/q" (integers may drop the
 denominator), infinite lengths as "inf".  Loading is strict and every
-failure carries a JSON pointer; non-canonical rationals are accepted with a
-warning and normalized, so serialize(load(s)) is bit-exact on canonical
-input.
+failure carries an RFC 6901 JSON pointer ("~" and "/" in a key are written
+"~0" and "~1"), which is built only when the failure is raised.  Canonical
+rationals and JSON integers are read straight into a ``Fraction``; any other
+spelling is accepted with a warning and normalized, so serialize(load(s)) is
+bit-exact on canonical input.  Input nested too deeply for the JSON decoder
+is refused with a DocumentError, which the CLI reports with exit 2.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from . import curves
@@ -66,44 +70,74 @@ class LoadResult:
 
 # ---------------------------------------------------------------------------
 # small checked readers
+#
+# A reader is told where its value sits as a parent pointer and the tokens
+# below it, and builds the pointer with ``_at`` only when it raises, so a
+# value that passes costs no string formatting.
 
-def _expect(cond: bool, pointer: str, message: str) -> None:
-    if not cond:
-        raise DocumentError(pointer, message)
+def _at(pointer: str, *tokens) -> str:
+    """``pointer`` extended by object keys (str) and array indices (int), as
+    an RFC 6901 JSON pointer: "~" in a key becomes "~0" and "/" becomes "~1"."""
+    for token in tokens:
+        if isinstance(token, str):
+            token = token.replace("~", "~0").replace("/", "~1")
+        pointer = f"{pointer}/{token}"
+    return pointer
 
 
-def _get(obj: Mapping, key: str, pointer: str, typ=None):
-    _expect(isinstance(obj, dict), pointer, "expected an object")
-    if key not in obj:
-        raise DocumentError(f"{pointer}/{key}", "missing")
-    val = obj[key]
-    if typ is not None:
-        _expect(isinstance(val, typ) and not isinstance(val, bool), f"{pointer}/{key}",
-                f"expected {typ.__name__}")
+def _get(obj, key: str, pointer: str, *tokens, typ=None):
+    """``obj[key]`` for the object ``obj`` at ``_at(pointer, *tokens)``,
+    checked to be a ``typ`` (never a bool) when one is given."""
+    if not isinstance(obj, dict):
+        raise DocumentError(_at(pointer, *tokens), "expected an object")
+    try:
+        val = obj[key]
+    except KeyError:
+        raise DocumentError(_at(pointer, *tokens, key), "missing") from None
+    if typ is not None and (not isinstance(val, typ) or isinstance(val, bool)):
+        raise DocumentError(_at(pointer, *tokens, key), f"expected {typ.__name__}")
     return val
 
 
-def _read_rational(raw, pointer: str, warnings: list[str]) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise DocumentError(pointer, "expected a rational as string or integer")
+def _read_rational(raw, warnings: list[str], pointer: str, *tokens) -> Fraction:
+    """A JSON integer, or a string ``p`` or ``p/q``.  Canonical text, as
+    :func:`format_rational` writes it, is read without a round trip; any
+    other spelling is normalized by :func:`parse_rational`, with a warning."""
+    if isinstance(raw, str):
+        num, slash, den = raw.partition("/")
+        try:
+            p = int(num)
+            q = int(den) if slash else 1
+        except ValueError:
+            pass
+        else:
+            if str(p) == num:
+                if not slash:
+                    return Fraction(p)
+                if q > 1 and str(q) == den and gcd(p, q) == 1:
+                    return Fraction(p, q)
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        return Fraction(raw)
+    else:
+        raise DocumentError(_at(pointer, *tokens), "expected a rational as string or integer")
+    # not canonical, so the normalized spelling differs from ``raw``
     try:
         val = parse_rational(raw)
     except ValueError as exc:
-        raise DocumentError(pointer, str(exc)) from None
-    if isinstance(raw, str) and raw != format_rational(val):
-        warnings.append(f"{pointer}: normalized {raw!r} to {format_rational(val)!r}")
+        raise DocumentError(_at(pointer, *tokens), str(exc)) from None
+    warnings.append(f"{_at(pointer, *tokens)}: normalized {raw!r} to {format_rational(val)!r}")
     return val
 
 
-def _read_int_vector(raw, pointer: str, ambient: Optional[int]) -> tuple[int, ...]:
-    _expect(isinstance(raw, list), pointer, "expected an array of integers")
-    out = []
+def _read_int_vector(raw, ambient: int, pointer: str, *tokens) -> tuple[int, ...]:
+    if not isinstance(raw, list):
+        raise DocumentError(_at(pointer, *tokens), "expected an array of integers")
     for i, x in enumerate(raw):
-        _expect(isinstance(x, int) and not isinstance(x, bool), f"{pointer}/{i}", "expected an integer")
-        out.append(x)
-    if ambient is not None:
-        _expect(len(out) == ambient, pointer, f"expected length {ambient}")
-    return tuple(out)
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DocumentError(_at(pointer, *tokens, i), "expected an integer")
+    if len(raw) != ambient:
+        raise DocumentError(_at(pointer, *tokens), f"expected length {ambient}")
+    return tuple(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +170,29 @@ def parse_fan(raw, pointer: str, warnings: list[str]) -> Fan:
 
 
 def _parse_fan(raw, pointer: str) -> Fan:
-    ambient = _get(raw, "ambient_dim", pointer, int)
-    _expect(ambient >= 0, f"{pointer}/ambient_dim", "expected a natural number")
-    cones_raw = _get(raw, "cones", pointer, list)
+    ambient = _get(raw, "ambient_dim", pointer, typ=int)
+    if ambient < 0:
+        raise DocumentError(_at(pointer, "ambient_dim"), "expected a natural number")
+    cones_raw = _get(raw, "cones", pointer, typ=list)
     embedded = raw.get("embedded", False)
-    _expect(isinstance(embedded, bool), f"{pointer}/embedded", "expected a boolean")
+    if not isinstance(embedded, bool):
+        raise DocumentError(_at(pointer, "embedded"), "expected a boolean")
     ray_lists = []
     for i, c in enumerate(cones_raw):
-        cp = f"{pointer}/cones/{i}"
-        rays_raw = _get(c, "rays", cp, list)
         rays = []
-        for j, r in enumerate(rays_raw):
-            ray = _read_int_vector(r, f"{cp}/rays/{j}", ambient)
-            _expect(any(x != 0 for x in ray), f"{cp}/rays/{j}", "zero ray generator")
-            _expect(vector_content(ray) == 1, f"{cp}/rays/{j}",
-                    f"non-primitive ray (content {vector_content(ray)})")
+        for j, r in enumerate(_get(c, "rays", pointer, "cones", i, typ=list)):
+            ray = _read_int_vector(r, ambient, pointer, "cones", i, "rays", j)
+            if not any(ray):
+                raise DocumentError(_at(pointer, "cones", i, "rays", j), "zero ray generator")
+            content = vector_content(ray)
+            if content != 1:
+                raise DocumentError(_at(pointer, "cones", i, "rays", j), f"non-primitive ray (content {content})")
             rays.append(ray)
         ray_lists.append(rays)
     try:
         return build_fan(ambient, ray_lists, embedded=embedded)
     except ValueError as exc:
-        raise DocumentError(f"{pointer}/cones", str(exc)) from None
+        raise DocumentError(_at(pointer, "cones"), str(exc)) from None
 
 
 def fan_json(f: Fan) -> dict:
@@ -171,52 +207,55 @@ def fan_json(f: Fan) -> dict:
 # curves
 
 def parse_curve(raw, pointer: str, warnings: list[str], lengths_required: bool = True) -> TropicalCurve:
-    verts_raw = _get(raw, "vertices", pointer, list)
     vertices = []
     ids = set()
-    for i, v in enumerate(verts_raw):
-        vp = f"{pointer}/vertices/{i}"
-        vid = _get(v, "id", vp, str)
+    for i, v in enumerate(_get(raw, "vertices", pointer, typ=list)):
+        vid = _get(v, "id", pointer, "vertices", i, typ=str)
         genus = v.get("genus", 0)
-        _expect(isinstance(genus, int) and not isinstance(genus, bool) and genus >= 0,
-                f"{vp}/genus", "expected a natural number")
-        _expect(vid not in ids, f"{vp}/id", f"duplicate vertex id {vid}")
+        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+            raise DocumentError(_at(pointer, "vertices", i, "genus"), "expected a natural number")
+        if vid in ids:
+            raise DocumentError(_at(pointer, "vertices", i, "id"), f"duplicate vertex id {vid}")
         ids.add(vid)
         vertices.append(Vertex(vid, genus))
-    edges_raw = _get(raw, "edges", pointer, list)
     edges = []
     eids = set()
-    for i, e in enumerate(edges_raw):
-        ep = f"{pointer}/edges/{i}"
-        eid = _get(e, "id", ep, str)
-        _expect(eid not in eids, f"{ep}/id", f"duplicate edge id {eid}")
+    for i, e in enumerate(_get(raw, "edges", pointer, typ=list)):
+        eid = _get(e, "id", pointer, "edges", i, typ=str)
+        if eid in eids:
+            raise DocumentError(_at(pointer, "edges", i, "id"), f"duplicate edge id {eid}")
         eids.add(eid)
-        ends_raw = _get(e, "ends", ep, list)
-        _expect(len(ends_raw) == 2, f"{ep}/ends", "expected two endpoints")
-        ends = []
-        for j, end in enumerate(ends_raw):
-            _expect(isinstance(end, str), f"{ep}/ends/{j}", "expected a vertex id")
-            _expect(end in ids, f"{ep}/ends/{j}", f"unknown vertex {end}")
-            ends.append(end)
+        ends = _get(e, "ends", pointer, "edges", i, typ=list)
+        if len(ends) != 2:
+            raise DocumentError(_at(pointer, "edges", i, "ends"), "expected two endpoints")
+        for j, end in enumerate(ends):
+            if not isinstance(end, str):
+                raise DocumentError(_at(pointer, "edges", i, "ends", j), "expected a vertex id")
+            if end not in ids:
+                raise DocumentError(_at(pointer, "edges", i, "ends", j), f"unknown vertex {end}")
         if "length" not in e:
-            _expect(not lengths_required, f"{ep}/length", "missing")
+            if lengths_required:
+                raise DocumentError(_at(pointer, "edges", i, "length"), "missing")
             length: curves.Length = Fraction(1)
         elif e["length"] == "inf":
             length = curves.INF
         else:
-            length = _read_rational(e["length"], f"{ep}/length", warnings)
-            _expect(length >= 0, f"{ep}/length", "negative length")
+            length = _read_rational(e["length"], warnings, pointer, "edges", i, "length")
+            if length < 0:
+                raise DocumentError(_at(pointer, "edges", i, "length"), "negative length")
         edges.append(Edge(eid, (ends[0], ends[1]), length))
     markings = []
     labels = set()
     markings_raw = raw.get("markings", [])
-    _expect(isinstance(markings_raw, list), f"{pointer}/markings", "expected an array")
+    if not isinstance(markings_raw, list):
+        raise DocumentError(_at(pointer, "markings"), "expected an array")
     for i, mk in enumerate(markings_raw):
-        mp = f"{pointer}/markings/{i}"
-        label = _get(mk, "label", mp, str)
-        vid = _get(mk, "vertex", mp, str)
-        _expect(vid in ids, f"{mp}/vertex", f"unknown vertex {vid}")
-        _expect(label not in labels, f"{mp}/label", f"duplicate label {label}")
+        label = _get(mk, "label", pointer, "markings", i, typ=str)
+        vid = _get(mk, "vertex", pointer, "markings", i, typ=str)
+        if vid not in ids:
+            raise DocumentError(_at(pointer, "markings", i, "vertex"), f"unknown vertex {vid}")
+        if label in labels:
+            raise DocumentError(_at(pointer, "markings", i, "label"), f"duplicate label {label}")
         labels.add(label)
         markings.append(Marking(label, vid))
     return tropical_curve(vertices, edges, markings)
@@ -241,24 +280,29 @@ def curve_json(c: TropicalCurve, with_lengths: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 # edge data shared by maps and types
 
-def _parse_edge_data(raw, pointer: str, curve: TropicalCurve, ambient: int) -> dict[str, EdgeMapData]:
-    _expect(isinstance(raw, dict), pointer, "expected an object")
+def _parse_edge_data(raw, curve: TropicalCurve, ambient: int, pointer: str) -> dict[str, EdgeMapData]:
+    if not isinstance(raw, dict):
+        raise DocumentError(pointer, "expected an object")
     data = {}
     for eid, d in raw.items():
-        ep = f"{pointer}/{eid}"
-        _expect(curve.has_edge(eid), ep, f"unknown edge {eid}")
-        u = _read_int_vector(_get(d, "u", ep), f"{ep}/u", ambient)
-        w = _get(d, "w", ep, int)
-        _expect(w >= 0, f"{ep}/w", "negative weight")
-        tail = _get(d, "tail", ep, str)
-        _expect(tail in curve.edge(eid).ends, f"{ep}/tail", "tail is not an endpoint")
-        zero = all(x == 0 for x in u)
-        _expect(zero == (w == 0), ep, "weight must be zero exactly when the direction is zero")
-        if not zero:
-            _expect(vector_content(u) == 1, f"{ep}/u", "direction is not primitive")
+        if not curve.has_edge(eid):
+            raise DocumentError(_at(pointer, eid), f"unknown edge {eid}")
+        u = _read_int_vector(_get(d, "u", pointer, eid), ambient, pointer, eid, "u")
+        w = _get(d, "w", pointer, eid, typ=int)
+        if w < 0:
+            raise DocumentError(_at(pointer, eid, "w"), "negative weight")
+        tail = _get(d, "tail", pointer, eid, typ=str)
+        if tail not in curve.edge(eid).ends:
+            raise DocumentError(_at(pointer, eid, "tail"), "tail is not an endpoint")
+        zero = not any(u)
+        if zero != (w == 0):
+            raise DocumentError(_at(pointer, eid), "weight must be zero exactly when the direction is zero")
+        if not zero and vector_content(u) != 1:
+            raise DocumentError(_at(pointer, eid, "u"), "direction is not primitive")
         data[eid] = EdgeMapData(u, w, tail)
     for e in curve.edges:
-        _expect(e.id in data, f"{pointer}/{e.id}", "missing edge data")
+        if e.id not in data:
+            raise DocumentError(_at(pointer, e.id), "missing edge data")
     return data
 
 
@@ -273,24 +317,28 @@ def _edge_data_json(data: Mapping[str, EdgeMapData]) -> dict:
 # maps
 
 def parse_map(raw, pointer: str, warnings: list[str]) -> TropicalStableMap:
-    f = parse_fan(_get(raw, "fan", pointer), f"{pointer}/fan", warnings)
-    c = parse_curve(_get(raw, "curve", pointer), f"{pointer}/curve", warnings)
-    data = _parse_edge_data(_get(raw, "edge_data", pointer), f"{pointer}/edge_data", c, f.ambient_dim)
+    f = parse_fan(_get(raw, "fan", pointer), _at(pointer, "fan"), warnings)
+    c = parse_curve(_get(raw, "curve", pointer), _at(pointer, "curve"), warnings)
+    ambient = f.ambient_dim
+    data = _parse_edge_data(_get(raw, "edge_data", pointer), c, ambient, _at(pointer, "edge_data"))
     pos_raw = _get(raw, "positions", pointer)
-    _expect(isinstance(pos_raw, dict), f"{pointer}/positions", "expected an object")
+    if not isinstance(pos_raw, dict):
+        raise DocumentError(_at(pointer, "positions"), "expected an object")
     positions = {}
     marked = c.marked_vertex_ids
     for vid, coords in pos_raw.items():
-        vp = f"{pointer}/positions/{vid}"
-        _expect(c.has_vertex(vid), vp, f"unknown vertex {vid}")
-        _expect(vid not in marked, vp, "marked vertices carry no position")
-        _expect(isinstance(coords, list) and len(coords) == f.ambient_dim, vp,
-                f"expected {f.ambient_dim} coordinates")
-        positions[vid] = tuple(
-            _read_rational(x, f"{vp}/{k}", warnings) for k, x in enumerate(coords)
-        )
+        if not c.has_vertex(vid):
+            raise DocumentError(_at(pointer, "positions", vid), f"unknown vertex {vid}")
+        if vid in marked:
+            raise DocumentError(_at(pointer, "positions", vid), "marked vertices carry no position")
+        if not isinstance(coords, list) or len(coords) != ambient:
+            raise DocumentError(_at(pointer, "positions", vid), f"expected {ambient} coordinates")
+        positions[vid] = tuple([
+            _read_rational(x, warnings, pointer, "positions", vid, k) for k, x in enumerate(coords)
+        ])
     for vid in c.unmarked_vertex_ids():
-        _expect(vid in positions, f"{pointer}/positions/{vid}", "missing position")
+        if vid not in positions:
+            raise DocumentError(_at(pointer, "positions", vid), "missing position")
     return stable_map(c, f, positions, data)
 
 
@@ -310,24 +358,27 @@ def map_json(m: TropicalStableMap) -> dict:
 # combinatorial types (a map document with lengths and positions forgotten)
 
 def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
-    f = parse_fan(_get(raw, "fan", pointer), f"{pointer}/fan", warnings)
-    c = parse_curve(_get(raw, "curve", pointer), f"{pointer}/curve", warnings, lengths_required=False)
-    data = _parse_edge_data(_get(raw, "edge_data", pointer), f"{pointer}/edge_data", c, f.ambient_dim)
+    f = parse_fan(_get(raw, "fan", pointer), _at(pointer, "fan"), warnings)
+    c = parse_curve(_get(raw, "curve", pointer), _at(pointer, "curve"), warnings, lengths_required=False)
+    ambient = f.ambient_dim
+    data = _parse_edge_data(_get(raw, "edge_data", pointer), c, ambient, _at(pointer, "edge_data"))
     cones_raw = raw.get("vertex_cones", {})
-    _expect(isinstance(cones_raw, dict), f"{pointer}/vertex_cones", "expected an object")
+    if not isinstance(cones_raw, dict):
+        raise DocumentError(_at(pointer, "vertex_cones"), "expected an object")
     vertex_cones = {}
     for vid, craw in cones_raw.items():
-        vp = f"{pointer}/vertex_cones/{vid}"
-        _expect(c.has_vertex(vid), vp, f"unknown vertex {vid}")
+        if not c.has_vertex(vid):
+            raise DocumentError(_at(pointer, "vertex_cones", vid), f"unknown vertex {vid}")
         rays = [
-            _read_int_vector(r, f"{vp}/rays/{j}", f.ambient_dim)
-            for j, r in enumerate(_get(craw, "rays", vp, list))
+            _read_int_vector(r, ambient, pointer, "vertex_cones", vid, "rays", j)
+            for j, r in enumerate(_get(craw, "rays", pointer, "vertex_cones", vid, typ=list))
         ]
-        vertex_cones[vid] = cone(f.ambient_dim, rays)
-    _expect("positions" not in raw, f"{pointer}/positions", "types carry no positions")
-    for vid, message in balancing_diagnostics(c, data, f.ambient_dim):
+        vertex_cones[vid] = cone(ambient, rays)
+    if "positions" in raw:
+        raise DocumentError(_at(pointer, "positions"), "types carry no positions")
+    for vid, message in balancing_diagnostics(c, data, ambient):
         index = next(i for i, v in enumerate(c.vertices) if v.id == vid)
-        raise DocumentError(f"{pointer}/curve/vertices/{index}", message)
+        raise DocumentError(_at(pointer, "curve", "vertices", index), message)
     return make_type(c, f, data, vertex_cones)
 
 
@@ -346,9 +397,9 @@ def type_json(t: CombinatorialType) -> dict:
 # ---------------------------------------------------------------------------
 # families
 
-def _parse_affine(raw, pointer: str, warnings: list[str]) -> AffineFn:
-    const = _read_rational(_get(raw, "const", pointer), f"{pointer}/const", warnings)
-    slope = _read_rational(_get(raw, "slope", pointer), f"{pointer}/slope", warnings)
+def _parse_affine(raw, warnings: list[str], pointer: str, *tokens) -> AffineFn:
+    const = _read_rational(_get(raw, "const", pointer, *tokens), warnings, pointer, *tokens, "const")
+    slope = _read_rational(_get(raw, "slope", pointer, *tokens), warnings, pointer, *tokens, "slope")
     return AffineFn(const, slope)
 
 
@@ -357,27 +408,30 @@ def _affine_json(fn: AffineFn) -> dict:
 
 
 def parse_family(raw, pointer: str, warnings: list[str]) -> Family:
-    t = parse_type(_get(raw, "type", pointer), f"{pointer}/type", warnings)
+    t = parse_type(_get(raw, "type", pointer), _at(pointer, "type"), warnings)
     lengths_raw = _get(raw, "lengths", pointer)
-    _expect(isinstance(lengths_raw, dict), f"{pointer}/lengths", "expected an object")
+    if not isinstance(lengths_raw, dict):
+        raise DocumentError(_at(pointer, "lengths"), "expected an object")
     lengths = {}
     for eid, fn in lengths_raw.items():
-        lp = f"{pointer}/lengths/{eid}"
-        _expect(t.graph.has_edge(eid), lp, f"unknown edge {eid}")
-        lengths[eid] = _parse_affine(fn, lp, warnings)
+        if not t.graph.has_edge(eid):
+            raise DocumentError(_at(pointer, "lengths", eid), f"unknown edge {eid}")
+        lengths[eid] = _parse_affine(fn, warnings, pointer, "lengths", eid)
     positions = None
     if "positions" in raw:
         pos_raw = raw["positions"]
-        _expect(isinstance(pos_raw, dict), f"{pointer}/positions", "expected an object")
+        if not isinstance(pos_raw, dict):
+            raise DocumentError(_at(pointer, "positions"), "expected an object")
+        ambient = t.fan.ambient_dim
         positions = {}
         for vid, coords in pos_raw.items():
-            vp = f"{pointer}/positions/{vid}"
-            _expect(t.graph.has_vertex(vid), vp, f"unknown vertex {vid}")
-            _expect(isinstance(coords, list) and len(coords) == t.fan.ambient_dim, vp,
-                    f"expected {t.fan.ambient_dim} coordinate functions")
-            positions[vid] = tuple(
-                _parse_affine(x, f"{vp}/{k}", warnings) for k, x in enumerate(coords)
-            )
+            if not t.graph.has_vertex(vid):
+                raise DocumentError(_at(pointer, "positions", vid), f"unknown vertex {vid}")
+            if not isinstance(coords, list) or len(coords) != ambient:
+                raise DocumentError(_at(pointer, "positions", vid), f"expected {ambient} coordinate functions")
+            positions[vid] = tuple([
+                _parse_affine(x, warnings, pointer, "positions", vid, k) for k, x in enumerate(coords)
+            ])
     try:
         return make_family(t, lengths, positions)
     except ValueError as exc:
@@ -418,8 +472,8 @@ _SERIALIZERS: dict[str, Callable] = {
 def _infer_kind(raw: Mapping) -> str:
     if "kind" in raw:
         kind = raw["kind"]
-        _expect(isinstance(kind, str) and kind in KINDS, "/kind",
-                f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise DocumentError("/kind", f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
         return kind
     if "lengths" in raw and "type" in raw:
         return "family"
@@ -446,21 +500,26 @@ def load_document(text: str) -> LoadResult:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("", f"invalid JSON: {exc.msg} at offset {exc.pos}") from None
+    except RecursionError:
+        raise DocumentError("", "invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("", "expected a JSON object")
     while "command" in raw and "results" in raw:
         results = raw["results"]
-        _expect(isinstance(results, dict), "/results", "expected an object")
+        if not isinstance(results, dict):
+            raise DocumentError("/results", "expected an object")
         key = next((k for k in ("map", "family", "type", "curve", "fan") if k in results), None)
-        _expect(key is not None, "/results", "report contains no document to extract")
-        _expect(isinstance(results[key], dict), f"/results/{key}", "expected an object")
+        if key is None:
+            raise DocumentError("/results", "report contains no document to extract")
+        if not isinstance(results[key], dict):
+            raise DocumentError(_at("/results", key), "expected an object")
         # error pointers below are relative to the inner document
         raw = {"kind": key, **results[key]}
     warnings: list[str] = []
     kind = _infer_kind(raw)
     version = raw.get("format_version", FORMAT_VERSION)
-    _expect(version == FORMAT_VERSION, "/format_version",
-            f"unsupported format version {version!r}")
+    if version != FORMAT_VERSION:
+        raise DocumentError("/format_version", f"unsupported format version {version!r}")
     payload_raw = {k: v for k, v in raw.items() if k not in ("kind", "format_version")}
     payload = _PARSERS[kind](payload_raw, "", warnings)
     return LoadResult(Document(kind, payload), warnings)

@@ -28,6 +28,7 @@ from .exactgeom import (
     cone_contains,
     cone_is_face,
     format_rational,
+    integer_nullspace,
     nullspace,
     fan_cone_intersection,
     rank,
@@ -751,23 +752,26 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
 def _sample_embedded(mc: ModuliCone, seed: int) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
     """The positions and lengths of one point of the embedded-mode cone with
     every length positive: the support point perturbed along the cycle
-    space by the seed."""
+    space by the seed.
+
+    The perturbation P is a seeded integer combination of the integer
+    kernel basis, summed in ints, and length j moves by
+    min(ell) / (2 max |P|) * P_j, which keeps it positive.  The kernel's
+    common positive scale cancels from that ratio, so the point is the one
+    the rational :func:`nullspace` basis gives."""
     rng = random.Random(seed)
     t = mc.type
     n = t.fan.ambient_dim
     bounded = t.bounded_edge_ids()
     ell = mc.support_point
-    kernel = nullspace(mc.cycle_rows, ncols=len(bounded))
+    kernel = integer_nullspace(mc.cycle_rows, ncols=len(bounded))
     if kernel and bounded:
-        coeffs = [Fraction(rng.randint(-8, 8)) for _ in kernel]
-        perturb = [ZERO] * len(bounded)
-        for cf, vec in zip(coeffs, kernel):
-            perturb = [a + cf * b for a, b in zip(perturb, vec)]
-        biggest = max((abs(x) for x in perturb), default=ZERO)
+        coeffs = [rng.randint(-8, 8) for _ in kernel]
+        perturb = [sum(cf * vec[j] for cf, vec in zip(coeffs, kernel)) for j in range(len(bounded))]
+        biggest = max(abs(x) for x in perturb)
         if biggest > 0:
-            floor = min(ell)
-            scale = floor / (2 * biggest)
-            ell = [a + scale * b for a, b in zip(ell, perturb)]
+            step = min(ell) / (2 * biggest)
+            ell = [a + step * b for a, b in zip(ell, perturb)]
     lengths = dict(zip(bounded, ell))
     base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
     return _positions_from_lengths(t, lengths, _finite_vertices(t)[0], base), lengths

@@ -313,12 +313,37 @@ class TestErrorHandling:
         assert "Traceback" not in err
 
 
+    def test_deeply_nested_input_exit_two(self, capsys, monkeypatch):
+        text = '{"a":' * 5000 + "1" + "}" * 5000
+        code, out, err = run_cli(capsys, monkeypatch, ["cone"], stdin=text)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": "invalid JSON: nested too deeply"}]
+        assert "Traceback" not in err
+
+
+def _subprocess_env():
+    """The environment under which a subprocess imports the same tropmap as
+    this test run."""
+    src = str(Path(tropmap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestSubprocess:
+    def test_deeply_nested_input_exit_two(self):
+        run = subprocess.run(
+            [sys.executable, "-m", "tropmap.cli", "cone"],
+            input="[" * 200000,
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+        )
+        assert run.returncode == 2
+        assert json.loads(run.stdout)["diagnostics"][0]["message"] == "invalid JSON: nested too deeply"
+        assert "Traceback" not in run.stderr
+
     def test_entry_point_pipe(self, tmp_path):
-        # the subprocesses import the same tropmap as this test run
-        src = str(Path(tropmap.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        env = _subprocess_env()
         first = subprocess.run(
             [sys.executable, "-m", "tropmap.cli", "example", "figure1", "--t", "1/2"],
             capture_output=True,

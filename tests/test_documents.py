@@ -131,6 +131,41 @@ class TestDiagnostics:
             load_document(json.dumps(raw))
         assert err.value.pointer == "/positions/c0"
 
+    def test_pointer_escapes_keys(self):
+        # RFC 6901: "~" is written "~0" and "/" is written "~1"
+        text = serialize_document(Document("map", square_loop())).replace('"c0"', '"c/1~x"')
+        raw = json.loads(text)
+        raw["positions"]["c/1~x"] = ["0", "0"]
+        with pytest.raises(DocumentError) as err:
+            load_document(json.dumps(raw))
+        assert (err.value.pointer, err.value.message) == ("/positions/c~11~0x", "expected 3 coordinates")
+
+    @pytest.mark.parametrize("doc, path, value, message", [
+        (Document("map", square_loop()), ["positions"], ["0", "0", "0"], "unknown vertex a/b~c"),
+        (Document("map", square_loop()), ["edge_data"], {"u": [1, 0, 0], "w": 1, "tail": "c0"},
+         "unknown edge a/b~c"),
+        (Document("type", combinatorial_type(square_loop())), ["vertex_cones"], {"rays": []},
+         "unknown vertex a/b~c"),
+        (Document("family", build_figure1_family(3)), ["lengths"], {"const": "1", "slope": "0"},
+         "unknown edge a/b~c"),
+        (Document("family", build_figure1_family(3)), ["positions"], [], "unknown vertex a/b~c"),
+    ], ids=["map positions", "edge_data", "vertex_cones", "lengths", "family positions"])
+    def test_unknown_key_pointer_is_escaped(self, doc, path, value, message):
+        raw = json.loads(serialize_document(doc))
+        target = raw
+        for key in path:
+            target = target.setdefault(key, {})
+        target["a/b~c"] = value
+        with pytest.raises(DocumentError) as err:
+            load_document(json.dumps(raw))
+        assert (err.value.pointer, err.value.message) == ("/" + "/".join(path) + "/a~1b~0c", message)
+
+    @pytest.mark.parametrize("text", ["[" * 200000, '{"a":' * 5000 + "1" + "}" * 5000], ids=["array", "object"])
+    def test_deep_nesting_is_refused(self, text):
+        with pytest.raises(DocumentError) as err:
+            load_document(text)
+        assert (err.value.pointer, err.value.message) == ("", "invalid JSON: nested too deeply")
+
     def test_invalid_json(self):
         with pytest.raises(DocumentError):
             load_document("{not json")
