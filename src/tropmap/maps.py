@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import curves
 from .curves import (
@@ -362,6 +362,11 @@ class CombinatorialType(_EdgeDirections):
     edge_data: Mapping[str, EdgeMapData]
 
     def bounded_edge_ids(self) -> tuple[str, ...]:
+        """The edges that are not marked leaf-edges, in curve order."""
+        return self._bounded_edge_ids
+
+    @cached_property
+    def _bounded_edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.graph.edges if not self.graph.is_marked_leaf_edge(e))
 
     @cached_property
@@ -374,6 +379,18 @@ class CombinatorialType(_EdgeDirections):
                   tuple(sorted(_edge_signature(self, e, vid) for e in g.edges_at(vid))))
             for vid in g.unmarked_vertex_ids()
         }
+
+    @cached_property
+    def adjacency(self) -> Mapping[tuple[str, str], tuple]:
+        """The sorted edge signatures of the edges joining each vertex to
+        each neighbour, read from the vertex; isomorphisms preserve it."""
+        g = self.graph
+        out: dict[tuple[str, str], list] = {}
+        for v in g.vertices:
+            for e in g.edges_at(v.id):
+                a, b = e.ends
+                out.setdefault((v.id, b if a == v.id else a), []).append(_edge_signature(self, e, v.id))
+        return {pair: tuple(sorted(sigs)) for pair, sigs in out.items()}
 
     @cached_property
     def marked_edges(self) -> Mapping[str, Edge]:
@@ -455,13 +472,12 @@ def recession_type(t: CombinatorialType) -> RecessionType:
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _lex_positive(u: IntVec) -> bool:
+def _lex_positive(u: IntVec) -> IntVec:
+    """The lexicographically positive one of ±u (u itself when zero)."""
     for x in u:
-        if x > 0:
-            return True
-        if x < 0:
-            return False
-    return False
+        if x:
+            return u if x > 0 else tuple(-y for y in u)
+    return u
 
 
 def canonical_edge_data(graph: TropicalCurve, data: Mapping[str, EdgeMapData]) -> dict[str, EdgeMapData]:
@@ -477,7 +493,7 @@ def canonical_edge_data(graph: TropicalCurve, data: Mapping[str, EdgeMapData]) -
             out[e.id] = d
         elif is_zero_vec(d.u):
             out[e.id] = EdgeMapData(d.u, d.w, min(a, b))
-        elif _lex_positive(d.u):
+        elif _lex_positive(d.u) == d.u:
             out[e.id] = d
         else:
             out[e.id] = d.reversed(e)
@@ -508,6 +524,31 @@ def _edge_signature(t: CombinatorialType, e: Edge, vid: str) -> tuple:
     return (t.edge_data[e.id].w, t.direction_from(e, vid))
 
 
+def _backtrack(n: int, options: Callable[[tuple], Iterable]) -> Iterator[tuple]:
+    """Every tuple of ``n`` choices whose i-th entry is one of
+    ``options(first i choices)``, depth first in the order the options come.
+
+    The search keeps one explicit stack of option iterators, so it recurses
+    through nothing; ``options`` may be lazy, as it is handed a tuple."""
+    if n == 0:
+        yield ()
+        return
+    chosen: tuple = ()
+    stack = [iter(options(chosen))]
+    while stack:
+        try:
+            choice = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+            chosen = chosen[:-1]
+            continue
+        if len(chosen) + 1 == n:
+            yield (*chosen, choice)
+        else:
+            chosen = (*chosen, choice)
+            stack.append(iter(options(chosen)))
+
+
 def decorated_isomorphisms(
     t1: CombinatorialType,
     t2: CombinatorialType,
@@ -519,11 +560,15 @@ def decorated_isomorphisms(
 
     The default ``vertex_ok`` demands equal vertex cones, which types hold
     in canonical form.
-    """
-    if vertex_ok is None:
-        def vertex_ok(v1: str, v2: str) -> bool:
-            return t1.vertex_cones[v1] == t2.vertex_cones[v2]
 
+    One backtracking search runs in two stages.  The finite vertices of t1,
+    by decreasing valence, take the unused vertices of t2 with the same
+    profile and the same adjacency to every vertex mapped so far.  Then the
+    bounded edges of t1, grouped by the images of their ends, take the
+    unused edges of t2 between those images, each with its compatible
+    orientations.  Isomorphisms come out in the lexicographic order of
+    these choices.
+    """
     g1, g2 = t1.graph, t2.graph
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return
@@ -531,132 +576,65 @@ def decorated_isomorphisms(
     labels2 = {m.label: m.vertex for m in g2.markings}
     if set(labels1) != set(labels2):
         return
-
-    vmap: dict[str, str] = {}
-    used: set[str] = set()
-    for label, v1 in labels1.items():
-        v2 = labels2[label]
+    for label in labels1:
         d1 = t1.edge_data[t1.marked_edges[label].id]
         d2 = t2.edge_data[t2.marked_edges[label].id]
         if (d1.u, d1.w) != (d2.u, d2.w):
             return
-        vmap[v1] = v2
-        used.add(v2)
+    marked_vmap = {v1: labels2[label] for label, v1 in labels1.items()}
+    marked_emap = {e1.id: (t2.marked_edges[label].id, False) for label, e1 in t1.marked_edges.items()}
 
     free1 = sorted(g1.unmarked_vertex_ids(), key=lambda v: (-g1.valence(v), v))
-    free2 = set(g2.unmarked_vertex_ids())
+    free2 = sorted(g2.unmarked_vertex_ids())
     profiles1, profiles2 = t1.vertex_profiles, t2.vertex_profiles
+    adjacency1, adjacency2 = t1.adjacency, t2.adjacency
 
-    def edges_between(t: CombinatorialType, a: str, b: str) -> list[Edge]:
-        return [e for e in t.graph.edges_at(a) if set(e.ends) == ({a, b} if a != b else {a})]
-
-    def extend(idx: int) -> Iterator[dict[str, str]]:
-        if idx == len(free1):
-            yield dict(vmap)
-            return
-        v1 = free1[idx]
-        for v2 in sorted(free2 - used):
-            if profiles2[v2] != profiles1[v1] or not vertex_ok(v1, v2):
+    def vertex_options(images: tuple[str, ...]) -> Iterator[str]:
+        v1 = free1[len(images)]
+        mapped = [*marked_vmap.items(), *zip(free1, images)]
+        for v2 in free2:
+            if v2 in images or profiles2[v2] != profiles1[v1]:
                 continue
-            ok = True
-            for u1, u2 in vmap.items():
-                sig1 = sorted(
-                    _edge_signature(t1, e, v1) for e in edges_between(t1, v1, u1)
-                )
-                sig2 = sorted(
-                    _edge_signature(t2, e, v2) for e in edges_between(t2, v2, u2)
-                )
-                if sig1 != sig2:
-                    ok = False
-                    break
-            if not ok:
+            if not (vertex_ok(v1, v2) if vertex_ok else t1.vertex_cones[v1] == t2.vertex_cones[v2]):
                 continue
-            vmap[v1] = v2
-            used.add(v2)
-            yield from extend(idx + 1)
-            del vmap[v1]
-            used.discard(v2)
+            if all(adjacency1.get((v1, u1), ()) == adjacency2.get((v2, u2), ()) for u1, u2 in mapped):
+                yield v2
 
-    for full_vmap in extend(0):
-        yield from _match_edges(t1, t2, full_vmap)
+    targets: dict[tuple[str, ...], list[Edge]] = {}
+    for eid in t2.bounded_edge_ids():
+        e2 = g2.edge(eid)
+        targets.setdefault(tuple(sorted(e2.ends)), []).append(e2)
+    target_sizes = {pair: len(sinks) for pair, sinks in targets.items()}
 
+    # (source edge, its candidate sinks) per bounded edge of t1, group by
+    # group; rebound with the vertex map for each vertex assignment
+    slots: list[tuple[Edge, list[Edge]]] = []
+    vmap: dict[str, str] = {}
 
-def _match_edges(
-    t1: CombinatorialType,
-    t2: CombinatorialType,
-    vmap: dict[str, str],
-) -> Iterator[tuple[dict[str, str], dict[str, tuple[str, bool]]]]:
-    g1, g2 = t1.graph, t2.graph
-    emap = {e1.id: (t2.marked_edges[label].id, False) for label, e1 in t1.marked_edges.items()}
+    def edge_options(images: tuple[tuple[Edge, bool], ...]) -> Iterator[tuple[Edge, bool]]:
+        e1, sinks = slots[len(images)]
+        used = {e2.id for e2, _ in images}
+        d1 = t1.edge_data[e1.id]
+        orientations = ((False, d1), (True, d1.reversed(e1)))
+        for e2 in sinks:
+            d2 = t2.edge_data[e2.id]
+            for flip, d in orientations:
+                # e1 read this way round carries e2's data onto e2's tail
+                if e2.id not in used and (d.u, d.w, vmap[d.tail]) == (d2.u, d2.w, d2.tail):
+                    yield e2, flip
 
-    groups: dict[tuple[str, str], list[Edge]] = {}
-    for e in g1.edges:
-        if g1.is_marked_leaf_edge(e):
+    for images in _backtrack(len(free1), vertex_options):
+        vmap = {**marked_vmap, **dict(zip(free1, images))}
+        groups: dict[tuple[str, ...], list[Edge]] = {}
+        for eid in t1.bounded_edge_ids():
+            e1 = g1.edge(eid)
+            groups.setdefault(tuple(sorted((vmap[e1.ends[0]], vmap[e1.ends[1]]))), []).append(e1)
+        if {pair: len(sources) for pair, sources in groups.items()} != target_sizes:
             continue
-        a, b = sorted((vmap[e.ends[0]], vmap[e.ends[1]]))
-        groups.setdefault((a, b), []).append(e)
-    targets: dict[tuple[str, str], list[Edge]] = {}
-    for e in g2.edges:
-        if g2.is_marked_leaf_edge(e):
-            continue
-        a, b = sorted(e.ends)
-        targets.setdefault((a, b), []).append(e)
-    if set(groups) != set(targets):
-        return
-
-    def candidates(e1: Edge, e2: Edge) -> list[bool]:
-        # possible "reversed" flags sending e1 to e2 compatibly with vmap
-        out = []
-        d1, d2 = t1.edge_data[e1.id], t2.edge_data[e2.id]
-        if d1.w != d2.w:
-            return out
-        a1, b1 = d1.tail, d1.head(e1)
-        neg = d1.reversed(e1).u
-        if e1.ends[0] == e1.ends[1]:
-            if e2.ends[0] != e2.ends[1] or vmap[a1] != e2.ends[0]:
-                return out
-            if d1.u == d2.u:
-                out.append(False)
-            if neg == d2.u:
-                out.append(True)
-            return out  # a contracted loop matches in both orientations
-        if {vmap[a1], vmap[b1]} != set(e2.ends):
-            return out
-        if d2.tail == vmap[a1] and d1.u == d2.u:
-            out.append(False)
-        if d2.tail == vmap[b1] and neg == d2.u:
-            out.append(True)
-        return out
-
-    group_list = sorted(groups)
-
-    def assign(gi: int) -> Iterator[dict[str, tuple[str, bool]]]:
-        if gi == len(group_list):
-            yield dict(emap)
-            return
-        key = group_list[gi]
-        sources = groups[key]
-        sinks = targets.get(key, [])
-        if len(sources) != len(sinks):
-            return
-
-        def match(si: int, remaining: list[Edge]) -> Iterator[None]:
-            if si == len(sources):
-                yield None
-                return
-            e1 = sources[si]
-            for e2 in list(remaining):
-                for flip in candidates(e1, e2):
-                    emap[e1.id] = (e2.id, flip)
-                    rest = [x for x in remaining if x.id != e2.id]
-                    yield from match(si + 1, rest)
-                emap.pop(e1.id, None)
-
-        for _ in match(0, sinks):
-            yield from assign(gi + 1)
-
-    for final_emap in assign(0):
-        yield dict(vmap), final_emap
+        slots = [(e1, targets[pair]) for pair in sorted(groups) for e1 in groups[pair]]
+        for choices in _backtrack(len(slots), edge_options):
+            emap = {e1.id: (e2.id, flip) for (e1, _), (e2, flip) in zip(slots, choices)}
+            yield dict(vmap), {**marked_emap, **emap}
 
 
 def type_automorphisms(t: CombinatorialType) -> list[TypeAutomorphism]:

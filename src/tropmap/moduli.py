@@ -41,6 +41,7 @@ from .maps import (
     CombinatorialType,
     EdgeMapData,
     TropicalStableMap,
+    _lex_positive,
     canonical_type,
     combinatorial_type,
     decorated_isomorphisms,
@@ -447,7 +448,7 @@ def _signature(d: EdgeMapData) -> tuple:
     """What every decorated isomorphism keeps of a bounded edge, and
     contraction of other edges leaves unchanged: its weight and its
     direction up to sign."""
-    return d.w, max(d.u, tuple(-x for x in d.u))
+    return d.w, _lex_positive(d.u)
 
 
 def _legs(t: CombinatorialType) -> dict[str, tuple]:

@@ -45,12 +45,13 @@ from .exactgeom import (
 from .maps import (
     EdgeMapData,
     TropicalStableMap,
+    _lex_positive,
     canonical_map,
+    make_type,
     stable_map,
     validate_map,
 )
 from .moduli import AffineFn, Family, affine, evaluate_family, limit_of_family, make_family
-from .maps import make_type
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +149,7 @@ class HyperplaneFlat:
 def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
     if all(x == 0 for x in vec):
         return None
-    rep = primitive(vec)
-    for x in rep:
-        if x > 0:
-            return rep
-        if x < 0:
-            return tuple(-y for y in rep)
-    return rep
+    return _lex_positive(primitive(vec))
 
 
 def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> Arrangement:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from tropmap import INF, affine, combinatorial_type, make_family, stable_map, validate_map
 from tropmap.curves import Edge, Marking, Vertex, tropical_curve
 from tropmap.exactgeom import auto_rays_fan, complete_orthant_fan, primitive, vector_content
-from tropmap.maps import EdgeMapData
+from tropmap.maps import CombinatorialType, EdgeMapData, make_type
 
 
 def build_map(ambient, vertices, bounded, rays, positions):
@@ -319,3 +319,55 @@ def random_shrinking_family(rng: random.Random):
         shrink = {eid for eid in ids if rng.random() < 0.5} or {rng.choice(ids)}
         lengths = {eid: affine(1, -1) if eid in shrink else affine(1) for eid in ids}
     return make_family(combinatorial_type(m), lengths), shrink
+
+
+def random_decorated_type(rng: random.Random) -> CombinatorialType:
+    """A random type built for symmetry rather than balance: few directions,
+    parallel edges, two or three contracted loops at one vertex, contracted
+    bounded edges, vertex genera and marked legs."""
+    directions = [(1, 0), (0, 1), (-1, -1), (0, 0)]
+    ids = [f"v{i}" for i in range(rng.randint(1, 4))]
+    vertices = [Vertex(v, rng.randint(0, 1)) for v in ids]
+    edges, data, markings = [], {}, []
+
+    def add(a, b, u, length=Fraction(1)):
+        eid = f"e{len(edges)}"
+        edges.append(Edge(eid, (a, b), length))
+        data[eid] = EdgeMapData(u, rng.randint(1, 2) if any(u) and a != b else 0, a)
+
+    pairs = [(ids[rng.randrange(i)], ids[i]) for i in range(1, len(ids))]
+    pairs += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2)) if len(ids) > 1]
+    for a, b in pairs:
+        u = rng.choice(directions)
+        for _ in range(rng.choice((1, 1, 2))):
+            add(a, b, u)
+    hub = rng.choice(ids)
+    for _ in range(rng.randint(2, 3)):
+        add(hub, hub, (0, 0))
+    for k in range(rng.randint(0, 3)):
+        at, leaf = rng.choice(ids), f"inf:{k}"
+        vertices.append(Vertex(leaf))
+        add(at, leaf, rng.choice(directions[:3]), INF)
+        markings.append(Marking(f"p{k}", leaf))
+    fan = auto_rays_fan(2, [], embedded=True)
+    return make_type(tropical_curve(vertices, edges, markings), fan, data)
+
+
+def relabeled_type(t: CombinatorialType, rng: random.Random) -> CombinatorialType:
+    """``t`` with its vertices and edges renamed in a random order and some
+    bounded edges reversed; marking labels are kept."""
+    g = t.graph
+    vnames = {v.id: f"w{i}" for i, v in enumerate(rng.sample(g.vertices, len(g.vertices)))}
+    enames = {e.id: f"f{i}" for i, e in enumerate(rng.sample(g.edges, len(g.edges)))}
+    data = {}
+    for e in g.edges:
+        d = t.edge_data[e.id]
+        if not g.is_marked_leaf_edge(e) and rng.random() < 0.5:
+            d = d.reversed(e)
+        data[enames[e.id]] = EdgeMapData(d.u, d.w, vnames[d.tail])
+    graph = tropical_curve(
+        [Vertex(vnames[v.id], v.genus) for v in g.vertices],
+        [Edge(enames[e.id], tuple(vnames[x] for x in e.ends), e.length) for e in g.edges],
+        [Marking(m.label, vnames[m.vertex]) for m in g.markings],
+    )
+    return CombinatorialType(graph, t.fan, {vnames[v]: c for v, c in t.vertex_cones.items()}, data)

@@ -11,7 +11,10 @@ where the library reads them off canonical ray sets.  Edge contraction
 rebuilds the curve once per contracted edge, where the library contracts a
 set of edges in one pass.  The face search contracts every edge subset of
 the right size, where the library tries only the subsets whose edge
-weights and directions can match.
+weights and directions can match.  Decorated isomorphisms come from the
+two recursive searches (vertices, then edges) that the library replaced by
+one explicit-stack search; they pin its output order, and the face search
+uses them, so it shares no search code with the library.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from tropmap.curves import Edge, TropicalCurve, Vertex, tropical_curve
 from tropmap.exactgeom import (
@@ -33,7 +36,7 @@ from tropmap.exactgeom import (
     vector_content,
     zero_cone,
 )
-from tropmap.maps import CombinatorialType, canonical_type, decorated_isomorphisms
+from tropmap.maps import CombinatorialType, _edge_signature, canonical_type
 from tropmap.moduli import MAX_FACE_SEARCH_EDGES, FaceWitness, _contract_with_map
 
 
@@ -568,7 +571,161 @@ def ref_is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWi
                 if old in tb.vertex_cones
             )
 
-        for c_vmap, c_emap in decorated_isomorphisms(tc, ta, vertex_ok=vertex_ok):
+        for c_vmap, c_emap in ref_decorated_isomorphisms(tc, ta, vertex_ok=vertex_ok):
             full_vmap = {old: c_vmap[new] for old, new in vmap.items() if new in c_vmap}
             return FaceWitness(tuple(sorted(subset)), full_vmap, c_emap)
     return None
+
+
+def ref_decorated_isomorphisms(
+    t1: CombinatorialType,
+    t2: CombinatorialType,
+    vertex_ok: Optional[Callable[[str, str], bool]] = None,
+) -> Iterator[tuple[dict[str, str], dict[str, tuple[str, bool]]]]:
+    """Recursive reference for ``maps.decorated_isomorphisms``: one
+    recursion over the vertices, then one over the edges of each vertex map.
+
+    All isomorphisms graph(t1) -> graph(t2) fixing markings pointwise and
+    preserving genus, weights, directions up to reorientation (a reversed
+    edge negates its direction), and — via ``vertex_ok`` — the vertex cones.
+
+    The default ``vertex_ok`` demands equal vertex cones, which types hold
+    in canonical form.
+    """
+    if vertex_ok is None:
+        def vertex_ok(v1: str, v2: str) -> bool:
+            return t1.vertex_cones[v1] == t2.vertex_cones[v2]
+
+    g1, g2 = t1.graph, t2.graph
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return
+    labels1 = {m.label: m.vertex for m in g1.markings}
+    labels2 = {m.label: m.vertex for m in g2.markings}
+    if set(labels1) != set(labels2):
+        return
+
+    vmap: dict[str, str] = {}
+    used: set[str] = set()
+    for label, v1 in labels1.items():
+        v2 = labels2[label]
+        d1 = t1.edge_data[t1.marked_edges[label].id]
+        d2 = t2.edge_data[t2.marked_edges[label].id]
+        if (d1.u, d1.w) != (d2.u, d2.w):
+            return
+        vmap[v1] = v2
+        used.add(v2)
+
+    free1 = sorted(g1.unmarked_vertex_ids(), key=lambda v: (-g1.valence(v), v))
+    free2 = set(g2.unmarked_vertex_ids())
+    profiles1, profiles2 = t1.vertex_profiles, t2.vertex_profiles
+
+    def edges_between(t: CombinatorialType, a: str, b: str) -> list[Edge]:
+        return [e for e in t.graph.edges_at(a) if set(e.ends) == ({a, b} if a != b else {a})]
+
+    def extend(idx: int) -> Iterator[dict[str, str]]:
+        if idx == len(free1):
+            yield dict(vmap)
+            return
+        v1 = free1[idx]
+        for v2 in sorted(free2 - used):
+            if profiles2[v2] != profiles1[v1] or not vertex_ok(v1, v2):
+                continue
+            ok = True
+            for u1, u2 in vmap.items():
+                sig1 = sorted(
+                    _edge_signature(t1, e, v1) for e in edges_between(t1, v1, u1)
+                )
+                sig2 = sorted(
+                    _edge_signature(t2, e, v2) for e in edges_between(t2, v2, u2)
+                )
+                if sig1 != sig2:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            vmap[v1] = v2
+            used.add(v2)
+            yield from extend(idx + 1)
+            del vmap[v1]
+            used.discard(v2)
+
+    for full_vmap in extend(0):
+        yield from _ref_match_edges(t1, t2, full_vmap)
+
+
+def _ref_match_edges(
+    t1: CombinatorialType,
+    t2: CombinatorialType,
+    vmap: dict[str, str],
+) -> Iterator[tuple[dict[str, str], dict[str, tuple[str, bool]]]]:
+    g1, g2 = t1.graph, t2.graph
+    emap = {e1.id: (t2.marked_edges[label].id, False) for label, e1 in t1.marked_edges.items()}
+
+    groups: dict[tuple[str, str], list[Edge]] = {}
+    for e in g1.edges:
+        if g1.is_marked_leaf_edge(e):
+            continue
+        a, b = sorted((vmap[e.ends[0]], vmap[e.ends[1]]))
+        groups.setdefault((a, b), []).append(e)
+    targets: dict[tuple[str, str], list[Edge]] = {}
+    for e in g2.edges:
+        if g2.is_marked_leaf_edge(e):
+            continue
+        a, b = sorted(e.ends)
+        targets.setdefault((a, b), []).append(e)
+    if set(groups) != set(targets):
+        return
+
+    def candidates(e1: Edge, e2: Edge) -> list[bool]:
+        # possible "reversed" flags sending e1 to e2 compatibly with vmap
+        out = []
+        d1, d2 = t1.edge_data[e1.id], t2.edge_data[e2.id]
+        if d1.w != d2.w:
+            return out
+        a1, b1 = d1.tail, d1.head(e1)
+        neg = d1.reversed(e1).u
+        if e1.ends[0] == e1.ends[1]:
+            if e2.ends[0] != e2.ends[1] or vmap[a1] != e2.ends[0]:
+                return out
+            if d1.u == d2.u:
+                out.append(False)
+            if neg == d2.u:
+                out.append(True)
+            return out  # a contracted loop matches in both orientations
+        if {vmap[a1], vmap[b1]} != set(e2.ends):
+            return out
+        if d2.tail == vmap[a1] and d1.u == d2.u:
+            out.append(False)
+        if d2.tail == vmap[b1] and neg == d2.u:
+            out.append(True)
+        return out
+
+    group_list = sorted(groups)
+
+    def assign(gi: int) -> Iterator[dict[str, tuple[str, bool]]]:
+        if gi == len(group_list):
+            yield dict(emap)
+            return
+        key = group_list[gi]
+        sources = groups[key]
+        sinks = targets.get(key, [])
+        if len(sources) != len(sinks):
+            return
+
+        def match(si: int, remaining: list[Edge]) -> Iterator[None]:
+            if si == len(sources):
+                yield None
+                return
+            e1 = sources[si]
+            for e2 in list(remaining):
+                for flip in candidates(e1, e2):
+                    emap[e1.id] = (e2.id, flip)
+                    rest = [x for x in remaining if x.id != e2.id]
+                    yield from match(si + 1, rest)
+                emap.pop(e1.id, None)
+
+        for _ in match(0, sinks):
+            yield from assign(gi + 1)
+
+    for final_emap in assign(0):
+        yield dict(vmap), final_emap

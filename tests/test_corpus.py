@@ -1,5 +1,6 @@
-"""Byte-for-byte identity of CLI outputs on the recorded corpus, and no
-floating point anywhere in the package."""
+"""Byte-for-byte identity of CLI outputs on the recorded corpus, and
+source rules for the package: no floating point, no unreferenced
+definition, no nested function that names itself or a sibling."""
 
 import ast
 import json
@@ -63,3 +64,34 @@ def test_every_top_level_definition_has_a_reference():
         if all(node in own for node in referenced.get(definition.name, [])):
             unused.append(f"{path.name}:{definition.lineno} {definition.name}")
     assert unused == []
+
+
+def _scope_functions(node: ast.AST) -> list[ast.AST]:
+    """The functions defined in the scope of ``node``, not inside a nested
+    function, lambda or class."""
+    out, stack = [], list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(child)
+        elif not isinstance(child, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(child))
+    return out
+
+
+def test_no_nested_function_names_itself_or_a_sibling():
+    """A nested function that names itself holds its own closure cell: a
+    reference cycle that keeps everything the call touched alive until the
+    cycle collector runs.  Two siblings that name each other do the same.
+    Searches keep an explicit stack instead."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nested = _scope_functions(outer)
+            names = {f.name for f in nested}
+            for f in nested:
+                named = {n.id for n in ast.walk(f) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                offenders += [f"{path.name}:{f.lineno} {f.name} names {name}" for name in sorted(named & names)]
+    assert offenders == []

@@ -1,5 +1,8 @@
-"""Maps: axiom validation, types, automorphisms, stars."""
+"""Maps: axiom validation, types, automorphisms, the isomorphism search,
+stars."""
 
+import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +18,22 @@ from tropmap import (
     validate_map,
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
-from tropmap.exactgeom import build_fan, cone, zero_cone
-from tropmap.gallery import square_loop
-from tropmap.maps import EdgeMapData, make_type
+from tropmap.exactgeom import build_fan, cone, cone_is_face, zero_cone
+from tropmap.gallery import GALLERY_NAMES, gallery_map, square_loop
+from tropmap.maps import EdgeMapData, canonical_type, decorated_isomorphisms, make_type
+from tropmap.moduli import _contract_with_map, is_face, limit_of_family
+from tropmap.wellspaced import build_figure1_family
 
-from builders import build_map, parallel_pair, path_two_vertices, three_rays
-from oracles import exhaustive_automorphisms
+import face_witnesses
+from builders import (
+    build_map,
+    parallel_pair,
+    path_two_vertices,
+    random_decorated_type,
+    relabeled_type,
+    three_rays,
+)
+from oracles import exhaustive_automorphisms, ref_decorated_isomorphisms
 
 
 class TestValidate:
@@ -300,6 +313,100 @@ class TestAutomorphisms:
                     ecomp[e] = (g, flip1 != flip2)
                 key = (tuple(sorted(vcomp.items())), tuple(sorted(ecomp.items())))
                 assert key in keys
+
+
+def _same_search(t1, t2, vertex_ok=None):
+    """Both searches yield the same isomorphisms in the same order, dict
+    order included; returns how many."""
+    got = [(list(v.items()), list(e.items())) for v, e in decorated_isomorphisms(t1, t2, vertex_ok)]
+    want = [(list(v.items()), list(e.items())) for v, e in ref_decorated_isomorphisms(t1, t2, vertex_ok)]
+    assert got == want
+    return len(got)
+
+
+def _face_vertex_ok(ta, tb, classes):
+    """``is_face``'s vertex test for the contraction of ``tb`` with these
+    vertex classes onto ``ta``."""
+    return lambda vc, va: all(
+        cone_is_face(ta.vertex_cones[va], tb.vertex_cones[old]) for old in classes[vc] if old in tb.vertex_cones
+    )
+
+
+class TestIsomorphismOrder:
+    """``decorated_isomorphisms`` yields exactly the sequence of the two
+    recursive searches it replaced (``oracles.ref_decorated_isomorphisms``)."""
+
+    def test_face_witness_families(self):
+        rng = random.Random(0)
+        for name, fam in face_witnesses.families().items():
+            big = canonical_type(fam.type)
+            limit = canonical_type(limit_of_family(fam, 1).type)
+            for t in (big, limit):
+                assert _same_search(t, t) >= 1, name
+                assert _same_search(t, relabeled_type(t, rng)) >= 1, name
+            w = is_face(limit, big)
+            tc, _, classes = _contract_with_map(big, w.contracted_edges)
+            assert _same_search(tc, limit, _face_vertex_ok(limit, big, classes)) >= 1, name
+            assert _same_search(limit, big) == 0
+
+    def test_gallery_types(self):
+        rng = random.Random(1)
+        for name in GALLERY_NAMES:
+            t = combinatorial_type(gallery_map(name))
+            for other in (t, canonical_type(t), relabeled_type(t, rng)):
+                assert _same_search(t, other) >= 1, name
+
+    def test_random_types_and_relabeled_copies(self):
+        total = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            t = random_decorated_type(rng)
+            for other in (t, relabeled_type(t, rng), canonical_type(t), random_decorated_type(rng)):
+                total += _same_search(t, other)
+                total += _same_search(t, other, lambda v1, v2: (ord(v1[-1]) + ord(v2[-1])) % 3 != 0)
+        assert total > 10_000
+
+    def test_loops_at_one_vertex_permute_and_flip(self):
+        types = (random_decorated_type(random.Random(seed)) for seed in range(50))
+        t = next(t for t in types if sum(e.ends[0] == e.ends[1] for e in t.graph.edges) == 3)
+        auts = type_automorphisms(t)
+        assert len(auts) % 48 == 0  # 3! orders times 2^3 orientations
+        assert len(auts) == _same_search(canonical_type(t), canonical_type(t))
+
+
+def test_the_search_leaves_no_garbage():
+    """The search holds no reference cycle, so a face search and an
+    automorphism count free everything without the cycle collector (the
+    recursive closures it replaced left hundreds of objects)."""
+    fam = build_figure1_family(3)
+    limit = limit_of_family(fam, 1).type
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_face(limit, fam.type) is not None
+        assert gc.collect() == 0
+        assert len(type_automorphisms(fam.type)) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_bounded_edge_ids_are_computed_once():
+    t = combinatorial_type(square_loop())
+    assert t.bounded_edge_ids() is t.bounded_edge_ids()
+    assert t.bounded_edge_ids() == ("s0", "s1", "s2", "s3")
+
+
+def test_adjacency_reads_edge_signatures_from_the_vertex():
+    t = combinatorial_type(parallel_pair())
+    assert t.adjacency[("A", "B")] == ((1, (1, 0)), (1, (1, 0)))
+    assert set(t.adjacency) == {(v, u) for e in t.graph.edges for v, u in (e.ends, e.ends[::-1])}
+    for (v, u), sigs in t.adjacency.items():
+        assert sigs == tuple(sorted(
+            (t.edge_data[e.id].w, t.direction_from(e, v))
+            for e in t.graph.edges_at(v) if set(e.ends) == {v, u}
+        ))
+        assert sorted((w, tuple(-x for x in d)) for w, d in t.adjacency[(u, v)]) == list(sigs)
 
 
 class TestStar:
