@@ -15,7 +15,6 @@ import functools
 import hashlib
 import os
 import sys
-from fractions import Fraction
 
 from . import documents, gallery, plot
 from .curves import curve_lints
@@ -23,7 +22,6 @@ from .documents import Document, DocumentError, dumps, serialize_document
 from .exactgeom import auto_rays_fan, complete_orthant_fan, format_rational, parse_rational
 from .maps import combinatorial_type, star, stable_map, validate_map
 from .moduli import (
-    InfeasibleCone,
     cone_metrics,
     limit_of_family,
     moduli_cone,
@@ -88,14 +86,18 @@ class _Io:
         return EXIT_INPUT_ERROR
 
 
-def _load(io: _Io, path, kind: str, name: str = "input"):
-    text = io.read(path, name)
-    result = documents.load_document(text)
+def _read_document(io: _Io, path, name: str = "input") -> Document:
+    result = documents.load_document(io.read(path, name))
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if result.document.kind != kind:
-        raise DocumentError("", f"expected a {kind} document, got {result.document.kind}")
-    return result.document.payload
+    return result.document
+
+
+def _load(io: _Io, path, kind: str, name: str = "input"):
+    doc = _read_document(io, path, name)
+    if doc.kind != kind:
+        raise DocumentError("", f"expected a {kind} document, got {doc.kind}")
+    return doc.payload
 
 
 def _apply_fan_choice(m, choice: str | None, io: _Io):
@@ -175,11 +177,7 @@ def _cmd_type(args, io: _Io) -> int:
 
 
 def _require_type(io: _Io, args):
-    text = io.read(args.path)
-    result = documents.load_document(text)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    doc = result.document
+    doc = _read_document(io, args.path)
     if doc.kind == "map":
         m = _apply_fan_choice(doc.payload, args.fan, io)
         return combinatorial_type(m)
@@ -195,10 +193,7 @@ def _cmd_cone(args, io: _Io) -> int:
     results = _cone_json(mc, metrics)
     if args.sample:
         seed = int(os.environ.get("TROPMAP_SEED", args.seed))
-        try:
-            results["sample"] = documents.map_json(sample_interior(mc, seed))
-        except InfeasibleCone as exc:
-            raise DocumentError("", str(exc)) from None
+        results["sample"] = documents.map_json(sample_interior(mc, seed))
     summary = (
         f"dim={metrics.dim} expected={metrics.expected_dim} "
         f"superabundant={str(metrics.superabundant).lower()}"
@@ -248,11 +243,7 @@ def _cmd_verdict(args, io: _Io) -> int:
 
 def _cmd_limit(args, io: _Io) -> int:
     fam = _load(io, args.path, "family")
-    t = _parse_cli_rational(args.t)
-    try:
-        limit = limit_of_family(fam, t)
-    except ValueError as exc:
-        raise DocumentError("", str(exc)) from None
+    limit = limit_of_family(fam, parse_rational(args.t))
     results = {
         "t": format_rational(limit.t),
         "contracted": list(limit.contracted_edges),
@@ -268,20 +259,13 @@ def _cmd_limit(args, io: _Io) -> int:
 
 def _cmd_star(args, io: _Io) -> int:
     m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
-    try:
-        result = star(m, args.vertex)
-    except ValueError as exc:
-        raise DocumentError("", str(exc)) from None
+    result = star(m, args.vertex)
     return io.report("star", _doc_result("map", result), EXIT_OK, f"star at {args.vertex}")
 
 
 def _cmd_hat(args, io: _Io) -> int:
     m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
-    t = _parse_cli_rational(args.t)
-    try:
-        result = hat_curve(m, t)
-    except ValueError as exc:
-        raise DocumentError("", str(exc)) from None
+    result = hat_curve(m, parse_rational(args.t))
     return io.report("hat", _doc_result("map", result), EXIT_OK, f"hat with loop length {args.t}")
 
 
@@ -295,7 +279,7 @@ def _cmd_example(args, io: _Io) -> int:
         sys.stdout.write(serialize_document(doc, io.pretty))
         print(f"example figure1 family (n={args.n})", file=sys.stderr)
         return EXIT_OK
-    t = _parse_cli_rational(args.t) if args.t is not None else None
+    t = parse_rational(args.t) if args.t is not None else None
     m = gallery.gallery_map(name, n=args.n, t=t)
     doc = Document("map", m)
     sys.stdout.write(serialize_document(doc, io.pretty))
@@ -305,21 +289,11 @@ def _cmd_example(args, io: _Io) -> int:
 
 def _cmd_plot(args, io: _Io) -> int:
     m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
-    try:
-        i, j = (int(x) for x in args.axes.split(","))
-        svg = plot.render_svg(m, (i, j), radius=_parse_cli_rational(args.radius))
-    except ValueError as exc:
-        raise DocumentError("", str(exc)) from None
+    i, j = (int(x) for x in args.axes.split(","))
+    svg = plot.render_svg(m, (i, j), radius=parse_rational(args.radius))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return io.report("plot", {"out": args.out, "axes": [i, j]}, EXIT_OK, f"wrote {args.out}")
-
-
-def _parse_cli_rational(text) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise DocumentError("", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ and runs fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
 1968), so the per-map layers, which hold each map at one common
 denominator, compute on integers throughout and build a ``Fraction`` only
 for a result that leaves them.  Cones are stored by their generating rays
-only, and membership questions are answered by solving the non-negative
-combination problem exactly with an integer-preserving phase-one simplex
-(:func:`solve_nonneg`), the LP counterpart of that elimination: every row of
-the LP is scaled by one common denominator, and the tableau is kept in ints
-as T = d * R, with R the rational tableau and d > 0 the last pivot.  The
-denominator is common to all rows because Bland's rule reads sums of rows,
-so each pivot, and each witness, is the one the rational simplex would
-choose.  Faces, intersections and point locations are read off canonical
-ray sets (sorted primitive extreme rays), with one common-face LP deciding
-whether two cones meet in a face of both.
+only, and every cone question (membership, pointedness, whether two cones
+meet in a common face) is one non-negative combination problem, solved
+exactly by an integer-preserving phase-one simplex (:func:`solve_nonneg`),
+the only LP in the package and the LP counterpart of that elimination:
+every row of the LP is scaled by one common denominator, and the tableau
+is kept in ints as T = d * R, with R the rational tableau and d > 0 the
+last pivot.  The denominator is common to all rows because Bland's rule
+reads sums of rows, so each pivot, and each witness, is the one the
+rational simplex would choose.  Faces, intersections and point locations
+are read off canonical ray sets (sorted primitive extreme rays), with one
+common-face LP deciding whether two cones meet in a face of both.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ def ratvec(values: Iterable) -> RatVec:
 
 def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> RatVec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> RatVec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vscale(c, a: Sequence) -> RatVec:
@@ -174,12 +171,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals.  The empty matrix has rank 0."""
     return len(_eliminate(rows)[1])
-
-
-def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
 
 
 def _kernel(rows: Sequence[Sequence], ncols: Optional[int]) -> tuple[list[IntVec], int]:
@@ -295,69 +286,6 @@ def solve_nonneg(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     return y
 
 
-def lp_feasible(
-    num_vars: int,
-    eqs: Sequence[tuple[Sequence, object]] = (),
-    geqs: Sequence[tuple[Sequence, object]] = (),
-    nonneg: Iterable[int] = (),
-) -> Optional[list[Fraction]]:
-    """Exact feasibility of {eqs hold, geqs hold, x_i >= 0 for i in nonneg}.
-
-    ``eqs`` and ``geqs`` are (coefficients, rhs) pairs meaning c.x = rhs and
-    c.x >= rhs.  Variables not listed in ``nonneg`` are free.  Returns a
-    witness or None.
-    """
-    nonneg_set = set(nonneg)
-    cols: list[tuple[int, Optional[int]]] = []
-    ncols = 0
-    for v in range(num_vars):
-        if v in nonneg_set:
-            cols.append((ncols, None))
-            ncols += 1
-        else:
-            cols.append((ncols, ncols + 1))
-            ncols += 2
-    slack_base = ncols
-    ncols += len(geqs)
-
-    a_rows: list[list] = []
-    rhs: list = []
-
-    def emit(coeffs, b, slack_idx=None):
-        row = [0] * ncols
-        for v, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            c = _exact(c)
-            pos, neg = cols[v]
-            row[pos] += c
-            if neg is not None:
-                row[neg] -= c
-        if slack_idx is not None:
-            row[slack_base + slack_idx] = -1
-        a_rows.append(row)
-        rhs.append(_exact(b))
-
-    for coeffs, b in eqs:
-        emit(coeffs, b)
-    for k, (coeffs, b) in enumerate(geqs):
-        emit(coeffs, b, slack_idx=k)
-
-    if not a_rows:
-        return [ZERO] * num_vars
-    y = solve_nonneg(a_rows, rhs)
-    if y is None:
-        return None
-    out = []
-    for v in range(num_vars):
-        pos, neg = cols[v]
-        val = y[pos]
-        if neg is not None:
-            val -= y[neg]
-        out.append(val)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cones
 
@@ -396,22 +324,19 @@ def cone_contains(c: Cone, p: Sequence[Fraction]) -> bool:
         raise ValueError(f"point of length {len(p)} in ambient dimension {c.ambient_dim}")
     if not c.rays:
         return is_zero_vec(p)
-    k = len(c.rays)
-    eqs = [([c.rays[i][coord] for i in range(k)], p[coord]) for coord in range(c.ambient_dim)]
-    return lp_feasible(k, eqs=eqs, nonneg=range(k)) is not None
+    return solve_nonneg([list(col) for col in zip(*c.rays)], p) is not None
 
 
 def cone_is_pointed(c: Cone) -> bool:
     """Pointed (no line through the origin): the rays admit no nonzero
-    non-negative dependence."""
+    non-negative dependence, which may be scaled to total weight 1."""
     if not c.rays:
         return True
     if len(c.rays) == 1:  # one ray depends on itself only when it is zero
         return any(c.rays[0])
-    k = len(c.rays)
-    eqs = [([c.rays[i][coord] for i in range(k)], 0) for coord in range(c.ambient_dim)]
-    geqs = [([1] * k, 1)]
-    return lp_feasible(k, eqs=eqs, geqs=geqs, nonneg=range(k)) is None
+    rows = [list(col) for col in zip(*c.rays)]
+    rows.append([1] * len(c.rays))
+    return solve_nonneg(rows, [0] * c.ambient_dim + [1]) is None
 
 
 def canonical_cone(c: Cone) -> Cone:
@@ -438,16 +363,25 @@ def _common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
     both, else None.
 
     The rays the cones share span their common face exactly when one
-    covector vanishes on those rays, is <= -1 on the other rays of ``c1``
-    and >= 1 on the other rays of ``c2``; the cone on the shared rays is
-    then the intersection.
+    covector x vanishes on those rays, has x.r <= -1 on the other rays of
+    ``c1`` and x.r >= 1 on the other rays of ``c2``; the cone on the shared
+    rays is then the intersection.  By Farkas' lemma in Motzkin's form
+    (Schrijver, *Theory of Linear and Integer Programming*, 7.8) no such x
+    exists iff there are mu >= 0 on the rays of ``c1`` and nu >= 0 on those
+    of ``c2`` with sum mu_r r = sum nu_r r and total weight 1 on the rays
+    that are not shared (a shared ray carries mu_r - nu_r, of either sign).
+    That is one non-negative combination problem over the rays of ``c1``
+    and the negated rays of ``c2``.  When every ray is shared the cones are
+    equal and need no LP.
     """
-    in_c2 = set(c2.rays)
+    in_c1, in_c2 = set(c1.rays), set(c2.rays)
     shared = tuple(r for r in c1.rays if r in in_c2)
-    eqs = [(r, 0) for r in shared]
-    geqs = [([-x for x in r], 1) for r in c1.rays if r not in in_c2]
-    geqs += [(r, 1) for r in c2.rays if r not in shared]
-    if lp_feasible(c1.ambient_dim, eqs=eqs, geqs=geqs) is None:
+    if len(shared) == len(c1.rays) == len(c2.rays):
+        return c1
+    columns = [*c1.rays, *([-x for x in r] for r in c2.rays)]
+    rows = [list(coord) for coord in zip(*columns)]
+    rows.append([int(r not in in_c2) for r in c1.rays] + [int(r not in in_c1) for r in c2.rays])
+    if solve_nonneg(rows, [0] * c1.ambient_dim + [1]) is not None:
         return None
     return Cone(c1.ambient_dim, shared)
 

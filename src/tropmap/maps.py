@@ -195,6 +195,11 @@ def _edge_data_diagnostics(c: TropicalCurve, edge_data: Mapping[str, EdgeMapData
     return diags
 
 
+# The prefix of the stability diagnostic, which callers that allow
+# 2-valent vertices (interior samples, family members) drop by exact match.
+STABILITY_VIOLATED = "stability violated at 2-valent vertex "
+
+
 def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> list[str]:
     """Diagnostics for the map axioms and (optionally) fixed discrete data.
 
@@ -251,7 +256,7 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
         if m.curve.valence(vid) != 2:
             continue
         if _star_in_single_cone_interior(m, vid):
-            diags.append(f"stability violated at 2-valent vertex {vid}")
+            diags.append(f"{STABILITY_VIOLATED}{vid}")
 
     # position membership in the fan support
     if not m.fan.embedded:

@@ -38,6 +38,7 @@ from .exactgeom import (
     vscale,
 )
 from .maps import (
+    STABILITY_VIOLATED,
     CombinatorialType,
     EdgeMapData,
     TropicalStableMap,
@@ -742,7 +743,7 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
     else:
         positions, lengths = _strict_point(t, _vertex_rays(t), mc.support_point)
     m = _map_from_lengths(t, lengths, positions)
-    diags = [d for d in validate_map(m) if "stability" not in d]
+    diags = [d for d in validate_map(m) if not d.startswith(STABILITY_VIOLATED)]
     if diags:
         raise InfeasibleCone(f"sampled point does not realize the type: {diags[0]}")
     if not t.fan.embedded and canonical_type(combinatorial_type(m)) != canonical_type(t):

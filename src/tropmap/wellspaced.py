@@ -43,6 +43,7 @@ from .exactgeom import (
     vdot,
 )
 from .maps import (
+    STABILITY_VIOLATED,
     EdgeMapData,
     TropicalStableMap,
     _lex_positive,
@@ -637,7 +638,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
         raise CertificateError("family limit at t = 1 differs from the given map")
     for t in _PROBES:
         member = evaluate_family(fam, t)
-        member_diags = [d for d in validate_map(member) if "stability" not in d]
+        member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
         if member_diags:
             raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
         # members are validated above with stability waived, as families

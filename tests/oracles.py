@@ -5,7 +5,10 @@ fraction-free Bareiss elimination on integer matrices (and the library's
 fraction-free echelon forms are checked against plain Fraction elimination), flats by brute-force
 closure of every subset, automorphisms by exhaustive permutation search over
 raw adjacency data, and non-negative linear systems by a phase-one simplex
-over Fractions.  The cone and fan references decide faces,
+over Fractions.  General linear systems (free variables, inequalities)
+reach that simplex through a front end, :func:`ref_lp_feasible`, where the
+library poses each cone question as a non-negative combination problem.
+The cone and fan references decide faces,
 intersections and locations by LP membership tests of every ray and point,
 where the library reads them off canonical ray sets.  Edge contraction
 rebuilds the curve once per contracted edge, where the library contracts a
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from tropmap.curves import Edge, TropicalCurve, Vertex, tropical_curve
 from tropmap.exactgeom import (
@@ -31,7 +34,6 @@ from tropmap.exactgeom import (
     cone_contains,
     cone_is_face,
     cone_is_pointed,
-    lp_feasible,
     ratvec,
     vector_content,
     zero_cone,
@@ -390,6 +392,75 @@ def ref_solve_nonneg(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fractio
     return y
 
 
+def ref_lp_feasible(
+    num_vars: int,
+    eqs: Sequence[tuple[Sequence, object]] = (),
+    geqs: Sequence[tuple[Sequence, object]] = (),
+    nonneg: Iterable[int] = (),
+) -> Optional[list[Fraction]]:
+    """Exact feasibility of {eqs hold, geqs hold, x_i >= 0 for i in nonneg}.
+
+    ``eqs`` and ``geqs`` are (coefficients, rhs) pairs meaning c.x = rhs and
+    c.x >= rhs.  Variables not listed in ``nonneg`` are free.  Returns a
+    witness or None.  Each free variable is split into two non-negative
+    halves and each inequality gets one slack column, and the result is
+    solved by :func:`ref_solve_nonneg`.
+    """
+    nonneg_set = set(nonneg)
+    cols: list[tuple[int, Optional[int]]] = []
+    ncols = 0
+    for v in range(num_vars):
+        if v in nonneg_set:
+            cols.append((ncols, None))
+            ncols += 1
+        else:
+            cols.append((ncols, ncols + 1))
+            ncols += 2
+    slack_base = ncols
+    ncols += len(geqs)
+
+    a_rows: list[list] = []
+    rhs: list = []
+
+    def emit(coeffs, b, slack_idx=None):
+        row = [0] * ncols
+        for v, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            c = _exact(c)
+            pos, neg = cols[v]
+            row[pos] += c
+            if neg is not None:
+                row[neg] -= c
+        if slack_idx is not None:
+            row[slack_base + slack_idx] = -1
+        a_rows.append(row)
+        rhs.append(_exact(b))
+
+    for coeffs, b in eqs:
+        emit(coeffs, b)
+    for k, (coeffs, b) in enumerate(geqs):
+        emit(coeffs, b, slack_idx=k)
+
+    if not a_rows:
+        return [ZERO] * num_vars
+    y = ref_solve_nonneg(a_rows, rhs)
+    if y is None:
+        return None
+    out = []
+    for v in range(num_vars):
+        pos, neg = cols[v]
+        val = y[pos]
+        if neg is not None:
+            val -= y[neg]
+        out.append(val)
+    return out
+
+
+def _exact(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _contains_cone(big, small) -> bool:
     return all(cone_contains(big, ratvec(r)) for r in small.rays)
 
@@ -398,7 +469,7 @@ def _face_functional_exists(ambient, zero_rays, pos_rays) -> bool:
     # a covector vanishing on zero_rays and >= 1 on pos_rays
     eqs = [(list(r), 0) for r in zero_rays]
     geqs = [(list(r), 1) for r in pos_rays]
-    return lp_feasible(ambient, eqs=eqs, geqs=geqs) is not None
+    return ref_lp_feasible(ambient, eqs=eqs, geqs=geqs) is not None
 
 
 def ref_cone_is_face(face, c) -> bool:
@@ -442,7 +513,7 @@ def ref_pair_meets_in_common_face(c1, c2) -> bool:
     eqs = [(list(r), 0) for r in s + t]
     geqs = [([-x for x in r], 1) for r in c1.rays if r not in s]
     geqs += [(list(r), 1) for r in c2.rays if r not in t]
-    return lp_feasible(c1.ambient_dim, eqs=eqs, geqs=geqs) is not None
+    return ref_lp_feasible(c1.ambient_dim, eqs=eqs, geqs=geqs) is not None
 
 
 def ref_fan_cone_intersection(f, cones_):

@@ -30,7 +30,7 @@ from tropmap import (
 )
 from tropmap.cli import main as cli_main
 from tropmap.documents import Document, DocumentError, load_document, serialize_document
-from tropmap.exactgeom import ratvec, vdot, vsub
+from tropmap.exactgeom import ratvec, vdot
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.wellspaced import build_arrangement
 
@@ -116,7 +116,7 @@ def _independent_subcurve_verdict(m, cd, normal):
     phi = ratvec(normal)
     marked = m.curve.marked_vertex_ids
     in_vertex = {
-        vid: vdot(phi, vsub(m.positions[vid], cd.base_point)) == 0
+        vid: vdot(phi, [x - y for x, y in zip(m.positions[vid], cd.base_point, strict=True)]) == 0
         for vid in m.curve.unmarked_vertex_ids()
     }
 

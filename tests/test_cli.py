@@ -275,6 +275,21 @@ class TestUnbalancedTypes:
         assert "balancing violated at vertex a" in diag["message"]
 
 
+class TestStabilityWaiver:
+    @pytest.mark.parametrize("vertex", ["c0", "stability0"])
+    def test_sample_of_an_unbalanced_map_is_refused(self, capsys, monkeypatch, square_loop_doc, vertex):
+        # the sample waives the stability diagnostic by its exact prefix,
+        # not every diagnostic that names a vertex called "stability..."
+        raw = json.loads(Path(square_loop_doc).read_text())
+        raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
+        doc = json.dumps(raw).replace('"c0"', f'"{vertex}"')
+        code, out, err = run_cli(capsys, monkeypatch, ["cone", "--sample"], stdin=doc)
+        assert code == 2
+        message = json.loads(out)["diagnostics"][0]["message"]
+        assert message.startswith(f"sampled point does not realize the type: balancing violated at vertex {vertex}")
+        assert "Traceback" not in err
+
+
 class TestErrorHandling:
     def test_malformed_input_exit_two(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin="{broken")

@@ -41,23 +41,27 @@ def test_no_float_in_the_package():
 
 def test_every_top_level_definition_has_a_reference():
     """Each top-level function and class of the package is read (as a name
-    or an attribute) somewhere outside its own definition, in the package
-    or its tests."""
-    paths = [*sorted(SRC.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    or an attribute) somewhere in the package outside its own definition,
+    or exported by the package's ``__init__``.  A reference from the tests
+    alone does not count: a helper that only tests call belongs in the
+    tests."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     definitions = [
         (path, node)
-        for path in sorted(SRC.glob("*.py"))
-        for node in trees[path].body
+        for path, tree in trees.items()
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
     referenced: dict[str, list[ast.AST]] = {}
-    for tree in trees.values():
+    for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.setdefault(node.attr, []).append(node)
+            elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    referenced.setdefault(alias.name, []).append(node)
     unused = []
     for path, definition in definitions:
         own = set(ast.walk(definition))

@@ -23,14 +23,12 @@ from tropmap.exactgeom import (
     fan_validate,
     format_rational,
     integer_nullspace,
-    lp_feasible,
     nullspace,
     parse_rational,
     rank,
     ratvec,
     rref,
     solve_nonneg,
-    transpose,
     zero_cone,
 )
 from tropmap.wellspaced import build_figure1_family
@@ -44,6 +42,8 @@ from oracles import (
     ref_cone_locate,
     ref_fan_cone_intersection,
     ref_fan_validate,
+    ref_lp_feasible,
+    ref_pair_meets_in_common_face,
     ref_rref,
     ref_solve_nonneg,
 )
@@ -114,7 +114,7 @@ class TestRank:
     @given(rational_matrices)
     def test_rank_transpose_and_oracle(self, rows):
         r = rank(rows)
-        assert r == rank(transpose(rows))
+        assert r == rank([list(col) for col in zip(*rows)])
         assert r == bareiss_rank(rows)
 
     @settings(max_examples=80, deadline=None)
@@ -154,14 +154,14 @@ class TestLp:
         assert solve_nonneg([[Fraction(1), Fraction(1)]], [Fraction(-2)]) is None
 
     def test_free_variables(self):
-        x = lp_feasible(2, eqs=[((1, 1), 0)], geqs=[((1, -1), 4)])
+        x = ref_lp_feasible(2, eqs=[((1, 1), 0)], geqs=[((1, -1), 4)])
         assert x is not None and x[0] + x[1] == 0 and x[0] - x[1] >= 4
 
     def test_geq_with_nonneg(self):
-        assert lp_feasible(1, eqs=[((1,), -1)], nonneg=(0,)) is None
+        assert ref_lp_feasible(1, eqs=[((1,), -1)], nonneg=(0,)) is None
 
     def test_no_constraints(self):
-        assert lp_feasible(2) == [0, 0]
+        assert ref_lp_feasible(2) == [0, 0]
 
     def test_witnesses_match_the_fraction_simplex_on_random_lps(self):
         rng = random.Random(8080)
@@ -449,3 +449,60 @@ class TestAgainstMembershipReferences:
         # needs no LP; then one common-face LP for each of the 36 pairs of
         # cones
         assert len(calls) == 4 * (1 + 2 + 2) + 36
+
+
+def _random_ray_set(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """One to four nonzero rays in R^n with entries in [-2, 2]; in one draw
+    of four the negation of the first ray is added, so the set is not
+    pointed."""
+    rays = []
+    size = rng.randint(1, 4)
+    while len(rays) < size:
+        r = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(r):
+            rays.append(r)
+    if rng.random() < 0.25:
+        rays.append(tuple(-x for x in rays[0]))
+    return rays
+
+
+def _ref_is_pointed(c: exactgeom.Cone) -> bool:
+    """No y >= 0 with sum y_i r_i = 0 and sum y_i >= 1, asked through the
+    general front end with a slack column."""
+    k = len(c.rays)
+    eqs = [([r[coord] for r in c.rays], 0) for coord in range(c.ambient_dim)]
+    return ref_lp_feasible(k, eqs=eqs, geqs=[([1] * k, 1)], nonneg=range(k)) is None
+
+
+class TestConeLpsAgainstTheGeneralFrontEnd:
+    """Pointedness and the common-face LP, posed directly to solve_nonneg,
+    against the same questions posed through ``ref_lp_feasible`` on random
+    ray sets, non-pointed ones included (``_random_fan`` drops them)."""
+
+    def test_random_ray_sets(self):
+        rng = random.Random(1609)
+        pointed = {2: [], 3: []}
+        non_pointed = 0
+        for _ in range(200):
+            n = rng.choice((2, 3))
+            c = cone(n, _random_ray_set(rng, n))
+            assert cone_is_pointed(c) == _ref_is_pointed(c), c
+            if cone_is_pointed(c):
+                pointed[n].append(exactgeom.canonical_cone(c))
+            else:
+                non_pointed += 1
+        assert 20 <= non_pointed <= 180
+        meet = apart = 0
+        for cones in pointed.values():
+            for a, b in itertools.combinations_with_replacement(sorted(set(cones), key=lambda c: c.rays), 2):
+                want = ref_pair_meets_in_common_face(a, b)  # symmetric: x -> -x swaps the cones
+                for c1, c2 in ((a, b), (b, a)):
+                    got = exactgeom._common_face(c1, c2)
+                    assert (got is None) == (not want), (c1, c2)
+                    if got is None:
+                        apart += 1
+                    else:
+                        meet += 1
+                        assert set(got.rays) == set(c1.rays) & set(c2.rays)
+        # overlapping pairs (no common face) and pairs meeting in a face
+        assert apart >= 100 and meet >= 100
