@@ -79,11 +79,14 @@ from .wellspaced import (
     Assumptions,
     CertificateError,
     CycleData,
+    CycleFrame,
     HyperplaneFlat,
     Verdict,
     WellSpacedReport,
     build_figure1_family,
     cycle_data,
+    cycle_data_on,
+    cycle_frame,
     enumerate_flats,
     figure1_member,
     hat_curve,

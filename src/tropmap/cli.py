@@ -171,16 +171,23 @@ def _cmd_validate(args, io: _Io) -> int:
 
 
 def _cmd_type(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
-    t = combinatorial_type(m)
+    t = _type_of_map(_load(io, args.path, "map"), args.fan, io)
     return io.report("type", _doc_result("type", t), EXIT_OK, "combinatorial type extracted")
+
+
+def _type_of_map(m, choice: str | None, io: _Io):
+    """The combinatorial type of a map document.  An unbalanced map is
+    refused with the diagnostic and vertex pointer that refuse an
+    unbalanced type document, so a map and its type get the same answer."""
+    m = _apply_fan_choice(m, choice, io)
+    documents.require_balanced(m.curve, m.edge_data, m.fan.ambient_dim, "")
+    return combinatorial_type(m)
 
 
 def _require_type(io: _Io, args):
     doc = _read_document(io, args.path)
     if doc.kind == "map":
-        m = _apply_fan_choice(doc.payload, args.fan, io)
-        return combinatorial_type(m)
+        return _type_of_map(doc.payload, args.fan, io)
     if doc.kind == "type":
         return doc.payload
     raise DocumentError("", f"expected a map or type document, got {doc.kind}")

@@ -376,10 +376,18 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
         vertex_cones[vid] = cone(ambient, rays)
     if "positions" in raw:
         raise DocumentError(_at(pointer, "positions"), "types carry no positions")
+    require_balanced(c, data, ambient, pointer)
+    return make_type(c, f, data, vertex_cones)
+
+
+def require_balanced(
+    c: TropicalCurve, data: Mapping[str, EdgeMapData], ambient: int, pointer: str
+) -> None:
+    """Raise DocumentError at the first finite vertex that is not balanced,
+    pointing at its entry in the vertex list of the document's curve."""
     for vid, message in balancing_diagnostics(c, data, ambient):
         index = next(i for i, v in enumerate(c.vertices) if v.id == vid)
         raise DocumentError(_at(pointer, "curve", "vertices", index), message)
-    return make_type(c, f, data, vertex_cones)
 
 
 def type_json(t: CombinatorialType) -> dict:

@@ -110,13 +110,10 @@ def _line(p, q, style, svg_y) -> str:
 def _hyperplane_trace(m: TropicalStableMap, axes):
     """(a, b, c) with a*x + b*y = c: the projected trace of the first
     hyperplane containing the cycle span, when one exists."""
-    from .curves import betti_and_genus
     from .wellspaced import cycle_data, enumerate_flats
 
     try:
-        if betti_and_genus(m.curve)[1] != 1:
-            return None
-        cd = cycle_data(m)
+        cd = cycle_data(m)  # ValueError unless the genus is one
         if cd.codim == 0:
             return None
         flats = enumerate_flats(m, cd)

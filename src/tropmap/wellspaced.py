@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import curves
 from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
@@ -59,38 +59,146 @@ from .moduli import AffineFn, Family, affine, evaluate_family, limit_of_family, 
 # the cycle and its span
 
 @dataclass(frozen=True)
-class CycleData:
-    """The unique cycle of a genus-one curve together with the affine span V
-    of its image: a base point, a basis of the direction space, and the
-    codimension.  ``superabundant`` records codim >= 1 (the cycle image lies
-    in a proper affine subspace)."""
+class CycleFrame:
+    """What the spacing predicate and the rule cascade read off a map's type
+    rather than its lengths: the first Betti number and the genus, and, in
+    genus one, whether every vertex has genus zero and every finite vertex
+    is trivalent, the unique cycle, the reduced row echelon basis of the
+    cycle span's directions (also as integer rows), the codimension, the
+    quotient map onto the span's annihilator (rows are a basis of it; the
+    integer rows are the same rows times one common positive integer) and
+    the projected edge directions: (u, projective class of its image) for
+    every edge, in curve order, whose direction leaves the span.
 
-    cycle_vertices: tuple[str, ...]
-    cycle_edges: tuple[str, ...]
-    base_point: RatVec
-    direction_basis: tuple[RatVec, ...]
-    codim: int
-    superabundant: bool
+    The genus-one fields stay empty for other genera."""
+
+    b1: int
+    genus: int
+    maximally_degenerate: bool = False
+    trivalent: bool = False
+    cycle_vertices: tuple[str, ...] = ()
+    cycle_edges: tuple[str, ...] = ()
+    direction_basis: tuple[RatVec, ...] = ()
+    integer_basis: tuple[IntVec, ...] = ()
+    codim: int = 0
+    quotient_map: tuple[RatVec, ...] = ()
+    integer_quotient: tuple[IntVec, ...] = ()
+    edge_projections: tuple[tuple[IntVec, IntVec], ...] = ()
 
 
-def cycle_data(m: TropicalStableMap) -> CycleData:
+def cycle_frame(m: TropicalStableMap) -> CycleFrame:
+    """The cycle frame of a map.  The span is taken from the offsets of the
+    cycle vertices from the first of them and the cycle edges' directions,
+    at the map's common denominator (which spans the same space)."""
     b1, g = betti_and_genus(m.curve)
     if g != 1:
-        raise ValueError(f"cycle analysis requires genus 1, got {g}")
+        return CycleFrame(b1, g)
     if b1 == 1:
         cyc_v, cyc_e = _unique_cycle(m.curve)
     else:
         genus_vertex = next(v.id for v in m.curve.vertices if v.genus == 1)
         cyc_v, cyc_e = (genus_vertex,), ()
-    # offsets at the map's common denominator span the same space
     positions = m.scaled.positions
     base = positions[cyc_v[0]]
     dirs = [[a - b for a, b in zip(positions[vid], base)] for vid in cyc_v]
     dirs += [m.edge_data[eid].u for eid in cyc_e]
     basis_rows, pivots = rref([d for d in dirs if any(d)])
     basis = tuple(tuple(basis_rows[i]) for i in range(len(pivots)))
-    codim = m.fan.ambient_dim - len(basis)
-    return CycleData(cyc_v, cyc_e, m.positions[cyc_v[0]], basis, codim, codim >= 1)
+    ambient = m.fan.ambient_dim
+    quotient = tuple(nullspace(basis, ncols=ambient))
+    integral = _common_multiple(quotient)
+    return CycleFrame(
+        b1,
+        g,
+        all(v.genus == 0 for v in m.curve.vertices),
+        all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
+        cyc_v,
+        cyc_e,
+        basis,
+        _common_multiple(basis),
+        ambient - len(basis),
+        quotient,
+        integral,
+        _projections(integral, (m.edge_data[e.id].u for e in m.curve.edges)),
+    )
+
+
+def _common_multiple(rows: Sequence[RatVec]) -> tuple[IntVec, ...]:
+    """The rows times one common positive integer, the lcm of their
+    denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+
+
+def _projections(
+    integral: Sequence[IntVec], vectors: Iterable[IntVec]
+) -> tuple[tuple[IntVec, IntVec], ...]:
+    """(vector, projective class of its image under ``integral``) for each
+    vector, in order, whose image is not zero."""
+    out = []
+    for vec in vectors:
+        rep = _projective_rep([sum(a * b for a, b in zip(row, vec)) for row in integral])
+        if rep is not None:
+            out.append((tuple(vec), rep))
+    return tuple(out)
+
+
+def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
+    if all(x == 0 for x in vec):
+        return None
+    return _lex_positive(primitive(vec))
+
+
+@dataclass(frozen=True)
+class CycleData:
+    """The unique cycle of a genus-one curve together with the affine span V
+    of its image: the map's cycle frame, a base point (the first cycle
+    vertex's position) and the projected vertex offsets, (primitive offset
+    from the base point, projective class of its image) for every finite
+    vertex off V in curve order.  ``superabundant`` records codim >= 1 (the
+    cycle image lies in a proper affine subspace)."""
+
+    frame: CycleFrame
+    base_point: RatVec
+    vertex_projections: tuple[tuple[IntVec, IntVec], ...]
+
+    @property
+    def cycle_vertices(self) -> tuple[str, ...]:
+        return self.frame.cycle_vertices
+
+    @property
+    def cycle_edges(self) -> tuple[str, ...]:
+        return self.frame.cycle_edges
+
+    @property
+    def direction_basis(self) -> tuple[RatVec, ...]:
+        return self.frame.direction_basis
+
+    @property
+    def codim(self) -> int:
+        return self.frame.codim
+
+    @property
+    def superabundant(self) -> bool:
+        return self.frame.codim >= 1
+
+
+def cycle_data(m: TropicalStableMap) -> CycleData:
+    """The cycle data of a genus-one map; ValueError for other genera."""
+    return cycle_data_on(cycle_frame(m), m)
+
+
+def cycle_data_on(frame: CycleFrame, m: TropicalStableMap) -> CycleData:
+    """The cycle data of ``m`` on ``frame``: ``cycle_frame(m)``, or the
+    equal frame of another valid map with m's graph and edge data (see
+    :func:`_check_family_certificate`)."""
+    if frame.genus != 1:
+        raise ValueError(f"cycle analysis requires genus 1, got {frame.genus}")
+    positions = m.scaled.positions
+    base = positions[frame.cycle_vertices[0]]
+    offsets = ([a - b for a, b in zip(positions[vid], base)] for vid in m.curve.unmarked_vertex_ids())
+    projected = _projections(frame.integer_quotient, (primitive(v) for v in offsets if any(v)))
+    return CycleData(frame, m.positions[frame.cycle_vertices[0]], projected)
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -147,12 +255,6 @@ class HyperplaneFlat:
     rank: int
 
 
-def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
-    if all(x == 0 for x in vec):
-        return None
-    return _lex_positive(primitive(vec))
-
-
 def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> Arrangement:
     """Project vertex offsets (for vertices off V) and all edge directions to
     the quotient by V's directions, keeping one primitive representative per
@@ -161,25 +263,19 @@ def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> A
     The projection runs over the integers: the quotient rows are scaled by
     one common positive denominator, the offsets are taken at the map's
     common denominator, and neither scaling changes a projective class.  The
-    first vector met in each class (vertices before edges) is kept as its
-    source."""
+    edge directions are projected once per cycle frame, the offsets once per
+    map.  The first vector met in each class (vertices before edges) is kept
+    as its source."""
     if cd is None:
         cd = cycle_data(m)
-    quotient = tuple(nullspace(cd.direction_basis, ncols=m.fan.ambient_dim))
-    scale = lcm(*(x.denominator for row in quotient for x in row))
-    integral = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in quotient)
-    positions = m.scaled.positions
-    base = positions[cd.cycle_vertices[0]]
-    offsets = ([a - b for a, b in zip(positions[vid], base)] for vid in m.curve.unmarked_vertex_ids())
-    candidates = [primitive(v) for v in offsets if any(v)]
-    candidates += [m.edge_data[e.id].u for e in m.curve.edges]
+    frame = cd.frame
     sources: dict[IntVec, IntVec] = {}
-    for vec in candidates:
-        rep = _projective_rep([sum(a * b for a, b in zip(row, vec)) for row in integral])
-        if rep is not None:
-            sources.setdefault(rep, tuple(vec))
+    for vec, rep in cd.vertex_projections + frame.edge_projections:
+        sources.setdefault(rep, vec)
     reps = sorted(sources)
-    return Arrangement(quotient, tuple(reps), tuple(sources[r] for r in reps), integral)
+    return Arrangement(
+        frame.quotient_map, tuple(reps), tuple(sources[r] for r in reps), frame.integer_quotient
+    )
 
 
 def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[IntVec]:
@@ -281,10 +377,10 @@ def pattern_of_normal(
     m: TropicalStableMap, cd: CycleData, normal: Sequence[Fraction], arr: Optional[Arrangement] = None
 ) -> tuple[IntVec, ...]:
     """The containment pattern cut by an explicit hyperplane normal (which
-    must vanish on V's directions)."""
+    must vanish on V's directions, tested on the integer basis)."""
     if arr is None:
         arr = build_arrangement(m, cd)
-    for b in cd.direction_basis:
+    for b in cd.frame.integer_basis:
         if vdot(normal, b) != 0:
             raise ValueError("normal does not vanish on the cycle span")
     return tuple(rep for rep, src in zip(arr.vectors, arr.sources) if vdot(normal, src) == 0)
@@ -316,12 +412,17 @@ def subcurve_in_flat(
     point; an edge is in H when both endpoints are and its direction is
     annihilated.  Boundary vertices are the component's vertices incident to
     at least one edge outside it, and distances are intrinsic shortest paths
-    to the cycle inside the component."""
+    to the cycle inside the component.  Raises ValueError unless the flat's
+    normal cuts the flat's pattern on this map."""
     if cd is None:
         cd = cycle_data(m)
-    phi = flat.normal
-    if pattern_of_normal(m, cd, phi, arr) != flat.zero_set:
+    if pattern_of_normal(m, cd, flat.normal, arr) != flat.zero_set:
         raise ValueError("flat was not generated for this map")
+    return _trapped_subcurve(m, cd, flat.normal)
+
+
+def _trapped_subcurve(m: TropicalStableMap, cd: CycleData, phi: IntVec) -> TrappedSubcurve:
+    """:func:`subcurve_in_flat` for a normal known to cut its flat."""
     marked = m.curve.marked_vertex_ids
     positions = m.scaled.positions
     level = vdot(phi, positions[cd.cycle_vertices[0]])
@@ -420,7 +521,8 @@ def multiset_passes(distances: Sequence[Fraction]) -> bool:
 def is_well_spaced(m: TropicalStableMap, cd: Optional[CycleData] = None) -> WellSpacedReport:
     """Evaluate the predicate on every hyperplane flat; the first failing
     flat is the witness.  The cycle data and the arrangement are computed
-    once and shared by every flat."""
+    once and shared by every flat, and each enumerated flat's normal cuts
+    that flat by construction (:func:`_certifying_normal`)."""
     if cd is None:
         cd = cycle_data(m)
     if cd.codim == 0:
@@ -429,7 +531,7 @@ def is_well_spaced(m: TropicalStableMap, cd: Optional[CycleData] = None) -> Well
     records = []
     witness = None
     for flat in enumerate_flats(m, cd, arr):
-        sub = subcurve_in_flat(m, flat, cd, arr)
+        sub = _trapped_subcurve(m, cd, flat.normal)
         ok = multiset_passes(sub.distance_multiset())
         rec = FlatRecord(flat, sub, ok)
         records.append(rec)
@@ -607,43 +709,62 @@ def realizability_verdict(m: TropicalStableMap, assume: Assumptions = Assumption
     return _rule_cascade(m, assume)
 
 
-def _rule_cascade(m: TropicalStableMap, assume: Assumptions) -> Verdict:
+def _rule_cascade(
+    m: TropicalStableMap, assume: Assumptions, frame: Optional[CycleFrame] = None
+) -> Verdict:
     """The rules of :func:`realizability_verdict` on a map its caller has
-    already validated."""
-    b1, g = betti_and_genus(m.curve)
-    if g == 0:
+    already validated, read off ``frame``: m's cycle frame, built here when
+    the caller has none."""
+    if frame is None:
+        frame = cycle_frame(m)
+    if frame.genus == 0:
         return Verdict("Realizable", "R0", "genus 0")
-    if g == 1:
-        maximally_degenerate = all(v.genus == 0 for v in m.curve.vertices)
-        spaced = well_spaced_or_vacuous(m)
-        if maximally_degenerate and spaced:
+    if frame.genus == 1:
+        spaced = frame.codim == 0 or is_well_spaced(m, cycle_data_on(frame, m)).overall
+        if frame.maximally_degenerate and spaced:
             return Verdict("Realizable", "R1", "Speyer sufficiency")
-        trivalent = all(
-            m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()
-        )
-        if maximally_degenerate and trivalent and not spaced:
+        if frame.maximally_degenerate and frame.trivalent and not spaced:
             return Verdict("NotRealizable", "R2", "Speyer necessity, trivalent")
-        if b1 == 0 and assume.star_realizable and spaced:
+        if frame.b1 == 0 and assume.star_realizable and spaced:
             return Verdict("Realizable", "R3", "Theorem B")
     if assume.family is not None:
         _check_family_certificate(m, assume)
         return Verdict("Realizable", "R4", "Theorem A")
-    return Verdict("Unknown", "R5", _unknown_reason(m, g, assume))
+    return Verdict("Unknown", "R5", _unknown_reason(m, frame.genus, assume))
 
 
 def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None:
+    """Check that the family's t = 1 limit is ``m`` and that each probe
+    member is realizable by R1 or R3.
+
+    Every member is validated before it is decided, with stability waived,
+    as families may pass through 2-valent vertices that only the limit
+    resolves.  All members are decided on one cycle frame, built from the
+    first member, and that frame equals each member's own:
+    - the members share the family type's graph and edge data, so the
+      cycle, the Betti number, the genus, the valences and the edge
+      directions agree;
+    - a valid member's cycle vertex offsets are sums of length times weight
+      times direction over cycle edges, so they lie in the span of the
+      cycle edges' directions, and at every member the rows given to
+      ``rref`` span exactly that space;
+    - a row space has one reduced row echelon form, and the quotient map
+      and the projected edge directions are computed from it alone.
+    """
     fam = assume.family
     limit = limit_of_family(fam, Fraction(1))
     if canonical_map(limit.map) != canonical_map(m):
         raise CertificateError("family limit at t = 1 differs from the given map")
+    direct = Assumptions(star_realizable=assume.star_realizable)
+    frame = None
     for t in _PROBES:
         member = evaluate_family(fam, t)
         member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
         if member_diags:
             raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
-        # members are validated above with stability waived, as families
-        # may pass through 2-valent vertices that only the limit resolves
-        verdict = _rule_cascade(member, Assumptions(star_realizable=assume.star_realizable))
+        if frame is None:
+            frame = cycle_frame(member)
+        verdict = _rule_cascade(member, direct, frame)
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"

@@ -17,7 +17,9 @@ the right size, where the library tries only the subsets whose edge
 weights and directions can match.  Decorated isomorphisms come from the
 two recursive searches (vertices, then edges) that the library replaced by
 one explicit-stack search; they pin its output order, and the face search
-uses them, so it shares no search code with the library.
+uses them, so it shares no search code with the library.  The R4 family
+certificate decides each probe member on the member's own cycle frame,
+where the library builds one frame per family.
 """
 
 from __future__ import annotations
@@ -38,8 +40,22 @@ from tropmap.exactgeom import (
     vector_content,
     zero_cone,
 )
-from tropmap.maps import CombinatorialType, _edge_signature, canonical_type
-from tropmap.moduli import MAX_FACE_SEARCH_EDGES, FaceWitness, _contract_with_map
+from tropmap.maps import (
+    STABILITY_VIOLATED,
+    CombinatorialType,
+    _edge_signature,
+    canonical_map,
+    canonical_type,
+    validate_map,
+)
+from tropmap.moduli import (
+    MAX_FACE_SEARCH_EDGES,
+    FaceWitness,
+    _contract_with_map,
+    evaluate_family,
+    limit_of_family,
+)
+from tropmap.wellspaced import _PROBES, Assumptions, CertificateError, _rule_cascade
 
 
 def bareiss_rank(rows) -> int:
@@ -257,6 +273,31 @@ def _solve(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]
     return x
+
+
+def first_sources(m, base_point, quotient) -> dict:
+    """Projective class -> the first vector met in it: the primitive integral
+    offsets of the finite vertices from ``base_point`` in curve order, then
+    the edge directions in curve order."""
+    vecs = []
+    for vid in m.curve.unmarked_vertex_ids():
+        offset = [Fraction(p) - Fraction(b) for p, b in zip(m.positions[vid], base_point)]
+        if any(offset):
+            den = 1
+            for x in offset:
+                den = den * x.denominator // gcd(den, x.denominator)
+            ints = [int(x * den) for x in offset]
+            g = 0
+            for x in ints:
+                g = gcd(g, abs(x))
+            vecs.append(tuple(x // g for x in ints))
+    vecs += [tuple(m.edge_data[e.id].u) for e in m.curve.edges]
+    out: dict = {}
+    for vec in vecs:
+        rep = projective_class(quotient, vec)
+        if rep is not None and rep not in out:
+            out[rep] = vec
+    return out
 
 
 def lift_pattern(quotient, vectors, normal):
@@ -800,3 +841,23 @@ def _ref_match_edges(
 
     for final_emap in assign(0):
         yield dict(vmap), final_emap
+
+
+def ref_check_family_certificate(m, assume: Assumptions) -> None:
+    """The R4 family certificate with every probe member decided on a cycle
+    frame of its own: the limit must be ``m`` and each member, validated
+    with stability waived, realizable by R1 or R3."""
+    fam = assume.family
+    limit = limit_of_family(fam, Fraction(1))
+    if canonical_map(limit.map) != canonical_map(m):
+        raise CertificateError("family limit at t = 1 differs from the given map")
+    for t in _PROBES:
+        member = evaluate_family(fam, t)
+        member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
+        if member_diags:
+            raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
+        verdict = _rule_cascade(member, Assumptions(star_realizable=assume.star_realizable))
+        if verdict.rule not in ("R1", "R3"):
+            raise CertificateError(
+                f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"
+            )

@@ -10,8 +10,9 @@ import pytest
 
 import tropmap
 from tropmap.cli import main
-from tropmap.documents import Document, serialize_document
+from tropmap.documents import Document, load_document, serialize_document
 from tropmap.gallery import square_loop
+from tropmap.maps import combinatorial_type
 
 from builders import rectangle_cycle, strict_unstable_member_family
 
@@ -275,19 +276,52 @@ class TestUnbalancedTypes:
         assert "balancing violated at vertex a" in diag["message"]
 
 
+def _unbalanced_square_loop(square_loop_doc, vertex="c0") -> str:
+    """The square loop with marked ray m0 at c0 turned to -e1, so c0 is not
+    balanced, and c0 renamed to ``vertex``."""
+    raw = json.loads(Path(square_loop_doc).read_text())
+    raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
+    return json.dumps(raw).replace('"c0"', f'"{vertex}"')
+
+
 class TestStabilityWaiver:
     @pytest.mark.parametrize("vertex", ["c0", "stability0"])
     def test_sample_of_an_unbalanced_map_is_refused(self, capsys, monkeypatch, square_loop_doc, vertex):
-        # the sample waives the stability diagnostic by its exact prefix,
-        # not every diagnostic that names a vertex called "stability..."
-        raw = json.loads(Path(square_loop_doc).read_text())
-        raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
-        doc = json.dumps(raw).replace('"c0"', f'"{vertex}"')
+        # the map is refused before it is sampled; the sampler's own waiver
+        # is tested on the library in test_moduli
+        doc = _unbalanced_square_loop(square_loop_doc, vertex)
         code, out, err = run_cli(capsys, monkeypatch, ["cone", "--sample"], stdin=doc)
         assert code == 2
         message = json.loads(out)["diagnostics"][0]["message"]
-        assert message.startswith(f"sampled point does not realize the type: balancing violated at vertex {vertex}")
+        assert message.startswith(f"balancing violated at vertex {vertex}")
         assert "Traceback" not in err
+
+
+class TestUnbalancedMaps:
+    @pytest.mark.parametrize("command", ["cone", "superabundant", "type"])
+    def test_map_commands_refuse(self, capsys, monkeypatch, square_loop_doc, command):
+        doc = _unbalanced_square_loop(square_loop_doc)
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2
+        diag = json.loads(out)["diagnostics"][0]
+        assert diag["pointer"] == "/curve/vertices/0"
+        assert diag["message"].startswith("balancing violated at vertex c0")
+        assert "superabundant" not in err and "Traceback" not in err
+
+    def test_map_and_its_type_get_the_same_answer(self, capsys, monkeypatch, square_loop_doc):
+        doc = _unbalanced_square_loop(square_loop_doc)
+        m = load_document(doc).document.payload
+        type_doc = serialize_document(Document("type", combinatorial_type(m)))
+        answers = []
+        for stdin in (doc, type_doc):
+            code, out, _ = run_cli(capsys, monkeypatch, ["cone"], stdin=stdin)
+            answers.append((code, json.loads(out)["diagnostics"]))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 2
+        # the piped form stops at `type`, whose refusal `cone` cannot read as a document
+        code, out, _ = run_cli(capsys, monkeypatch, ["type"], stdin=doc)
+        assert code == 2
+        assert run_cli(capsys, monkeypatch, ["cone"], stdin=out)[0] == 2
 
 
 class TestErrorHandling:

@@ -1,6 +1,7 @@
 """Moduli cones: dimension, metrics, contraction, faces, families, sampling."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from tropmap import (
     validate_map,
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
+from tropmap.documents import Document, load_document, serialize_document
 from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, rank
 from tropmap.gallery import gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, make_type, stable_map
@@ -630,6 +632,20 @@ class TestSampleInterior:
     def test_determinism(self):
         mc = moduli_cone(combinatorial_type(square_loop()))
         assert sample_interior(mc, 5) == sample_interior(mc, 5)
+
+    @pytest.mark.parametrize("vertex", ["c0", "stability0"])
+    def test_sample_of_an_unbalanced_type_is_refused(self, vertex):
+        # the sample waives the stability diagnostic by its exact prefix,
+        # not every diagnostic that names a vertex called "stability..."
+        raw = json.loads(serialize_document(Document("map", square_loop())))
+        raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
+        m = load_document(json.dumps(raw).replace('"c0"', f'"{vertex}"')).document.payload
+        mc = moduli_cone(combinatorial_type(m))
+        with pytest.raises(InfeasibleCone) as info:
+            sample_interior(mc, 0)
+        assert str(info.value).startswith(
+            f"sampled point does not realize the type: balancing violated at vertex {vertex}"
+        )
 
     def test_strict_sample_locates_each_vertex_once(self, monkeypatch):
         m = rectangle_cycle(3, 3)

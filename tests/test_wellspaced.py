@@ -30,19 +30,37 @@ from tropmap import wellspaced
 from tropmap.cli import main
 from tropmap.documents import Document, serialize_document
 from tropmap.exactgeom import primitive, ratvec, vdot, vector_content
-from tropmap.gallery import hat_demo, speyer_tree, square_loop
-from tropmap.wellspaced import _PROBES, build_arrangement, multiset_passes, pattern_of_normal
+from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
+from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_interior
+from tropmap.wellspaced import (
+    _PROBES,
+    build_arrangement,
+    cycle_data_on,
+    cycle_frame,
+    multiset_passes,
+    pattern_of_normal,
+)
 
 from builders import (
     bent_square,
     build_map,
+    collinear_chain_family,
     lone_genus_one_vertex,
     random_feasible_map,
+    random_shrinking_family,
+    rectangle_family,
     strict_unstable_member_family,
     three_rays,
     tilted_parallel_pair,
 )
-from oracles import fraction_projection, lift_pattern, projective_class, subset_closure_flats
+from oracles import (
+    first_sources,
+    fraction_projection,
+    lift_pattern,
+    projective_class,
+    ref_check_family_certificate,
+    subset_closure_flats,
+)
 
 
 class TestCycleData:
@@ -246,6 +264,135 @@ class TestWorkDoneOnce:
         validations = self._count(monkeypatch, "validate_map")
         assert realizability_verdict(target, Assumptions(family=fam)).rule == "R4"
         assert len(validations) == 1 + len(_PROBES)
+
+
+def _certificate_families():
+    """(name, target map, family) for the R4 certificate comparisons."""
+    from tropmap import affine, make_family
+
+    cases = []
+    for n in (3, 4, 5, 6):
+        fam = build_figure1_family(n)
+        cases.append((f"figure1 n={n}", limit_of_family(fam, 1).map, fam))
+    families = {
+        "strict unstable members": strict_unstable_member_family(),
+        "rectangle 1x2 shrinking s1, s5": rectangle_family(1, 2, {"s1", "s5"}),
+        "rectangle 2x2 shrinking s0, s1, s4, s5": rectangle_family(2, 2, {"s0", "s1", "s4", "s5"}),
+        "chain of 4 shrinking c1, c2": collinear_chain_family(4, {"c1", "c2"}),
+    }
+    # a genus-one family whose spacing fails after t = 0: branch g1 grows
+    bent = combinatorial_type(bent_square())
+    lengths = {e: affine(1) for e in bent.bounded_edge_ids()}
+    lengths.update(g1=affine(1, 1), g2=affine(2))
+    families["bent square, growing g1"] = make_family(bent, lengths)
+    rng = random.Random(1414)
+    for i in range(200):
+        families[f"random #{i}"] = random_shrinking_family(rng)[0]
+    for name, fam in families.items():
+        cases.append((name, limit_of_family(fam, 1).map, fam))
+    # the wrong-limit certificate of test_bad_certificate
+    loop_type = combinatorial_type(square_loop())
+    wrong = make_family(loop_type, {e: affine(1) for e in loop_type.bounded_edge_ids()})
+    cases.append(("wrong limit", figure1_member(3, 1), wrong))
+    return cases
+
+
+def _valid_but_unstable(m) -> bool:
+    """Valid, or failing the stability axiom only, as certificate members may."""
+    return all(d.startswith(wellspaced.STABILITY_VIOLATED) for d in validate_map(m))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestSharedFrame:
+    """The family certificate decides every probe member on one cycle frame;
+    the oracle decides each member on its own."""
+
+    def test_certificate_matches_the_per_member_oracle(self, monkeypatch):
+        rules = set()
+        for name, target, fam in _certificate_families():
+            assume = Assumptions(family=fam)
+            got = _outcome(lambda: wellspaced._check_family_certificate(target, assume))
+            want = _outcome(lambda: ref_check_family_certificate(target, assume))
+            assert got == want, name
+            rules.add(got if got is None else got[1].rsplit(" ", 1)[-1])
+            if validate_map(target):
+                continue
+            verdict = _outcome(lambda: realizability_verdict(target, assume))
+            with monkeypatch.context() as patched:
+                patched.setattr(wellspaced, "_check_family_certificate", ref_check_family_certificate)
+                assert _outcome(lambda: realizability_verdict(target, assume)) == verdict, name
+        # accepted certificates and rejections by R0, R2 and R5 all occur
+        assert {None, "(R0)", "(R2)", "(R5)"} <= rules
+
+    @staticmethod
+    def _genus_one_maps():
+        """(map, another valid map with its graph and edge data)."""
+        pairs = []
+        for name in GALLERY_NAMES:
+            m = gallery_map(name)
+            pairs += [(m, s) for s in TestSharedFrame._samples(m)]
+        rng = random.Random(23)
+        while len(pairs) < 60:
+            m = random_feasible_map(rng, max_vertices=5)
+            if betti_and_genus(m.curve)[1] == 1:
+                pairs += [(m, s) for s in TestSharedFrame._samples(m)]
+        for _, _, fam in _certificate_families():
+            members = [evaluate_family(fam, t) for t in _PROBES]
+            valid = [x for x in members if _valid_but_unstable(x)]
+            if valid and betti_and_genus(valid[0].curve)[1] == 1:
+                pairs += [(x, valid[0]) for x in valid]
+        return pairs
+
+    @staticmethod
+    def _samples(m):
+        mc = moduli_cone(combinatorial_type(m))
+        out = []
+        for seed in (0, 1):
+            try:
+                s = sample_interior(mc, seed)
+            except InfeasibleCone:
+                continue
+            if s.positions != m.positions:
+                out.append(s)
+        return out
+
+    def test_frame_equals_the_maps_own(self):
+        checked = 0
+        for m, other in self._genus_one_maps():
+            assert _valid_but_unstable(m) and _valid_but_unstable(other)
+            frame = cycle_frame(other)
+            assert frame == cycle_frame(m)
+            shared = cycle_data_on(frame, m)
+            assert shared == cycle_data(m)
+            if shared.codim == 0:
+                continue
+            arr = build_arrangement(m, shared)
+            assert arr == build_arrangement(m)
+            # vertex offsets come before edge directions as sources
+            sources = dict(zip(arr.vectors, arr.sources))
+            assert sources == first_sources(m, shared.base_point, arr.quotient_map)
+            checked += 1
+        assert checked >= 60
+
+    def test_two_frames_per_family_verdict(self, monkeypatch, tmp_path):
+        fam = build_figure1_family(3)
+        family_doc = tmp_path / "family.json"
+        family_doc.write_text(serialize_document(Document("family", fam)))
+        limit_doc = serialize_document(Document("map", limit_of_family(fam, 1).map))
+        frames = TestWorkDoneOnce._count(monkeypatch, "cycle_frame")
+        monkeypatch.setattr("sys.stdin", io.StringIO(limit_doc))
+        out = io.StringIO()
+        monkeypatch.setattr("sys.stdout", out)
+        assert main(["verdict", "--family", str(family_doc)]) == 0
+        assert json.loads(out.getvalue())["results"]["rule"] == "R4"
+        # one for the limit map, one shared by the five probe members
+        assert len(frames) == 2
 
 
 class TestSubcurve:
