@@ -26,6 +26,7 @@ from .exactgeom import (
     Fan,
     cone,
     build_fan,
+    fan_validate,
     format_rational,
     parse_rational,
     vector_content,
@@ -190,9 +191,16 @@ def _parse_fan(raw, pointer: str) -> Fan:
             rays.append(ray)
         ray_lists.append(rays)
     try:
-        return build_fan(ambient, ray_lists, embedded=embedded)
+        f = build_fan(ambient, ray_lists, embedded=embedded)
     except ValueError as exc:
         raise DocumentError(_at(pointer, "cones"), str(exc)) from None
+    # a strict map's vertex cones are read off its fan, so the cones must
+    # meet in common faces; an embedded fan's cones are never read
+    if not embedded:
+        diags = fan_validate(f)
+        if diags:
+            raise DocumentError(_at(pointer, "cones"), f"not a fan: {diags[0]}")
+    return f
 
 
 def fan_json(f: Fan) -> dict:

@@ -7,17 +7,21 @@ and runs fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
 1968), so the per-map layers, which hold each map at one common
 denominator, compute on integers throughout and build a ``Fraction`` only
 for a result that leaves them.  Cones are stored by their generating rays
-only, and every cone question (membership, pointedness, whether two cones
-meet in a common face) is one non-negative combination problem, solved
-exactly by an integer-preserving phase-one simplex (:func:`solve_nonneg`),
-the only LP in the package and the LP counterpart of that elimination:
+only.  A cone question on linearly independent rays (pointedness, extreme
+rays and faces of a simplicial cone, whether two cones whose rays together
+are independent meet in a common face) is decided by one :func:`rank`.
+Every other one (membership, and those questions on dependent rays) is one
+non-negative combination problem, solved exactly by an integer-preserving
+phase-one simplex (:func:`solve_nonneg`), the only LP in the package and
+the LP counterpart of that elimination:
 every row of the LP is scaled by one common denominator, and the tableau
 is kept in ints as T = d * R, with R the rational tableau and d > 0 the
 last pivot.  The denominator is common to all rows because Bland's rule
 reads sums of rows, so each pivot, and each witness, is the one the
 rational simplex would choose.  Faces, intersections and point locations
 are read off canonical ray sets (sorted primitive extreme rays), with one
-common-face LP deciding whether two cones meet in a face of both.
+rank test or common-face LP deciding whether two cones meet in a face of
+both.
 """
 
 from __future__ import annotations
@@ -121,9 +125,13 @@ def primitive(vec: Sequence[int]) -> IntVec:
 # exact elimination
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its entries' denominators."""
+    """Each row times the lcm of its entries' denominators; an all-``int``
+    row is copied as it is."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         row = [_exact(x) for x in row]
         den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
@@ -327,20 +335,33 @@ def cone_contains(c: Cone, p: Sequence[Fraction]) -> bool:
     return solve_nonneg([list(col) for col in zip(*c.rays)], p) is not None
 
 
+def _independent(rays: Sequence[IntVec]) -> bool:
+    """Are the rays linearly independent?  No rays are, and one ray is when
+    it is nonzero; more rays need a :func:`rank`, unless they outnumber the
+    coordinates."""
+    if len(rays) <= 1:
+        return all(map(any, rays))
+    return len(rays) <= len(rays[0]) and rank(rays) == len(rays)
+
+
 def cone_is_pointed(c: Cone) -> bool:
     """Pointed (no line through the origin): the rays admit no nonzero
-    non-negative dependence, which may be scaled to total weight 1."""
-    if not c.rays:
+    non-negative dependence, which may be scaled to total weight 1.
+    Independent rays admit no nonzero dependence at all, so they need no
+    LP."""
+    if _independent(c.rays):
         return True
-    if len(c.rays) == 1:  # one ray depends on itself only when it is zero
-        return any(c.rays[0])
     rows = [list(col) for col in zip(*c.rays)]
     rows.append([1] * len(c.rays))
     return solve_nonneg(rows, [0] * c.ambient_dim + [1]) is None
 
 
 def canonical_cone(c: Cone) -> Cone:
-    """Sorted primitive extreme rays; the canonical form used for equality."""
+    """Sorted primitive extreme rays; the canonical form used for equality.
+
+    Distinct primitive rays that are independent are all extreme: none is a
+    combination of the others, so they need no membership LP.
+    """
     prim = []
     seen = set()
     for r in c.rays:
@@ -350,6 +371,8 @@ def canonical_cone(c: Cone) -> Cone:
         if pr not in seen:
             seen.add(pr)
             prim.append(pr)
+    if _independent(prim):
+        return Cone(c.ambient_dim, tuple(sorted(prim)))
     extreme = []
     for i, r in enumerate(prim):
         others = Cone(c.ambient_dim, tuple(prim[:i] + prim[i + 1:]))
@@ -372,12 +395,17 @@ def _common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
     that are not shared (a shared ray carries mu_r - nu_r, of either sign).
     That is one non-negative combination problem over the rays of ``c1``
     and the negated rays of ``c2``.  When every ray is shared the cones are
-    equal and need no LP.
+    equal and need no LP.  Nor do they when the rays of ``c1`` and the
+    unshared rays of ``c2`` are independent: a covector then takes any
+    prescribed values on them, 0 on the shared rays, -1 on the other rays
+    of ``c1`` and +1 on the other rays of ``c2``.
     """
     in_c1, in_c2 = set(c1.rays), set(c2.rays)
     shared = tuple(r for r in c1.rays if r in in_c2)
     if len(shared) == len(c1.rays) == len(c2.rays):
         return c1
+    if _independent(c1.rays + tuple(r for r in c2.rays if r not in in_c1)):
+        return Cone(c1.ambient_dim, shared)
     columns = [*c1.rays, *([-x for x in r] for r in c2.rays)]
     rows = [list(coord) for coord in zip(*columns)]
     rows.append([int(r not in in_c2) for r in c1.rays] + [int(r not in in_c1) for r in c2.rays])
@@ -409,13 +437,21 @@ def cone_faces(c: Cone) -> list[Cone]:
 
 
 def _faces(cc: Cone) -> list[Cone]:
-    """:func:`cone_faces` of a cone already in canonical form."""
-    if not cone_is_pointed(cc):
+    """:func:`cone_faces` of a cone already in canonical form.
+
+    Every ray subset of a simplicial cone (independent rays) is a face: a
+    covector that is 0 on the subset and 1 on the other rays exists.  So
+    those cones need no LP.
+    """
+    simplicial = _independent(cc.rays)
+    if not simplicial and not cone_is_pointed(cc):
         raise ValueError("face enumeration requires a pointed cone")
     faces = {zero_cone(cc.ambient_dim), cc}  # pointed: the empty ray set is a face
     for size in range(1, len(cc.rays)):
         for subset in itertools.combinations(cc.rays, size):
-            face = _common_face(Cone(cc.ambient_dim, subset), cc)
+            face = Cone(cc.ambient_dim, subset)
+            if not simplicial:
+                face = _common_face(face, cc)
             if face is not None:
                 faces.add(face)
     return sorted(faces, key=lambda f: (len(f.rays), f.rays))
@@ -483,10 +519,24 @@ def cone_locate(f: Fan, p: Sequence[Fraction]) -> Optional[Cone]:
     minimal cone is the one whose rays every cone containing p shares.
     Raises ValueError on a dimension mismatch, and when no such cone exists
     because cones of the fan overlap or a face is missing.
+
+    A cone on a subset of another cone's rays lies inside it, so a point
+    outside the larger cone is outside the smaller one.  The cones are
+    tested from the most rays to the fewest, and a cone whose rays lie in
+    those of a cone already found not to contain p needs no LP.
     """
     if len(p) != f.ambient_dim:
         raise ValueError(f"point of length {len(p)} located in fan of ambient dimension {f.ambient_dim}")
-    candidates = [c for c in f.cones if cone_contains(c, p)]
+    candidates = []
+    outside: list[set[IntVec]] = []
+    for c in sorted(f.cones, key=lambda c: len(c.rays), reverse=True):
+        rays = set(c.rays)
+        if any(rays <= o for o in outside):
+            continue
+        if cone_contains(c, p):
+            candidates.append(c)
+        else:
+            outside.append(rays)
     if not candidates:
         return None
     shared = set.intersection(*(set(c.rays) for c in candidates))
@@ -545,8 +595,15 @@ def fan_validate(f: Fan) -> list[str]:
         for face in faces:
             if face not in canon:
                 diags.append(f"missing face {face.rays} of cone {c.rays}")
+    faces_of = {faces[-1]: faces for _, faces in usable}
     ordered = sorted(canon, key=lambda c: (len(c.rays), c.rays))
     for c1, c2 in itertools.combinations(ordered, 2):
-        if _common_face(c1, c2) is None:
+        # a cone on a subset of the rays of c2 is its own intersection with
+        # c2, so it meets c2 in a common face exactly when it is a face of c2
+        if set(c1.rays) <= set(c2.rays):
+            meets = c1 in faces_of[c2]
+        else:
+            meets = _common_face(c1, c2) is not None
+        if not meets:
             diags.append(f"cones {c1.rays} and {c2.rays} do not meet in a common face")
     return diags

@@ -8,11 +8,14 @@ raw adjacency data, and non-negative linear systems by a phase-one simplex
 over Fractions.  General linear systems (free variables, inequalities)
 reach that simplex through a front end, :func:`ref_lp_feasible`, where the
 library poses each cone question as a non-negative combination problem.
-The cone and fan references decide faces,
-intersections and locations by LP membership tests of every ray and point,
-where the library reads them off canonical ray sets.  Edge contraction
-rebuilds the curve once per contracted edge, where the library contracts a
-set of edges in one pass.  The face search contracts every edge subset of
+The cone and fan references decide faces, intersections and locations by LP
+membership tests of every ray and point, where the library reads them off
+canonical ray sets.  The canonical form, pointedness, common face, face
+list and point location are also kept in their LP-only form (``lp_*``),
+where the library settles simplicial cones by rank and skips the cones
+inside a cone that misses the point.  Edge contraction rebuilds the curve
+once per contracted edge, where the library contracts a set of edges in one
+pass.  The face search contracts every edge subset of
 the right size, where the library tries only the subsets whose edge
 weights and directions can match.  Decorated isomorphisms come from the
 two recursive searches (vertices, then edges) that the library replaced by
@@ -32,11 +35,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from tropmap.curves import Edge, TropicalCurve, Vertex, tropical_curve
 from tropmap.exactgeom import (
     Cone,
-    canonical_cone,
     cone_contains,
     cone_is_face,
-    cone_is_pointed,
+    primitive,
     ratvec,
+    solve_nonneg,
     vector_content,
     zero_cone,
 )
@@ -502,6 +505,77 @@ def _exact(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def lp_cone_is_pointed(c: Cone) -> bool:
+    """No nonzero non-negative dependence of the rays: one LP for two or
+    more rays."""
+    if not c.rays:
+        return True
+    if len(c.rays) == 1:
+        return any(c.rays[0])
+    rows = [list(col) for col in zip(*c.rays)]
+    rows.append([1] * len(c.rays))
+    return solve_nonneg(rows, [0] * c.ambient_dim + [1]) is None
+
+
+def lp_canonical_cone(c: Cone) -> Cone:
+    """Sorted distinct primitive rays, each kept when the others do not
+    generate it (one membership LP per ray)."""
+    prim = []
+    for r in c.rays:
+        if any(r) and primitive(r) not in prim:
+            prim.append(primitive(r))
+    extreme = [
+        r for i, r in enumerate(prim)
+        if not cone_contains(Cone(c.ambient_dim, tuple(prim[:i] + prim[i + 1:])), r)
+    ]
+    return Cone(c.ambient_dim, tuple(sorted(extreme)))
+
+
+def lp_common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
+    """The cone on the shared rays of two canonical pointed cones when one
+    LP finds no Motzkin alternative to a separating covector (equal cones
+    need none), else None."""
+    in_c1, in_c2 = set(c1.rays), set(c2.rays)
+    shared = tuple(r for r in c1.rays if r in in_c2)
+    if len(shared) == len(c1.rays) == len(c2.rays):
+        return c1
+    columns = [*c1.rays, *([-x for x in r] for r in c2.rays)]
+    rows = [list(coord) for coord in zip(*columns)]
+    rows.append([int(r not in in_c2) for r in c1.rays] + [int(r not in in_c1) for r in c2.rays])
+    if solve_nonneg(rows, [0] * c1.ambient_dim + [1]) is not None:
+        return None
+    return Cone(c1.ambient_dim, shared)
+
+
+def lp_faces(cc: Cone) -> list[Cone]:
+    """Faces of a canonical pointed cone: one common-face LP per proper
+    nonempty ray subset."""
+    if not lp_cone_is_pointed(cc):
+        raise ValueError("face enumeration requires a pointed cone")
+    faces = {zero_cone(cc.ambient_dim), cc}
+    for size in range(1, len(cc.rays)):
+        for subset in itertools.combinations(cc.rays, size):
+            face = lp_common_face(Cone(cc.ambient_dim, subset), cc)
+            if face is not None:
+                faces.add(face)
+    return sorted(faces, key=lambda f: (len(f.rays), f.rays))
+
+
+def lp_cone_locate(f, p):
+    """One membership LP per cone; the minimal cone is the one whose rays
+    every cone containing p shares."""
+    if len(p) != f.ambient_dim:
+        raise ValueError("dimension mismatch")
+    candidates = [c for c in f.cones if cone_contains(c, p)]
+    if not candidates:
+        return None
+    shared = set.intersection(*(set(c.rays) for c in candidates))
+    minimal = [c for c in candidates if set(c.rays) == shared]
+    if len(minimal) != 1:
+        raise ValueError("fan cones overlap or miss a face near the given point")
+    return minimal[0]
+
+
 def _contains_cone(big, small) -> bool:
     return all(cone_contains(big, ratvec(r)) for r in small.rays)
 
@@ -516,8 +590,8 @@ def _face_functional_exists(ambient, zero_rays, pos_rays) -> bool:
 def ref_cone_is_face(face, c) -> bool:
     """Is ``face`` a face of ``c``: contained in ``c``, generated by the rays
     of ``c`` it contains, and cut out by a supporting covector."""
-    cc = canonical_cone(c)
-    fc = canonical_cone(face)
+    cc = lp_canonical_cone(c)
+    fc = lp_canonical_cone(face)
     if fc == cc:
         return True
     if not _contains_cone(cc, fc):
@@ -532,8 +606,8 @@ def ref_cone_is_face(face, c) -> bool:
 def ref_cone_faces(c) -> list:
     """Faces of a pointed cone: every ray subset cut out by a supporting
     covector, each canonicalized again."""
-    cc = canonical_cone(c)
-    if not cone_is_pointed(cc):
+    cc = lp_canonical_cone(c)
+    if not lp_cone_is_pointed(cc):
         raise ValueError("face enumeration requires a pointed cone")
     faces = {cc}
     n = len(cc.rays)
@@ -542,7 +616,7 @@ def ref_cone_faces(c) -> list:
             zero = [cc.rays[i] for i in subset]
             pos = [cc.rays[i] for i in range(n) if i not in subset]
             if _face_functional_exists(cc.ambient_dim, zero, pos):
-                faces.add(canonical_cone(Cone(cc.ambient_dim, tuple(zero))))
+                faces.add(lp_canonical_cone(Cone(cc.ambient_dim, tuple(zero))))
     return sorted(faces, key=lambda f: (len(f.rays), f.rays))
 
 
@@ -560,12 +634,12 @@ def ref_pair_meets_in_common_face(c1, c2) -> bool:
 def ref_fan_cone_intersection(f, cones_):
     """The cone on the rays of either cone lying in the other, folded over
     the inputs, then checked to be a face of every input."""
-    result = canonical_cone(cones_[0])
+    result = lp_canonical_cone(cones_[0])
     for other in cones_[1:]:
-        other = canonical_cone(other)
+        other = lp_canonical_cone(other)
         s = [r for r in result.rays if cone_contains(other, ratvec(r))]
         t = [r for r in other.rays if cone_contains(result, ratvec(r))]
-        result = canonical_cone(Cone(f.ambient_dim, tuple(s + t)))
+        result = lp_canonical_cone(Cone(f.ambient_dim, tuple(s + t)))
     for c in cones_:
         if not ref_cone_is_face(result, c):
             raise ValueError("cones do not meet in a common face (fan is not valid)")
@@ -603,11 +677,11 @@ def ref_fan_validate(f) -> list[str]:
                 diags.append(f"non-primitive ray {r} (content {vector_content(r)})")
         if bad:
             continue
-        if not cone_is_pointed(c):
+        if not lp_cone_is_pointed(c):
             diags.append(f"cone {c.rays} is not pointed")
             continue
         usable.append(c)
-    canon = {canonical_cone(c) for c in usable}
+    canon = {lp_canonical_cone(c) for c in usable}
     if zero_cone(f.ambient_dim) not in canon:
         diags.append("missing zero cone")
     if len(canon) != len(usable):

@@ -324,6 +324,32 @@ class TestUnbalancedMaps:
         assert run_cli(capsys, monkeypatch, ["cone"], stdin=out)[0] == 2
 
 
+OVERLAPPING_STRICT_FAN_MAP = Path(__file__).parent / "data" / "overlapping_strict_fan_map.json"
+
+
+class TestOverlappingStrictFan:
+    """A tripod at the origin on a strict fan of two cones that share no ray
+    yet overlap.  A strict map's vertex cones are read off its fan, so the
+    fan is refused on load; an embedded fan's cones are never read."""
+
+    @pytest.mark.parametrize("command", ["validate", "type", "cone", "superabundant"])
+    def test_refused(self, capsys, monkeypatch, command):
+        code, out, err = run_cli(capsys, monkeypatch, [command, str(OVERLAPPING_STRICT_FAN_MAP)])
+        assert code == 2
+        [diag] = json.loads(out)["diagnostics"]
+        assert diag["pointer"] == "/fan/cones"
+        assert diag["message"].startswith("not a fan: cones ")
+        assert diag["message"].endswith(" do not meet in a common face")
+        assert "Traceback" not in err
+
+    def test_embedded_copy_is_accepted(self, capsys, monkeypatch):
+        raw = json.loads(OVERLAPPING_STRICT_FAN_MAP.read_text())
+        raw["fan"]["embedded"] = True
+        code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin=json.dumps(raw))
+        assert code == 0
+        assert json.loads(out)["results"]["valid"] is True
+
+
 class TestErrorHandling:
     def test_malformed_input_exit_two(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin="{broken")

@@ -124,6 +124,19 @@ class TestDiagnostics:
             load_document(json.dumps(raw))
         assert "primitive" in err.value.message
 
+    def test_overlapping_strict_fan(self):
+        # two cones that share no ray yet both hold (1, -3/7, -2/7)
+        raw = {
+            "ambient_dim": 3,
+            "cones": [{"rays": [[1, -1, 2], [1, 0, -2]]}, {"rays": [[-1, 2, 1], [1, 0, 1], [2, -1, -1]]}],
+        }
+        with pytest.raises(DocumentError) as err:
+            load_document(json.dumps(raw))
+        assert err.value.pointer == "/cones"
+        assert err.value.message.endswith("do not meet in a common face")
+        raw["embedded"] = True  # an embedded fan's cones are never read
+        assert load_document(json.dumps(raw)).document.payload.embedded
+
     def test_missing_position(self):
         raw = json.loads(serialize_document(Document("map", square_loop())))
         del raw["positions"]["c0"]

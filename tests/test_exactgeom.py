@@ -1,7 +1,9 @@
 """Rationals, exact elimination, cones, and fans."""
 
+import collections
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,10 +35,15 @@ from tropmap.exactgeom import (
 )
 from tropmap.wellspaced import build_figure1_family
 
-from builders import rectangle_cycle
+from builders import rectangle_cycle, strict_unstable_member_family
 from oracles import (
     bareiss_rank,
     dense_equations,
+    lp_canonical_cone,
+    lp_common_face,
+    lp_cone_is_pointed,
+    lp_cone_locate,
+    lp_faces,
     ref_cone_faces,
     ref_cone_is_face,
     ref_cone_locate,
@@ -187,13 +194,22 @@ class TestLp:
         monkeypatch.setattr(exactgeom, "solve_nonneg", recording)
         monkeypatch.setattr(moduli, "solve_nonneg", recording)
         assert fan_validate(complete_orthant_fan(3)) == []
-        fam = build_figure1_family(3)
-        assert moduli.is_face(moduli.limit_of_family(fam, 1).type, fam.type) is not None
+        assert fan_validate(build_fan(3, [_SQUARE_CONE])) == []  # not simplicial
+        for n in (2, 3):
+            f = complete_orthant_fan(n)
+            for p in itertools.product((-2, 0, 3), repeat=n):
+                cone_locate(f, ratvec(p))
+        for fam in (build_figure1_family(3), strict_unstable_member_family()):
+            assert moduli.is_face(moduli.limit_of_family(fam, 1).type, fam.type) is not None
         mc = moduli.moduli_cone(combinatorial_type(rectangle_cycle(3, 3)))
         moduli.sample_interior(mc, seed=5)
         assert len(recorded) > 300
         for rows, rhs in recorded:
             _assert_same_witness(rows, rhs)
+
+
+# the cone over a square in R^3: four extreme rays, so no rank test applies
+_SQUARE_CONE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
 
 
 def _random_lp(rng):
@@ -294,6 +310,15 @@ class TestFans:
         bad = fan(2, [zero_cone(2), *cone_faces(f1), *cone_faces(f2)])
         diags = fan_validate(bad)
         assert any("common face" in d for d in diags)
+
+    def test_cone_on_rays_of_another_that_is_not_its_face(self):
+        # the diagonal of the cone over a square lies in it, not on a face
+        diagonal = [_SQUARE_CONE[0], _SQUARE_CONE[2]]
+        f = build_fan(3, [_SQUARE_CONE, diagonal])
+        diags = fan_validate(f)
+        assert diags == ref_fan_validate(f)
+        square, diagonal = f.cones[-1].rays, tuple(sorted(diagonal))
+        assert f"cones {diagonal} and {square} do not meet in a common face" in diags
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_builders_produce_valid_fans(self, n):
@@ -419,36 +444,122 @@ class TestAgainstMembershipReferences:
         with pytest.raises(ValueError, match="common face"):
             fan_cone_intersection(f, [cone(3, a), cone(3, b)])
 
+    def test_shortcuts_agree_with_the_lp_path(self, monkeypatch):
+        """The rank and ray-containment shortcuts against the LP-only
+        canonical form, pointedness, common face, face list and location,
+        on the 200 seeded random fans and the builder fans.  Each shortcut
+        and each LP fallback is taken at least 20 times."""
+        branches = collections.Counter()
+        independent = exactgeom._independent
+
+        def counting_independent(rays):
+            got = independent(rays)
+            branches[sys._getframe(1).f_code.co_name, "rank" if got else "lp"] += 1
+            return got
+
+        contains = exactgeom.cone_contains
+        tested = []
+
+        def counting_contains(c, p):
+            tested.append(c)
+            return contains(c, p)
+
+        monkeypatch.setattr(exactgeom, "_independent", counting_independent)
+        monkeypatch.setattr(exactgeom, "cone_contains", counting_contains)
+        rng = random.Random(20161018)
+        fans = []
+        while len(fans) < 200:
+            f = _random_fan(rng)
+            if f is not None:
+                fans.append(f)
+        for n in (1, 2, 3):
+            axis = (1,) + (0,) * (n - 1)
+            fans += [complete_orthant_fan(n), auto_rays_fan(n, [axis, tuple(-x for x in axis)])]
+        for f in fans:
+            n = f.ambient_dim
+            for c in f.cones:
+                assert exactgeom._faces(c) == lp_faces(c)
+            for a, b in itertools.product(f.cones, repeat=2):
+                assert exactgeom._common_face(a, b) == lp_common_face(a, b), (a, b)
+            pairs = list(itertools.combinations(f.cones, 2))
+            for a, b in rng.sample(pairs, min(len(pairs), 6)):
+                raw = cone(n, a.rays + b.rays)  # often with rays that are not extreme
+                assert exactgeom.cone_is_pointed(raw) == lp_cone_is_pointed(raw), raw
+                assert exactgeom.canonical_cone(raw) == lp_canonical_cone(raw), raw
+            points = [ratvec(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
+            points += [ratvec(sum(r[k] for r in c.rays) for k in range(n)) for c in f.cones]
+            for p in points:
+                tested.clear()
+                got = _outcome(exactgeom.cone_locate, f, p)
+                branches["cone_locate", "skip"] += len(f.cones) - len(tested)
+                branches["cone_locate", "lp"] += sum(1 for c in tested if c.rays)
+                assert got == _outcome(lp_cone_locate, f, p), (f, p)
+        for name in ("canonical_cone", "cone_is_pointed", "_common_face", "_faces", "cone_locate"):
+            shortcut = "skip" if name == "cone_locate" else "rank"
+            assert branches[name, shortcut] >= 20 and branches[name, "lp"] >= 20, (name, branches)
+
     def test_orthant_build_lp_count(self, monkeypatch):
-        calls = []
-        real = exactgeom.solve_nonneg
-
-        def counting(rows, rhs):
-            calls.append(len(rows))
-            return real(rows, rhs)
-
-        monkeypatch.setattr(exactgeom, "solve_nonneg", counting)
+        calls = _count_lps(monkeypatch)
         assert len(complete_orthant_fan(3).cones) == 27
-        # per octant, canonicalized once: one membership LP per ray, then
-        # pointedness and one LP per one- and two-ray subset
-        assert len(calls) == 8 * (3 + 1 + 3 + 3)
+        # every octant is simplicial: its canonical form, pointedness and
+        # faces are read off one rank each
+        assert len(calls) == 0
 
     def test_orthant_validation_lp_count(self, monkeypatch):
-        calls = []
-        real = exactgeom.solve_nonneg
+        fans = {n: complete_orthant_fan(n) for n in (2, 3)}
+        calls = _count_lps(monkeypatch)
+        for n, f in fans.items():
+            calls.clear()
+            assert fan_validate(f) == []
+            # a cone is a sign pattern in {0, +, -}^n.  Faces need no LP,
+            # nor does a pair where one cone's rays lie in the other's (its
+            # face list decides) or whose rays are independent (rank
+            # decides).  What is left are the pairs with opposite signs in
+            # some coordinate: (9^n - 7^n) / 2 of them, 16 and 193
+            assert len(calls) == (9**n - 7**n) // 2
 
-        def counting(rows, rhs):
-            calls.append(len(rows))
-            return real(rows, rhs)
+    def test_orthant_location_lp_count(self, monkeypatch):
+        fans = {n: complete_orthant_fan(n) for n in (2, 3)}
+        calls = _count_lps(monkeypatch)
+        for n, f in fans.items():
+            points = [ratvec(p) for p in itertools.product((-2, 0, 3), repeat=n)]
+            calls.clear()
+            located = [cone_locate(f, p) for p in points]
+            lps = len(calls)
+            assert located == [ref_cone_locate(f, p) for p in points]
+            # with z zero coordinates in p: one LP per orthant, then one per
+            # lower cone that contains p (every other one lies in an
+            # orthant or a cone that misses p); the zero cone needs none
+            zeros = [sum(x == 0 for x in p) for p in points]
+            assert lps == sum(2**n + 3**z - 2**z - (z == n) for z in zeros)
+        assert lps == 276  # n = 3, against 27 * 26 = 702 at one LP per nonzero cone
 
-        f = complete_orthant_fan(2)
-        monkeypatch.setattr(exactgeom, "solve_nonneg", counting)
+    def test_non_simplicial_fan_lp_count(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        f = build_fan(3, [_SQUARE_CONE])
+        # one membership LP per ray, pointedness, one LP per proper nonempty
+        # ray subset
+        assert len(calls) == 4 + 1 + 14
+        assert len(f.cones) == 10
+        calls.clear()
         assert fan_validate(f) == []
-        # per quadrant: pointedness, one membership LP per ray when
-        # canonicalizing, one LP per one-ray subset; a ray's pointedness
-        # needs no LP; then one common-face LP for each of the 36 pairs of
-        # cones
-        assert len(calls) == 4 * (1 + 2 + 2) + 36
+        # the square cone again (its four edges and rays are simplicial),
+        # then the two pairs of opposite edges, whose four rays are
+        # dependent
+        assert len(calls) == 19 + 2
+
+
+def _count_lps(monkeypatch) -> list[int]:
+    """The row counts of the LPs ``exactgeom`` poses from now on."""
+    calls = []
+    real = exactgeom.solve_nonneg
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(exactgeom, "solve_nonneg", counting)
+    return calls
 
 
 def _random_ray_set(rng: random.Random, n: int) -> list[tuple[int, ...]]:
