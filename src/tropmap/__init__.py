@@ -9,21 +9,17 @@ maps, all over exact rational arithmetic.
 
 from .curves import (
     INF,
-    DiscreteData,
     Edge,
     Marking,
     TropicalCurve,
     Vertex,
     betti_and_genus,
-    contract_edge,
     contract_edges,
     curve_lints,
-    discrete_data,
     genus,
     is_smooth,
     tropical_curve,
     validate_curve,
-    validate_discrete_data,
 )
 from .exactgeom import (
     Cone,
@@ -42,15 +38,12 @@ from .exactgeom import (
 from .maps import (
     CombinatorialType,
     EdgeMapData,
-    RecessionType,
     TropicalStableMap,
     TypeAutomorphism,
     canonical_map,
     canonical_type,
     combinatorial_type,
-    discrete_data_of,
     make_type,
-    recession_type,
     stable_map,
     star,
     type_automorphisms,
@@ -93,7 +86,6 @@ from .wellspaced import (
     is_well_spaced,
     realizability_verdict,
     subcurve_in_flat,
-    well_spaced_or_vacuous,
 )
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .exactgeom import Fan, IntVec, format_rational, primitive
+from .exactgeom import format_rational
 
 
 class InfiniteLength:
@@ -277,45 +277,3 @@ def contract_edges(c: TropicalCurve, edge_ids: Iterable[str]) -> tuple[TropicalC
         if e.id not in edge_set
     ]
     return tropical_curve(vertices, edges, c.markings), root
-
-
-def contract_edge(c: TropicalCurve, edge_id: str) -> TropicalCurve:
-    """Contract one edge (see :func:`contract_edges`)."""
-    return contract_edges(c, [edge_id])[0]
-
-
-# ---------------------------------------------------------------------------
-# discrete data: genus, marking count, contact orders
-
-@dataclass(frozen=True)
-class DiscreteData:
-    """Genus, number of markings, and the contact vector (contact order times
-    primitive ray direction) attached to each marking label."""
-
-    genus: int
-    n: int
-    contact: Mapping[str, IntVec]
-
-
-def discrete_data(genus_: int, contact: Mapping[str, Sequence[int]]) -> DiscreteData:
-    ct = {label: tuple(int(x) for x in vec) for label, vec in contact.items()}
-    return DiscreteData(genus_, len(ct), ct)
-
-
-def validate_discrete_data(d: DiscreteData, f: Fan) -> list[str]:
-    """Each contact vector must be zero or a positive multiple of a single
-    ray of the fan (and in particular lie in the fan's support)."""
-    diags = []
-    if d.n != len(d.contact):
-        diags.append(f"marking count {d.n} != number of contact vectors {len(d.contact)}")
-    rays = {r for c in f.cones for r in c.rays}
-    for label in sorted(d.contact):
-        vec = d.contact[label]
-        if len(vec) != f.ambient_dim:
-            diags.append(f"contact vector for {label} has length {len(vec)}")
-            continue
-        if all(x == 0 for x in vec):
-            continue
-        if primitive(vec) not in rays:
-            diags.append(f"contact vector {vec} for {label} is not on a ray of the fan")
-    return diags

@@ -32,9 +32,6 @@ from .curves import (
     Marking,
     TropicalCurve,
     Vertex,
-    betti_and_genus,
-    DiscreteData,
-    discrete_data,
     tropical_curve,
     validate_curve,
 )
@@ -200,8 +197,8 @@ def _edge_data_diagnostics(c: TropicalCurve, edge_data: Mapping[str, EdgeMapData
 STABILITY_VIOLATED = "stability violated at 2-valent vertex "
 
 
-def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> list[str]:
-    """Diagnostics for the map axioms and (optionally) fixed discrete data.
+def validate_map(m: TropicalStableMap) -> list[str]:
+    """Diagnostics for the map axioms.
 
     Returns the empty list iff the map is valid; each entry names the vertex
     or edge and the violated condition.
@@ -215,43 +212,16 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
 
     ambient = m.fan.ambient_dim
     diags.extend(_edge_data_diagnostics(m.curve, m.edge_data, ambient))
-
-    marked = m.curve.marked_vertex_ids
-    finite_ids = m.curve.unmarked_vertex_ids()
-    for vid in finite_ids:
-        p = m.positions.get(vid)
-        if p is None:
-            diags.append(f"vertex {vid} has no position")
-        elif len(p) != ambient:
-            diags.append(f"vertex {vid}: position has length {len(p)}, expected {ambient}")
-    for vid in m.positions:
-        if vid in marked:
-            diags.append(f"marked vertex {vid} cannot carry a position")
-        elif not m.curve.has_vertex(vid):
-            diags.append(f"position for unknown vertex {vid}")
+    diags.extend(_position_diagnostics(m.curve, m.positions, ambient))
     if diags:
         return diags
 
-    # integrality along bounded edges, at the common denominator
-    scaled = m.scaled
-    for e in m.curve.edges:
-        if m.curve.is_marked_leaf_edge(e):
-            continue
-        if e.ends[0] == e.ends[1]:
-            continue  # contracted by the loop rule; no displacement constraint
-        d = m.edge_data[e.id]
-        step = scaled.lengths[e.id] * d.w
-        actual = [h - t for h, t in zip(scaled.positions[d.head(e)], scaled.positions[d.tail])]
-        if actual != [step * x for x in d.u]:
-            displacement = tuple(format_rational(Fraction(x, scaled.denominator)) for x in actual)
-            diags.append(
-                f"integrality violated on edge {e.id}: displacement "
-                f"{displacement} != length*weight*direction"
-            )
-
+    bounded = (e for e in m.curve.edges if not m.curve.is_marked_leaf_edge(e) and e.ends[0] != e.ends[1])
+    diags.extend(_integrality_diagnostics(m.edge_data, m.scaled, bounded))
     diags.extend(msg for _, msg in balancing_diagnostics(m.curve, m.edge_data, ambient))
 
     # stability of 2-valent vertices
+    finite_ids = m.curve.unmarked_vertex_ids()
     for vid in finite_ids:
         if m.curve.valence(vid) != 2:
             continue
@@ -262,25 +232,50 @@ def validate_map(m: TropicalStableMap, data: Optional[DiscreteData] = None) -> l
     if not m.fan.embedded:
         for vid in finite_ids:
             if m.located_cones[vid] is None:
-                diags.append(f"vertex {vid}: position outside the fan support")
-
-    if data is not None:
-        g = betti_and_genus(m.curve)[1]
-        if g != data.genus:
-            diags.append(f"genus {g} != declared genus {data.genus}")
-        labels = {mk.label for mk in m.curve.markings}
-        if labels != set(data.contact):
-            diags.append("marking labels differ from the declared contact data")
-        else:
-            for mk in m.curve.markings:
-                e = m.curve.edges_at(mk.vertex)[0]
-                got = m.weighted_direction(e.id)
-                if got != tuple(data.contact[mk.label]):
-                    diags.append(
-                        f"marking {mk.label}: weighted direction {got} != contact "
-                        f"vector {tuple(data.contact[mk.label])}"
-                    )
+                diags.append(_outside_support(vid))
     return diags
+
+
+def _position_diagnostics(c: TropicalCurve, positions: Mapping[str, Sequence], ambient: int) -> list[str]:
+    """Every finite vertex has a position of the ambient length, and no
+    other vertex has one."""
+    diags = []
+    marked = c.marked_vertex_ids
+    for vid in c.unmarked_vertex_ids():
+        p = positions.get(vid)
+        if p is None:
+            diags.append(f"vertex {vid} has no position")
+        elif len(p) != ambient:
+            diags.append(f"vertex {vid}: position has length {len(p)}, expected {ambient}")
+    for vid in positions:
+        if vid in marked:
+            diags.append(f"marked vertex {vid} cannot carry a position")
+        elif not c.has_vertex(vid):
+            diags.append(f"position for unknown vertex {vid}")
+    return diags
+
+
+def _integrality_diagnostics(
+    edge_data: Mapping[str, EdgeMapData], scaled: ScaledMap, edges: Iterable[Edge]
+) -> list[str]:
+    """The integrality axiom on the given bounded non-loop edges, at the
+    common denominator."""
+    diags = []
+    for e in edges:
+        d = edge_data[e.id]
+        step = scaled.lengths[e.id] * d.w
+        actual = [h - t for h, t in zip(scaled.positions[d.head(e)], scaled.positions[d.tail])]
+        if actual != [step * x for x in d.u]:
+            displacement = tuple(format_rational(Fraction(x, scaled.denominator)) for x in actual)
+            diags.append(
+                f"integrality violated on edge {e.id}: displacement "
+                f"{displacement} != length*weight*direction"
+            )
+    return diags
+
+
+def _outside_support(vid: str) -> str:
+    return f"vertex {vid}: position outside the fan support"
 
 
 def balancing_diagnostics(
@@ -335,18 +330,8 @@ def _star_in_single_cone_interior(m: TropicalStableMap, vid: str) -> bool:
     return True
 
 
-def discrete_data_of(m: TropicalStableMap) -> DiscreteData:
-    """The genus, marking count, and contact vectors realized by the map."""
-    g = betti_and_genus(m.curve)[1]
-    contact = {}
-    for mk in m.curve.markings:
-        e = m.curve.edges_at(mk.vertex)[0]
-        contact[mk.label] = m.weighted_direction(e.id)
-    return discrete_data(g, contact)
-
-
 # ---------------------------------------------------------------------------
-# combinatorial and recession types
+# combinatorial types
 
 PLACEHOLDER_LENGTH = Fraction(1)
 
@@ -403,15 +388,6 @@ class CombinatorialType(_EdgeDirections):
         return {m.label: self.graph.marked_edge(m.label) for m in self.graph.markings}
 
 
-@dataclass(frozen=True)
-class RecessionType:
-    """Everything bounded collapsed to one vertex: genus plus the marked
-    contact vectors, which necessarily sum to zero."""
-
-    genus: int
-    contacts: tuple[tuple[str, IntVec], ...]
-
-
 def _strip_lengths(c: TropicalCurve) -> TropicalCurve:
     edges = [
         Edge(e.id, e.ends, curves.INF if c.is_marked_leaf_edge(e) else PLACEHOLDER_LENGTH)
@@ -454,24 +430,9 @@ def combinatorial_type(m: TropicalStableMap) -> CombinatorialType:
         for vid in m.curve.unmarked_vertex_ids():
             located = m.located_cones[vid]
             if located is None:
-                raise ValueError(f"vertex {vid}: position outside the fan support")
+                raise ValueError(_outside_support(vid))
             cones[vid] = located
     return make_type(m.curve, m.fan, m.edge_data, cones)
-
-
-def recession_type(t: CombinatorialType) -> RecessionType:
-    g = betti_and_genus(t.graph)[1]
-    contacts = []
-    for mk in t.graph.markings:
-        e = t.graph.edges_at(mk.vertex)[0]
-        contacts.append((mk.label, t.weighted_direction(e.id)))
-    contacts.sort()
-    total = [0] * t.fan.ambient_dim
-    for _, vec in contacts:
-        total = [a + b for a, b in zip(total, vec)]
-    if any(x != 0 for x in total):
-        raise ValueError("contact vectors do not balance at the collapsed vertex")
-    return RecessionType(g, tuple(contacts))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
-from .curves import Edge, betti_and_genus, tropical_curve
+from .curves import Edge, TropicalCurve, betti_and_genus, tropical_curve, validate_curve
 from .exactgeom import (
+    Fan,
     IntVec,
     RatVec,
     ZERO,
     cone_contains,
     cone_is_face,
+    cone_locate,
     format_rational,
     integer_nullspace,
     nullspace,
@@ -41,8 +43,15 @@ from .maps import (
     STABILITY_VIOLATED,
     CombinatorialType,
     EdgeMapData,
+    ScaledMap,
     TropicalStableMap,
+    _edge_data_diagnostics,
+    _integrality_diagnostics,
     _lex_positive,
+    _orient_leaves,
+    _outside_support,
+    _position_diagnostics,
+    balancing_diagnostics,
     canonical_type,
     combinatorial_type,
     decorated_isomorphisms,
@@ -553,7 +562,9 @@ class ScaledFamily:
 class Family:
     """A one-parameter family of maps of a fixed type on t in [0, 1]:
     every length and position coordinate is an affine function of t, all
-    lengths are positive on [0, 1), and the equations hold identically."""
+    lengths are positive on [0, 1), and the equations hold identically.
+    :func:`make_family` refuses a family that breaks one of these; the
+    :attr:`frame` of a family built directly reports it."""
 
     type: CombinatorialType
     lengths: Mapping[str, AffineFn]
@@ -577,6 +588,225 @@ class Family:
             {vid: tuple(map(pair, fns)) for vid, fns in self.positions.items()},
         )
 
+    @cached_property
+    def frame(self) -> FamilyFrame:
+        """The family's checks, run once each on first use; :func:`make_family`
+        reads some of them, and a family built directly gets the same."""
+        return FamilyFrame(self)
+
+
+@dataclass(frozen=True)
+class FamilyMember:
+    """A family member read on the family's integers: the family type's
+    graph, fan and edge data, and the member's positions and bounded edge
+    lengths as a :class:`ScaledMap` over D*q at t = p/q.
+
+    The graph's lengths are the type's placeholders.  The genus-one
+    analysis reads lengths and positions from ``scaled`` only, so it takes
+    a member where it takes a map; :func:`evaluate_family` gives the member
+    as a map."""
+
+    curve: TropicalCurve
+    fan: Fan
+    edge_data: Mapping[str, EdgeMapData]
+    scaled: ScaledMap
+
+
+def _positive_before_one(const, slope) -> bool:
+    """Is const + slope * t positive on [0, 1)?  An affine function is
+    positive on [0, 1) exactly when it is positive at 0 and not negative at
+    1; it is then not negative on all of [0, 1]."""
+    return const > 0 and const + slope >= 0
+
+
+def _not_positive(eid: str, fn: AffineFn) -> str:
+    return f"length of {eid} is not positive on [0,1): {format_affine(fn)}"
+
+
+def _inconsistent(edge: Edge, at_zero: bool) -> str:
+    """An equation that fails at t = 0, or else holds there but not at
+    t = 1/2 (an affine residual that is zero at both is zero)."""
+    return f"family inconsistent on edge {edge.id} at t={'0' if at_zero else '1/2'}"
+
+
+@dataclass(frozen=True)
+class FamilyFrame:
+    """What holds for every member of a family, checked once on its integer
+    (const, slope) pairs, and its members read at t from those pairs.
+
+    ``validate_map`` on a member checks facts of the family type (the curve,
+    the edge data and balancing see the type's graph and edge data at every
+    t, and the member's positions have the family's keys) and facts that
+    are affine in t:
+    - a member's length c + s*t is negative for no t in [0, 1] when the
+      family's length is positive on [0, 1), that is c > 0 and c + s >= 0;
+    - the edge equations hold at every t when both the constant part and
+      the slope part of each residual are zero;
+    - in strict mode, a vertex cone is convex, so when the positions at
+      t = 0 and t = 1 lie in it so does every position between them, and
+      the member's position then lies in the fan's support if that cone is
+      a cone of the fan (validation asks for the support only, not for a
+      relative interior).  A vertex whose positions leave its cone at an
+      endpoint, or whose cone is not a cone of the fan, is located member
+      by member.
+
+    Every member is smooth: each bounded edge gets a finite length.  So
+    when :attr:`diagnostics` is empty, every member on [0, 1] passes
+    ``validate_map`` but for the stability axiom, which a family member may
+    fail.  The checks are cached properties, each run at most once."""
+
+    family: Family
+
+    @cached_property
+    def edge_data(self) -> Mapping[str, EdgeMapData]:
+        """The type's edge data as every member carries it."""
+        return _orient_leaves(self.family.type.graph, self.family.type.edge_data)
+
+    @cached_property
+    def curve_diagnostics(self) -> tuple[str, ...]:
+        """``validate_curve`` on the type's graph, whose bounded lengths are
+        placeholders: empty means the members' curves fail only on their
+        lengths."""
+        return tuple(validate_curve(self.family.type.graph))
+
+    @cached_property
+    def position_diagnostics(self) -> tuple[str, ...]:
+        """Every finite vertex has a position of the ambient length and no
+        other vertex has one."""
+        t = self.family.type
+        return tuple(_position_diagnostics(t.graph, self.family.positions, t.fan.ambient_dim))
+
+    @cached_property
+    def type_diagnostics(self) -> tuple[str, ...]:
+        """The edge data and position diagnostics, in ``validate_map``'s
+        order."""
+        t = self.family.type
+        return (*_edge_data_diagnostics(t.graph, self.edge_data, t.fan.ambient_dim), *self.position_diagnostics)
+
+    @cached_property
+    def short_lengths(self) -> tuple[str, ...]:
+        """The bounded edges, in curve order, whose length is not positive on
+        [0, 1)."""
+        lengths = self.family.scaled.lengths
+        return tuple(eid for eid in self.family.type.bounded_edge_ids() if not _positive_before_one(*lengths[eid]))
+
+    @cached_property
+    def residuals(self) -> tuple[tuple[Edge, bool], ...]:
+        """(edge, whether the constant part is nonzero) for every bounded
+        non-loop edge, in curve order, whose residual head - tail -
+        length*w*u has a nonzero constant or slope part.  Needs every finite
+        vertex positioned."""
+        graph = self.family.type.graph
+        scaled = self.family.scaled
+        out = []
+        for eid in self.family.type.bounded_edge_ids():
+            e = graph.edge(eid)
+            if e.ends[0] == e.ends[1]:
+                continue
+            d = self.edge_data[eid]
+            ell = scaled.lengths[eid]
+            rows = list(zip(scaled.positions[d.head(e)], scaled.positions[d.tail], d.u))
+            const = any(h[0] - a[0] != ell[0] * d.w * x for h, a, x in rows)
+            if const or any(h[1] - a[1] != ell[1] * d.w * x for h, a, x in rows):
+                out.append((e, const))
+        return tuple(out)
+
+    @cached_property
+    def balancing(self) -> tuple[str, ...]:
+        """The balancing diagnostics.  Needs edge data on every edge."""
+        t = self.family.type
+        return tuple(msg for _, msg in balancing_diagnostics(t.graph, self.edge_data, t.fan.ambient_dim))
+
+    @cached_property
+    def cone_exits(self) -> tuple[tuple[Fraction, str], ...]:
+        """Strict mode: (t, vertex) for each endpoint t = 0, 1 and each
+        positioned vertex, in that order, whose position at t lies outside
+        its vertex cone (membership is invariant under scaling, so it is
+        tested on the integers)."""
+        t = self.family.type
+        if t.fan.embedded:
+            return ()
+        positions = self.family.scaled.positions
+        return tuple(
+            (probe, vid)
+            for probe in (Fraction(0), Fraction(1))
+            for vid, pairs in positions.items()
+            if not cone_contains(t.vertex_cones[vid], tuple(_scaled_at(x, probe) for x in pairs))
+        )
+
+    @cached_property
+    def unpinned(self) -> tuple[str, ...]:
+        """Strict mode: the finite vertices, in curve order, whose positions
+        on [0, 1] are not shown to stay in one cone of the fan, because they
+        leave their vertex cone at an endpoint or that cone is not a cone of
+        the fan."""
+        t = self.family.type
+        if t.fan.embedded:
+            return ()
+        exits = {vid for _, vid in self.cone_exits}
+        cones = set(t.fan.cones)
+        return tuple(
+            vid for vid in t.graph.unmarked_vertex_ids() if vid in exits or t.vertex_cones[vid] not in cones
+        )
+
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        """Every check that fails, in ``validate_map``'s order; empty when
+        every member on [0, 1] passes ``validate_map`` but for stability."""
+        if self.curve_diagnostics:
+            return tuple(f"curve: {d}" for d in self.curve_diagnostics)
+        if self.type_diagnostics:
+            return self.type_diagnostics
+        return (
+            *(_not_positive(eid, self.family.lengths[eid]) for eid in self.short_lengths),
+            *(_inconsistent(e, at_zero) for e, at_zero in self.residuals),
+            *self.balancing,
+            *(f"vertex {vid}: positions not confined to one cone of the fan" for vid in self.unpinned),
+        )
+
+    def member(self, t_val: Fraction) -> FamilyMember:
+        """The member at ``t_val``, on the integers (:func:`_scaled_at`)."""
+        t = self.family.type
+        scaled = self.family.scaled
+        return FamilyMember(
+            t.graph,
+            t.fan,
+            self.edge_data,
+            ScaledMap(
+                scaled.denominator * t_val.denominator,
+                {vid: tuple(_scaled_at(x, t_val) for x in pairs) for vid, pairs in scaled.positions.items()},
+                {eid: _scaled_at(scaled.lengths[eid], t_val) for eid in t.bounded_edge_ids()},
+            ),
+        )
+
+    def member_diagnostic(self, member: FamilyMember) -> Optional[str]:
+        """The first diagnostic that ``validate_map`` gives the member map
+        at a t in [0, 1], the stability axiom waived, or None.
+
+        Only what the family's checks leave open is read off the member: its
+        curve when the type's graph or a length fails, the equations that
+        do not hold identically, and the fan cone of an unpinned vertex."""
+        if not self.diagnostics:
+            return None
+        t = self.family.type
+        scaled = member.scaled
+        if self.curve_diagnostics or self.short_lengths:
+            lengths = {eid: Fraction(x, scaled.denominator) for eid, x in scaled.lengths.items()}
+            diags = validate_curve(_curve_with_lengths(t, lengths))
+            if diags:
+                return f"curve: {diags[0]}"
+        if self.type_diagnostics:
+            return self.type_diagnostics[0]
+        diags = _integrality_diagnostics(self.edge_data, scaled, (e for e, _ in self.residuals))
+        if diags:
+            return diags[0]
+        if self.balancing:
+            return self.balancing[0]
+        for vid in self.unpinned:
+            if cone_locate(t.fan, scaled.positions[vid]) is None:
+                return _outside_support(vid)
+        return None
+
 
 def make_family(
     t: CombinatorialType,
@@ -587,10 +817,12 @@ def make_family(
 ) -> Family:
     """Validating constructor.
 
-    Missing positions are derived from the lengths through a spanning tree;
-    user-supplied positions are cross-checked against the edge equations at
-    t = 0 and t = 1/2 (an affine residual vanishing twice vanishes
-    identically).  Lengths must be positive on [0, 1).
+    Missing positions are derived from the lengths through a spanning tree.
+    Lengths must be positive on [0, 1).  The family's frame then checks,
+    on the integers, that every finite vertex has a position, that in
+    strict mode each position lies in its vertex cone at t = 0 and t = 1,
+    and that the edge equations hold identically: the constant part and
+    the slope part of each residual are zero.
     """
     t = canonical_type(t)
     n = t.fan.ambient_dim
@@ -600,10 +832,8 @@ def make_family(
         extra = set(lengths) - bounded
         raise ValueError(f"length functions mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
     for eid, fn in lengths.items():
-        if fn.const <= 0 or fn.const + fn.slope < 0:
-            raise ValueError(
-                f"length of {eid} is not positive on [0,1): {format_affine(fn)}"
-            )
+        if not _positive_before_one(fn.const, fn.slope):
+            raise ValueError(_not_positive(eid, fn))
     if positions is None:
         base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
         base_pos = tuple(base_position) if base_position is not None else tuple(affine(0) for _ in range(n))
@@ -616,19 +846,15 @@ def make_family(
         )
         positions = {vid: tuple(map(AffineFn, consts[vid], slopes[vid])) for vid in consts}
     fam = Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
-    if not t.fan.embedded:
-        # cones are convex, so membership at t = 0 and t = 1 pins the whole
-        # affine path inside the cone; membership is invariant under scaling
-        for probe in (Fraction(0), Fraction(1)):
-            for vid, pairs in fam.scaled.positions.items():
-                point = tuple(_scaled_at(x, probe) for x in pairs)
-                if not cone_contains(t.vertex_cones[vid], point):
-                    raise ValueError(
-                        f"position of {vid} exits its cone at t={format_rational(probe)}"
-                    )
-    equations = _edge_equations(t)
-    for probe in (Fraction(0), Fraction(1, 2)):
-        _check_member(fam, equations, probe)
+    frame = fam.frame
+    if frame.position_diagnostics:
+        raise ValueError(frame.position_diagnostics[0])
+    if frame.cone_exits:
+        probe, vid = frame.cone_exits[0]
+        raise ValueError(f"position of {vid} exits its cone at t={format_rational(probe)}")
+    if frame.residuals:
+        # the first edge that fails at t = 0, else the first at t = 1/2
+        raise ValueError(_inconsistent(*next((r for r in frame.residuals if r[1]), frame.residuals[0])))
     return fam
 
 
@@ -638,21 +864,17 @@ def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
     return const * t_val.denominator + slope * t_val.numerator
 
 
-def _check_member(fam: Family, equations: Sequence[EdgeEquation], t_val: Fraction) -> None:
-    """The edge equations at ``t_val``, on the family's integers."""
-    scaled = fam.scaled
-    for eq in equations:
-        if eq.head == eq.tail:
-            continue
-        head, tail = scaled.positions[eq.head], scaled.positions[eq.tail]
-        ell = _scaled_at(scaled.lengths[eq.edge], t_val)
-        for h, a, x in zip(head, tail, eq.wu):
-            if _scaled_at(h, t_val) - _scaled_at(a, t_val) != ell * x:
-                raise ValueError(f"family inconsistent on edge {eq.edge} at t={format_rational(t_val)}")
-
-
 def format_affine(fn: AffineFn) -> str:
     return f"{format_rational(fn.const)} + ({format_rational(fn.slope)})*t"
+
+
+def _curve_with_lengths(t: CombinatorialType, lengths: Mapping[str, Fraction]) -> TropicalCurve:
+    """The type's graph with the given lengths on its non-leaf edges."""
+    edges = [
+        e if t.graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, lengths[e.id])
+        for e in t.graph.edges
+    ]
+    return tropical_curve(t.graph.vertices, edges, t.graph.markings)
 
 
 def _map_from_lengths(
@@ -660,12 +882,7 @@ def _map_from_lengths(
 ) -> TropicalStableMap:
     """The map of type ``t`` with the given lengths on its non-leaf edges and
     the given vertex positions (not validated)."""
-    edges = [
-        e if t.graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, lengths[e.id])
-        for e in t.graph.edges
-    ]
-    c = tropical_curve(t.graph.vertices, edges, t.graph.markings)
-    return stable_map(c, t.fan, positions, t.edge_data)
+    return stable_map(_curve_with_lengths(t, lengths), t.fan, positions, t.edge_data)
 
 
 def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:

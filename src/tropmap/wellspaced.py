@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from . import curves
 from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
@@ -52,7 +52,12 @@ from .maps import (
     stable_map,
     validate_map,
 )
-from .moduli import AffineFn, Family, affine, evaluate_family, limit_of_family, make_family
+from .moduli import AffineFn, Family, FamilyMember, affine, limit_of_family, make_family
+
+# What the genus-one analysis reads: a map, or a family member on the
+# family's integers.  It reads the graph's structure, the fan, the edge data
+# and the positions and lengths in ``scaled``, which both carry.
+AnyMap = Union[TropicalStableMap, FamilyMember]
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +91,7 @@ class CycleFrame:
     edge_projections: tuple[tuple[IntVec, IntVec], ...] = ()
 
 
-def cycle_frame(m: TropicalStableMap) -> CycleFrame:
+def cycle_frame(m: AnyMap) -> CycleFrame:
     """The cycle frame of a map.  The span is taken from the offsets of the
     cycle vertices from the first of them and the cycle edges' directions,
     at the map's common denominator (which spans the same space)."""
@@ -188,17 +193,17 @@ def cycle_data(m: TropicalStableMap) -> CycleData:
     return cycle_data_on(cycle_frame(m), m)
 
 
-def cycle_data_on(frame: CycleFrame, m: TropicalStableMap) -> CycleData:
+def cycle_data_on(frame: CycleFrame, m: AnyMap) -> CycleData:
     """The cycle data of ``m`` on ``frame``: ``cycle_frame(m)``, or the
     equal frame of another valid map with m's graph and edge data (see
     :func:`_check_family_certificate`)."""
     if frame.genus != 1:
         raise ValueError(f"cycle analysis requires genus 1, got {frame.genus}")
-    positions = m.scaled.positions
-    base = positions[frame.cycle_vertices[0]]
-    offsets = ([a - b for a, b in zip(positions[vid], base)] for vid in m.curve.unmarked_vertex_ids())
+    scaled = m.scaled
+    base = scaled.positions[frame.cycle_vertices[0]]
+    offsets = ([a - b for a, b in zip(scaled.positions[vid], base)] for vid in m.curve.unmarked_vertex_ids())
     projected = _projections(frame.integer_quotient, (primitive(v) for v in offsets if any(v)))
-    return CycleData(frame, m.positions[frame.cycle_vertices[0]], projected)
+    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), projected)
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -255,7 +260,7 @@ class HyperplaneFlat:
     rank: int
 
 
-def build_arrangement(m: TropicalStableMap, cd: Optional[CycleData] = None) -> Arrangement:
+def build_arrangement(m: AnyMap, cd: Optional[CycleData] = None) -> Arrangement:
     """Project vertex offsets (for vertices off V) and all edge directions to
     the quotient by V's directions, keeping one primitive representative per
     projective class.
@@ -296,7 +301,7 @@ MAX_ARRANGEMENT_VECTORS = 12
 
 
 def enumerate_flats(
-    m: TropicalStableMap, cd: Optional[CycleData] = None, arr: Optional[Arrangement] = None
+    m: AnyMap, cd: Optional[CycleData] = None, arr: Optional[Arrangement] = None
 ) -> list[HyperplaneFlat]:
     """All hyperplane containment patterns: flats of the projected
     arrangement of rank at most codim - 1, each with a certifying normal.
@@ -421,7 +426,7 @@ def subcurve_in_flat(
     return _trapped_subcurve(m, cd, flat.normal)
 
 
-def _trapped_subcurve(m: TropicalStableMap, cd: CycleData, phi: IntVec) -> TrappedSubcurve:
+def _trapped_subcurve(m: AnyMap, cd: CycleData, phi: IntVec) -> TrappedSubcurve:
     """:func:`subcurve_in_flat` for a normal known to cut its flat."""
     marked = m.curve.marked_vertex_ids
     positions = m.scaled.positions
@@ -462,7 +467,7 @@ def _trapped_subcurve(m: TropicalStableMap, cd: CycleData, phi: IntVec) -> Trapp
 
 
 def _distances_to_cycle(
-    m: TropicalStableMap,
+    m: AnyMap,
     component: set[str],
     comp_edges: set[str],
     cd: CycleData,
@@ -518,7 +523,7 @@ def multiset_passes(distances: Sequence[Fraction]) -> bool:
     return sum(1 for d in distances if d == low) >= 2
 
 
-def is_well_spaced(m: TropicalStableMap, cd: Optional[CycleData] = None) -> WellSpacedReport:
+def is_well_spaced(m: AnyMap, cd: Optional[CycleData] = None) -> WellSpacedReport:
     """Evaluate the predicate on every hyperplane flat; the first failing
     flat is the witness.  The cycle data and the arrangement are computed
     once and shared by every flat, and each enumerated flat's normal cuts
@@ -538,15 +543,6 @@ def is_well_spaced(m: TropicalStableMap, cd: Optional[CycleData] = None) -> Well
         if not ok and witness is None:
             witness = rec
     return WellSpacedReport(witness is None, tuple(records), witness)
-
-
-def well_spaced_or_vacuous(m: TropicalStableMap) -> bool:
-    """True when no hyperplane contains the cycle span (codim zero) or the
-    full predicate holds."""
-    cd = cycle_data(m)
-    if cd.codim == 0:
-        return True
-    return is_well_spaced(m, cd).overall
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +644,10 @@ def build_figure1_family(n: int = 3) -> Family:
         base_vertex="a",
         base_position=tuple(affine(0) for _ in range(n)),
     )
-    member = evaluate_family(fam, Fraction(1, 2))
-    diags = validate_map(member)
+    # every member is valid: the family's checks pass, and no vertex is
+    # 2-valent, which in an embedded fan would violate stability
+    diags = [*fam.frame.diagnostics]
+    diags += [f"{STABILITY_VIOLATED}{vid}" for vid in graph.unmarked_vertex_ids() if graph.valence(vid) == 2]
     if diags:
         raise AssertionError(f"construction failed validation: {diags}")
     return fam
@@ -710,7 +708,7 @@ def realizability_verdict(m: TropicalStableMap, assume: Assumptions = Assumption
 
 
 def _rule_cascade(
-    m: TropicalStableMap, assume: Assumptions, frame: Optional[CycleFrame] = None
+    m: AnyMap, assume: Assumptions, frame: Optional[CycleFrame] = None
 ) -> Verdict:
     """The rules of :func:`realizability_verdict` on a map its caller has
     already validated, read off ``frame``: m's cycle frame, built here when
@@ -735,12 +733,24 @@ def _rule_cascade(
 
 def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None:
     """Check that the family's t = 1 limit is ``m`` and that each probe
-    member is realizable by R1 or R3.
+    member is realizable by R1 or R3, with the stability axiom waived, as
+    families may pass through 2-valent vertices that only the limit
+    resolves.
 
-    Every member is validated before it is decided, with stability waived,
-    as families may pass through 2-valent vertices that only the limit
-    resolves.  All members are decided on one cycle frame, built from the
-    first member, and that frame equals each member's own:
+    The family is validated once, not member by member (``Family.frame``,
+    built here if nothing built it before, since a family may be
+    constructed directly).  What ``validate_map`` would check on a member
+    is either a fact of the family type, proved once on its graph and edge
+    data, or affine in t, proved once on the family's (const, slope) pairs:
+    lengths positive on [0, 1), equations that hold identically and, in
+    strict mode, positions that stay in a cone of the fan because they lie
+    in their vertex cone at both ends.  When one of these fails, the frame
+    reads the member's first diagnostic off the pairs at t, so the error
+    names the same member and diagnostic as validating each member would.
+
+    Each member is read from the pairs at t, on the integers, and all five
+    are decided on one cycle frame, built from the first, which equals each
+    member's own:
     - the members share the family type's graph and edge data, so the
       cycle, the Betti number, the genus, the valences and the edge
       directions agree;
@@ -756,12 +766,13 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     if canonical_map(limit.map) != canonical_map(m):
         raise CertificateError("family limit at t = 1 differs from the given map")
     direct = Assumptions(star_realizable=assume.star_realizable)
+    checks = fam.frame
     frame = None
     for t in _PROBES:
-        member = evaluate_family(fam, t)
-        member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
-        if member_diags:
-            raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
+        member = checks.member(t)
+        diag = checks.member_diagnostic(member)
+        if diag is not None:
+            raise CertificateError(f"family member at t={t} invalid: {diag}")
         if frame is None:
             frame = cycle_frame(member)
         verdict = _rule_cascade(member, direct, frame)
@@ -771,7 +782,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
             )
 
 
-def _unknown_reason(m: TropicalStableMap, g: int, assume: Assumptions) -> str:
+def _unknown_reason(m: AnyMap, g: int, assume: Assumptions) -> str:
     if g >= 2:
         return f"genus {g}: no rule covers maps of genus 2 or higher"
     if not all(v.genus == 0 for v in m.curve.vertices):

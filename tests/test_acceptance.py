@@ -18,7 +18,7 @@ from tropmap import (
     canonical_type,
     combinatorial_type,
     cone_metrics,
-    contract_edge,
+    contract_edges,
     cycle_data,
     is_face,
     is_well_spaced,
@@ -213,7 +213,7 @@ def test_criterion_6_genus_euler_suite():
         assert g == b1 + sum(v.genus for v in c.vertices)
         if c.edges:
             e = rng.choice(c.edges)
-            out = contract_edge(c, e.id)
+            out = contract_edges(c, [e.id])[0]
             assert betti_and_genus(out)[1] == g
             if e.ends[0] == e.ends[1]:
                 assert out.vertex(e.ends[0]).genus == c.vertex(e.ends[0]).genus + 1

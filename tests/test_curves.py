@@ -9,17 +9,13 @@ from hypothesis import given, settings, strategies as st
 from tropmap import (
     INF,
     betti_and_genus,
-    contract_edge,
     contract_edges,
     curve_lints,
-    discrete_data,
     is_smooth,
     tropical_curve,
     validate_curve,
-    validate_discrete_data,
 )
 from tropmap.curves import Edge, Marking, Vertex
-from tropmap.exactgeom import auto_rays_fan
 
 from builders import random_connected_multigraph
 from oracles import euler_betti, ref_contract_edge
@@ -107,31 +103,31 @@ class TestSmooth:
 
 class TestContract:
     def test_merge_segment(self):
-        c = contract_edge(_segment(), "e")
+        c = contract_edges(_segment(), ["e"])[0]
         assert [v.id for v in c.vertices] == ["a"]
         assert c.vertex("a").genus == 0
 
     def test_self_loop_bump(self):
         c = tropical_curve([Vertex("v")], [Edge("l", ("v", "v"), Fraction(1))])
-        out = contract_edge(c, "l")
+        out = contract_edges(c, ["l"])[0]
         assert out.vertex("v").genus == 1
         assert betti_and_genus(out) == (0, 1)
 
     def test_square_to_triangle(self):
-        c = contract_edge(_square_cycle_marked(), "s0")
+        c = contract_edges(_square_cycle_marked(), ["s0"])[0]
         b1, g = betti_and_genus(c)
         assert (b1, g) == (1, 1)
         assert len([e for e in c.edges if e.id.startswith("s")]) == 3
 
     def test_marked_leaf_refused(self):
         with pytest.raises(ValueError):
-            contract_edge(_square_cycle_marked(), "l0")
+            contract_edges(_square_cycle_marked(), ["l0"])[0]
 
     def test_genus_merge(self):
         c = tropical_curve(
             [Vertex("a", 1), Vertex("b", 2)], [Edge("e", ("a", "b"), Fraction(1))]
         )
-        out = contract_edge(c, "e")
+        out = contract_edges(c, ["e"])[0]
         assert out.vertex("a").genus == 3
 
 
@@ -148,7 +144,7 @@ class TestRandomGraphProperties:
         assert b1 == euler_betti(len(c.vertices), pairs)
         assert b1 == len(c.edges) - len(c.vertices) + 1
         for e in c.edges:
-            out = contract_edge(c, e.id)
+            out = contract_edges(c, [e.id])[0]
             assert betti_and_genus(out)[1] == g
             assert out.markings == c.markings
             if e.ends[0] == e.ends[1]:
@@ -219,21 +215,3 @@ class TestContractEdges:
             "edge g references unknown vertex z",
             "curve is disconnected",
         ]
-
-
-class TestDiscreteData:
-    def test_contact_on_ray(self):
-        f = auto_rays_fan(2, [(1, 0), (0, 1), (-1, -1)])
-        d = discrete_data(0, {"p1": (2, 0), "p2": (0, 1), "p3": (-2, -2)})
-        # p2 slot intentionally unbalanced; only the per-ray condition is checked here
-        assert validate_discrete_data(d, f) == []
-
-    def test_contact_off_ray(self):
-        f = auto_rays_fan(2, [(1, 0)])
-        d = discrete_data(0, {"p1": (1, 1)})
-        assert any("ray" in x for x in validate_discrete_data(d, f))
-
-    def test_zero_contact_allowed(self):
-        f = auto_rays_fan(2, [(1, 0)])
-        d = discrete_data(1, {"p1": (0, 0)})
-        assert validate_discrete_data(d, f) == []

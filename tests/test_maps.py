@@ -10,8 +10,6 @@ import pytest
 from tropmap import (
     canonical_map,
     combinatorial_type,
-    discrete_data_of,
-    recession_type,
     stable_map,
     star,
     type_automorphisms,
@@ -128,17 +126,6 @@ class TestValidate:
         )
         assert any("weight" in d for d in validate_map(m))
 
-    def test_contact_check(self):
-        m = three_rays()
-        data = discrete_data_of(m)
-        assert validate_map(m, data) == []
-        bad = discrete_data_of(m).contact | {"p1": (9, 9)}
-        from tropmap import discrete_data
-
-        assert any(
-            "contact" in d for d in validate_map(m, discrete_data(0, bad))
-        )
-
     def test_orientation_flip_invariance(self):
         m = square_loop()
         d = m.edge_data["s1"]
@@ -216,24 +203,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             combinatorial_type(m)
 
-    def test_recession_three_rays(self):
-        rt = recession_type(combinatorial_type(three_rays()))
-        assert rt.genus == 0
-        assert sorted(v for _, v in rt.contacts) == sorted(
-            [(1, 0), (0, 1), (-1, -1)]
-        )
-
-    def test_recession_square_loop(self):
-        rt = recession_type(combinatorial_type(square_loop()))
-        assert rt.genus == 1
-        assert len(rt.contacts) == 4
-
-    def test_recession_no_markings(self):
-        from builders import lone_genus_one_vertex
-
-        rt = recession_type(combinatorial_type(lone_genus_one_vertex()))
-        assert rt.genus == 1 and rt.contacts == ()
-
     def test_type_balancing_is_length_free(self):
         # the weighted directions of a valid map balance at every finite
         # vertex of the forgotten type
@@ -249,14 +218,6 @@ class TestTypes:
                     vec = tuple(w * x for x in u)
                     total = vec if total is None else tuple(a + b for a, b in zip(total, vec))
                 assert total is None or all(x == 0 for x in total)
-
-    def test_recession_invariant_under_contraction(self):
-        from tropmap import contract_type
-
-        t = combinatorial_type(square_loop())
-        rt = recession_type(t)
-        for edges in (["s0"], ["s0", "s2"], list(t.bounded_edge_ids())):
-            assert recession_type(contract_type(t, edges)) == rt
 
 
 class TestAutomorphisms:

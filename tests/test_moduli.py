@@ -1,5 +1,6 @@
 """Moduli cones: dimension, metrics, contraction, faces, families, sampling."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -493,6 +494,21 @@ class TestFamilies:
         with pytest.raises(ValueError):
             make_family(t, {"e": affine(1)}, positions=pos)
 
+    def test_equation_and_position_messages(self):
+        # a residual with a nonzero constant part fails at t = 0; one with a
+        # zero constant and a nonzero slope first fails at t = 1/2
+        t = combinatorial_type(path_two_vertices())
+        x = (affine(0), affine(0))
+        cases = [
+            ({"x": x, "y": (affine(5), affine(0))}, "family inconsistent on edge e at t=0"),
+            ({"x": x, "y": (affine(1, 1), affine(0))}, "family inconsistent on edge e at t=1/2"),
+            ({"x": x}, "vertex y has no position"),
+        ]
+        for positions, message in cases:
+            with pytest.raises(ValueError) as err:
+                make_family(t, {"e": affine(1)}, positions=positions)
+            assert str(err.value) == message
+
     def test_strict_contraction_merges_into_common_face(self):
         # a vertex at the origin (zero cone) merging with a vertex on a ray:
         # the merged vertex lands in the largest common face, the zero cone
@@ -579,6 +595,69 @@ def _linearity_families():
         lengths = {e.id: affine(e.length, -e.length / 2) for e in bounded}
         fams.append(make_family(combinatorial_type(m), lengths))
     return fams
+
+
+def _one_change(rng: random.Random, fam: moduli.Family) -> moduli.Family:
+    """A copy of the family, built directly, with one random change: a
+    length that may reach zero or below before t = 1, a position coordinate
+    moved in its constant or slope part, a dropped position, or (strict
+    mode) every position moved by one common affine shift."""
+    lengths, positions = dict(fam.lengths), dict(fam.positions)
+    kind = rng.choice(("length", "const", "slope", "drop", "shift")[0 if lengths else 1:])
+    if kind == "length":
+        eid = rng.choice(sorted(lengths))
+        fn = lengths[eid]
+        lengths[eid] = moduli.AffineFn(fn.const, -fn.const * rng.choice((1, 2, 3)))
+    elif kind in ("const", "slope"):
+        vid = rng.choice(sorted(positions))
+        k = rng.randrange(len(positions[vid]))
+        fn = positions[vid][k]
+        bump = moduli.AffineFn(fn.const + (kind == "const"), fn.slope + (kind == "slope"))
+        positions[vid] = (*positions[vid][:k], bump, *positions[vid][k + 1:])
+    elif kind == "drop":
+        del positions[rng.choice(sorted(positions))]
+    else:
+        shift = [moduli.AffineFn(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(fam.type.fan.ambient_dim)]
+        positions = {
+            vid: tuple(moduli.AffineFn(a.const + b.const, a.slope + b.slope) for a, b in zip(p, shift))
+            for vid, p in positions.items()
+        }
+    return moduli.Family(fam.type, lengths, positions)
+
+
+class TestFamilyFrame:
+    """The family's checks, run once on its integers, against
+    ``validate_map`` on each member evaluated as a map."""
+
+    def test_valid_families_need_no_member_check(self):
+        for fam in _linearity_families():
+            assert fam.frame.diagnostics == ()
+
+    def test_member_diagnostic_matches_validate_map(self):
+        rng = random.Random(1616)
+        probes = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(99, 100), Fraction(1))
+        kinds = ("negative length", "has no position", "integrality violated", "outside the fan support")
+        seen = Counter()
+        # the strict family again on a fan that is only the closed positive
+        # quadrant, which its vertex cones are, so shifts can leave the support
+        strict = strict_unstable_member_family()
+        quadrant = dataclasses.replace(strict.type, fan=build_fan(2, [[(1, 0), (0, 1)]]))
+        for fam in _linearity_families() + [moduli.Family(quadrant, strict.lengths, strict.positions)]:
+            for variant in [fam] + [_one_change(rng, fam) for _ in range(12)]:
+                frame = variant.frame
+                for t_val in probes:
+                    member = frame.member(t_val)
+                    m = evaluate_family(variant, t_val)
+                    den = member.scaled.denominator
+                    assert {v: tuple(Fraction(x, den) for x in p) for v, p in member.scaled.positions.items()} == m.positions
+                    lengths = {e.id: e.length for e in m.curve.edges if not m.curve.is_marked_leaf_edge(e)}
+                    assert {e: Fraction(x, den) for e, x in member.scaled.lengths.items()} == lengths
+                    diags = [d for d in validate_map(m) if not d.startswith(moduli.STABILITY_VIOLATED)]
+                    got = frame.member_diagnostic(member)
+                    assert got == (diags[0] if diags else None), (variant, t_val)
+                    seen[next((k for k in kinds if got and k in got), got)] += 1
+        # valid members and each kind of failure occur
+        assert set(seen) == {None, *kinds}, seen
 
 
 class TestFamilyPositions:

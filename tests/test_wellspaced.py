@@ -4,13 +4,17 @@ import io
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from tropmap import (
+    AffineFn,
     Assumptions,
     CertificateError,
+    Family,
+    affine,
     betti_and_genus,
     build_figure1_family,
     combinatorial_type,
@@ -24,12 +28,11 @@ from tropmap import (
     star,
     subcurve_in_flat,
     validate_map,
-    well_spaced_or_vacuous,
 )
-from tropmap import wellspaced
+from tropmap import moduli, wellspaced
 from tropmap.cli import main
 from tropmap.documents import Document, serialize_document
-from tropmap.exactgeom import primitive, ratvec, vdot, vector_content
+from tropmap.exactgeom import build_fan, canonical_cone, cone, primitive, ratvec, vdot, vector_content
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_interior
 from tropmap.wellspaced import (
@@ -252,18 +255,23 @@ class TestWorkDoneOnce:
         arrangements = self._count(monkeypatch, "build_arrangement")
         cycles = self._count(monkeypatch, "cycle_data")
         for m in maps:
-            for predicate in (is_well_spaced, well_spaced_or_vacuous):
-                arrangements.clear()
-                cycles.clear()
-                predicate(m)
-                assert (len(arrangements), len(cycles)) == (1, 1)
+            arrangements.clear()
+            cycles.clear()
+            is_well_spaced(m)
+            assert (len(arrangements), len(cycles)) == (1, 1)
 
     def test_one_validation_per_probe_member(self, monkeypatch):
+        # the limit map is validated; the members are read off the family,
+        # which is validated once, so no member is built as a map
         fam = build_figure1_family(3)
         target = limit_of_family(fam, 1).map
         validations = self._count(monkeypatch, "validate_map")
+        evaluations = []
+        original = moduli._family_at
+        monkeypatch.setattr(moduli, "_family_at", lambda *args: evaluations.append(args) or original(*args))
         assert realizability_verdict(target, Assumptions(family=fam)).rule == "R4"
-        assert len(validations) == 1 + len(_PROBES)
+        assert len(validations) == 1
+        assert [t for _, t in evaluations] == [1]
 
 
 def _certificate_families():
@@ -294,6 +302,50 @@ def _certificate_families():
     loop_type = combinatorial_type(square_loop())
     wrong = make_family(loop_type, {e: affine(1) for e in loop_type.bounded_edge_ids()})
     cases.append(("wrong limit", figure1_member(3, 1), wrong))
+    return cases
+
+
+def _families_breaking_one_check():
+    """(name, family, certificate outcome on its t = 1 limit) for families
+    built with ``Family(...)`` directly, so ``make_family`` never checked
+    them, each breaking one of the checks the family frame runs once."""
+    fig = build_figure1_family(3)
+    strict = strict_unstable_member_family()
+    # f1 = 1 - 2t: the branch edge reaches 0 at t = 1/2 and goes negative;
+    # the positions walk the constant and slope parts from a at the origin
+    lengths = {**fig.lengths, "f1": affine(1, -2)}
+    walks = [
+        moduli._positions_from_lengths(fig.type, {e: part(fn) for e, fn in lengths.items()}, "a", (0, 0, 0))
+        for part in (lambda fn: fn.const, lambda fn: fn.slope)
+    ]
+    walked = {v: tuple(map(AffineFn, walks[0][v], walks[1][v])) for v in walks[0]}
+    cases = [("f1 = 1 - 2t", Family(fig.type, lengths, walked),
+              ("CertificateError", "family member at t=3/4 invalid: curve: edge f1 has negative length -1/2"))]
+    # every position moves by (-5 + 5t, 0): each vertex starts outside its
+    # quadrant cone, inside the fan's support or, on a fan of the positive
+    # quadrant alone, outside it
+    moved = {v: (AffineFn(x.const - 5, x.slope + 5), y) for v, (x, y) in strict.positions.items()}
+    quadrant = replace(strict.type, fan=build_fan(2, [[(1, 0), (0, 1)]]))
+    cases += [
+        ("strict, outside the vertex cone at t = 0", Family(strict.type, strict.lengths, moved), None),
+        ("strict, outside the support at t = 0", Family(quadrant, strict.lengths, moved),
+         ("CertificateError", "family member at t=0 invalid: vertex a: position outside the fan support")),
+    ]
+    # vertex cones that hold every position but are not cones of the fan
+    wedge = canonical_cone(cone(2, [(1, 0), (1, 1)]))
+    wedged = replace(strict.type, vertex_cones={v: wedge for v in strict.type.vertex_cones})
+    cases.append(("strict, vertex cones not in the fan", Family(wedged, strict.lengths, strict.positions), None))
+    # the equation of f1 holds at t = 0 only
+    ap = fig.positions["ap"]
+    bent = {**fig.positions, "ap": (AffineFn(ap[0].const, ap[0].slope + 1), *ap[1:])}
+    cases.append(("equation at t = 0 only", Family(fig.type, fig.lengths, bent), (
+        "CertificateError",
+        "family member at t=1/4 invalid: integrality violated on edge f1: "
+        "displacement ('7/4', '0', '0') != length*weight*direction",
+    )))
+    unplaced = {v: p for v, p in fig.positions.items() if v != "ap"}
+    cases.append(("missing position", Family(fig.type, fig.lengths, unplaced),
+                  ("CertificateError", "family member at t=0 invalid: vertex ap has no position")))
     return cases
 
 
@@ -329,6 +381,15 @@ class TestSharedFrame:
                 assert _outcome(lambda: realizability_verdict(target, assume)) == verdict, name
         # accepted certificates and rejections by R0, R2 and R5 all occur
         assert {None, "(R0)", "(R2)", "(R5)"} <= rules
+
+    def test_families_breaking_one_check(self):
+        for name, fam, want in _families_breaking_one_check():
+            assert fam.frame.diagnostics, name
+            target = limit_of_family(fam, 1).map
+            assume = Assumptions(family=fam)
+            got = _outcome(lambda: wellspaced._check_family_certificate(target, assume))
+            assert got == _outcome(lambda: ref_check_family_certificate(target, assume)), name
+            assert got == want, name
 
     @staticmethod
     def _genus_one_maps():
@@ -603,7 +664,7 @@ class TestVerdicts:
         for branches in ((1, 1, 2), (1, 2, 3)):
             m = bent_square(branches)
             v = realizability_verdict(m)
-            spaced = well_spaced_or_vacuous(m)
+            spaced = is_well_spaced(m).overall
             assert (v.rule == "R1") == spaced
             assert (v.rule == "R2") == (not spaced)
 
