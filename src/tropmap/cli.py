@@ -110,6 +110,9 @@ def _apply_fan_choice(m, choice: str | None, io: _Io):
         fan = complete_orthant_fan(m.fan.ambient_dim, embedded=True)
     elif choice.startswith("file:"):
         fan = _load(io, choice[5:], "fan", name="fan")
+        if fan.ambient_dim != m.fan.ambient_dim:
+            raise DocumentError("", f"fan of ambient dimension {fan.ambient_dim} given for a map "
+                                    f"in ambient dimension {m.fan.ambient_dim}")
     else:
         raise DocumentError("", f"unknown fan choice {choice!r} (auto-rays|complete|file:PATH)")
     return stable_map(m.curve, fan, m.positions, m.edge_data)
@@ -337,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verdict", _cmd_verdict, "realizability verdict by the rule cascade")
     p.add_argument("--assume-star-realizable", action="store_true")
     p.add_argument("--family", default=None, help="family certificate document")
-    p = add("limit", _cmd_limit, "evaluate a family, contracting at t = 1")
+    p = add("limit", _cmd_limit, "evaluate a family, contracting at t = 1", with_fan=False)
     p.add_argument("--t", required=True, help="parameter in [0, 1], e.g. 1/2")
     p = add("star", _cmd_star, "one-vertex star map")
     p.add_argument("--vertex", required=True)

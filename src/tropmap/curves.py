@@ -120,14 +120,6 @@ class TropicalCurve:
         marked = self.marked_vertex_ids
         return e.ends[0] in marked or e.ends[1] in marked
 
-    def marked_edge(self, label: str) -> Edge:
-        """The unique edge at the marked vertex carrying ``label``."""
-        vid = next(m.vertex for m in self.markings if m.label == label)
-        edges = self.edges_at(vid)
-        if len(edges) != 1:
-            raise ValueError(f"marked vertex {vid} is not 1-valent")
-        return edges[0]
-
 
 def tropical_curve(
     vertices: Iterable[Vertex],

@@ -21,7 +21,9 @@ reads sums of rows, so each pivot, and each witness, is the one the
 rational simplex would choose.  Faces, intersections and point locations
 are read off canonical ray sets (sorted primitive extreme rays), with one
 rank test or common-face LP deciding whether two cones meet in a face of
-both.
+both.  Two cones meet in a common face whenever two cones that have them
+as faces do, so :func:`fan_validate` tests the pairs of maximal cones and
+scans all pairs only to list a failure.
 """
 
 from __future__ import annotations
@@ -433,7 +435,22 @@ def cone_faces(c: Cone) -> list[Cone]:
 
     Raises ValueError when the cone is not pointed.
     """
-    return _faces(canonical_cone(c))
+    return _faces(_canonical_pointed(c))
+
+
+def _canonical_pointed(c: Cone) -> Cone:
+    """:func:`canonical_cone` of a cone that must be pointed; raises
+    ValueError when it is not.
+
+    A pointed cone is generated by its extreme rays, but a cone with a line
+    can lose rays to :func:`canonical_cone` and come out pointed, so when a
+    ray is dropped the given rays are tested.
+    """
+    cc = canonical_cone(c)
+    prim = {primitive(r) for r in c.rays if any(r)}
+    if len(cc.rays) < len(prim) and not cone_is_pointed(Cone(c.ambient_dim, tuple(sorted(prim)))):
+        raise ValueError("face enumeration requires a pointed cone")
+    return cc
 
 
 def _faces(cc: Cone) -> list[Cone]:
@@ -484,7 +501,7 @@ def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], em
     """Fan from generator lists; rays are primitivized and all faces added."""
     all_cones: set[Cone] = {zero_cone(ambient_dim)}
     for rays in ray_lists:
-        c = canonical_cone(cone(ambient_dim, rays))
+        c = _canonical_pointed(cone(ambient_dim, rays))
         if len(c.rays) > 14:
             raise ValueError("cone with more than 14 extreme rays: out of desk scale")
         for f in _faces(c):
@@ -565,7 +582,24 @@ def fan_validate(f: Fan) -> list[str]:
     """Diagnostics for the fan invariants; empty list iff valid.
 
     Checks: nonzero primitive rays, pointedness, presence of the zero cone,
-    closure under faces, and pairwise intersection in common faces.
+    no duplicates, closure under faces, and pairwise intersection in common
+    faces.
+
+    Pairs are decided on maximal cones, those that are not a proper face of
+    another cone of the collection.  Every cone is a face of a maximal one
+    (a face of a face is a face, and climbing to larger cones ends), and if
+    every two maximal cones meet in a common face, so do any two cones
+    sigma' and tau'.  Take maximal cones sigma >= sigma' and tau >= tau',
+    and let rho = sigma & tau, a face of both.  The faces of a cone are
+    closed under intersection, and a face of a cone that lies in a face of
+    it is a face of that face.  So phi = sigma' & rho is a face of sigma
+    inside rho, hence a face of rho and of tau.  Then phi & tau', which is
+    sigma' & tau', is a face of tau inside tau', hence a face of tau'; and
+    it is a face of tau inside rho, hence a face of rho and of sigma,
+    inside sigma', hence a face of sigma'.  The argument does not need the
+    collection to be closed under faces, so it holds whatever the earlier
+    checks found.  All pairs are scanned only when a maximal pair fails, to
+    list every pair that does not meet in a common face.
     """
     diags: list[str] = []
     usable: list[tuple[Cone, list[Cone]]] = []
@@ -597,13 +631,21 @@ def fan_validate(f: Fan) -> list[str]:
                 diags.append(f"missing face {face.rays} of cone {c.rays}")
     faces_of = {faces[-1]: faces for _, faces in usable}
     ordered = sorted(canon, key=lambda c: (len(c.rays), c.rays))
+    proper = {face for faces in faces_of.values() for face in faces[:-1]}
+    maximal = [c for c in ordered if c not in proper]
+    if all(_meet_in_a_face(c1, c2, faces_of) for c1, c2 in itertools.combinations(maximal, 2)):
+        return diags
     for c1, c2 in itertools.combinations(ordered, 2):
-        # a cone on a subset of the rays of c2 is its own intersection with
-        # c2, so it meets c2 in a common face exactly when it is a face of c2
-        if set(c1.rays) <= set(c2.rays):
-            meets = c1 in faces_of[c2]
-        else:
-            meets = _common_face(c1, c2) is not None
-        if not meets:
+        if not _meet_in_a_face(c1, c2, faces_of):
             diags.append(f"cones {c1.rays} and {c2.rays} do not meet in a common face")
     return diags
+
+
+def _meet_in_a_face(c1: Cone, c2: Cone, faces_of: dict[Cone, list[Cone]]) -> bool:
+    """Do two canonical cones, ``c1`` with no more rays than ``c2``, meet
+    in a common face?  A cone on a subset of the rays of ``c2`` is its own
+    intersection with ``c2``, so it meets ``c2`` in a common face exactly
+    when it is a face of ``c2``."""
+    if set(c1.rays) <= set(c2.rays):
+        return c1 in faces_of[c2]
+    return _common_face(c1, c2) is not None

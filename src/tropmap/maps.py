@@ -384,8 +384,16 @@ class CombinatorialType(_EdgeDirections):
 
     @cached_property
     def marked_edges(self) -> Mapping[str, Edge]:
-        """The leaf-edge of each marking label."""
-        return {m.label: self.graph.marked_edge(m.label) for m in self.graph.markings}
+        """The leaf-edge of each marking label, read in one pass over the
+        markings."""
+        g = self.graph
+        out = {}
+        for m in g.markings:
+            edges = g.edges_at(m.vertex)
+            if len(edges) != 1:
+                raise ValueError(f"marked vertex {m.vertex} is not 1-valent")
+            out[m.label] = edges[0]
+        return out
 
 
 def _strip_lengths(c: TropicalCurve) -> TropicalCurve:

@@ -11,8 +11,9 @@ import pytest
 import tropmap
 from tropmap.cli import main
 from tropmap.documents import Document, load_document, serialize_document
+from tropmap.exactgeom import complete_orthant_fan
 from tropmap.gallery import square_loop
-from tropmap.maps import combinatorial_type
+from tropmap.maps import combinatorial_type, validate_map
 
 from builders import rectangle_cycle, strict_unstable_member_family
 
@@ -348,6 +349,83 @@ class TestOverlappingStrictFan:
         code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin=json.dumps(raw))
         assert code == 0
         assert json.loads(out)["results"]["valid"] is True
+
+
+STRICT_ORTHANT_FAN_MAP = Path(__file__).parent / "data" / "strict_orthant_fan_map.json"
+
+# every command that reads a map and applies --fan to it, with its extra arguments
+_MAP_COMMANDS = {
+    "validate": [], "type": [], "cone": [], "superabundant": [], "wellspaced": [], "verdict": [],
+    "star": ["--vertex", "c0"], "hat": [], "plot": ["-o", "plot.svg"],
+}
+
+
+class TestStrictOrthantFanMap:
+    """The square loop on the strict complete orthant fan of R^3."""
+
+    def test_loads_and_validates(self, capsys, monkeypatch):
+        doc = load_document(STRICT_ORTHANT_FAN_MAP.read_text()).document
+        assert doc.kind == "map"
+        assert doc.payload.fan == complete_orthant_fan(3, embedded=False)
+        assert validate_map(doc.payload) == []
+        code, out, err = run_cli(capsys, monkeypatch, ["validate", str(STRICT_ORTHANT_FAN_MAP)])
+        assert code == 0
+        assert json.loads(out)["results"]["valid"] is True
+        assert "Traceback" not in err
+
+
+class TestFanFile:
+    """``--fan file:PATH`` replaces the map's fan by a fan document of the
+    same ambient dimension, and refuses one of another."""
+
+    @staticmethod
+    def _fan_file(tmp_path, n, embedded):
+        path = tmp_path / f"fan{n}{'e' if embedded else 's'}.json"
+        path.write_text(serialize_document(Document("fan", complete_orthant_fan(n, embedded=embedded))))
+        return f"file:{path}"
+
+    def test_matching_strict_fan(self, capsys, monkeypatch, square_loop_doc, tmp_path):
+        strict = self._fan_file(tmp_path, 3, embedded=False)
+        code, out, _ = run_cli(capsys, monkeypatch, ["validate", square_loop_doc, "--fan", strict])
+        assert (code, json.loads(out)["results"]["valid"]) == (0, True)
+        # the same answers as the map that carries the fan itself
+        for command in ("type", "cone", "superabundant", "wellspaced", "verdict"):
+            got = run_cli(capsys, monkeypatch, [command, square_loop_doc, "--fan", strict])
+            want = run_cli(capsys, monkeypatch, [command, str(STRICT_ORTHANT_FAN_MAP)])
+            assert (got[0], json.loads(got[1])["results"]) == (want[0], json.loads(want[1])["results"]), command
+
+    def test_matching_embedded_fan(self, capsys, monkeypatch, square_loop_doc, tmp_path):
+        embedded = self._fan_file(tmp_path, 3, embedded=True)
+        for command in ("cone", "superabundant"):
+            got = run_cli(capsys, monkeypatch, [command, square_loop_doc, "--fan", embedded])
+            want = run_cli(capsys, monkeypatch, [command, square_loop_doc, "--fan", "complete"])
+            assert got[0] == want[0] == 0
+            assert json.loads(got[1])["results"] == json.loads(want[1])["results"]
+
+    @pytest.mark.parametrize("embedded", [True, False], ids=["embedded", "strict"])
+    @pytest.mark.parametrize("command", list(_MAP_COMMANDS))
+    def test_mismatched_dimension_is_refused(
+        self, capsys, monkeypatch, square_loop_doc, tmp_path, command, embedded
+    ):
+        monkeypatch.chdir(tmp_path)
+        fan = self._fan_file(tmp_path, 2, embedded)
+        argv = [command, square_loop_doc, "--fan", fan, *_MAP_COMMANDS[command]]
+        code, out, err = run_cli(capsys, monkeypatch, argv)
+        assert code == 2
+        [diag] = json.loads(out)["diagnostics"]
+        assert diag == {
+            "pointer": "",
+            "message": "fan of ambient dimension 2 given for a map in ambient dimension 3",
+        }
+        assert "Traceback" not in err
+        assert not (tmp_path / "plot.svg").exists()
+
+    def test_limit_takes_no_fan(self, capsys, monkeypatch, tmp_path):
+        _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1"])
+        fan = self._fan_file(tmp_path, 2, embedded=True)
+        code, out, _ = run_cli(capsys, monkeypatch, ["limit", "--t", "1", "--fan", fan], stdin=fam_doc)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": "invalid command line"}]
 
 
 class TestErrorHandling:

@@ -320,6 +320,21 @@ class TestFans:
         square, diagonal = f.cones[-1].rays, tuple(sorted(diagonal))
         assert f"cones {diagonal} and {square} do not meet in a common face" in diags
 
+    def test_cone_with_a_line_whose_extreme_rays_are_pointed(self):
+        # (0, 1) and (1, -1) generate a pointed cone, but the four rays
+        # contain the line through (1, -1); canonical_cone drops the first
+        # two as non-extreme
+        rays = [(-2, -1), (-2, 1), (0, 1), (1, -1)]
+        c = cone(2, rays)
+        assert not cone_is_pointed(c)
+        assert exactgeom.canonical_cone(c).rays == ((0, 1), (1, -1))
+        with pytest.raises(ValueError, match="pointed"):
+            cone_faces(c)
+        with pytest.raises(ValueError, match="pointed"):
+            build_fan(2, [rays])
+        f = fan(2, [zero_cone(2), c])
+        assert fan_validate(f) == ref_fan_validate(f) == [f"cone {c.rays} is not pointed"]
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_builders_produce_valid_fans(self, n):
         assert fan_validate(complete_orthant_fan(n)) == []
@@ -385,6 +400,50 @@ def _random_fan(rng: random.Random):
         return None
 
 
+def _random_raw_fan(rng: random.Random) -> exactgeom.Fan:
+    """A raw ``fan(...)`` collection in R^2 or R^3, often not closed under
+    faces: the faces of one to three random cones (their full face lists in
+    one draw of two, else random subsets of them; a cone that is not
+    pointed is kept as it is).  In one draw of three a cone on the first
+    ray of a pointed cone and the sum of its first two rays is added with
+    its faces: it lies in that cone without being a face of it.  The zero cone
+    is kept in four draws of five, and in one draw of five a cone is
+    duplicated, its rays plus a redundant one."""
+    n = rng.choice((2, 3))
+    whole = rng.random() < 0.5
+    cones = set()
+    for _ in range(rng.randint(1, 3)):
+        rays = []
+        size = rng.randint(1, 3)
+        while len(rays) < size:
+            r = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(r):
+                rays.append(r)
+        c = cone(n, rays)
+        try:
+            faces = cone_faces(c)
+        except ValueError:
+            cones.add(c)
+            continue
+        cones.update(faces if whole else [face for face in faces if rng.random() < 0.7])
+
+    def ray_sum(c):
+        total = [x + y for x, y in zip(c.rays[0], c.rays[1])]
+        return exactgeom.primitive(total) if any(total) else None
+
+    wide = [c for c in cones if len(c.rays) >= 2 and cone_is_pointed(c) and ray_sum(c) is not None]
+    if wide and rng.random() < 1 / 3:
+        c = rng.choice(wide)
+        cones.update(cone_faces(cone(n, [c.rays[0], ray_sum(c)])))
+    cones.discard(zero_cone(n))
+    if rng.random() < 0.8:
+        cones.add(zero_cone(n))
+    if wide and rng.random() < 0.2:
+        c = rng.choice(wide)
+        cones.add(cone(n, c.rays + (ray_sum(c),)))
+    return fan(n, cones)
+
+
 def _check_against_references(f: exactgeom.Fan, rng: random.Random) -> bool:
     """Compare the face, intersection and location routines with the
     membership-test references on one fan.  On a fan the references call
@@ -426,6 +485,23 @@ class TestAgainstMembershipReferences:
             valid += _check_against_references(f, rng)
             checked += 1
         assert 20 <= valid <= 180  # both kinds of fan are exercised
+
+    def test_raw_collections(self):
+        """fan_validate against the all-pairs oracle on raw collections:
+        random subsets of faces, with and without the zero cone, duplicates
+        and overlapping cones.  When every pair of maximal cones meets in a
+        common face the function returns early, whether or not a per-cone
+        check failed; otherwise it lists all pairs.  Each of the four cases
+        is taken at least 20 times."""
+        rng = random.Random(1710)
+        cases = collections.Counter()
+        for _ in range(300):
+            f = _random_raw_fan(rng)
+            diags = fan_validate(f)
+            assert diags == ref_fan_validate(f), f
+            pairs = sum(d.endswith(" do not meet in a common face") for d in diags)
+            cases["listed" if pairs else "early", "check failed" if len(diags) > pairs else "checks passed"] += 1
+        assert len(cases) == 4 and min(cases.values()) >= 20, cases
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_builder_fans(self, n):
@@ -511,12 +587,11 @@ class TestAgainstMembershipReferences:
         for n, f in fans.items():
             calls.clear()
             assert fan_validate(f) == []
-            # a cone is a sign pattern in {0, +, -}^n.  Faces need no LP,
-            # nor does a pair where one cone's rays lie in the other's (its
-            # face list decides) or whose rays are independent (rank
-            # decides).  What is left are the pairs with opposite signs in
-            # some coordinate: (9^n - 7^n) / 2 of them, 16 and 193
-            assert len(calls) == (9**n - 7**n) // 2
+            # faces need no LP, and only the 2^n orthants, the maximal
+            # cones, are paired.  Two orthants differ in some sign, so
+            # their rays together are dependent: one LP per pair,
+            # 2^(n-1) (2^n - 1) of them, 6 and 28
+            assert len(calls) == 2 ** (n - 1) * (2**n - 1)
 
     def test_orthant_location_lp_count(self, monkeypatch):
         fans = {n: complete_orthant_fan(n) for n in (2, 3)}
@@ -543,10 +618,9 @@ class TestAgainstMembershipReferences:
         assert len(f.cones) == 10
         calls.clear()
         assert fan_validate(f) == []
-        # the square cone again (its four edges and rays are simplicial),
-        # then the two pairs of opposite edges, whose four rays are
-        # dependent
-        assert len(calls) == 19 + 2
+        # the square cone again (its four edges and rays are simplicial);
+        # it is the only maximal cone, so no pair needs an LP
+        assert len(calls) == 19
 
 
 def _count_lps(monkeypatch) -> list[int]:

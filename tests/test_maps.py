@@ -358,6 +358,26 @@ def test_bounded_edge_ids_are_computed_once():
     assert t.bounded_edge_ids() == ("s0", "s1", "s2", "s3")
 
 
+def test_marked_edges_are_the_leaf_edges():
+    rng = random.Random(17)
+    types = [combinatorial_type(gallery_map(name)) for name in GALLERY_NAMES]
+    types += [random_decorated_type(rng) for _ in range(20)]
+    for t in types:
+        want = {}
+        for m in t.graph.markings:
+            [want[m.label]] = [e for e in t.graph.edges if m.vertex in e.ends]
+        assert t.marked_edges == want
+
+
+def test_marked_edges_refuse_a_marked_vertex_that_is_not_a_leaf():
+    t = combinatorial_type(three_rays())
+    g = t.graph
+    # mark the finite vertex as well: it has three edges
+    bad = tropical_curve(g.vertices, g.edges, (*g.markings, Marking("q", "o")))
+    with pytest.raises(ValueError, match="marked vertex o is not 1-valent"):
+        type(t)(bad, t.fan, t.vertex_cones, t.edge_data).marked_edges
+
+
 def test_adjacency_reads_edge_signatures_from_the_vertex():
     t = combinatorial_type(parallel_pair())
     assert t.adjacency[("A", "B")] == ((1, (1, 0)), (1, (1, 0)))
