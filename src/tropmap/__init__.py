@@ -33,6 +33,7 @@ from .exactgeom import (
     format_rational,
     parse_rational,
     rank,
+    rref,
     zero_cone,
 )
 from .maps import (

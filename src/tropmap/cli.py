@@ -188,10 +188,15 @@ def _type_of_map(m, choice: str | None, io: _Io):
 
 
 def _require_type(io: _Io, args):
+    """The type of a map or type document.  ``--fan`` is refused for a type
+    document, whatever the choice: its vertex cones are cones of its own
+    fan and mean nothing on another."""
     doc = _read_document(io, args.path)
     if doc.kind == "map":
         return _type_of_map(doc.payload, args.fan, io)
     if doc.kind == "type":
+        if args.fan is not None:
+            raise DocumentError("", "--fan applies to map documents; a type's vertex cones lie on its own fan")
         return doc.payload
     raise DocumentError("", f"expected a map or type document, got {doc.kind}")
 

@@ -24,6 +24,7 @@ from . import curves
 from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex, tropical_curve
 from .exactgeom import (
     Fan,
+    _canonical_pointed,
     cone,
     build_fan,
     fan_validate,
@@ -382,6 +383,13 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
             for j, r in enumerate(_get(craw, "rays", pointer, "vertex_cones", vid, typ=list))
         ]
         vertex_cones[vid] = cone(ambient, rays)
+        if vid not in c.marked_vertex_ids:
+            try:
+                vertex_cones[vid] = _canonical_pointed(vertex_cones[vid])
+            except ValueError:
+                raise DocumentError(
+                    _at(pointer, "vertex_cones", vid), f"vertex cone of {vid} is not pointed"
+                ) from None
     if "positions" in raw:
         raise DocumentError(_at(pointer, "positions"), "types carry no positions")
     require_balanced(c, data, ambient, pointer)
@@ -413,10 +421,24 @@ def type_json(t: CombinatorialType) -> dict:
 # ---------------------------------------------------------------------------
 # families
 
-def _parse_affine(raw, warnings: list[str], pointer: str, *tokens) -> AffineFn:
+def _read_affine(raw, warnings: list[str], known: dict, pointer: str, *tokens) -> AffineFn:
+    """An affine function.  ``known`` maps the (const, slope) strings read
+    so far without a warning to the function they gave, so a repeated
+    canonical pair is looked up, not read again, and its ``AffineFn`` is
+    shared."""
+    key = (raw.get("const"), raw.get("slope")) if type(raw) is dict else None
+    if key is not None and type(key[0]) is str and type(key[1]) is str:
+        if key in known:
+            return known[key]
+    else:
+        key = None
+    count = len(warnings)
     const = _read_rational(_get(raw, "const", pointer, *tokens), warnings, pointer, *tokens, "const")
     slope = _read_rational(_get(raw, "slope", pointer, *tokens), warnings, pointer, *tokens, "slope")
-    return AffineFn(const, slope)
+    fn = AffineFn(const, slope)
+    if key is not None and len(warnings) == count:
+        known[key] = fn
+    return fn
 
 
 def _affine_json(fn: AffineFn) -> dict:
@@ -424,15 +446,18 @@ def _affine_json(fn: AffineFn) -> dict:
 
 
 def parse_family(raw, pointer: str, warnings: list[str]) -> Family:
+    """Each distinct canonical (const, slope) spelling is read once
+    (:func:`_read_affine`)."""
     t = parse_type(_get(raw, "type", pointer), _at(pointer, "type"), warnings)
     lengths_raw = _get(raw, "lengths", pointer)
     if not isinstance(lengths_raw, dict):
         raise DocumentError(_at(pointer, "lengths"), "expected an object")
     lengths = {}
+    known: dict[tuple[str, str], AffineFn] = {}
     for eid, fn in lengths_raw.items():
         if not t.graph.has_edge(eid):
             raise DocumentError(_at(pointer, "lengths", eid), f"unknown edge {eid}")
-        lengths[eid] = _parse_affine(fn, warnings, pointer, "lengths", eid)
+        lengths[eid] = _read_affine(fn, warnings, known, pointer, "lengths", eid)
     positions = None
     if "positions" in raw:
         pos_raw = raw["positions"]
@@ -446,7 +471,7 @@ def parse_family(raw, pointer: str, warnings: list[str]) -> Family:
             if not isinstance(coords, list) or len(coords) != ambient:
                 raise DocumentError(_at(pointer, "positions", vid), f"expected {ambient} coordinate functions")
             positions[vid] = tuple([
-                _parse_affine(x, warnings, pointer, "positions", vid, k) for k, x in enumerate(coords)
+                _read_affine(x, warnings, known, pointer, "positions", vid, k) for k, x in enumerate(coords)
             ])
     try:
         return make_family(t, lengths, positions)

@@ -186,11 +186,13 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def _kernel(rows: Sequence[Sequence], ncols: Optional[int]) -> tuple[list[IntVec], int]:
     """Integer vectors s*k for the :func:`nullspace` basis vectors k, and the
     common positive scale s."""
-    if not rows:
-        n = 0 if ncols is None else ncols
-        return [tuple(int(j == i) for j in range(n)) for i in range(n)], 1
-    n = len(rows[0]) if ncols is None else ncols
-    m, pivots, d = _eliminate(rows)
+    n = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    return _kernel_of(*_eliminate(rows), n)
+
+
+def _kernel_of(m: list[list[int]], pivots: list[int], d: int, n: int) -> tuple[list[IntVec], int]:
+    """:func:`_kernel` on ``n`` columns of rows that :func:`_eliminate`
+    reduced to (m, pivots, d)."""
     sign = 1 if d > 0 else -1
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
@@ -419,13 +421,19 @@ def _common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
 def cone_is_face(face: Cone, c: Cone) -> bool:
     """Is ``face`` a face of ``c``?  Both are compared in canonical form,
     where a face of a pointed cone is the cone on a subset of its rays.
+    Both are canonicalized by :func:`_canonical_pointed`, so a cone with a
+    line is never read as the pointed cone on its extreme rays.  Such a
+    ``face`` is a face of no pointed cone.
 
     Raises ValueError when ``c`` is not pointed.
     """
-    fc = canonical_cone(face)
-    cc = canonical_cone(c)
+    cc = _canonical_pointed(c)
     if not cone_is_pointed(cc):
         raise ValueError("face test requires a pointed cone")
+    try:
+        fc = _canonical_pointed(face)
+    except ValueError:
+        return False
     return set(fc.rays) <= set(cc.rays) and _common_face(fc, cc) is not None
 
 
@@ -444,9 +452,12 @@ def _canonical_pointed(c: Cone) -> Cone:
 
     A pointed cone is generated by its extreme rays, but a cone with a line
     can lose rays to :func:`canonical_cone` and come out pointed, so when a
-    ray is dropped the given rays are tested.
+    ray is dropped the given rays are tested.  When the canonical form has
+    as many rays as were given, none was dropped.
     """
     cc = canonical_cone(c)
+    if len(cc.rays) == len(c.rays):
+        return cc
     prim = {primitive(r) for r in c.rays if any(r)}
     if len(cc.rays) < len(prim) and not cone_is_pointed(Cone(c.ambient_dim, tuple(sorted(prim)))):
         raise ValueError("face enumeration requires a pointed cone")

@@ -40,7 +40,7 @@ from .exactgeom import (
     Fan,
     IntVec,
     RatVec,
-    canonical_cone,
+    _canonical_pointed,
     cone_locate,
     format_rational,
     is_zero_vec,
@@ -411,7 +411,9 @@ def make_type(
     vertex_cones: Optional[Mapping[str, Cone]] = None,
 ) -> CombinatorialType:
     """Build a type directly; in embedded mode the vertex cones default to
-    the zero cone."""
+    the zero cone.  Each vertex cone is canonicalized by
+    :func:`_canonical_pointed`; a cone with a line whose extreme rays come
+    out pointed is refused with ValueError, not read as that pointed cone."""
     graph = _strip_lengths(graph)
     marked = graph.marked_vertex_ids
     if vertex_cones is None:
@@ -419,11 +421,18 @@ def make_type(
     cones = dict(vertex_cones)
     for vid in graph.unmarked_vertex_ids():
         cones.setdefault(vid, zero_cone(fan.ambient_dim))
-    cones = {vid: canonical_cone(c) for vid, c in cones.items() if vid not in marked}
+    canonical = {}
+    for vid, c in cones.items():
+        if vid in marked:
+            continue
+        try:
+            canonical[vid] = _canonical_pointed(c)
+        except ValueError:
+            raise ValueError(f"vertex cone of {vid} is not pointed") from None
     for e in graph.edges:
         if e.id not in edge_data:
             raise ValueError(f"edge {e.id} has no direction/weight data")
-    return CombinatorialType(graph, fan, cones, _orient_leaves(graph, edge_data))
+    return CombinatorialType(graph, fan, canonical, _orient_leaves(graph, edge_data))
 
 
 def combinatorial_type(m: TropicalStableMap) -> CombinatorialType:

@@ -52,6 +52,7 @@ from .maps import (
     _outside_support,
     _position_diagnostics,
     balancing_diagnostics,
+    canonical_edge_data,
     canonical_type,
     combinatorial_type,
     decorated_isomorphisms,
@@ -926,15 +927,58 @@ def limit_of_family(fam: Family, t_star) -> LimitResult:
     if not zero_edges:
         return LimitResult(t_star, _map_from_lengths(fam.type, lengths, positions), fam.type, ())
     limit_type, vmap, _ = _contract_with_map(fam.type, zero_edges)
-    merged: dict[str, RatVec] = {}
+    limit_map = _map_from_lengths(limit_type, lengths, _merge_positions(vmap, positions))
+    return LimitResult(t_star, limit_map, limit_type, zero_edges)
+
+
+def _merge_positions(vmap: Mapping[str, str], positions: Mapping[str, tuple]) -> dict[str, tuple]:
+    """The positions of the surviving vertices of a contraction: each takes
+    the position its merged vertices share, or ValueError when they do not
+    share one."""
+    merged: dict[str, tuple] = {}
     for old, new in vmap.items():
         if old in positions:
             p = positions[old]
             if new in merged and merged[new] != p:
                 raise ValueError(f"merged vertices of {new} have distinct limit positions")
             merged[new] = p
-    limit_map = _map_from_lengths(limit_type, lengths, merged)
-    return LimitResult(t_star, limit_map, limit_type, zero_edges)
+    return merged
+
+
+def _is_limit(fam: Family, m: TropicalStableMap) -> bool:
+    """Is ``m`` the family's t = 1 limit, up to edge orientation?  The same
+    answer, and the same ValueError for merged vertices apart, as comparing
+    ``canonical_map`` of ``limit_of_family(fam, 1).map`` and of ``m``, read
+    on the family's (const, slope) pairs at t = 1, c + s over the family's
+    denominator D, and on m's integers over its denominator D_m: x/D equals
+    y/D_m exactly when x*D_m = y*D.  The limit is never built as a map."""
+    scaled = fam.scaled
+    lengths = {eid: c + s for eid, (c, s) in scaled.lengths.items()}
+    positions = {vid: tuple(c + s for c, s in pairs) for vid, pairs in scaled.positions.items()}
+    zero_edges = tuple(sorted(eid for eid, ell in lengths.items() if ell == 0))
+    t = fam.type
+    if zero_edges:
+        t, vmap, _ = _contract_with_map(t, zero_edges)
+        positions = _merge_positions(vmap, positions)
+    graph, curve, ms = t.graph, m.curve, m.scaled
+    d, dm = scaled.denominator, ms.denominator
+    if (curve.vertices, curve.markings, m.fan) != (graph.vertices, graph.markings, t.fan):
+        return False
+    if [(e.id, e.ends) for e in curve.edges] != [(e.id, e.ends) for e in graph.edges]:
+        return False
+    for e in graph.edges:
+        if graph.is_marked_leaf_edge(e):
+            if e.id in ms.lengths:
+                return False
+        elif e.id not in ms.lengths or ms.lengths[e.id] * d != lengths[e.id] * dm:
+            return False
+    if m.positions.keys() != positions.keys():
+        return False
+    for vid, p in positions.items():
+        q = ms.positions[vid]
+        if len(q) != len(p) or any(x * d != y * dm for x, y in zip(q, p)):
+            return False
+    return canonical_edge_data(curve, m.edge_data) == canonical_edge_data(graph, _orient_leaves(graph, t.edge_data))
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,21 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import curves
 from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from .exactgeom import (
     IntVec,
     RatVec,
+    _eliminate,
+    _kernel_of,
     auto_rays_fan,
     integer_nullspace,
-    nullspace,
     primitive,
     rank,
-    rref,
     vdot,
 )
 from .maps import (
@@ -47,12 +48,11 @@ from .maps import (
     EdgeMapData,
     TropicalStableMap,
     _lex_positive,
-    canonical_map,
     make_type,
     stable_map,
     validate_map,
 )
-from .moduli import AffineFn, Family, FamilyMember, affine, limit_of_family, make_family
+from .moduli import AffineFn, Family, FamilyMember, _is_limit, affine, limit_of_family, make_family
 
 # What the genus-one analysis reads: a map, or a family member on the
 # family's integers.  It reads the graph's structure, the fan, the edge data
@@ -94,7 +94,21 @@ class CycleFrame:
 def cycle_frame(m: AnyMap) -> CycleFrame:
     """The cycle frame of a map.  The span is taken from the offsets of the
     cycle vertices from the first of them and the cycle edges' directions,
-    at the map's common denominator (which spans the same space)."""
+    at the map's common denominator (which spans the same space).
+
+    The frame is computed on the integers, with the values the rational
+    computation gives:
+    - one fraction-free elimination of those rows gives d times their
+      reduced row echelon form, whose rank rows over d are the basis, and
+      the kernel vectors :func:`exactgeom._kernel_of` reads off it are |d|
+      times the quotient rows (:func:`nullspace`, a function of the
+      echelon form alone);
+    - the integer rows are the rational rows times the lcm of their
+      denominators (:func:`_common_multiple`).  Scaling every quotient row
+      by one common positive integer changes no projective class of a
+      projected vector and no primitive normal built from the rows;
+    - projection is linear, so each distinct edge direction is projected
+      once."""
     b1, g = betti_and_genus(m.curve)
     if g != 1:
         return CycleFrame(b1, g)
@@ -107,11 +121,11 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
     base = positions[cyc_v[0]]
     dirs = [[a - b for a, b in zip(positions[vid], base)] for vid in cyc_v]
     dirs += [m.edge_data[eid].u for eid in cyc_e]
-    basis_rows, pivots = rref([d for d in dirs if any(d)])
-    basis = tuple(tuple(basis_rows[i]) for i in range(len(pivots)))
     ambient = m.fan.ambient_dim
-    quotient = tuple(nullspace(basis, ncols=ambient))
-    integral = _common_multiple(quotient)
+    rows, pivots, d = _eliminate([row for row in dirs if any(row)])
+    rows = rows[:len(pivots)]
+    kernel, scale = _kernel_of(rows, pivots, d, ambient)
+    integral = _common_multiple(kernel, scale)
     return CycleFrame(
         b1,
         g,
@@ -119,32 +133,40 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
         all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
         cyc_v,
         cyc_e,
-        basis,
-        _common_multiple(basis),
-        ambient - len(basis),
-        quotient,
+        tuple(tuple(Fraction(x, d) for x in row) for row in rows),
+        _common_multiple(rows, d),
+        ambient - len(pivots),
+        tuple(tuple(Fraction(x, scale) for x in row) for row in kernel),
         integral,
         _projections(integral, (m.edge_data[e.id].u for e in m.curve.edges)),
     )
 
 
-def _common_multiple(rows: Sequence[RatVec]) -> tuple[IntVec, ...]:
-    """The rows times one common positive integer, the lcm of their
-    denominators."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+def _common_multiple(rows: Sequence[Sequence[int]], d: int) -> tuple[IntVec, ...]:
+    """The rational rows ``rows`` over ``d`` times one common positive
+    integer, the lcm of their denominators.  In lowest terms x/d has the
+    denominator |d|/gcd(x, d), and the lcm of such divisors of |d| is |d|/g
+    for g the gcd of d and every entry; so each entry becomes x*sign(d)/g."""
+    g = gcd(d, *(x for row in rows for x in row))
+    if d < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row) for row in rows)
 
 
 def _projections(
     integral: Sequence[IntVec], vectors: Iterable[IntVec]
 ) -> tuple[tuple[IntVec, IntVec], ...]:
     """(vector, projective class of its image under ``integral``) for each
-    vector, in order, whose image is not zero."""
+    vector, in order, whose image is not zero; each distinct vector is
+    projected once."""
+    reps: dict[IntVec, Optional[IntVec]] = {}
     out = []
     for vec in vectors:
-        rep = _projective_rep([sum(a * b for a, b in zip(row, vec)) for row in integral])
-        if rep is not None:
-            out.append((tuple(vec), rep))
+        vec = tuple(vec)
+        if vec not in reps:
+            reps[vec] = _projective_rep([sum(map(mul, row, vec)) for row in integral])
+        if reps[vec] is not None:
+            out.append((vec, reps[vec]))
     return tuple(out)
 
 
@@ -532,10 +554,14 @@ def is_well_spaced(m: AnyMap, cd: Optional[CycleData] = None) -> WellSpacedRepor
         cd = cycle_data(m)
     if cd.codim == 0:
         raise ValueError("cycle image spans the ambient space: no containing hyperplane")
-    arr = build_arrangement(m, cd)
+    return _spacing_on(m, cd, enumerate_flats(m, cd, build_arrangement(m, cd)))
+
+
+def _spacing_on(m: AnyMap, cd: CycleData, flats: Sequence[HyperplaneFlat]) -> WellSpacedReport:
+    """:func:`is_well_spaced` on the flats of m's arrangement."""
     records = []
     witness = None
-    for flat in enumerate_flats(m, cd, arr):
+    for flat in flats:
         sub = _trapped_subcurve(m, cd, flat.normal)
         ok = multiset_passes(sub.distance_multiset())
         rec = FlatRecord(flat, sub, ok)
@@ -715,10 +741,16 @@ def _rule_cascade(
     the caller has none."""
     if frame is None:
         frame = cycle_frame(m)
+    spaced = frame.genus == 1 and (frame.codim == 0 or is_well_spaced(m, cycle_data_on(frame, m)).overall)
+    return _first_rule(m, assume, frame, spaced)
+
+
+def _first_rule(m: AnyMap, assume: Assumptions, frame: CycleFrame, spaced: bool) -> Verdict:
+    """The first rule that matches, given m's cycle frame and, in genus one,
+    whether m is well-spaced (vacuously when the cycle spans the space)."""
     if frame.genus == 0:
         return Verdict("Realizable", "R0", "genus 0")
     if frame.genus == 1:
-        spaced = frame.codim == 0 or is_well_spaced(m, cycle_data_on(frame, m)).overall
         if frame.maximally_degenerate and spaced:
             return Verdict("Realizable", "R1", "Speyer sufficiency")
         if frame.maximally_degenerate and frame.trivalent and not spaced:
@@ -736,6 +768,10 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     member is realizable by R1 or R3, with the stability axiom waived, as
     families may pass through 2-valent vertices that only the limit
     resolves.
+
+    The limit is compared with ``m`` on the family's (const, slope) pairs
+    at t = 1 and m's integers (:func:`moduli._is_limit`), without building
+    the limit as a map.
 
     The family is validated once, not member by member (``Family.frame``,
     built here if nothing built it before, since a family may be
@@ -756,18 +792,32 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
       directions agree;
     - a valid member's cycle vertex offsets are sums of length times weight
       times direction over cycle edges, so they lie in the span of the
-      cycle edges' directions, and at every member the rows given to
-      ``rref`` span exactly that space;
+      cycle edges' directions, and at every member the rows given to the
+      elimination span exactly that space;
     - a row space has one reduced row echelon form, and the quotient map
       and the projected edge directions are computed from it alone.
+
+    Three more shortcuts are exact:
+    - projection is linear, so each vertex offset's (const, slope) pair is
+      projected through the frame's integer quotient P once per family
+      (:func:`_projected_offsets`), and a member's projected offset at
+      t = p/q is (P dc)*q + (P ds)*p;
+    - P is the rational quotient map times one common positive integer,
+      which changes no projective class and no primitive normal, so these
+      images give each member the arrangement vectors of its own cycle
+      data;
+    - the flats and their normals depend only on the arrangement vectors
+      and the frame (:func:`enumerate_flats` reads nothing else of the
+      member), so they are enumerated once per distinct set of vectors.
     """
     fam = assume.family
-    limit = limit_of_family(fam, Fraction(1))
-    if canonical_map(limit.map) != canonical_map(m):
+    if not _is_limit(fam, m):
         raise CertificateError("family limit at t = 1 differs from the given map")
     direct = Assumptions(star_realizable=assume.star_realizable)
     checks = fam.frame
     frame = None
+    offsets: tuple[_ProjectedOffset, ...] = ()
+    flats: dict[tuple[IntVec, ...], list[HyperplaneFlat]] = {}
     for t in _PROBES:
         member = checks.member(t)
         diag = checks.member_diagnostic(member)
@@ -775,11 +825,67 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
             raise CertificateError(f"family member at t={t} invalid: {diag}")
         if frame is None:
             frame = cycle_frame(member)
-        verdict = _rule_cascade(member, direct, frame)
+            if frame.genus == 1 and frame.codim:
+                offsets = _projected_offsets(frame, fam)
+        spaced = frame.genus == 1
+        if spaced and frame.codim:
+            cd = _member_cycle_data(frame, offsets, member, t)
+            arr = build_arrangement(member, cd)
+            if arr.vectors not in flats:
+                flats[arr.vectors] = enumerate_flats(member, cd, arr)
+            spaced = _spacing_on(member, cd, flats[arr.vectors]).overall
+        verdict = _first_rule(member, direct, frame, spaced)
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"
             )
+
+
+class _ProjectedOffset(NamedTuple):
+    """A finite vertex's offset from the base vertex on a family's integers,
+    as its constant and slope parts, and their images under the frame's
+    integer quotient."""
+
+    const: IntVec
+    slope: IntVec
+    image_const: IntVec
+    image_slope: IntVec
+
+
+def _projected_offsets(frame: CycleFrame, fam: Family) -> tuple[_ProjectedOffset, ...]:
+    """The :class:`_ProjectedOffset` of every finite vertex, in curve order."""
+    positions = fam.scaled.positions
+    base = positions[frame.cycle_vertices[0]]
+    out = []
+    for vid in fam.type.graph.unmarked_vertex_ids():
+        const = tuple(c - b for (c, _), (b, _) in zip(positions[vid], base))
+        slope = tuple(s - b for (_, s), (_, b) in zip(positions[vid], base))
+        out.append(_ProjectedOffset(
+            const,
+            slope,
+            tuple(sum(map(mul, row, const)) for row in frame.integer_quotient),
+            tuple(sum(map(mul, row, slope)) for row in frame.integer_quotient),
+        ))
+    return tuple(out)
+
+
+def _member_cycle_data(
+    frame: CycleFrame, offsets: Sequence[_ProjectedOffset], member: FamilyMember, t: Fraction
+) -> CycleData:
+    """``cycle_data_on(frame, member)`` for the member at t = p/q, read off
+    the projected offsets: the member's offset is const*q + slope*p, and so
+    is its image."""
+    p, q = t.numerator, t.denominator
+    projected = []
+    for off in offsets:
+        vec = [c * q + s * p for c, s in zip(off.const, off.slope)]
+        if any(vec):
+            rep = _projective_rep([c * q + s * p for c, s in zip(off.image_const, off.image_slope)])
+            if rep is not None:
+                projected.append((primitive(vec), rep))
+    scaled = member.scaled
+    base = scaled.positions[frame.cycle_vertices[0]]
+    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), tuple(projected))
 
 
 def _unknown_reason(m: AnyMap, g: int, assume: Assumptions) -> str:

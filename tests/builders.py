@@ -101,6 +101,16 @@ def collinear_chain_family(k, shrink):
     return make_family(combinatorial_type(m), lengths)
 
 
+def fractional_chain_family():
+    """The chain of three edges with fractional constants and slopes: c1
+    shrinks from 5/7 to 0, c2 grows from 3 to 4, and the base vertex v0
+    moves from (1/2, -7/6) by (-3/4, 0).  The family's denominator is 84."""
+    chain = collinear_chain_family(3, {"c1"})
+    lengths = {"c0": affine(Fraction(2, 3)), "c1": affine(Fraction(5, 7), Fraction(-5, 7)), "c2": affine(3, 1)}
+    base = (affine(Fraction(1, 2), Fraction(-3, 4)), affine(Fraction(-7, 6)))
+    return make_family(chain.type, lengths, base_vertex="v0", base_position=base)
+
+
 def bent_square(branch_lengths=(1, 1, 2)):
     """Square cycle in the plane of R^3 with three out-of-plane branches at
     the given distances; the fourth corner keeps an in-plane ray.  The unique
@@ -137,6 +147,43 @@ def bent_square(branch_lengths=(1, 1, 2)):
     m = build_map(3, vertices, bounded, rays, positions)
     assert validate_map(m) == []
     return m
+
+
+def turning_branch_family():
+    """A unit square cycle in the plane {x3 = x4 = 0} of R^4 with a branch
+    up e3 at two opposite corners k0 and k2; from the top x of the first an
+    edge h runs along e4 with length 1 + t.  The offset of its end y
+    projects to the class of (1, 1 + t) in the (x3, x4) quotient, so every
+    member has its own arrangement, and every member is well-spaced."""
+    vertices = ["k0", "k1", "k2", "k3", "x", "y", "z"]
+    bounded = [
+        ("s0", ("k0", "k1"), (1, 0, 0, 0), 1, "k0", 1),
+        ("s1", ("k1", "k2"), (0, 1, 0, 0), 1, "k1", 1),
+        ("s2", ("k2", "k3"), (-1, 0, 0, 0), 1, "k2", 1),
+        ("s3", ("k3", "k0"), (0, -1, 0, 0), 1, "k3", 1),
+        ("g", ("k0", "x"), (0, 0, 1, 0), 1, "k0", 1),
+        ("h", ("x", "y"), (0, 0, 0, 1), 1, "x", 1),
+        ("gz", ("k2", "z"), (0, 0, 1, 0), 1, "k2", 1),
+    ]
+    rays = [
+        ("r0", "k0", (-1, -1, -1, 0), 1, "p0"),
+        ("r1", "k1", (1, -1, 0, 0), 1, "p1"),
+        ("r2", "k2", (1, 1, -1, 0), 1, "p2"),
+        ("r3", "k3", (-1, 1, 0, 0), 1, "p3"),
+        ("rx", "x", (0, 0, 1, -1), 1, "p4"),
+        ("ry1", "y", (1, 0, 0, 1), 1, "p5"),
+        ("ry2", "y", (-1, 0, 0, 0), 1, "p6"),
+        ("rz1", "z", (0, 0, 1, 1), 1, "p7"),
+        ("rz2", "z", (0, 0, 0, -1), 1, "p8"),
+    ]
+    positions = {
+        "k0": (0, 0, 0, 0), "k1": (1, 0, 0, 0), "k2": (1, 1, 0, 0), "k3": (0, 1, 0, 0),
+        "x": (0, 0, 1, 0), "y": (0, 0, 1, 1), "z": (1, 1, 1, 0),
+    }
+    m = build_map(4, vertices, bounded, rays, positions)
+    assert validate_map(m) == []
+    t = combinatorial_type(m)
+    return make_family(t, {eid: affine(1, 1) if eid == "h" else affine(1) for eid in t.bounded_edge_ids()})
 
 
 def parallel_pair():

@@ -21,8 +21,11 @@ weights and directions can match.  Decorated isomorphisms come from the
 two recursive searches (vertices, then edges) that the library replaced by
 one explicit-stack search; they pin its output order, and the face search
 uses them, so it shares no search code with the library.  The R4 family
-certificate decides each probe member on the member's own cycle frame,
-where the library builds one frame per family.
+certificate builds the limit and each probe member as a map and decides
+each member on the member's own cycle frame, computed in Fractions, where
+the library compares the limit on the family's integers, builds one
+integer frame per family, projects each vertex offset once per family and
+enumerates the flats once per distinct arrangement.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from tropmap.curves import Edge, TropicalCurve, Vertex, tropical_curve
+from tropmap.curves import Edge, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from tropmap.exactgeom import (
     Cone,
     cone_contains,
@@ -58,7 +61,14 @@ from tropmap.moduli import (
     evaluate_family,
     limit_of_family,
 )
-from tropmap.wellspaced import _PROBES, Assumptions, CertificateError, _rule_cascade
+from tropmap.wellspaced import (
+    _PROBES,
+    Assumptions,
+    CertificateError,
+    CycleFrame,
+    _rule_cascade,
+    _unique_cycle,
+)
 
 
 def bareiss_rank(rows) -> int:
@@ -588,8 +598,12 @@ def _face_functional_exists(ambient, zero_rays, pos_rays) -> bool:
 
 
 def ref_cone_is_face(face, c) -> bool:
-    """Is ``face`` a face of ``c``: contained in ``c``, generated by the rays
-    of ``c`` it contains, and cut out by a supporting covector."""
+    """Is ``face`` a face of ``c``: pointed on its given nonzero rays (a
+    face of a pointed cone is pointed, and a cone with a line can come out
+    pointed from its canonical form), contained in ``c``, generated by the
+    rays of ``c`` it contains, and cut out by a supporting covector."""
+    if not lp_cone_is_pointed(Cone(face.ambient_dim, tuple(r for r in face.rays if any(r)))):
+        return False
     cc = lp_canonical_cone(c)
     fc = lp_canonical_cone(face)
     if fc == cc:
@@ -917,10 +931,70 @@ def _ref_match_edges(
         yield dict(vmap), final_emap
 
 
+def _lcm_rows(rows) -> tuple:
+    """Rational rows times the lcm of all their denominators."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return tuple(tuple(int(x * den) for x in row) for row in rows)
+
+
+def ref_cycle_frame(m) -> CycleFrame:
+    """The cycle frame on the Fraction path: the vertex offsets as
+    Fractions, the span's reduced row echelon form by Gauss-Jordan
+    elimination over Fractions (:func:`ref_rref`), the quotient rows read
+    off it (1 in a free column, minus the echelon entries in the pivot
+    columns), each set of rows times the lcm of all its denominators, and
+    every edge direction projected in Fractions on its own."""
+    b1, g = betti_and_genus(m.curve)
+    if g != 1:
+        return CycleFrame(b1, g)
+    if b1 == 1:
+        cyc_v, cyc_e = _unique_cycle(m.curve)
+    else:
+        cyc_v, cyc_e = (next(v.id for v in m.curve.vertices if v.genus == 1),), ()
+    den, positions = m.scaled.denominator, m.scaled.positions
+    base = positions[cyc_v[0]]
+    dirs = [[Fraction(a - b, den) for a, b in zip(positions[vid], base)] for vid in cyc_v]
+    dirs += [[Fraction(x) for x in m.edge_data[eid].u] for eid in cyc_e]
+    rows, pivots = ref_rref([d for d in dirs if any(d)])
+    basis = tuple(tuple(row) for row in rows[:len(pivots)])
+    n = m.fan.ambient_dim
+    quotient = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(n)]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -basis[r][fc]
+        quotient.append(tuple(vec))
+    projected = []
+    for e in m.curve.edges:
+        u = m.edge_data[e.id].u
+        rep = projective_class(quotient, u)
+        if rep is not None:
+            projected.append((tuple(u), rep))
+    return CycleFrame(
+        b1,
+        g,
+        all(v.genus == 0 for v in m.curve.vertices),
+        all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
+        cyc_v,
+        cyc_e,
+        basis,
+        _lcm_rows(basis),
+        n - len(basis),
+        tuple(quotient),
+        _lcm_rows(quotient),
+        tuple(projected),
+    )
+
+
 def ref_check_family_certificate(m, assume: Assumptions) -> None:
-    """The R4 family certificate with every probe member decided on a cycle
-    frame of its own: the limit must be ``m`` and each member, validated
-    with stability waived, realizable by R1 or R3."""
+    """The R4 family certificate with every probe member built as a map,
+    validated with stability waived, and decided on a cycle frame of its
+    own, on the Fraction path (:func:`ref_cycle_frame`): the limit, built
+    as a map, must be ``m`` up to edge orientation and each member
+    realizable by R1 or R3."""
     fam = assume.family
     limit = limit_of_family(fam, Fraction(1))
     if canonical_map(limit.map) != canonical_map(m):
@@ -930,7 +1004,7 @@ def ref_check_family_certificate(m, assume: Assumptions) -> None:
         member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
         if member_diags:
             raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
-        verdict = _rule_cascade(member, Assumptions(star_realizable=assume.star_realizable))
+        verdict = _rule_cascade(member, Assumptions(star_realizable=assume.star_realizable), ref_cycle_frame(member))
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"

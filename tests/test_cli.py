@@ -420,6 +420,24 @@ class TestFanFile:
         assert "Traceback" not in err
         assert not (tmp_path / "plot.svg").exists()
 
+    @pytest.mark.parametrize("command", ["cone", "superabundant"])
+    def test_type_documents_refuse_every_fan_choice(self, capsys, monkeypatch, square_loop_doc, tmp_path, command):
+        # a type's vertex cones are cones of its own fan: before the refusal
+        # a 2-dimensional fan answered "dim=5 expected=4" with exit 0
+        _, type_doc, _ = run_cli(capsys, monkeypatch, ["type", square_loop_doc])
+        fans = [self._fan_file(tmp_path, 2, embedded=False), self._fan_file(tmp_path, 3, embedded=True),
+                "complete", "auto-rays", "bogus"]
+        for fan in fans:
+            code, out, err = run_cli(capsys, monkeypatch, [command, "--fan", fan], stdin=type_doc)
+            assert code == 2, fan
+            assert json.loads(out)["diagnostics"] == [{
+                "pointer": "",
+                "message": "--fan applies to map documents; a type's vertex cones lie on its own fan",
+            }], fan
+            assert "Traceback" not in err
+        # without --fan the type document is answered on its own fan
+        assert run_cli(capsys, monkeypatch, [command], stdin=type_doc)[0] == 0
+
     def test_limit_takes_no_fan(self, capsys, monkeypatch, tmp_path):
         _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1"])
         fan = self._fan_file(tmp_path, 2, embedded=True)

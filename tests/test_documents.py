@@ -89,6 +89,55 @@ class TestRoundTrip:
         assert calls == ["loads"]
 
 
+class TestFamilyReader:
+    """``parse_family`` reads each distinct canonical (const, slope)
+    spelling once and shares the ``AffineFn`` it gives; the family read is
+    the one written, and so are its integers."""
+
+    @staticmethod
+    def _families():
+        from builders import fractional_chain_family, random_shrinking_family
+
+        fams = [build_figure1_family(n) for n in (3, 6)]
+        rng = random.Random(1818)
+        fams += [random_shrinking_family(rng)[0] for _ in range(20)]
+        return [*fams, fractional_chain_family()]
+
+    @staticmethod
+    def _check(text, fam):
+        loaded = load_document(text)
+        read = loaded.document.payload
+        assert read == fam
+        assert read.scaled == fam.scaled
+        return loaded.warnings
+
+    def test_read_family_is_the_written_one(self):
+        for fam in self._families():
+            assert self._check(serialize_document(Document("family", fam)), fam) == []
+
+    def test_repeated_spellings_share_one_function(self):
+        fam = build_figure1_family(3)
+        read = load_document(serialize_document(Document("family", fam))).document.payload
+        fns = [*read.lengths.values(), *(fn for p in read.positions.values() for fn in p)]
+        assert len({id(fn) for fn in fns}) == len(set(fns)) < len(fns)
+
+    def test_non_canonical_spellings_keep_their_warnings(self):
+        fam = build_figure1_family(3)
+        raw = json.loads(serialize_document(Document("family", fam)))
+        # a pair spelled twice warns twice: only pairs read without a
+        # warning are looked up
+        raw["lengths"]["e1"] = raw["lengths"]["e2"] = {"const": "2/2", "slope": "+0"}
+        raw["positions"]["ap"][0]["const"] = "-4/2"
+        raw["positions"]["ap"][1]["slope"] = 0
+        assert self._check(json.dumps(raw), fam) == [
+            "/lengths/e1/const: normalized '2/2' to '1'",
+            "/lengths/e1/slope: normalized '+0' to '0'",
+            "/lengths/e2/const: normalized '2/2' to '1'",
+            "/lengths/e2/slope: normalized '+0' to '0'",
+            "/positions/ap/0/const: normalized '-4/2' to '-2'",
+        ]
+
+
 class TestDiagnostics:
     def test_non_canonical_rational_warns(self):
         raw = json.loads(serialize_document(Document("map", square_loop())))

@@ -320,6 +320,38 @@ class TestFans:
         square, diagonal = f.cones[-1].rays, tuple(sorted(diagonal))
         assert f"cones {diagonal} and {square} do not meet in a common face" in diags
 
+    def test_face_with_a_line_is_no_face(self):
+        # canonical_cone reads the four rays, which contain the line through
+        # (1, -1), as the wedge on (0, 1) and (1, -1)
+        lined = cone(2, [(-2, -1), (-2, 1), (0, 1), (1, -1)])
+        wedge = cone(2, [(0, 1), (1, -1)])
+        assert exactgeom.canonical_cone(lined) == wedge
+        assert not cone_is_face(lined, wedge)
+        assert not ref_cone_is_face(lined, wedge)
+        assert cone_is_face(wedge, wedge) and ref_cone_is_face(wedge, wedge)
+        with pytest.raises(ValueError, match="pointed"):
+            cone_is_face(wedge, lined)
+        # a cone with a line whose rays are all extreme is no face either
+        assert not cone_is_face(cone(2, [(1, 0), (-1, 0)]), wedge)
+
+    def test_face_test_adds_no_lp_where_no_ray_is_dropped(self, monkeypatch):
+        # cone_is_face solves the LPs of canonical_cone, cone_is_pointed and
+        # _common_face, and no pointedness LP of its own
+        lps = []
+        real = exactgeom.solve_nonneg
+        monkeypatch.setattr(exactgeom, "solve_nonneg", lambda *a: lps.append(a) or real(*a))
+        square = cone(3, _SQUARE_CONE)
+        for face in cone_faces(square):
+            lps.clear()
+            assert cone_is_face(face, square)
+            want = len(lps)
+            lps.clear()
+            exactgeom.canonical_cone(face)
+            exactgeom.canonical_cone(square)
+            exactgeom.cone_is_pointed(square)
+            exactgeom._common_face(face, square)
+            assert want == len(lps), face
+
     def test_cone_with_a_line_whose_extreme_rays_are_pointed(self):
         # (0, 1) and (1, -1) generate a pointed cone, but the four rays
         # contain the line through (1, -1); canonical_cone drops the first

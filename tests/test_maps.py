@@ -2,6 +2,8 @@
 stars."""
 
 import gc
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -202,6 +204,26 @@ class TestTypes:
         )
         with pytest.raises(ValueError):
             combinatorial_type(m)
+
+    def test_vertex_cone_with_a_line_is_refused(self, capsys, monkeypatch):
+        # the four rays contain the line through (1, -1); canonical_cone
+        # alone stored the cone on (0, 1) and (1, -1) without an error
+        from tropmap.cli import main
+        from tropmap.documents import Document, serialize_document
+
+        t = combinatorial_type(three_rays())
+        lined = cone(2, [(-2, -1), (-2, 1), (0, 1), (1, -1)])
+        with pytest.raises(ValueError, match="vertex cone of o is not pointed"):
+            make_type(t.graph, t.fan, t.edge_data, {"o": lined})
+        wedge = make_type(t.graph, t.fan, t.edge_data, {"o": cone(2, [(1, -1), (0, 1)])})
+        assert wedge.vertex_cones["o"] == cone(2, [(0, 1), (1, -1)])
+        # a type document with that vertex cone exits 2
+        doc = json.loads(serialize_document(Document("type", t)))
+        doc["vertex_cones"] = {"o": {"rays": [list(r) for r in lined.rays]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["cone"]) == 2
+        [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag == {"pointer": "/vertex_cones/o", "message": "vertex cone of o is not pointed"}
 
     def test_type_balancing_is_length_free(self):
         # the weighted directions of a valid map balance at every finite

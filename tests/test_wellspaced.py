@@ -31,9 +31,11 @@ from tropmap import (
 )
 from tropmap import moduli, wellspaced
 from tropmap.cli import main
+from tropmap.curves import Edge, tropical_curve
 from tropmap.documents import Document, serialize_document
 from tropmap.exactgeom import build_fan, canonical_cone, cone, primitive, ratvec, vdot, vector_content
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
+from tropmap.maps import canonical_map, stable_map
 from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_interior
 from tropmap.wellspaced import (
     _PROBES,
@@ -48,6 +50,7 @@ from builders import (
     bent_square,
     build_map,
     collinear_chain_family,
+    fractional_chain_family,
     lone_genus_one_vertex,
     random_feasible_map,
     random_shrinking_family,
@@ -55,6 +58,7 @@ from builders import (
     strict_unstable_member_family,
     three_rays,
     tilted_parallel_pair,
+    turning_branch_family,
 )
 from oracles import (
     first_sources,
@@ -62,6 +66,7 @@ from oracles import (
     lift_pattern,
     projective_class,
     ref_check_family_certificate,
+    ref_cycle_frame,
     subset_closure_flats,
 )
 
@@ -262,7 +267,9 @@ class TestWorkDoneOnce:
 
     def test_one_validation_per_probe_member(self, monkeypatch):
         # the limit map is validated; the members are read off the family,
-        # which is validated once, so no member is built as a map
+        # which is validated once, so no member is built as a map, and the
+        # limit is compared with the map on the family's integers, so
+        # neither is the limit
         fam = build_figure1_family(3)
         target = limit_of_family(fam, 1).map
         validations = self._count(monkeypatch, "validate_map")
@@ -271,7 +278,7 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(moduli, "_family_at", lambda *args: evaluations.append(args) or original(*args))
         assert realizability_verdict(target, Assumptions(family=fam)).rule == "R4"
         assert len(validations) == 1
-        assert [t for _, t in evaluations] == [1]
+        assert evaluations == []
 
 
 def _certificate_families():
@@ -287,6 +294,7 @@ def _certificate_families():
         "rectangle 1x2 shrinking s1, s5": rectangle_family(1, 2, {"s1", "s5"}),
         "rectangle 2x2 shrinking s0, s1, s4, s5": rectangle_family(2, 2, {"s0", "s1", "s4", "s5"}),
         "chain of 4 shrinking c1, c2": collinear_chain_family(4, {"c1", "c2"}),
+        "turning branch in R^4": turning_branch_family(),
     }
     # a genus-one family whose spacing fails after t = 0: branch g1 grows
     bent = combinatorial_type(bent_square())
@@ -454,6 +462,144 @@ class TestSharedFrame:
         assert json.loads(out.getvalue())["results"]["rule"] == "R4"
         # one for the limit map, one shared by the five probe members
         assert len(frames) == 2
+
+
+class TestIntegerPaths:
+    """The certificate's integer shortcuts against the Fraction-path and
+    per-member references in ``tests/oracles.py``: the integer cycle frame,
+    the vertex offsets projected once per family, the flats enumerated once
+    per distinct arrangement, and the limit compared on the integers."""
+
+    def test_frame_equals_the_fraction_path(self):
+        maps = [gallery_map(name) for name in GALLERY_NAMES]
+        for n in (3, 4, 5, 6):
+            fam = build_figure1_family(n)
+            maps.append(limit_of_family(fam, 1).map)
+            maps += [evaluate_family(fam, t) for t in (*_PROBES, Fraction(1, 3), Fraction(5, 7))]
+            maps += [fam.frame.member(t) for t in (*_PROBES, Fraction(2, 9))]
+        rng = random.Random(18)
+        maps += [random_feasible_map(rng, max_vertices=5) for _ in range(200)]
+        genus_one = 0
+        for m in maps:
+            frame = cycle_frame(m)
+            assert frame == ref_cycle_frame(m)
+            genus_one += frame.genus == 1 and frame.codim > 0
+        assert genus_one >= 100
+
+    def test_projected_offsets_equal_the_members_own(self):
+        checked = 0
+        for name, _, fam in _certificate_families():
+            checks = fam.frame
+            members = [(t, checks.member(t)) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
+            if checks.member_diagnostic(members[0][1]) is not None:
+                continue
+            frame = cycle_frame(members[0][1])
+            if frame.genus != 1 or frame.codim == 0:
+                continue
+            offsets = wellspaced._projected_offsets(frame, fam)
+            for t, member in members:
+                if checks.member_diagnostic(member) is None:
+                    assert wellspaced._member_cycle_data(frame, offsets, member, t) == cycle_data_on(frame, member), name
+                    checked += 1
+        assert checked >= 100
+
+    def test_flats_and_cycle_data_equal_the_per_member_ones(self, monkeypatch):
+        # every member the certificate decides is decided on its own cycle
+        # data and on the flats enumerate_flats gives that member alone
+        decided = []
+        spacing = wellspaced._spacing_on
+        monkeypatch.setattr(
+            wellspaced, "_spacing_on", lambda m, cd, flats: decided.append((m, cd, flats)) or spacing(m, cd, flats)
+        )
+        enumerations = TestWorkDoneOnce._count(monkeypatch, "enumerate_flats")
+        arrangements = set()
+        for name, target, fam in _certificate_families():
+            decided.clear()
+            enumerations.clear()
+            _outcome(lambda: wellspaced._check_family_certificate(target, Assumptions(family=fam)))
+            vectors = set()
+            for member, cd, flats in decided:
+                own = cycle_data_on(cycle_frame(member), member)
+                assert cd == own, name
+                arr = build_arrangement(member, own)
+                assert flats == enumerate_flats(member, own, arr), name
+                vectors.add(arr.vectors)
+            assert len(enumerations) == len(vectors) <= len(decided), name
+            arrangements.add((len(vectors), len(decided)))
+        # families whose members share one arrangement and families whose
+        # members do not both occur
+        assert {(1, 5), (5, 5)} <= arrangements
+
+    @staticmethod
+    def _moved(m, vid, k):
+        p = m.positions[vid]
+        return stable_map(m.curve, m.fan, {**m.positions, vid: (*p[:k], p[k] + 1, *p[k + 1:])}, m.edge_data)
+
+    @staticmethod
+    def _stretched(m, eid):
+        edges = [Edge(e.id, e.ends, e.length + Fraction(1, 2)) if e.id == eid else e for e in m.curve.edges]
+        return stable_map(tropical_curve(m.curve.vertices, edges, m.curve.markings), m.fan, m.positions, m.edge_data)
+
+    def _altered_limits(self):
+        """(name, map, family) where the map is the family's limit but for
+        one coordinate, one length or one contracted edge."""
+        cases = []
+        for n in (3, 6):
+            fam = build_figure1_family(n)
+            limit = limit_of_family(fam, 1).map
+            cases.append((f"figure1 n={n}", limit, fam))
+            for vid, k in (("a", 0), ("bp", 1), ("cp", n - 1)):
+                cases.append((f"figure1 n={n}, {vid}[{k}] + 1", self._moved(limit, vid, k), fam))
+            for eid in ("e1", "f2"):
+                cases.append((f"figure1 n={n}, {eid} + 1/2", self._stretched(limit, eid), fam))
+        fam = fractional_chain_family()
+        limit = limit_of_family(fam, 1).map
+        assert fam.scaled.denominator != limit.scaled.denominator
+        cases += [
+            ("fractional chain", limit, fam),
+            ("fractional chain, v0[1] + 1", self._moved(limit, "v0", 1), fam),
+            ("fractional chain, c2 + 1/2", self._stretched(limit, "c2"), fam),
+        ]
+        chains = {k: collinear_chain_family(4, {"c1", "c2"} - {k}) for k in ("", "c1", "c2")}
+        for k, fam in chains.items():
+            for j, other in chains.items():
+                cases.append((f"chain limit {k or '-'} against family {j or '-'}", limit_of_family(other, 1).map, fam))
+        rng = random.Random(1818)
+        while len(cases) < 80:
+            fam, shrink = random_shrinking_family(rng)
+            if "cyc" in shrink:
+                continue
+            eid = rng.choice(fam.type.bounded_edge_ids())
+            lengths = {**fam.lengths, eid: affine(1) if eid in shrink else affine(1, -1)}
+            toggled = moduli.make_family(fam.type, lengths)
+            cases.append((f"random tree toggling {eid}", limit_of_family(toggled, 1).map, fam))
+            cases.append((f"random tree, limit", limit_of_family(fam, 1).map, fam))
+        return cases
+
+    def test_limit_check_equals_the_reference(self):
+        matches = set()
+        for name, target, fam in self._altered_limits():
+            assume = Assumptions(family=fam)
+            got = _outcome(lambda: wellspaced._check_family_certificate(target, assume))
+            assert got == _outcome(lambda: ref_check_family_certificate(target, assume)), name
+            same = canonical_map(limit_of_family(fam, 1).map) == canonical_map(target)
+            assert moduli._is_limit(fam, target) == same, name
+            matches.add(same)
+            if "+" in name:
+                assert not same, name
+        assert matches == {True, False}
+
+    def test_merged_vertices_apart_fail_as_the_reference_does(self):
+        # c1 shrinks to 0, but v2 drifts off the chain's line: the family is
+        # built directly, so only the limit notices
+        fam = collinear_chain_family(3, {"c1"})
+        positions = {**fam.positions, "v2": (fam.positions["v2"][0], affine(0, 1))}
+        drifted = Family(fam.type, fam.lengths, positions)
+        target = limit_of_family(fam, 1).map
+        assume = Assumptions(family=drifted)
+        want = ("ValueError", "merged vertices of v1 have distinct limit positions")
+        assert _outcome(lambda: ref_check_family_certificate(target, assume)) == want
+        assert _outcome(lambda: wellspaced._check_family_certificate(target, assume)) == want
 
 
 class TestSubcurve:
