@@ -86,6 +86,25 @@ class TropicalCurve:
         return {k: tuple(v) for k, v in inc.items()}
 
     @cached_property
+    def connected(self) -> bool:
+        """One BFS over the incidence lists from the first vertex.  An edge
+        naming an unlisted vertex joins nothing, so unvalidated curves can
+        be checked."""
+        index = self._vertex_index
+        if not index:
+            return True
+        incidence = self._incidence
+        order = [self.vertices[0].id]
+        seen = set(order)
+        for vid in order:  # grows while it is read
+            for e in incidence[vid]:
+                for end in e.ends:
+                    if end not in seen and end in index:
+                        seen.add(end)
+                        order.append(end)
+        return len(seen) == len(index)
+
+    @cached_property
     def marked_vertex_ids(self) -> frozenset[str]:
         return frozenset(m.vertex for m in self.markings)
 
@@ -148,7 +167,7 @@ def tropical_curve(
 def _classes(vertex_ids: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]:
     """Union-find over the vertex ids joined by the edges: each id maps to
     the smallest id of its class.  An edge naming an unlisted vertex joins
-    nothing, so unvalidated curves can be checked."""
+    nothing."""
     parent = {v: v for v in vertex_ids}
 
     def find(x: str) -> str:
@@ -165,8 +184,7 @@ def _classes(vertex_ids: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]
     return {v: find(v) for v in parent}
 
 
-def is_connected(c: TropicalCurve) -> bool:
-    return len(set(_classes((v.id for v in c.vertices), c.edges).values())) <= 1
+DISCONNECTED = "curve is disconnected"
 
 
 def validate_curve(c: TropicalCurve) -> list[str]:
@@ -203,8 +221,8 @@ def validate_curve(c: TropicalCurve) -> list[str]:
                 diags.append(
                     f"marked leaf-edge {leaf.id} at {m.label} must have infinite length"
                 )
-    if not is_connected(c):
-        diags.append("curve is disconnected")
+    if not c.connected:
+        diags.append(DISCONNECTED)
     return diags
 
 
@@ -222,7 +240,7 @@ def curve_lints(c: TropicalCurve) -> list[str]:
 def betti_and_genus(c: TropicalCurve) -> tuple[int, int]:
     """(first Betti number, genus): b1 = E - V + 1 for a connected graph and
     genus = b1 plus the sum of the vertex genera."""
-    if not is_connected(c):
+    if not c.connected:
         raise ValueError("betti_and_genus requires a connected curve")
     b1 = len(c.edges) - len(c.vertices) + 1
     return b1, b1 + sum(v.genus for v in c.vertices)

@@ -18,12 +18,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from . import curves
-from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex, tropical_curve
+from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex
 from .exactgeom import (
     Fan,
+    IntVec,
     _canonical_pointed,
     cone,
     build_fan,
@@ -36,9 +38,9 @@ from .maps import (
     CombinatorialType,
     EdgeMapData,
     TropicalStableMap,
+    _orient_leaves,
     balancing_diagnostics,
     make_type,
-    stable_map,
 )
 from .moduli import AffineFn, Family, make_family
 
@@ -76,6 +78,13 @@ class LoadResult:
 # A reader is told where its value sits as a parent pointer and the tokens
 # below it, and builds the pointer with ``_at`` only when it raises, so a
 # value that passes costs no string formatting.
+
+# what the direct reads compare against
+_ABSENT = object()
+_INT = frozenset((int,))
+_ID = attrgetter("id")
+_LABEL = attrgetter("label")
+
 
 def _at(pointer: str, *tokens) -> str:
     """``pointer`` extended by object keys (str) and array indices (int), as
@@ -128,6 +137,19 @@ def _read_rational(raw, warnings: list[str], pointer: str, *tokens) -> Fraction:
     except ValueError as exc:
         raise DocumentError(_at(pointer, *tokens), str(exc)) from None
     warnings.append(f"{_at(pointer, *tokens)}: normalized {raw!r} to {format_rational(val)!r}")
+    return val
+
+
+def _read_known(raw, known: dict[str, Fraction], warnings: list[str], pointer: str, *tokens) -> Fraction:
+    """:func:`_read_rational`, looked up first in ``known``: the strings
+    read so far without a warning, so a repeated canonical spelling is read
+    once per document and its ``Fraction`` shared."""
+    val = known.get(raw) if type(raw) is str else None
+    if val is None:
+        count = len(warnings)
+        val = _read_rational(raw, warnings, pointer, *tokens)
+        if type(raw) is str and len(warnings) == count:
+            known[raw] = val
     return val
 
 
@@ -216,12 +238,18 @@ def fan_json(f: Fan) -> dict:
 # curves
 
 def parse_curve(raw, pointer: str, warnings: list[str], lengths_required: bool = True) -> TropicalCurve:
+    """Each field is read with one lookup and one exact type test; the
+    pointered readers (:func:`_get`, :func:`_read_ends`), which word the
+    errors, run only when that test fails.  The curve is built once,
+    sorted, from the ids this reader has already found distinct."""
     vertices = []
     ids = set()
     for i, v in enumerate(_get(raw, "vertices", pointer, typ=list)):
-        vid = _get(v, "id", pointer, "vertices", i, typ=str)
+        vid = v.get("id") if type(v) is dict else None
+        if type(vid) is not str:
+            vid = _get(v, "id", pointer, "vertices", i, typ=str)
         genus = v.get("genus", 0)
-        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+        if type(genus) is not int or genus < 0:
             raise DocumentError(_at(pointer, "vertices", i, "genus"), "expected a natural number")
         if vid in ids:
             raise DocumentError(_at(pointer, "vertices", i, "id"), f"duplicate vertex id {vid}")
@@ -229,45 +257,62 @@ def parse_curve(raw, pointer: str, warnings: list[str], lengths_required: bool =
         vertices.append(Vertex(vid, genus))
     edges = []
     eids = set()
+    known: dict[str, Fraction] = {}
     for i, e in enumerate(_get(raw, "edges", pointer, typ=list)):
-        eid = _get(e, "id", pointer, "edges", i, typ=str)
+        eid = e.get("id") if type(e) is dict else None
+        if type(eid) is not str:
+            eid = _get(e, "id", pointer, "edges", i, typ=str)
         if eid in eids:
             raise DocumentError(_at(pointer, "edges", i, "id"), f"duplicate edge id {eid}")
         eids.add(eid)
-        ends = _get(e, "ends", pointer, "edges", i, typ=list)
-        if len(ends) != 2:
-            raise DocumentError(_at(pointer, "edges", i, "ends"), "expected two endpoints")
-        for j, end in enumerate(ends):
-            if not isinstance(end, str):
-                raise DocumentError(_at(pointer, "edges", i, "ends", j), "expected a vertex id")
-            if end not in ids:
-                raise DocumentError(_at(pointer, "edges", i, "ends", j), f"unknown vertex {end}")
-        if "length" not in e:
+        ends = e.get("ends")
+        a, b = ends if type(ends) is list and len(ends) == 2 else (None, None)
+        if type(a) is not str or type(b) is not str or a not in ids or b not in ids:
+            a, b = _read_ends(e, ids, pointer, i)
+        length_raw = e.get("length", _ABSENT)
+        if length_raw is _ABSENT:
             if lengths_required:
                 raise DocumentError(_at(pointer, "edges", i, "length"), "missing")
             length: curves.Length = Fraction(1)
-        elif e["length"] == "inf":
+        elif length_raw == "inf":
             length = curves.INF
         else:
-            length = _read_rational(e["length"], warnings, pointer, "edges", i, "length")
+            length = _read_known(length_raw, known, warnings, pointer, "edges", i, "length")
             if length < 0:
                 raise DocumentError(_at(pointer, "edges", i, "length"), "negative length")
-        edges.append(Edge(eid, (ends[0], ends[1]), length))
+        edges.append(Edge(eid, (a, b) if a <= b else (b, a), length))
     markings = []
     labels = set()
     markings_raw = raw.get("markings", [])
     if not isinstance(markings_raw, list):
         raise DocumentError(_at(pointer, "markings"), "expected an array")
     for i, mk in enumerate(markings_raw):
-        label = _get(mk, "label", pointer, "markings", i, typ=str)
-        vid = _get(mk, "vertex", pointer, "markings", i, typ=str)
+        label, vid = (mk.get("label"), mk.get("vertex")) if type(mk) is dict else (None, None)
+        if type(label) is not str or type(vid) is not str:
+            label = _get(mk, "label", pointer, "markings", i, typ=str)
+            vid = _get(mk, "vertex", pointer, "markings", i, typ=str)
         if vid not in ids:
             raise DocumentError(_at(pointer, "markings", i, "vertex"), f"unknown vertex {vid}")
         if label in labels:
             raise DocumentError(_at(pointer, "markings", i, "label"), f"duplicate label {label}")
         labels.add(label)
         markings.append(Marking(label, vid))
-    return tropical_curve(vertices, edges, markings)
+    return TropicalCurve(
+        tuple(sorted(vertices, key=_ID)), tuple(sorted(edges, key=_ID)), tuple(sorted(markings, key=_LABEL))
+    )
+
+
+def _read_ends(e, ids: set[str], pointer: str, i: int) -> tuple[str, str]:
+    """The two endpoint ids of edge ``i``, each a known vertex."""
+    ends = _get(e, "ends", pointer, "edges", i, typ=list)
+    if len(ends) != 2:
+        raise DocumentError(_at(pointer, "edges", i, "ends"), "expected two endpoints")
+    for j, end in enumerate(ends):
+        if not isinstance(end, str):
+            raise DocumentError(_at(pointer, "edges", i, "ends", j), "expected a vertex id")
+        if end not in ids:
+            raise DocumentError(_at(pointer, "edges", i, "ends", j), f"unknown vertex {end}")
+    return ends[0], ends[1]
 
 
 def curve_json(c: TropicalCurve, with_lengths: bool = True) -> dict:
@@ -290,17 +335,19 @@ def curve_json(c: TropicalCurve, with_lengths: bool = True) -> dict:
 # edge data shared by maps and types
 
 def _parse_edge_data(raw, curve: TropicalCurve, ambient: int, pointer: str) -> dict[str, EdgeMapData]:
+    """Each field is read with one lookup and one exact type test;
+    :func:`_read_edge_datum` reads an entry again, and raises, only when a
+    test fails."""
     if not isinstance(raw, dict):
         raise DocumentError(pointer, "expected an object")
     data = {}
     for eid, d in raw.items():
         if not curve.has_edge(eid):
             raise DocumentError(_at(pointer, eid), f"unknown edge {eid}")
-        u = _read_int_vector(_get(d, "u", pointer, eid), ambient, pointer, eid, "u")
-        w = _get(d, "w", pointer, eid, typ=int)
-        if w < 0:
-            raise DocumentError(_at(pointer, eid, "w"), "negative weight")
-        tail = _get(d, "tail", pointer, eid, typ=str)
+        u, w, tail = (d.get("u"), d.get("w"), d.get("tail")) if type(d) is dict else (None, None, None)
+        if not (type(u) is list and len(u) == ambient and _INT.issuperset(map(type, u))
+                and type(w) is int and w >= 0 and type(tail) is str):
+            u, w, tail = _read_edge_datum(d, ambient, pointer, eid)
         if tail not in curve.edge(eid).ends:
             raise DocumentError(_at(pointer, eid, "tail"), "tail is not an endpoint")
         zero = not any(u)
@@ -308,11 +355,22 @@ def _parse_edge_data(raw, curve: TropicalCurve, ambient: int, pointer: str) -> d
             raise DocumentError(_at(pointer, eid), "weight must be zero exactly when the direction is zero")
         if not zero and vector_content(u) != 1:
             raise DocumentError(_at(pointer, eid, "u"), "direction is not primitive")
-        data[eid] = EdgeMapData(u, w, tail)
-    for e in curve.edges:
-        if e.id not in data:
-            raise DocumentError(_at(pointer, e.id), "missing edge data")
+        data[eid] = EdgeMapData(tuple(u), w, tail)
+    if len(data) != len(curve.edges):
+        for e in curve.edges:
+            if e.id not in data:
+                raise DocumentError(_at(pointer, e.id), "missing edge data")
     return data
+
+
+def _read_edge_datum(d, ambient: int, pointer: str, eid: str) -> tuple[IntVec, int, str]:
+    """The direction, weight and tail of edge ``eid``, each checked."""
+    u = _read_int_vector(_get(d, "u", pointer, eid), ambient, pointer, eid, "u")
+    w = _get(d, "w", pointer, eid, typ=int)
+    if w < 0:
+        raise DocumentError(_at(pointer, eid, "w"), "negative weight")
+    tail = _get(d, "tail", pointer, eid, typ=str)
+    return u, w, tail
 
 
 def _edge_data_json(data: Mapping[str, EdgeMapData]) -> dict:
@@ -326,6 +384,8 @@ def _edge_data_json(data: Mapping[str, EdgeMapData]) -> dict:
 # maps
 
 def parse_map(raw, pointer: str, warnings: list[str]) -> TropicalStableMap:
+    """The map is built once, from its exact positions, with the marked
+    leaf-edges oriented as :func:`stable_map` orients them."""
     f = parse_fan(_get(raw, "fan", pointer), _at(pointer, "fan"), warnings)
     c = parse_curve(_get(raw, "curve", pointer), _at(pointer, "curve"), warnings)
     ambient = f.ambient_dim
@@ -334,21 +394,24 @@ def parse_map(raw, pointer: str, warnings: list[str]) -> TropicalStableMap:
     if not isinstance(pos_raw, dict):
         raise DocumentError(_at(pointer, "positions"), "expected an object")
     positions = {}
+    known: dict[str, Fraction] = {}
     marked = c.marked_vertex_ids
     for vid, coords in pos_raw.items():
         if not c.has_vertex(vid):
             raise DocumentError(_at(pointer, "positions", vid), f"unknown vertex {vid}")
         if vid in marked:
             raise DocumentError(_at(pointer, "positions", vid), "marked vertices carry no position")
-        if not isinstance(coords, list) or len(coords) != ambient:
+        if type(coords) is not list or len(coords) != ambient:
             raise DocumentError(_at(pointer, "positions", vid), f"expected {ambient} coordinates")
         positions[vid] = tuple([
-            _read_rational(x, warnings, pointer, "positions", vid, k) for k, x in enumerate(coords)
+            _read_known(x, known, warnings, pointer, "positions", vid, k) for k, x in enumerate(coords)
         ])
-    for vid in c.unmarked_vertex_ids():
-        if vid not in positions:
-            raise DocumentError(_at(pointer, "positions", vid), "missing position")
-    return stable_map(c, f, positions, data)
+    finite = c.unmarked_vertex_ids()
+    if len(positions) != len(finite):
+        for vid in finite:
+            if vid not in positions:
+                raise DocumentError(_at(pointer, "positions", vid), "missing position")
+    return TropicalStableMap(c, f, positions, _orient_leaves(c, data))
 
 
 def map_json(m: TropicalStableMap) -> dict:
@@ -393,7 +456,10 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
     if "positions" in raw:
         raise DocumentError(_at(pointer, "positions"), "types carry no positions")
     require_balanced(c, data, ambient, pointer)
-    return make_type(c, f, data, vertex_cones)
+    try:
+        return make_type(c, f, data, vertex_cones)
+    except ValueError as exc:
+        raise DocumentError(pointer, str(exc)) from None
 
 
 def require_balanced(

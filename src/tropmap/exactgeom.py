@@ -109,10 +109,8 @@ def is_zero_vec(a: Sequence) -> bool:
 
 
 def vector_content(vec: Sequence[int]) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    return g
+    """The gcd of the integer entries, in one call (0 for the zero vector)."""
+    return gcd(*vec)
 
 
 def primitive(vec: Sequence[int]) -> IntVec:
@@ -509,9 +507,16 @@ def fan(ambient_dim: int, cones_: Iterable[Cone], embedded: bool = False) -> Fan
 
 
 def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], embedded: bool = False) -> Fan:
-    """Fan from generator lists; rays are primitivized and all faces added."""
+    """Fan from generator lists; rays are primitivized and all faces added.
+    A one-ray cone is the cone on its primitive ray, whose faces are itself
+    and the zero cone; it needs no canonical form or face enumeration."""
     all_cones: set[Cone] = {zero_cone(ambient_dim)}
     for rays in ray_lists:
+        rays = list(rays)
+        if len(rays) == 1:
+            if any(rays[0]):
+                all_cones.add(Cone(ambient_dim, (primitive(rays[0]),)))
+            continue
         c = _canonical_pointed(cone(ambient_dim, rays))
         if len(c.rays) > 14:
             raise ValueError("cone with more than 14 extreme rays: out of desk scale")

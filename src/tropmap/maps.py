@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import curves
 from .curves import (
+    DISCONNECTED,
     Edge,
     InfiniteLength,
     Marking,
@@ -185,11 +186,15 @@ def _edge_data_diagnostics(c: TropicalCurve, edge_data: Mapping[str, EdgeMapData
         if not zero and vector_content(d.u) != 1:
             diags.append(f"edge {e.id}: direction {d.u} is not primitive")
         if e.ends[0] == e.ends[1] and not (zero and d.w == 0):
-            diags.append(f"self-loop {e.id} must be contracted (zero direction and weight)")
+            diags.append(_uncontracted_loop(e.id))
     for eid in edge_data:
         if not c.has_edge(eid):
             diags.append(f"direction data for unknown edge {eid}")
     return diags
+
+
+def _uncontracted_loop(eid: str) -> str:
+    return f"self-loop {eid} must be contracted (zero direction and weight)"
 
 
 # The prefix of the stability diagnostic, which callers that allow
@@ -360,6 +365,37 @@ class CombinatorialType(_EdgeDirections):
         return tuple(e.id for e in self.graph.edges if not self.graph.is_marked_leaf_edge(e))
 
     @cached_property
+    def spanning_tree(self) -> tuple[Mapping[str, tuple[str, Edge, int]], tuple[Edge, ...]]:
+        """BFS tree over the finite vertices along bounded non-loop edges,
+        from the first finite vertex: (vertex -> (parent, edge, sign), the
+        bounded edges off the tree in curve order).  The sign is +1 when
+        the edge's stored direction points parent -> child.  Every parent
+        is inserted before its children.
+
+        Each frontier vertex reads its own incidence list, which holds its
+        edges in curve edge order, so it takes the children that a scan of
+        every bounded edge per frontier vertex takes, in that order: the
+        same parents, signs and non-tree edges.  An edge to a vertex that
+        is not in the graph joins nothing."""
+        g = self.graph
+        marked = g.marked_vertex_ids
+        parent: dict[str, tuple[str, Edge, int]] = {}
+        order = list(g.unmarked_vertex_ids()[:1])
+        seen = set(order)
+        for vid in order:  # grows while it is read, one BFS level after another
+            for e in g.edges_at(vid):
+                a, b = e.ends
+                child = b if a == vid else a
+                if child in seen or child in marked or not g.has_vertex(child):
+                    continue  # a self-loop, a marked leaf-edge, or a vertex reached before
+                parent[child] = (vid, e, 1 if self.edge_data[e.id].tail == vid else -1)
+                seen.add(child)
+                order.append(child)
+        tree = {e.id for _, e, _ in parent.values()}
+        non_tree = tuple(g.edge(eid) for eid in self.bounded_edge_ids() if eid not in tree)
+        return parent, non_tree
+
+    @cached_property
     def vertex_profiles(self) -> Mapping[str, tuple]:
         """(genus, valence, sorted edge signatures) of each finite vertex;
         isomorphisms preserve it."""
@@ -397,8 +433,11 @@ class CombinatorialType(_EdgeDirections):
 
 
 def _strip_lengths(c: TropicalCurve) -> TropicalCurve:
+    """The curve with placeholder lengths; a leaf-edge that already has
+    infinite length is kept as it is."""
     edges = [
-        Edge(e.id, e.ends, curves.INF if c.is_marked_leaf_edge(e) else PLACEHOLDER_LENGTH)
+        (e if e.length is curves.INF else Edge(e.id, e.ends, curves.INF))
+        if c.is_marked_leaf_edge(e) else Edge(e.id, e.ends, PLACEHOLDER_LENGTH)
         for e in c.edges
     ]
     return tropical_curve(c.vertices, edges, c.markings)
@@ -412,26 +451,32 @@ def make_type(
 ) -> CombinatorialType:
     """Build a type directly; in embedded mode the vertex cones default to
     the zero cone.  Each vertex cone is canonicalized by
-    :func:`_canonical_pointed`; a cone with a line whose extreme rays come
-    out pointed is refused with ValueError, not read as that pointed cone."""
+    :func:`_canonical_pointed` (the zero cone is its own canonical form); a
+    cone with a line whose extreme rays come out pointed is refused with
+    ValueError, not read as that pointed cone.  So are an edge without
+    data, a self-loop that is not contracted, and a disconnected graph."""
     graph = _strip_lengths(graph)
     marked = graph.marked_vertex_ids
-    if vertex_cones is None:
-        vertex_cones = {}
-    cones = dict(vertex_cones)
+    cones = dict(vertex_cones or {})
+    zero = zero_cone(fan.ambient_dim)
     for vid in graph.unmarked_vertex_ids():
-        cones.setdefault(vid, zero_cone(fan.ambient_dim))
+        cones.setdefault(vid, zero)
     canonical = {}
     for vid, c in cones.items():
         if vid in marked:
             continue
         try:
-            canonical[vid] = _canonical_pointed(c)
+            canonical[vid] = _canonical_pointed(c) if c.rays else c
         except ValueError:
             raise ValueError(f"vertex cone of {vid} is not pointed") from None
     for e in graph.edges:
-        if e.id not in edge_data:
+        d = edge_data.get(e.id)
+        if d is None:
             raise ValueError(f"edge {e.id} has no direction/weight data")
+        if e.ends[0] == e.ends[1] and (d.w or any(d.u)):
+            raise ValueError(_uncontracted_loop(e.id))
+    if not graph.connected:
+        raise ValueError(DISCONNECTED)
     return CombinatorialType(graph, fan, canonical, _orient_leaves(graph, edge_data))
 
 

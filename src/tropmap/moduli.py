@@ -137,42 +137,6 @@ def _edge_equations(t: CombinatorialType) -> tuple[EdgeEquation, ...]:
     return tuple(out)
 
 
-def _spanning_tree(t: CombinatorialType) -> tuple[dict[str, tuple[str, Edge, int]], list[Edge]]:
-    """BFS tree over finite vertices along bounded edges.
-
-    Returns (parent info: vertex -> (parent, edge, sign), non-tree bounded
-    edges); sign is +1 when the edge's stored direction points parent->child.
-    """
-    finite = list(_finite_vertices(t))
-    bounded = [t.graph.edge(eid) for eid in t.bounded_edge_ids()]
-    root = finite[0]
-    parent: dict[str, tuple[str, Edge, int]] = {}
-    seen = {root}
-    frontier = [root]
-    used: set[str] = set()
-    while frontier:
-        new_frontier = []
-        for vid in frontier:
-            for e in bounded:
-                if e.id in used or e.ends[0] == e.ends[1]:
-                    continue
-                a, b = e.ends
-                if a == vid and b not in seen:
-                    child = b
-                elif b == vid and a not in seen:
-                    child = a
-                else:
-                    continue
-                sign = 1 if t.edge_data[e.id].tail == vid else -1
-                parent[child] = (vid, e, sign)
-                used.add(e.id)
-                seen.add(child)
-                new_frontier.append(child)
-        frontier = new_frontier
-    non_tree = [e for e in bounded if e.id not in used]
-    return parent, non_tree
-
-
 def _positions_from_lengths(
     t: CombinatorialType, lengths: Mapping[str, Fraction], base_vertex: str, base_point: Sequence
 ) -> dict[str, RatVec]:
@@ -183,7 +147,7 @@ def _positions_from_lengths(
     finite = _finite_vertices(t)
     if base_vertex not in finite:
         raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
-    parent, _ = _spanning_tree(t)
+    parent = t.spanning_tree[0]
     if len(parent) != len(finite) - 1:
         raise ValueError("could not derive positions: finite graph not spanned")
     base_point = ratvec(base_point)
@@ -208,7 +172,7 @@ def _length_constraints(t: CombinatorialType) -> list[list[int]]:
     """
     bounded = t.bounded_edge_ids()
     eindex = {eid: i for i, eid in enumerate(bounded)}
-    parent, non_tree = _spanning_tree(t)
+    parent, non_tree = t.spanning_tree
     if len(parent) != len(_finite_vertices(t)) - 1:
         raise ValueError("the finite vertices are not connected by bounded edges")
     # the BFS inserts every parent before its children
@@ -248,7 +212,8 @@ def _nonneg_support(rows: Sequence[Sequence], n: int) -> tuple[set[int], list[Fr
     def witness(shift: list[int]) -> Optional[list[Fraction]]:
         rhs = [-sum(c * x for c, x in zip(row, shift) if c) for row in rows]
         s = solve_nonneg(rows, rhs) if rows else [ZERO] * n
-        return None if s is None else [a + b for a, b in zip(shift, s)]
+        # Fraction + int, which Fraction adds without the reflected operator
+        return None if s is None else [x + a for x, a in zip(s, shift)]
 
     point = witness([1] * n)
     if point is not None:

@@ -400,6 +400,41 @@ def random_decorated_type(rng: random.Random) -> CombinatorialType:
     return make_type(tropical_curve(vertices, edges, markings), fan, data)
 
 
+def random_walk_type(rng: random.Random) -> CombinatorialType:
+    """A random type for the spanning-tree walk: a random tree on up to nine
+    finite vertices (its leaves are pendant trees) with parallel copies of
+    some edges, chords that close cycles, contracted self-loops, marked legs
+    and random tails.  Vertex and edge ids are drawn in random order, so the
+    curve order is not the order of construction."""
+    ids = [f"v{i}" for i in rng.sample(range(30), rng.randint(1, 9))]
+    names = iter(f"e{k:02d}" for k in rng.sample(range(100), 100))
+    directions = [(1, 0), (0, 1), (1, 1), (-1, 2)]
+    vertices = [Vertex(v) for v in ids]
+    edges, data, markings = [], {}, []
+
+    def add(a, b, u, length=Fraction(1)):
+        eid = next(names)
+        edges.append(Edge(eid, (a, b), length))
+        data[eid] = EdgeMapData(u, rng.randint(1, 2) if any(u) else 0, rng.choice((a, b)))
+
+    for i in range(1, len(ids)):
+        ends = rng.sample([ids[rng.randrange(i)], ids[i]], 2)
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            add(*ends, rng.choice(directions))
+    for _ in range(rng.randint(0, 3) if len(ids) > 1 else 0):
+        add(*rng.sample(ids, 2), rng.choice(directions))
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(ids)
+        add(v, v, (0, 0))
+    for k in range(rng.randint(0, 4)):
+        leaf = f"q{k}"
+        vertices.append(Vertex(leaf))
+        add(rng.choice(ids), leaf, rng.choice(directions), INF)
+        markings.append(Marking(f"p{k}", leaf))
+    fan = auto_rays_fan(2, [], embedded=True)
+    return make_type(tropical_curve(vertices, edges, markings), fan, data)
+
+
 def relabeled_type(t: CombinatorialType, rng: random.Random) -> CombinatorialType:
     """``t`` with its vertices and edges renamed in a random order and some
     bounded edges reversed; marking labels are kept."""

@@ -25,7 +25,9 @@ certificate builds the limit and each probe member as a map and decides
 each member on the member's own cycle frame, computed in Fractions, where
 the library compares the limit on the family's integers, builds one
 integer frame per family, projects each vertex offset once per family and
-enumerates the flats once per distinct arrangement.
+enumerates the flats once per distinct arrangement.  The spanning tree of
+a type scans every bounded edge for each frontier vertex, and connectivity
+is a union-find, where the library walks incidence lists.
 """
 
 from __future__ import annotations
@@ -742,6 +744,55 @@ def ref_contract_edge(c: TropicalCurve, edge_id: str) -> TropicalCurve:
         ends = tuple(keep if x == drop else x for x in f.ends)
         edges.append(Edge(f.id, ends, f.length))  # type: ignore[arg-type]
     return tropical_curve(vertices, edges, c.markings)
+
+
+def ref_is_connected(c: TropicalCurve) -> bool:
+    """Union-find over the vertex ids; an edge naming an unlisted vertex
+    joins nothing."""
+    parent = {v.id: v.id for v in c.vertices}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in c.edges:
+        a, b = e.ends
+        if a in parent and b in parent:
+            parent[find(a)] = find(b)
+    return len({find(v) for v in parent}) <= 1
+
+
+def ref_spanning_tree(t: CombinatorialType) -> tuple[dict[str, tuple[str, Edge, int]], list[Edge]]:
+    """BFS tree over the finite vertices along bounded non-loop edges, one
+    level at a time, each frontier vertex scanning every bounded edge in
+    curve order: (vertex -> (parent, edge, sign), non-tree bounded edges),
+    sign +1 when the edge's tail is the parent."""
+    finite = list(t.graph.unmarked_vertex_ids())
+    bounded = [t.graph.edge(eid) for eid in t.bounded_edge_ids()]
+    parent: dict[str, tuple[str, Edge, int]] = {}
+    seen = {finite[0]}
+    frontier = [finite[0]]
+    used: set[str] = set()
+    while frontier:
+        new_frontier = []
+        for vid in frontier:
+            for e in bounded:
+                if e.id in used or e.ends[0] == e.ends[1]:
+                    continue
+                a, b = e.ends
+                if a == vid and b not in seen:
+                    child = b
+                elif b == vid and a not in seen:
+                    child = a
+                else:
+                    continue
+                parent[child] = (vid, e, 1 if t.edge_data[e.id].tail == vid else -1)
+                used.add(e.id)
+                seen.add(child)
+                new_frontier.append(child)
+        frontier = new_frontier
+    return parent, [e for e in bounded if e.id not in used]
 
 
 def ref_is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitness]:

@@ -285,6 +285,42 @@ def _unbalanced_square_loop(square_loop_doc, vertex="c0") -> str:
     return json.dumps(raw).replace('"c0"', f'"{vertex}"')
 
 
+def _square_loop_with(square_loop_doc, defect: str) -> str:
+    """The square loop with an uncontracted self-loop zz at c0 (u = e1,
+    w = 1), or with an isolated finite vertex."""
+    raw = json.loads(Path(square_loop_doc).read_text())
+    if defect == "self-loop":
+        raw["curve"]["edges"].append({"id": "zz", "ends": ["c0", "c0"], "length": "1"})
+        raw["edge_data"]["zz"] = {"u": [1, 0, 0], "w": 1, "tail": "c0"}
+    else:
+        raw["curve"]["vertices"].append({"id": "lone", "genus": 0})
+        raw["positions"]["lone"] = ["0", "0", "0"]
+    return json.dumps(raw)
+
+
+class TestInvalidMapsGetNoType:
+    MESSAGES = {
+        "self-loop": "self-loop zz must be contracted (zero direction and weight)",
+        "isolated vertex": "curve is disconnected",
+    }
+
+    @pytest.mark.parametrize("defect", MESSAGES)
+    @pytest.mark.parametrize("command", ["type", "cone", "superabundant"])
+    def test_type_commands_refuse(self, capsys, monkeypatch, square_loop_doc, command, defect):
+        doc = _square_loop_with(square_loop_doc, defect)
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": self.MESSAGES[defect]}]
+        assert "superabundant" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", MESSAGES)
+    def test_validate_reports_the_defect(self, capsys, monkeypatch, square_loop_doc, defect):
+        doc = _square_loop_with(square_loop_doc, defect)
+        code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin=doc)
+        assert code == 1
+        assert any(d.endswith(self.MESSAGES[defect]) for d in json.loads(out)["results"]["diagnostics"])
+
+
 class TestStabilityWaiver:
     @pytest.mark.parametrize("vertex", ["c0", "stability0"])
     def test_sample_of_an_unbalanced_map_is_refused(self, capsys, monkeypatch, square_loop_doc, vertex):

@@ -15,10 +15,10 @@ from tropmap import (
     tropical_curve,
     validate_curve,
 )
-from tropmap.curves import Edge, Marking, Vertex
+from tropmap.curves import Edge, Marking, TropicalCurve, Vertex
 
 from builders import random_connected_multigraph
-from oracles import euler_betti, ref_contract_edge
+from oracles import euler_betti, ref_contract_edge, ref_is_connected
 
 
 def _segment():
@@ -34,6 +34,32 @@ def _square_cycle_marked():
     es += [Edge(f"l{i}", (f"c{i}", f"q{i}"), INF) for i in range(4)]
     mk = [Marking(f"p{i}", f"q{i}") for i in range(4)]
     return tropical_curve(vs, es, mk)
+
+
+class TestConnected:
+    def test_matches_union_find(self):
+        rng = random.Random(1913)
+        seen = set()
+        for _ in range(400):
+            ids = rng.sample([f"v{i}" for i in range(8)], rng.randint(0, 6))
+            pool = ids + ["ghost", "stray"]  # edges may name unknown vertices
+            edges = [
+                Edge(f"e{k}", (rng.choice(pool), rng.choice(pool)), Fraction(1))
+                for k in range(rng.randint(0, 8))
+            ]
+            c = TropicalCurve(tuple(Vertex(v) for v in ids), tuple(edges), ())
+            assert c.connected == ref_is_connected(c)
+            seen.add(c.connected)
+        assert seen == {True, False}
+
+    def test_unknown_vertices_join_nothing(self):
+        edges = (Edge("e", ("a", "ghost"), Fraction(1)), Edge("f", ("ghost", "b"), Fraction(1)))
+        assert not TropicalCurve((Vertex("a"), Vertex("b")), edges, ()).connected
+        assert TropicalCurve((), (), ()).connected
+
+    def test_connected_multigraphs(self):
+        rng = random.Random(5)
+        assert all(random_connected_multigraph(rng).connected for _ in range(100))
 
 
 class TestValidate:

@@ -243,6 +243,128 @@ class TestDiagnostics:
             load_document(json.dumps(raw))
 
 
+_DELETE = object()
+
+# (path in the square-loop map document, new value or _DELETE, the loader's
+# (pointer, message), or None when the document still loads).  Each field
+# the loader reads directly gets a wrong type (a bool, an int for a string,
+# a dict for a list) or is deleted; the refusals are the ones the pointered
+# readers gave before the direct reads.
+_FIELD_ERRORS = [
+    (("curve", "vertices", 0, "id"), True, ("/curve/vertices/0/id", "expected str")),
+    (("curve", "vertices", 0, "id"), 5, ("/curve/vertices/0/id", "expected str")),
+    (("curve", "vertices", 0, "id"), _DELETE, ("/curve/vertices/0/id", "missing")),
+    (("curve", "vertices", 0, "genus"), True, ("/curve/vertices/0/genus", "expected a natural number")),
+    (("curve", "vertices", 0, "genus"), "0", ("/curve/vertices/0/genus", "expected a natural number")),
+    (("curve", "vertices", 0, "genus"), -1, ("/curve/vertices/0/genus", "expected a natural number")),
+    (("curve", "vertices", 0, "genus"), _DELETE, None),
+    (("curve", "vertices", 0), ["c0"], ("/curve/vertices/0", "expected an object")),
+    (("curve", "vertices"), {}, ("/curve/vertices", "expected list")),
+    (("curve", "vertices"), _DELETE, ("/curve/vertices", "missing")),
+    (("curve", "edges", 4, "id"), True, ("/curve/edges/4/id", "expected str")),
+    (("curve", "edges", 4, "id"), 7, ("/curve/edges/4/id", "expected str")),
+    (("curve", "edges", 4, "id"), _DELETE, ("/curve/edges/4/id", "missing")),
+    (("curve", "edges", 4, "ends"), True, ("/curve/edges/4/ends", "expected list")),
+    (("curve", "edges", 4, "ends"), {}, ("/curve/edges/4/ends", "expected list")),
+    (("curve", "edges", 4, "ends"), "c0", ("/curve/edges/4/ends", "expected list")),
+    (("curve", "edges", 4, "ends"), ["c0"], ("/curve/edges/4/ends", "expected two endpoints")),
+    (("curve", "edges", 4, "ends"), _DELETE, ("/curve/edges/4/ends", "missing")),
+    (("curve", "edges", 4, "ends", 1), True, ("/curve/edges/4/ends/1", "expected a vertex id")),
+    (("curve", "edges", 4, "ends", 1), 5, ("/curve/edges/4/ends/1", "expected a vertex id")),
+    (("curve", "edges", 4, "length"), True, ("/curve/edges/4/length", "expected a rational as string or integer")),
+    (("curve", "edges", 4, "length"), {}, ("/curve/edges/4/length", "expected a rational as string or integer")),
+    (("curve", "edges", 4, "length"), 1.5, ("/curve/edges/4/length", "expected a rational as string or integer")),
+    (("curve", "edges", 4, "length"), _DELETE, ("/curve/edges/4/length", "missing")),
+    (("curve", "edges", 4), [], ("/curve/edges/4", "expected an object")),
+    (("curve", "edges"), {}, ("/curve/edges", "expected list")),
+    (("curve", "edges"), _DELETE, ("/curve/edges", "missing")),
+    (("curve", "markings", 0, "label"), True, ("/curve/markings/0/label", "expected str")),
+    (("curve", "markings", 0, "label"), 3, ("/curve/markings/0/label", "expected str")),
+    (("curve", "markings", 0, "label"), _DELETE, ("/curve/markings/0/label", "missing")),
+    (("curve", "markings", 0, "vertex"), True, ("/curve/markings/0/vertex", "expected str")),
+    (("curve", "markings", 0, "vertex"), 3, ("/curve/markings/0/vertex", "expected str")),
+    (("curve", "markings", 0, "vertex"), _DELETE, ("/curve/markings/0/vertex", "missing")),
+    (("curve", "markings", 0), [], ("/curve/markings/0", "expected an object")),
+    (("curve", "markings"), {}, ("/curve/markings", "expected an array")),
+    (("edge_data", "s0", "u"), True, ("/edge_data/s0/u", "expected an array of integers")),
+    (("edge_data", "s0", "u"), {}, ("/edge_data/s0/u", "expected an array of integers")),
+    (("edge_data", "s0", "u"), [1, 0], ("/edge_data/s0/u", "expected length 3")),
+    (("edge_data", "s0", "u"), [1, True, 0], ("/edge_data/s0/u/1", "expected an integer")),
+    (("edge_data", "s0", "u"), [1, "0", 0], ("/edge_data/s0/u/1", "expected an integer")),
+    (("edge_data", "s0", "u"), _DELETE, ("/edge_data/s0/u", "missing")),
+    (("edge_data", "s0", "w"), True, ("/edge_data/s0/w", "expected int")),
+    (("edge_data", "s0", "w"), "1", ("/edge_data/s0/w", "expected int")),
+    (("edge_data", "s0", "w"), -1, ("/edge_data/s0/w", "negative weight")),
+    (("edge_data", "s0", "w"), _DELETE, ("/edge_data/s0/w", "missing")),
+    (("edge_data", "s0", "tail"), True, ("/edge_data/s0/tail", "expected str")),
+    (("edge_data", "s0", "tail"), 0, ("/edge_data/s0/tail", "expected str")),
+    (("edge_data", "s0", "tail"), _DELETE, ("/edge_data/s0/tail", "missing")),
+    # the first failing field in reading order decides, whatever follows it
+    (("edge_data", "s0"), {"u": [1, 0, 0], "w": -1, "tail": 5}, ("/edge_data/s0/w", "negative weight")),
+    (("edge_data", "s0"), {"u": "x", "w": True}, ("/edge_data/s0/u", "expected an array of integers")),
+    (("edge_data", "s0"), {"u": [1, 0, 0], "w": 1, "tail": "c2"}, ("/edge_data/s0/tail", "tail is not an endpoint")),
+    (("edge_data", "s0"), {"u": [0, 0, 0], "w": 1, "tail": "c0"},
+     ("/edge_data/s0", "weight must be zero exactly when the direction is zero")),
+    (("edge_data", "s0"), {"u": [2, 0, 0], "w": 1, "tail": "c0"}, ("/edge_data/s0/u", "direction is not primitive")),
+    (("edge_data", "s0"), [], ("/edge_data/s0", "expected an object")),
+    (("edge_data", "s0"), _DELETE, ("/edge_data/s0", "missing edge data")),
+    (("edge_data",), [], ("/edge_data", "expected an object")),
+    (("positions", "c0", 0), True, ("/positions/c0/0", "expected a rational as string or integer")),
+    (("positions", "c0", 0), {}, ("/positions/c0/0", "expected a rational as string or integer")),
+    (("positions", "c0", 0), 0.5, ("/positions/c0/0", "expected a rational as string or integer")),
+    (("positions", "c0", 0), _DELETE, ("/positions/c0", "expected 3 coordinates")),
+    (("positions", "c0"), True, ("/positions/c0", "expected 3 coordinates")),
+    (("positions", "c0"), {}, ("/positions/c0", "expected 3 coordinates")),
+    (("positions", "c0"), _DELETE, ("/positions/c0", "missing position")),
+    (("positions",), [], ("/positions", "expected an object")),
+]
+
+
+class TestDirectReads:
+    @pytest.mark.parametrize("path, value, expected", _FIELD_ERRORS,
+                             ids=["/".join(map(str, path)) + (" deleted" if value is _DELETE else f"={value!r}")
+                                  for path, value, _ in _FIELD_ERRORS])
+    def test_field_refusals(self, path, value, expected):
+        raw = json.loads(serialize_document(Document("map", square_loop())))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        if expected is None:
+            load_document(json.dumps(raw))
+            return
+        with pytest.raises(DocumentError) as err:
+            load_document(json.dumps(raw))
+        assert (err.value.pointer, err.value.message) == expected
+
+    def test_repeated_spellings_warn_each_time(self):
+        raw = json.loads(serialize_document(Document("map", square_loop())))
+        raw["positions"]["c0"] = ["0/2", "0/2", "2/2"]
+        raw["positions"]["c1"][1] = "0/2"
+        raw["curve"]["edges"][4]["length"] = "02"
+        raw["curve"]["edges"][5]["length"] = "02"
+        assert load_document(json.dumps(raw)).warnings == [
+            "/curve/edges/4/length: normalized '02' to '2'",
+            "/curve/edges/5/length: normalized '02' to '2'",
+            "/positions/c0/0: normalized '0/2' to '0'",
+            "/positions/c0/1: normalized '0/2' to '0'",
+            "/positions/c0/2: normalized '2/2' to '1'",
+            "/positions/c1/1: normalized '0/2' to '0'",
+        ]
+
+    def test_unsorted_curve_is_read_sorted(self):
+        raw = json.loads(serialize_document(Document("map", square_loop())))
+        curve = raw["curve"]
+        for key in ("vertices", "edges", "markings"):
+            curve[key].reverse()
+        for e in curve["edges"]:
+            e["ends"].reverse()
+        assert load_document(json.dumps(raw)).document.payload == square_loop()
+
+
 def _mutate(rng: random.Random, raw):
     """One structural mutation of a JSON value."""
     data = json.loads(json.dumps(raw))

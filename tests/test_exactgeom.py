@@ -372,6 +372,15 @@ class TestFans:
         assert fan_validate(complete_orthant_fan(n)) == []
         assert fan_validate(auto_rays_fan(n, [(1,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1)])) == []
 
+    def test_one_ray_cones_match_the_general_path(self):
+        # a doubled ray is one ray of the cone but two generators, so the
+        # second fan is built through canonicalization and face enumeration
+        rng = random.Random(1921)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            assert build_fan(n, [[r] for r in rays]) == build_fan(n, [[r, r] for r in rays])
+
     def test_orthant_fan_counts(self):
         assert len(complete_orthant_fan(2).cones) == 9
         assert len(complete_orthant_fan(3).cones) == 27

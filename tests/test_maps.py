@@ -17,7 +17,7 @@ from tropmap import (
     type_automorphisms,
     validate_map,
 )
-from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
+from tropmap.curves import Edge, INF, Marking, TropicalCurve, Vertex, tropical_curve
 from tropmap.exactgeom import build_fan, cone, cone_is_face, zero_cone
 from tropmap.gallery import GALLERY_NAMES, gallery_map, square_loop
 from tropmap.maps import EdgeMapData, canonical_type, decorated_isomorphisms, make_type
@@ -30,6 +30,7 @@ from builders import (
     parallel_pair,
     path_two_vertices,
     random_decorated_type,
+    random_walk_type,
     relabeled_type,
     three_rays,
 )
@@ -167,6 +168,40 @@ class TestEdgeOrientation:
         del data["e"]
         with pytest.raises(ValueError, match="edge e has no direction"):
             make_type(m.curve, m.fan, data)
+
+
+class TestMakeType:
+    def test_unsorted_curve_gives_the_sorted_curves_type(self):
+        rng = random.Random(1917)
+        m = square_loop()
+        cases = [(m.curve, m.fan, m.edge_data)]
+        for _ in range(60):
+            t = random_walk_type(rng)
+            cases.append((t.graph, t.fan, t.edge_data))
+        for graph, fan, data in cases:
+            vs = rng.sample(graph.vertices, len(graph.vertices))
+            es = [Edge(e.id, e.ends[::-1], e.length) for e in rng.sample(graph.edges, len(graph.edges))]
+            ms = rng.sample(graph.markings, len(graph.markings))
+            direct = make_type(TropicalCurve(tuple(vs), tuple(es), tuple(ms)), fan, data)
+            assert direct == make_type(tropical_curve(vs, es, ms), fan, data)
+            assert direct.spanning_tree == make_type(graph, fan, data).spanning_tree
+
+    def test_uncontracted_self_loop_is_refused(self):
+        m = square_loop()
+        c = m.curve
+        graph = tropical_curve(c.vertices, [*c.edges, Edge("zz", ("c0", "c0"), Fraction(1))], c.markings)
+        data = {**m.edge_data, "zz": EdgeMapData((1, 0, 0), 1, "c0")}
+        with pytest.raises(ValueError, match="^self-loop zz must be contracted"):
+            make_type(graph, m.fan, data)
+        data["zz"] = EdgeMapData((0, 0, 0), 0, "c0")
+        assert make_type(graph, m.fan, data).graph.has_edge("zz")
+
+    def test_disconnected_graph_is_refused(self):
+        m = square_loop()
+        c = m.curve
+        graph = tropical_curve([*c.vertices, Vertex("lone")], c.edges, c.markings)
+        with pytest.raises(ValueError, match="^curve is disconnected$"):
+            make_type(graph, m.fan, m.edge_data)
 
 
 class TestTypes:

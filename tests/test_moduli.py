@@ -30,7 +30,7 @@ from tropmap import (
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.documents import Document, load_document, serialize_document
 from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, rank
-from tropmap.gallery import gallery_map, hat_demo, speyer_tree, square_loop
+from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
 
@@ -38,12 +38,13 @@ from builders import (
     build_map,
     path_two_vertices,
     random_feasible_map,
+    random_walk_type,
     rectangle_cycle,
     rectangle_family,
     strict_unstable_member_family,
     three_rays,
 )
-from oracles import bareiss_rank, dense_equations, dense_pull_back
+from oracles import bareiss_rank, dense_equations, dense_pull_back, ref_spanning_tree
 
 
 def _raw_type(bounded, rays):
@@ -139,6 +140,48 @@ def _oracle_dim(mc):
         [int(v == f"len:{eid}") for v in mc.variables] for eid in mc.forced_zero_lengths
     ]
     return len(mc.variables) - bareiss_rank(list(dense_equations(mc.type)) + selectors)
+
+
+def _walk_types():
+    """Gallery types, figure1 family, member and limit types for N = 3..6,
+    rectangle types up to 8 x 8 and 200 seeded random types."""
+    types = [combinatorial_type(gallery_map(name, t=Fraction(1, 2))) for name in GALLERY_NAMES]
+    for n in range(3, 7):
+        fam = build_figure1_family(n)
+        types += [fam.type, combinatorial_type(moduli.evaluate_family(fam, Fraction(1, 3))),
+                  moduli.limit_of_family(fam, 1).type]
+    types += [combinatorial_type(rectangle_cycle(a, b)) for a in range(1, 9) for b in range(a, 9)]
+    rng = random.Random(1909)
+    types += [random_walk_type(rng) for _ in range(200)]
+    return types
+
+
+class TestSpanningTree:
+    def test_matches_the_edge_scan(self):
+        for t in _walk_types():
+            parent, non_tree = t.spanning_tree
+            ref_parent, ref_non_tree = ref_spanning_tree(t)
+            assert list(parent.items()) == list(ref_parent.items())
+            assert list(non_tree) == ref_non_tree
+
+    def test_random_types_have_loops_parallels_and_pendants(self):
+        rng = random.Random(1909)
+        kinds = Counter()
+        for _ in range(200):
+            g = random_walk_type(rng).graph
+            links = [e.ends for e in g.edges if not g.is_marked_leaf_edge(e) and e.ends[0] != e.ends[1]]
+            kinds["loop"] += any(e.ends[0] == e.ends[1] for e in g.edges)
+            kinds["parallel"] += max(Counter(links).values(), default=0) > 1
+            degree = Counter(v for ends in links for v in ends)
+            kinds["pendant"] += len(g.unmarked_vertex_ids()) > 2 and 1 in degree.values()
+        assert min(kinds["loop"], kinds["parallel"], kinds["pendant"]) >= 50
+
+    def test_one_walk_serves_the_cone_and_the_sample(self):
+        t = combinatorial_type(rectangle_cycle(2, 3))
+        mc = moduli_cone(t)
+        tree = vars(t)["spanning_tree"]  # walked for the closing conditions
+        sample_interior(mc, seed=3)
+        assert mc.type is t and vars(t)["spanning_tree"] is tree
 
 
 class TestModuliCone:
