@@ -185,11 +185,12 @@ def _classes(vertex_ids: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]
 
 
 DISCONNECTED = "curve is disconnected"
+NO_VERTICES = "curve has no vertices"
 
 
 def validate_curve(c: TropicalCurve) -> list[str]:
     """Diagnostics for the curve invariants; empty iff the curve is valid."""
-    diags: list[str] = []
+    diags: list[str] = [NO_VERTICES] if not c.vertices else []
     for v in c.vertices:
         if v.genus < 0:
             diags.append(f"vertex {v.id} has negative genus {v.genus}")

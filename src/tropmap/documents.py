@@ -446,7 +446,7 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
             for j, r in enumerate(_get(craw, "rays", pointer, "vertex_cones", vid, typ=list))
         ]
         vertex_cones[vid] = cone(ambient, rays)
-        if vid not in c.marked_vertex_ids:
+        if rays and vid not in c.marked_vertex_ids:  # the zero cone is its own canonical form
             try:
                 vertex_cones[vid] = _canonical_pointed(vertex_cones[vid])
             except ValueError:
@@ -546,13 +546,19 @@ def parse_family(raw, pointer: str, warnings: list[str]) -> Family:
 
 
 def family_json(fam: Family) -> dict:
+    """Each distinct function object is spelled once: a family shares one
+    per (const, slope) pair of its walk or per spelling of its document."""
+    spelled: dict[int, dict] = {}
+
+    def spell(fn: AffineFn) -> dict:
+        if id(fn) not in spelled:
+            spelled[id(fn)] = _affine_json(fn)
+        return spelled[id(fn)]
+
     return {
         "type": type_json(fam.type),
-        "lengths": {eid: _affine_json(fn) for eid, fn in sorted(fam.lengths.items())},
-        "positions": {
-            vid: [_affine_json(fn) for fn in fns]
-            for vid, fns in sorted(fam.positions.items())
-        },
+        "lengths": {eid: spell(fn) for eid, fn in sorted(fam.lengths.items())},
+        "positions": {vid: [spell(fn) for fn in fns] for vid, fns in sorted(fam.positions.items())},
     }
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import curves
 from .curves import (
     DISCONNECTED,
+    NO_VERTICES,
     Edge,
     InfiniteLength,
     Marking,
@@ -434,13 +435,40 @@ class CombinatorialType(_EdgeDirections):
 
 def _strip_lengths(c: TropicalCurve) -> TropicalCurve:
     """The curve with placeholder lengths; a leaf-edge that already has
-    infinite length is kept as it is."""
+    infinite length is kept as it is, and so is a curve that
+    :func:`tropical_curve` would rebuild unchanged with these lengths."""
+    if _is_stripped(c):
+        return c
     edges = [
         (e if e.length is curves.INF else Edge(e.id, e.ends, curves.INF))
         if c.is_marked_leaf_edge(e) else Edge(e.id, e.ends, PLACEHOLDER_LENGTH)
         for e in c.edges
     ]
     return tropical_curve(c.vertices, edges, c.markings)
+
+
+def _is_stripped(c: TropicalCurve) -> bool:
+    """Are the vertex ids, edge ids and marking labels strictly increasing,
+    every edge's ends in order, every marked leaf-edge of length ``INF`` and
+    every other edge of the placeholder length, as an exact rational?"""
+    marked = c.marked_vertex_ids
+    for e in c.edges:
+        a, b = e.ends
+        if b < a:
+            return False
+        if a in marked or b in marked:
+            if e.length is not curves.INF:
+                return False
+        elif type(e.length) is not Fraction or e.length != PLACEHOLDER_LENGTH:
+            return False
+    return all(
+        all(x < y for x, y in zip(ids, ids[1:]))
+        for ids in (
+            [v.id for v in c.vertices],
+            [e.id for e in c.edges],
+            [m.label for m in c.markings],
+        )
+    )
 
 
 def make_type(
@@ -454,7 +482,10 @@ def make_type(
     :func:`_canonical_pointed` (the zero cone is its own canonical form); a
     cone with a line whose extreme rays come out pointed is refused with
     ValueError, not read as that pointed cone.  So are an edge without
-    data, a self-loop that is not contracted, and a disconnected graph."""
+    data, a self-loop that is not contracted, a curve with no vertices and
+    a disconnected graph."""
+    if not graph.vertices:
+        raise ValueError(NO_VERTICES)
     graph = _strip_lengths(graph)
     marked = graph.marked_vertex_ids
     cones = dict(vertex_cones or {})
@@ -520,7 +551,7 @@ def canonical_edge_data(graph: TropicalCurve, data: Mapping[str, EdgeMapData]) -
         if a in marked or b in marked:
             out[e.id] = d
         elif is_zero_vec(d.u):
-            out[e.id] = EdgeMapData(d.u, d.w, min(a, b))
+            out[e.id] = d if d.tail == min(a, b) else EdgeMapData(d.u, d.w, min(a, b))
         elif _lex_positive(d.u) == d.u:
             out[e.id] = d
         else:
@@ -529,7 +560,12 @@ def canonical_edge_data(graph: TropicalCurve, data: Mapping[str, EdgeMapData]) -
 
 
 def canonical_type(t: CombinatorialType) -> CombinatorialType:
-    return CombinatorialType(t.graph, t.fan, dict(t.vertex_cones), canonical_edge_data(t.graph, t.edge_data))
+    """The type with :func:`canonical_edge_data`; ``t`` itself, with what
+    it has cached, when its edge data is already canonical."""
+    data = canonical_edge_data(t.graph, t.edge_data)
+    if data.keys() == t.edge_data.keys() and all(d is t.edge_data[eid] for eid, d in data.items()):
+        return t
+    return CombinatorialType(t.graph, t.fan, dict(t.vertex_cones), data)
 
 
 def canonical_map(m: TropicalStableMap) -> TropicalStableMap:

@@ -137,29 +137,31 @@ def _edge_equations(t: CombinatorialType) -> tuple[EdgeEquation, ...]:
     return tuple(out)
 
 
-def _positions_from_lengths(
-    t: CombinatorialType, lengths: Mapping[str, Fraction], base_vertex: str, base_point: Sequence
-) -> dict[str, RatVec]:
+def _walk_positions(
+    t: CombinatorialType,
+    lengths: Mapping[str, tuple[int, int]],
+    base_vertex: str,
+    base: Sequence[tuple[int, int]],
+) -> dict[str, tuple[tuple[int, int], ...]]:
     """Vertex positions fixed by the bounded edge lengths along the spanning
-    tree, shifted so that ``base_vertex`` lands on ``base_point``.  The walk
-    runs on integers at the common denominator of the lengths and the base
-    point."""
+    tree, shifted so that ``base_vertex`` lands on ``base``, in finite
+    vertex order.  Lengths, base coordinates and positions are (const,
+    slope) pairs of integers over one common denominator; a point is the
+    pair with slope zero."""
     finite = _finite_vertices(t)
     if base_vertex not in finite:
         raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
     parent = t.spanning_tree[0]
     if len(parent) != len(finite) - 1:
         raise ValueError("could not derive positions: finite graph not spanned")
-    base_point = ratvec(base_point)
-    den = lcm(*(x.denominator for x in lengths.values()), *(x.denominator for x in base_point))
-    scaled = {eid: x.numerator * (den // x.denominator) for eid, x in lengths.items()}
     # the BFS inserts every parent before its children
-    walk = {finite[0]: (0,) * t.fan.ambient_dim}
+    walk = {finite[0]: ((0, 0),) * t.fan.ambient_dim}
     for vid, (up, e, sign) in parent.items():
-        step = sign * scaled[e.id]
-        walk[vid] = tuple(a + step * x for a, x in zip(walk[up], t.weighted_direction(e.id)))
-    shift = [x.numerator * (den // x.denominator) - a for x, a in zip(base_point, walk[base_vertex])]
-    return {vid: tuple(Fraction(a + b, den) for a, b in zip(walk[vid], shift)) for vid in finite}
+        c, s = lengths[e.id]
+        c, s = sign * c, sign * s
+        walk[vid] = tuple((a + c * x, b + s * x) for (a, b), x in zip(walk[up], t.weighted_direction(e.id)))
+    shift = [(c - a, s - b) for (c, s), (a, b) in zip(base, walk[base_vertex])]
+    return {vid: tuple((a + c, b + s) for (a, b), (c, s) in zip(walk[vid], shift)) for vid in finite}
 
 
 def _length_constraints(t: CombinatorialType) -> list[list[int]]:
@@ -540,18 +542,14 @@ class Family:
     def scaled(self) -> ScaledFamily:
         """The constants and slopes times D, the lcm of their denominators:
         at t = p/q every length and coordinate is (D*const*q + D*slope*p)
-        over D*q."""
-        fns = [*self.lengths.values(), *(fn for fns in self.positions.values() for fn in fns)]
-        d = lcm(*(x.denominator for fn in fns for x in (fn.const, fn.slope)))
-
-        def pair(fn: AffineFn) -> tuple[int, int]:
-            c, s = fn.const, fn.slope
-            return c.numerator * (d // c.denominator), s.numerator * (d // s.denominator)
-
+        over D*q.  A family that :func:`make_family` derives positions for
+        holds the integers of its walk here, which are these."""
+        d, pairs = _scaled_pairs([*self.lengths.values(), *(fn for fns in self.positions.values() for fn in fns)])
+        it = iter(pairs)
         return ScaledFamily(
             d,
-            {eid: pair(fn) for eid, fn in self.lengths.items()},
-            {vid: tuple(map(pair, fns)) for vid, fns in self.positions.items()},
+            {eid: next(it) for eid in self.lengths},
+            {vid: tuple(next(it) for _ in fns) for vid, fns in self.positions.items()},
         )
 
     @cached_property
@@ -576,6 +574,20 @@ class FamilyMember:
     fan: Fan
     edge_data: Mapping[str, EdgeMapData]
     scaled: ScaledMap
+
+
+def _scaled_pairs(fns: Sequence[AffineFn]) -> tuple[int, list[tuple[int, int]]]:
+    """D, the lcm of the functions' denominators, and each function's
+    (const, slope) times D, as integers.  Each distinct function object is
+    read once: a family shares one per pair of its walk or per spelling of
+    its document."""
+    distinct = {id(fn): fn for fn in fns}
+    d = lcm(*(x.denominator for fn in distinct.values() for x in (fn.const, fn.slope)))
+    pairs = {
+        key: (fn.const.numerator * (d // fn.const.denominator), fn.slope.numerator * (d // fn.slope.denominator))
+        for key, fn in distinct.items()
+    }
+    return d, [pairs[id(fn)] for fn in fns]
 
 
 def _positive_before_one(const, slope) -> bool:
@@ -652,7 +664,8 @@ class FamilyFrame:
     @cached_property
     def short_lengths(self) -> tuple[str, ...]:
         """The bounded edges, in curve order, whose length is not positive on
-        [0, 1)."""
+        [0, 1).  :func:`make_family` tests this on the same pairs before it
+        returns a family, and sets it empty."""
         lengths = self.family.scaled.lengths
         return tuple(eid for eid in self.family.type.bounded_edge_ids() if not _positive_before_one(*lengths[eid]))
 
@@ -783,12 +796,16 @@ def make_family(
 ) -> Family:
     """Validating constructor.
 
-    Missing positions are derived from the lengths through a spanning tree.
-    Lengths must be positive on [0, 1).  The family's frame then checks,
-    on the integers, that every finite vertex has a position, that in
-    strict mode each position lies in its vertex cone at t = 0 and t = 1,
-    and that the edge equations hold identically: the constant part and
-    the slope part of each residual are zero.
+    Missing positions are derived from the lengths in one walk of the
+    spanning tree over the integer (const, slope) pairs at D, the lcm of the
+    length and base position denominators, and the walk's integers are the
+    family's :attr:`Family.scaled`.  Lengths must be positive on [0, 1),
+    which is tested once, on those pairs; the first failing edge in the
+    order of ``lengths`` is refused.  The family's frame then checks, on the
+    integers, that every finite vertex has a position, that in strict mode
+    each position lies in its vertex cone at t = 0 and t = 1, and that the
+    edge equations hold identically: the constant part and the slope part
+    of each residual are zero.
     """
     t = canonical_type(t)
     n = t.fan.ambient_dim
@@ -797,22 +814,23 @@ def make_family(
         missing = bounded - set(lengths)
         extra = set(lengths) - bounded
         raise ValueError(f"length functions mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    for eid, fn in lengths.items():
-        if not _positive_before_one(fn.const, fn.slope):
-            raise ValueError(_not_positive(eid, fn))
     if positions is None:
         base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
-        base_pos = tuple(base_position) if base_position is not None else tuple(affine(0) for _ in range(n))
-        # positions are affine in t: walk the constant and the slope parts
-        consts = _positions_from_lengths(
-            t, {eid: fn.const for eid, fn in lengths.items()}, base, [fn.const for fn in base_pos]
-        )
-        slopes = _positions_from_lengths(
-            t, {eid: fn.slope for eid, fn in lengths.items()}, base, [fn.slope for fn in base_pos]
-        )
-        positions = {vid: tuple(map(AffineFn, consts[vid], slopes[vid])) for vid in consts}
-    fam = Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
+        base_pos = tuple(base_position) if base_position is not None else (affine(0),) * n
+        d, pairs = _scaled_pairs([*lengths.values(), *base_pos])
+        length_pairs = dict(zip(lengths, pairs))
+        _require_positive(lengths, length_pairs)
+        walked = _walk_positions(t, length_pairs, base, pairs[len(lengths):])
+        # one function per distinct pair, as a family document has one per spelling
+        distinct = {pair for pair_vec in walked.values() for pair in pair_vec}
+        fn = {(c, s): AffineFn(Fraction(c, d), Fraction(s, d)) for c, s in distinct}.__getitem__
+        fam = Family(t, dict(lengths), {vid: tuple(map(fn, pair_vec)) for vid, pair_vec in walked.items()})
+        fam.__dict__["scaled"] = ScaledFamily(d, length_pairs, walked)  # the cached property's slot
+    else:
+        fam = Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
+        _require_positive(lengths, fam.scaled.lengths)
     frame = fam.frame
+    frame.__dict__["short_lengths"] = ()  # tested above, on the pairs the frame reads
     if frame.position_diagnostics:
         raise ValueError(frame.position_diagnostics[0])
     if frame.cone_exits:
@@ -822,6 +840,15 @@ def make_family(
         # the first edge that fails at t = 0, else the first at t = 1/2
         raise ValueError(_inconsistent(*next((r for r in frame.residuals if r[1]), frame.residuals[0])))
     return fam
+
+
+def _require_positive(lengths: Mapping[str, AffineFn], pairs: Mapping[str, tuple[int, int]]) -> None:
+    """ValueError for the first length, in the order of ``pairs``, that is
+    not positive on [0, 1); the pairs are the lengths times one positive
+    integer, which keeps every sign."""
+    for eid, pair in pairs.items():
+        if not _positive_before_one(*pair):
+            raise ValueError(_not_positive(eid, lengths[eid]))
 
 
 def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
@@ -852,16 +879,16 @@ def _map_from_lengths(
 
 
 def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
-    """The lengths and the positions of the member at ``t_val``, evaluated
-    on the family's integers."""
-    scaled = fam.scaled
-    den = scaled.denominator * t_val.denominator
-    lengths = {eid: Fraction(_scaled_at(x, t_val), den) for eid, x in scaled.lengths.items()}
-    positions = {
-        vid: tuple(Fraction(_scaled_at(x, t_val), den) for x in pairs)
-        for vid, pairs in scaled.positions.items()
-    }
-    return lengths, positions
+    """The lengths and the positions of the member at ``t_val``, read off
+    the family's integers (:meth:`FamilyFrame.member`), one ``Fraction``
+    per distinct value."""
+    scaled = fam.frame.member(t_val).scaled
+    values = {*scaled.lengths.values(), *(x for p in scaled.positions.values() for x in p)}
+    fraction = {x: Fraction(x, scaled.denominator) for x in values}.__getitem__
+    return (
+        {eid: fraction(x) for eid, x in scaled.lengths.items()},
+        {vid: tuple(map(fraction, p)) for vid, p in scaled.positions.items()},
+    )
 
 
 def evaluate_family(fam: Family, t_val) -> TropicalStableMap:
@@ -1002,4 +1029,12 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> tuple[dict[str, RatVec], dict
             ell = [a + step * b for a, b in zip(ell, perturb)]
     lengths = dict(zip(bounded, ell))
     base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
-    return _positions_from_lengths(t, lengths, _finite_vertices(t)[0], base), lengths
+    # the walk on the points at their common denominator, as pairs of slope 0
+    d = lcm(*(x.denominator for x in (*ell, *base)))
+    walked = _walk_positions(
+        t,
+        {eid: (x.numerator * (d // x.denominator), 0) for eid, x in lengths.items()},
+        _finite_vertices(t)[0],
+        [(x.numerator * (d // x.denominator), 0) for x in base],
+    )
+    return {vid: tuple(Fraction(c, d) for c, _ in pairs) for vid, pairs in walked.items()}, lengths

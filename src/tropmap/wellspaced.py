@@ -229,23 +229,22 @@ def cycle_data_on(frame: CycleFrame, m: AnyMap) -> CycleData:
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The 2-core of a connected graph with first Betti number one."""
-    alive_v = {v.id for v in c.vertices}
+    """The 2-core of a connected graph with first Betti number one: the
+    vertices of valence one are peeled off with their edge, each once, from
+    a stack, until none is left (a self-loop counts twice)."""
+    valence = {v.id: c.valence(v.id) for v in c.vertices}
     alive_e = {e.id for e in c.edges}
-    changed = True
-    while changed:
-        changed = False
-        for vid in list(alive_v):
-            incident = [
-                e for e in c.edges_at(vid)
-                if e.id in alive_e and (e.ends[0] != e.ends[1])
-            ]
-            loops = [e for e in c.edges_at(vid) if e.id in alive_e and e.ends[0] == e.ends[1]]
-            if len(incident) + 2 * len(loops) == 1:
-                alive_v.discard(vid)
-                alive_e.discard(incident[0].id)
-                changed = True
-    return tuple(sorted(alive_v)), tuple(sorted(alive_e))
+    stack = [vid for vid, val in valence.items() if val == 1]
+    while stack:
+        vid = stack.pop()
+        e = next(e for e in c.edges_at(vid) if e.id in alive_e)
+        alive_e.discard(e.id)
+        valence[vid] = 0
+        other = e.ends[1] if e.ends[0] == vid else e.ends[0]
+        valence[other] -= 1
+        if valence[other] == 1:
+            stack.append(other)
+    return tuple(sorted(vid for vid, val in valence.items() if val)), tuple(sorted(alive_e))
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +448,43 @@ def subcurve_in_flat(
 
 
 def _trapped_subcurve(m: AnyMap, cd: CycleData, phi: IntVec) -> TrappedSubcurve:
-    """:func:`subcurve_in_flat` for a normal known to cut its flat."""
-    marked = m.curve.marked_vertex_ids
+    """:func:`subcurve_in_flat` for a normal known to cut its flat: a finite
+    vertex lies in the hyperplane when phi takes the base cycle vertex's
+    value at its position."""
     positions = m.scaled.positions
     level = vdot(phi, positions[cd.cycle_vertices[0]])
-    in_h = set(marked)
-    in_h.update(vid for vid in m.curve.unmarked_vertex_ids() if vdot(phi, positions[vid]) == level)
-    edges_in_h = {
-        e.id for e in m.curve.edges
-        if e.ends[0] in in_h and e.ends[1] in in_h and vdot(phi, m.edge_data[e.id].u) == 0
-    }
+    in_h = [vid for vid in m.curve.unmarked_vertex_ids() if vdot(phi, positions[vid]) == level]
+    flat_edges = [e for e in m.curve.edges if vdot(phi, m.edge_data[e.id].u) == 0]
+    component, comp_edges, boundary = _trapped_component(m.curve, cd.frame, in_h, flat_edges)
+    dist = _distances_to_cycle(m, component, comp_edges, cd.cycle_vertices)
+    return TrappedSubcurve(
+        tuple(sorted(component)),
+        tuple(sorted(comp_edges)),
+        tuple((vid, Fraction(dist[vid], m.scaled.denominator)) for vid in boundary),
+    )
 
-    component = set(cd.cycle_vertices)
-    comp_edges = set(cd.cycle_edges)
+
+# a trapped subcurve's vertices and edges, and its boundary vertices, sorted
+_Component = tuple[set[str], set[str], tuple[str, ...]]
+
+
+def _trapped_component(
+    curve: TropicalCurve, frame: CycleFrame, in_h: Iterable[str], flat_edges: Iterable[Edge]
+) -> _Component:
+    """The vertices and edges of the component through the cycle of what
+    lies in a hyperplane H, and its boundary vertices, sorted: those
+    incident to an edge outside it.  Marked vertices count as lying in H,
+    and an edge lies in H when its direction does and both its ends do."""
+    marked = curve.marked_vertex_ids
+    in_h = set(marked).union(in_h)
+    edges_in_h = {e.id for e in flat_edges if e.ends[0] in in_h and e.ends[1] in in_h}
+
+    component = set(frame.cycle_vertices)
+    comp_edges = set(frame.cycle_edges)
     frontier = list(component)
     while frontier:
         vid = frontier.pop()
-        for e in m.curve.edges_at(vid):
+        for e in curve.edges_at(vid):
             if e.id not in edges_in_h:
                 continue
             comp_edges.add(e.id)
@@ -474,32 +493,24 @@ def _trapped_subcurve(m: AnyMap, cd: CycleData, phi: IntVec) -> TrappedSubcurve:
                     continue
                 component.add(end)
                 frontier.append(end)
-
-    boundary: list[tuple[str, Fraction]] = []
-    dist = _distances_to_cycle(m, component, comp_edges, cd)
-    for vid in sorted(component):
-        outside = False
-        for e in m.curve.edges_at(vid):
-            if e.id not in comp_edges:
-                outside = True
-                break
-        if outside:
-            boundary.append((vid, Fraction(dist[vid], m.scaled.denominator)))
-    return TrappedSubcurve(tuple(sorted(component)), tuple(sorted(comp_edges)), tuple(boundary))
+    boundary = tuple(
+        vid for vid in sorted(component) if any(e.id not in comp_edges for e in curve.edges_at(vid))
+    )
+    return component, comp_edges, boundary
 
 
 def _distances_to_cycle(
     m: AnyMap,
     component: set[str],
     comp_edges: set[str],
-    cd: CycleData,
+    cycle_vertices: Sequence[str],
 ) -> dict[str, int]:
     """Shortest intrinsic distances to the cycle inside the component, in
     units of one over the map's common denominator."""
     lengths = m.scaled.lengths
     dist: dict[str, int] = {}
     heap: list[tuple[int, str]] = []
-    for vid in cd.cycle_vertices:
+    for vid in cycle_vertices:
         dist[vid] = 0
         heapq.heappush(heap, (0, vid))
     while heap:
@@ -538,7 +549,8 @@ class WellSpacedReport:
 
 def multiset_passes(distances: Sequence[Fraction]) -> bool:
     """Empty multisets pass vacuously; otherwise the minimum must occur at
-    least twice."""
+    least twice.  The distances may also be integers over one common
+    denominator, which keeps the answer."""
     if not distances:
         return True
     low = min(distances)
@@ -554,14 +566,9 @@ def is_well_spaced(m: AnyMap, cd: Optional[CycleData] = None) -> WellSpacedRepor
         cd = cycle_data(m)
     if cd.codim == 0:
         raise ValueError("cycle image spans the ambient space: no containing hyperplane")
-    return _spacing_on(m, cd, enumerate_flats(m, cd, build_arrangement(m, cd)))
-
-
-def _spacing_on(m: AnyMap, cd: CycleData, flats: Sequence[HyperplaneFlat]) -> WellSpacedReport:
-    """:func:`is_well_spaced` on the flats of m's arrangement."""
     records = []
     witness = None
-    for flat in flats:
+    for flat in enumerate_flats(m, cd, build_arrangement(m, cd)):
         sub = _trapped_subcurve(m, cd, flat.normal)
         ok = multiset_passes(sub.distance_multiset())
         rec = FlatRecord(flat, sub, ok)
@@ -797,7 +804,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     - a row space has one reduced row echelon form, and the quotient map
       and the projected edge directions are computed from it alone.
 
-    Three more shortcuts are exact:
+    Four more shortcuts are exact:
     - projection is linear, so each vertex offset's (const, slope) pair is
       projected through the frame's integer quotient P once per family
       (:func:`_projected_offsets`), and a member's projected offset at
@@ -808,7 +815,12 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
       data;
     - the flats and their normals depend only on the arrangement vectors
       and the frame (:func:`enumerate_flats` reads nothing else of the
-      member), so they are enumerated once per distinct set of vectors.
+      member), so they are enumerated once per distinct set of vectors;
+    - a valid member's trapped component for a flat normal is the closure
+      of the cycle over the edges whose direction the normal annihilates
+      (:func:`_flat_component`), the same on every member, so it is built
+      once per family and normal; only the boundary distances are computed
+      per member, on its integers.
     """
     fam = assume.family
     if not _is_limit(fam, m):
@@ -818,6 +830,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     frame = None
     offsets: tuple[_ProjectedOffset, ...] = ()
     flats: dict[tuple[IntVec, ...], list[HyperplaneFlat]] = {}
+    components: dict[IntVec, _Component] = {}
     for t in _PROBES:
         member = checks.member(t)
         diag = checks.member_diagnostic(member)
@@ -833,7 +846,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
             arr = build_arrangement(member, cd)
             if arr.vectors not in flats:
                 flats[arr.vectors] = enumerate_flats(member, cd, arr)
-            spaced = _spacing_on(member, cd, flats[arr.vectors]).overall
+            spaced = _member_spaced(member, cd, flats[arr.vectors], components)
         verdict = _first_rule(member, direct, frame, spaced)
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
@@ -867,6 +880,43 @@ def _projected_offsets(frame: CycleFrame, fam: Family) -> tuple[_ProjectedOffset
             tuple(sum(map(mul, row, slope)) for row in frame.integer_quotient),
         ))
     return tuple(out)
+
+
+def _flat_component(m: AnyMap, frame: CycleFrame, phi: IntVec) -> _Component:
+    """:func:`_trapped_component` of the hyperplane H with normal ``phi`` on
+    a valid map m, read off the graph and the edge directions alone.
+
+    Every vertex of the component lies in H, and no vertex's position is
+    needed to find them: the cycle lies in V, inside H, and an edge whose
+    direction phi annihilates joins two points at one level of phi, since
+    its ends differ by length times weight times direction.  So an edge at
+    a vertex of the component lies in H exactly when phi annihilates its
+    direction, and the component is the closure of the cycle over those
+    edges, on every member of a family alike."""
+    flat_edges = [e for e in m.curve.edges if vdot(phi, m.edge_data[e.id].u) == 0]
+    return _trapped_component(m.curve, frame, m.curve.unmarked_vertex_ids(), flat_edges)
+
+
+def _member_spaced(
+    member: FamilyMember,
+    cd: CycleData,
+    flats: Sequence[HyperplaneFlat],
+    components: dict[IntVec, _Component],
+) -> bool:
+    """``is_well_spaced(member, cd).overall`` for a valid member, on the
+    flats of its arrangement.  Each flat normal's trapped component is the
+    same on every member (:func:`_flat_component`) and is kept in
+    ``components``; only the boundary distances are the member's own,
+    compared as integers over its denominator, and the first failing flat
+    decides."""
+    for flat in flats:
+        if flat.normal not in components:
+            components[flat.normal] = _flat_component(member, cd.frame, flat.normal)
+        component, comp_edges, boundary = components[flat.normal]
+        dist = _distances_to_cycle(member, component, comp_edges, cd.cycle_vertices)
+        if not multiset_passes([dist[vid] for vid in boundary]):
+            return False
+    return True
 
 
 def _member_cycle_data(

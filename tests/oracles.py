@@ -27,7 +27,13 @@ the library compares the limit on the family's integers, builds one
 integer frame per family, projects each vertex offset once per family and
 enumerates the flats once per distinct arrangement.  The spanning tree of
 a type scans every bounded edge for each frontier vertex, and connectivity
-is a union-find, where the library walks incidence lists.
+is a union-find, where the library walks incidence lists.  The cycle of a
+genus-one curve is found by sweeping every vertex until none is a leaf,
+where the library peels leaves from a stack.  A family's derived
+positions come from one walk of the constant parts and one of the
+slopes, each in Fractions, after a positivity test of every length in
+Fractions, where the library walks the integer (const, slope) pairs once
+and tests them.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from tropmap.curves import Edge, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from tropmap.exactgeom import (
@@ -58,9 +64,12 @@ from tropmap.maps import (
 )
 from tropmap.moduli import (
     MAX_FACE_SEARCH_EDGES,
+    AffineFn,
     FaceWitness,
     _contract_with_map,
+    affine,
     evaluate_family,
+    format_affine,
     limit_of_family,
 )
 from tropmap.wellspaced import (
@@ -69,7 +78,6 @@ from tropmap.wellspaced import (
     CertificateError,
     CycleFrame,
     _rule_cascade,
-    _unique_cycle,
 )
 
 
@@ -795,6 +803,50 @@ def ref_spanning_tree(t: CombinatorialType) -> tuple[dict[str, tuple[str, Edge, 
     return parent, [e for e in bounded if e.id not in used]
 
 
+def ref_positions_from_lengths(
+    t: CombinatorialType, lengths: Mapping[str, Fraction], base_vertex: str, base_point: Sequence
+) -> dict[str, tuple[Fraction, ...]]:
+    """Vertex positions fixed by the lengths along the spanning tree
+    (:func:`ref_spanning_tree`), walked in Fractions and shifted so that
+    ``base_vertex`` lands on ``base_point``, in finite vertex order."""
+    finite = t.graph.unmarked_vertex_ids()
+    if base_vertex not in finite:
+        raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
+    parent = ref_spanning_tree(t)[0]
+    if len(parent) != len(finite) - 1:
+        raise ValueError("could not derive positions: finite graph not spanned")
+    walk = {finite[0]: (Fraction(0),) * t.fan.ambient_dim}
+    for vid, (up, e, sign) in parent.items():
+        step = sign * Fraction(lengths[e.id])
+        walk[vid] = tuple(a + step * x for a, x in zip(walk[up], t.weighted_direction(e.id)))
+    shift = [Fraction(x) - a for x, a in zip(base_point, walk[base_vertex])]
+    return {vid: tuple(a + b for a, b in zip(walk[vid], shift)) for vid in finite}
+
+
+def ref_family_positions(
+    t: CombinatorialType,
+    lengths: Mapping[str, AffineFn],
+    base_vertex: Optional[str] = None,
+    base_position: Optional[Sequence[AffineFn]] = None,
+) -> dict[str, tuple[AffineFn, ...]]:
+    """``make_family``'s derived positions on the Fraction path: each length
+    tested positive on [0, 1) in Fractions, in the order of ``lengths``, then
+    one walk of the constant parts and one of the slopes."""
+    t = canonical_type(t)
+    for eid, fn in lengths.items():
+        if not (fn.const > 0 and fn.const + fn.slope >= 0):
+            raise ValueError(f"length of {eid} is not positive on [0,1): {format_affine(fn)}")
+    base = base_vertex if base_vertex is not None else t.graph.unmarked_vertex_ids()[0]
+    base_pos = tuple(base_position) if base_position is not None else (affine(0),) * t.fan.ambient_dim
+    consts = ref_positions_from_lengths(
+        t, {eid: fn.const for eid, fn in lengths.items()}, base, [fn.const for fn in base_pos]
+    )
+    slopes = ref_positions_from_lengths(
+        t, {eid: fn.slope for eid, fn in lengths.items()}, base, [fn.slope for fn in base_pos]
+    )
+    return {vid: tuple(map(AffineFn, consts[vid], slopes[vid])) for vid in consts}
+
+
 def ref_is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitness]:
     """The face search over every subset of as many bounded edges as ``tb``
     has beyond ``ta``, in ``itertools.combinations`` order: the first subset
@@ -982,6 +1034,28 @@ def _ref_match_edges(
         yield dict(vmap), final_emap
 
 
+def ref_unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The 2-core of a connected graph with first Betti number one, by
+    sweeping every vertex again and again and dropping each one whose
+    valence among the remaining edges is one, until a sweep drops none."""
+    alive_v = {v.id for v in c.vertices}
+    alive_e = {e.id for e in c.edges}
+    changed = True
+    while changed:
+        changed = False
+        for vid in list(alive_v):
+            incident = [
+                e for e in c.edges_at(vid)
+                if e.id in alive_e and (e.ends[0] != e.ends[1])
+            ]
+            loops = [e for e in c.edges_at(vid) if e.id in alive_e and e.ends[0] == e.ends[1]]
+            if len(incident) + 2 * len(loops) == 1:
+                alive_v.discard(vid)
+                alive_e.discard(incident[0].id)
+                changed = True
+    return tuple(sorted(alive_v)), tuple(sorted(alive_e))
+
+
 def _lcm_rows(rows) -> tuple:
     """Rational rows times the lcm of all their denominators."""
     den = 1
@@ -1002,7 +1076,7 @@ def ref_cycle_frame(m) -> CycleFrame:
     if g != 1:
         return CycleFrame(b1, g)
     if b1 == 1:
-        cyc_v, cyc_e = _unique_cycle(m.curve)
+        cyc_v, cyc_e = ref_unique_cycle(m.curve)
     else:
         cyc_v, cyc_e = (next(v.id for v in m.curve.vertices if v.genus == 1),), ()
     den, positions = m.scaled.denominator, m.scaled.positions

@@ -321,6 +321,46 @@ class TestInvalidMapsGetNoType:
         assert any(d.endswith(self.MESSAGES[defect]) for d in json.loads(out)["results"]["diagnostics"])
 
 
+class TestNoVertices:
+    """A map or type with no vertices: ``validate`` reports it, every other
+    command refuses it, none with a traceback."""
+
+    MAP = json.dumps({
+        "kind": "map", "fan": {"ambient_dim": 2, "cones": []},
+        "curve": {"vertices": [], "edges": []}, "edge_data": {}, "positions": {},
+    })
+    TYPE = json.dumps({
+        "kind": "type", "fan": {"ambient_dim": 1, "cones": []},
+        "curve": {"vertices": [], "edges": []}, "edge_data": {},
+    })
+
+    def test_validate_reports_it(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["validate"], stdin=self.MAP)
+        assert code == 1
+        assert json.loads(out)["results"]["diagnostics"] == ["curve: curve has no vertices"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, message", [
+        ("verdict", "verdict requires a valid map: curve: curve has no vertices"),
+        ("wellspaced", "map invalid: curve: curve has no vertices"),
+        ("cone", "curve has no vertices"),
+        ("type", "curve has no vertices"),
+        ("superabundant", "curve has no vertices"),
+    ])
+    def test_map_commands_refuse_it(self, capsys, monkeypatch, command, message):
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=self.MAP)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["cone", "superabundant"])
+    def test_type_document_is_refused(self, capsys, monkeypatch, command):
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=self.TYPE)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": "curve has no vertices"}]
+        assert "Traceback" not in err
+
+
 class TestStabilityWaiver:
     @pytest.mark.parametrize("vertex", ["c0", "stability0"])
     def test_sample_of_an_unbalanced_map_is_refused(self, capsys, monkeypatch, square_loop_doc, vertex):

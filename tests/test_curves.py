@@ -63,6 +63,11 @@ class TestConnected:
 
 
 class TestValidate:
+    def test_no_vertices(self):
+        assert validate_curve(TropicalCurve((), (), ())) == ["curve has no vertices"]
+        dangling = TropicalCurve((), (Edge("e", ("a", "b"), Fraction(1)),), ())
+        assert validate_curve(dangling)[0] == "curve has no vertices"
+
     def test_single_genus_one_vertex(self):
         c = tropical_curve([Vertex("v", 1)], [])
         assert validate_curve(c) == []

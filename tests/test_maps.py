@@ -18,9 +18,9 @@ from tropmap import (
     validate_map,
 )
 from tropmap.curves import Edge, INF, Marking, TropicalCurve, Vertex, tropical_curve
-from tropmap.exactgeom import build_fan, cone, cone_is_face, zero_cone
+from tropmap.exactgeom import auto_rays_fan, build_fan, cone, cone_is_face, zero_cone
 from tropmap.gallery import GALLERY_NAMES, gallery_map, square_loop
-from tropmap.maps import EdgeMapData, canonical_type, decorated_isomorphisms, make_type
+from tropmap.maps import CombinatorialType, EdgeMapData, canonical_type, decorated_isomorphisms, make_type
 from tropmap.moduli import _contract_with_map, is_face, limit_of_family
 from tropmap.wellspaced import build_figure1_family
 
@@ -195,6 +195,56 @@ class TestMakeType:
             make_type(graph, m.fan, data)
         data["zz"] = EdgeMapData((0, 0, 0), 0, "c0")
         assert make_type(graph, m.fan, data).graph.has_edge("zz")
+
+    def test_stripped_sorted_curve_is_kept(self):
+        # a curve that tropical_curve would rebuild unchanged, with the
+        # placeholder on every bounded edge and INF on every marked leaf-edge
+        rng = random.Random(2001)
+        types = [combinatorial_type(square_loop())] + [random_walk_type(rng) for _ in range(40)]
+        for t in types:
+            assert make_type(t.graph, t.fan, t.edge_data).graph is t.graph
+
+    def test_any_other_curve_is_rebuilt(self):
+        t = combinatorial_type(square_loop())
+        g = t.graph
+        bounded = next(e for e in g.edges if not g.is_marked_leaf_edge(e))
+        leaf = next(e for e in g.edges if g.is_marked_leaf_edge(e))
+
+        def with_edge(old, new):
+            return TropicalCurve(g.vertices, tuple(new if e is old else e for e in g.edges), g.markings)
+
+        variants = {
+            "unsorted vertices": TropicalCurve(g.vertices[::-1], g.edges, g.markings),
+            "unsorted edges": TropicalCurve(g.vertices, g.edges[::-1], g.markings),
+            "unsorted markings": TropicalCurve(g.vertices, g.edges, g.markings[::-1]),
+            "reversed ends": with_edge(bounded, Edge(bounded.id, bounded.ends[::-1], bounded.length)),
+            "a length": with_edge(bounded, Edge(bounded.id, bounded.ends, Fraction(2))),
+            "an int length": with_edge(bounded, Edge(bounded.id, bounded.ends, 1)),
+            "a finite leaf-edge": with_edge(leaf, Edge(leaf.id, leaf.ends, Fraction(1))),
+        }
+        for name, curve in variants.items():
+            got = make_type(curve, t.fan, t.edge_data)
+            assert got.graph is not curve, name
+            assert got.graph == g and type(got.graph.edge(bounded.id).length) is Fraction, name
+
+    def test_canonical_type_keeps_a_canonical_type(self):
+        rng = random.Random(2002)
+        for t in [combinatorial_type(square_loop())] + [random_walk_type(rng) for _ in range(40)]:
+            c = canonical_type(t)
+            assert canonical_type(c) is c
+            # reversing every bounded edge gives a new type with the same canonical data
+            flipped = {
+                eid: d if t.graph.is_marked_leaf_edge(t.graph.edge(eid)) else d.reversed(t.graph.edge(eid))
+                for eid, d in c.edge_data.items()
+            }
+            again = canonical_type(CombinatorialType(c.graph, c.fan, c.vertex_cones, flipped))
+            assert again == c
+
+    def test_curve_without_vertices_is_refused(self):
+        empty = TropicalCurve((), (), ())
+        assert empty.connected
+        with pytest.raises(ValueError, match="^curve has no vertices$"):
+            make_type(empty, auto_rays_fan(2, [], embedded=True), {})
 
     def test_disconnected_graph_is_refused(self):
         m = square_loop()

@@ -36,15 +36,25 @@ from tropmap.wellspaced import build_figure1_family
 
 from builders import (
     build_map,
+    fractional_chain_family,
     path_two_vertices,
     random_feasible_map,
+    random_shrinking_family,
     random_walk_type,
     rectangle_cycle,
     rectangle_family,
     strict_unstable_member_family,
     three_rays,
+    turning_branch_family,
 )
-from oracles import bareiss_rank, dense_equations, dense_pull_back, ref_spanning_tree
+from oracles import (
+    bareiss_rank,
+    dense_equations,
+    dense_pull_back,
+    ref_family_positions,
+    ref_positions_from_lengths,
+    ref_spanning_tree,
+)
 
 
 def _raw_type(bounded, rays):
@@ -705,8 +715,8 @@ class TestFamilyFrame:
 
 
 class TestFamilyPositions:
-    """Family positions come from one walk on the constant parts and one on
-    the slopes; at every t they must equal the walk on the lengths at t."""
+    """Family positions come from one walk on the (const, slope) pairs; at
+    every t they must equal the Fraction walk on the lengths at t."""
 
     @pytest.mark.parametrize("t_val", [Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(99, 100)])
     def test_members_match_the_walk(self, t_val):
@@ -714,8 +724,63 @@ class TestFamilyPositions:
             base = fam.type.graph.unmarked_vertex_ids()[0]
             lengths = {eid: fn.at(t_val) for eid, fn in fam.lengths.items()}
             point = tuple(fn.at(t_val) for fn in fam.positions[base])
-            walk = moduli._positions_from_lengths(fam.type, lengths, base, point)
+            walk = ref_positions_from_lengths(fam.type, lengths, base, point)
             assert evaluate_family(fam, t_val).positions == walk
+
+    @staticmethod
+    def _derived_cases():
+        """(name, type, lengths, base vertex, base position) for families
+        whose positions ``make_family`` derives: the builders' families with
+        the default base and with a seeded rational base, and figure1
+        N = 3…6 based at a rational point."""
+        rng = random.Random(2020)
+
+        def rational():
+            return affine(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+        fams = {
+            "rectangle 2x3": rectangle_family(2, 3, {"s0", "s5"}),
+            "fractional chain": fractional_chain_family(),
+            "turning branch": turning_branch_family(),
+        }
+        for i in range(40):
+            fams[f"random #{i}"] = random_shrinking_family(rng)[0]
+        cases = []
+        for name, fam in fams.items():
+            cases.append((name, fam.type, fam.lengths, None, None))
+            base = rng.choice(fam.type.graph.unmarked_vertex_ids())
+            cases.append((f"{name}, based at {base}", fam.type, fam.lengths, base,
+                          tuple(rational() for _ in range(fam.type.fan.ambient_dim))))
+        for n in range(3, 7):
+            fam = build_figure1_family(n)
+            cases.append((f"figure1 n={n}", fam.type, fam.lengths, "a", tuple(rational() for _ in range(n))))
+        return cases
+
+    def test_one_walk_equals_the_two_fraction_walks(self):
+        for name, t, lengths, base, base_position in self._derived_cases():
+            fam = make_family(t, lengths, base_vertex=base, base_position=base_position)
+            assert fam.positions == ref_family_positions(t, lengths, base, base_position), name
+            # the walk's integers are the ones the functions give
+            assert fam.scaled == moduli.Family(fam.type, fam.lengths, fam.positions).scaled, name
+
+    def test_the_first_short_length_in_mapping_order_is_refused(self):
+        t = combinatorial_type(rectangle_cycle(2, 2))
+        assert t.bounded_edge_ids().index("s1") < t.bounded_edge_ids().index("s6")
+        lengths = {eid: affine(1) for eid in reversed(t.bounded_edge_ids())}
+        lengths.update(s1=affine(0, 1), s6=affine(1, -2))
+        with pytest.raises(ValueError) as want:
+            ref_family_positions(t, lengths)
+        assert str(want.value) == "length of s6 is not positive on [0,1): 1 + (-2)*t"
+        with pytest.raises(ValueError) as got:
+            make_family(t, lengths)
+        assert str(got.value) == str(want.value)
+        # the same test, on the same pairs, when the positions are given
+        good = make_family(t, {eid: affine(1) for eid in t.bounded_edge_ids()})
+        with pytest.raises(ValueError) as given:
+            make_family(t, lengths, positions=good.positions)
+        assert str(given.value) == str(want.value)
+        # and the frame of the family built directly lists both, in curve order
+        assert moduli.Family(t, lengths, good.positions).frame.short_lengths == ("s1", "s6")
 
 
 class TestSampleInterior:

@@ -52,6 +52,7 @@ from builders import (
     collinear_chain_family,
     fractional_chain_family,
     lone_genus_one_vertex,
+    random_connected_multigraph,
     random_feasible_map,
     random_shrinking_family,
     rectangle_family,
@@ -67,6 +68,8 @@ from oracles import (
     projective_class,
     ref_check_family_certificate,
     ref_cycle_frame,
+    ref_positions_from_lengths,
+    ref_unique_cycle,
     subset_closure_flats,
 )
 
@@ -96,6 +99,21 @@ class TestCycleData:
         assert cd.codim == 0 and not cd.superabundant
         with pytest.raises(ValueError):
             enumerate_flats(m, cd)
+
+    def test_unique_cycle_equals_the_sweep(self):
+        curves = [gallery_map(name).curve for name in GALLERY_NAMES]
+        curves += [figure1_member(n, t).curve for n in (3, 6) for t in (0, 1)]
+        rng = random.Random(77)
+        while len(curves) < 300:
+            c = random_connected_multigraph(rng)
+            if betti_and_genus(c)[0] == 1:
+                curves.append(c)
+        checked = 0
+        for c in curves:
+            if betti_and_genus(c)[0] == 1:
+                assert wellspaced._unique_cycle(c) == ref_unique_cycle(c)
+                checked += 1
+        assert checked >= 250
 
     def test_genus_two_rejected(self):
         from tropmap.curves import Vertex, tropical_curve
@@ -281,6 +299,9 @@ class TestWorkDoneOnce:
         assert evaluations == []
 
 
+LAST_PROBE_FAILS = "bent square, g2 below 1 after t = 3/4"
+
+
 def _certificate_families():
     """(name, target map, family) for the R4 certificate comparisons."""
     from tropmap import affine, make_family
@@ -301,6 +322,11 @@ def _certificate_families():
     lengths = {e: affine(1) for e in bent.bounded_edge_ids()}
     lengths.update(g1=affine(1, 1), g2=affine(2))
     families["bent square, growing g1"] = make_family(bent, lengths)
+    # g2 falls below the other branches' distance 1 after t = 3/4: only the
+    # member at t = 99/100 is not well-spaced
+    lengths = {e: affine(1) for e in bent.bounded_edge_ids()}
+    lengths.update(g2=affine(2, Fraction(-11, 10)))
+    families[LAST_PROBE_FAILS] = make_family(bent, lengths)
     rng = random.Random(1414)
     for i in range(200):
         families[f"random #{i}"] = random_shrinking_family(rng)[0]
@@ -323,7 +349,7 @@ def _families_breaking_one_check():
     # the positions walk the constant and slope parts from a at the origin
     lengths = {**fig.lengths, "f1": affine(1, -2)}
     walks = [
-        moduli._positions_from_lengths(fig.type, {e: part(fn) for e, fn in lengths.items()}, "a", (0, 0, 0))
+        ref_positions_from_lengths(fig.type, {e: part(fn) for e, fn in lengths.items()}, "a", (0, 0, 0))
         for part in (lambda fn: fn.const, lambda fn: fn.slope)
     ]
     walked = {v: tuple(map(AffineFn, walks[0][v], walks[1][v])) for v in walks[0]}
@@ -503,13 +529,62 @@ class TestIntegerPaths:
                     checked += 1
         assert checked >= 100
 
+    def test_failing_at_one_probe_names_that_probe(self):
+        _, target, fam = next(case for case in _certificate_families() if case[0] == LAST_PROBE_FAILS)
+        want = ("CertificateError", "family member at t=99/100 is not realizable by the direct rules (R2)")
+        assert _outcome(lambda: ref_check_family_certificate(target, Assumptions(family=fam))) == want
+        assert _outcome(lambda: wellspaced._check_family_certificate(target, Assumptions(family=fam))) == want
+        spaced = [is_well_spaced(evaluate_family(fam, t)).overall for t in _PROBES]
+        assert spaced == [True, True, True, True, False]
+
+    def test_trapped_component_depends_on_the_normal_alone(self):
+        # on every valid member, the component read off the edge directions
+        # is the one its positions cut out, also where a normal puts
+        # different vertices in its hyperplane at different t, and the
+        # spacing decision on integer distances is the member's report
+        checked = 0
+        ties = 0
+        for name, _, fam in _certificate_families():
+            checks = fam.frame
+            members = [(t, checks.member(t)) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
+            if checks.member_diagnostic(members[0][1]) is not None:
+                continue
+            frame = cycle_frame(members[0][1])
+            if frame.genus != 1 or frame.codim == 0:
+                continue
+            in_h: dict[tuple, set] = {}
+            components: dict = {}
+            for t, member in members:
+                if checks.member_diagnostic(member) is not None:
+                    continue
+                cd = cycle_data_on(frame, member)
+                flats = enumerate_flats(member, cd)
+                positions = member.scaled.positions
+                for flat in flats:
+                    phi = flat.normal
+                    own = wellspaced._trapped_subcurve(member, cd, phi)
+                    component, comp_edges, boundary = wellspaced._flat_component(member, frame, phi)
+                    assert (component, comp_edges) == (set(own.vertex_ids), set(own.edge_ids)), (name, t)
+                    assert boundary == tuple(vid for vid, _ in own.boundary), (name, t)
+                    level = vdot(phi, positions[frame.cycle_vertices[0]])
+                    cut = frozenset(v for v in member.curve.unmarked_vertex_ids() if vdot(phi, positions[v]) == level)
+                    in_h.setdefault(phi, set()).add(cut)
+                    checked += 1
+                spaced = wellspaced._member_spaced(member, cd, flats, components)
+                assert spaced == is_well_spaced(member, cd).overall, (name, t)
+            ties += sum(len(sets) > 1 for sets in in_h.values())
+        assert checked >= 800
+        # some normal puts different vertices in its hyperplane at different t
+        assert ties >= 1
+
     def test_flats_and_cycle_data_equal_the_per_member_ones(self, monkeypatch):
         # every member the certificate decides is decided on its own cycle
         # data and on the flats enumerate_flats gives that member alone
         decided = []
-        spacing = wellspaced._spacing_on
+        spaced = wellspaced._member_spaced
         monkeypatch.setattr(
-            wellspaced, "_spacing_on", lambda m, cd, flats: decided.append((m, cd, flats)) or spacing(m, cd, flats)
+            wellspaced, "_member_spaced",
+            lambda m, cd, flats, *rest: decided.append((m, cd, flats)) or spaced(m, cd, flats, *rest),
         )
         enumerations = TestWorkDoneOnce._count(monkeypatch, "enumerate_flats")
         arrangements = set()
