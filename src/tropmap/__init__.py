@@ -79,7 +79,6 @@ from .wellspaced import (
     WellSpacedReport,
     build_figure1_family,
     cycle_data,
-    cycle_data_on,
     cycle_frame,
     enumerate_flats,
     figure1_member,

@@ -188,17 +188,21 @@ def _type_of_map(m, choice: str | None, io: _Io):
 
 
 def _require_type(io: _Io, args):
-    """The type of a map or type document.  ``--fan`` is refused for a type
-    document, whatever the choice: its vertex cones are cones of its own
-    fan and mean nothing on another."""
+    """The type of a map or type document, refused when it breaks the
+    stability axiom, as ``validate_map`` refuses the map.  ``--fan`` is
+    refused for a type document, whatever the choice: its vertex cones are
+    cones of its own fan and mean nothing on another."""
     doc = _read_document(io, args.path)
     if doc.kind == "map":
-        return _type_of_map(doc.payload, args.fan, io)
-    if doc.kind == "type":
+        t = _type_of_map(doc.payload, args.fan, io)
+    elif doc.kind == "type":
         if args.fan is not None:
             raise DocumentError("", "--fan applies to map documents; a type's vertex cones lie on its own fan")
-        return doc.payload
-    raise DocumentError("", f"expected a map or type document, got {doc.kind}")
+        t = doc.payload
+    else:
+        raise DocumentError("", f"expected a map or type document, got {doc.kind}")
+    documents.require_stable(t, "")
+    return t
 
 
 def _cmd_cone(args, io: _Io) -> int:

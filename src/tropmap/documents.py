@@ -35,10 +35,12 @@ from .exactgeom import (
     vector_content,
 )
 from .maps import (
+    STABILITY_VIOLATED,
     CombinatorialType,
     EdgeMapData,
     TropicalStableMap,
     _orient_leaves,
+    _unstable_vertices,
     balancing_diagnostics,
     make_type,
 )
@@ -468,8 +470,23 @@ def require_balanced(
     """Raise DocumentError at the first finite vertex that is not balanced,
     pointing at its entry in the vertex list of the document's curve."""
     for vid, message in balancing_diagnostics(c, data, ambient):
-        index = next(i for i, v in enumerate(c.vertices) if v.id == vid)
-        raise DocumentError(_at(pointer, "curve", "vertices", index), message)
+        _refuse_vertex(c, vid, pointer, message)
+
+
+def require_stable(t: CombinatorialType, pointer: str) -> None:
+    """Raise DocumentError at the first finite vertex that breaks the
+    stability axiom, by the rule ``validate_map`` applies to a map, with
+    the type's vertex cones.  Families waive the axiom, so
+    :func:`parse_type` leaves it to the commands that read a type."""
+    for vid in _unstable_vertices(t.graph, t.fan, t.vertex_cones, t):
+        _refuse_vertex(t.graph, vid, pointer, f"{STABILITY_VIOLATED}{vid}")
+
+
+def _refuse_vertex(c: TropicalCurve, vid: str, pointer: str, message: str) -> None:
+    """Raise DocumentError pointing at the vertex's entry in the vertex list
+    of the document's curve."""
+    index = next(i for i, v in enumerate(c.vertices) if v.id == vid)
+    raise DocumentError(_at(pointer, "curve", "vertices", index), message)
 
 
 def type_json(t: CombinatorialType) -> dict:

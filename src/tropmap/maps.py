@@ -226,17 +226,13 @@ def validate_map(m: TropicalStableMap) -> list[str]:
     diags.extend(_integrality_diagnostics(m.edge_data, m.scaled, bounded))
     diags.extend(msg for _, msg in balancing_diagnostics(m.curve, m.edge_data, ambient))
 
-    # stability of 2-valent vertices
-    finite_ids = m.curve.unmarked_vertex_ids()
-    for vid in finite_ids:
-        if m.curve.valence(vid) != 2:
-            continue
-        if _star_in_single_cone_interior(m, vid):
-            diags.append(f"{STABILITY_VIOLATED}{vid}")
+    # stability of 2-valent vertices; an embedded fan reads no cone
+    cones = {} if m.fan.embedded else m.located_cones
+    diags.extend(f"{STABILITY_VIOLATED}{vid}" for vid in _unstable_vertices(m.curve, m.fan, cones, m))
 
     # position membership in the fan support
     if not m.fan.embedded:
-        for vid in finite_ids:
+        for vid in m.curve.unmarked_vertex_ids():
             if m.located_cones[vid] is None:
                 diags.append(_outside_support(vid))
     return diags
@@ -305,35 +301,49 @@ def balancing_diagnostics(
     return out
 
 
-def _star_in_single_cone_interior(m: TropicalStableMap, vid: str) -> bool:
-    """Is the image of the star of a 2-valent vertex contained in the
-    relative interior of a single cone?
+def _star_in_single_cone_interior(fan: Fan, sigma: Optional[Cone], directions: Iterable[IntVec]) -> bool:
+    """Is the image of the star of a 2-valent vertex, with the weighted
+    directions ``directions`` read outward, contained in the relative
+    interior of a single cone?
 
     In embedded mode the whole space plays that role, so any 2-valent vertex
-    is redundant.  Otherwise the candidate cone is the one whose relative
-    interior holds the position, and a short segment p + eps*d stays inside
-    exactly when d lies in the cone's linear span.
+    is redundant.  Otherwise the candidate cone is sigma, the one whose
+    relative interior holds the vertex (None outside the fan's support), and
+    a short segment p + eps*d stays inside exactly when d lies in the cone's
+    linear span.
     """
-    if m.fan.embedded:
+    if fan.embedded:
         return True
-    sigma = m.located_cones[vid]
     if sigma is None:
         return False
     span_rows = list(sigma.rays)
-    for e in m.curve.edges_at(vid):
-        dirs = [m.direction_from(e, vid)]
-        if e.ends[0] == e.ends[1]:
-            dirs.append(tuple(-x for x in dirs[0]))
-        for u in dirs:
-            w = m.edge_data[e.id].w
-            d = tuple(w * x for x in u)
-            if is_zero_vec(d):
-                continue
-            if not span_rows:
-                return False
-            if rank(span_rows + [d]) != rank(span_rows):
-                return False
+    for d in directions:
+        if is_zero_vec(d):
+            continue
+        if not span_rows or rank(span_rows + [d]) != rank(span_rows):
+            return False
     return True
+
+
+def _unstable_vertices(
+    curve: TropicalCurve, fan: Fan, cones: Mapping[str, Optional[Cone]], map_or_type: _EdgeDirections
+) -> list[str]:
+    """The finite vertices of a map's or a type's curve that break the
+    stability axiom, in curve order: the 2-valent ones whose star lies in
+    the relative interior of a single cone, ``cones[vid]`` in strict mode.
+    Valences are scanned first, so only 2-valent vertices reach the span
+    test."""
+    out = []
+    for vid in curve.unmarked_vertex_ids():
+        if curve.valence(vid) != 2:
+            continue
+        directions = [
+            tuple(map_or_type.edge_data[e.id].w * x for x in map_or_type.direction_from(e, vid))
+            for e in curve.edges_at(vid)
+        ]
+        if _star_in_single_cone_interior(fan, cones.get(vid), directions):
+            out.append(vid)
+    return out
 
 
 # ---------------------------------------------------------------------------

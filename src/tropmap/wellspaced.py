@@ -19,6 +19,20 @@ subcurve depends only on which arrangement vectors (projected vertex offsets
 and edge directions) the hyperplane annihilates, and the achievable patterns
 are exactly the flats of rank at most codim(V) - 1 of the projected
 arrangement.
+
+Maps and family members take one path.  A map is the slope-zero member of
+a family at t = 0: each vertex offset is a (const, slope) pair, projected
+once, and at t = p/q the offset and its image are const*q + slope*p
+(:func:`_cycle_data`).  On a valid map the trapped component of the
+hyperplane H with normal phi is the closure of the cycle over the edges
+whose direction phi annihilates (:func:`_flat_component`): the cycle lies
+in V, inside H, and such an edge joins two points at one level of phi,
+since its ends differ by length times weight times direction.  The proof
+uses the edge equations alone, so it also holds for family members, which
+may fail the stability axiom; it reads no vertex level, so the members of a
+family, which share the type's graph and edge data, share each component,
+and only their boundary distances differ.  One loop over the flats
+(:func:`_flat_spacings`) decides every spacing question.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import curves
 from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
@@ -69,11 +83,11 @@ class CycleFrame:
     rather than its lengths: the first Betti number and the genus, and, in
     genus one, whether every vertex has genus zero and every finite vertex
     is trivalent, the unique cycle, the reduced row echelon basis of the
-    cycle span's directions (also as integer rows), the codimension, the
-    quotient map onto the span's annihilator (rows are a basis of it; the
-    integer rows are the same rows times one common positive integer) and
-    the projected edge directions: (u, projective class of its image) for
-    every edge, in curve order, whose direction leaves the span.
+    cycle span's directions, the codimension, the quotient map onto the
+    span's annihilator (rows are a basis of it) and the projected edge
+    directions: (u, projective class of its image) for every edge, in curve
+    order, whose direction leaves the span.  The basis and the quotient rows
+    are integer rows: the rational rows times the lcm of their denominators.
 
     The genus-one fields stay empty for other genera."""
 
@@ -83,10 +97,8 @@ class CycleFrame:
     trivalent: bool = False
     cycle_vertices: tuple[str, ...] = ()
     cycle_edges: tuple[str, ...] = ()
-    direction_basis: tuple[RatVec, ...] = ()
     integer_basis: tuple[IntVec, ...] = ()
     codim: int = 0
-    quotient_map: tuple[RatVec, ...] = ()
     integer_quotient: tuple[IntVec, ...] = ()
     edge_projections: tuple[tuple[IntVec, IntVec], ...] = ()
 
@@ -133,10 +145,8 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
         all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
         cyc_v,
         cyc_e,
-        tuple(tuple(Fraction(x, d) for x in row) for row in rows),
         _common_multiple(rows, d),
         ambient - len(pivots),
-        tuple(tuple(Fraction(x, scale) for x in row) for row in kernel),
         integral,
         _projections(integral, (m.edge_data[e.id].u for e in m.curve.edges)),
     )
@@ -198,10 +208,6 @@ class CycleData:
         return self.frame.cycle_edges
 
     @property
-    def direction_basis(self) -> tuple[RatVec, ...]:
-        return self.frame.direction_basis
-
-    @property
     def codim(self) -> int:
         return self.frame.codim
 
@@ -210,22 +216,60 @@ class CycleData:
         return self.frame.codim >= 1
 
 
-def cycle_data(m: TropicalStableMap) -> CycleData:
+def cycle_data(m: AnyMap) -> CycleData:
     """The cycle data of a genus-one map; ValueError for other genera."""
-    return cycle_data_on(cycle_frame(m), m)
-
-
-def cycle_data_on(frame: CycleFrame, m: AnyMap) -> CycleData:
-    """The cycle data of ``m`` on ``frame``: ``cycle_frame(m)``, or the
-    equal frame of another valid map with m's graph and edge data (see
-    :func:`_check_family_certificate`)."""
+    frame = cycle_frame(m)
     if frame.genus != 1:
         raise ValueError(f"cycle analysis requires genus 1, got {frame.genus}")
+    return _map_cycle_data(frame, m)
+
+
+def _map_cycle_data(frame: CycleFrame, m: AnyMap) -> CycleData:
+    """The cycle data of m on its genus-one frame, as the slope-zero member
+    at t = 0."""
+    pairs = {vid: tuple((x, 0) for x in p) for vid, p in m.scaled.positions.items()}
+    offsets = _projected_offsets(frame, m.curve.unmarked_vertex_ids(), pairs)
+    return _cycle_data(frame, offsets, m, Fraction(0))
+
+
+# a finite vertex's offset from the base vertex as its constant and slope
+# parts, and their images under the frame's integer quotient
+_Offset = tuple[IntVec, IntVec, IntVec, IntVec]
+
+
+def _projected_offsets(
+    frame: CycleFrame, vertex_ids: Iterable[str], positions: Mapping[str, Sequence[tuple[int, int]]]
+) -> tuple[_Offset, ...]:
+    """The offset of each finite vertex, in the order of ``vertex_ids``,
+    from positions given as one (const, slope) pair of integers per
+    coordinate."""
+    base = positions[frame.cycle_vertices[0]]
+    out = []
+    for vid in vertex_ids:
+        const = tuple(c - b for (c, _), (b, _) in zip(positions[vid], base))
+        slope = tuple(s - b for (_, s), (_, b) in zip(positions[vid], base))
+        images = (tuple(sum(map(mul, row, vec)) for row in frame.integer_quotient) for vec in (const, slope))
+        out.append((const, slope, *images))
+    return tuple(out)
+
+
+def _cycle_data(frame: CycleFrame, offsets: Sequence[_Offset], m: AnyMap, t: Fraction) -> CycleData:
+    """The cycle data of m, the member at t = p/q of the family whose
+    projected offsets on m's cycle frame are ``offsets``: m's offset is
+    const*q + slope*p, and so is its image.  Projection is linear, and the
+    integer quotient is the rational one times a positive integer, which
+    changes no projective class."""
+    p, q = t.numerator, t.denominator
+    projected = []
+    for const, slope, image_const, image_slope in offsets:
+        vec = [c * q + s * p for c, s in zip(const, slope)]
+        if any(vec):
+            rep = _projective_rep([c * q + s * p for c, s in zip(image_const, image_slope)])
+            if rep is not None:
+                projected.append((primitive(vec), rep))
     scaled = m.scaled
     base = scaled.positions[frame.cycle_vertices[0]]
-    offsets = ([a - b for a, b in zip(scaled.positions[vid], base)] for vid in m.curve.unmarked_vertex_ids())
-    projected = _projections(frame.integer_quotient, (primitive(v) for v in offsets if any(v)))
-    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), projected)
+    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), tuple(projected))
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -252,10 +296,9 @@ def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Arrangement:
-    """The projected arrangement in the quotient by the cycle span:
-    a quotient map (rows form a basis of the annihilator of V's directions),
-    the same rows times one common positive integer, and the deduplicated
-    primitive projective representatives, sorted.
+    """The projected arrangement in the quotient by the cycle span: the
+    deduplicated primitive projective representatives, sorted, and the
+    integer quotient rows they were projected by.
 
     ``sources[i]`` is an ambient vector whose projection represents
     ``vectors[i]``: a positive integral multiple of a vertex offset from the
@@ -263,7 +306,6 @@ class Arrangement:
     on a representative exactly when it vanishes on its source, so
     containment patterns are read off the sources without lifting."""
 
-    quotient_map: tuple[RatVec, ...]
     vectors: tuple[IntVec, ...]
     sources: tuple[IntVec, ...]
     integer_quotient: tuple[IntVec, ...]
@@ -299,9 +341,7 @@ def build_arrangement(m: AnyMap, cd: Optional[CycleData] = None) -> Arrangement:
     for vec, rep in cd.vertex_projections + frame.edge_projections:
         sources.setdefault(rep, vec)
     reps = sorted(sources)
-    return Arrangement(
-        frame.quotient_map, tuple(reps), tuple(sources[r] for r in reps), frame.integer_quotient
-    )
+    return Arrangement(tuple(reps), tuple(sources[r] for r in reps), frame.integer_quotient)
 
 
 def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[IntVec]:
@@ -373,7 +413,7 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
     """An integral covector vanishing on V and on the flat but on no other
     arrangement vector.  A generic combination of a kernel basis works; the
     powers-of-t trick makes the search deterministic."""
-    c = len(arr.quotient_map)
+    c = len(arr.integer_quotient)
     kernel = integer_nullspace(list(flat), ncols=c)
     if not kernel:
         raise ValueError("flat spans the quotient: no hyperplane certifies it")
@@ -434,51 +474,31 @@ def subcurve_in_flat(
     cd: Optional[CycleData] = None,
     arr: Optional[Arrangement] = None,
 ) -> TrappedSubcurve:
-    """Vertices are in H when the normal kills their offset from the base
-    point; an edge is in H when both endpoints are and its direction is
-    annihilated.  Boundary vertices are the component's vertices incident to
-    at least one edge outside it, and distances are intrinsic shortest paths
-    to the cycle inside the component.  Raises ValueError unless the flat's
-    normal cuts the flat's pattern on this map."""
+    """The trapped subcurve of a flat on a valid map, from the spacing loop,
+    with the intrinsic distances of its boundary vertices to the cycle.
+    Raises ValueError unless the flat's normal cuts the flat's pattern on
+    this map."""
     if cd is None:
         cd = cycle_data(m)
     if pattern_of_normal(m, cd, flat.normal, arr) != flat.zero_set:
         raise ValueError("flat was not generated for this map")
-    return _trapped_subcurve(m, cd, flat.normal)
-
-
-def _trapped_subcurve(m: AnyMap, cd: CycleData, phi: IntVec) -> TrappedSubcurve:
-    """:func:`subcurve_in_flat` for a normal known to cut its flat: a finite
-    vertex lies in the hyperplane when phi takes the base cycle vertex's
-    value at its position."""
-    positions = m.scaled.positions
-    level = vdot(phi, positions[cd.cycle_vertices[0]])
-    in_h = [vid for vid in m.curve.unmarked_vertex_ids() if vdot(phi, positions[vid]) == level]
-    flat_edges = [e for e in m.curve.edges if vdot(phi, m.edge_data[e.id].u) == 0]
-    component, comp_edges, boundary = _trapped_component(m.curve, cd.frame, in_h, flat_edges)
-    dist = _distances_to_cycle(m, component, comp_edges, cd.cycle_vertices)
-    return TrappedSubcurve(
-        tuple(sorted(component)),
-        tuple(sorted(comp_edges)),
-        tuple((vid, Fraction(dist[vid], m.scaled.denominator)) for vid in boundary),
-    )
+    _, component, dist, _ = next(_flat_spacings(m, cd, (flat,), {}))
+    return _subcurve(m, component, dist)
 
 
 # a trapped subcurve's vertices and edges, and its boundary vertices, sorted
 _Component = tuple[set[str], set[str], tuple[str, ...]]
 
 
-def _trapped_component(
-    curve: TropicalCurve, frame: CycleFrame, in_h: Iterable[str], flat_edges: Iterable[Edge]
-) -> _Component:
-    """The vertices and edges of the component through the cycle of what
-    lies in a hyperplane H, and its boundary vertices, sorted: those
-    incident to an edge outside it.  Marked vertices count as lying in H,
-    and an edge lies in H when its direction does and both its ends do."""
+def _flat_component(m: AnyMap, frame: CycleFrame, phi: IntVec) -> _Component:
+    """The trapped component of the hyperplane with normal ``phi`` on a
+    valid map m: the closure of the cycle over the edges whose direction phi
+    annihilates (see the module docstring), and its boundary vertices,
+    sorted: those incident to an edge outside it.  Marked vertices end such
+    edges but are not part of the component."""
+    curve = m.curve
+    edges_in_h = {e.id for e in curve.edges if vdot(phi, m.edge_data[e.id].u) == 0}
     marked = curve.marked_vertex_ids
-    in_h = set(marked).union(in_h)
-    edges_in_h = {e.id for e in flat_edges if e.ends[0] in in_h and e.ends[1] in in_h}
-
     component = set(frame.cycle_vertices)
     comp_edges = set(frame.cycle_edges)
     frontier = list(component)
@@ -499,14 +519,10 @@ def _trapped_component(
     return component, comp_edges, boundary
 
 
-def _distances_to_cycle(
-    m: AnyMap,
-    component: set[str],
-    comp_edges: set[str],
-    cycle_vertices: Sequence[str],
-) -> dict[str, int]:
+def _distances_to_cycle(m: AnyMap, component: _Component, cycle_vertices: Sequence[str]) -> dict[str, int]:
     """Shortest intrinsic distances to the cycle inside the component, in
     units of one over the map's common denominator."""
+    vertices, comp_edges, _ = component
     lengths = m.scaled.lengths
     dist: dict[str, int] = {}
     heap: list[tuple[int, str]] = []
@@ -515,19 +531,30 @@ def _distances_to_cycle(
         heapq.heappush(heap, (0, vid))
     while heap:
         d, vid = heapq.heappop(heap)
-        if dist.get(vid, None) is not None and d > dist[vid]:
+        if d > dist[vid]:
             continue
         for e in m.curve.edges_at(vid):
             if e.id not in comp_edges or e.id not in lengths:
                 continue
             for end in e.ends:
-                if end == vid or end not in component:
+                if end == vid or end not in vertices:
                     continue
                 nd = d + lengths[e.id]
                 if end not in dist or nd < dist[end]:
                     dist[end] = nd
                     heapq.heappush(heap, (nd, end))
     return dist
+
+
+def _subcurve(m: AnyMap, component: _Component, dist: Mapping[str, int]) -> TrappedSubcurve:
+    """A component and its distances as a :class:`TrappedSubcurve`."""
+    vertices, comp_edges, boundary = component
+    den = m.scaled.denominator
+    return TrappedSubcurve(
+        tuple(sorted(vertices)),
+        tuple(sorted(comp_edges)),
+        tuple((vid, Fraction(dist[vid], den)) for vid in boundary),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -557,25 +584,54 @@ def multiset_passes(distances: Sequence[Fraction]) -> bool:
     return sum(1 for d in distances if d == low) >= 2
 
 
+def _flat_spacings(
+    m: AnyMap, cd: CycleData, flats: Iterable[HyperplaneFlat], components: dict[IntVec, _Component]
+) -> Iterator[tuple[HyperplaneFlat, _Component, dict[str, int], bool]]:
+    """The spacing loop over the flats of a valid map or member m, lazily
+    and in order: each flat, its trapped component, the distances to the
+    cycle inside it (integers over m's denominator) and whether the boundary
+    distances pass.  Each normal's component is built once and kept in
+    ``components``, which the members of one family share."""
+    for flat in flats:
+        component = components.get(flat.normal)
+        if component is None:
+            component = components[flat.normal] = _flat_component(m, cd.frame, flat.normal)
+        dist = _distances_to_cycle(m, component, cd.cycle_vertices)
+        yield flat, component, dist, multiset_passes([dist[vid] for vid in component[2]])
+
+
+def _first_failing_flat(
+    m: AnyMap, cd: CycleData, flats: dict[tuple[IntVec, ...], list[HyperplaneFlat]], components: dict
+) -> Optional[HyperplaneFlat]:
+    """The first flat of a valid map or member m that the spacing loop
+    fails, or None when m is well-spaced (vacuously when the cycle spans the
+    space).  The flats depend only on the arrangement vectors and the frame
+    (:func:`enumerate_flats` reads nothing else of m), so they are
+    enumerated once per distinct set of vectors and kept in ``flats``."""
+    if cd.codim == 0:
+        return None
+    arr = build_arrangement(m, cd)
+    if arr.vectors not in flats:
+        flats[arr.vectors] = enumerate_flats(m, cd, arr)
+    failing = (flat for flat, _, _, ok in _flat_spacings(m, cd, flats[arr.vectors], components) if not ok)
+    return next(failing, None)
+
+
 def is_well_spaced(m: AnyMap, cd: Optional[CycleData] = None) -> WellSpacedReport:
-    """Evaluate the predicate on every hyperplane flat; the first failing
-    flat is the witness.  The cycle data and the arrangement are computed
-    once and shared by every flat, and each enumerated flat's normal cuts
-    that flat by construction (:func:`_certifying_normal`)."""
+    """Evaluate the predicate on every hyperplane flat of m on the spacing
+    loop; the first failing flat is the witness.  m must be a valid map, or
+    valid but for the stability axiom, since the loop reads each trapped
+    component off the edge directions (see the module docstring).
+    ValueError when the cycle spans the space."""
     if cd is None:
         cd = cycle_data(m)
-    if cd.codim == 0:
-        raise ValueError("cycle image spans the ambient space: no containing hyperplane")
-    records = []
-    witness = None
-    for flat in enumerate_flats(m, cd, build_arrangement(m, cd)):
-        sub = _trapped_subcurve(m, cd, flat.normal)
-        ok = multiset_passes(sub.distance_multiset())
-        rec = FlatRecord(flat, sub, ok)
-        records.append(rec)
-        if not ok and witness is None:
-            witness = rec
-    return WellSpacedReport(witness is None, tuple(records), witness)
+    records = tuple(
+        FlatRecord(flat, _subcurve(m, component, dist), ok)
+        for flat, component, dist, ok in _flat_spacings(m, cd, enumerate_flats(m, cd), {})
+    )
+    witness = next((rec for rec in records if not rec.passes), None)
+    return WellSpacedReport(witness is None, records, witness)
+
 
 
 # ---------------------------------------------------------------------------
@@ -740,15 +796,12 @@ def realizability_verdict(m: TropicalStableMap, assume: Assumptions = Assumption
     return _rule_cascade(m, assume)
 
 
-def _rule_cascade(
-    m: AnyMap, assume: Assumptions, frame: Optional[CycleFrame] = None
-) -> Verdict:
+def _rule_cascade(m: TropicalStableMap, assume: Assumptions) -> Verdict:
     """The rules of :func:`realizability_verdict` on a map its caller has
-    already validated, read off ``frame``: m's cycle frame, built here when
-    the caller has none."""
-    if frame is None:
-        frame = cycle_frame(m)
-    spaced = frame.genus == 1 and (frame.codim == 0 or is_well_spaced(m, cycle_data_on(frame, m)).overall)
+    already validated, read off m's cycle frame; in genus one the spacing
+    loop decides whether m is well-spaced."""
+    frame = cycle_frame(m)
+    spaced = frame.genus == 1 and _first_failing_flat(m, _map_cycle_data(frame, m), {}, {}) is None
     return _first_rule(m, assume, frame, spaced)
 
 
@@ -782,14 +835,9 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
 
     The family is validated once, not member by member (``Family.frame``,
     built here if nothing built it before, since a family may be
-    constructed directly).  What ``validate_map`` would check on a member
-    is either a fact of the family type, proved once on its graph and edge
-    data, or affine in t, proved once on the family's (const, slope) pairs:
-    lengths positive on [0, 1), equations that hold identically and, in
-    strict mode, positions that stay in a cone of the fan because they lie
-    in their vertex cone at both ends.  When one of these fails, the frame
-    reads the member's first diagnostic off the pairs at t, so the error
-    names the same member and diagnostic as validating each member would.
+    constructed directly; :class:`moduli.FamilyFrame` gives the argument),
+    and a failing member gets the first diagnostic ``validate_map`` would
+    give it.
 
     Each member is read from the pairs at t, on the integers, and all five
     are decided on one cycle frame, built from the first, which equals each
@@ -804,31 +852,17 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     - a row space has one reduced row echelon form, and the quotient map
       and the projected edge directions are computed from it alone.
 
-    Four more shortcuts are exact:
-    - projection is linear, so each vertex offset's (const, slope) pair is
-      projected through the frame's integer quotient P once per family
-      (:func:`_projected_offsets`), and a member's projected offset at
-      t = p/q is (P dc)*q + (P ds)*p;
-    - P is the rational quotient map times one common positive integer,
-      which changes no projective class and no primitive normal, so these
-      images give each member the arrangement vectors of its own cycle
-      data;
-    - the flats and their normals depend only on the arrangement vectors
-      and the frame (:func:`enumerate_flats` reads nothing else of the
-      member), so they are enumerated once per distinct set of vectors;
-    - a valid member's trapped component for a flat normal is the closure
-      of the cycle over the edges whose direction the normal annihilates
-      (:func:`_flat_component`), the same on every member, so it is built
-      once per family and normal; only the boundary distances are computed
-      per member, on its integers.
-    """
+    Each vertex offset's (const, slope) pair is projected once per family,
+    each member's cycle data is read off the images, and the members share
+    the spacing loop's flats and trapped components
+    (:func:`_first_failing_flat`)."""
     fam = assume.family
     if not _is_limit(fam, m):
         raise CertificateError("family limit at t = 1 differs from the given map")
     direct = Assumptions(star_realizable=assume.star_realizable)
     checks = fam.frame
     frame = None
-    offsets: tuple[_ProjectedOffset, ...] = ()
+    offsets: tuple[_Offset, ...] = ()
     flats: dict[tuple[IntVec, ...], list[HyperplaneFlat]] = {}
     components: dict[IntVec, _Component] = {}
     for t in _PROBES:
@@ -838,104 +872,17 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
             raise CertificateError(f"family member at t={t} invalid: {diag}")
         if frame is None:
             frame = cycle_frame(member)
-            if frame.genus == 1 and frame.codim:
-                offsets = _projected_offsets(frame, fam)
-        spaced = frame.genus == 1
-        if spaced and frame.codim:
-            cd = _member_cycle_data(frame, offsets, member, t)
-            arr = build_arrangement(member, cd)
-            if arr.vectors not in flats:
-                flats[arr.vectors] = enumerate_flats(member, cd, arr)
-            spaced = _member_spaced(member, cd, flats[arr.vectors], components)
+            if frame.genus == 1:
+                offsets = _projected_offsets(frame, fam.type.graph.unmarked_vertex_ids(), fam.scaled.positions)
+        spaced = frame.genus == 1 and _first_failing_flat(
+            member, _cycle_data(frame, offsets, member, t), flats, components
+        ) is None
         verdict = _first_rule(member, direct, frame, spaced)
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"
             )
 
-
-class _ProjectedOffset(NamedTuple):
-    """A finite vertex's offset from the base vertex on a family's integers,
-    as its constant and slope parts, and their images under the frame's
-    integer quotient."""
-
-    const: IntVec
-    slope: IntVec
-    image_const: IntVec
-    image_slope: IntVec
-
-
-def _projected_offsets(frame: CycleFrame, fam: Family) -> tuple[_ProjectedOffset, ...]:
-    """The :class:`_ProjectedOffset` of every finite vertex, in curve order."""
-    positions = fam.scaled.positions
-    base = positions[frame.cycle_vertices[0]]
-    out = []
-    for vid in fam.type.graph.unmarked_vertex_ids():
-        const = tuple(c - b for (c, _), (b, _) in zip(positions[vid], base))
-        slope = tuple(s - b for (_, s), (_, b) in zip(positions[vid], base))
-        out.append(_ProjectedOffset(
-            const,
-            slope,
-            tuple(sum(map(mul, row, const)) for row in frame.integer_quotient),
-            tuple(sum(map(mul, row, slope)) for row in frame.integer_quotient),
-        ))
-    return tuple(out)
-
-
-def _flat_component(m: AnyMap, frame: CycleFrame, phi: IntVec) -> _Component:
-    """:func:`_trapped_component` of the hyperplane H with normal ``phi`` on
-    a valid map m, read off the graph and the edge directions alone.
-
-    Every vertex of the component lies in H, and no vertex's position is
-    needed to find them: the cycle lies in V, inside H, and an edge whose
-    direction phi annihilates joins two points at one level of phi, since
-    its ends differ by length times weight times direction.  So an edge at
-    a vertex of the component lies in H exactly when phi annihilates its
-    direction, and the component is the closure of the cycle over those
-    edges, on every member of a family alike."""
-    flat_edges = [e for e in m.curve.edges if vdot(phi, m.edge_data[e.id].u) == 0]
-    return _trapped_component(m.curve, frame, m.curve.unmarked_vertex_ids(), flat_edges)
-
-
-def _member_spaced(
-    member: FamilyMember,
-    cd: CycleData,
-    flats: Sequence[HyperplaneFlat],
-    components: dict[IntVec, _Component],
-) -> bool:
-    """``is_well_spaced(member, cd).overall`` for a valid member, on the
-    flats of its arrangement.  Each flat normal's trapped component is the
-    same on every member (:func:`_flat_component`) and is kept in
-    ``components``; only the boundary distances are the member's own,
-    compared as integers over its denominator, and the first failing flat
-    decides."""
-    for flat in flats:
-        if flat.normal not in components:
-            components[flat.normal] = _flat_component(member, cd.frame, flat.normal)
-        component, comp_edges, boundary = components[flat.normal]
-        dist = _distances_to_cycle(member, component, comp_edges, cd.cycle_vertices)
-        if not multiset_passes([dist[vid] for vid in boundary]):
-            return False
-    return True
-
-
-def _member_cycle_data(
-    frame: CycleFrame, offsets: Sequence[_ProjectedOffset], member: FamilyMember, t: Fraction
-) -> CycleData:
-    """``cycle_data_on(frame, member)`` for the member at t = p/q, read off
-    the projected offsets: the member's offset is const*q + slope*p, and so
-    is its image."""
-    p, q = t.numerator, t.denominator
-    projected = []
-    for off in offsets:
-        vec = [c * q + s * p for c, s in zip(off.const, off.slope)]
-        if any(vec):
-            rep = _projective_rep([c * q + s * p for c, s in zip(off.image_const, off.image_slope)])
-            if rep is not None:
-                projected.append((primitive(vec), rep))
-    scaled = member.scaled
-    base = scaled.positions[frame.cycle_vertices[0]]
-    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), tuple(projected))
 
 
 def _unknown_reason(m: AnyMap, g: int, assume: Assumptions) -> str:

@@ -22,10 +22,12 @@ two recursive searches (vertices, then edges) that the library replaced by
 one explicit-stack search; they pin its output order, and the face search
 uses them, so it shares no search code with the library.  The R4 family
 certificate builds the limit and each probe member as a map and decides
-each member on the member's own cycle frame, computed in Fractions, where
+each member on the member's own cycle frame, computed in Fractions, and
+on trapped subcurves cut by vertex levels with Fraction distances, where
 the library compares the limit on the family's integers, builds one
-integer frame per family, projects each vertex offset once per family and
-enumerates the flats once per distinct arrangement.  The spanning tree of
+integer frame per family, projects each vertex offset once per family,
+enumerates the flats once per distinct arrangement and reads each trapped
+component off the edge directions.  The spanning tree of
 a type scans every bounded edge for each frontier vertex, and connectivity
 is a union-find, where the library walks incidence lists.  The cycle of a
 genus-one curve is found by sweeping every vertex until none is a leaf,
@@ -77,7 +79,9 @@ from tropmap.wellspaced import (
     Assumptions,
     CertificateError,
     CycleFrame,
-    _rule_cascade,
+    TrappedSubcurve,
+    _first_rule,
+    enumerate_flats,
 )
 
 
@@ -1065,16 +1069,17 @@ def _lcm_rows(rows) -> tuple:
     return tuple(tuple(int(x * den) for x in row) for row in rows)
 
 
-def ref_cycle_frame(m) -> CycleFrame:
-    """The cycle frame on the Fraction path: the vertex offsets as
-    Fractions, the span's reduced row echelon form by Gauss-Jordan
-    elimination over Fractions (:func:`ref_rref`), the quotient rows read
-    off it (1 in a free column, minus the echelon entries in the pivot
-    columns), each set of rows times the lcm of all its denominators, and
-    every edge direction projected in Fractions on its own."""
+def ref_cycle_frame(m) -> tuple[CycleFrame, tuple, tuple]:
+    """The cycle frame on the Fraction path, with the Fraction basis and
+    quotient rows it was built from: the vertex offsets as Fractions, the
+    span's reduced row echelon form by Gauss-Jordan elimination over
+    Fractions (:func:`ref_rref`), the quotient rows read off it (1 in a free
+    column, minus the echelon entries in the pivot columns), each set of
+    rows times the lcm of all its denominators, and every edge direction
+    projected in Fractions on its own."""
     b1, g = betti_and_genus(m.curve)
     if g != 1:
-        return CycleFrame(b1, g)
+        return CycleFrame(b1, g), (), ()
     if b1 == 1:
         cyc_v, cyc_e = ref_unique_cycle(m.curve)
     else:
@@ -1092,44 +1097,88 @@ def ref_cycle_frame(m) -> CycleFrame:
         for r, pc in enumerate(pivots):
             vec[pc] = -basis[r][fc]
         quotient.append(tuple(vec))
+    quotient = tuple(quotient)
     projected = []
     for e in m.curve.edges:
         u = m.edge_data[e.id].u
         rep = projective_class(quotient, u)
         if rep is not None:
             projected.append((tuple(u), rep))
-    return CycleFrame(
+    frame = CycleFrame(
         b1,
         g,
         all(v.genus == 0 for v in m.curve.vertices),
         all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
         cyc_v,
         cyc_e,
-        basis,
         _lcm_rows(basis),
         n - len(basis),
-        tuple(quotient),
         _lcm_rows(quotient),
         tuple(projected),
     )
+    return frame, basis, quotient
+
+
+def ref_level_cut(m, frame: CycleFrame, phi) -> TrappedSubcurve:
+    """The trapped subcurve of the hyperplane H through the cycle with
+    normal ``phi``, cut by vertex levels: a finite vertex lies in H when phi
+    takes the first cycle vertex's value at its position, a marked vertex
+    always, and an edge when both its ends do and phi annihilates its
+    direction.  The cycle grows over such edges, and the boundary vertices'
+    distances to the cycle are relaxed in Fractions, until nothing changes."""
+    curve, marked = m.curve, m.curve.marked_vertex_ids
+    level = {vid: sum(a * b for a, b in zip(phi, p)) for vid, p in m.scaled.positions.items()}
+    in_h = marked | {vid for vid, x in level.items() if x == level[frame.cycle_vertices[0]]}
+    flat = {eid for eid, d in m.edge_data.items() if sum(a * b for a, b in zip(phi, d.u)) == 0}
+    edges_in_h = [e for e in curve.edges if set(e.ends) <= in_h and e.id in flat]
+    vertices, edges = set(frame.cycle_vertices), set(frame.cycle_edges)
+    while grown := [e for e in edges_in_h if e.id not in edges and vertices.intersection(e.ends)]:
+        edges.update(e.id for e in grown)
+        vertices.update(v for e in grown for v in e.ends if v not in marked)
+    dist = {vid: Fraction(0) for vid in frame.cycle_vertices}
+    bounded = [(e.ends, Fraction(m.scaled.lengths[e.id], m.scaled.denominator))
+               for e in curve.edges if e.id in edges and not curve.is_marked_leaf_edge(e)]
+    relaxed = True
+    while relaxed:
+        relaxed = False
+        for (a, b), length in bounded + [(ends[::-1], length) for ends, length in bounded]:
+            if a in dist and (b not in dist or dist[a] + length < dist[b]):
+                dist[b], relaxed = dist[a] + length, True
+    boundary = sorted(vid for vid in vertices if any(e.id not in edges for e in curve.edges_at(vid)))
+    return TrappedSubcurve(tuple(sorted(vertices)), tuple(sorted(edges)), tuple((v, dist[v]) for v in boundary))
+
+
+def ref_well_spaced(m, frame: CycleFrame) -> bool:
+    """Whether a genus-one map passes the spacing rule (its least boundary
+    distance occurs at least twice, or it has none) on the level cut of each
+    flat normal :func:`enumerate_flats` gives; vacuously when codim is 0."""
+    if frame.codim == 0:
+        return True
+    for flat in enumerate_flats(m):
+        distances = [d for _, d in ref_level_cut(m, frame, flat.normal).boundary]
+        if distances and distances.count(min(distances)) < 2:
+            return False
+    return True
 
 
 def ref_check_family_certificate(m, assume: Assumptions) -> None:
     """The R4 family certificate with every probe member built as a map,
     validated with stability waived, and decided on a cycle frame of its
-    own, on the Fraction path (:func:`ref_cycle_frame`): the limit, built
-    as a map, must be ``m`` up to edge orientation and each member
-    realizable by R1 or R3."""
+    own, on the Fraction path (:func:`ref_cycle_frame`), and on level cuts
+    (:func:`ref_well_spaced`): the limit, built as a map, must be ``m`` up
+    to edge orientation and each member realizable by R1 or R3."""
     fam = assume.family
     limit = limit_of_family(fam, Fraction(1))
     if canonical_map(limit.map) != canonical_map(m):
         raise CertificateError("family limit at t = 1 differs from the given map")
+    direct = Assumptions(star_realizable=assume.star_realizable)
     for t in _PROBES:
         member = evaluate_family(fam, t)
         member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
         if member_diags:
             raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")
-        verdict = _rule_cascade(member, Assumptions(star_realizable=assume.star_realizable), ref_cycle_frame(member))
+        frame, _, _ = ref_cycle_frame(member)
+        verdict = _first_rule(member, direct, frame, frame.genus == 1 and ref_well_spaced(member, frame))
         if verdict.rule not in ("R1", "R3"):
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"

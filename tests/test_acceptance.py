@@ -183,11 +183,11 @@ def test_criterion_5_flat_soundness():
         by_pattern = {rec.flat.zero_set: rec for rec in report.flats}
         hits = 0
         while hits < 200:
-            psi = [Fraction(rng.randint(-9, 9)) for _ in arr.quotient_map]
+            psi = [Fraction(rng.randint(-9, 9)) for _ in arr.integer_quotient]
             if all(x == 0 for x in psi):
                 continue
             normal = [
-                sum(c * row[k] for c, row in zip(psi, arr.quotient_map))
+                sum(c * row[k] for c, row in zip(psi, arr.integer_quotient))
                 for k in range(m.fan.ambient_dim)
             ]
             pattern = tuple(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,68 @@ class TestUnbalancedMaps:
         code, out, _ = run_cli(capsys, monkeypatch, ["type"], stdin=doc)
         assert code == 2
         assert run_cli(capsys, monkeypatch, ["cone"], stdin=out)[0] == 2
+
+
+def _split_square_loop(square_loop_doc, kind: str) -> str:
+    """The square loop with edge s0 split through a new 2-valent genus-0
+    vertex x at its midpoint, as a map document or as the type document
+    of that map, where x has the zero cone."""
+    raw = json.loads(Path(square_loop_doc).read_text())
+    a, b = next(e["ends"] for e in raw["curve"]["edges"] if e["id"] == "s0")
+    data = raw["edge_data"].pop("s0")
+    raw["curve"]["edges"] = [e for e in raw["curve"]["edges"] if e["id"] != "s0"]
+    raw["curve"]["edges"] += [{"id": "s0a", "ends": [a, "x"], "length": "1/2"},
+                              {"id": "s0b", "ends": ["x", b], "length": "1/2"}]
+    raw["curve"]["vertices"].append({"id": "x", "genus": 0})
+    raw["edge_data"].update(s0a={**data, "tail": a}, s0b={**data, "tail": "x"})
+    raw["positions"]["x"] = [str(p + Fraction(u, 2)) for p, u in zip(map(Fraction, raw["positions"][a]), data["u"])]
+    m = load_document(json.dumps(raw)).document.payload
+    return json.dumps(raw) if kind == "map" else serialize_document(Document("type", combinatorial_type(m)))
+
+
+class TestUnstableDocuments:
+    """A map or type with a 2-valent vertex whose star lies in the relative
+    interior of one cone is refused by ``cone`` and ``superabundant`` with
+    the diagnostic ``validate_map`` gives the map, at the vertex."""
+
+    @pytest.mark.parametrize("kind", ["map", "type"])
+    @pytest.mark.parametrize("command", ["cone", "superabundant"])
+    def test_cone_commands_refuse(self, capsys, monkeypatch, square_loop_doc, command, kind):
+        doc = _split_square_loop(square_loop_doc, kind)
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2
+        vertices = [v["id"] for v in json.loads(doc)["curve"]["vertices"]]
+        assert json.loads(out)["diagnostics"] == [{
+            "pointer": f"/curve/vertices/{vertices.index('x')}",
+            "message": "stability violated at 2-valent vertex x",
+        }]
+        assert "superabundant" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["wellspaced", "verdict"])
+    def test_map_commands_give_the_same_diagnostic(self, capsys, monkeypatch, square_loop_doc, command):
+        doc = _split_square_loop(square_loop_doc, "map")
+        code, out, _ = run_cli(capsys, monkeypatch, [command], stdin=doc)
+        assert code == 2
+        assert json.loads(out)["diagnostics"][0]["message"].endswith("stability violated at 2-valent vertex x")
+
+    def test_strict_types(self, capsys, monkeypatch):
+        # in a strict fan the rule reads the vertex cone: the members of
+        # this family have d in the open quadrant, its limit has d on a ray
+        # with its star leaving the ray's span; the family type itself
+        # still loads, as families waive the axiom
+        fam = strict_unstable_member_family()
+        answers = []
+        for t in (fam.type, combinatorial_type(tropmap.limit_of_family(fam, 1).map)):
+            code, out, _ = run_cli(capsys, monkeypatch, ["cone"], stdin=serialize_document(Document("type", t)))
+            answers.append((code, json.loads(out).get("diagnostics")))
+        vertices = [v.id for v in fam.type.graph.vertices]
+        assert answers == [
+            (2, [{"pointer": f"/curve/vertices/{vertices.index('d')}",
+                  "message": "stability violated at 2-valent vertex d"}]),
+            (0, None),
+        ]
+        family_doc = serialize_document(Document("family", fam))
+        assert run_cli(capsys, monkeypatch, ["limit", "--t", "1/2"], stdin=family_doc)[0] == 0
 
 
 OVERLAPPING_STRICT_FAN_MAP = Path(__file__).parent / "data" / "overlapping_strict_fan_map.json"

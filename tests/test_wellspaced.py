@@ -40,7 +40,6 @@ from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_
 from tropmap.wellspaced import (
     _PROBES,
     build_arrangement,
-    cycle_data_on,
     cycle_frame,
     multiset_passes,
     pattern_of_normal,
@@ -68,8 +67,10 @@ from oracles import (
     projective_class,
     ref_check_family_certificate,
     ref_cycle_frame,
+    ref_level_cut,
     ref_positions_from_lengths,
     ref_unique_cycle,
+    ref_well_spaced,
     subset_closure_flats,
 )
 
@@ -80,12 +81,12 @@ class TestCycleData:
         assert set(cd.cycle_edges) == {"s0", "s1", "s2", "s3"}
         assert cd.codim == 1 and cd.superabundant
         # the span is the horizontal plane: both directions have last entry 0
-        assert all(b[2] == 0 for b in cd.direction_basis)
+        assert all(b[2] == 0 for b in cd.frame.integer_basis)
 
     def test_lone_vertex_point_span(self):
         cd = cycle_data(lone_genus_one_vertex(3))
         assert cd.codim == 3
-        assert cd.direction_basis == ()
+        assert cd.frame.integer_basis == ()
 
     def test_contracted_loop_point_span(self):
         cd = cycle_data(speyer_tree())
@@ -132,7 +133,7 @@ class TestFlats:
         assert len(flats) == 1
         assert flats[0].zero_set == ()
         cd = cycle_data(square_loop())
-        assert all(vdot(ratvec(flats[0].normal), b) == 0 for b in cd.direction_basis)
+        assert all(vdot(flats[0].normal, b) == 0 for b in cd.frame.integer_basis)
 
     def test_contracted_loop_two_directions(self):
         # a contracted loop with exactly two independent departing classes:
@@ -246,7 +247,7 @@ class TestIntegerProjection:
         for m in self._maps():
             cd = cycle_data(m)
             arr = build_arrangement(m, cd)
-            q = arr.quotient_map
+            _, _, q = ref_cycle_frame(m)
             assert arr.vectors == fraction_projection(m, cd.base_point, q)
             assert [projective_class(q, src) for src in arr.sources] == list(arr.vectors)
             denominators.add(frozenset(max(x.denominator for x in row) for row in q))
@@ -461,17 +462,15 @@ class TestSharedFrame:
         checked = 0
         for m, other in self._genus_one_maps():
             assert _valid_but_unstable(m) and _valid_but_unstable(other)
-            frame = cycle_frame(other)
-            assert frame == cycle_frame(m)
-            shared = cycle_data_on(frame, m)
-            assert shared == cycle_data(m)
-            if shared.codim == 0:
+            assert cycle_frame(other) == cycle_frame(m)
+            cd = cycle_data(m)
+            if cd.codim == 0:
                 continue
-            arr = build_arrangement(m, shared)
+            arr = build_arrangement(m, cd)
             assert arr == build_arrangement(m)
             # vertex offsets come before edge directions as sources
             sources = dict(zip(arr.vectors, arr.sources))
-            assert sources == first_sources(m, shared.base_point, arr.quotient_map)
+            assert sources == first_sources(m, cd.base_point, arr.integer_quotient)
             checked += 1
         assert checked >= 60
 
@@ -508,7 +507,7 @@ class TestIntegerPaths:
         genus_one = 0
         for m in maps:
             frame = cycle_frame(m)
-            assert frame == ref_cycle_frame(m)
+            assert frame == ref_cycle_frame(m)[0]
             genus_one += frame.genus == 1 and frame.codim > 0
         assert genus_one >= 100
 
@@ -522,10 +521,10 @@ class TestIntegerPaths:
             frame = cycle_frame(members[0][1])
             if frame.genus != 1 or frame.codim == 0:
                 continue
-            offsets = wellspaced._projected_offsets(frame, fam)
+            offsets = wellspaced._projected_offsets(frame, fam.type.graph.unmarked_vertex_ids(), fam.scaled.positions)
             for t, member in members:
                 if checks.member_diagnostic(member) is None:
-                    assert wellspaced._member_cycle_data(frame, offsets, member, t) == cycle_data_on(frame, member), name
+                    assert wellspaced._cycle_data(frame, offsets, member, t) == cycle_data(member), name
                     checked += 1
         assert checked >= 100
 
@@ -538,42 +537,57 @@ class TestIntegerPaths:
         assert spaced == [True, True, True, True, False]
 
     def test_trapped_component_depends_on_the_normal_alone(self):
-        # on every valid member, the component read off the edge directions
-        # is the one its positions cut out, also where a normal puts
-        # different vertices in its hyperplane at different t, and the
-        # spacing decision on integer distances is the member's report
-        checked = 0
-        ties = 0
+        # the component read off the edge directions, its boundary, the
+        # distances and the verdict are those of the level cut in the
+        # oracles: on the gallery maps, on 250 seeded genus-one maps and on
+        # every valid member of the certificate families, whose members
+        # share one component per normal, also where a normal puts
+        # different vertices in its hyperplane at different t
+        groups = [(name, [gallery_map(name)]) for name in GALLERY_NAMES]
+        rng = random.Random(540)
+        seeded = 0
+        while seeded < 250:
+            m = random_feasible_map(rng, max_vertices=5)
+            if betti_and_genus(m.curve)[1] == 1:
+                groups.append((f"seeded map #{seeded}", [m]))
+                seeded += 1
         for name, _, fam in _certificate_families():
             checks = fam.frame
-            members = [(t, checks.member(t)) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
-            if checks.member_diagnostic(members[0][1]) is not None:
+            members = [checks.member(t) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
+            groups.append((name, [x for x in members if checks.member_diagnostic(x) is None]))
+        checked = ties = 0
+        for name, maps in groups:
+            if not maps:
                 continue
-            frame = cycle_frame(members[0][1])
+            frame = cycle_frame(maps[0])
             if frame.genus != 1 or frame.codim == 0:
                 continue
             in_h: dict[tuple, set] = {}
+            flats: dict = {}
             components: dict = {}
-            for t, member in members:
-                if checks.member_diagnostic(member) is not None:
-                    continue
-                cd = cycle_data_on(frame, member)
-                flats = enumerate_flats(member, cd)
-                positions = member.scaled.positions
-                for flat in flats:
-                    phi = flat.normal
-                    own = wellspaced._trapped_subcurve(member, cd, phi)
-                    component, comp_edges, boundary = wellspaced._flat_component(member, frame, phi)
-                    assert (component, comp_edges) == (set(own.vertex_ids), set(own.edge_ids)), (name, t)
-                    assert boundary == tuple(vid for vid, _ in own.boundary), (name, t)
+            for m in maps:
+                cd = cycle_data(m)
+                report = is_well_spaced(m, cd)
+                positions = m.scaled.positions
+                for rec in report.flats:
+                    phi = rec.flat.normal
+                    cut = ref_level_cut(m, frame, phi)
+                    assert rec.subcurve == cut, name
+                    component, comp_edges, boundary = components.setdefault(
+                        phi, wellspaced._flat_component(m, frame, phi)
+                    )
+                    assert (component, comp_edges) == (set(cut.vertex_ids), set(cut.edge_ids)), name
+                    assert boundary == tuple(vid for vid, _ in cut.boundary), name
                     level = vdot(phi, positions[frame.cycle_vertices[0]])
-                    cut = frozenset(v for v in member.curve.unmarked_vertex_ids() if vdot(phi, positions[v]) == level)
-                    in_h.setdefault(phi, set()).add(cut)
+                    in_h.setdefault(phi, set()).add(
+                        frozenset(v for v in m.curve.unmarked_vertex_ids() if vdot(phi, positions[v]) == level)
+                    )
                     checked += 1
-                spaced = wellspaced._member_spaced(member, cd, flats, components)
-                assert spaced == is_well_spaced(member, cd).overall, (name, t)
+                assert report.overall == ref_well_spaced(m, frame), name
+                witness = report.witness.flat if report.witness else None
+                assert wellspaced._first_failing_flat(m, cd, flats, components) == witness, name
             ties += sum(len(sets) > 1 for sets in in_h.values())
-        assert checked >= 800
+        assert checked >= 1000
         # some normal puts different vertices in its hyperplane at different t
         assert ties >= 1
 
@@ -581,10 +595,10 @@ class TestIntegerPaths:
         # every member the certificate decides is decided on its own cycle
         # data and on the flats enumerate_flats gives that member alone
         decided = []
-        spaced = wellspaced._member_spaced
+        spacings = wellspaced._flat_spacings
         monkeypatch.setattr(
-            wellspaced, "_member_spaced",
-            lambda m, cd, flats, *rest: decided.append((m, cd, flats)) or spaced(m, cd, flats, *rest),
+            wellspaced, "_flat_spacings",
+            lambda m, cd, flats, *rest: decided.append((m, cd, flats)) or spacings(m, cd, flats, *rest),
         )
         enumerations = TestWorkDoneOnce._count(monkeypatch, "enumerate_flats")
         arrangements = set()
@@ -594,7 +608,7 @@ class TestIntegerPaths:
             _outcome(lambda: wellspaced._check_family_certificate(target, Assumptions(family=fam)))
             vectors = set()
             for member, cd, flats in decided:
-                own = cycle_data_on(cycle_frame(member), member)
+                own = cycle_data(member)
                 assert cd == own, name
                 arr = build_arrangement(member, own)
                 assert flats == enumerate_flats(member, own, arr), name
@@ -766,11 +780,11 @@ class TestWellSpaced:
         flats = enumerate_flats(m, cd)
         by_pattern = {f.zero_set: f for f in flats}
         for _ in range(25):
-            psi = [Fraction(rng.randint(-6, 6)) for _ in arr.quotient_map]
+            psi = [Fraction(rng.randint(-6, 6)) for _ in arr.integer_quotient]
             if all(x == 0 for x in psi):
                 continue
             normal = [
-                sum(c * row[k] for c, row in zip(psi, arr.quotient_map))
+                sum(c * row[k] for c, row in zip(psi, arr.integer_quotient))
                 for k in range(m.fan.ambient_dim)
             ]
             pattern = pattern_of_normal(m, cd, ratvec(normal))
