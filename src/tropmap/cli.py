@@ -94,10 +94,14 @@ def _read_document(io: _Io, path, name: str = "input") -> Document:
 
 
 def _load(io: _Io, path, kind: str, name: str = "input"):
+    return _load_document(io, path, kind, name).payload
+
+
+def _load_document(io: _Io, path, kind: str, name: str = "input") -> Document:
     doc = _read_document(io, path, name)
     if doc.kind != kind:
         raise DocumentError("", f"expected a {kind} document, got {doc.kind}")
-    return doc.payload
+    return doc
 
 
 def _apply_fan_choice(m, choice: str | None, io: _Io):
@@ -174,16 +178,16 @@ def _cmd_validate(args, io: _Io) -> int:
 
 
 def _cmd_type(args, io: _Io) -> int:
-    t = _type_of_map(_load(io, args.path, "map"), args.fan, io)
+    t = _type_of_map(_load_document(io, args.path, "map"), args.fan, io)
     return io.report("type", _doc_result("type", t), EXIT_OK, "combinatorial type extracted")
 
 
-def _type_of_map(m, choice: str | None, io: _Io):
+def _type_of_map(doc: Document, choice: str | None, io: _Io):
     """The combinatorial type of a map document.  An unbalanced map is
     refused with the diagnostic and vertex pointer that refuse an
     unbalanced type document, so a map and its type get the same answer."""
-    m = _apply_fan_choice(m, choice, io)
-    documents.require_balanced(m.curve, m.edge_data, m.fan.ambient_dim, "")
+    m = _apply_fan_choice(doc.payload, choice, io)
+    documents.require_balanced(m.curve, m.edge_data, m.fan.ambient_dim, "", doc.vertex_entries)
     return combinatorial_type(m)
 
 
@@ -194,14 +198,14 @@ def _require_type(io: _Io, args):
     cones of its own fan and mean nothing on another."""
     doc = _read_document(io, args.path)
     if doc.kind == "map":
-        t = _type_of_map(doc.payload, args.fan, io)
+        t = _type_of_map(doc, args.fan, io)
     elif doc.kind == "type":
         if args.fan is not None:
             raise DocumentError("", "--fan applies to map documents; a type's vertex cones lie on its own fan")
         t = doc.payload
     else:
         raise DocumentError("", f"expected a map or type document, got {doc.kind}")
-    documents.require_stable(t, "")
+    documents.require_stable(t, "", doc.vertex_entries)
     return t
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from . import curves
 from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex
@@ -66,6 +66,10 @@ class Document:
     kind: str
     payload: Any
     format_version: str = FORMAT_VERSION
+    # a map or type document read by load_document: the entries of its
+    # curve's vertex list as the document lists them, which a refusal of a
+    # vertex points into (the loaded curve is sorted by id)
+    vertex_entries: Sequence[Mapping[str, Any]] = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -457,7 +461,7 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
                 ) from None
     if "positions" in raw:
         raise DocumentError(_at(pointer, "positions"), "types carry no positions")
-    require_balanced(c, data, ambient, pointer)
+    require_balanced(c, data, ambient, pointer, raw["curve"]["vertices"])
     try:
         return make_type(c, f, data, vertex_cones)
     except ValueError as exc:
@@ -465,27 +469,33 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
 
 
 def require_balanced(
-    c: TropicalCurve, data: Mapping[str, EdgeMapData], ambient: int, pointer: str
+    c: TropicalCurve,
+    data: Mapping[str, EdgeMapData],
+    ambient: int,
+    pointer: str,
+    entries: Sequence[Mapping[str, Any]],
 ) -> None:
     """Raise DocumentError at the first finite vertex that is not balanced,
-    pointing at its entry in the vertex list of the document's curve."""
+    pointing at its entry in ``entries``, the vertex list of the
+    document's curve as the document lists it."""
     for vid, message in balancing_diagnostics(c, data, ambient):
-        _refuse_vertex(c, vid, pointer, message)
+        _refuse_vertex(entries, vid, pointer, message)
 
 
-def require_stable(t: CombinatorialType, pointer: str) -> None:
+def require_stable(t: CombinatorialType, pointer: str, entries: Sequence[Mapping[str, Any]]) -> None:
     """Raise DocumentError at the first finite vertex that breaks the
     stability axiom, by the rule ``validate_map`` applies to a map, with
-    the type's vertex cones.  Families waive the axiom, so
+    the type's vertex cones, pointing at its entry in ``entries`` as
+    :func:`require_balanced` does.  Families waive the axiom, so
     :func:`parse_type` leaves it to the commands that read a type."""
     for vid in _unstable_vertices(t.graph, t.fan, t.vertex_cones, t):
-        _refuse_vertex(t.graph, vid, pointer, f"{STABILITY_VIOLATED}{vid}")
+        _refuse_vertex(entries, vid, pointer, f"{STABILITY_VIOLATED}{vid}")
 
 
-def _refuse_vertex(c: TropicalCurve, vid: str, pointer: str, message: str) -> None:
+def _refuse_vertex(entries: Sequence[Mapping[str, Any]], vid: str, pointer: str, message: str) -> None:
     """Raise DocumentError pointing at the vertex's entry in the vertex list
     of the document's curve."""
-    index = next(i for i, v in enumerate(c.vertices) if v.id == vid)
+    index = next(i for i, v in enumerate(entries) if v["id"] == vid)
     raise DocumentError(_at(pointer, "curve", "vertices", index), message)
 
 
@@ -652,7 +662,8 @@ def load_document(text: str) -> LoadResult:
         raise DocumentError("/format_version", f"unsupported format version {version!r}")
     payload_raw = {k: v for k, v in raw.items() if k not in ("kind", "format_version")}
     payload = _PARSERS[kind](payload_raw, "", warnings)
-    return LoadResult(Document(kind, payload), warnings)
+    entries = payload_raw["curve"]["vertices"] if kind in ("map", "type") else ()
+    return LoadResult(Document(kind, payload, vertex_entries=entries), warnings)
 
 
 def document_json(doc: Document) -> dict:

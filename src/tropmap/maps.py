@@ -430,6 +430,17 @@ class CombinatorialType(_EdgeDirections):
         return {pair: tuple(sorted(sigs)) for pair, sigs in out.items()}
 
     @cached_property
+    def _canonical(self) -> Optional[CombinatorialType]:
+        """:func:`canonical_type` of this type, or None when that is the
+        type itself, so that no type refers to itself."""
+        data = canonical_edge_data(self.graph, self.edge_data)
+        if data.keys() == self.edge_data.keys() and all(d is self.edge_data[eid] for eid, d in data.items()):
+            return None
+        t = CombinatorialType(self.graph, self.fan, dict(self.vertex_cones), data)
+        t.__dict__["_canonical"] = None  # the cached property's slot: canonical data is kept as it is
+        return t
+
+    @cached_property
     def marked_edges(self) -> Mapping[str, Edge]:
         """The leaf-edge of each marking label, read in one pass over the
         markings."""
@@ -571,11 +582,10 @@ def canonical_edge_data(graph: TropicalCurve, data: Mapping[str, EdgeMapData]) -
 
 def canonical_type(t: CombinatorialType) -> CombinatorialType:
     """The type with :func:`canonical_edge_data`; ``t`` itself, with what
-    it has cached, when its edge data is already canonical."""
-    data = canonical_edge_data(t.graph, t.edge_data)
-    if data.keys() == t.edge_data.keys() and all(d is t.edge_data[eid] for eid, d in data.items()):
-        return t
-    return CombinatorialType(t.graph, t.fan, dict(t.vertex_cones), data)
+    it has cached, when its edge data is already canonical.  Found once per
+    type and cached on it, as is the canonical type's own."""
+    canonical = t._canonical
+    return t if canonical is None else canonical
 
 
 def canonical_map(m: TropicalStableMap) -> TropicalStableMap:

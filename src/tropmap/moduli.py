@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from . import curves
 from .curves import Edge, TropicalCurve, betti_and_genus, tropical_curve, validate_curve
 from .exactgeom import (
+    Cone,
     Fan,
     IntVec,
     RatVec,
@@ -387,14 +388,16 @@ def _contract_with_map(
         classes.setdefault(new, []).append(old)
     # a merged vertex sits where all its pieces degenerate: the largest
     # common face of their cones (their intersection in a valid fan); the
-    # type's cones are canonical, and so are their common faces
+    # type's cones are canonical, and so are their common faces; a vertex
+    # merged with no other keeps its cone
     cones = {
-        new: fan_cone_intersection(t.fan, [t.vertex_cones[o] for o in olds])
+        new: t.vertex_cones[new] if len(olds) == 1 else fan_cone_intersection(t.fan, [t.vertex_cones[o] for o in olds])
         for new, olds in classes.items()
         if new in t.vertex_cones
     }
+    # an edge whose tail survives keeps its data as it is
     data = {
-        eid: EdgeMapData(d.u, d.w, vmap[d.tail])
+        eid: d if vmap[d.tail] == d.tail else EdgeMapData(d.u, d.w, vmap[d.tail])
         for eid, d in t.edge_data.items()
         if graph.has_edge(eid)
     }
@@ -467,7 +470,8 @@ def is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitnes
     is exhaustive over these subsets, in ``itertools.combinations`` order,
     and their decorated isomorphisms; the first witness found is returned.
     The "cones do not meet in a common face" ``ValueError`` comes only from
-    a subset that is tried.
+    a subset that is tried.  The vertex check asks :func:`cone_is_face`
+    once per (face cone, cone) pair in a call.
     """
     ta = canonical_type(ta)
     tb = canonical_type(tb)
@@ -481,16 +485,21 @@ def is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWitnes
     surplus.subtract(_signature(ta.edge_data[eid]) for eid in ta.bounded_edge_ids())
     if min(surplus.values(), default=0) < 0 or _legs(ta) != _legs(tb):
         return None
+    faces: dict[tuple[Cone, Cone], bool] = {}  # cone_is_face of each (face, cone) pair asked
     for subset in _subsets_by_class(bounded, signatures, surplus):
         tc, vmap, classes = _contract_with_map(tb, subset)
 
         def vertex_ok(vc: str, va: str) -> bool:
             target = ta.vertex_cones[va]
-            return all(
-                cone_is_face(target, tb.vertex_cones[old])
-                for old in classes[vc]
-                if old in tb.vertex_cones
-            )
+            for old in classes[vc]:
+                if old in tb.vertex_cones:
+                    pair = (target, tb.vertex_cones[old])
+                    answer = faces.get(pair)
+                    if answer is None:
+                        answer = faces[pair] = cone_is_face(*pair)
+                    if not answer:
+                        return False
+            return True
 
         for c_vmap, c_emap in decorated_isomorphisms(tc, ta, vertex_ok=vertex_ok):
             full_vmap = {old: c_vmap[new] for old, new in vmap.items() if new in c_vmap}

@@ -368,6 +368,15 @@ def random_shrinking_family(rng: random.Random):
     return make_family(combinatorial_type(m), lengths), shrink
 
 
+def random_strict_type(rng: random.Random) -> CombinatorialType:
+    """The type of a random feasible map read on the strict complete
+    orthant fan: each finite vertex gets the cone of the orthant face its
+    position lies in, the zero cone at the origin and nonzero elsewhere."""
+    m = random_feasible_map(rng)
+    return combinatorial_type(stable_map(m.curve, complete_orthant_fan(m.fan.ambient_dim, embedded=False),
+                                         m.positions, m.edge_data))
+
+
 def random_decorated_type(rng: random.Random) -> CombinatorialType:
     """A random type built for symmetry rather than balance: few directions,
     parallel edges, two or three contracted loops at one vertex, contracted

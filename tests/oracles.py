@@ -20,10 +20,12 @@ the right size, where the library tries only the subsets whose edge
 weights and directions can match.  Decorated isomorphisms come from the
 two recursive searches (vertices, then edges) that the library replaced by
 one explicit-stack search; they pin its output order, and the face search
-uses them, so it shares no search code with the library.  The R4 family
-certificate builds the limit and each probe member as a map and decides
-each member on the member's own cycle frame, computed in Fractions, and
-on trapped subcurves cut by vertex levels with Fraction distances, where
+uses them, so it shares no search code with the library.  They read each
+vertex profile off the vertex's own edges themselves, not off the type's
+cached ``vertex_profiles``.
+The R4 family certificate builds the limit and each probe member as a
+map and decides each member on the member's own cycle frame, computed in
+Fractions, and on trapped subcurves cut by vertex levels with Fraction distances, where
 the library compares the limit on the family's integers, builds one
 integer frame per family, projects each vertex offset once per family,
 enumerates the flats once per distinct arrangement and reads each trapped
@@ -41,6 +43,7 @@ and tests them.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -884,6 +887,33 @@ def ref_is_face(ta: CombinatorialType, tb: CombinatorialType) -> Optional[FaceWi
     return None
 
 
+def compatible_subsets(ta: CombinatorialType, tb: CombinatorialType) -> list[tuple[str, ...]]:
+    """The subsets of ``tb``'s bounded edges, in ``itertools.combinations``
+    order, that hold exactly what ``tb``'s (weight, ±direction) edge classes
+    have beyond ``ta``'s: the subsets the library's face search tries."""
+    def signature(t: CombinatorialType, eid: str) -> tuple:
+        d = t.edge_data[eid]
+        return d.w, max(d.u, tuple(-x for x in d.u))
+
+    bounded = tb.bounded_edge_ids()
+    surplus = Counter(signature(tb, e) for e in bounded)
+    surplus.subtract(signature(ta, e) for e in ta.bounded_edge_ids())
+    if min(surplus.values(), default=0) < 0:
+        return []
+    size = len(bounded) - len(ta.bounded_edge_ids())
+    return [s for s in itertools.combinations(bounded, size) if Counter(signature(tb, e) for e in s) == +surplus]
+
+
+def ref_vertex_profiles(t: CombinatorialType) -> dict[str, tuple]:
+    """(genus, valence, sorted edge signatures) of each finite vertex, each
+    signature read off one of the vertex's own edges."""
+    g = t.graph
+    return {
+        vid: (g.vertex(vid).genus, g.valence(vid), tuple(sorted(_edge_signature(t, e, vid) for e in g.edges_at(vid))))
+        for vid in g.unmarked_vertex_ids()
+    }
+
+
 def ref_decorated_isomorphisms(
     t1: CombinatorialType,
     t2: CombinatorialType,
@@ -924,7 +954,7 @@ def ref_decorated_isomorphisms(
 
     free1 = sorted(g1.unmarked_vertex_ids(), key=lambda v: (-g1.valence(v), v))
     free2 = set(g2.unmarked_vertex_ids())
-    profiles1, profiles2 = t1.vertex_profiles, t2.vertex_profiles
+    profiles1, profiles2 = ref_vertex_profiles(t1), ref_vertex_profiles(t2)
 
     def edges_between(t: CombinatorialType, a: str, b: str) -> list[Edge]:
         return [e for e in t.graph.edges_at(a) if set(e.ends) == ({a, b} if a != b else {a})]

@@ -386,6 +386,27 @@ class TestUnbalancedMaps:
         assert diag["message"].startswith("balancing violated at vertex c0")
         assert "superabundant" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(("kind", "command"), [
+        ("map", "cone"), ("map", "superabundant"), ("map", "type"), ("type", "cone"), ("type", "superabundant"),
+    ])
+    def test_pointer_names_the_documents_own_entry(self, capsys, monkeypatch, square_loop_doc, kind, command):
+        # the loader sorts the curve by id; the pointer indexes the list as
+        # the document gives it, here reversed, so c0 is its last entry
+        doc = _unbalanced_square_loop(square_loop_doc)
+        if kind == "type":
+            doc = serialize_document(Document("type", combinatorial_type(load_document(doc).document.payload)))
+        raw = json.loads(doc)
+        raw["curve"]["vertices"].reverse()
+        vertices = [v["id"] for v in raw["curve"]["vertices"]]
+        assert vertices.index("c0") == len(vertices) - 1
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=json.dumps(raw))
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{
+            "pointer": f"/curve/vertices/{vertices.index('c0')}",
+            "message": "balancing violated at vertex c0: net weighted direction ('0', '1', '0')",
+        }]
+        assert f"error at /curve/vertices/{vertices.index('c0')}: balancing violated at vertex c0" in err
+
     def test_map_and_its_type_get_the_same_answer(self, capsys, monkeypatch, square_loop_doc):
         doc = _unbalanced_square_loop(square_loop_doc)
         m = load_document(doc).document.payload
@@ -436,6 +457,19 @@ class TestUnstableDocuments:
             "message": "stability violated at 2-valent vertex x",
         }]
         assert "superabundant" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["map", "type"])
+    def test_pointer_names_the_documents_own_entry(self, capsys, monkeypatch, square_loop_doc, kind):
+        raw = json.loads(_split_square_loop(square_loop_doc, kind))
+        raw["curve"]["vertices"].reverse()
+        vertices = [v["id"] for v in raw["curve"]["vertices"]]
+        code, out, _ = run_cli(capsys, monkeypatch, ["cone"], stdin=json.dumps(raw))
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{
+            "pointer": f"/curve/vertices/{vertices.index('x')}",
+            "message": "stability violated at 2-valent vertex x",
+        }]
+        assert vertices.index("x") != sorted(vertices).index("x")
 
     @pytest.mark.parametrize("command", ["wellspaced", "verdict"])
     def test_map_commands_give_the_same_diagnostic(self, capsys, monkeypatch, square_loop_doc, command):

@@ -5,10 +5,12 @@ import gc
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from tropmap import maps
 from tropmap import (
     canonical_map,
     combinatorial_type,
@@ -18,10 +20,10 @@ from tropmap import (
     validate_map,
 )
 from tropmap.curves import Edge, INF, Marking, TropicalCurve, Vertex, tropical_curve
-from tropmap.exactgeom import auto_rays_fan, build_fan, cone, cone_is_face, zero_cone
+from tropmap.exactgeom import auto_rays_fan, build_fan, cone, cone_is_face, fan_cone_intersection, zero_cone
 from tropmap.gallery import GALLERY_NAMES, gallery_map, square_loop
 from tropmap.maps import CombinatorialType, EdgeMapData, canonical_type, decorated_isomorphisms, make_type
-from tropmap.moduli import _contract_with_map, is_face, limit_of_family
+from tropmap.moduli import _contract_with_map, contract_type, is_face, limit_of_family
 from tropmap.wellspaced import build_figure1_family
 
 import face_witnesses
@@ -30,11 +32,12 @@ from builders import (
     parallel_pair,
     path_two_vertices,
     random_decorated_type,
+    random_strict_type,
     random_walk_type,
     relabeled_type,
     three_rays,
 )
-from oracles import exhaustive_automorphisms, ref_decorated_isomorphisms
+from oracles import compatible_subsets, exhaustive_automorphisms, ref_decorated_isomorphisms, ref_is_face, ref_vertex_profiles
 
 
 class TestValidate:
@@ -440,6 +443,96 @@ class TestIsomorphismOrder:
         auts = type_automorphisms(t)
         assert len(auts) % 48 == 0  # 3! orders times 2^3 orientations
         assert len(auts) == _same_search(canonical_type(t), canonical_type(t))
+
+
+def _face_pairs():
+    """(name, face type, big type) pairs whose face searches try subsets:
+    the recorded families' limits, contractions of seeded random decorated
+    types, and contractions of random strict fan types, whose vertex cones
+    are distinct and mostly nonzero, also with the face's cones dealt out
+    again from the big type's (some of those pairs are no faces)."""
+    for name, fam in face_witnesses.families().items():
+        yield name, limit_of_family(fam, 1).type, fam.type
+    for seed in range(20):
+        rng = random.Random(seed)
+        tb = random_decorated_type(rng)
+        bounded = tb.bounded_edge_ids()
+        for k in (1, 2):
+            if len(bounded) >= k:
+                yield f"decorated seed={seed} k={k}", contract_type(tb, rng.sample(bounded, k)), tb
+    for seed in range(120):
+        rng = random.Random(seed)
+        tb = random_strict_type(rng)
+        bounded = tb.bounded_edge_ids()
+        if not bounded:
+            continue
+        ta = contract_type(tb, rng.sample(bounded, rng.randint(1, len(bounded))))
+        yield f"strict seed={seed}", ta, tb
+        cones = list(tb.vertex_cones.values())
+        dealt = {v: rng.choice(cones) for v in ta.vertex_cones}
+        yield f"strict seed={seed} dealt", CombinatorialType(ta.graph, ta.fan, dealt, ta.edge_data), tb
+
+
+class TestFaceSearchSubsets:
+    """Every signature-compatible subset the face search tries gets the
+    vertex profiles the reference reads off each vertex's own edges, and
+    the search on it yields what the recursive reference yields; every
+    pair gets the reference's face witness."""
+
+    def test_every_compatible_subset(self):
+        subsets = nonzero = 0
+        answers = Counter()
+        for name, ta, tb in _face_pairs():
+            w = is_face(ta, tb)
+            assert w == ref_is_face(ta, tb), name
+            answers[w is None] += 1
+            ta, tb = canonical_type(ta), canonical_type(tb)
+            for subset in compatible_subsets(ta, tb):
+                tc, vmap, classes = _contract_with_map(tb, subset)
+                # a class of one vertex keeps its cone and an edge whose
+                # tail survives keeps its data; both as the full rule gives
+                assert tc.vertex_cones == {
+                    new: fan_cone_intersection(tb.fan, [tb.vertex_cones[o] for o in olds])
+                    for new, olds in classes.items() if new in tb.vertex_cones
+                }, (name, subset)
+                assert tc.edge_data == {
+                    eid: EdgeMapData(d.u, d.w, vmap[d.tail]) for eid, d in tb.edge_data.items() if tc.graph.has_edge(eid)
+                }, (name, subset)
+                assert tc.vertex_profiles == ref_vertex_profiles(tc), (name, subset)
+                _same_search(tc, ta, _face_vertex_ok(ta, tb, classes))
+                subsets += 1
+                nonzero += any(c.rays for c in tc.vertex_cones.values())
+        assert subsets > 300 and nonzero > 50
+        assert answers[False] > 150 and answers[True] > 50
+
+
+class TestCanonicalType:
+    def test_found_once_and_kept(self, monkeypatch):
+        rng = random.Random(5)
+        t = relabeled_type(combinatorial_type(square_loop()), rng)
+        calls = []
+        real = maps.canonical_edge_data
+        monkeypatch.setattr(maps, "canonical_edge_data", lambda *args: calls.append(args) or real(*args))
+        c = canonical_type(t)
+        assert c is not t and c == CombinatorialType(t.graph, t.fan, t.vertex_cones, real(t.graph, t.edge_data))
+        assert canonical_type(t) is c and canonical_type(c) is c
+        assert len(calls) == 1
+        other = combinatorial_type(square_loop())
+        assert canonical_type(other) is canonical_type(other)
+        assert len(calls) == 2  # one search per type
+
+    def test_no_reference_cycle(self):
+        t = relabeled_type(combinatorial_type(square_loop()), random.Random(5))
+        gc.collect()
+        gc.disable()
+        try:
+            c = canonical_type(t)
+            assert canonical_type(c) is c and c is not t
+            assert is_face(t, t) is not None
+            del t, c
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_the_search_leaves_no_garbage():
