@@ -20,7 +20,7 @@ from . import documents, gallery, plot
 from .curves import curve_lints
 from .documents import Document, DocumentError, dumps, serialize_document
 from .exactgeom import auto_rays_fan, complete_orthant_fan, format_rational, parse_rational
-from .maps import combinatorial_type, star, stable_map, validate_map
+from .maps import InvalidType, combinatorial_type, star, stable_map, validate_map
 from .moduli import (
     cone_metrics,
     limit_of_family,
@@ -178,33 +178,36 @@ def _cmd_validate(args, io: _Io) -> int:
 
 
 def _cmd_type(args, io: _Io) -> int:
-    t = _type_of_map(_load_document(io, args.path, "map"), args.fan, io)
+    t = _checked_type(_load_document(io, args.path, "map"), args.fan, io)
     return io.report("type", _doc_result("type", t), EXIT_OK, "combinatorial type extracted")
 
 
-def _type_of_map(doc: Document, choice: str | None, io: _Io):
-    """The combinatorial type of a map document.  An unbalanced map is
-    refused with the diagnostic and vertex pointer that refuse an
-    unbalanced type document, so a map and its type get the same answer."""
-    m = _apply_fan_choice(doc.payload, choice, io)
-    documents.require_balanced(m.curve, m.edge_data, m.fan.ambient_dim, "", doc.vertex_entries)
-    return combinatorial_type(m)
-
-
 def _require_type(io: _Io, args):
-    """The type of a map or type document, refused when it breaks the
-    stability axiom, as ``validate_map`` refuses the map.  ``--fan`` is
-    refused for a type document, whatever the choice: its vertex cones are
-    cones of its own fan and mean nothing on another."""
+    """The type of a map or type document (:func:`_checked_type`).
+    ``--fan`` is refused for a type document, whatever the choice: its
+    vertex cones are cones of its own fan and mean nothing on another."""
     doc = _read_document(io, args.path)
-    if doc.kind == "map":
-        t = _type_of_map(doc, args.fan, io)
-    elif doc.kind == "type":
+    if doc.kind == "type":
         if args.fan is not None:
             raise DocumentError("", "--fan applies to map documents; a type's vertex cones lie on its own fan")
-        t = doc.payload
-    else:
+    elif doc.kind != "map":
         raise DocumentError("", f"expected a map or type document, got {doc.kind}")
+    return _checked_type(doc, args.fan, io)
+
+
+def _checked_type(doc: Document, choice: str | None, io: _Io):
+    """The type of a map or type document, refused when it breaks the
+    stability axiom, as ``validate_map`` refuses the map.  A map's type is
+    refused as a type document is, at the vertex ``make_type`` names, so a
+    map and its type get the same answer."""
+    if doc.kind == "map":
+        m = _apply_fan_choice(doc.payload, choice, io)
+        try:
+            t = combinatorial_type(m)
+        except InvalidType as exc:
+            documents.refuse_type(exc, "", doc.vertex_entries)
+    else:
+        t = doc.payload
     documents.require_stable(t, "", doc.vertex_entries)
     return t
 

@@ -190,40 +190,46 @@ NO_VERTICES = "curve has no vertices"
 
 def validate_curve(c: TropicalCurve) -> list[str]:
     """Diagnostics for the curve invariants; empty iff the curve is valid."""
-    diags: list[str] = [NO_VERTICES] if not c.vertices else []
+    return [message for _, message in _curve_diagnostics(c)]
+
+
+def _curve_diagnostics(c: TropicalCurve) -> list[tuple[Optional[str], str]]:
+    """(vertex, diagnostic) for each diagnostic of :func:`validate_curve`,
+    in its order: the listed vertex the diagnostic is about, or None when
+    it is about no listed vertex."""
+    diags: list[tuple[Optional[str], str]] = [(None, NO_VERTICES)] if not c.vertices else []
     for v in c.vertices:
         if v.genus < 0:
-            diags.append(f"vertex {v.id} has negative genus {v.genus}")
+            diags.append((v.id, f"vertex {v.id} has negative genus {v.genus}"))
+    index = c._vertex_index
     for e in c.edges:
         for end in e.ends:
-            if not c.has_vertex(end):
-                diags.append(f"edge {e.id} references unknown vertex {end}")
+            if end not in index:
+                diags.append((None, f"edge {e.id} references unknown vertex {end}"))
         if isinstance(e.length, InfiniteLength):
             continue
         if not isinstance(e.length, Fraction):
-            diags.append(f"edge {e.id} length is not an exact rational")
-        elif e.length < 0:
-            diags.append(f"edge {e.id} has negative length {format_rational(e.length)}")
+            diags.append((None, f"edge {e.id} length is not an exact rational"))
+        elif e.length.numerator < 0:
+            diags.append((None, f"edge {e.id} has negative length {format_rational(e.length)}"))
     seen_vertices = set()
     for m in c.markings:
         if not c.has_vertex(m.vertex):
-            diags.append(f"marking {m.label} references unknown vertex {m.vertex}")
+            diags.append((None, f"marking {m.label} references unknown vertex {m.vertex}"))
             continue
         if m.vertex in seen_vertices:
-            diags.append(f"vertex {m.vertex} carries more than one marking")
+            diags.append((m.vertex, f"vertex {m.vertex} carries more than one marking"))
         seen_vertices.add(m.vertex)
         if c.vertex(m.vertex).genus != 0:
-            diags.append(f"marked vertex {m.vertex} has nonzero genus")
+            diags.append((m.vertex, f"marked vertex {m.vertex} has nonzero genus"))
         if c.valence(m.vertex) != 1:
-            diags.append(f"marked vertex {m.vertex} is not 1-valent")
+            diags.append((m.vertex, f"marked vertex {m.vertex} is not 1-valent"))
         else:
             leaf = c.edges_at(m.vertex)[0]
             if not isinstance(leaf.length, InfiniteLength):
-                diags.append(
-                    f"marked leaf-edge {leaf.id} at {m.label} must have infinite length"
-                )
+                diags.append((None, f"marked leaf-edge {leaf.id} at {m.label} must have infinite length"))
     if not c.connected:
-        diags.append(DISCONNECTED)
+        diags.append((None, DISCONNECTED))
     return diags
 
 

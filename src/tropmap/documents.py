@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from . import curves
 from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex
@@ -38,10 +38,10 @@ from .maps import (
     STABILITY_VIOLATED,
     CombinatorialType,
     EdgeMapData,
+    InvalidType,
     TropicalStableMap,
     _orient_leaves,
     _unstable_vertices,
-    balancing_diagnostics,
     make_type,
 )
 from .moduli import AffineFn, Family, make_family
@@ -461,33 +461,28 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
                 ) from None
     if "positions" in raw:
         raise DocumentError(_at(pointer, "positions"), "types carry no positions")
-    require_balanced(c, data, ambient, pointer, raw["curve"]["vertices"])
     try:
         return make_type(c, f, data, vertex_cones)
-    except ValueError as exc:
-        raise DocumentError(pointer, str(exc)) from None
+    except InvalidType as exc:
+        refuse_type(exc, pointer, raw["curve"]["vertices"])
 
 
-def require_balanced(
-    c: TropicalCurve,
-    data: Mapping[str, EdgeMapData],
-    ambient: int,
-    pointer: str,
-    entries: Sequence[Mapping[str, Any]],
-) -> None:
-    """Raise DocumentError at the first finite vertex that is not balanced,
-    pointing at its entry in ``entries``, the vertex list of the
-    document's curve as the document lists it."""
-    for vid, message in balancing_diagnostics(c, data, ambient):
-        _refuse_vertex(entries, vid, pointer, message)
+def refuse_type(exc: InvalidType, pointer: str, entries: Sequence[Mapping[str, Any]]) -> NoReturn:
+    """Raise the DocumentError for a type that ``make_type`` refused: at the
+    entry in ``entries``, the vertex list of the document's curve as the
+    document lists it, of the vertex the refusal names, or at ``pointer``
+    when it names none."""
+    if exc.vertex is not None:
+        _refuse_vertex(entries, exc.vertex, pointer, str(exc))
+    raise DocumentError(pointer, str(exc))
 
 
 def require_stable(t: CombinatorialType, pointer: str, entries: Sequence[Mapping[str, Any]]) -> None:
     """Raise DocumentError at the first finite vertex that breaks the
     stability axiom, by the rule ``validate_map`` applies to a map, with
     the type's vertex cones, pointing at its entry in ``entries`` as
-    :func:`require_balanced` does.  Families waive the axiom, so
-    :func:`parse_type` leaves it to the commands that read a type."""
+    :func:`refuse_type` does.  Families waive the axiom, so ``make_type``
+    leaves it to the commands that read a type."""
     for vid in _unstable_vertices(t.graph, t.fan, t.vertex_cones, t):
         _refuse_vertex(entries, vid, pointer, f"{STABILITY_VIOLATED}{vid}")
 

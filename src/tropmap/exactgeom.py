@@ -105,7 +105,7 @@ def vdot(a: Sequence, b: Sequence):
 
 
 def is_zero_vec(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def vector_content(vec: Sequence[int]) -> int:

@@ -27,13 +27,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import curves
 from .curves import (
-    DISCONNECTED,
-    NO_VERTICES,
     Edge,
     InfiniteLength,
     Marking,
     TropicalCurve,
     Vertex,
+    _curve_diagnostics,
     tropical_curve,
     validate_curve,
 )
@@ -187,19 +186,15 @@ def _edge_data_diagnostics(c: TropicalCurve, edge_data: Mapping[str, EdgeMapData
         if not zero and vector_content(d.u) != 1:
             diags.append(f"edge {e.id}: direction {d.u} is not primitive")
         if e.ends[0] == e.ends[1] and not (zero and d.w == 0):
-            diags.append(_uncontracted_loop(e.id))
+            diags.append(f"self-loop {e.id} must be contracted (zero direction and weight)")
     for eid in edge_data:
         if not c.has_edge(eid):
             diags.append(f"direction data for unknown edge {eid}")
     return diags
 
 
-def _uncontracted_loop(eid: str) -> str:
-    return f"self-loop {eid} must be contracted (zero direction and weight)"
-
-
 # The prefix of the stability diagnostic, which callers that allow
-# 2-valent vertices (interior samples, family members) drop by exact match.
+# 2-valent vertices (family members) drop by exact match.
 STABILITY_VIOLATED = "stability violated at 2-valent vertex "
 
 
@@ -360,6 +355,11 @@ class CombinatorialType(_EdgeDirections):
     no metric; the placeholder keeps the curve machinery reusable), the fan
     is retained so degenerations know where cones live, and ``vertex_cones``
     records the cone attached to each finite vertex.
+
+    :func:`make_type` builds a type and checks it.  Constructing one
+    directly checks nothing; it is the private path for types derived from
+    a valid type, the contractions of ``moduli`` and the canonical copies
+    of :func:`canonical_type`, which are valid because their source is.
     """
 
     graph: TropicalCurve
@@ -492,22 +492,41 @@ def _is_stripped(c: TropicalCurve) -> bool:
     )
 
 
+class InvalidType(ValueError):
+    """A type that :func:`make_type` refuses; ``vertex`` is the finite or
+    marked vertex the diagnostic names, or None when it names none."""
+
+    def __init__(self, message: str, vertex: Optional[str] = None):
+        super().__init__(message)
+        self.vertex = vertex
+
+
 def make_type(
     graph: TropicalCurve,
     fan: Fan,
     edge_data: Mapping[str, EdgeMapData],
     vertex_cones: Optional[Mapping[str, Cone]] = None,
 ) -> CombinatorialType:
-    """Build a type directly; in embedded mode the vertex cones default to
-    the zero cone.  Each vertex cone is canonicalized by
-    :func:`_canonical_pointed` (the zero cone is its own canonical form); a
-    cone with a line whose extreme rays come out pointed is refused with
-    ValueError, not read as that pointed cone.  So are an edge without
-    data, a self-loop that is not contracted, a curve with no vertices and
-    a disconnected graph."""
-    if not graph.vertices:
-        raise ValueError(NO_VERTICES)
+    """Build a type, checked once against the axioms that every map of the
+    type shares; in embedded mode the vertex cones default to the zero cone.
+
+    The checks are those of ``validate_map`` that read no length and no
+    position, in its order: the curve (:func:`validate_curve` on the graph
+    with placeholder lengths, markings included), the edge data and
+    balancing.  In strict mode each vertex cone, canonicalized by
+    :func:`_canonical_pointed` (the zero cone is its own canonical form),
+    must be a cone of the fan; a cone with a line whose extreme rays come
+    out pointed is refused, not read as that pointed cone.  The first
+    failure raises :class:`InvalidType`.  Stability is left out, because
+    families pass through 2-valent vertices; the commands that read a type
+    check it (``documents.require_stable``)."""
     graph = _strip_lengths(graph)
+    for vid, message in _curve_diagnostics(graph):
+        raise InvalidType(message, vid)
+    for message in _edge_data_diagnostics(graph, edge_data, fan.ambient_dim):
+        raise InvalidType(message)
+    for vid, message in balancing_diagnostics(graph, edge_data, fan.ambient_dim):
+        raise InvalidType(message, vid)
     marked = graph.marked_vertex_ids
     cones = dict(vertex_cones or {})
     zero = zero_cone(fan.ambient_dim)
@@ -520,15 +539,12 @@ def make_type(
         try:
             canonical[vid] = _canonical_pointed(c) if c.rays else c
         except ValueError:
-            raise ValueError(f"vertex cone of {vid} is not pointed") from None
-    for e in graph.edges:
-        d = edge_data.get(e.id)
-        if d is None:
-            raise ValueError(f"edge {e.id} has no direction/weight data")
-        if e.ends[0] == e.ends[1] and (d.w or any(d.u)):
-            raise ValueError(_uncontracted_loop(e.id))
-    if not graph.connected:
-        raise ValueError(DISCONNECTED)
+            raise InvalidType(f"vertex cone of {vid} is not pointed", vid) from None
+    if not fan.embedded:
+        fan_cones = set(fan.cones)
+        for vid in graph.unmarked_vertex_ids():
+            if canonical[vid] not in fan_cones:
+                raise InvalidType(f"vertex cone of {vid} is not a cone of the fan", vid)
     return CombinatorialType(graph, fan, canonical, _orient_leaves(graph, edge_data))
 
 

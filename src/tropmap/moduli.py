@@ -20,7 +20,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
-from .curves import Edge, TropicalCurve, betti_and_genus, tropical_curve, validate_curve
+from .curves import Edge, TropicalCurve, betti_and_genus, tropical_curve
 from .exactgeom import (
     Cone,
     Fan,
@@ -29,7 +29,6 @@ from .exactgeom import (
     ZERO,
     cone_contains,
     cone_is_face,
-    cone_locate,
     format_rational,
     integer_nullspace,
     nullspace,
@@ -41,24 +40,19 @@ from .exactgeom import (
     vscale,
 )
 from .maps import (
-    STABILITY_VIOLATED,
     CombinatorialType,
     EdgeMapData,
     ScaledMap,
     TropicalStableMap,
-    _edge_data_diagnostics,
     _integrality_diagnostics,
     _lex_positive,
     _orient_leaves,
     _outside_support,
     _position_diagnostics,
-    balancing_diagnostics,
     canonical_edge_data,
     canonical_type,
-    combinatorial_type,
     decorated_isomorphisms,
     stable_map,
-    validate_map,
 )
 
 
@@ -537,15 +531,68 @@ class ScaledFamily:
 
 @dataclass(frozen=True)
 class Family:
-    """A one-parameter family of maps of a fixed type on t in [0, 1]:
-    every length and position coordinate is an affine function of t, all
-    lengths are positive on [0, 1), and the equations hold identically.
-    :func:`make_family` refuses a family that breaks one of these; the
-    :attr:`frame` of a family built directly reports it."""
+    """A one-parameter family of maps of a fixed type on t in [0, 1]: every
+    length and position coordinate is an affine function of t.
+
+    A family checks itself once when it is built, by ``Family(...)``,
+    ``dataclasses.replace`` or :func:`make_family`, on the integer (const,
+    slope) pairs of :attr:`scaled`, and raises ValueError on the first
+    failure:
+    - the lengths are those of the bounded edges, and each is positive on
+      [0, 1): c > 0 and c + s >= 0, so no member's length c + s*t is
+      negative for t in [0, 1];
+    - every finite vertex, and no other, has a position of the ambient
+      length;
+    - in strict mode, each position lies in its vertex cone at t = 0 and at
+      t = 1;
+    - each edge equation holds identically: the constant part and the slope
+      part of each residual head - tail - length*w*u are zero.
+
+    The type is valid (:func:`make_type`), so the curve, the edge data and
+    balancing hold at every member, which shares the type's graph and edge
+    data.  Every member is smooth: each bounded edge gets a finite length.
+    A vertex cone is convex, so in strict mode every position between the
+    two endpoints lies in it, and the cone is a cone of the fan, so the
+    position lies in the fan's support (validation asks for the support
+    only, not for a relative interior).  So every member on [0, 1] passes
+    ``validate_map`` but for the stability axiom, which a family member may
+    fail, and no member needs validating."""
 
     type: CombinatorialType
     lengths: Mapping[str, AffineFn]
     positions: Mapping[str, tuple[AffineFn, ...]]
+
+    def __post_init__(self) -> None:
+        t = self.type
+        _require_length_keys(t, self.lengths)
+        scaled = self.scaled
+        for eid, pair in scaled.lengths.items():
+            if not _positive_before_one(*pair):
+                raise ValueError(f"length of {eid} is not positive on [0,1): {format_affine(self.lengths[eid])}")
+        for message in _position_diagnostics(t.graph, self.positions, t.fan.ambient_dim):
+            raise ValueError(message)
+        if not t.fan.embedded:
+            for probe in (Fraction(0), Fraction(1)):
+                for vid, pairs in scaled.positions.items():
+                    # membership is invariant under scaling, so it is tested on the integers
+                    if not cone_contains(t.vertex_cones[vid], tuple(_scaled_at(x, probe) for x in pairs)):
+                        raise ValueError(f"position of {vid} exits its cone at t={format_rational(probe)}")
+        # the first edge that fails at t = 0, else the first at t = 1/2 (an
+        # affine residual that is zero at both is zero)
+        slope_only = None
+        for eid in t.bounded_edge_ids():
+            e = t.graph.edge(eid)
+            if e.ends[0] == e.ends[1]:
+                continue
+            d = t.edge_data[eid]
+            ell = scaled.lengths[eid]
+            rows = list(zip(scaled.positions[d.head(e)], scaled.positions[d.tail], d.u))
+            if any(h[0] - a[0] != ell[0] * d.w * x for h, a, x in rows):
+                raise ValueError(f"family inconsistent on edge {eid} at t=0")
+            if slope_only is None and any(h[1] - a[1] != ell[1] * d.w * x for h, a, x in rows):
+                slope_only = eid
+        if slope_only is not None:
+            raise ValueError(f"family inconsistent on edge {slope_only} at t=1/2")
 
     @cached_property
     def scaled(self) -> ScaledFamily:
@@ -561,11 +608,21 @@ class Family:
             {vid: tuple(next(it) for _ in fns) for vid, fns in self.positions.items()},
         )
 
-    @cached_property
-    def frame(self) -> FamilyFrame:
-        """The family's checks, run once each on first use; :func:`make_family`
-        reads some of them, and a family built directly gets the same."""
-        return FamilyFrame(self)
+    def member(self, t_val: Fraction) -> FamilyMember:
+        """The member at ``t_val``, on the integers (:func:`_scaled_at`).
+        The type's edge data is oriented as every member carries it."""
+        t = self.type
+        scaled = self.scaled
+        return FamilyMember(
+            t.graph,
+            t.fan,
+            t.edge_data,
+            ScaledMap(
+                scaled.denominator * t_val.denominator,
+                {vid: tuple(_scaled_at(x, t_val) for x in pairs) for vid, pairs in scaled.positions.items()},
+                {eid: _scaled_at(scaled.lengths[eid], t_val) for eid in t.bounded_edge_ids()},
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -606,194 +663,13 @@ def _positive_before_one(const, slope) -> bool:
     return const > 0 and const + slope >= 0
 
 
-def _not_positive(eid: str, fn: AffineFn) -> str:
-    return f"length of {eid} is not positive on [0,1): {format_affine(fn)}"
-
-
-def _inconsistent(edge: Edge, at_zero: bool) -> str:
-    """An equation that fails at t = 0, or else holds there but not at
-    t = 1/2 (an affine residual that is zero at both is zero)."""
-    return f"family inconsistent on edge {edge.id} at t={'0' if at_zero else '1/2'}"
-
-
-@dataclass(frozen=True)
-class FamilyFrame:
-    """What holds for every member of a family, checked once on its integer
-    (const, slope) pairs, and its members read at t from those pairs.
-
-    ``validate_map`` on a member checks facts of the family type (the curve,
-    the edge data and balancing see the type's graph and edge data at every
-    t, and the member's positions have the family's keys) and facts that
-    are affine in t:
-    - a member's length c + s*t is negative for no t in [0, 1] when the
-      family's length is positive on [0, 1), that is c > 0 and c + s >= 0;
-    - the edge equations hold at every t when both the constant part and
-      the slope part of each residual are zero;
-    - in strict mode, a vertex cone is convex, so when the positions at
-      t = 0 and t = 1 lie in it so does every position between them, and
-      the member's position then lies in the fan's support if that cone is
-      a cone of the fan (validation asks for the support only, not for a
-      relative interior).  A vertex whose positions leave its cone at an
-      endpoint, or whose cone is not a cone of the fan, is located member
-      by member.
-
-    Every member is smooth: each bounded edge gets a finite length.  So
-    when :attr:`diagnostics` is empty, every member on [0, 1] passes
-    ``validate_map`` but for the stability axiom, which a family member may
-    fail.  The checks are cached properties, each run at most once."""
-
-    family: Family
-
-    @cached_property
-    def edge_data(self) -> Mapping[str, EdgeMapData]:
-        """The type's edge data as every member carries it."""
-        return _orient_leaves(self.family.type.graph, self.family.type.edge_data)
-
-    @cached_property
-    def curve_diagnostics(self) -> tuple[str, ...]:
-        """``validate_curve`` on the type's graph, whose bounded lengths are
-        placeholders: empty means the members' curves fail only on their
-        lengths."""
-        return tuple(validate_curve(self.family.type.graph))
-
-    @cached_property
-    def position_diagnostics(self) -> tuple[str, ...]:
-        """Every finite vertex has a position of the ambient length and no
-        other vertex has one."""
-        t = self.family.type
-        return tuple(_position_diagnostics(t.graph, self.family.positions, t.fan.ambient_dim))
-
-    @cached_property
-    def type_diagnostics(self) -> tuple[str, ...]:
-        """The edge data and position diagnostics, in ``validate_map``'s
-        order."""
-        t = self.family.type
-        return (*_edge_data_diagnostics(t.graph, self.edge_data, t.fan.ambient_dim), *self.position_diagnostics)
-
-    @cached_property
-    def short_lengths(self) -> tuple[str, ...]:
-        """The bounded edges, in curve order, whose length is not positive on
-        [0, 1).  :func:`make_family` tests this on the same pairs before it
-        returns a family, and sets it empty."""
-        lengths = self.family.scaled.lengths
-        return tuple(eid for eid in self.family.type.bounded_edge_ids() if not _positive_before_one(*lengths[eid]))
-
-    @cached_property
-    def residuals(self) -> tuple[tuple[Edge, bool], ...]:
-        """(edge, whether the constant part is nonzero) for every bounded
-        non-loop edge, in curve order, whose residual head - tail -
-        length*w*u has a nonzero constant or slope part.  Needs every finite
-        vertex positioned."""
-        graph = self.family.type.graph
-        scaled = self.family.scaled
-        out = []
-        for eid in self.family.type.bounded_edge_ids():
-            e = graph.edge(eid)
-            if e.ends[0] == e.ends[1]:
-                continue
-            d = self.edge_data[eid]
-            ell = scaled.lengths[eid]
-            rows = list(zip(scaled.positions[d.head(e)], scaled.positions[d.tail], d.u))
-            const = any(h[0] - a[0] != ell[0] * d.w * x for h, a, x in rows)
-            if const or any(h[1] - a[1] != ell[1] * d.w * x for h, a, x in rows):
-                out.append((e, const))
-        return tuple(out)
-
-    @cached_property
-    def balancing(self) -> tuple[str, ...]:
-        """The balancing diagnostics.  Needs edge data on every edge."""
-        t = self.family.type
-        return tuple(msg for _, msg in balancing_diagnostics(t.graph, self.edge_data, t.fan.ambient_dim))
-
-    @cached_property
-    def cone_exits(self) -> tuple[tuple[Fraction, str], ...]:
-        """Strict mode: (t, vertex) for each endpoint t = 0, 1 and each
-        positioned vertex, in that order, whose position at t lies outside
-        its vertex cone (membership is invariant under scaling, so it is
-        tested on the integers)."""
-        t = self.family.type
-        if t.fan.embedded:
-            return ()
-        positions = self.family.scaled.positions
-        return tuple(
-            (probe, vid)
-            for probe in (Fraction(0), Fraction(1))
-            for vid, pairs in positions.items()
-            if not cone_contains(t.vertex_cones[vid], tuple(_scaled_at(x, probe) for x in pairs))
-        )
-
-    @cached_property
-    def unpinned(self) -> tuple[str, ...]:
-        """Strict mode: the finite vertices, in curve order, whose positions
-        on [0, 1] are not shown to stay in one cone of the fan, because they
-        leave their vertex cone at an endpoint or that cone is not a cone of
-        the fan."""
-        t = self.family.type
-        if t.fan.embedded:
-            return ()
-        exits = {vid for _, vid in self.cone_exits}
-        cones = set(t.fan.cones)
-        return tuple(
-            vid for vid in t.graph.unmarked_vertex_ids() if vid in exits or t.vertex_cones[vid] not in cones
-        )
-
-    @cached_property
-    def diagnostics(self) -> tuple[str, ...]:
-        """Every check that fails, in ``validate_map``'s order; empty when
-        every member on [0, 1] passes ``validate_map`` but for stability."""
-        if self.curve_diagnostics:
-            return tuple(f"curve: {d}" for d in self.curve_diagnostics)
-        if self.type_diagnostics:
-            return self.type_diagnostics
-        return (
-            *(_not_positive(eid, self.family.lengths[eid]) for eid in self.short_lengths),
-            *(_inconsistent(e, at_zero) for e, at_zero in self.residuals),
-            *self.balancing,
-            *(f"vertex {vid}: positions not confined to one cone of the fan" for vid in self.unpinned),
-        )
-
-    def member(self, t_val: Fraction) -> FamilyMember:
-        """The member at ``t_val``, on the integers (:func:`_scaled_at`)."""
-        t = self.family.type
-        scaled = self.family.scaled
-        return FamilyMember(
-            t.graph,
-            t.fan,
-            self.edge_data,
-            ScaledMap(
-                scaled.denominator * t_val.denominator,
-                {vid: tuple(_scaled_at(x, t_val) for x in pairs) for vid, pairs in scaled.positions.items()},
-                {eid: _scaled_at(scaled.lengths[eid], t_val) for eid in t.bounded_edge_ids()},
-            ),
-        )
-
-    def member_diagnostic(self, member: FamilyMember) -> Optional[str]:
-        """The first diagnostic that ``validate_map`` gives the member map
-        at a t in [0, 1], the stability axiom waived, or None.
-
-        Only what the family's checks leave open is read off the member: its
-        curve when the type's graph or a length fails, the equations that
-        do not hold identically, and the fan cone of an unpinned vertex."""
-        if not self.diagnostics:
-            return None
-        t = self.family.type
-        scaled = member.scaled
-        if self.curve_diagnostics or self.short_lengths:
-            lengths = {eid: Fraction(x, scaled.denominator) for eid, x in scaled.lengths.items()}
-            diags = validate_curve(_curve_with_lengths(t, lengths))
-            if diags:
-                return f"curve: {diags[0]}"
-        if self.type_diagnostics:
-            return self.type_diagnostics[0]
-        diags = _integrality_diagnostics(self.edge_data, scaled, (e for e, _ in self.residuals))
-        if diags:
-            return diags[0]
-        if self.balancing:
-            return self.balancing[0]
-        for vid in self.unpinned:
-            if cone_locate(t.fan, scaled.positions[vid]) is None:
-                return _outside_support(vid)
-        return None
+def _require_length_keys(t: CombinatorialType, lengths: Mapping[str, AffineFn]) -> None:
+    """ValueError unless ``lengths`` has one function per bounded edge."""
+    bounded = set(t.bounded_edge_ids())
+    if lengths.keys() != bounded:
+        missing = bounded - lengths.keys()
+        extra = lengths.keys() - bounded
+        raise ValueError(f"length functions mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
 
 
 def make_family(
@@ -803,61 +679,38 @@ def make_family(
     base_vertex: Optional[str] = None,
     base_position: Optional[Sequence[AffineFn]] = None,
 ) -> Family:
-    """Validating constructor.
+    """The family of the canonical form of ``t`` with these lengths, checked
+    as every :class:`Family` is.
 
     Missing positions are derived from the lengths in one walk of the
     spanning tree over the integer (const, slope) pairs at D, the lcm of the
     length and base position denominators, and the walk's integers are the
-    family's :attr:`Family.scaled`.  Lengths must be positive on [0, 1),
-    which is tested once, on those pairs; the first failing edge in the
-    order of ``lengths`` is refused.  The family's frame then checks, on the
-    integers, that every finite vertex has a position, that in strict mode
-    each position lies in its vertex cone at t = 0 and t = 1, and that the
-    edge equations hold identically: the constant part and the slope part
-    of each residual are zero.
+    family's :attr:`Family.scaled`, set before the family checks itself.
     """
     t = canonical_type(t)
+    if positions is not None:
+        return Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
+    _require_length_keys(t, lengths)
     n = t.fan.ambient_dim
-    bounded = set(t.bounded_edge_ids())
-    if set(lengths) != bounded:
-        missing = bounded - set(lengths)
-        extra = set(lengths) - bounded
-        raise ValueError(f"length functions mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    if positions is None:
-        base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
-        base_pos = tuple(base_position) if base_position is not None else (affine(0),) * n
-        d, pairs = _scaled_pairs([*lengths.values(), *base_pos])
-        length_pairs = dict(zip(lengths, pairs))
-        _require_positive(lengths, length_pairs)
-        walked = _walk_positions(t, length_pairs, base, pairs[len(lengths):])
-        # one function per distinct pair, as a family document has one per spelling
-        distinct = {pair for pair_vec in walked.values() for pair in pair_vec}
-        fn = {(c, s): AffineFn(Fraction(c, d), Fraction(s, d)) for c, s in distinct}.__getitem__
-        fam = Family(t, dict(lengths), {vid: tuple(map(fn, pair_vec)) for vid, pair_vec in walked.items()})
-        fam.__dict__["scaled"] = ScaledFamily(d, length_pairs, walked)  # the cached property's slot
-    else:
-        fam = Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
-        _require_positive(lengths, fam.scaled.lengths)
-    frame = fam.frame
-    frame.__dict__["short_lengths"] = ()  # tested above, on the pairs the frame reads
-    if frame.position_diagnostics:
-        raise ValueError(frame.position_diagnostics[0])
-    if frame.cone_exits:
-        probe, vid = frame.cone_exits[0]
-        raise ValueError(f"position of {vid} exits its cone at t={format_rational(probe)}")
-    if frame.residuals:
-        # the first edge that fails at t = 0, else the first at t = 1/2
-        raise ValueError(_inconsistent(*next((r for r in frame.residuals if r[1]), frame.residuals[0])))
+    base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
+    base_pos = tuple(base_position) if base_position is not None else (affine(0),) * n
+    d, pairs = _scaled_pairs([*lengths.values(), *base_pos])
+    length_pairs = dict(zip(lengths, pairs))
+    walked = _walk_positions(t, length_pairs, base, pairs[len(lengths):])
+    # one function per distinct pair, as a family document has one per spelling
+    distinct = {pair for pair_vec in walked.values() for pair in pair_vec}
+    fn = {(c, s): AffineFn(Fraction(c, d), Fraction(s, d)) for c, s in distinct}.__getitem__
+    # built without __init__, so that the walk's integers fill the cached
+    # property's slot before the check reads them
+    fam = object.__new__(Family)
+    fam.__dict__.update(
+        type=t,
+        lengths=dict(lengths),
+        positions={vid: tuple(map(fn, pair_vec)) for vid, pair_vec in walked.items()},
+        scaled=ScaledFamily(d, length_pairs, walked),
+    )
+    fam.__post_init__()
     return fam
-
-
-def _require_positive(lengths: Mapping[str, AffineFn], pairs: Mapping[str, tuple[int, int]]) -> None:
-    """ValueError for the first length, in the order of ``pairs``, that is
-    not positive on [0, 1); the pairs are the lengths times one positive
-    integer, which keeps every sign."""
-    for eid, pair in pairs.items():
-        if not _positive_before_one(*pair):
-            raise ValueError(_not_positive(eid, lengths[eid]))
 
 
 def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
@@ -889,9 +742,9 @@ def _map_from_lengths(
 
 def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
     """The lengths and the positions of the member at ``t_val``, read off
-    the family's integers (:meth:`FamilyFrame.member`), one ``Fraction``
+    the family's integers (:meth:`Family.member`), one ``Fraction``
     per distinct value."""
-    scaled = fam.frame.member(t_val).scaled
+    scaled = fam.member(t_val).scaled
     values = {*scaled.lengths.values(), *(x for p in scaled.positions.values() for x in p)}
     fraction = {x: Fraction(x, scaled.denominator) for x in values}.__getitem__
     return (
@@ -933,22 +786,16 @@ def limit_of_family(fam: Family, t_star) -> LimitResult:
 
 
 def _merge_positions(vmap: Mapping[str, str], positions: Mapping[str, tuple]) -> dict[str, tuple]:
-    """The positions of the surviving vertices of a contraction: each takes
-    the position its merged vertices share, or ValueError when they do not
-    share one."""
-    merged: dict[str, tuple] = {}
-    for old, new in vmap.items():
-        if old in positions:
-            p = positions[old]
-            if new in merged and merged[new] != p:
-                raise ValueError(f"merged vertices of {new} have distinct limit positions")
-            merged[new] = p
-    return merged
+    """The positions of the surviving vertices of a contraction of a
+    family's zero-length edges at t = 1: the family's edge equations hold
+    identically, so the vertices merged into one survivor share the
+    position it takes."""
+    return {vmap[old]: p for old, p in positions.items()}
 
 
 def _is_limit(fam: Family, m: TropicalStableMap) -> bool:
     """Is ``m`` the family's t = 1 limit, up to edge orientation?  The same
-    answer, and the same ValueError for merged vertices apart, as comparing
+    answer as comparing
     ``canonical_map`` of ``limit_of_family(fam, 1).map`` and of ``m``, read
     on the family's (const, slope) pairs at t = 1, c + s over the family's
     denominator D, and on m's integers over its denominator D_m: x/D equals
@@ -993,6 +840,11 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
     picks the base position.  In strict fan mode the point depends on the
     type alone and the seed is not used.
 
+    The type is valid (:func:`make_type`), so the sample is checked only
+    for what it adds to the type: positive lengths, the edge equations on
+    its integers and, in strict mode, each position's located cone, which
+    must be its vertex cone.
+
     Raises :class:`InfeasibleCone` when some length is forced to zero.
     """
     if not mc.has_positive_point:
@@ -1005,11 +857,16 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
     else:
         positions, lengths = _strict_point(t, _vertex_rays(t), mc.support_point)
     m = _map_from_lengths(t, lengths, positions)
-    diags = [d for d in validate_map(m) if not d.startswith(STABILITY_VIOLATED)]
+    diags = [f"length of {eid} is not positive" for eid, x in m.scaled.lengths.items() if x <= 0]
+    bounded = (t.graph.edge(eid) for eid in t.bounded_edge_ids())
+    diags += _integrality_diagnostics(m.edge_data, m.scaled, (e for e in bounded if e.ends[0] != e.ends[1]))
+    if not t.fan.embedded:
+        located = m.located_cones
+        diags += [_outside_support(vid) for vid, c in located.items() if c is None]
+        if not diags and any(c != t.vertex_cones[vid] for vid, c in located.items()):
+            raise InfeasibleCone("no interior point realizes the type: positions degenerate to faces")
     if diags:
         raise InfeasibleCone(f"sampled point does not realize the type: {diags[0]}")
-    if not t.fan.embedded and canonical_type(combinatorial_type(m)) != canonical_type(t):
-        raise InfeasibleCone("no interior point realizes the type: positions degenerate to faces")
     return m
 
 

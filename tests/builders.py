@@ -7,8 +7,8 @@ from fractions import Fraction
 
 from tropmap import INF, affine, combinatorial_type, make_family, stable_map, validate_map
 from tropmap.curves import Edge, Marking, Vertex, tropical_curve
-from tropmap.exactgeom import auto_rays_fan, complete_orthant_fan, primitive, vector_content
-from tropmap.maps import CombinatorialType, EdgeMapData, make_type
+from tropmap.exactgeom import auto_rays_fan, complete_orthant_fan, primitive, vector_content, zero_cone
+from tropmap.maps import CombinatorialType, EdgeMapData, _orient_leaves, _strip_lengths, make_type
 
 
 def build_map(ambient, vertices, bounded, rays, positions):
@@ -406,15 +406,27 @@ def random_decorated_type(rng: random.Random) -> CombinatorialType:
         add(at, leaf, rng.choice(directions[:3]), INF)
         markings.append(Marking(f"p{k}", leaf))
     fan = auto_rays_fan(2, [], embedded=True)
-    return make_type(tropical_curve(vertices, edges, markings), fan, data)
+    return unchecked_type(tropical_curve(vertices, edges, markings), fan, data)
+
+
+def unchecked_type(graph, fan, data, vertex_cones=None) -> CombinatorialType:
+    """A type built directly, with none of ``make_type``'s checks, for the
+    searches that read no axiom (isomorphisms, the face search, the moduli
+    cone's equations) on decorated graphs that need not be balanced: the
+    graph with placeholder lengths, the marked leaf-edges' tails at their
+    finite ends, and the zero cone at every finite vertex not given one."""
+    graph = _strip_lengths(graph)
+    cones = {vid: (vertex_cones or {}).get(vid, zero_cone(fan.ambient_dim)) for vid in graph.unmarked_vertex_ids()}
+    return CombinatorialType(graph, fan, cones, _orient_leaves(graph, data))
 
 
 def random_walk_type(rng: random.Random) -> CombinatorialType:
     """A random type for the spanning-tree walk: a random tree on up to nine
     finite vertices (its leaves are pendant trees) with parallel copies of
     some edges, chords that close cycles, contracted self-loops, marked legs
-    and random tails.  Vertex and edge ids are drawn in random order, so the
-    curve order is not the order of construction."""
+    and random tails, balanced by one more marked leg where needed, so that
+    ``make_type`` accepts it.  Vertex and edge ids are drawn in random
+    order, so the curve order is not the order of construction."""
     ids = [f"v{i}" for i in rng.sample(range(30), rng.randint(1, 9))]
     names = iter(f"e{k:02d}" for k in rng.sample(range(100), 100))
     directions = [(1, 0), (0, 1), (1, 1), (-1, 2)]
@@ -440,6 +452,21 @@ def random_walk_type(rng: random.Random) -> CombinatorialType:
         vertices.append(Vertex(leaf))
         add(rng.choice(ids), leaf, rng.choice(directions), INF)
         markings.append(Marking(f"p{k}", leaf))
+    # one more marked leg at each finite vertex that is not balanced, which
+    # balances it
+    net = {v: [0, 0] for v in ids}
+    for e in edges:
+        d = data[e.id]
+        for end, sign in ((d.tail, 1), (d.head(e), -1)):
+            if end in net and e.ends[0] != e.ends[1]:
+                net[end] = [x + sign * d.w * y for x, y in zip(net[end], d.u)]
+    for v, total in net.items():
+        if any(total):
+            back = tuple(-x for x in total)
+            vertices.append(Vertex(f"b:{v}"))
+            edges.append(Edge(f"b{v}", (v, f"b:{v}"), INF))
+            data[f"b{v}"] = EdgeMapData(primitive(back), vector_content(back), v)
+            markings.append(Marking(f"pb{v}", f"b:{v}"))
     fan = auto_rays_fan(2, [], embedded=True)
     return make_type(tropical_curve(vertices, edges, markings), fan, data)
 

@@ -37,7 +37,10 @@ where the library peels leaves from a stack.  A family's derived
 positions come from one walk of the constant parts and one of the
 slopes, each in Fractions, after a positivity test of every length in
 Fractions, where the library walks the integer (const, slope) pairs once
-and tests them.
+and tests them.  A family's members are built unchecked as maps, in
+Fractions, from each function's value at t, and judged by ``validate_map``
+and membership LPs, where the library checks the family once on its
+integer pairs when it is built.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from tropmap.curves import Edge, TropicalCurve, Vertex, betti_and_genus, tropical_curve
+from tropmap.curves import INF, Edge, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from tropmap.exactgeom import (
     Cone,
     cone_contains,
@@ -65,6 +68,7 @@ from tropmap.maps import (
     _edge_signature,
     canonical_map,
     canonical_type,
+    stable_map,
     validate_map,
 )
 from tropmap.moduli import (
@@ -1213,3 +1217,61 @@ def ref_check_family_certificate(m, assume: Assumptions) -> None:
             raise CertificateError(
                 f"family member at t={t} is not realizable by the direct rules ({verdict.rule})"
             )
+
+
+# The parameter values at which the family references judge members.
+FAMILY_PROBES = tuple(map(Fraction, ("0", "1/4", "1/3", "1/2", "3/4", "7/8", "99/100", "1")))
+
+
+def ref_member_defect(t: CombinatorialType, lengths, positions, t_val: Fraction) -> Optional[str]:
+    """Why the member at ``t_val`` of the family with this type, these
+    length functions and these position functions is not a map of the
+    family's type, or None.  The member is built unchecked, as a map in
+    Fractions from each function's value (a function on a marked leaf-edge
+    gives that leaf a finite length, and a bounded edge without one is a
+    diagnostic of its own), and judged in this order:
+    - each ``validate_map`` diagnostic but stability;
+    - for t < 1, a bounded length that is not positive, as the member
+      would be a map of a contracted type;
+    - in strict mode, a position outside its vertex cone, or a vertex cone
+      that is not a cone of the fan, each decided by membership LPs."""
+    graph = t.graph
+    unknown = sorted(set(lengths) - {e.id for e in graph.edges})
+    if unknown:
+        return f"length for unknown edge {unknown[0]}"
+    edges = []
+    for e in graph.edges:
+        if e.id in lengths:
+            edges.append(Edge(e.id, e.ends, lengths[e.id].at(t_val)))
+        elif graph.is_marked_leaf_edge(e):
+            edges.append(Edge(e.id, e.ends, INF))
+        else:
+            return f"edge {e.id} has no length"
+    points = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in positions.items()}
+    member = stable_map(tropical_curve(graph.vertices, edges, graph.markings), t.fan, points, t.edge_data)
+    diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
+    if diags:
+        return diags[0]
+    if t_val < 1:
+        for e in edges:
+            if not graph.is_marked_leaf_edge(e) and e.length <= 0:
+                return f"edge {e.id} has length {e.length} before t = 1"
+    if not t.fan.embedded:
+        for vid, p in member.positions.items():
+            c = t.vertex_cones[vid]
+            if not cone_contains(c, p):
+                return f"vertex {vid}: position outside its vertex cone"
+            if not any(_contains_cone(c, f) and _contains_cone(f, c) for f in t.fan.cones):
+                return f"vertex {vid}: vertex cone is not a cone of the fan"
+    return None
+
+
+def ref_invalid_member(t: CombinatorialType, lengths, positions) -> Optional[tuple[Fraction, str]]:
+    """The first of :data:`FAMILY_PROBES` whose member is not a map of the
+    family's type (:func:`ref_member_defect`), with its diagnostic, or
+    None."""
+    for t_val in FAMILY_PROBES:
+        diag = ref_member_defect(t, lengths, positions, t_val)
+        if diag is not None:
+            return t_val, diag
+    return None

@@ -278,12 +278,58 @@ class TestUnbalancedTypes:
         assert "balancing violated at vertex a" in diag["message"]
 
 
+class TestMarkedVertexDefects:
+    """A figure1 family whose marked vertex q01 is given genus 1 or a
+    second marking: its type is refused on load, at q01's entry, so no
+    command answers it with exit 0."""
+
+    @staticmethod
+    def _family(capsys, monkeypatch, defect):
+        _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "3"])
+        raw = json.loads(fam_doc)
+        curve = raw["type"]["curve"]
+        if defect == "genus":
+            next(v for v in curve["vertices"] if v["id"] == "q01")["genus"] = 1
+        else:
+            curve["markings"].append({"label": "p99", "vertex": "q01"})
+        return raw, curve["vertices"].index(next(v for v in curve["vertices"] if v["id"] == "q01"))
+
+    MESSAGES = {"genus": "marked vertex q01 has nonzero genus", "marking": "vertex q01 carries more than one marking"}
+
+    @pytest.mark.parametrize("defect", MESSAGES)
+    def test_family_commands_and_cone_refuse(self, capsys, monkeypatch, tmp_path, defect):
+        raw, index = self._family(capsys, monkeypatch, defect)
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(raw))
+        _, limit_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "3", "--t", "1"])
+        runs = [
+            (["limit", "--t", "1", str(family)], "", "/type"),
+            (["verdict", "--family", str(family)], limit_doc, "/type"),
+            (["cone"], json.dumps({"kind": "type", **raw["type"]}), ""),
+        ]
+        for args, stdin, prefix in runs:
+            code, out, err = run_cli(capsys, monkeypatch, args, stdin=stdin)
+            assert code == 2 and "Traceback" not in err, args
+            assert json.loads(out)["diagnostics"] == [
+                {"pointer": f"{prefix}/curve/vertices/{index}", "message": self.MESSAGES[defect]}
+            ], args
+
+
 def _unbalanced_square_loop(square_loop_doc, vertex="c0") -> str:
     """The square loop with marked ray m0 at c0 turned to -e1, so c0 is not
     balanced, and c0 renamed to ``vertex``."""
     raw = json.loads(Path(square_loop_doc).read_text())
     raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
     return json.dumps(raw).replace('"c0"', f'"{vertex}"')
+
+
+def _unbalanced_square_loop_type() -> str:
+    """The type document of :func:`_unbalanced_square_loop`'s map, which
+    ``combinatorial_type`` refuses: the square loop's type with m0 turned
+    to -e1."""
+    raw = json.loads(serialize_document(Document("type", combinatorial_type(square_loop()))))
+    raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
+    return json.dumps(raw)
 
 
 def _square_loop_with(square_loop_doc, defect: str) -> str:
@@ -392,9 +438,7 @@ class TestUnbalancedMaps:
     def test_pointer_names_the_documents_own_entry(self, capsys, monkeypatch, square_loop_doc, kind, command):
         # the loader sorts the curve by id; the pointer indexes the list as
         # the document gives it, here reversed, so c0 is its last entry
-        doc = _unbalanced_square_loop(square_loop_doc)
-        if kind == "type":
-            doc = serialize_document(Document("type", combinatorial_type(load_document(doc).document.payload)))
+        doc = _unbalanced_square_loop(square_loop_doc) if kind == "map" else _unbalanced_square_loop_type()
         raw = json.loads(doc)
         raw["curve"]["vertices"].reverse()
         vertices = [v["id"] for v in raw["curve"]["vertices"]]
@@ -409,10 +453,8 @@ class TestUnbalancedMaps:
 
     def test_map_and_its_type_get_the_same_answer(self, capsys, monkeypatch, square_loop_doc):
         doc = _unbalanced_square_loop(square_loop_doc)
-        m = load_document(doc).document.payload
-        type_doc = serialize_document(Document("type", combinatorial_type(m)))
         answers = []
-        for stdin in (doc, type_doc):
+        for stdin in (doc, _unbalanced_square_loop_type()):
             code, out, _ = run_cli(capsys, monkeypatch, ["cone"], stdin=stdin)
             answers.append((code, json.loads(out)["diagnostics"]))
         assert answers[0] == answers[1]
@@ -470,6 +512,18 @@ class TestUnstableDocuments:
             "message": "stability violated at 2-valent vertex x",
         }]
         assert vertices.index("x") != sorted(vertices).index("x")
+
+    def test_type_refuses_the_map_as_cone_does(self, capsys, monkeypatch, square_loop_doc):
+        raw = json.loads(_split_square_loop(square_loop_doc, "map"))
+        raw["curve"]["vertices"].reverse()
+        answers = [run_cli(capsys, monkeypatch, [command], stdin=json.dumps(raw)) for command in ("type", "cone")]
+        vertices = [v["id"] for v in raw["curve"]["vertices"]]
+        for code, out, err in answers:
+            assert code == 2 and "Traceback" not in err
+            assert json.loads(out)["diagnostics"] == [{
+                "pointer": f"/curve/vertices/{vertices.index('x')}",
+                "message": "stability violated at 2-valent vertex x",
+            }]
 
     @pytest.mark.parametrize("command", ["wellspaced", "verdict"])
     def test_map_commands_give_the_same_diagnostic(self, capsys, monkeypatch, square_loop_doc, command):

@@ -3,13 +3,16 @@
 import io
 import json
 import random
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from tropmap import combinatorial_type, documents
+import tropmap.cli
+from tropmap import AffineFn, canonical_type, combinatorial_type, documents, limit_of_family, make_type
 from tropmap.cli import main
 from tropmap.documents import (
     Document,
@@ -19,6 +22,9 @@ from tropmap.documents import (
 )
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
 from tropmap.wellspaced import build_figure1_family
+
+from builders import collinear_chain_family, rectangle_family, strict_unstable_member_family, three_rays
+from oracles import ref_invalid_member, ref_positions_from_lengths
 
 DIAGNOSTICS = Path(__file__).parent / "data" / "load_diagnostics.json"
 
@@ -423,6 +429,167 @@ class TestFuzz:
                 load_document(text)
             except DocumentError as err:
                 assert isinstance(err.pointer, str)
+
+
+_VALUES = (0, 1, -1, 2, 3, "0", "1", "-1", "2", "1/2", "-3/2")
+
+
+def _mutate_semantics(rng: random.Random, raw):
+    """One change that keeps a document well formed but may break an axiom
+    of its type or family.  In half the family documents, one part of one
+    length or position function is replaced by a small number.  Otherwise
+    a number is replaced by a small one or respelled with a factor 2 on
+    both sides of its fraction, a vertex is given genus 1 or one more
+    marking, an edge is reversed or only its tail or its direction is
+    turned, or else the document gets a structural mutation
+    (:func:`_mutate`)."""
+    data = json.loads(json.dumps(raw))
+    doc = data.get("type", data)
+    curve, edge_data = doc["curve"], doc["edge_data"]
+    op = rng.choice(("number", "number", "spelling", "genus", "marking", "reverse", "tail", "negate", "structure"))
+    if "lengths" in data and rng.random() < 0.5:
+        # a family: one part of one length or position function
+        fns = [*data["lengths"].values(), *(fn for fns in data["positions"].values() for fn in fns)]
+        rng.choice(fns)[rng.choice(("const", "slope"))] = rng.choice(_VALUES)
+    elif op in ("number", "spelling"):
+        leaves = []
+
+        def collect(node, parent, key):
+            if isinstance(node, dict):
+                for k in sorted(node):
+                    collect(node[k], node, k)
+            elif isinstance(node, list):
+                for i, x in enumerate(node):
+                    collect(x, node, i)
+            elif type(node) is int or (isinstance(node, str) and node.lstrip("-").split("/")[0].isdigit()):
+                leaves.append((parent, key))
+
+        collect(data, None, None)
+        parent, key = rng.choice(leaves)
+        if op == "number":
+            parent[key] = rng.choice(_VALUES)
+        else:
+            x = Fraction(parent[key])
+            parent[key] = f"{2 * x.numerator}/{2 * x.denominator}"
+    elif op == "genus":
+        rng.choice(curve["vertices"])["genus"] = 1
+    elif op == "marking":
+        curve["markings"].append({"label": "extra", "vertex": rng.choice(curve["vertices"])["id"]})
+    elif op in ("reverse", "tail", "negate"):
+        eid = rng.choice(sorted(edge_data))
+        d = edge_data[eid]
+        if op != "tail":
+            d["u"] = [-x for x in d["u"]]
+        if op != "negate":
+            ends = next(e["ends"] for e in curve["edges"] if e["id"] == eid)
+            d["tail"] = ends[1] if d["tail"] == ends[0] else ends[0]
+    else:
+        return _mutate(rng, data)
+    return json.dumps(data)
+
+
+def _fuzz_seeds():
+    """(document, limit map document or None) pairs: maps and types for
+    the type commands, families with their t = 1 limits for ``limit`` and
+    ``verdict --family``."""
+    strict_map = load_document((Path(__file__).parent / "data" / "strict_orthant_fan_map.json").read_text())
+    maps = [square_loop(), speyer_tree(), three_rays(), strict_map.document.payload]
+    families = [
+        build_figure1_family(3),
+        strict_unstable_member_family(),
+        collinear_chain_family(3, {"c1"}),
+        rectangle_family(1, 2, {"s1", "s5"}),
+    ]
+    seeds = [(Document("map", m), None) for m in maps]
+    seeds += [(Document("type", combinatorial_type(m)), None) for m in maps]
+    seeds += [(Document("type", fam.type), None) for fam in families]
+    seeds += [
+        (Document("family", fam), serialize_document(Document("map", limit_of_family(fam, 1).map)))
+        for fam in families
+    ]
+    return [(json.loads(serialize_document(doc)), limit) for doc, limit in seeds]
+
+
+def _derived_parts(t, lengths, positions):
+    """The family parts the member reference reads: the positions given,
+    or else walked from the first finite vertex on the constant and the
+    slope parts of the lengths, as ``make_family`` derives them."""
+    if positions is not None:
+        return t, lengths, positions
+    base = t.graph.unmarked_vertex_ids()[0]
+    origin = (0,) * t.fan.ambient_dim
+    try:
+        walks = [ref_positions_from_lengths(t, {e: part(fn) for e, fn in lengths.items()}, base, origin)
+                 for part in (lambda fn: fn.const, lambda fn: fn.slope)]
+    except KeyError:  # a bounded edge without a length
+        return t, lengths, {}
+    return t, lengths, {v: tuple(map(AffineFn, walks[0][v], walks[1][v])) for v in walks[0]}
+
+
+def test_mutated_types_and_families_through_the_cli(monkeypatch, tmp_path):
+    """Seeded mutations of type and family documents (and of maps, for
+    ``type``) through ``type``, ``cone``, ``superabundant``, ``limit --t 1``
+    and ``verdict --family``.  A run exits 2 with a pointer, or every type
+    it loaded passes ``make_type`` again and every family it loaded has
+    members that the reference accepts at each of its probes (t = 0, 1/2
+    and 1 among them).  A family that construction refuses has a member,
+    at one of those probes, that the reference refuses."""
+    built_types, built_families, refused = [], [], []
+
+    def recording(build):
+        def call(*args):
+            built_types.append(build(*args))
+            return built_types[-1]
+        return call
+
+    def recording_family(t, lengths, positions=None):
+        try:
+            built_families.append(real_family(t, lengths, positions))
+        except ValueError:
+            refused.append(_derived_parts(canonical_type(t), lengths, positions))
+            raise
+        return built_families[-1]
+
+    real_family = documents.make_family
+    monkeypatch.setattr(documents, "make_type", recording(documents.make_type))
+    monkeypatch.setattr(documents, "make_family", recording_family)
+    monkeypatch.setattr(tropmap.cli, "combinatorial_type", recording(tropmap.cli.combinatorial_type))
+    rng = random.Random(2310)
+    seeds = _fuzz_seeds()
+    runs = Counter()
+    while sum(runs.values()) < 300:
+        raw, limit = rng.choice(seeds)
+        text = _mutate_semantics(rng, raw)
+        if limit is not None:
+            # verdict reads the family from a file and its limit map from stdin
+            path = tmp_path / "family.json"
+            path.write_text(text)
+            commands = [(["limit", "--t", "1"], text), (["verdict", "--family", str(path)], limit)]
+        else:
+            commands = [(["type"], text)] if raw["kind"] == "map" else []
+            commands += [(["cone"], text), (["superabundant"], text)]
+        for args, stdin in commands:
+            del built_types[:], built_families[:]
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(args)
+            report = json.loads(out.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert isinstance(report["diagnostics"][0]["pointer"], str)
+                runs[args[0], "refused"] += 1
+                continue
+            for t in built_types:
+                assert make_type(t.graph, t.fan, t.edge_data, t.vertex_cones) == t, text
+            for fam in built_families:
+                assert ref_invalid_member(fam.type, fam.lengths, fam.positions) is None, text
+            runs[args[0], "answered"] += 1
+    for parts in refused:
+        assert ref_invalid_member(*parts) is not None, parts
+    # every command both answers and refuses, and construction refuses families
+    assert {(c, a) for c in ("type", "cone", "superabundant", "limit", "verdict") for a in ("refused", "answered")} <= set(runs), runs
+    assert len(refused) >= 10, runs
 
 
 def test_load_outcomes_match_the_recorded_diagnostics():

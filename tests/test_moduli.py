@@ -30,7 +30,7 @@ from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.documents import Document, load_document, serialize_document
 from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, rank
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
-from tropmap.maps import EdgeMapData, make_type, stable_map
+from tropmap.maps import EdgeMapData, InvalidType, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
 
 from builders import (
@@ -45,13 +45,16 @@ from builders import (
     strict_unstable_member_family,
     three_rays,
     turning_branch_family,
+    unchecked_type,
 )
 from oracles import (
+    FAMILY_PROBES,
     bareiss_rank,
     compatible_subsets,
     dense_equations,
     dense_pull_back,
     ref_family_positions,
+    ref_invalid_member,
     ref_positions_from_lengths,
     ref_spanning_tree,
 )
@@ -68,7 +71,7 @@ def _raw_type(bounded, rays):
     fan = auto_rays_fan(2, [u for _, _, u, _, _ in rays], embedded=True)
     data = {eid: EdgeMapData(tuple(u), w, tail) for eid, _, u, w, tail, _ in bounded}
     data |= {eid: EdgeMapData(tuple(u), w, at) for eid, at, u, w, _ in rays}
-    return make_type(c, fan, data)
+    return unchecked_type(c, fan, data)
 
 
 def _infeasible_two_cycle():
@@ -446,9 +449,13 @@ class TestIsFace:
         n = 18
         vs = [Vertex(f"w{i:02d}") for i in range(n)]
         es = [Edge(f"e{i:02d}", (f"w{i:02d}", f"w{i + 1:02d}"), Fraction(1)) for i in range(n - 1)]
-        c = tropical_curve(vs, es, [])
-        fan = auto_rays_fan(2, [(1, 0)], embedded=True)
+        # a marked leg at each end balances the path
+        vs += [Vertex("inf:a"), Vertex("inf:b")]
+        es += [Edge("ra", ("w00", "inf:a"), INF), Edge("rb", (f"w{n - 1:02d}", "inf:b"), INF)]
+        c = tropical_curve(vs, es, [Marking("pa", "inf:a"), Marking("pb", "inf:b")])
+        fan = auto_rays_fan(2, [(1, 0), (-1, 0)], embedded=True)
         data = {e.id: EdgeMapData((1, 0), 1, e.ends[0]) for e in es}
+        data["ra"] = EdgeMapData((-1, 0), 1, "w00")
         wide = make_type(c, fan, data)
         with pytest.raises(ValueError, match="capped"):
             is_face(wide, wide)
@@ -496,10 +503,19 @@ class TestIsFace:
         # neither: contracting the edge between their vertices is an error,
         # not a failed match
         fan = build_fan(2, [[(1, 0), (0, 1)], [(1, 1), (1, -1)]], embedded=False)
-        c = tropical_curve([Vertex("x"), Vertex("y")], [Edge("e", ("x", "y"), Fraction(1))])
+        # marked legs r1 at x and r2 at y balance both vertices
+        legs = [Vertex("inf:1"), Vertex("inf:2")]
+        marks = [Marking("p1", "inf:1"), Marking("p2", "inf:2")]
+        data = {"r1": EdgeMapData((-1, 0), 1, "x"), "r2": EdgeMapData((1, 0), 1, "y"), "e": EdgeMapData((1, 0), 1, "x")}
+        c = tropical_curve(
+            [Vertex("x"), Vertex("y"), *legs],
+            [Edge("e", ("x", "y"), Fraction(1)), Edge("r1", ("x", "inf:1"), INF), Edge("r2", ("y", "inf:2"), INF)],
+            marks,
+        )
         cones = {"x": cone(2, [(1, 0), (0, 1)]), "y": cone(2, [(1, 1), (1, -1)])}
-        tb = make_type(c, fan, {"e": EdgeMapData((1, 0), 1, "x")}, cones)
-        ta = make_type(tropical_curve([Vertex("x")], []), fan, {})
+        tb = make_type(c, fan, data, cones)
+        point = tropical_curve([Vertex("x"), *legs], [Edge("r1", ("x", "inf:1"), INF), Edge("r2", ("x", "inf:2"), INF)], marks)
+        ta = make_type(point, fan, {"r1": data["r1"], "r2": EdgeMapData((1, 0), 1, "x")})
         with pytest.raises(ValueError, match="cones do not meet in a common face"):
             is_face(ta, tb)
 
@@ -642,8 +658,8 @@ def _linearity_families():
     return fams
 
 
-def _one_change(rng: random.Random, fam: moduli.Family) -> moduli.Family:
-    """A copy of the family, built directly, with one random change: a
+def _one_change(rng: random.Random, fam: moduli.Family):
+    """The family's type, lengths and positions with one random change: a
     length that may reach zero or below before t = 1, a position coordinate
     moved in its constant or slope part, a dropped position, or (strict
     mode) every position moved by one common affine shift."""
@@ -667,41 +683,54 @@ def _one_change(rng: random.Random, fam: moduli.Family) -> moduli.Family:
             vid: tuple(moduli.AffineFn(a.const + b.const, a.slope + b.slope) for a, b in zip(p, shift))
             for vid, p in positions.items()
         }
-    return moduli.Family(fam.type, lengths, positions)
+    return fam.type, lengths, positions
 
 
-class TestFamilyFrame:
-    """The family's checks, run once on its integers, against
-    ``validate_map`` on each member evaluated as a map."""
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
 
-    def test_valid_families_need_no_member_check(self):
+
+class TestFamilyConstruction:
+    """A family checks itself once, on its integers, when it is built;
+    ``validate_map`` on each member evaluated as a map is the reference."""
+
+    def test_valid_families_are_accepted(self):
         for fam in _linearity_families():
-            assert fam.frame.diagnostics == ()
+            assert moduli.Family(fam.type, fam.lengths, fam.positions) == fam
+            assert dataclasses.replace(fam) == fam
+            assert ref_invalid_member(fam.type, fam.lengths, fam.positions) is None
 
-    def test_member_diagnostic_matches_validate_map(self):
+    def test_construction_accepts_only_valid_families(self):
         rng = random.Random(1616)
-        probes = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(99, 100), Fraction(1))
-        kinds = ("negative length", "has no position", "integrality violated", "outside the fan support")
+        kinds = ("not positive", "has no position", "inconsistent", "exits its cone")
         seen = Counter()
         # the strict family again on a fan that is only the closed positive
-        # quadrant, which its vertex cones are, so shifts can leave the support
+        # quadrant, whose faces its vertex cones are, so shifts can leave
+        # the support
         strict = strict_unstable_member_family()
-        quadrant = dataclasses.replace(strict.type, fan=build_fan(2, [[(1, 0), (0, 1)]]))
+        t = strict.type
+        quadrant = make_type(t.graph, build_fan(2, [[(1, 0), (0, 1)]]), t.edge_data, t.vertex_cones)
         for fam in _linearity_families() + [moduli.Family(quadrant, strict.lengths, strict.positions)]:
-            for variant in [fam] + [_one_change(rng, fam) for _ in range(12)]:
-                frame = variant.frame
-                for t_val in probes:
-                    member = frame.member(t_val)
-                    m = evaluate_family(variant, t_val)
+            for parts in [(fam.type, fam.lengths, fam.positions)] + [_one_change(rng, fam) for _ in range(12)]:
+                got = _outcome(lambda: moduli.Family(*parts))
+                invalid = ref_invalid_member(*parts)
+                if isinstance(got, str):
+                    assert invalid is not None, (parts, got)
+                    seen[next(k for k in kinds if k in got)] += 1
+                    continue
+                assert invalid is None, (parts, invalid)
+                seen[None] += 1
+                for t_val in FAMILY_PROBES:
+                    member = got.member(t_val)
+                    m = evaluate_family(got, t_val)
                     den = member.scaled.denominator
                     assert {v: tuple(Fraction(x, den) for x in p) for v, p in member.scaled.positions.items()} == m.positions
                     lengths = {e.id: e.length for e in m.curve.edges if not m.curve.is_marked_leaf_edge(e)}
                     assert {e: Fraction(x, den) for e, x in member.scaled.lengths.items()} == lengths
-                    diags = [d for d in validate_map(m) if not d.startswith(moduli.STABILITY_VIOLATED)]
-                    got = frame.member_diagnostic(member)
-                    assert got == (diags[0] if diags else None), (variant, t_val)
-                    seen[next((k for k in kinds if got and k in got), got)] += 1
-        # valid members and each kind of failure occur
+        # valid families and each kind of refusal occur
         assert set(seen) == {None, *kinds}, seen
 
 
@@ -747,9 +776,15 @@ class TestFamilyPositions:
             cases.append((f"figure1 n={n}", fam.type, fam.lengths, "a", tuple(rational() for _ in range(n))))
         return cases
 
-    def test_one_walk_equals_the_two_fraction_walks(self):
+    def test_one_walk_equals_the_two_fraction_walks(self, monkeypatch):
+        scalings = []
+        real = moduli._scaled_pairs
+        monkeypatch.setattr(moduli, "_scaled_pairs", lambda fns: scalings.append(fns) or real(fns))
         for name, t, lengths, base, base_position in self._derived_cases():
+            scalings.clear()
             fam = make_family(t, lengths, base_vertex=base, base_position=base_position)
+            # the family's check reads the walk's integers, not the functions again
+            assert len(scalings) == 1, name
             assert fam.positions == ref_family_positions(t, lengths, base, base_position), name
             # the walk's integers are the ones the functions give
             assert fam.scaled == moduli.Family(fam.type, fam.lengths, fam.positions).scaled, name
@@ -770,8 +805,10 @@ class TestFamilyPositions:
         with pytest.raises(ValueError) as given:
             make_family(t, lengths, positions=good.positions)
         assert str(given.value) == str(want.value)
-        # and the frame of the family built directly lists both, in curve order
-        assert moduli.Family(t, lengths, good.positions).frame.short_lengths == ("s1", "s6")
+        # and so is the family built directly
+        with pytest.raises(ValueError) as direct:
+            moduli.Family(t, lengths, good.positions)
+        assert str(direct.value) == str(want.value)
 
 
 class TestSampleInterior:
@@ -814,17 +851,16 @@ class TestSampleInterior:
 
     @pytest.mark.parametrize("vertex", ["c0", "stability0"])
     def test_sample_of_an_unbalanced_type_is_refused(self, vertex):
-        # the sample waives the stability diagnostic by its exact prefix,
-        # not every diagnostic that names a vertex called "stability..."
+        # no unbalanced type reaches the sampler: make_type refuses it and
+        # names the vertex, also one whose name starts as the stability
+        # diagnostic does, which make_type leaves out by not running it
         raw = json.loads(serialize_document(Document("map", square_loop())))
         raw["edge_data"]["m0"]["u"] = [-1, 0, 0]
         m = load_document(json.dumps(raw).replace('"c0"', f'"{vertex}"')).document.payload
-        mc = moduli_cone(combinatorial_type(m))
-        with pytest.raises(InfeasibleCone) as info:
-            sample_interior(mc, 0)
-        assert str(info.value).startswith(
-            f"sampled point does not realize the type: balancing violated at vertex {vertex}"
-        )
+        with pytest.raises(InvalidType) as info:
+            combinatorial_type(m)
+        assert info.value.vertex == vertex
+        assert str(info.value) == f"balancing violated at vertex {vertex}: net weighted direction ('0', '1', '0')"
 
     def test_strict_sample_locates_each_vertex_once(self, monkeypatch):
         m = rectangle_cycle(3, 3)

@@ -35,7 +35,7 @@ from tropmap.curves import Edge, tropical_curve
 from tropmap.documents import Document, serialize_document
 from tropmap.exactgeom import build_fan, canonical_cone, cone, primitive, ratvec, vdot, vector_content
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
-from tropmap.maps import canonical_map, stable_map
+from tropmap.maps import STABILITY_VIOLATED, canonical_map, make_type, stable_map
 from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_interior
 from tropmap.wellspaced import (
     _PROBES,
@@ -67,7 +67,9 @@ from oracles import (
     projective_class,
     ref_check_family_certificate,
     ref_cycle_frame,
+    ref_invalid_member,
     ref_level_cut,
+    ref_member_defect,
     ref_positions_from_lengths,
     ref_unique_cycle,
     ref_well_spaced,
@@ -341,9 +343,10 @@ def _certificate_families():
 
 
 def _families_breaking_one_check():
-    """(name, family, certificate outcome on its t = 1 limit) for families
-    built with ``Family(...)`` directly, so ``make_family`` never checked
-    them, each breaking one of the checks the family frame runs once."""
+    """(name, type, lengths, positions, refusal) for families that break
+    one of the checks a family runs when it is built, or whose type breaks
+    one that ``make_type`` runs.  The type is kept as built directly, for
+    the member reference."""
     fig = build_figure1_family(3)
     strict = strict_unstable_member_family()
     # f1 = 1 - 2t: the branch edge reaches 0 at t = 1/2 and goes negative;
@@ -354,39 +357,35 @@ def _families_breaking_one_check():
         for part in (lambda fn: fn.const, lambda fn: fn.slope)
     ]
     walked = {v: tuple(map(AffineFn, walks[0][v], walks[1][v])) for v in walks[0]}
-    cases = [("f1 = 1 - 2t", Family(fig.type, lengths, walked),
-              ("CertificateError", "family member at t=3/4 invalid: curve: edge f1 has negative length -1/2"))]
+    cases = [("f1 = 1 - 2t", fig.type, lengths, walked, "length of f1 is not positive on [0,1): 1 + (-2)*t")]
     # every position moves by (-5 + 5t, 0): each vertex starts outside its
     # quadrant cone, inside the fan's support or, on a fan of the positive
     # quadrant alone, outside it
     moved = {v: (AffineFn(x.const - 5, x.slope + 5), y) for v, (x, y) in strict.positions.items()}
     quadrant = replace(strict.type, fan=build_fan(2, [[(1, 0), (0, 1)]]))
     cases += [
-        ("strict, outside the vertex cone at t = 0", Family(strict.type, strict.lengths, moved), None),
-        ("strict, outside the support at t = 0", Family(quadrant, strict.lengths, moved),
-         ("CertificateError", "family member at t=0 invalid: vertex a: position outside the fan support")),
+        ("strict, outside the vertex cone at t = 0", strict.type, strict.lengths, moved,
+         "position of a exits its cone at t=0"),
+        ("strict, outside the support at t = 0", quadrant, strict.lengths, moved,
+         "position of a exits its cone at t=0"),
     ]
     # vertex cones that hold every position but are not cones of the fan
     wedge = canonical_cone(cone(2, [(1, 0), (1, 1)]))
     wedged = replace(strict.type, vertex_cones={v: wedge for v in strict.type.vertex_cones})
-    cases.append(("strict, vertex cones not in the fan", Family(wedged, strict.lengths, strict.positions), None))
+    cases.append(("strict, vertex cones not in the fan", wedged, strict.lengths, strict.positions,
+                  "vertex cone of a is not a cone of the fan"))
     # the equation of f1 holds at t = 0 only
     ap = fig.positions["ap"]
     bent = {**fig.positions, "ap": (AffineFn(ap[0].const, ap[0].slope + 1), *ap[1:])}
-    cases.append(("equation at t = 0 only", Family(fig.type, fig.lengths, bent), (
-        "CertificateError",
-        "family member at t=1/4 invalid: integrality violated on edge f1: "
-        "displacement ('7/4', '0', '0') != length*weight*direction",
-    )))
+    cases.append(("equation at t = 0 only", fig.type, fig.lengths, bent, "family inconsistent on edge f1 at t=1/2"))
     unplaced = {v: p for v, p in fig.positions.items() if v != "ap"}
-    cases.append(("missing position", Family(fig.type, fig.lengths, unplaced),
-                  ("CertificateError", "family member at t=0 invalid: vertex ap has no position")))
+    cases.append(("missing position", fig.type, fig.lengths, unplaced, "vertex ap has no position"))
     return cases
 
 
 def _valid_but_unstable(m) -> bool:
     """Valid, or failing the stability axiom only, as certificate members may."""
-    return all(d.startswith(wellspaced.STABILITY_VIOLATED) for d in validate_map(m))
+    return all(d.startswith(STABILITY_VIOLATED) for d in validate_map(m))
 
 
 def _outcome(call):
@@ -417,14 +416,21 @@ class TestSharedFrame:
         # accepted certificates and rejections by R0, R2 and R5 all occur
         assert {None, "(R0)", "(R2)", "(R5)"} <= rules
 
+    def test_certificate_families_are_valid_by_construction(self):
+        # construction accepts each family again, and the reference finds
+        # every member at its probes a map of the family's type
+        for name, _, fam in _certificate_families():
+            assert Family(fam.type, fam.lengths, fam.positions) == fam, name
+            assert ref_invalid_member(fam.type, fam.lengths, fam.positions) is None, name
+
     def test_families_breaking_one_check(self):
-        for name, fam, want in _families_breaking_one_check():
-            assert fam.frame.diagnostics, name
-            target = limit_of_family(fam, 1).map
-            assume = Assumptions(family=fam)
-            got = _outcome(lambda: wellspaced._check_family_certificate(target, assume))
-            assert got == _outcome(lambda: ref_check_family_certificate(target, assume)), name
-            assert got == want, name
+        # each is refused when it is built, its type through make_type, and
+        # the reference finds a member that is not a map of the type
+        for name, t, lengths, positions, want in _families_breaking_one_check():
+            with pytest.raises(ValueError) as info:
+                Family(make_type(t.graph, t.fan, t.edge_data, t.vertex_cones), lengths, positions)
+            assert str(info.value) == want, name
+            assert ref_invalid_member(t, lengths, positions) is not None, name
 
     @staticmethod
     def _genus_one_maps():
@@ -501,7 +507,7 @@ class TestIntegerPaths:
             fam = build_figure1_family(n)
             maps.append(limit_of_family(fam, 1).map)
             maps += [evaluate_family(fam, t) for t in (*_PROBES, Fraction(1, 3), Fraction(5, 7))]
-            maps += [fam.frame.member(t) for t in (*_PROBES, Fraction(2, 9))]
+            maps += [fam.member(t) for t in (*_PROBES, Fraction(2, 9))]
         rng = random.Random(18)
         maps += [random_feasible_map(rng, max_vertices=5) for _ in range(200)]
         genus_one = 0
@@ -514,18 +520,14 @@ class TestIntegerPaths:
     def test_projected_offsets_equal_the_members_own(self):
         checked = 0
         for name, _, fam in _certificate_families():
-            checks = fam.frame
-            members = [(t, checks.member(t)) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
-            if checks.member_diagnostic(members[0][1]) is not None:
-                continue
+            members = [(t, fam.member(t)) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
             frame = cycle_frame(members[0][1])
             if frame.genus != 1 or frame.codim == 0:
                 continue
             offsets = wellspaced._projected_offsets(frame, fam.type.graph.unmarked_vertex_ids(), fam.scaled.positions)
             for t, member in members:
-                if checks.member_diagnostic(member) is None:
-                    assert wellspaced._cycle_data(frame, offsets, member, t) == cycle_data(member), name
-                    checked += 1
+                assert wellspaced._cycle_data(frame, offsets, member, t) == cycle_data(member), name
+                checked += 1
         assert checked >= 100
 
     def test_failing_at_one_probe_names_that_probe(self):
@@ -552,9 +554,7 @@ class TestIntegerPaths:
                 groups.append((f"seeded map #{seeded}", [m]))
                 seeded += 1
         for name, _, fam in _certificate_families():
-            checks = fam.frame
-            members = [checks.member(t) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]
-            groups.append((name, [x for x in members if checks.member_diagnostic(x) is None]))
+            groups.append((name, [fam.member(t) for t in (*_PROBES, Fraction(1, 3), Fraction(7, 8))]))
         checked = ties = 0
         for name, maps in groups:
             if not maps:
@@ -679,16 +679,16 @@ class TestIntegerPaths:
         assert matches == {True, False}
 
     def test_merged_vertices_apart_fail_as_the_reference_does(self):
-        # c1 shrinks to 0, but v2 drifts off the chain's line: the family is
-        # built directly, so only the limit notices
+        # c1 shrinks to 0, but v2 drifts off the chain's line, so c2's
+        # equation holds at t = 0 only: the family is refused when it is
+        # built, and at t = 1 the reference finds c1's ends apart
         fam = collinear_chain_family(3, {"c1"})
         positions = {**fam.positions, "v2": (fam.positions["v2"][0], affine(0, 1))}
-        drifted = Family(fam.type, fam.lengths, positions)
-        target = limit_of_family(fam, 1).map
-        assume = Assumptions(family=drifted)
-        want = ("ValueError", "merged vertices of v1 have distinct limit positions")
-        assert _outcome(lambda: ref_check_family_certificate(target, assume)) == want
-        assert _outcome(lambda: wellspaced._check_family_certificate(target, assume)) == want
+        with pytest.raises(ValueError, match="^family inconsistent on edge c1 at t=1/2$"):
+            Family(fam.type, fam.lengths, positions)
+        assert ref_invalid_member(fam.type, fam.lengths, positions)[0] == Fraction(1, 4)
+        diag = ref_member_defect(fam.type, fam.lengths, positions, Fraction(1))
+        assert diag.startswith("integrality violated on edge c1")
 
 
 class TestSubcurve:
