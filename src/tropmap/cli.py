@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 
 from . import documents, gallery, plot
@@ -46,8 +45,8 @@ def _digest(text: str) -> str:
 
 
 class _Io:
-    def __init__(self, args):
-        self.pretty = getattr(args, "format", "json") == "pretty"
+    def __init__(self, pretty: bool = False):
+        self.pretty = pretty
         self.inputs: dict[str, str] = {}
 
     def read(self, path: str | None, name: str = "input") -> str:
@@ -62,49 +61,41 @@ class _Io:
         self.inputs[name] = _digest(text)
         return text
 
-    def report(self, command: str, results: dict, exit_code: int, summary: str) -> int:
-        envelope = {
-            "command": command,
-            "inputs": self.inputs,
-            "results": results,
-            "exit_code": exit_code,
-        }
+    def envelope(self, command: str | None, exit_code: int, **body) -> int:
+        """Write the JSON report envelope: the command, the digests of the
+        inputs read so far, ``body`` (results or diagnostics) and the exit
+        code, which it returns."""
+        envelope = {"command": command, "inputs": self.inputs, **body, "exit_code": exit_code}
         sys.stdout.write(dumps(envelope, self.pretty))
+        return exit_code
+
+    def report(self, command: str, results: dict, exit_code: int, summary: str) -> int:
+        self.envelope(command, exit_code, results=results)
         print(summary, file=sys.stderr)
         return exit_code
 
     def fail(self, command: str, diagnostics: list[dict]) -> int:
-        envelope = {
-            "command": command,
-            "inputs": self.inputs,
-            "diagnostics": diagnostics,
-            "exit_code": EXIT_INPUT_ERROR,
-        }
-        sys.stdout.write(dumps(envelope, self.pretty))
+        self.envelope(command, EXIT_INPUT_ERROR, diagnostics=diagnostics)
         for d in diagnostics:
             print(f"error at {d['pointer'] or '/'}: {d['message']}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
-def _read_document(io: _Io, path, name: str = "input") -> Document:
+def _load(io: _Io, path, kinds: tuple[str, ...], name: str = "input") -> Document:
+    """The document at ``path`` (stdin for None or "-"), its load warnings
+    printed to stderr; a document of another kind is refused."""
     result = documents.load_document(io.read(path, name))
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return result.document
-
-
-def _load(io: _Io, path, kind: str, name: str = "input"):
-    return _load_document(io, path, kind, name).payload
-
-
-def _load_document(io: _Io, path, kind: str, name: str = "input") -> Document:
-    doc = _read_document(io, path, name)
-    if doc.kind != kind:
-        raise DocumentError("", f"expected a {kind} document, got {doc.kind}")
+    doc = result.document
+    if doc.kind not in kinds:
+        raise DocumentError("", f"expected a {' or '.join(kinds)} document, got {doc.kind}")
     return doc
 
 
-def _apply_fan_choice(m, choice: str | None, io: _Io):
+def _on_fan(io: _Io, m, choice: str | None):
+    """The map ``m`` on the fan that ``--fan`` chooses (``m`` itself when
+    there is no choice)."""
     if choice is None:
         return m
     if choice == "auto-rays":
@@ -113,7 +104,7 @@ def _apply_fan_choice(m, choice: str | None, io: _Io):
     elif choice == "complete":
         fan = complete_orthant_fan(m.fan.ambient_dim, embedded=True)
     elif choice.startswith("file:"):
-        fan = _load(io, choice[5:], "fan", name="fan")
+        fan = _load(io, choice[5:], ("fan",), name="fan").payload
         if fan.ambient_dim != m.fan.ambient_dim:
             raise DocumentError("", f"fan of ambient dimension {fan.ambient_dim} given for a map "
                                     f"in ambient dimension {m.fan.ambient_dim}")
@@ -122,8 +113,53 @@ def _apply_fan_choice(m, choice: str | None, io: _Io):
     return stable_map(m.curve, fan, m.positions, m.edge_data)
 
 
-# ---------------------------------------------------------------------------
-# per-command result builders
+def _map(io: _Io, args):
+    """The input map document's map, on the fan ``--fan`` chooses."""
+    return _on_fan(io, _load(io, args.path, ("map",)).payload, args.fan)
+
+
+def _type(io: _Io, args, kinds: tuple[str, ...] = ("map", "type")):
+    """The type of the input map or type document, refused when it breaks
+    the stability axiom, as ``validate_map`` refuses the map.  ``--fan`` is
+    refused for a type document, whatever the choice: its vertex cones are
+    cones of its own fan and mean nothing on another.  A map's type is
+    refused as a type document is, at the vertex ``make_type`` names, so a
+    map and its type get the same answer."""
+    doc = _load(io, args.path, kinds)
+    if doc.kind == "type":
+        if args.fan is not None:
+            raise DocumentError("", "--fan applies to map documents; a type's vertex cones lie on its own fan")
+        t = doc.payload
+    else:
+        m = _on_fan(io, doc.payload, args.fan)
+        try:
+            t = combinatorial_type(m)
+        except InvalidType as exc:
+            documents.refuse_type(exc, "", doc.vertex_entries)
+    documents.require_stable(t, "", doc.vertex_entries)
+    return t
+
+
+def _cone(io: _Io, args):
+    """(moduli cone, its metrics, the result fields ``cone`` and
+    ``superabundant`` share) of the input's type."""
+    mc = moduli_cone(_type(io, args))
+    metrics = cone_metrics(mc)
+    results = {
+        "dim": metrics.dim,
+        "expected_dim": metrics.expected_dim,
+        "overvalence": metrics.overvalence,
+        "b1": metrics.b1,
+        "superabundant": metrics.superabundant,
+        "variables": list(mc.variables),
+        "equations": [
+            {"edge": eq.edge, "head": eq.head, "tail": eq.tail, "wu": list(eq.wu)} for eq in mc.equations
+        ],
+        "forced_zero_lengths": list(mc.forced_zero_lengths),
+        "has_positive_point": mc.has_positive_point,
+    }
+    return mc, metrics, results
+
 
 def _wellspaced_json(report) -> dict:
     return {
@@ -144,31 +180,11 @@ def _wellspaced_json(report) -> dict:
     }
 
 
-def _cone_json(mc, metrics) -> dict:
-    return {
-        "dim": metrics.dim,
-        "expected_dim": metrics.expected_dim,
-        "overvalence": metrics.overvalence,
-        "b1": metrics.b1,
-        "superabundant": metrics.superabundant,
-        "variables": list(mc.variables),
-        "equations": [
-            {"edge": eq.edge, "head": eq.head, "tail": eq.tail, "wu": list(eq.wu)} for eq in mc.equations
-        ],
-        "forced_zero_lengths": list(mc.forced_zero_lengths),
-        "has_positive_point": mc.has_positive_point,
-    }
-
-
-def _doc_result(kind: str, payload) -> dict:
-    return {kind: documents._SERIALIZERS[kind](payload)}
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_validate(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
+    m = _map(io, args)
     diags = validate_map(m)
     lints = curve_lints(m.curve)
     results = {"valid": not diags, "diagnostics": diags, "lints": lints}
@@ -178,48 +194,14 @@ def _cmd_validate(args, io: _Io) -> int:
 
 
 def _cmd_type(args, io: _Io) -> int:
-    t = _checked_type(_load_document(io, args.path, "map"), args.fan, io)
-    return io.report("type", _doc_result("type", t), EXIT_OK, "combinatorial type extracted")
-
-
-def _require_type(io: _Io, args):
-    """The type of a map or type document (:func:`_checked_type`).
-    ``--fan`` is refused for a type document, whatever the choice: its
-    vertex cones are cones of its own fan and mean nothing on another."""
-    doc = _read_document(io, args.path)
-    if doc.kind == "type":
-        if args.fan is not None:
-            raise DocumentError("", "--fan applies to map documents; a type's vertex cones lie on its own fan")
-    elif doc.kind != "map":
-        raise DocumentError("", f"expected a map or type document, got {doc.kind}")
-    return _checked_type(doc, args.fan, io)
-
-
-def _checked_type(doc: Document, choice: str | None, io: _Io):
-    """The type of a map or type document, refused when it breaks the
-    stability axiom, as ``validate_map`` refuses the map.  A map's type is
-    refused as a type document is, at the vertex ``make_type`` names, so a
-    map and its type get the same answer."""
-    if doc.kind == "map":
-        m = _apply_fan_choice(doc.payload, choice, io)
-        try:
-            t = combinatorial_type(m)
-        except InvalidType as exc:
-            documents.refuse_type(exc, "", doc.vertex_entries)
-    else:
-        t = doc.payload
-    documents.require_stable(t, "", doc.vertex_entries)
-    return t
+    t = _type(io, args, ("map",))
+    return io.report("type", {"type": documents.type_json(t)}, EXIT_OK, "combinatorial type extracted")
 
 
 def _cmd_cone(args, io: _Io) -> int:
-    t = _require_type(io, args)
-    mc = moduli_cone(t)
-    metrics = cone_metrics(mc)
-    results = _cone_json(mc, metrics)
+    mc, metrics, results = _cone(io, args)
     if args.sample:
-        seed = int(os.environ.get("TROPMAP_SEED", args.seed))
-        results["sample"] = documents.map_json(sample_interior(mc, seed))
+        results["sample"] = documents.map_json(sample_interior(mc, args.seed))
     summary = (
         f"dim={metrics.dim} expected={metrics.expected_dim} "
         f"superabundant={str(metrics.superabundant).lower()}"
@@ -228,21 +210,13 @@ def _cmd_cone(args, io: _Io) -> int:
 
 
 def _cmd_superabundant(args, io: _Io) -> int:
-    t = _require_type(io, args)
-    mc = moduli_cone(t)
-    metrics = cone_metrics(mc)
-    results = _cone_json(mc, metrics)
+    _, metrics, results = _cone(io, args)
     code = EXIT_OK if metrics.superabundant else EXIT_PREDICATE_FALSE
-    return io.report(
-        "superabundant",
-        results,
-        code,
-        f"superabundant={str(metrics.superabundant).lower()}",
-    )
+    return io.report("superabundant", results, code, f"superabundant={str(metrics.superabundant).lower()}")
 
 
 def _cmd_wellspaced(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
+    m = _map(io, args)
     diags = validate_map(m)
     if diags:
         raise DocumentError("", f"map invalid: {diags[0]}")
@@ -253,10 +227,10 @@ def _cmd_wellspaced(args, io: _Io) -> int:
 
 
 def _cmd_verdict(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
+    m = _map(io, args)
     family = None
     if args.family:
-        family = _load(io, args.family, "family", name="family")
+        family = _load(io, args.family, ("family",), name="family").payload
     assume = Assumptions(star_realizable=args.assume_star_realizable, family=family)
     try:
         verdict = realizability_verdict(m, assume)
@@ -268,7 +242,7 @@ def _cmd_verdict(args, io: _Io) -> int:
 
 
 def _cmd_limit(args, io: _Io) -> int:
-    fam = _load(io, args.path, "family")
+    fam = _load(io, args.path, ("family",)).payload
     limit = limit_of_family(fam, parse_rational(args.t))
     results = {
         "t": format_rational(limit.t),
@@ -284,41 +258,39 @@ def _cmd_limit(args, io: _Io) -> int:
 
 
 def _cmd_star(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
-    result = star(m, args.vertex)
-    return io.report("star", _doc_result("map", result), EXIT_OK, f"star at {args.vertex}")
+    result = star(_map(io, args), args.vertex)
+    return io.report("star", {"map": documents.map_json(result)}, EXIT_OK, f"star at {args.vertex}")
 
 
 def _cmd_hat(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
-    result = hat_curve(m, parse_rational(args.t))
-    return io.report("hat", _doc_result("map", result), EXIT_OK, f"hat with loop length {args.t}")
+    result = hat_curve(_map(io, args), parse_rational(args.t))
+    return io.report("hat", {"map": documents.map_json(result)}, EXIT_OK, f"hat with loop length {args.t}")
 
 
 def _cmd_example(args, io: _Io) -> int:
-    name = args.name
-    if name not in gallery.GALLERY_NAMES:
-        raise DocumentError("", f"unknown example {name!r}; available: {', '.join(gallery.GALLERY_NAMES)}")
-    if name == "figure1" and args.t is None:
-        fam = build_figure1_family(args.n)
-        doc = Document("family", fam)
-        sys.stdout.write(serialize_document(doc, io.pretty))
-        print(f"example figure1 family (n={args.n})", file=sys.stderr)
-        return EXIT_OK
-    t = parse_rational(args.t) if args.t is not None else None
-    m = gallery.gallery_map(name, n=args.n, t=t)
-    doc = Document("map", m)
+    """Write the named example as a bare document (no envelope): the
+    figure1 family, or a map (the figure1 member at ``--t``)."""
+    if args.name == "figure1" and args.t is None:
+        doc = Document("family", build_figure1_family(args.n))
+        summary = f"example figure1 family (n={args.n})"
+    else:
+        t = parse_rational(args.t) if args.t is not None else None
+        doc = Document("map", gallery.gallery_map(args.name, n=args.n, t=t))
+        summary = f"example {args.name}"
     sys.stdout.write(serialize_document(doc, io.pretty))
-    print(f"example {name}", file=sys.stderr)
+    print(summary, file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_plot(args, io: _Io) -> int:
-    m = _apply_fan_choice(_load(io, args.path, "map"), args.fan, io)
+    m = _map(io, args)
     i, j = (int(x) for x in args.axes.split(","))
     svg = plot.render_svg(m, (i, j), radius=parse_rational(args.radius))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise DocumentError("", f"cannot write {args.out}: {exc.strerror}") from None
     return io.report("plot", {"out": args.out, "axes": [i, j]}, EXIT_OK, f"wrote {args.out}")
 
 
@@ -350,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("type", _cmd_type, "extract the combinatorial type")
     p = add("cone", _cmd_cone, "moduli cone presentation and metrics")
     p.add_argument("--sample", action="store_true", help="include an interior sample map")
-    p.add_argument("--seed", type=int, default=0, help="sample seed (env TROPMAP_SEED overrides)")
+    p.add_argument("--seed", type=int, default=0, help="sample seed")
     add("superabundant", _cmd_superabundant, "exit 0 iff the type is superabundant")
     add("wellspaced", _cmd_wellspaced, "exit 0 iff the map is well-spaced")
     p = add("verdict", _cmd_verdict, "realizability verdict by the rule cascade")
@@ -380,15 +352,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0
-        envelope = {
-            "command": None,
-            "inputs": {},
-            "diagnostics": [{"pointer": "", "message": "invalid command line"}],
-            "exit_code": EXIT_INPUT_ERROR,
-        }
-        sys.stdout.write(dumps(envelope))
-        return EXIT_INPUT_ERROR
-    io = _Io(args)
+        return _Io().envelope(
+            None, EXIT_INPUT_ERROR, diagnostics=[{"pointer": "", "message": "invalid command line"}]
+        )
+    io = _Io(args.format == "pretty")
     try:
         with documents.shared_fans():
             return args.fn(args, io)

@@ -26,7 +26,6 @@ from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex
 from .exactgeom import (
     Fan,
     IntVec,
-    _canonical_pointed,
     cone,
     build_fan,
     fan_validate,
@@ -452,13 +451,6 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
             for j, r in enumerate(_get(craw, "rays", pointer, "vertex_cones", vid, typ=list))
         ]
         vertex_cones[vid] = cone(ambient, rays)
-        if rays and vid not in c.marked_vertex_ids:  # the zero cone is its own canonical form
-            try:
-                vertex_cones[vid] = _canonical_pointed(vertex_cones[vid])
-            except ValueError:
-                raise DocumentError(
-                    _at(pointer, "vertex_cones", vid), f"vertex cone of {vid} is not pointed"
-                ) from None
     if "positions" in raw:
         raise DocumentError(_at(pointer, "positions"), "types carry no positions")
     try:
@@ -469,12 +461,15 @@ def parse_type(raw, pointer: str, warnings: list[str]) -> CombinatorialType:
 
 def refuse_type(exc: InvalidType, pointer: str, entries: Sequence[Mapping[str, Any]]) -> NoReturn:
     """Raise the DocumentError for a type that ``make_type`` refused: at the
-    entry in ``entries``, the vertex list of the document's curve as the
-    document lists it, of the vertex the refusal names, or at ``pointer``
-    when it names none."""
-    if exc.vertex is not None:
-        _refuse_vertex(entries, exc.vertex, pointer, str(exc))
-    raise DocumentError(pointer, str(exc))
+    vertex's entry in ``vertex_cones`` when the refusal is of the cone a
+    type document gave the vertex, else at the entry in ``entries``, the
+    vertex list of the document's curve as the document lists it, of the
+    vertex the refusal names, or at ``pointer`` when it names none."""
+    if exc.vertex is None:
+        raise DocumentError(pointer, str(exc))
+    if exc.field == "vertex_cones":
+        raise DocumentError(_at(pointer, "vertex_cones", exc.vertex), str(exc))
+    _refuse_vertex(entries, exc.vertex, pointer, str(exc))
 
 
 def require_stable(t: CombinatorialType, pointer: str, entries: Sequence[Mapping[str, Any]]) -> None:

@@ -494,11 +494,14 @@ def _is_stripped(c: TropicalCurve) -> bool:
 
 class InvalidType(ValueError):
     """A type that :func:`make_type` refuses; ``vertex`` is the finite or
-    marked vertex the diagnostic names, or None when it names none."""
+    marked vertex the diagnostic names, or None when it names none, and
+    ``field`` the part of the type it refuses there: ``"curve"`` (the
+    vertex itself) or ``"vertex_cones"`` (the vertex's cone)."""
 
-    def __init__(self, message: str, vertex: Optional[str] = None):
+    def __init__(self, message: str, vertex: Optional[str] = None, field: str = "curve"):
         super().__init__(message)
         self.vertex = vertex
+        self.field = field
 
 
 def make_type(
@@ -539,12 +542,12 @@ def make_type(
         try:
             canonical[vid] = _canonical_pointed(c) if c.rays else c
         except ValueError:
-            raise InvalidType(f"vertex cone of {vid} is not pointed", vid) from None
+            raise InvalidType(f"vertex cone of {vid} is not pointed", vid, "vertex_cones") from None
     if not fan.embedded:
         fan_cones = set(fan.cones)
         for vid in graph.unmarked_vertex_ids():
             if canonical[vid] not in fan_cones:
-                raise InvalidType(f"vertex cone of {vid} is not a cone of the fan", vid)
+                raise InvalidType(f"vertex cone of {vid} is not a cone of the fan", vid, "vertex_cones")
     return CombinatorialType(graph, fan, canonical, _orient_leaves(graph, edge_data))
 
 

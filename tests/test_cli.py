@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, pipelines."""
 
+import errno
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ import pytest
 
 import tropmap
 from tropmap.cli import main
-from tropmap.documents import Document, load_document, serialize_document
+from tropmap.documents import Document, load_document, map_json, serialize_document
 from tropmap.exactgeom import complete_orthant_fan
 from tropmap.gallery import square_loop
 from tropmap.maps import combinatorial_type, validate_map
+from tropmap.moduli import moduli_cone, sample_interior
 
 from builders import rectangle_cycle, strict_unstable_member_family
 
@@ -63,12 +65,12 @@ class TestCommands:
             {"edge": "s3", "head": "c0", "tail": "c3", "wu": [0, -1, 0]},
         ]
 
-    def test_cone_sample_env_seed(self, capsys, monkeypatch, square_loop_doc):
-        monkeypatch.setenv("TROPMAP_SEED", "4")
-        code, out, _ = run_cli(capsys, monkeypatch, ["cone", square_loop_doc, "--sample"])
+    def test_cone_sample_seed(self, capsys, monkeypatch, square_loop_doc):
+        code, out, _ = run_cli(capsys, monkeypatch, ["cone", square_loop_doc, "--sample", "--seed", "4"])
         assert code == 0
         sample = json.loads(out)["results"]["sample"]
-        assert sample["positions"]
+        want = sample_interior(moduli_cone(combinatorial_type(square_loop())), 4)
+        assert sample == json.loads(json.dumps(map_json(want)))
 
     def test_moduli_cone_built_once(self, capsys, monkeypatch, square_loop_doc):
         calls = []
@@ -710,6 +712,16 @@ class TestErrorHandling:
         ]
         assert "Traceback" not in err
 
+
+    def test_plot_to_an_unwritable_path_exit_two(self, capsys, monkeypatch, square_loop_doc, tmp_path):
+        # the missing directory made `plot` print a FileNotFoundError
+        # traceback and exit 1, the predicate-false code
+        out_path = tmp_path / "missing" / "x.svg"
+        code, out, err = run_cli(capsys, monkeypatch, ["plot", square_loop_doc, "-o", str(out_path)])
+        assert code == 2
+        message = f"cannot write {out_path}: {os.strerror(errno.ENOENT)}"
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert err == f"error at /: {message}\n"
 
     def test_deeply_nested_input_exit_two(self, capsys, monkeypatch):
         text = '{"a":' * 5000 + "1" + "}" * 5000

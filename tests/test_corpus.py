@@ -1,6 +1,7 @@
 """Byte-for-byte identity of CLI outputs on the recorded corpus, and
 source rules for the package: no floating point, no unreferenced
-definition, no nested function that names itself or a sibling."""
+definition, no nested function that names itself or a sibling, one writer
+of the CLI's report envelopes."""
 
 import ast
 import json
@@ -97,6 +98,26 @@ def test_every_top_level_definition_has_a_reference():
     defined = {definition.name for _, definition in definitions}
     stale += [f"{name} is not exported" for name in EXPORTED_WITHOUT_A_CALLER if name not in exported & defined]
     assert (unused, stale) == ([], [])
+
+
+def test_cli_writes_stdout_in_one_envelope_writer():
+    """``cli.py`` writes to stdout (``sys.stdout.write``, or ``print``
+    without ``file=``) only in ``_Io.envelope``, which writes every report
+    envelope, and in ``_cmd_example``, which writes a bare document.  A
+    field that every envelope carries is then added in one place."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    writers = []
+    stack = [(node, "") for node in tree.body]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if callee == "sys.stdout.write" or (callee == "print" and not any(k.arg == "file" for k in node.keywords)):
+                writers.append(scope)
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    assert sorted(writers) == ["_Io.envelope", "_cmd_example"]
 
 
 def _scope_functions(node: ast.AST) -> list[ast.AST]:

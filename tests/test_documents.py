@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import tropmap.cli
+from tropmap import maps
 from tropmap import AffineFn, canonical_type, combinatorial_type, documents, limit_of_family, make_type
 from tropmap.cli import main
 from tropmap.documents import (
@@ -27,6 +28,7 @@ from builders import collinear_chain_family, rectangle_family, strict_unstable_m
 from oracles import ref_invalid_member, ref_positions_from_lengths
 
 DIAGNOSTICS = Path(__file__).parent / "data" / "load_diagnostics.json"
+STRICT_ORTHANT_FAN_MAP = Path(__file__).parent / "data" / "strict_orthant_fan_map.json"
 
 
 def _gallery_documents():
@@ -326,6 +328,42 @@ _FIELD_ERRORS = [
 ]
 
 
+class TestVertexCones:
+    """A type document's vertex cones are canonicalized once, by
+    ``make_type``, and a refusal of one points at its ``vertex_cones`` entry."""
+
+    @staticmethod
+    def _strict_type_raw():
+        strict = load_document(STRICT_ORTHANT_FAN_MAP.read_text()).document.payload
+        return json.loads(serialize_document(Document("type", combinatorial_type(strict))))
+
+    def test_loading_canonicalizes_each_nonzero_cone_once(self, monkeypatch):
+        text = json.dumps(self._strict_type_raw())
+        calls = []
+        real = maps._canonical_pointed
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(maps, "_canonical_pointed", counting)
+        for _ in range(2):
+            load_document(text)
+        # three nonzero vertex cones (c1, c2, c3) per load; the loader
+        # itself holds no binding of the canonicalizer
+        assert len(calls) == 6
+        assert not hasattr(documents, "_canonical_pointed")
+
+    def test_a_cone_outside_the_fan_is_refused_at_its_entry(self):
+        raw = self._strict_type_raw()
+        raw["vertex_cones"]["c1"] = {"rays": [[1, 1, 0]]}
+        with pytest.raises(DocumentError) as info:
+            load_document(json.dumps(raw))
+        assert (info.value.pointer, info.value.message) == (
+            "/vertex_cones/c1", "vertex cone of c1 is not a cone of the fan"
+        )
+
+
 class TestDirectReads:
     @pytest.mark.parametrize("path, value, expected", _FIELD_ERRORS,
                              ids=["/".join(map(str, path)) + (" deleted" if value is _DELETE else f"={value!r}")
@@ -492,7 +530,7 @@ def _fuzz_seeds():
     """(document, limit map document or None) pairs: maps and types for
     the type commands, families with their t = 1 limits for ``limit`` and
     ``verdict --family``."""
-    strict_map = load_document((Path(__file__).parent / "data" / "strict_orthant_fan_map.json").read_text())
+    strict_map = load_document(STRICT_ORTHANT_FAN_MAP.read_text())
     maps = [square_loop(), speyer_tree(), three_rays(), strict_map.document.payload]
     families = [
         build_figure1_family(3),
