@@ -269,7 +269,10 @@ def _cmd_hat(args, io: _Io) -> int:
 
 def _cmd_example(args, io: _Io) -> int:
     """Write the named example as a bare document (no envelope): the
-    figure1 family, or a map (the figure1 member at ``--t``)."""
+    figure1 family, or a map (the figure1 member at ``--t``).  ``--t`` is
+    refused for the other examples, which have no members."""
+    if args.name != "figure1" and args.t is not None:
+        raise DocumentError("", f"--t applies to the figure1 example only, not to {args.name}")
     if args.name == "figure1" and args.t is None:
         doc = Document("family", build_figure1_family(args.n))
         summary = f"example figure1 family (n={args.n})"
@@ -285,7 +288,10 @@ def _cmd_example(args, io: _Io) -> int:
 def _cmd_plot(args, io: _Io) -> int:
     m = _map(io, args)
     i, j = (int(x) for x in args.axes.split(","))
-    svg = plot.render_svg(m, (i, j), radius=parse_rational(args.radius))
+    radius = parse_rational(args.radius)
+    if radius <= 0:
+        raise DocumentError("", f"--radius must be positive, got {args.radius}")
+    svg = plot.render_svg(m, (i, j), radius=radius)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -181,7 +181,7 @@ def _classes(vertex_ids: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]
         if a in parent and b in parent:
             a, b = sorted((find(a), find(b)))
             parent[b] = a
-    return {v: find(v) for v in parent}
+    return {v: p if p == v else find(v) for v, p in parent.items()}
 
 
 DISCONNECTED = "curve is disconnected"
@@ -273,6 +273,11 @@ def contract_edges(c: TropicalCurve, edge_ids: Iterable[str]) -> tuple[TropicalC
     first Betti number (contracted edges minus vertices plus one), so the
     total genus is preserved.  Marked leaf-edges cannot be contracted.
     Returns the curve and the map from each old vertex id to its survivor.
+
+    ``c`` is normalized, as :func:`tropical_curve` builds it, so the result
+    is built directly, not re-sorted: dropping vertices, edges and no
+    markings keeps ids sorted and distinct, and only an edge whose ends are
+    re-rooted may need its ends put in order.
     """
     edge_set = set(edge_ids)
     for eid in sorted(edge_set):
@@ -287,10 +292,18 @@ def contract_edges(c: TropicalCurve, edge_ids: Iterable[str]) -> tuple[TropicalC
         merged_genus[root[v.id]] = merged_genus.get(root[v.id], 1) + v.genus - 1
     for e in contracted:
         merged_genus[root[e.ends[0]]] += 1
-    vertices = [Vertex(v.id, merged_genus[v.id]) for v in c.vertices if root[v.id] == v.id]
-    edges = [
-        Edge(e.id, (root.get(e.ends[0], e.ends[0]), root.get(e.ends[1], e.ends[1])), e.length)
-        for e in c.edges
-        if e.id not in edge_set
-    ]
-    return tropical_curve(vertices, edges, c.markings), root
+    vertices = tuple(
+        v if merged_genus[v.id] == v.genus else Vertex(v.id, merged_genus[v.id])
+        for v in c.vertices
+        if root[v.id] == v.id
+    )
+    edges = []
+    for e in c.edges:
+        if e.id in edge_set:
+            continue
+        a, b = e.ends
+        ra, rb = root.get(a, a), root.get(b, b)
+        if ra != a or rb != b:
+            e = Edge(e.id, (ra, rb) if ra <= rb else (rb, ra), e.length)
+        edges.append(e)
+    return TropicalCurve(vertices, tuple(edges), c.markings), root

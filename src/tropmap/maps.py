@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
 from .curves import (
@@ -347,6 +347,14 @@ def _unstable_vertices(
 PLACEHOLDER_LENGTH = Fraction(1)
 
 
+class _LocalInvariants(NamedTuple):
+    """What a type's isomorphism search reads of each vertex's own edges."""
+
+    profiles: Mapping[str, tuple]
+    adjacency: Mapping[tuple[str, str], tuple]
+    neighbours: Mapping[str, tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class CombinatorialType(_EdgeDirections):
     """A map with lengths and positions forgotten.
@@ -373,7 +381,8 @@ class CombinatorialType(_EdgeDirections):
 
     @cached_property
     def _bounded_edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.graph.edges if not self.graph.is_marked_leaf_edge(e))
+        marked = self.graph.marked_vertex_ids
+        return tuple(e.id for e in self.graph.edges if e.ends[0] not in marked and e.ends[1] not in marked)
 
     @cached_property
     def spanning_tree(self) -> tuple[Mapping[str, tuple[str, Edge, int]], tuple[Edge, ...]]:
@@ -406,28 +415,61 @@ class CombinatorialType(_EdgeDirections):
         non_tree = tuple(g.edge(eid) for eid in self.bounded_edge_ids() if eid not in tree)
         return parent, non_tree
 
-    @cached_property
+    @property
     def vertex_profiles(self) -> Mapping[str, tuple]:
         """(genus, valence, sorted edge signatures) of each finite vertex;
-        isomorphisms preserve it."""
-        g = self.graph
-        return {
-            vid: (g.vertex(vid).genus, g.valence(vid),
-                  tuple(sorted(_edge_signature(self, e, vid) for e in g.edges_at(vid))))
-            for vid in g.unmarked_vertex_ids()
-        }
+        isomorphisms preserve it.  An edge's signature read from one end is
+        (weight, direction read outward); a self-loop is read once."""
+        return self._local.profiles
 
-    @cached_property
+    @property
     def adjacency(self) -> Mapping[tuple[str, str], tuple]:
         """The sorted edge signatures of the edges joining each vertex to
         each neighbour, read from the vertex; isomorphisms preserve it."""
+        return self._local.adjacency
+
+    @cached_property
+    def _local(self) -> _LocalInvariants:
+        """The profiles, the adjacency and the sorted neighbours of every
+        vertex, from one pass over the edges that reads one signature per
+        half-edge; a self-loop is read once, as its vertex's incidence list
+        holds it once, and counts twice towards the valence."""
         g = self.graph
-        out: dict[tuple[str, str], list] = {}
-        for v in g.vertices:
-            for e in g.edges_at(v.id):
-                a, b = e.ends
-                out.setdefault((v.id, b if a == v.id else a), []).append(_edge_signature(self, e, v.id))
-        return {pair: tuple(sorted(sigs)) for pair, sigs in out.items()}
+        sigs: dict[str, list] = {v.id: [] for v in g.vertices}
+        loops = dict.fromkeys(sigs, 0)
+        neighbours: dict[str, list[str]] = {vid: [] for vid in sigs}
+        adjacency: dict[tuple[str, str], tuple] = {}
+        for e in g.edges:
+            a, b = e.ends
+            d = self.edge_data[e.id]
+            out = (d.w, d.u)
+            if a == b:
+                loops[a] += 1
+                sigs[a].append(out)
+                adjacency[a, a] = tuple(sorted((*adjacency.get((a, a), ()), out)))
+                continue
+            back = (d.w, tuple([-x for x in d.u]))
+            if d.tail != a:
+                out, back = back, out
+            sigs[a].append(out)
+            sigs[b].append(back)
+            if (a, b) in adjacency:  # a parallel edge
+                adjacency[a, b] = tuple(sorted((*adjacency[a, b], out)))
+                adjacency[b, a] = tuple(sorted((*adjacency[b, a], back)))
+            else:
+                adjacency[a, b], adjacency[b, a] = (out,), (back,)
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+        marked = g.marked_vertex_ids
+        return _LocalInvariants(
+            {
+                v.id: (v.genus, len(sigs[v.id]) + loops[v.id], tuple(sorted(sigs[v.id])))
+                for v in g.vertices
+                if v.id not in marked
+            },
+            adjacency,
+            {vid: tuple(sorted(us)) for vid, us in neighbours.items()},
+        )
 
     @cached_property
     def _canonical(self) -> Optional[CombinatorialType]:
@@ -443,11 +485,18 @@ class CombinatorialType(_EdgeDirections):
     @cached_property
     def marked_edges(self) -> Mapping[str, Edge]:
         """The leaf-edge of each marking label, read in one pass over the
-        markings."""
+        edges (a self-loop once), without the curve's incidence lists."""
         g = self.graph
+        at: dict[str, list[Edge]] = {m.vertex: [] for m in g.markings}
+        for e in g.edges:
+            a, b = e.ends
+            if a in at:
+                at[a].append(e)
+            if b != a and b in at:
+                at[b].append(e)
         out = {}
         for m in g.markings:
-            edges = g.edges_at(m.vertex)
+            edges = at[m.vertex]
             if len(edges) != 1:
                 raise ValueError(f"marked vertex {m.vertex} is not 1-valent")
             out[m.label] = edges[0]
@@ -623,10 +672,6 @@ class TypeAutomorphism:
     edge_map: Mapping[str, tuple[str, bool]]
 
 
-def _edge_signature(t: CombinatorialType, e: Edge, vid: str) -> tuple:
-    return (t.edge_data[e.id].w, t.direction_from(e, vid))
-
-
 def _backtrack(n: int, options: Callable[[tuple], Iterable]) -> Iterator[tuple]:
     """Every tuple of ``n`` choices whose i-th entry is one of
     ``options(first i choices)``, depth first in the order the options come.
@@ -670,7 +715,21 @@ def decorated_isomorphisms(
     bounded edges of t1, grouped by the images of their ends, take the
     unused edges of t2 between those images, each with its compatible
     orientations.  Isomorphisms come out in the lexicographic order of
-    these choices.
+    these choices, the vertices of t2 taken in sorted id order.
+
+    The vertex stage reads the types' local invariants (profiles, which
+    hold the valence, adjacency and sorted neighbours, one pass over each
+    type's edges).  A vertex with no neighbour mapped before it tries every
+    free vertex of t2.  Otherwise the same adjacency to a mapped neighbour
+    u makes the image a neighbour of u's image, so it tries only the
+    neighbours of that image, which are sorted as well: the candidates
+    that pass are the same and come in the same order, and so does every
+    isomorphism.  A non-neighbour has empty adjacency, so the adjacency to
+    every mapped vertex is the same exactly when it is the same to each
+    mapped neighbour and the candidate has as many mapped neighbours.
+    ``vertex_ok`` is asked last, of the candidates that pass these tests.
+    The edge stage compares each edge's (direction, weight, image of the
+    tail), read both ways round, with a sink's (direction, weight, tail).
     """
     g1, g2 = t1.graph, t2.graph
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -687,56 +746,83 @@ def decorated_isomorphisms(
     marked_vmap = {v1: labels2[label] for label, v1 in labels1.items()}
     marked_emap = {e1.id: (t2.marked_edges[label].id, False) for label, e1 in t1.marked_edges.items()}
 
-    free1 = sorted(g1.unmarked_vertex_ids(), key=lambda v: (-g1.valence(v), v))
-    free2 = sorted(g2.unmarked_vertex_ids())
-    profiles1, profiles2 = t1.vertex_profiles, t2.vertex_profiles
-    adjacency1, adjacency2 = t1.adjacency, t2.adjacency
+    local1, local2 = t1._local, t2._local
+    profiles1, profiles2 = local1.profiles, local2.profiles
+    adjacency2, neighbours2 = local2.adjacency, local2.neighbours
+    free1 = sorted(profiles1, key=lambda v: (-profiles1[v][1], v))
+    free2 = sorted(profiles2)
+    # a vertex's image is entry i of (marked images, chosen images) when
+    # the vertex is the i-th of (marked vertices, free1); each free vertex
+    # of t1 lists its neighbours mapped before it as (entry, adjacency)
+    fixed = tuple(marked_vmap.values())
+    entry = {v: i for i, v in enumerate((*marked_vmap, *free1))}
+    links = [
+        [(entry[u1], local1.adjacency[(v1, u1)]) for u1 in local1.neighbours[v1] if entry[u1] < entry[v1]]
+        for v1 in free1
+    ]
 
     def vertex_options(images: tuple[str, ...]) -> Iterator[str]:
-        v1 = free1[len(images)]
-        mapped = [*marked_vmap.items(), *zip(free1, images)]
-        for v2 in free2:
-            if v2 in images or profiles2[v2] != profiles1[v1]:
+        i = len(images)
+        v1, checks = free1[i], links[i]
+        profile = profiles1[v1]
+        mapped = fixed + images
+        for v2 in neighbours2[mapped[checks[0][0]]] if checks else free2:
+            if v2 in images or profiles2.get(v2) != profile:
+                continue  # used, marked, or of another profile
+            if not all(adjacency2.get((v2, mapped[j])) == sigs for j, sigs in checks):
                 continue
-            if not (vertex_ok(v1, v2) if vertex_ok else t1.vertex_cones[v1] == t2.vertex_cones[v2]):
+            if sum(u2 in mapped for u2 in neighbours2[v2]) != len(checks):
                 continue
-            if all(adjacency1.get((v1, u1), ()) == adjacency2.get((v2, u2), ()) for u1, u2 in mapped):
+            if vertex_ok(v1, v2) if vertex_ok else t1.vertex_cones[v1] == t2.vertex_cones[v2]:
                 yield v2
 
-    targets: dict[tuple[str, ...], list[Edge]] = {}
-    for eid in t2.bounded_edge_ids():
-        e2 = g2.edge(eid)
-        targets.setdefault(tuple(sorted(e2.ends)), []).append(e2)
-    target_sizes = {pair: len(sinks) for pair, sinks in targets.items()}
-
-    # (source edge, its candidate sinks) per bounded edge of t1, group by
-    # group; rebound with the vertex map for each vertex assignment
-    slots: list[tuple[Edge, list[Edge]]] = []
-    vmap: dict[str, str] = {}
-
-    def edge_options(images: tuple[tuple[Edge, bool], ...]) -> Iterator[tuple[Edge, bool]]:
-        e1, sinks = slots[len(images)]
-        used = {e2.id for e2, _ in images}
-        d1 = t1.edge_data[e1.id]
-        orientations = ((False, d1), (True, d1.reversed(e1)))
-        for e2 in sinks:
+    # the bounded edges of t2 between each pair of ends, with their data as
+    # (direction, weight, tail); those of t1 with their ends and data; both
+    # read off the edges in curve order, as bounded_edge_ids lists them,
+    # without building the edge index of a contraction that is searched once
+    targets: dict[tuple[str, str], list[tuple[str, tuple]]] = {}
+    marked2 = g2.marked_vertex_ids
+    for e2 in g2.edges:
+        a, b = e2.ends
+        if a not in marked2 and b not in marked2:
             d2 = t2.edge_data[e2.id]
-            for flip, d in orientations:
-                # e1 read this way round carries e2's data onto e2's tail
-                if e2.id not in used and (d.u, d.w, vmap[d.tail]) == (d2.u, d2.w, d2.tail):
-                    yield e2, flip
+            targets.setdefault((a, b) if a <= b else (b, a), []).append((e2.id, (d2.u, d2.w, d2.tail)))
+    target_sizes = {pair: len(sinks) for pair, sinks in targets.items()}
+    sources = []
+    marked1 = g1.marked_vertex_ids
+    for e1 in g1.edges:
+        a, b = e1.ends
+        if a not in marked1 and b not in marked1:
+            d1 = t1.edge_data[e1.id]
+            sources.append((e1.id, e1.ends, d1, tuple([-x for x in d1.u]), d1.head(e1)))
+
+    # (source edge, its data read both ways round onto the images, its
+    # candidate sinks) per bounded edge of t1, group by group; rebound for
+    # each vertex assignment
+    slots: list[tuple[str, tuple, list]] = []
+
+    def edge_options(chosen: tuple[tuple[str, bool], ...]) -> Iterator[tuple[str, bool]]:
+        _, (forward, backward), sinks = slots[len(chosen)]
+        used = {e2 for e2, _ in chosen}
+        for e2, key in sinks:
+            if e2 not in used:
+                if key == forward:
+                    yield e2, False
+                if key == backward:
+                    yield e2, True
 
     for images in _backtrack(len(free1), vertex_options):
         vmap = {**marked_vmap, **dict(zip(free1, images))}
-        groups: dict[tuple[str, ...], list[Edge]] = {}
-        for eid in t1.bounded_edge_ids():
-            e1 = g1.edge(eid)
-            groups.setdefault(tuple(sorted((vmap[e1.ends[0]], vmap[e1.ends[1]]))), []).append(e1)
-        if {pair: len(sources) for pair, sources in groups.items()} != target_sizes:
+        groups: dict[tuple[str, str], list[tuple[str, tuple]]] = {}
+        for eid, (a, b), d1, back, head in sources:
+            a, b = vmap[a], vmap[b]
+            keys = ((d1.u, d1.w, vmap[d1.tail]), (back, d1.w, vmap[head]))
+            groups.setdefault((a, b) if a <= b else (b, a), []).append((eid, keys))
+        if {pair: len(group) for pair, group in groups.items()} != target_sizes:
             continue
-        slots = [(e1, targets[pair]) for pair in sorted(groups) for e1 in groups[pair]]
+        slots = [(eid, keys, targets[pair]) for pair in sorted(groups) for eid, keys in groups[pair]]
         for choices in _backtrack(len(slots), edge_options):
-            emap = {e1.id: (e2.id, flip) for (e1, _), (e2, flip) in zip(slots, choices)}
+            emap = {eid: choice for (eid, _, _), choice in zip(slots, choices)}
             yield dict(vmap), {**marked_emap, **emap}
 
 

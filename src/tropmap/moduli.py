@@ -376,7 +376,8 @@ def _contract_with_map(
 ) -> tuple[CombinatorialType, dict[str, str], dict[str, list[str]]]:
     """The contracted type, the map from old to surviving vertex ids, and
     each survivor's class of old vertices."""
-    graph, vmap = curves.contract_edges(t.graph, edges)
+    contracted = set(edges)
+    graph, vmap = curves.contract_edges(t.graph, contracted)
     classes: dict[str, list[str]] = {}
     for old, new in vmap.items():
         classes.setdefault(new, []).append(old)
@@ -393,7 +394,7 @@ def _contract_with_map(
     data = {
         eid: d if vmap[d.tail] == d.tail else EdgeMapData(d.u, d.w, vmap[d.tail])
         for eid, d in t.edge_data.items()
-        if graph.has_edge(eid)
+        if eid not in contracted
     }
     return CombinatorialType(graph, t.fan, cones, data), vmap, classes
 

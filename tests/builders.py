@@ -409,6 +409,40 @@ def random_decorated_type(rng: random.Random) -> CombinatorialType:
     return unchecked_type(tropical_curve(vertices, edges, markings), fan, data)
 
 
+def random_unmarked_type(rng: random.Random, max_vertices: int = 4, max_edges: int = 6) -> CombinatorialType:
+    """A random type with no markings, so an isomorphism search starts at
+    a vertex with no mapped neighbour: a random tree on two to
+    ``max_vertices`` vertices with random genera, then parallel copies of
+    its edges, contracted self-loops and chords up to ``max_edges`` edges,
+    directions drawn from few (the zero one among them), so that types
+    have symmetries.  Built unchecked, as it need not balance."""
+    directions = [(1, 0), (0, 1), (0, 0)]
+    ids = [f"v{i}" for i in range(rng.randint(2, max_vertices))]
+    vertices = [Vertex(v, rng.randint(0, 1)) for v in ids]
+    edges, data = [], {}
+
+    def add(a, b, u):
+        eid = f"e{len(edges)}"
+        edges.append(Edge(eid, (a, b), Fraction(1)))
+        data[eid] = EdgeMapData(u, rng.randint(1, 2) if any(u) else 0, rng.choice((a, b)))
+
+    for i in range(1, len(ids)):
+        add(ids[rng.randrange(i)], ids[i], rng.choice(directions))
+    while len(edges) < max_edges and rng.random() < 0.8:
+        kind = rng.choice(("parallel", "loop", "chord"))
+        if kind == "parallel":
+            e = rng.choice(edges)
+            d = data[e.id]
+            add(*e.ends, d.u)
+            data[edges[-1].id] = EdgeMapData(d.u, d.w, d.tail)
+        elif kind == "loop":
+            v = rng.choice(ids)
+            add(v, v, (0, 0))
+        else:
+            add(*rng.sample(ids, 2), rng.choice(directions))
+    return unchecked_type(tropical_curve(vertices, edges, []), auto_rays_fan(2, [], embedded=True), data)
+
+
 def unchecked_type(graph, fan, data, vertex_cones=None) -> CombinatorialType:
     """A type built directly, with none of ``make_type``'s checks, for the
     searches that read no axiom (isomorphisms, the face search, the moduli

@@ -14,15 +14,18 @@ canonical ray sets.  The canonical form, pointedness, common face, face
 list and point location are also kept in their LP-only form (``lp_*``),
 where the library settles simplicial cones by rank and skips the cones
 inside a cone that misses the point.  Edge contraction rebuilds the curve
-once per contracted edge, where the library contracts a set of edges in one
-pass.  The face search contracts every edge subset of
+through the normalizing constructor once per contracted edge, where the
+library contracts a set of edges in one pass and builds the curve without
+sorting it again.  The face search contracts every edge subset of
 the right size, where the library tries only the subsets whose edge
 weights and directions can match.  Decorated isomorphisms come from the
 two recursive searches (vertices, then edges) that the library replaced by
 one explicit-stack search; they pin its output order, and the face search
-uses them, so it shares no search code with the library.  They read each
-vertex profile off the vertex's own edges themselves, not off the type's
-cached ``vertex_profiles``.
+uses them, so it shares no search code with the library.  They try every
+unused vertex for each vertex, where the library tries the neighbours of a
+mapped neighbour's image, and they read each vertex profile and adjacency
+off the vertex's own incidence list, where the library reads them all in
+one pass over the edges.
 The R4 family certificate builds the limit and each probe member as a
 map and decides each member on the member's own cycle frame, computed in
 Fractions, and on trapped subcurves cut by vertex levels with Fraction distances, where
@@ -65,7 +68,6 @@ from tropmap.exactgeom import (
 from tropmap.maps import (
     STABILITY_VIOLATED,
     CombinatorialType,
-    _edge_signature,
     canonical_map,
     canonical_type,
     stable_map,
@@ -906,6 +908,30 @@ def compatible_subsets(ta: CombinatorialType, tb: CombinatorialType) -> list[tup
         return []
     size = len(bounded) - len(ta.bounded_edge_ids())
     return [s for s in itertools.combinations(bounded, size) if Counter(signature(tb, e) for e in s) == +surplus]
+
+
+def _edge_signature(t: CombinatorialType, e: Edge, vid: str) -> tuple:
+    """(weight, direction read outward from ``vid``) of the edge."""
+    d = t.edge_data[e.id]
+    return d.w, d.u if d.tail == vid else tuple(-x for x in d.u)
+
+
+def ref_adjacency(t: CombinatorialType) -> dict[tuple[str, str], tuple]:
+    """The sorted signatures of the edges joining each vertex to each
+    neighbour, each read off one of the vertex's own edges."""
+    g = t.graph
+    out: dict[tuple[str, str], list] = {}
+    for v in g.vertices:
+        for e in g.edges_at(v.id):
+            a, b = e.ends
+            out.setdefault((v.id, b if a == v.id else a), []).append(_edge_signature(t, e, v.id))
+    return {pair: tuple(sorted(sigs)) for pair, sigs in out.items()}
+
+
+def ref_neighbours(t: CombinatorialType) -> dict[str, tuple[str, ...]]:
+    """The other ends of each vertex's own edges, sorted."""
+    g = t.graph
+    return {v.id: tuple(sorted({x for e in g.edges_at(v.id) for x in e.ends} - {v.id})) for v in g.vertices}
 
 
 def ref_vertex_profiles(t: CombinatorialType) -> dict[str, tuple]:

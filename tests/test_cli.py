@@ -723,6 +723,27 @@ class TestErrorHandling:
         assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
         assert err == f"error at /: {message}\n"
 
+    @pytest.mark.parametrize("radius", ["-2", "0", "-1/3"])
+    def test_plot_radius_not_positive_exit_two(self, capsys, monkeypatch, square_loop_doc, tmp_path, radius):
+        # a negative radius drew each ray backwards from its vertex and a
+        # zero radius drew the rays as points, both with exit 0
+        out_path = tmp_path / "x.svg"
+        code, out, err = run_cli(capsys, monkeypatch, ["plot", square_loop_doc, f"--radius={radius}", "-o", str(out_path)])
+        assert code == 2
+        message = f"--radius must be positive, got {radius}"
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert err == f"error at /: {message}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("name", ["square-loop", "speyer-tree", "hat-demo"])
+    def test_example_t_on_an_example_without_members_exit_two(self, capsys, monkeypatch, name):
+        # --t was ignored, so the caller got the plain example with exit 0
+        code, out, err = run_cli(capsys, monkeypatch, ["example", name, "--t", "1/2"])
+        assert code == 2
+        message = f"--t applies to the figure1 example only, not to {name}"
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert err == f"error at /: {message}\n"
+
     def test_deeply_nested_input_exit_two(self, capsys, monkeypatch):
         text = '{"a":' * 5000 + "1" + "}" * 5000
         code, out, err = run_cli(capsys, monkeypatch, ["cone"], stdin=text)

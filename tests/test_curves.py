@@ -1,5 +1,6 @@
 """Curves: validation, genus bookkeeping, contraction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -215,6 +216,26 @@ class TestContractEdges:
         assert all(vmap[s] == s for s in survivors)
         assert all(vmap[v] in survivors and vmap[v] <= v for v in vmap)
         assert all(vmap[c.edge(eid).ends[0]] == vmap[c.edge(eid).ends[1]] for eid in subset)
+
+    def test_every_subset_builds_the_normalized_curve(self):
+        # the curve is built without re-sorting: it equals, tuple for
+        # tuple, the fold's curve, which the normalizing constructor builds
+        # at every step, renamed ends put in order included
+        subsets = swapped = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            c = _with_marked_leaves(rng, random_connected_multigraph(rng, max_edges=7))
+            inner = [e.id for e in c.edges if not c.is_marked_leaf_edge(e)]
+            for k in range(len(inner) + 1):
+                for subset in itertools.combinations(inner, k):
+                    out, vmap = contract_edges(c, subset)
+                    assert out == _fold(c, subset), (seed, subset)
+                    subsets += 1
+                    swapped += any(
+                        (vmap[a], vmap[b]) != (a, b) and vmap[a] > vmap[b]
+                        for a, b in (e.ends for e in c.edges if e.id not in subset)
+                    )
+        assert subsets > 1_000 and swapped > 100
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -33,11 +33,21 @@ from builders import (
     path_two_vertices,
     random_decorated_type,
     random_strict_type,
+    random_unmarked_type,
     random_walk_type,
     relabeled_type,
     three_rays,
+    unchecked_type,
 )
-from oracles import compatible_subsets, exhaustive_automorphisms, ref_decorated_isomorphisms, ref_is_face, ref_vertex_profiles
+from oracles import (
+    compatible_subsets,
+    exhaustive_automorphisms,
+    ref_adjacency,
+    ref_decorated_isomorphisms,
+    ref_is_face,
+    ref_neighbours,
+    ref_vertex_profiles,
+)
 
 
 class TestValidate:
@@ -356,17 +366,21 @@ class TestAutomorphisms:
     def test_oracle_cross_check(self):
         for m in (three_rays(), parallel_pair(), square_loop()):
             t = combinatorial_type(m)
-            vertices = {v.id: v.genus for v in t.graph.vertices}
-            edges = {}
-            for e in t.graph.edges:
-                d = t.edge_data[e.id]
-                a, b = e.ends
-                u = d.u if d.tail == a else tuple(-x for x in d.u)
-                edges[e.id] = (a, b, u, d.w)
-            markings = {mk.label: mk.vertex for mk in t.graph.markings}
-            assert len(type_automorphisms(t)) == exhaustive_automorphisms(
-                vertices, edges, markings
-            )
+            assert len(type_automorphisms(t)) == _exhaustive_count(t)
+
+    def test_unmarked_types_match_the_exhaustive_count(self):
+        # no marking fixes a vertex, so every automorphism of the graph
+        # counts, the contracted self-loops' flips and the parallel pairs'
+        # swaps included
+        loops = parallel = symmetric = 0
+        for seed in range(40):
+            t = random_unmarked_type(random.Random(seed))
+            count = len(type_automorphisms(t))
+            assert count == _exhaustive_count(t), seed
+            loops += any(e.ends[0] == e.ends[1] for e in t.graph.edges)
+            parallel += any(len(sigs) > 1 for (v, u), sigs in t.adjacency.items() if v != u)
+            symmetric += count > 1
+        assert loops > 10 and parallel > 10 and symmetric > 20
 
     def test_group_closure(self):
         t = combinatorial_type(parallel_pair())
@@ -384,6 +398,18 @@ class TestAutomorphisms:
                     ecomp[e] = (g, flip1 != flip2)
                 key = (tuple(sorted(vcomp.items())), tuple(sorted(ecomp.items())))
                 assert key in keys
+
+
+def _exhaustive_count(t):
+    """``oracles.exhaustive_automorphisms`` of the type, from its raw
+    vertices, edges and markings."""
+    vertices = {v.id: v.genus for v in t.graph.vertices}
+    edges = {}
+    for e in t.graph.edges:
+        d = t.edge_data[e.id]
+        a, b = e.ends
+        edges[e.id] = (a, b, d.u if d.tail == a else tuple(-x for x in d.u), d.w)
+    return exhaustive_automorphisms(vertices, edges, {mk.label: mk.vertex for mk in t.graph.markings})
 
 
 def _same_search(t1, t2, vertex_ok=None):
@@ -436,6 +462,20 @@ class TestIsomorphismOrder:
                 total += _same_search(t, other)
                 total += _same_search(t, other, lambda v1, v2: (ord(v1[-1]) + ord(v2[-1])) % 3 != 0)
         assert total > 10_000
+
+    def test_unmarked_types(self):
+        # the first vertex has no mapped neighbour and tries every vertex;
+        # contracted self-loops and parallel pairs permute and flip
+        total = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            t = random_unmarked_type(rng, max_vertices=6, max_edges=9)
+            assert not t.graph.markings
+            for other in (t, relabeled_type(t, rng), canonical_type(t)):
+                total += _same_search(t, other)
+            total += _same_search(t, random_unmarked_type(rng, max_vertices=6, max_edges=9))
+            total += _same_search(t, t, lambda v1, v2: (ord(v1[-1]) + ord(v2[-1])) % 3 != 0)
+        assert total > 1_000
 
     def test_loops_at_one_vertex_permute_and_flip(self):
         types = (random_decorated_type(random.Random(seed)) for seed in range(50))
@@ -535,6 +575,32 @@ class TestCanonicalType:
             gc.enable()
 
 
+def _cycles(*lengths):
+    """Disjoint cycles of contracted edges (zero direction and weight) on
+    vertices v0, v1, ..., one cycle per length, as an unchecked type."""
+    vertices, edges, data, start = [], [], {}, 0
+    for n in lengths:
+        ids = [f"v{start + i}" for i in range(n)]
+        for i, v in enumerate(ids):
+            vertices.append(Vertex(v))
+            edges.append(Edge(f"e{v}", (v, ids[(i + 1) % n]), Fraction(1)))
+            data[f"e{v}"] = EdgeMapData((0, 0), 0, v)
+        start += n
+    return unchecked_type(tropical_curve(vertices, edges, []), auto_rays_fan(2, [], embedded=True), data)
+
+
+def test_a_candidate_with_more_mapped_neighbours_is_refused():
+    # a hexagon onto two triangles: v1 maps into a triangle next to v0's
+    # image, and v2, whose one mapped neighbour is v1, could only take the
+    # triangle's third vertex, which is next to both images; the vertex
+    # stage refuses it before the cone test
+    asked = []
+    hexagon, triangles = _cycles(6), _cycles(3, 3)
+    assert list(decorated_isomorphisms(hexagon, triangles, lambda v1, v2: asked.append(v1) or True)) == []
+    assert set(asked) == {"v0", "v1"}
+    assert len(list(decorated_isomorphisms(hexagon, hexagon))) == 12
+
+
 def test_the_search_leaves_no_garbage():
     """The search holds no reference cycle, so a face search and an
     automorphism count free everything without the cycle collector (the
@@ -576,6 +642,25 @@ def test_marked_edges_refuse_a_marked_vertex_that_is_not_a_leaf():
     bad = tropical_curve(g.vertices, g.edges, (*g.markings, Marking("q", "o")))
     with pytest.raises(ValueError, match="marked vertex o is not 1-valent"):
         type(t)(bad, t.fan, t.vertex_cones, t.edge_data).marked_edges
+
+
+def test_local_invariants_match_the_references():
+    """The profiles, adjacency and neighbours read in one pass over the
+    edges are those read off each vertex's own incidence list, on types
+    with markings or none, contracted self-loops, parallel edges, and the
+    contractions the face search tries."""
+    types = [combinatorial_type(gallery_map(name)) for name in GALLERY_NAMES]
+    for seed in range(40):
+        rng = random.Random(seed)
+        types += [random_decorated_type(rng), random_unmarked_type(rng, 6, 9), random_walk_type(rng)]
+    for name, ta, tb in _face_pairs():
+        ta, tb = canonical_type(ta), canonical_type(tb)
+        types += [ta, tb] + [_contract_with_map(tb, s)[0] for s in compatible_subsets(ta, tb)[:3]]
+    for t in types:
+        assert t.vertex_profiles == ref_vertex_profiles(t)
+        assert t.adjacency == ref_adjacency(t)
+        assert t._local.neighbours == ref_neighbours(t)
+    assert len(types) > 400
 
 
 def test_adjacency_reads_edge_signatures_from_the_vertex():

@@ -480,7 +480,7 @@ class TestIsFace:
 
     def test_one_curve_rebuild_per_subset_tried(self, monkeypatch):
         calls = []
-        real = curves.tropical_curve
+        real = curves.contract_edges
 
         def counting(*args, **kwargs):
             calls.append(args)
@@ -491,7 +491,7 @@ class TestIsFace:
         # is the third such subset
         cases = [(build_figure1_family(3), 1), (rectangle_family(1, 2, {"s1", "s5"}), 3)]
         cases = [(fam, limit_of_family(fam, 1).type, tried) for fam, tried in cases]
-        monkeypatch.setattr(curves, "tropical_curve", counting)
+        monkeypatch.setattr(curves, "contract_edges", counting)
         for fam, limit, tried in cases:
             compatible = compatible_subsets(limit, fam.type)
             calls.clear()
