@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_PREDICATE_FALSE = 1
 EXIT_INPUT_ERROR = 2
 
+# ``--fan complete`` closes 2^n orthants under their 2^n faces: about 4^n steps
+MAX_COMPLETE_FAN_DIM = 8
+
 
 def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -102,6 +105,9 @@ def _on_fan(io: _Io, m, choice: str | None):
         dirs = [d.u for d in m.edge_data.values()]
         fan = auto_rays_fan(m.fan.ambient_dim, [u for u in dirs if any(u)], embedded=True)
     elif choice == "complete":
+        if m.fan.ambient_dim > MAX_COMPLETE_FAN_DIM:
+            raise DocumentError("", f"--fan complete is capped at ambient dimension {MAX_COMPLETE_FAN_DIM}, "
+                                    f"got {m.fan.ambient_dim}")
         fan = complete_orthant_fan(m.fan.ambient_dim, embedded=True)
     elif choice.startswith("file:"):
         fan = _load(io, choice[5:], ("fan",), name="fan").payload
@@ -287,7 +293,10 @@ def _cmd_example(args, io: _Io) -> int:
 
 def _cmd_plot(args, io: _Io) -> int:
     m = _map(io, args)
-    i, j = (int(x) for x in args.axes.split(","))
+    try:
+        i, j = (int(x) for x in args.axes.split(","))
+    except ValueError:
+        raise DocumentError("", f"--axes must be two coordinate indices such as 0,2, got {args.axes}") from None
     radius = parse_rational(args.radius)
     if radius <= 0:
         raise DocumentError("", f"--radius must be positive, got {args.radius}")

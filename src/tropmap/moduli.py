@@ -132,64 +132,68 @@ def _edge_equations(t: CombinatorialType) -> tuple[EdgeEquation, ...]:
     return tuple(out)
 
 
-def _walk_positions(
-    t: CombinatorialType,
-    lengths: Mapping[str, tuple[int, int]],
-    base_vertex: str,
-    base: Sequence[tuple[int, int]],
-) -> dict[str, tuple[tuple[int, int], ...]]:
-    """Vertex positions fixed by the bounded edge lengths along the spanning
-    tree, shifted so that ``base_vertex`` lands on ``base``, in finite
-    vertex order.  Lengths, base coordinates and positions are (const,
-    slope) pairs of integers over one common denominator; a point is the
-    pair with slope zero."""
+def _tree_forms(t: CombinatorialType) -> dict[str, dict[str, IntVec]]:
+    """The one walk of the spanning tree: each finite vertex's position
+    minus the first finite vertex's as a sparse integer form in the bounded
+    lengths, edge -> the signed weighted direction that the edge's length
+    multiplies on the vertex's tree path (see :func:`moduli_cone`)."""
     finite = _finite_vertices(t)
-    if base_vertex not in finite:
-        raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
     parent = t.spanning_tree[0]
     if len(parent) != len(finite) - 1:
-        raise ValueError("could not derive positions: finite graph not spanned")
-    # the BFS inserts every parent before its children
-    walk = {finite[0]: ((0, 0),) * t.fan.ambient_dim}
-    for vid, (up, e, sign) in parent.items():
-        c, s = lengths[e.id]
-        c, s = sign * c, sign * s
-        walk[vid] = tuple((a + c * x, b + s * x) for (a, b), x in zip(walk[up], t.weighted_direction(e.id)))
-    shift = [(c - a, s - b) for (c, s), (a, b) in zip(base, walk[base_vertex])]
-    return {vid: tuple((a + c, b + s) for (a, b), (c, s) in zip(walk[vid], shift)) for vid in finite}
-
-
-def _length_constraints(t: CombinatorialType) -> list[list[int]]:
-    """Closing conditions on the lengths alone: one ambient-dimension block
-    per independent cycle of the finite graph.
-
-    Along the spanning tree each position is the root's plus a linear form
-    in the lengths, edge -> coefficient vector; a non-tree edge closes the
-    cycle form(tail) - form(head) + w*u * length = 0.
-    """
-    bounded = t.bounded_edge_ids()
-    eindex = {eid: i for i, eid in enumerate(bounded)}
-    parent, non_tree = t.spanning_tree
-    if len(parent) != len(_finite_vertices(t)) - 1:
         raise ValueError("the finite vertices are not connected by bounded edges")
     # the BFS inserts every parent before its children
-    forms: dict[str, dict[str, IntVec]] = {_finite_vertices(t)[0]: {}}
+    forms: dict[str, dict[str, IntVec]] = {finite[0]: {}}
     for vid, (up, e, sign) in parent.items():
         forms[vid] = {**forms[up], e.id: tuple(sign * x for x in t.weighted_direction(e.id))}
+    return forms
+
+
+def _closing_rows(t: CombinatorialType) -> list[list[int]]:
+    """Closing conditions on the lengths alone: one ambient-dimension block
+    per independent cycle of the finite graph.  A non-tree edge closes the
+    tree forms of its ends: form(tail) - form(head) + w*u * length = 0."""
+    bounded = t.bounded_edge_ids()
+    eindex = {eid: i for i, eid in enumerate(bounded)}
+    forms = _tree_forms(t)
     rows: list[list[int]] = []
-    for e in non_tree:
+    for e in t.spanning_tree[1]:
         d = t.edge_data[e.id]
         tail, head = forms[d.tail], forms[d.head(e)]
         for k, x in enumerate(t.weighted_direction(e.id)):
             row = [0] * len(bounded)
             row[eindex[e.id]] = x
-            for eid, vec in tail.items():
-                row[eindex[eid]] += vec[k]
-            for eid, vec in head.items():
-                row[eindex[eid]] -= vec[k]
+            for sign, form in ((1, tail), (-1, head)):
+                for eid, vec in form.items():
+                    row[eindex[eid]] += sign * vec[k]
             if any(row):
                 rows.append(row)
     return rows
+
+
+def _positions(
+    t: CombinatorialType,
+    lengths: Mapping[str, tuple[int, int]],
+    base_vertex: str,
+    base: Sequence[tuple[int, int]],
+) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Vertex positions fixed by the bounded edge lengths, in finite vertex
+    order: each tree form read at the lengths from the start point that puts
+    ``base_vertex`` on ``base``.  Lengths, base coordinates and positions
+    are (const, slope) pairs of integers over one common denominator; a
+    point is the pair with slope zero."""
+    forms = _tree_forms(t)
+    if base_vertex not in forms:
+        raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
+
+    def read(form: Mapping[str, IntVec], point: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        for eid, vec in form.items():
+            c, s = lengths[eid]
+            point = [(a + c * x, b + s * x) for (a, b), x in zip(point, vec)]
+        return tuple(point)
+
+    offset = read(forms[base_vertex], [(0, 0)] * t.fan.ambient_dim)
+    start = [(c - a, s - b) for (c, s), (a, b) in zip(base, offset)]
+    return {vid: read(forms[vid], start) for vid in _finite_vertices(t)}
 
 
 def _unit(n: int, i: int) -> list[int]:
@@ -234,16 +238,20 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     In embedded mode positions are unconstrained.  The finite graph is
     connected, so one base point and the E bounded edge lengths fix every
     position, and the lengths obey only the closing conditions of the
-    independent cycles (ambient-dimension rows per cycle).  The dimension is
-    the ambient dimension plus E minus the rank of those rows together with
-    one selector row per forced-zero length.  In strict fan mode positions
-    are confined to their vertex cones and the dimension is recomputed
-    through the cone generators.
+    independent cycles (ambient-dimension rows per cycle).  One walk of the
+    spanning tree (:func:`_tree_forms`) gives each position as the base
+    point plus a sparse integer form in the lengths; the closing conditions
+    are those forms closed over the non-tree edges, and :func:`make_family`
+    and :func:`sample_interior` read the same forms at their lengths.  The
+    dimension is the ambient dimension plus E minus the rank of those rows
+    together with one selector row per forced-zero length.  In strict fan
+    mode positions are confined to their vertex cones and the dimension is
+    recomputed through the cone generators.
     """
     equations = _edge_equations(t)
     bounded = t.bounded_edge_ids()
     if t.fan.embedded:
-        cycle_rows = _length_constraints(t)
+        cycle_rows = _closing_rows(t)
         support, point = _nonneg_support(cycle_rows, len(bounded))
         zero = [i for i in range(len(bounded)) if i not in support]
         forced = tuple(bounded[i] for i in zero)
@@ -683,10 +691,10 @@ def make_family(
     """The family of the canonical form of ``t`` with these lengths, checked
     as every :class:`Family` is.
 
-    Missing positions are derived from the lengths in one walk of the
-    spanning tree over the integer (const, slope) pairs at D, the lcm of the
-    length and base position denominators, and the walk's integers are the
-    family's :attr:`Family.scaled`, set before the family checks itself.
+    Missing positions are the type's tree forms (:func:`_tree_forms`) read
+    at the integer (const, slope) pairs of the lengths and base position at
+    D, the lcm of their denominators, and those integers are the family's
+    :attr:`Family.scaled`, set before the family checks itself.
     """
     t = canonical_type(t)
     if positions is not None:
@@ -697,7 +705,7 @@ def make_family(
     base_pos = tuple(base_position) if base_position is not None else (affine(0),) * n
     d, pairs = _scaled_pairs([*lengths.values(), *base_pos])
     length_pairs = dict(zip(lengths, pairs))
-    walked = _walk_positions(t, length_pairs, base, pairs[len(lengths):])
+    walked = _positions(t, length_pairs, base, pairs[len(lengths):])
     # one function per distinct pair, as a family document has one per spelling
     distinct = {pair for pair_vec in walked.values() for pair in pair_vec}
     fn = {(c, s): AffineFn(Fraction(c, d), Fraction(s, d)) for c, s in distinct}.__getitem__
@@ -896,12 +904,7 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> tuple[dict[str, RatVec], dict
             ell = [a + step * b for a, b in zip(ell, perturb)]
     lengths = dict(zip(bounded, ell))
     base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
-    # the walk on the points at their common denominator, as pairs of slope 0
-    d = lcm(*(x.denominator for x in (*ell, *base)))
-    walked = _walk_positions(
-        t,
-        {eid: (x.numerator * (d // x.denominator), 0) for eid, x in lengths.items()},
-        _finite_vertices(t)[0],
-        [(x.numerator * (d // x.denominator), 0) for x in base],
-    )
+    # the tree forms read at the points' common denominator, as pairs of slope 0
+    d, scaled = _scaled_pairs([affine(x) for x in (*ell, *base)])
+    walked = _positions(t, dict(zip(bounded, scaled)), _finite_vertices(t)[0], scaled[len(bounded):])
     return {vid: tuple(Fraction(c, d) for c, _ in pairs) for vid, pairs in walked.items()}, lengths

@@ -33,11 +33,22 @@ may fail the stability axiom; it reads no vertex level, so the members of a
 family, which share the type's graph and edge data, share each component,
 and only their boundary distances differ.  One loop over the flats
 (:func:`_flat_spacings`) decides every spacing question.
+
+A boundary vertex's distance to the cycle is the sum of the lengths along
+the path on which the closure reached it (:func:`_flat_component`).  When
+b1 = 1 the curve minus the cycle edges is a forest whose trees each meet
+the cycle once: a tree through two cycle vertices would close a second
+cycle.  When b1 = 0 the cycle is the genus-one vertex and the curve a tree.
+A cycle edge has both ends on the cycle, so the closure reaches each other
+vertex over forest edges, along the unique path in its tree from the
+tree's cycle vertex.  Any path from the cycle to the vertex runs, after its
+last cycle vertex, inside that tree, so it contains the unique path.  The
+lengths of a map, and of a family member on [0, 1), are positive, so the
+unique path is the shortest and no shortest-path search is needed.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -485,22 +496,23 @@ def subcurve_in_flat(
     return _subcurve(m, component, dist)
 
 
-# a trapped subcurve's vertices and edges, and its boundary vertices, sorted
-_Component = tuple[set[str], set[str], tuple[str, ...]]
+# a trapped subcurve's vertices and edges, and its sorted boundary vertices with their paths
+_Component = tuple[set[str], set[str], tuple[tuple[str, tuple[str, ...]], ...]]
 
 
 def _flat_component(m: AnyMap, frame: CycleFrame, phi: IntVec) -> _Component:
     """The trapped component of the hyperplane with normal ``phi`` on a
     valid map m: the closure of the cycle over the edges whose direction phi
     annihilates (see the module docstring), and its boundary vertices,
-    sorted: those incident to an edge outside it.  Marked vertices end such
-    edges but are not part of the component."""
+    sorted: those incident to an edge outside it, each with the bounded
+    edges of the path on which the closure reached it from the cycle.
+    Marked vertices end such edges but are not part of the component."""
     curve = m.curve
     edges_in_h = {e.id for e in curve.edges if vdot(phi, m.edge_data[e.id].u) == 0}
     marked = curve.marked_vertex_ids
-    component = set(frame.cycle_vertices)
+    paths: dict[str, tuple[str, ...]] = dict.fromkeys(frame.cycle_vertices, ())
     comp_edges = set(frame.cycle_edges)
-    frontier = list(component)
+    frontier = list(paths)
     while frontier:
         vid = frontier.pop()
         for e in curve.edges_at(vid):
@@ -508,51 +520,25 @@ def _flat_component(m: AnyMap, frame: CycleFrame, phi: IntVec) -> _Component:
                 continue
             comp_edges.add(e.id)
             for end in e.ends:
-                if end in marked or end in component:
+                if end in marked or end in paths:
                     continue
-                component.add(end)
+                paths[end] = (*paths[vid], e.id)
                 frontier.append(end)
     boundary = tuple(
-        vid for vid in sorted(component) if any(e.id not in comp_edges for e in curve.edges_at(vid))
+        (vid, paths[vid]) for vid in sorted(paths) if any(e.id not in comp_edges for e in curve.edges_at(vid))
     )
-    return component, comp_edges, boundary
+    return set(paths), comp_edges, boundary
 
 
-def _distances_to_cycle(m: AnyMap, component: _Component, cycle_vertices: Sequence[str]) -> dict[str, int]:
-    """Shortest intrinsic distances to the cycle inside the component, in
-    units of one over the map's common denominator."""
-    vertices, comp_edges, _ = component
-    lengths = m.scaled.lengths
-    dist: dict[str, int] = {}
-    heap: list[tuple[int, str]] = []
-    for vid in cycle_vertices:
-        dist[vid] = 0
-        heapq.heappush(heap, (0, vid))
-    while heap:
-        d, vid = heapq.heappop(heap)
-        if d > dist[vid]:
-            continue
-        for e in m.curve.edges_at(vid):
-            if e.id not in comp_edges or e.id not in lengths:
-                continue
-            for end in e.ends:
-                if end == vid or end not in vertices:
-                    continue
-                nd = d + lengths[e.id]
-                if end not in dist or nd < dist[end]:
-                    dist[end] = nd
-                    heapq.heappush(heap, (nd, end))
-    return dist
-
-
-def _subcurve(m: AnyMap, component: _Component, dist: Mapping[str, int]) -> TrappedSubcurve:
-    """A component and its distances as a :class:`TrappedSubcurve`."""
+def _subcurve(m: AnyMap, component: _Component, dist: Sequence[int]) -> TrappedSubcurve:
+    """A component and its boundary distances, integers over m's
+    denominator in boundary order, as a :class:`TrappedSubcurve`."""
     vertices, comp_edges, boundary = component
     den = m.scaled.denominator
     return TrappedSubcurve(
         tuple(sorted(vertices)),
         tuple(sorted(comp_edges)),
-        tuple((vid, Fraction(dist[vid], den)) for vid in boundary),
+        tuple((vid, Fraction(d, den)) for (vid, _), d in zip(boundary, dist)),
     )
 
 
@@ -585,18 +571,19 @@ def multiset_passes(distances: Sequence[Fraction]) -> bool:
 
 def _flat_spacings(
     m: AnyMap, cd: CycleData, flats: Iterable[HyperplaneFlat], components: dict[IntVec, _Component]
-) -> Iterator[tuple[HyperplaneFlat, _Component, dict[str, int], bool]]:
+) -> Iterator[tuple[HyperplaneFlat, _Component, list[int], bool]]:
     """The spacing loop over the flats of a valid map or member m, lazily
-    and in order: each flat, its trapped component, the distances to the
-    cycle inside it (integers over m's denominator) and whether the boundary
-    distances pass.  Each normal's component is built once and kept in
-    ``components``, which the members of one family share."""
+    and in order: each flat, its trapped component, its boundary distances
+    to the cycle (m's lengths summed over the paths, integers over m's
+    denominator) and whether they pass.  Each normal's component and paths
+    are built once and kept in ``components``, which a family's members share."""
+    lengths = m.scaled.lengths
     for flat in flats:
         component = components.get(flat.normal)
         if component is None:
             component = components[flat.normal] = _flat_component(m, cd.frame, flat.normal)
-        dist = _distances_to_cycle(m, component, cd.cycle_vertices)
-        yield flat, component, dist, multiset_passes([dist[vid] for vid in component[2]])
+        dist = [sum(lengths[eid] for eid in path) for _, path in component[2]]
+        yield flat, component, dist, multiset_passes(dist)
 
 
 def _first_failing_flat(

@@ -102,12 +102,13 @@ class TestCommands:
 
             return wrapper
 
-        for name in ("_length_constraints", "solve_nonneg"):
+        for name in ("_closing_rows", "_tree_forms", "solve_nonneg"):
             monkeypatch.setattr(tropmap.moduli, name, counting(name))
         code, _, _ = run_cli(capsys, monkeypatch, ["cone", str(path), "--sample"])
         assert code == 0
-        # the cycle rows and the all-positive support LP, once each
-        assert sorted(calls) == ["_length_constraints", "solve_nonneg"]
+        # the cycle rows and the all-positive support LP, once each, and one
+        # tree walk for the cycle rows and one for the sample's positions
+        assert sorted(calls) == ["_closing_rows", "_tree_forms", "_tree_forms", "solve_nonneg"]
 
     def test_superabundant_exit_codes(self, capsys, monkeypatch, square_loop_doc, tmp_path):
         code, _, _ = run_cli(capsys, monkeypatch, ["superabundant", square_loop_doc])
@@ -734,6 +735,33 @@ class TestErrorHandling:
         assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
         assert err == f"error at /: {message}\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("axes", ["a,b", "0", "0,1,2"])
+    def test_plot_malformed_axes_exit_two(self, capsys, monkeypatch, square_loop_doc, tmp_path, axes):
+        # "a,b" printed int()'s message and "0" an unpacking error, neither
+        # naming --axes
+        out_path = tmp_path / "x.svg"
+        code, out, err = run_cli(capsys, monkeypatch, ["plot", square_loop_doc, "--axes", axes, "-o", str(out_path)])
+        assert code == 2
+        message = f"--axes must be two coordinate indices such as 0,2, got {axes}"
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert err == f"error at /: {message}\n"
+        assert not out_path.exists()
+
+    def test_complete_fan_above_the_cap_exit_two(self, capsys, monkeypatch):
+        # the complete orthant fan's build grows like 4^n: figure1 at n = 12
+        # ran for minutes before the cap
+        cap = tropmap.cli.MAX_COMPLETE_FAN_DIM
+        _, doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", str(cap + 1), "--t", "1/2"])
+        code, out, err = run_cli(capsys, monkeypatch, ["cone", "--fan", "complete"], stdin=doc)
+        assert code == 2
+        message = f"--fan complete is capped at ambient dimension {cap}, got {cap + 1}"
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert err == f"error at /: {message}\n"
+        # the cap itself is allowed
+        monkeypatch.setattr(tropmap.cli, "MAX_COMPLETE_FAN_DIM", 3)
+        _, doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "3", "--t", "1/2"])
+        assert run_cli(capsys, monkeypatch, ["cone", "--fan", "complete"], stdin=doc)[0] == 0
 
     @pytest.mark.parametrize("name", ["square-loop", "speyer-tree", "hat-demo"])
     def test_example_t_on_an_example_without_members_exit_two(self, capsys, monkeypatch, name):

@@ -28,7 +28,7 @@ from tropmap import (
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.documents import Document, load_document, serialize_document
-from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, rank
+from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, nullspace, rank
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, InvalidType, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
@@ -188,6 +188,22 @@ class TestSpanningTree:
             degree = Counter(v for ends in links for v in ends)
             kinds["pendant"] += len(g.unmarked_vertex_ids()) > 2 and 1 in degree.values()
         assert min(kinds["loop"], kinds["parallel"], kinds["pendant"]) >= 50
+
+    def test_closing_rows_cut_out_the_lengths_of_the_edge_equations(self):
+        # the length vectors that some positions extend to a solution of
+        # the dense edge equations are the kernel of the closing rows
+        checked = 0
+        for t in _walk_types():
+            if not t.fan.embedded:
+                continue
+            mc = moduli_cone(t)
+            n_lengths = len(t.bounded_edge_ids())
+            closing = nullspace(mc.cycle_rows, ncols=n_lengths)
+            dense = nullspace(dense_equations(t), ncols=len(mc.variables))
+            projected = [vec[len(mc.variables) - n_lengths:] for vec in dense]
+            assert bareiss_rank(closing) == bareiss_rank(projected) == bareiss_rank(closing + projected)
+            checked += 1
+        assert checked >= 200
 
     def test_one_walk_serves_the_cone_and_the_sample(self):
         t = combinatorial_type(rectangle_cycle(2, 3))

@@ -577,7 +577,18 @@ class TestIntegerPaths:
                         phi, wellspaced._flat_component(m, frame, phi)
                     )
                     assert (component, comp_edges) == (set(cut.vertex_ids), set(cut.edge_ids)), name
-                    assert boundary == tuple(vid for vid, _ in cut.boundary), name
+                    assert tuple(vid for vid, _ in boundary) == tuple(vid for vid, _ in cut.boundary), name
+                    for vid, path in boundary:
+                        # a chain of component edges off the cycle, from a
+                        # cycle vertex to the boundary vertex
+                        assert set(path) <= comp_edges - set(frame.cycle_edges), name
+                        end = vid
+                        for eid in reversed(path):
+                            assert end not in frame.cycle_vertices, name
+                            x, y = m.curve.edge(eid).ends
+                            assert end in (x, y) and x != y, name
+                            end = y if end == x else x
+                        assert end in frame.cycle_vertices, name
                     level = vdot(phi, positions[frame.cycle_vertices[0]])
                     in_h.setdefault(phi, set()).add(
                         frozenset(v for v in m.curve.unmarked_vertex_ids() if vdot(phi, positions[v]) == level)
