@@ -87,7 +87,12 @@ class _Io:
 def _load(io: _Io, path, kinds: tuple[str, ...], name: str = "input") -> Document:
     """The document at ``path`` (stdin for None or "-"), its load warnings
     printed to stderr; a document of another kind is refused."""
-    result = documents.load_document(io.read(path, name))
+    return _parse(io.read(path, name), kinds)
+
+
+def _parse(text: str, kinds: tuple[str, ...]) -> Document:
+    """The document in ``text``, as :func:`_load` reads it."""
+    result = documents.load_document(text)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     doc = result.document
@@ -233,10 +238,14 @@ def _cmd_wellspaced(args, io: _Io) -> int:
 
 
 def _cmd_verdict(args, io: _Io) -> int:
+    """The rule cascade's verdict on the input map.  The ``--family`` file
+    is read (and its digest recorded) up front, but parsed and checked only
+    if the cascade reaches rule R4: when R0-R3 decide, it is not looked at."""
     m = _map(io, args)
     family = None
     if args.family:
-        family = _load(io, args.family, ("family",), name="family").payload
+        text = io.read(args.family, "family")
+        family = lambda: _parse(text, ("family",)).payload
     assume = Assumptions(star_realizable=args.assume_star_realizable, family=family)
     try:
         verdict = realizability_verdict(m, assume)

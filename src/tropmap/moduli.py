@@ -132,20 +132,28 @@ def _edge_equations(t: CombinatorialType) -> tuple[EdgeEquation, ...]:
     return tuple(out)
 
 
-def _tree_forms(t: CombinatorialType) -> dict[str, dict[str, IntVec]]:
+def _tree_forms(
+    t: CombinatorialType,
+) -> tuple[dict[str, dict[str, IntVec]], list[tuple[str, str, str, IntVec]]]:
     """The one walk of the spanning tree: each finite vertex's position
     minus the first finite vertex's as a sparse integer form in the bounded
     lengths, edge -> the signed weighted direction that the edge's length
-    multiplies on the vertex's tree path (see :func:`moduli_cone`)."""
+    multiplies on the vertex's tree path (see :func:`moduli_cone`); and the
+    tree edges as steps (vertex, parent, edge, that signed direction),
+    every parent's step before its children's, so that a vertex's form is
+    its parent's plus its own step."""
     finite = _finite_vertices(t)
     parent = t.spanning_tree[0]
     if len(parent) != len(finite) - 1:
         raise ValueError("the finite vertices are not connected by bounded edges")
     # the BFS inserts every parent before its children
     forms: dict[str, dict[str, IntVec]] = {finite[0]: {}}
+    steps = []
     for vid, (up, e, sign) in parent.items():
-        forms[vid] = {**forms[up], e.id: tuple(sign * x for x in t.weighted_direction(e.id))}
-    return forms
+        step = tuple(sign * x for x in t.weighted_direction(e.id))
+        forms[vid] = {**forms[up], e.id: step}
+        steps.append((vid, up, e.id, step))
+    return forms, steps
 
 
 def _closing_rows(t: CombinatorialType) -> list[list[int]]:
@@ -154,7 +162,7 @@ def _closing_rows(t: CombinatorialType) -> list[list[int]]:
     tree forms of its ends: form(tail) - form(head) + w*u * length = 0."""
     bounded = t.bounded_edge_ids()
     eindex = {eid: i for i, eid in enumerate(bounded)}
-    forms = _tree_forms(t)
+    forms, _ = _tree_forms(t)
     rows: list[list[int]] = []
     for e in t.spanning_tree[1]:
         d = t.edge_data[e.id]
@@ -177,23 +185,28 @@ def _positions(
     base: Sequence[tuple[int, int]],
 ) -> dict[str, tuple[tuple[int, int], ...]]:
     """Vertex positions fixed by the bounded edge lengths, in finite vertex
-    order: each tree form read at the lengths from the start point that puts
-    ``base_vertex`` on ``base``.  Lengths, base coordinates and positions
-    are (const, slope) pairs of integers over one common denominator; a
-    point is the pair with slope zero."""
-    forms = _tree_forms(t)
+    order: the start point, which puts ``base_vertex`` on ``base``, is
+    base minus base_vertex's tree form read at the lengths, and each other
+    position is its tree parent's plus one step, so every tree edge is read
+    once.  Lengths, base coordinates and positions are (const, slope) pairs
+    of integers over one common denominator; a point is the pair with slope
+    zero."""
+    forms, steps = _tree_forms(t)
     if base_vertex not in forms:
         raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
 
-    def read(form: Mapping[str, IntVec], point: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        for eid, vec in form.items():
-            c, s = lengths[eid]
-            point = [(a + c * x, b + s * x) for (a, b), x in zip(point, vec)]
-        return tuple(point)
+    def move(point: Sequence[tuple[int, int]], eid: str, vec: IntVec) -> tuple[tuple[int, int], ...]:
+        c, s = lengths[eid]
+        return tuple((a + c * x, b + s * x) for (a, b), x in zip(point, vec))
 
-    offset = read(forms[base_vertex], [(0, 0)] * t.fan.ambient_dim)
-    start = [(c - a, s - b) for (c, s), (a, b) in zip(base, offset)]
-    return {vid: read(forms[vid], start) for vid in _finite_vertices(t)}
+    offset = ((0, 0),) * t.fan.ambient_dim
+    for eid, vec in forms[base_vertex].items():
+        offset = move(offset, eid, vec)
+    finite = _finite_vertices(t)
+    positions = {finite[0]: tuple((c - a, s - b) for (c, s), (a, b) in zip(base, offset))}
+    for vid, up, eid, vec in steps:
+        positions[vid] = move(positions[up], eid, vec)
+    return {vid: positions[vid] for vid in finite}
 
 
 def _unit(n: int, i: int) -> list[int]:
@@ -242,11 +255,12 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     spanning tree (:func:`_tree_forms`) gives each position as the base
     point plus a sparse integer form in the lengths; the closing conditions
     are those forms closed over the non-tree edges, and :func:`make_family`
-    and :func:`sample_interior` read the same forms at their lengths.  The
-    dimension is the ambient dimension plus E minus the rank of those rows
-    together with one selector row per forced-zero length.  In strict fan
-    mode positions are confined to their vertex cones and the dimension is
-    recomputed through the cone generators.
+    and :func:`sample_interior` take the same tree steps at their lengths
+    (:func:`_positions`).  The dimension is the ambient dimension plus E
+    minus the rank of those rows together with one selector row per
+    forced-zero length.  In strict fan mode positions are confined to their
+    vertex cones and the dimension is recomputed through the cone
+    generators.
     """
     equations = _edge_equations(t)
     bounded = t.bounded_edge_ids()
@@ -691,10 +705,11 @@ def make_family(
     """The family of the canonical form of ``t`` with these lengths, checked
     as every :class:`Family` is.
 
-    Missing positions are the type's tree forms (:func:`_tree_forms`) read
-    at the integer (const, slope) pairs of the lengths and base position at
-    D, the lcm of their denominators, and those integers are the family's
-    :attr:`Family.scaled`, set before the family checks itself.
+    Missing positions are walked along the type's spanning tree
+    (:func:`_positions`) at the integer (const, slope) pairs of the lengths
+    and base position at D, the lcm of their denominators, and those
+    integers are the family's :attr:`Family.scaled`, set before the family
+    checks itself.
     """
     t = canonical_type(t)
     if positions is not None:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import curves
 from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
@@ -729,10 +729,16 @@ def figure1_member(n: int = 3, t=Fraction(0)) -> TropicalStableMap:
 class Assumptions:
     """Caller-supplied hypotheses: star realizability of the modified map
     (an algebraic condition this library cannot decide) and an optional
-    family certificate presenting the map as a limit of realizable members."""
+    family certificate presenting the map as a limit of realizable members.
+
+    The certificate is a :class:`moduli.Family` or a zero-argument callable
+    that returns one.  Only rule R4 reads it, so a callable is called only
+    when rules R0-R3 leave the map undecided, and then once per verdict: a
+    caller holding the certificate as a document can defer parsing it, and
+    any error the callable raises surfaces from the verdict unchanged."""
 
     star_realizable: bool = False
-    family: Optional[Family] = None
+    family: Union[Family, Callable[[], Family], None] = None
 
 
 @dataclass(frozen=True)
@@ -803,6 +809,10 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     families may pass through 2-valent vertices that only the limit
     resolves.
 
+    A callable ``assume.family`` is called here, once, for the family; this
+    is the only place the certificate is resolved, so a verdict decided by
+    rules R0-R3 never calls it.
+
     The limit is compared with ``m`` on the family's (const, slope) pairs
     at t = 1 and m's integers (:func:`moduli._is_limit`), without building
     the limit as a map.
@@ -829,6 +839,8 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
     the spacing loop's flats and trapped components
     (:func:`_first_failing_flat`)."""
     fam = assume.family
+    if not isinstance(fam, Family):
+        fam = fam()
     if not _is_limit(fam, m):
         raise CertificateError("family limit at t = 1 differs from the given map")
     direct = Assumptions(star_realizable=assume.star_realizable)

@@ -1,6 +1,7 @@
 """CLI: commands, exit codes, pipelines."""
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -316,6 +317,75 @@ class TestMarkedVertexDefects:
             assert json.loads(out)["diagnostics"] == [
                 {"pointer": f"{prefix}/curve/vertices/{index}", "message": self.MESSAGES[defect]}
             ], args
+
+
+class TestFamilyParsedOnlyForR4:
+    """``verdict --family`` reads the file up front but parses and checks it
+    only when rules R0-R3 leave the map undecided: a bad family file cannot
+    change an R1 answer, and is refused as before when R4 needs it."""
+
+    @pytest.fixture()
+    def files(self, capsys, monkeypatch, tmp_path):
+        _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "3"])
+        _, member, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "3", "--t", "1/2"])
+        _, limit, _ = run_cli(capsys, monkeypatch, ["limit", "--t", "1"], stdin=fam_doc)
+        genus, index = TestMarkedVertexDefects._family(capsys, monkeypatch, "genus")
+        paths = {}
+        for name, text in (
+            ("valid", fam_doc), ("truncated", fam_doc[:200]), ("map", member), ("genus", json.dumps(genus)),
+        ):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        return paths, member, limit, index
+
+    BAD = ("truncated", "map", "genus")
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_family_leaves_an_r1_verdict_alone(self, capsys, monkeypatch, files, bad):
+        paths, member, _, _ = files
+        _, valid, _ = run_cli(capsys, monkeypatch, ["verdict", "--family", str(paths["valid"])], stdin=member)
+        code, out, err = run_cli(capsys, monkeypatch, ["verdict", "--family", str(paths[bad])], stdin=member)
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"] == json.loads(valid)["results"]
+        assert report["results"]["rule"] == "R1"
+        # read up front: its digest is reported
+        assert report["inputs"]["family"] == "sha256:" + hashlib.sha256(paths[bad].read_bytes()).hexdigest()
+        assert err == "Realizable [R1] Speyer sufficiency\n"
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_family_is_refused_when_r4_needs_it(self, capsys, monkeypatch, files, bad):
+        paths, _, limit, index = files
+        code, out, err = run_cli(capsys, monkeypatch, ["verdict", "--family", str(paths[bad])], stdin=limit)
+        assert code == 2 and "Traceback" not in err
+        diagnostics = json.loads(out)["diagnostics"]
+        # the same refusal as ``limit`` gives for the same file
+        _, limit_out, _ = run_cli(capsys, monkeypatch, ["limit", "--t", "1", str(paths[bad])])
+        assert diagnostics == json.loads(limit_out)["diagnostics"]
+        (diag,) = diagnostics
+        if bad == "truncated":
+            assert diag["pointer"] == "" and diag["message"].startswith("invalid JSON: ")
+        else:
+            assert diag == {
+                "map": {"pointer": "", "message": "expected a family document, got map"},
+                "genus": {"pointer": f"/type/curve/vertices/{index}", "message": "marked vertex q01 has nonzero genus"},
+            }[bad]
+
+    def test_family_is_parsed_only_for_r4(self, capsys, monkeypatch, files):
+        paths, member, limit, _ = files
+        calls = []
+        real = tropmap.documents._PARSERS["family"]
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setitem(tropmap.documents._PARSERS, "family", counting)
+        for stdin, rule, parsed in ((member, "R1", 0), (limit, "R4", 1)):
+            calls.clear()
+            code, out, _ = run_cli(capsys, monkeypatch, ["verdict", "--family", str(paths["valid"])], stdin=stdin)
+            assert (code, json.loads(out)["results"]["rule"]) == (0, rule)
+            assert len(calls) == parsed
 
 
 def _unbalanced_square_loop(square_loop_doc, vertex="c0") -> str:

@@ -889,6 +889,38 @@ class TestVerdicts:
         v = realizability_verdict(lim.map, Assumptions(family=fam))
         assert (v.verdict, v.rule, v.reason) == ("Realizable", "R4", "Theorem A")
 
+    def test_callable_certificate_is_resolved_only_by_r4(self):
+        fam = build_figure1_family(3)
+        calls = []
+
+        def certificate():
+            calls.append(None)
+            return fam
+
+        cases = [
+            (three_rays(2), False, "R0"),
+            (bent_square((1, 1, 2)), False, "R1"),
+            (bent_square((1, 2, 3)), False, "R2"),
+            (lone_genus_one_vertex(2), True, "R3"),
+            (limit_of_family(fam, Fraction(1, 2)).map, False, "R1"),
+        ]
+        for m, star_realizable, rule in cases:
+            v = realizability_verdict(m, Assumptions(star_realizable=star_realizable, family=certificate))
+            assert v.rule == rule
+        assert calls == []
+        v = realizability_verdict(limit_of_family(fam, 1).map, Assumptions(family=certificate))
+        assert (v.verdict, v.rule, v.reason) == ("Realizable", "R4", "Theorem A")
+        assert len(calls) == 1
+
+    def test_callable_certificate_errors_surface(self):
+        fam = build_figure1_family(3)
+
+        def broken():
+            raise ValueError("unreadable certificate")
+
+        with pytest.raises(ValueError, match="unreadable certificate"):
+            realizability_verdict(limit_of_family(fam, 1).map, Assumptions(family=broken))
+
     def test_certificate_ignored_when_direct_rule_fires(self):
         fam = build_figure1_family(3)
         member = limit_of_family(fam, Fraction(1, 2)).map
