@@ -34,6 +34,7 @@ from .exactgeom import (
     vector_content,
 )
 from .maps import (
+    PLACEHOLDER_LENGTH,
     STABILITY_VIOLATED,
     CombinatorialType,
     EdgeMapData,
@@ -278,7 +279,7 @@ def parse_curve(raw, pointer: str, warnings: list[str], lengths_required: bool =
         if length_raw is _ABSENT:
             if lengths_required:
                 raise DocumentError(_at(pointer, "edges", i, "length"), "missing")
-            length: curves.Length = Fraction(1)
+            length: curves.Length = PLACEHOLDER_LENGTH
         elif length_raw == "inf":
             length = curves.INF
         else:

@@ -310,14 +310,6 @@ class Cone:
     ambient_dim: int
     rays: tuple[IntVec, ...]
 
-    def dim(self) -> int:
-        if not self.rays:
-            return 0
-        return rank(self.rays)
-
-    def is_zero(self) -> bool:
-        return not self.rays
-
 
 def cone(ambient_dim: int, rays: Iterable[Sequence[int]]) -> Cone:
     rays_t = tuple(sorted({tuple(int(x) for x in r) for r in rays}))

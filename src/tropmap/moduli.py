@@ -132,37 +132,34 @@ def _edge_equations(t: CombinatorialType) -> tuple[EdgeEquation, ...]:
     return tuple(out)
 
 
-def _tree_forms(
-    t: CombinatorialType,
-) -> tuple[dict[str, dict[str, IntVec]], list[tuple[str, str, str, IntVec]]]:
-    """The one walk of the spanning tree: each finite vertex's position
-    minus the first finite vertex's as a sparse integer form in the bounded
-    lengths, edge -> the signed weighted direction that the edge's length
-    multiplies on the vertex's tree path (see :func:`moduli_cone`); and the
-    tree edges as steps (vertex, parent, edge, that signed direction),
-    every parent's step before its children's, so that a vertex's form is
-    its parent's plus its own step."""
-    finite = _finite_vertices(t)
+def _tree_steps(t: CombinatorialType) -> list[tuple[str, str, str, IntVec]]:
+    """The one walk of the spanning tree: the tree edges as steps (vertex,
+    parent, edge, the signed weighted direction that the edge's length
+    multiplies from parent to vertex), every parent's step before its
+    children's, so that a vertex's position is its parent's plus its own
+    step (see :func:`moduli_cone`).  The first finite vertex is the root
+    and has no step."""
     parent = t.spanning_tree[0]
-    if len(parent) != len(finite) - 1:
+    if len(parent) != len(_finite_vertices(t)) - 1:
         raise ValueError("the finite vertices are not connected by bounded edges")
     # the BFS inserts every parent before its children
-    forms: dict[str, dict[str, IntVec]] = {finite[0]: {}}
-    steps = []
-    for vid, (up, e, sign) in parent.items():
-        step = tuple(sign * x for x in t.weighted_direction(e.id))
-        forms[vid] = {**forms[up], e.id: step}
-        steps.append((vid, up, e.id, step))
-    return forms, steps
+    return [
+        (vid, up, e.id, tuple(sign * x for x in t.weighted_direction(e.id))) for vid, (up, e, sign) in parent.items()
+    ]
 
 
 def _closing_rows(t: CombinatorialType) -> list[list[int]]:
     """Closing conditions on the lengths alone: one ambient-dimension block
-    per independent cycle of the finite graph.  A non-tree edge closes the
-    tree forms of its ends: form(tail) - form(head) + w*u * length = 0."""
+    per independent cycle of the finite graph.  Each finite vertex's
+    position minus the root's is a sparse integer form in the bounded
+    lengths, edge -> signed w*u, its parent's form plus its own tree step;
+    a non-tree edge closes the forms of its ends:
+    form(tail) - form(head) + w*u * length = 0."""
     bounded = t.bounded_edge_ids()
     eindex = {eid: i for i, eid in enumerate(bounded)}
-    forms, _ = _tree_forms(t)
+    forms: dict[str, dict[str, IntVec]] = {_finite_vertices(t)[0]: {}}
+    for vid, up, eid, step in _tree_steps(t):
+        forms[vid] = {**forms[up], eid: step}
     rows: list[list[int]] = []
     for e in t.spanning_tree[1]:
         d = t.edge_data[e.id]
@@ -185,28 +182,22 @@ def _positions(
     base: Sequence[tuple[int, int]],
 ) -> dict[str, tuple[tuple[int, int], ...]]:
     """Vertex positions fixed by the bounded edge lengths, in finite vertex
-    order: the start point, which puts ``base_vertex`` on ``base``, is
-    base minus base_vertex's tree form read at the lengths, and each other
-    position is its tree parent's plus one step, so every tree edge is read
-    once.  Lengths, base coordinates and positions are (const, slope) pairs
-    of integers over one common denominator; a point is the pair with slope
-    zero."""
-    forms, steps = _tree_forms(t)
-    if base_vertex not in forms:
-        raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
-
-    def move(point: Sequence[tuple[int, int]], eid: str, vec: IntVec) -> tuple[tuple[int, int], ...]:
-        c, s = lengths[eid]
-        return tuple((a + c * x, b + s * x) for (a, b), x in zip(point, vec))
-
-    offset = ((0, 0),) * t.fan.ambient_dim
-    for eid, vec in forms[base_vertex].items():
-        offset = move(offset, eid, vec)
+    order: each position is its tree parent's plus one step, from the root
+    put on ``base``, so every tree edge is read once; then, unless
+    ``base_vertex`` is the root, one shift puts it on ``base``.  Lengths,
+    base coordinates and positions are (const, slope) pairs of integers
+    over one common denominator; a point is the pair with slope zero."""
     finite = _finite_vertices(t)
-    positions = {finite[0]: tuple((c - a, s - b) for (c, s), (a, b) in zip(base, offset))}
-    for vid, up, eid, vec in steps:
-        positions[vid] = move(positions[up], eid, vec)
-    return {vid: positions[vid] for vid in finite}
+    walked = {finite[0]: tuple(base)}
+    for vid, up, eid, vec in _tree_steps(t):
+        c, s = lengths[eid]
+        walked[vid] = tuple((a + c * x, b + s * x) for (a, b), x in zip(walked[up], vec))
+    if base_vertex not in walked:
+        raise ValueError(f"base vertex {base_vertex} is not a finite vertex of the type")
+    if base_vertex != finite[0]:
+        shift = tuple((c - a, s - b) for (c, s), (a, b) in zip(base, walked[base_vertex]))
+        walked = {vid: tuple((a + c, b + s) for (a, b), (c, s) in zip(p, shift)) for vid, p in walked.items()}
+    return {vid: walked[vid] for vid in finite}
 
 
 def _unit(n: int, i: int) -> list[int]:
@@ -252,7 +243,7 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     connected, so one base point and the E bounded edge lengths fix every
     position, and the lengths obey only the closing conditions of the
     independent cycles (ambient-dimension rows per cycle).  One walk of the
-    spanning tree (:func:`_tree_forms`) gives each position as the base
+    spanning tree (:func:`_tree_steps`) gives each position as the base
     point plus a sparse integer form in the lengths; the closing conditions
     are those forms closed over the non-tree edges, and :func:`make_family`
     and :func:`sample_interior` take the same tree steps at their lengths
@@ -919,7 +910,7 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> tuple[dict[str, RatVec], dict
             ell = [a + step * b for a, b in zip(ell, perturb)]
     lengths = dict(zip(bounded, ell))
     base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
-    # the tree forms read at the points' common denominator, as pairs of slope 0
+    # the tree steps taken at the points' common denominator, as pairs of slope 0
     d, scaled = _scaled_pairs([affine(x) for x in (*ell, *base)])
     walked = _positions(t, dict(zip(bounded, scaled)), _finite_vertices(t)[0], scaled[len(bounded):])
     return {vid: tuple(Fraction(c, d) for c, _ in pairs) for vid, pairs in walked.items()}, lengths

@@ -114,9 +114,9 @@ def _hyperplane_trace(m: TropicalStableMap, axes):
 
     try:
         cd = cycle_data(m)  # ValueError unless the genus is one
-        if cd.codim == 0:
+        if cd.frame.codim == 0:
             return None
-        flats = enumerate_flats(m, cd)
+        flats = enumerate_flats(cd)
     except ValueError:
         return None
     normal = flats[0].normal

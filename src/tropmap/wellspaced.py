@@ -20,6 +20,12 @@ and edge directions) the hyperplane annihilates, and the achievable patterns
 are exactly the flats of rank at most codim(V) - 1 of the projected
 arrangement.
 
+All that the spacing questions read of a map or family member is its
+:class:`CycleData`: the cycle frame (fixed by the type), the base point,
+and the arrangement's vectors with their sources.  The flats, the patterns
+and the spacing loop take it, and no function takes cycle data that the
+library computes itself.
+
 Maps and family members take one path.  A map is the slope-zero member of
 a family at t = 0: each vertex offset is a (const, slope) pair, projected
 once, and at t = p/q the offset and its image are const*q + slope*p
@@ -198,32 +204,21 @@ def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
 
 @dataclass(frozen=True)
 class CycleData:
-    """The unique cycle of a genus-one curve together with the affine span V
-    of its image: the map's cycle frame, a base point (the first cycle
-    vertex's position) and the projected vertex offsets, (primitive offset
-    from the base point, projective class of its image) for every finite
-    vertex off V in curve order.  ``superabundant`` records codim >= 1 (the
-    cycle image lies in a proper affine subspace)."""
+    """The spacing analysis's one value for a genus-one map or family
+    member: its cycle frame, a base point (the first cycle vertex's
+    position) and the projected arrangement in the quotient by the cycle
+    span, the deduplicated primitive projective representatives, sorted.
+
+    ``sources[i]`` is an ambient vector whose projection represents
+    ``vectors[i]``: a positive integral multiple of a vertex offset from the
+    base point or of an edge direction.  A covector vanishing on V vanishes
+    on a representative exactly when it vanishes on its source, so
+    containment patterns are read off the sources without lifting."""
 
     frame: CycleFrame
     base_point: RatVec
-    vertex_projections: tuple[tuple[IntVec, IntVec], ...]
-
-    @property
-    def cycle_vertices(self) -> tuple[str, ...]:
-        return self.frame.cycle_vertices
-
-    @property
-    def cycle_edges(self) -> tuple[str, ...]:
-        return self.frame.cycle_edges
-
-    @property
-    def codim(self) -> int:
-        return self.frame.codim
-
-    @property
-    def superabundant(self) -> bool:
-        return self.frame.codim >= 1
+    vectors: tuple[IntVec, ...]
+    sources: tuple[IntVec, ...]
 
 
 def cycle_data(m: AnyMap) -> CycleData:
@@ -263,12 +258,12 @@ def _projected_offsets(
     return tuple(out)
 
 
-def _cycle_data(frame: CycleFrame, offsets: Sequence[_Offset], m: AnyMap, t: Fraction) -> CycleData:
-    """The cycle data of m, the member at t = p/q of the family whose
-    projected offsets on m's cycle frame are ``offsets``: m's offset is
-    const*q + slope*p, and so is its image.  Projection is linear, and the
-    integer quotient is the rational one times a positive integer, which
-    changes no projective class."""
+def _vertex_projections(offsets: Sequence[_Offset], t: Fraction) -> tuple[tuple[IntVec, IntVec], ...]:
+    """(primitive offset, projective class of its image) for every offset
+    off V, in order, at t = p/q: the offset is const*q + slope*p, and so is
+    its image.  Projection is linear, and the integer quotient is the
+    rational one times a positive integer, which changes no projective
+    class."""
     p, q = t.numerator, t.denominator
     projected = []
     for const, slope, image_const, image_slope in offsets:
@@ -277,9 +272,16 @@ def _cycle_data(frame: CycleFrame, offsets: Sequence[_Offset], m: AnyMap, t: Fra
             rep = _projective_rep([c * q + s * p for c, s in zip(image_const, image_slope)])
             if rep is not None:
                 projected.append((primitive(vec), rep))
+    return tuple(projected)
+
+
+def _cycle_data(frame: CycleFrame, offsets: Sequence[_Offset], m: AnyMap, t: Fraction) -> CycleData:
+    """The cycle data of m, the member at t of the family whose projected
+    offsets on m's cycle frame are ``offsets``."""
+    vectors, sources = build_arrangement(frame, _vertex_projections(offsets, t))
     scaled = m.scaled
     base = scaled.positions[frame.cycle_vertices[0]]
-    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), tuple(projected))
+    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), vectors, sources)
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -305,23 +307,6 @@ def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
 # arrangements and flats
 
 @dataclass(frozen=True)
-class Arrangement:
-    """The projected arrangement in the quotient by the cycle span: the
-    deduplicated primitive projective representatives, sorted, and the
-    integer quotient rows they were projected by.
-
-    ``sources[i]`` is an ambient vector whose projection represents
-    ``vectors[i]``: a positive integral multiple of a vertex offset from the
-    base point or of an edge direction.  A covector vanishing on V vanishes
-    on a representative exactly when it vanishes on its source, so
-    containment patterns are read off the sources without lifting."""
-
-    vectors: tuple[IntVec, ...]
-    sources: tuple[IntVec, ...]
-    integer_quotient: tuple[IntVec, ...]
-
-
-@dataclass(frozen=True)
 class HyperplaneFlat:
     """A containment pattern of hyperplanes through V: the annihilated
     arrangement vectors (a matroid flat of rank <= codim - 1) and one
@@ -333,25 +318,21 @@ class HyperplaneFlat:
     rank: int
 
 
-def build_arrangement(m: AnyMap, cd: Optional[CycleData] = None) -> Arrangement:
-    """Project vertex offsets (for vertices off V) and all edge directions to
-    the quotient by V's directions, keeping one primitive representative per
-    projective class.
-
-    The projection runs over the integers: the quotient rows are scaled by
-    one common positive denominator, the offsets are taken at the map's
-    common denominator, and neither scaling changes a projective class.  The
-    edge directions are projected once per cycle frame, the offsets once per
-    map.  The first vector met in each class (vertices before edges) is kept
-    as its source."""
-    if cd is None:
-        cd = cycle_data(m)
-    frame = cd.frame
+def build_arrangement(
+    frame: CycleFrame, vertex_projections: Sequence[tuple[IntVec, IntVec]]
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """The projected arrangement of a map on its cycle frame, as
+    (vectors, sources) of :class:`CycleData`: the projective classes met
+    among the projected vertex offsets (:func:`_vertex_projections`) and the
+    frame's projected edge directions, sorted, and the first vector met in
+    each class (vertices before edges) as its source.  Both were projected
+    over the integers, the edge directions once per frame and the offsets
+    once per family."""
     sources: dict[IntVec, IntVec] = {}
-    for vec, rep in cd.vertex_projections + frame.edge_projections:
+    for vec, rep in (*vertex_projections, *frame.edge_projections):
         sources.setdefault(rep, vec)
     reps = sorted(sources)
-    return Arrangement(tuple(reps), tuple(sources[r] for r in reps), frame.integer_quotient)
+    return tuple(reps), tuple(sources[r] for r in reps)
 
 
 def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[IntVec]:
@@ -371,37 +352,33 @@ def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[
 MAX_ARRANGEMENT_VECTORS = 12
 
 
-def enumerate_flats(
-    m: AnyMap, cd: Optional[CycleData] = None, arr: Optional[Arrangement] = None
-) -> list[HyperplaneFlat]:
-    """All hyperplane containment patterns: flats of the projected
-    arrangement of rank at most codim - 1, each with a certifying normal.
+def enumerate_flats(cd: CycleData) -> list[HyperplaneFlat]:
+    """All hyperplane containment patterns of a map's cycle data: flats of
+    its projected arrangement of rank at most codim - 1, each with a
+    certifying normal.  They depend on the frame and the arrangement
+    vectors alone.
 
     Raises ValueError when codim is zero (no hyperplane contains the cycle)
     and when the arrangement has more than twelve vectors: the number of
     flats can grow like two to that number.
     """
-    if cd is None:
-        cd = cycle_data(m)
-    if cd.codim == 0:
+    if cd.frame.codim == 0:
         raise ValueError("cycle image spans the ambient space: no containing hyperplane")
-    if arr is None:
-        arr = build_arrangement(m, cd)
-    if len(arr.vectors) > MAX_ARRANGEMENT_VECTORS:
+    if len(cd.vectors) > MAX_ARRANGEMENT_VECTORS:
         raise ValueError(
             f"flat enumeration capped at {MAX_ARRANGEMENT_VECTORS} arrangement vectors, "
-            f"got {len(arr.vectors)}"
+            f"got {len(cd.vectors)}"
         )
-    max_rank = cd.codim - 1
+    max_rank = cd.frame.codim - 1
     flats: set[frozenset[IntVec]] = {frozenset()}
     frontier: set[frozenset[IntVec]] = {frozenset()}
     while frontier:
         new_frontier: set[frozenset[IntVec]] = set()
         for flat in frontier:
-            for w in arr.vectors:
+            for w in cd.vectors:
                 if w in flat:
                     continue
-                bigger = _closure(arr.vectors, flat | {w})
+                bigger = _closure(cd.vectors, flat | {w})
                 if bigger in flats:
                     continue
                 if _flat_rank(bigger) <= max_rank:
@@ -410,7 +387,7 @@ def enumerate_flats(
         frontier = new_frontier
     out = []
     for flat in sorted(flats, key=lambda f: (len(f), sorted(f))):
-        normal = _certifying_normal(arr, flat, m.fan.ambient_dim)
+        normal = _certifying_normal(cd, flat)
         out.append(HyperplaneFlat(tuple(sorted(flat)), normal, _flat_rank(flat)))
     return out
 
@@ -419,15 +396,17 @@ def _flat_rank(flat: frozenset[IntVec]) -> int:
     return rank(list(flat))
 
 
-def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) -> IntVec:
+def _certifying_normal(cd: CycleData, flat: frozenset[IntVec]) -> IntVec:
     """An integral covector vanishing on V and on the flat but on no other
-    arrangement vector.  A generic combination of a kernel basis works; the
-    powers-of-t trick makes the search deterministic."""
-    c = len(arr.integer_quotient)
+    arrangement vector, on the ambient space of the quotient rows (codim
+    >= 1, so there is one).  A generic combination of a kernel basis works;
+    the powers-of-t trick makes the search deterministic."""
+    quotient = cd.frame.integer_quotient
+    c = len(quotient)
     kernel = integer_nullspace(list(flat), ncols=c)
     if not kernel:
         raise ValueError("flat spans the quotient: no hyperplane certifies it")
-    excluded = [v for v in arr.vectors if v not in flat]
+    excluded = [v for v in cd.vectors if v not in flat]
     # psi(t) = sum_i t^i kernel[i].  An excluded vector lies outside the
     # span of the flat, so some kernel vector is non-zero on it, and psi(t)
     # on it is a non-zero polynomial of degree at most len(kernel) - 1: it
@@ -443,23 +422,20 @@ def _certifying_normal(arr: Arrangement, flat: frozenset[IntVec], ambient: int) 
             break
     else:
         raise ValueError("failed to certify flat with a generic normal")
-    phi = [0] * ambient
-    for coef, row in zip(psi, arr.integer_quotient):
+    phi = [0] * len(quotient[0])
+    for coef, row in zip(psi, quotient):
         phi = [a + coef * b for a, b in zip(phi, row)]
     return primitive(phi)
 
 
-def pattern_of_normal(
-    m: TropicalStableMap, cd: CycleData, normal: Sequence[Fraction], arr: Optional[Arrangement] = None
-) -> tuple[IntVec, ...]:
-    """The containment pattern cut by an explicit hyperplane normal (which
-    must vanish on V's directions, tested on the integer basis)."""
-    if arr is None:
-        arr = build_arrangement(m, cd)
+def pattern_of_normal(cd: CycleData, normal: Sequence[Fraction]) -> tuple[IntVec, ...]:
+    """The containment pattern that an explicit hyperplane normal cuts on a
+    map's cycle data: the arrangement vectors whose sources it annihilates.
+    The normal must vanish on V's directions, tested on the integer basis."""
     for b in cd.frame.integer_basis:
         if vdot(normal, b) != 0:
             raise ValueError("normal does not vanish on the cycle span")
-    return tuple(rep for rep, src in zip(arr.vectors, arr.sources) if vdot(normal, src) == 0)
+    return tuple(rep for rep, src in zip(cd.vectors, cd.sources) if vdot(normal, src) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +454,13 @@ class TrappedSubcurve:
         return tuple(sorted(d for _, d in self.boundary))
 
 
-def subcurve_in_flat(
-    m: TropicalStableMap,
-    flat: HyperplaneFlat,
-    cd: Optional[CycleData] = None,
-    arr: Optional[Arrangement] = None,
-) -> TrappedSubcurve:
-    """The trapped subcurve of a flat on a valid map, from the spacing loop,
-    with the intrinsic distances of its boundary vertices to the cycle.
-    Raises ValueError unless the flat's normal cuts the flat's pattern on
-    this map."""
-    if cd is None:
-        cd = cycle_data(m)
-    if pattern_of_normal(m, cd, flat.normal, arr) != flat.zero_set:
+def subcurve_in_flat(m: TropicalStableMap, flat: HyperplaneFlat) -> TrappedSubcurve:
+    """The trapped subcurve of a flat on a valid genus-one map, from the
+    spacing loop on the map's cycle data, with the intrinsic distances of
+    its boundary vertices to the cycle.  Raises ValueError unless the
+    flat's normal cuts the flat's pattern on this map."""
+    cd = cycle_data(m)
+    if pattern_of_normal(cd, flat.normal) != flat.zero_set:
         raise ValueError("flat was not generated for this map")
     _, component, dist, _ = next(_flat_spacings(m, cd, (flat,), {}))
     return _subcurve(m, component, dist)
@@ -591,29 +561,28 @@ def _first_failing_flat(
 ) -> Optional[HyperplaneFlat]:
     """The first flat of a valid map or member m that the spacing loop
     fails, or None when m is well-spaced (vacuously when the cycle spans the
-    space).  The flats depend only on the arrangement vectors and the frame
-    (:func:`enumerate_flats` reads nothing else of m), so they are
-    enumerated once per distinct set of vectors and kept in ``flats``."""
-    if cd.codim == 0:
+    space).  The flats depend only on the frame, which a family's members
+    share, and the arrangement vectors (:func:`enumerate_flats` reads
+    nothing else of the cycle data), so they are enumerated once per
+    distinct set of vectors and kept in ``flats``."""
+    if cd.frame.codim == 0:
         return None
-    arr = build_arrangement(m, cd)
-    if arr.vectors not in flats:
-        flats[arr.vectors] = enumerate_flats(m, cd, arr)
-    failing = (flat for flat, _, _, ok in _flat_spacings(m, cd, flats[arr.vectors], components) if not ok)
+    if cd.vectors not in flats:
+        flats[cd.vectors] = enumerate_flats(cd)
+    failing = (flat for flat, _, _, ok in _flat_spacings(m, cd, flats[cd.vectors], components) if not ok)
     return next(failing, None)
 
 
-def is_well_spaced(m: AnyMap, cd: Optional[CycleData] = None) -> WellSpacedReport:
-    """Evaluate the predicate on every hyperplane flat of m on the spacing
-    loop; the first failing flat is the witness.  m must be a valid map, or
-    valid but for the stability axiom, since the loop reads each trapped
-    component off the edge directions (see the module docstring).
-    ValueError when the cycle spans the space."""
-    if cd is None:
-        cd = cycle_data(m)
+def is_well_spaced(m: AnyMap) -> WellSpacedReport:
+    """Evaluate the predicate on every hyperplane flat of m's cycle data on
+    the spacing loop; the first failing flat is the witness.  m must be a
+    valid genus-one map, or valid but for the stability axiom, since the
+    loop reads each trapped component off the edge directions (see the
+    module docstring).  ValueError when the cycle spans the space."""
+    cd = cycle_data(m)
     records = tuple(
         FlatRecord(flat, _subcurve(m, component, dist), ok)
-        for flat, component, dist, ok in _flat_spacings(m, cd, enumerate_flats(m, cd), {})
+        for flat, component, dist, ok in _flat_spacings(m, cd, enumerate_flats(cd), {})
     )
     witness = next((rec for rec in records if not rec.passes), None)
     return WellSpacedReport(witness is None, records, witness)
@@ -800,7 +769,7 @@ def _first_rule(m: AnyMap, assume: Assumptions, frame: CycleFrame, spaced: bool)
     if assume.family is not None:
         _check_family_certificate(m, assume)
         return Verdict("Realizable", "R4", "Theorem A")
-    return Verdict("Unknown", "R5", _unknown_reason(m, frame.genus, assume))
+    return Verdict("Unknown", "R5", _unknown_reason(m, frame.genus))
 
 
 def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None:
@@ -865,7 +834,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
 
 
 
-def _unknown_reason(m: AnyMap, g: int, assume: Assumptions) -> str:
+def _unknown_reason(m: AnyMap, g: int) -> str:
     if g >= 2:
         return f"genus {g}: no rule covers maps of genus 2 or higher"
     if not all(v.genus == 0 for v in m.curve.vertices):

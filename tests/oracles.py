@@ -90,6 +90,7 @@ from tropmap.wellspaced import (
     CycleFrame,
     TrappedSubcurve,
     _first_rule,
+    cycle_data,
     enumerate_flats,
 )
 
@@ -1214,7 +1215,7 @@ def ref_well_spaced(m, frame: CycleFrame) -> bool:
     flat normal :func:`enumerate_flats` gives; vacuously when codim is 0."""
     if frame.codim == 0:
         return True
-    for flat in enumerate_flats(m):
+    for flat in enumerate_flats(cycle_data(m)):
         distances = [d for _, d in ref_level_cut(m, frame, flat.normal).boundary]
         if distances and distances.count(min(distances)) < 2:
             return False

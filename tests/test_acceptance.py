@@ -32,7 +32,6 @@ from tropmap.cli import main as cli_main
 from tropmap.documents import Document, DocumentError, load_document, serialize_document
 from tropmap.exactgeom import ratvec, vdot
 from tropmap.gallery import hat_demo, speyer_tree, square_loop
-from tropmap.wellspaced import build_arrangement
 
 from builders import random_connected_multigraph, random_feasible_map
 from oracles import bareiss_rank, dense_equations
@@ -126,8 +125,8 @@ def _independent_subcurve_verdict(m, cd, normal):
                 return False
         return vdot(phi, ratvec(m.edge_data[e.id].u)) == 0
 
-    comp = set(cd.cycle_vertices)
-    comp_edges = set(cd.cycle_edges)
+    comp = set(cd.frame.cycle_vertices)
+    comp_edges = set(cd.frame.cycle_edges)
     stack = list(comp)
     while stack:
         vid = stack.pop()
@@ -139,8 +138,8 @@ def _independent_subcurve_verdict(m, cd, normal):
                         comp.add(end)
                         stack.append(end)
     # shortest path distances to the cycle inside the component
-    dist = {v: Fraction(0) for v in cd.cycle_vertices}
-    frontier = set(cd.cycle_vertices)
+    dist = {v: Fraction(0) for v in cd.frame.cycle_vertices}
+    frontier = set(cd.frame.cycle_vertices)
     while frontier:
         nxt = set()
         for vid in sorted(frontier):
@@ -177,21 +176,20 @@ def test_criterion_5_flat_soundness():
     checked = 0
     for name, m in maps.items():
         cd = cycle_data(m)
-        assert cd.codim >= 1, name
-        arr = build_arrangement(m, cd)
+        assert cd.frame.codim >= 1, name
         report = is_well_spaced(m)
         by_pattern = {rec.flat.zero_set: rec for rec in report.flats}
         hits = 0
         while hits < 200:
-            psi = [Fraction(rng.randint(-9, 9)) for _ in arr.integer_quotient]
+            psi = [Fraction(rng.randint(-9, 9)) for _ in cd.frame.integer_quotient]
             if all(x == 0 for x in psi):
                 continue
             normal = [
-                sum(c * row[k] for c, row in zip(psi, arr.integer_quotient))
+                sum(c * row[k] for c, row in zip(psi, cd.frame.integer_quotient))
                 for k in range(m.fan.ambient_dim)
             ]
             pattern = tuple(
-                sorted(v for v in arr.vectors if vdot(ratvec(psi), ratvec(v)) == 0)
+                sorted(v for v in cd.vectors if vdot(ratvec(psi), ratvec(v)) == 0)
             )
             matching = [p for p in by_pattern if p == pattern]
             assert len(matching) == 1, (name, pattern)

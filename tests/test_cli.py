@@ -103,13 +103,13 @@ class TestCommands:
 
             return wrapper
 
-        for name in ("_closing_rows", "_tree_forms", "solve_nonneg"):
+        for name in ("_closing_rows", "_tree_steps", "solve_nonneg"):
             monkeypatch.setattr(tropmap.moduli, name, counting(name))
         code, _, _ = run_cli(capsys, monkeypatch, ["cone", str(path), "--sample"])
         assert code == 0
         # the cycle rows and the all-positive support LP, once each, and one
         # tree walk for the cycle rows and one for the sample's positions
-        assert sorted(calls) == ["_closing_rows", "_tree_forms", "_tree_forms", "solve_nonneg"]
+        assert sorted(calls) == ["_closing_rows", "_tree_steps", "_tree_steps", "solve_nonneg"]
 
     def test_superabundant_exit_codes(self, capsys, monkeypatch, square_loop_doc, tmp_path):
         code, _, _ = run_cli(capsys, monkeypatch, ["superabundant", square_loop_doc])

@@ -1,7 +1,8 @@
 """Byte-for-byte identity of CLI outputs on the recorded corpus, and
 source rules for the package: no floating point, no unreferenced
 definition, no nested function that names itself or a sibling, one writer
-of the CLI's report envelopes."""
+of the CLI's report envelopes, and a live function behind every per-layer
+benchmark metric."""
 
 import ast
 import json
@@ -11,6 +12,7 @@ import corpus
 
 DATA = Path(__file__).parent / "data" / "cli_corpus.json"
 SRC = Path(__file__).parent.parent / "src" / "tropmap"
+BENCHMARK = Path(__file__).parent.parent / "BENCHMARK.json"
 
 
 def test_cli_outputs_match_the_recorded_corpus():
@@ -149,3 +151,21 @@ def test_no_nested_function_names_itself_or_a_sibling():
                 named = {n.id for n in ast.walk(f) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 offenders += [f"{path.name}:{f.lineno} {f.name} names {name}" for name in sorted(named & names)]
     assert offenders == []
+
+
+def test_every_per_layer_metric_names_a_public_function():
+    """A per-layer metric ``layer.function.quantity`` in ``BENCHMARK.json``
+    sums the spans of one public function of a layer module, and a traced
+    benchmark run counts a metric that names no function as a failure.  So
+    each one names a top-level public function of ``<layer>.py``, and a
+    rename or deletion fails here rather than in a traced run."""
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    named = sorted({tuple(parts[:2]) for parts in (m["name"].split(".") for m in metrics) if len(parts) == 3})
+    missing = []
+    for layer, function in named:
+        path = SRC / f"{layer}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8") if path.exists() else "")
+        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if function.startswith("_") or function not in defined:
+            missing.append(f"{layer}.{function}")
+    assert len(named) >= 20 and missing == [], (len(named), missing)

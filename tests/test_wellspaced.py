@@ -39,7 +39,6 @@ from tropmap.maps import STABILITY_VIOLATED, canonical_map, make_type, stable_ma
 from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_interior
 from tropmap.wellspaced import (
     _PROBES,
-    build_arrangement,
     cycle_frame,
     multiset_passes,
     pattern_of_normal,
@@ -80,28 +79,28 @@ from oracles import (
 class TestCycleData:
     def test_square_loop_plane(self):
         cd = cycle_data(square_loop())
-        assert set(cd.cycle_edges) == {"s0", "s1", "s2", "s3"}
-        assert cd.codim == 1 and cd.superabundant
+        assert set(cd.frame.cycle_edges) == {"s0", "s1", "s2", "s3"}
+        assert cd.frame.codim == 1
         # the span is the horizontal plane: both directions have last entry 0
         assert all(b[2] == 0 for b in cd.frame.integer_basis)
 
     def test_lone_vertex_point_span(self):
         cd = cycle_data(lone_genus_one_vertex(3))
-        assert cd.codim == 3
+        assert cd.frame.codim == 3
         assert cd.frame.integer_basis == ()
 
     def test_contracted_loop_point_span(self):
         cd = cycle_data(speyer_tree())
-        assert cd.cycle_vertices == ("v0",)
-        assert cd.codim == 2
+        assert cd.frame.cycle_vertices == ("v0",)
+        assert cd.frame.codim == 2
 
     def test_space_filling_cycle(self):
         # triangle whose edges span all of R^2: codim 0, not superabundant
         m = _space_filling_cycle()
         cd = cycle_data(m)
-        assert cd.codim == 0 and not cd.superabundant
+        assert cd.frame.codim == 0
         with pytest.raises(ValueError):
-            enumerate_flats(m, cd)
+            enumerate_flats(cd)
 
     def test_unique_cycle_equals_the_sweep(self):
         curves = [gallery_map(name).curve for name in GALLERY_NAMES]
@@ -131,10 +130,10 @@ class TestCycleData:
 
 class TestFlats:
     def test_unique_flat_when_codim_one(self):
-        flats = enumerate_flats(square_loop())
+        cd = cycle_data(square_loop())
+        flats = enumerate_flats(cd)
         assert len(flats) == 1
         assert flats[0].zero_set == ()
-        cd = cycle_data(square_loop())
         assert all(vdot(flats[0].normal, b) == 0 for b in cd.frame.integer_basis)
 
     def test_contracted_loop_two_directions(self):
@@ -149,7 +148,7 @@ class TestFlats:
         ]
         m = build_map(2, ["v"], bounded, rays, {"v": (0, 0)})
         assert validate_map(m) == []
-        flats = enumerate_flats(m)
+        flats = enumerate_flats(cycle_data(m))
         assert [f.zero_set for f in flats] == [(), ((0, 1),), ((1, 0),)]
 
     def test_three_coplanar_classes(self):
@@ -160,22 +159,21 @@ class TestFlats:
             ("r3", "v", (-1, -1), 1, "p3"),
         ]
         m = build_map(2, ["v"], bounded, rays, {"v": (0, 0)})
-        flats = enumerate_flats(m)
+        flats = enumerate_flats(cycle_data(m))
         assert len(flats) == 4  # empty flat + three singletons
 
     def test_oracle_cross_check(self):
         for m in (speyer_tree(), hat_demo(), bent_square()):
             cd = cycle_data(m)
-            arr = build_arrangement(m, cd)
-            expected = subset_closure_flats(arr.vectors, cd.codim - 1)
-            got = {frozenset(f.zero_set) for f in enumerate_flats(m, cd)}
+            expected = subset_closure_flats(cd.vectors, cd.frame.codim - 1)
+            got = {frozenset(f.zero_set) for f in enumerate_flats(cd)}
             assert got == expected
 
     def test_normals_certify(self):
         for m in (speyer_tree(), hat_demo(), bent_square(), square_loop()):
             cd = cycle_data(m)
-            for flat in enumerate_flats(m, cd):
-                assert pattern_of_normal(m, cd, ratvec(flat.normal)) == flat.zero_set
+            for flat in enumerate_flats(cd):
+                assert pattern_of_normal(cd, ratvec(flat.normal)) == flat.zero_set
 
 
 def many_directions_pair():
@@ -205,8 +203,8 @@ class TestArrangementCap:
         m = many_directions_pair()
         assert validate_map(m) == []
         cd = cycle_data(m)
-        assert cd.codim == 6
-        assert len(build_arrangement(m, cd).vectors) > wellspaced.MAX_ARRANGEMENT_VECTORS
+        assert cd.frame.codim == 6
+        assert len(cd.vectors) > wellspaced.MAX_ARRANGEMENT_VECTORS
         doc = serialize_document(Document("map", m))
         for command in ("wellspaced", "verdict"):
             monkeypatch.setattr("sys.stdin", io.StringIO(doc))
@@ -221,7 +219,7 @@ class TestArrangementCap:
 
     def test_no_committed_map_reaches_the_cap(self):
         maps = TestIntegerProjection._maps() + [figure1_member(6, Fraction(1, 2)), figure1_member(6, 1)]
-        assert max(len(build_arrangement(m).vectors) for m in maps) < wellspaced.MAX_ARRANGEMENT_VECTORS
+        assert max(len(cycle_data(m).vectors) for m in maps) < wellspaced.MAX_ARRANGEMENT_VECTORS
 
 
 class TestIntegerProjection:
@@ -241,24 +239,23 @@ class TestIntegerProjection:
             m = random_feasible_map(rng, max_vertices=5)
             if betti_and_genus(m.curve)[1] == 1:
                 maps.append(m)
-        return [m for m in maps if cycle_data(m).codim > 0]
+        return [m for m in maps if cycle_data(m).frame.codim > 0]
 
     def test_against_fraction_oracles(self):
         rng = random.Random(29)
         denominators = set()
         for m in self._maps():
             cd = cycle_data(m)
-            arr = build_arrangement(m, cd)
             _, _, q = ref_cycle_frame(m)
-            assert arr.vectors == fraction_projection(m, cd.base_point, q)
-            assert [projective_class(q, src) for src in arr.sources] == list(arr.vectors)
+            assert cd.vectors == fraction_projection(m, cd.base_point, q)
+            assert [projective_class(q, src) for src in cd.sources] == list(cd.vectors)
             denominators.add(frozenset(max(x.denominator for x in row) for row in q))
-            normals = [f.normal for f in enumerate_flats(m, cd, arr)]
+            normals = [f.normal for f in enumerate_flats(cd)]
             for _ in range(5):
                 psi = [rng.randint(-3, 3) for _ in q]
                 normals.append([vdot(psi, col) for col in zip(*q)])
             for normal in normals:
-                assert pattern_of_normal(m, cd, normal, arr) == lift_pattern(q, arr.vectors, normal)
+                assert pattern_of_normal(cd, normal) == lift_pattern(q, cd.vectors, normal)
         # quotient rows with different denominators share one common scale
         assert frozenset({1, 3}) in denominators
 
@@ -470,13 +467,13 @@ class TestSharedFrame:
             assert _valid_but_unstable(m) and _valid_but_unstable(other)
             assert cycle_frame(other) == cycle_frame(m)
             cd = cycle_data(m)
-            if cd.codim == 0:
+            if cd.frame.codim == 0:
                 continue
-            arr = build_arrangement(m, cd)
-            assert arr == build_arrangement(m)
+            # the arrangement on the other map's frame is m's own
+            assert wellspaced._map_cycle_data(cycle_frame(other), m) == cd
             # vertex offsets come before edge directions as sources
-            sources = dict(zip(arr.vectors, arr.sources))
-            assert sources == first_sources(m, cd.base_point, arr.integer_quotient)
+            sources = dict(zip(cd.vectors, cd.sources))
+            assert sources == first_sources(m, cd.base_point, cd.frame.integer_quotient)
             checked += 1
         assert checked >= 60
 
@@ -524,8 +521,16 @@ class TestIntegerPaths:
             frame = cycle_frame(members[0][1])
             if frame.genus != 1 or frame.codim == 0:
                 continue
-            offsets = wellspaced._projected_offsets(frame, fam.type.graph.unmarked_vertex_ids(), fam.scaled.positions)
+            ids = fam.type.graph.unmarked_vertex_ids()
+            offsets = wellspaced._projected_offsets(frame, ids, fam.scaled.positions)
             for t, member in members:
+                # the per-vertex projections, not only the arrangement they
+                # merge into, equal those of the member's own slope-zero offsets
+                own = {vid: tuple((x, 0) for x in p) for vid, p in member.scaled.positions.items()}
+                own_offsets = wellspaced._projected_offsets(cycle_frame(member), ids, own)
+                assert wellspaced._vertex_projections(offsets, t) == wellspaced._vertex_projections(
+                    own_offsets, Fraction(0)
+                ), name
                 assert wellspaced._cycle_data(frame, offsets, member, t) == cycle_data(member), name
                 checked += 1
         assert checked >= 100
@@ -567,7 +572,7 @@ class TestIntegerPaths:
             components: dict = {}
             for m in maps:
                 cd = cycle_data(m)
-                report = is_well_spaced(m, cd)
+                report = is_well_spaced(m)
                 positions = m.scaled.positions
                 for rec in report.flats:
                     phi = rec.flat.normal
@@ -621,9 +626,8 @@ class TestIntegerPaths:
             for member, cd, flats in decided:
                 own = cycle_data(member)
                 assert cd == own, name
-                arr = build_arrangement(member, own)
-                assert flats == enumerate_flats(member, own, arr), name
-                vectors.add(arr.vectors)
+                assert flats == enumerate_flats(own), name
+                vectors.add(own.vectors)
             assert len(enumerations) == len(vectors) <= len(decided), name
             arrangements.add((len(vectors), len(decided)))
         # families whose members share one arrangement and families whose
@@ -705,7 +709,7 @@ class TestIntegerPaths:
 class TestSubcurve:
     def test_square_loop_whole_curve(self):
         m = square_loop()
-        flat = enumerate_flats(m)[0]
+        flat = enumerate_flats(cycle_data(m))[0]
         sub = subcurve_in_flat(m, flat)
         assert sub.boundary == ()
         assert set(sub.vertex_ids) == {"c0", "c1", "c2", "c3"}
@@ -719,13 +723,13 @@ class TestSubcurve:
             ("r3", "v", (-1, -1), 1, "p3"),
         ]
         m = build_map(2, ["v"], bounded, rays, {"v": (0, 0)})
-        flat = enumerate_flats(m)[0]  # the empty flat: all rays depart
+        flat = enumerate_flats(cycle_data(m))[0]  # the empty flat: all rays depart
         sub = subcurve_in_flat(m, flat)
         assert sub.boundary == (("v", Fraction(0)),)
 
     def test_speyer_tree_multiset(self):
         m = speyer_tree()
-        flats = enumerate_flats(m)
+        flats = enumerate_flats(cycle_data(m))
         horizontal = [f for f in flats if f.zero_set == ((1, 0),)]
         assert len(horizontal) == 1
         sub = subcurve_in_flat(m, horizontal[0])
@@ -733,13 +737,13 @@ class TestSubcurve:
 
     def test_figure1_departure_pair(self):
         m = figure1_member(3, Fraction(1, 2))
-        flat = enumerate_flats(m)[0]
+        flat = enumerate_flats(cycle_data(m))[0]
         sub = subcurve_in_flat(m, flat)
         assert sub.distance_multiset() == (0, 0, 1, 1, 1, 1)
 
     def test_foreign_flat_rejected(self):
         m = square_loop()
-        flat = enumerate_flats(speyer_tree())[0]
+        flat = enumerate_flats(cycle_data(speyer_tree()))[0]
         with pytest.raises(ValueError):
             subcurve_in_flat(m, flat)
 
@@ -787,21 +791,20 @@ class TestWellSpaced:
         rng = random.Random(11)
         m = speyer_tree()
         cd = cycle_data(m)
-        arr = build_arrangement(m, cd)
-        flats = enumerate_flats(m, cd)
+        flats = enumerate_flats(cd)
         by_pattern = {f.zero_set: f for f in flats}
         for _ in range(25):
-            psi = [Fraction(rng.randint(-6, 6)) for _ in arr.integer_quotient]
+            psi = [Fraction(rng.randint(-6, 6)) for _ in cd.frame.integer_quotient]
             if all(x == 0 for x in psi):
                 continue
             normal = [
-                sum(c * row[k] for c, row in zip(psi, arr.integer_quotient))
+                sum(c * row[k] for c, row in zip(psi, cd.frame.integer_quotient))
                 for k in range(m.fan.ambient_dim)
             ]
-            pattern = pattern_of_normal(m, cd, ratvec(normal))
+            pattern = pattern_of_normal(cd, ratvec(normal))
             assert pattern in by_pattern
             flat = by_pattern[pattern]
-            direct = subcurve_in_flat(m, flat, cd)
+            direct = subcurve_in_flat(m, flat)
             assert multiset_passes(direct.distance_multiset()) == (
                 next(r.passes for r in is_well_spaced(m).flats if r.flat.zero_set == pattern)
             )
