@@ -7,13 +7,17 @@ and runs fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
 1968), so the per-map layers, which hold each map at one common
 denominator, compute on integers throughout and build a ``Fraction`` only
 for a result that leaves them.  Cones are stored by their generating rays
-only.  A cone question on linearly independent rays (pointedness, extreme
-rays and faces of a simplicial cone, whether two cones whose rays together
-are independent meet in a common face) is decided by one :func:`rank`.
-Every other one (membership, and those questions on dependent rays) is one
-non-negative combination problem, solved exactly by an integer-preserving
-phase-one simplex (:func:`solve_nonneg`), the only LP in the package and
-the LP counterpart of that elimination:
+only.  A cone question on linearly independent rays needs no LP.  Each
+cone caches one elimination of [R^T | I], R^T the matrix whose columns are
+its rays (:attr:`Cone._frame`): its rays are independent exactly when the
+first pivots fall on them, which settles pointedness, extreme rays and
+faces of a simplicial cone, and membership in it is then a few dot
+products with the rows of that elimination (:func:`cone_contains`).
+Whether two cones whose rays together are independent meet in a common
+face is one :func:`rank`.  Every other question (those on dependent rays,
+membership included) is one non-negative combination problem, solved
+exactly by an integer-preserving phase-one simplex (:func:`solve_nonneg`),
+the only LP in the package and the LP counterpart of that elimination:
 every row of the LP is scaled by one common denominator, and the tableau
 is kept in ints as T = d * R, with R the rational tableau and d > 0 the
 last pivot.  The denominator is common to all rows because Bland's rule
@@ -31,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -310,6 +315,25 @@ class Cone:
     ambient_dim: int
     rays: tuple[IntVec, ...]
 
+    @cached_property
+    def _frame(self) -> Optional[tuple[list[list[int]], list[list[int]]]]:
+        """What :func:`cone_contains` reads of k linearly independent rays
+        in R^n: the k coordinate rows and the n - k annihilator rows of one
+        :func:`_eliminate` of [R^T | I], the coordinate rows times the sign
+        of its scale.  None when the rays are dependent, one of them is zero
+        or has the wrong length, or there are none or more than n."""
+        k, n = len(self.rays), self.ambient_dim
+        if not 0 < k <= n or any(len(r) != n for r in self.rays):
+            return None
+        rows = [[*coord, *[0] * i, 1, *[0] * (n - 1 - i)] for i, coord in enumerate(zip(*self.rays))]
+        m, pivots, d = _eliminate(rows)
+        if pivots[:k] != list(range(k)):
+            return None
+        coords = [row[k:] for row in m[:k]]
+        if d < 0:
+            coords = [[-x for x in row] for row in coords]
+        return coords, [row[k:] for row in m[k:]]
+
 
 def cone(ambient_dim: int, rays: Iterable[Sequence[int]]) -> Cone:
     rays_t = tuple(sorted({tuple(int(x) for x in r) for r in rays}))
@@ -321,12 +345,34 @@ def zero_cone(ambient_dim: int) -> Cone:
 
 
 def cone_contains(c: Cone, p: Sequence[Fraction]) -> bool:
-    """Exact membership: is p a non-negative rational combination of the rays?"""
+    """Exact membership: is p a non-negative rational combination of the rays?
+
+    On k linearly independent rays in R^n no LP is needed.  Let R^T be the
+    n x k matrix whose columns are the rays.  Gauss-Jordan elimination of
+    [R^T | I] applies an invertible E: E [R^T | I] = [E R^T | E].  The rays
+    are independent, so the first k pivots fall in columns 0 ... k - 1 and
+    E R^T = [I_k; 0]; split E into its first k rows E_top and the rest,
+    E_bottom.  If p = R^T lam then E p = [lam; 0], so E_bottom p = 0 and
+    lam = E_top p.  Conversely, if E_bottom p = 0, put lam = E_top p: then
+    E R^T lam = [lam; 0] = E p, and R^T lam = p as E is invertible.  So p
+    lies in the span exactly when E_bottom p = 0, its coefficients lam =
+    E_top p are then unique, and p lies in the cone exactly when moreover
+    lam >= 0.  The cone's cached :attr:`Cone._frame` holds d E in
+    integers, d the elimination's scale, with the top rows times sign(d);
+    p times the lcm of its denominators has the same zero and sign tests.
+    Dependent rays keep one :func:`solve_nonneg`.
+    """
     if len(p) != c.ambient_dim:
         raise ValueError(f"point of length {len(p)} in ambient dimension {c.ambient_dim}")
     if not c.rays:
         return is_zero_vec(p)
-    return solve_nonneg([list(col) for col in zip(*c.rays)], p) is not None
+    frame = c._frame
+    if frame is None:
+        return solve_nonneg([list(col) for col in zip(*c.rays)], p) is not None
+    coords, annihilator = frame
+    den = lcm(*(x.denominator for x in p))
+    q = [x.numerator * (den // x.denominator) for x in p]
+    return not any(sum(map(mul, row, q)) for row in annihilator) and all(sum(map(mul, row, q)) >= 0 for row in coords)
 
 
 def _independent(rays: Sequence[IntVec]) -> bool:
@@ -338,12 +384,23 @@ def _independent(rays: Sequence[IntVec]) -> bool:
     return len(rays) <= len(rays[0]) and rank(rays) == len(rays)
 
 
+def _simplicial(c: Cone) -> bool:
+    """:func:`_independent` on the rays of a cone.  Two or more rays are
+    independent exactly when the cone has a :attr:`Cone._frame`, so the one
+    elimination that decides it also serves every later membership test.
+    Rays of a length other than the ambient dimension are never simplicial,
+    so the LP paths refuse them."""
+    if len(c.rays) <= 1:
+        return _independent(c.rays)
+    return c._frame is not None
+
+
 def cone_is_pointed(c: Cone) -> bool:
     """Pointed (no line through the origin): the rays admit no nonzero
     non-negative dependence, which may be scaled to total weight 1.
     Independent rays admit no nonzero dependence at all, so they need no
     LP."""
-    if _independent(c.rays):
+    if _simplicial(c):
         return True
     rows = [list(col) for col in zip(*c.rays)]
     rows.append([1] * len(c.rays))
@@ -354,7 +411,9 @@ def canonical_cone(c: Cone) -> Cone:
     """Sorted primitive extreme rays; the canonical form used for equality.
 
     Distinct primitive rays that are independent are all extreme: none is a
-    combination of the others, so they need no membership LP.
+    combination of the others, so they need no membership LP.  A cone that
+    is already canonical is returned as it is, with the elimination it
+    caches.
     """
     prim = []
     seen = set()
@@ -365,8 +424,10 @@ def canonical_cone(c: Cone) -> Cone:
         if pr not in seen:
             seen.add(pr)
             prim.append(pr)
-    if _independent(prim):
-        return Cone(c.ambient_dim, tuple(sorted(prim)))
+    rays = tuple(sorted(prim))
+    cc = c if rays == c.rays else Cone(c.ambient_dim, rays)
+    if _simplicial(cc):
+        return cc
     extreme = []
     for i, r in enumerate(prim):
         others = Cone(c.ambient_dim, tuple(prim[:i] + prim[i + 1:]))
@@ -461,7 +522,7 @@ def _faces(cc: Cone) -> list[Cone]:
     covector that is 0 on the subset and 1 on the other rays exists.  So
     those cones need no LP.
     """
-    simplicial = _independent(cc.rays)
+    simplicial = _simplicial(cc)
     if not simplicial and not cone_is_pointed(cc):
         raise ValueError("face enumeration requires a pointed cone")
     faces = {zero_cone(cc.ambient_dim), cc}  # pointed: the empty ray set is a face
@@ -491,6 +552,12 @@ class Fan:
     ambient_dim: int
     cones: tuple[Cone, ...]
     embedded: bool = False
+
+    @cached_property
+    def _by_rays(self) -> tuple[tuple[Cone, frozenset[IntVec]], ...]:
+        """The cones from the most rays to the fewest, each with its ray
+        set: the order in which :func:`cone_locate` tests them."""
+        return tuple((c, frozenset(c.rays)) for c in sorted(self.cones, key=lambda c: len(c.rays), reverse=True))
 
 
 def fan(ambient_dim: int, cones_: Iterable[Cone], embedded: bool = False) -> Fan:
@@ -548,24 +615,23 @@ def cone_locate(f: Fan, p: Sequence[Fraction]) -> Optional[Cone]:
     A cone on a subset of another cone's rays lies inside it, so a point
     outside the larger cone is outside the smaller one.  The cones are
     tested from the most rays to the fewest, and a cone whose rays lie in
-    those of a cone already found not to contain p needs no LP.
+    those of a cone already found not to contain p is not tested.
     """
     if len(p) != f.ambient_dim:
         raise ValueError(f"point of length {len(p)} located in fan of ambient dimension {f.ambient_dim}")
-    candidates = []
-    outside: list[set[IntVec]] = []
-    for c in sorted(f.cones, key=lambda c: len(c.rays), reverse=True):
-        rays = set(c.rays)
+    candidates: list[tuple[Cone, frozenset[IntVec]]] = []
+    outside: list[frozenset[IntVec]] = []
+    for c, rays in f._by_rays:
         if any(rays <= o for o in outside):
             continue
         if cone_contains(c, p):
-            candidates.append(c)
+            candidates.append((c, rays))
         else:
             outside.append(rays)
     if not candidates:
         return None
-    shared = set.intersection(*(set(c.rays) for c in candidates))
-    minimal = [c for c in candidates if set(c.rays) == shared]
+    shared = frozenset.intersection(*(rays for _, rays in candidates))
+    minimal = [c for c, rays in candidates if rays == shared]
     if len(minimal) != 1:
         raise ValueError("fan cones overlap or miss a face near the given point")
     return minimal[0]

@@ -10,9 +10,12 @@ reach that simplex through a front end, :func:`ref_lp_feasible`, where the
 library poses each cone question as a non-negative combination problem.
 The cone and fan references decide faces, intersections and locations by LP
 membership tests of every ray and point, where the library reads them off
-canonical ray sets.  The canonical form, pointedness, common face, face
-list and point location are also kept in their LP-only form (``lp_*``),
-where the library settles simplicial cones by rank and skips the cones
+canonical ray sets.  Each membership test is one LP posed through that
+front end, where the library decides membership in a cone on independent
+rays by dot products with the rows of one elimination cached on the cone.
+The canonical form, pointedness, common face, face list and point location
+are also kept in their LP-only form (``lp_*``), where the library settles
+simplicial cones by that elimination or one rank and skips the cones
 inside a cone that misses the point.  Edge contraction rebuilds the curve
 through the normalizing constructor once per contracted edge, where the
 library contracts a set of edges in one pass and builds the curve without
@@ -57,7 +60,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from tropmap.curves import INF, Edge, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from tropmap.exactgeom import (
     Cone,
-    cone_contains,
     cone_is_face,
     primitive,
     ratvec,
@@ -539,6 +541,18 @@ def _exact(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def ref_cone_contains(c: Cone, p) -> bool:
+    """Is p a non-negative combination of the rays?  One LP through
+    :func:`ref_lp_feasible`, a non-negative weight per given ray, whatever
+    the rays; with no rays its rows read 0 = p_i, so only the origin lies
+    in the zero cone."""
+    if len(p) != c.ambient_dim:
+        raise ValueError("dimension mismatch")
+    k = len(c.rays)
+    eqs = [([r[i] for r in c.rays], p[i]) for i in range(c.ambient_dim)]
+    return ref_lp_feasible(k, eqs=eqs, nonneg=range(k)) is not None
+
+
 def lp_cone_is_pointed(c: Cone) -> bool:
     """No nonzero non-negative dependence of the rays: one LP for two or
     more rays."""
@@ -560,7 +574,7 @@ def lp_canonical_cone(c: Cone) -> Cone:
             prim.append(primitive(r))
     extreme = [
         r for i, r in enumerate(prim)
-        if not cone_contains(Cone(c.ambient_dim, tuple(prim[:i] + prim[i + 1:])), r)
+        if not ref_cone_contains(Cone(c.ambient_dim, tuple(prim[:i] + prim[i + 1:])), r)
     ]
     return Cone(c.ambient_dim, tuple(sorted(extreme)))
 
@@ -600,7 +614,7 @@ def lp_cone_locate(f, p):
     every cone containing p shares."""
     if len(p) != f.ambient_dim:
         raise ValueError("dimension mismatch")
-    candidates = [c for c in f.cones if cone_contains(c, p)]
+    candidates = [c for c in f.cones if ref_cone_contains(c, p)]
     if not candidates:
         return None
     shared = set.intersection(*(set(c.rays) for c in candidates))
@@ -611,7 +625,7 @@ def lp_cone_locate(f, p):
 
 
 def _contains_cone(big, small) -> bool:
-    return all(cone_contains(big, ratvec(r)) for r in small.rays)
+    return all(ref_cone_contains(big, ratvec(r)) for r in small.rays)
 
 
 def _face_functional_exists(ambient, zero_rays, pos_rays) -> bool:
@@ -634,7 +648,7 @@ def ref_cone_is_face(face, c) -> bool:
         return True
     if not _contains_cone(cc, fc):
         return False
-    inside = [r for r in cc.rays if cone_contains(fc, ratvec(r))]
+    inside = [r for r in cc.rays if ref_cone_contains(fc, ratvec(r))]
     outside = [r for r in cc.rays if r not in inside]
     if not _contains_cone(Cone(cc.ambient_dim, tuple(inside)), fc):
         return False
@@ -661,8 +675,8 @@ def ref_cone_faces(c) -> list:
 def ref_pair_meets_in_common_face(c1, c2) -> bool:
     """A covector vanishing on the rays of either cone lying in the other,
     <= -1 on the remaining rays of ``c1`` and >= 1 on those of ``c2``."""
-    s = [r for r in c1.rays if cone_contains(c2, ratvec(r))]
-    t = [r for r in c2.rays if cone_contains(c1, ratvec(r))]
+    s = [r for r in c1.rays if ref_cone_contains(c2, ratvec(r))]
+    t = [r for r in c2.rays if ref_cone_contains(c1, ratvec(r))]
     eqs = [(list(r), 0) for r in s + t]
     geqs = [([-x for x in r], 1) for r in c1.rays if r not in s]
     geqs += [(list(r), 1) for r in c2.rays if r not in t]
@@ -675,8 +689,8 @@ def ref_fan_cone_intersection(f, cones_):
     result = lp_canonical_cone(cones_[0])
     for other in cones_[1:]:
         other = lp_canonical_cone(other)
-        s = [r for r in result.rays if cone_contains(other, ratvec(r))]
-        t = [r for r in other.rays if cone_contains(result, ratvec(r))]
+        s = [r for r in result.rays if ref_cone_contains(other, ratvec(r))]
+        t = [r for r in other.rays if ref_cone_contains(result, ratvec(r))]
         result = lp_canonical_cone(Cone(f.ambient_dim, tuple(s + t)))
     for c in cones_:
         if not ref_cone_is_face(result, c):
@@ -688,7 +702,7 @@ def ref_cone_locate(f, p):
     """The fan cone containing p that every cone containing p contains."""
     if len(p) != f.ambient_dim:
         raise ValueError("dimension mismatch")
-    candidates = [c for c in f.cones if cone_contains(c, p)]
+    candidates = [c for c in f.cones if ref_cone_contains(c, p)]
     if not candidates:
         return None
     minimal = [c for c in candidates if all(_contains_cone(d, c) for d in candidates)]
@@ -1286,7 +1300,7 @@ def ref_member_defect(t: CombinatorialType, lengths, positions, t_val: Fraction)
     if not t.fan.embedded:
         for vid, p in member.positions.items():
             c = t.vertex_cones[vid]
-            if not cone_contains(c, p):
+            if not ref_cone_contains(c, p):
                 return f"vertex {vid}: position outside its vertex cone"
             if not any(_contains_cone(c, f) and _contains_cone(f, c) for f in t.fan.cones):
                 return f"vertex {vid}: vertex cone is not a cone of the fan"

@@ -44,6 +44,7 @@ from oracles import (
     lp_cone_is_pointed,
     lp_cone_locate,
     lp_faces,
+    ref_cone_contains,
     ref_cone_faces,
     ref_cone_is_face,
     ref_cone_locate,
@@ -203,6 +204,16 @@ class TestLp:
             assert moduli.is_face(moduli.limit_of_family(fam, 1).type, fam.type) is not None
         mc = moduli.moduli_cone(combinatorial_type(rectangle_cycle(3, 3)))
         moduli.sample_interior(mc, seed=5)
+        # membership in a cone on dependent rays is still an LP: locate a
+        # grid in the square cone's fan (the square cone itself, 125 LPs),
+        # and canonicalize sets of five rays in R^3, one LP per ray
+        square = build_fan(3, [_SQUARE_CONE])
+        for p in itertools.product(range(-2, 3), repeat=3):
+            cone_locate(square, ratvec(p))
+        rng = random.Random(2929)
+        for _ in range(30):
+            rays = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(5)]
+            exactgeom.canonical_cone(cone(3, rays))
         assert len(recorded) > 300
         for rows, rhs in recorded:
             _assert_same_witness(rows, rhs)
@@ -258,8 +269,22 @@ class TestCones:
         assert not cone_contains(zero_cone(2), ratvec((1, 0)))
 
     def test_membership_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            cone_contains(zero_cone(2), ratvec((1, 0, 0)))
+        # the zero cone, a simplicial cone (the cached elimination) and a
+        # cone on dependent rays (the LP) refuse alike
+        for c in (zero_cone(2), cone(2, [(1, 0), (1, 2)]), cone(2, [(1, 0), (1, 2), (0, 1)])):
+            for p in ((1,), (1, 0, 0)):
+                with pytest.raises(ValueError, match="ambient dimension 2"):
+                    cone_contains(c, ratvec(p))
+                with pytest.raises(ValueError):
+                    ref_cone_contains(c, ratvec(p))
+
+    def test_rays_of_the_wrong_length_are_refused(self):
+        # no elimination is cached for them, and the LP paths refuse them
+        c = exactgeom.Cone(2, ((1, 0, 0), (0, 1, 0)))
+        assert c._frame is None
+        for fn in (cone_is_pointed, exactgeom.canonical_cone, cone_faces):
+            with pytest.raises(ValueError):
+                fn(c)
 
     def test_pointed(self):
         assert cone_is_pointed(cone(2, [(1, 0), (0, 1)]))
@@ -281,6 +306,95 @@ class TestCones:
         assert not cone_is_face(cone(2, [(1, 1)]), quad)
         with pytest.raises(ValueError):
             cone_is_face(zero_cone(2), cone(2, [(1, 0), (-1, 0)]))
+
+
+def _random_rays(rng: random.Random, n: int, k: int) -> list[tuple[int, ...]]:
+    """k rays in R^n with entries in [-3, 3] that are linearly independent
+    by the oracle's rank."""
+    while True:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if bareiss_rank(rays) == k:
+            return rays
+
+
+def _combination(rays, weights, n: int) -> tuple:
+    return tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(n))
+
+
+def _membership_case(rng: random.Random, n: int):
+    """One (cone, point, expected) triple in R^n.  The cone is simplicial
+    (1 ... n independent rays), raw (such rays plus a zero ray, a duplicate
+    or a non-primitive ray, built with ``Cone`` so nothing is dropped) or
+    dependent (a combination of its other rays added, or more rays than
+    coordinates).  The point is interior, on a proper face, in the span
+    outside the cone, or off the span, with int or Fraction coordinates.
+    ``expected`` is the answer the construction gives on a simplicial cone,
+    else None."""
+    kind = rng.choice(("simplicial", "simplicial", "raw", "dependent"))
+    k = rng.randint(1, n)
+    rays = _random_rays(rng, n, k)
+    base = list(rays)
+    if kind == "raw":
+        extra = rng.choice(("zero", "duplicate", "non-primitive"))
+        if extra == "zero":
+            rays.append((0,) * n)
+        elif extra == "duplicate":
+            rays.append(rng.choice(rays))
+        else:
+            i = rng.randrange(k)
+            rays[i] = tuple(rng.choice((2, 3)) * x for x in rays[i])
+    elif kind == "dependent":
+        if k < n and rng.random() < 0.5:
+            rays.append(_combination(base, [rng.randint(-2, 2) for _ in base], n))
+        else:
+            rays += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 1 - k)]
+    fractional = rng.random() < 0.5
+
+    def weight(lo: int, hi: int):
+        w = rng.randint(lo, hi)
+        return Fraction(w, rng.choice((1, 2, 3, 7))) if fractional else w
+
+    where = rng.choice(("interior", "face", "span", "off") if k < n else ("interior", "face", "span"))
+    if where == "interior":
+        weights = [weight(1, 5) for _ in base]
+    elif where == "face":
+        weights = [weight(1, 5) for _ in base]
+        for i in rng.sample(range(k), rng.randint(1, k)):
+            weights[i] = 0
+    else:
+        weights = [weight(-3, 5) for _ in base]
+        weights[rng.randrange(k)] = weight(-5, -1)
+    point = _combination(base, weights, n)
+    if where == "off":
+        while True:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if bareiss_rank(base + [v]) > k:
+                break
+        point = tuple(x + y for x, y in zip(point, v))
+    point = tuple(x if type(x) is int else Fraction(x) for x in point)
+    expected = where in ("interior", "face") if kind == "simplicial" else None
+    return exactgeom.Cone(n, tuple(rays)), point, expected
+
+
+class TestMembership:
+    def test_against_the_lp_reference(self):
+        """cone_contains against the reference LP on 2 400 seeded (cone,
+        point) pairs in R^1 ... R^4.  On a simplicial cone the answer is
+        also the construction's, and is read off the cached elimination;
+        a cone on dependent or zero rays keeps the LP."""
+        rng = random.Random(2929)
+        seen = collections.Counter()
+        for _ in range(2400):
+            c, p, expected = _membership_case(rng, rng.randint(1, 4))
+            got = cone_contains(c, p)
+            assert got == ref_cone_contains(c, p), (c, p)
+            if expected is not None:
+                assert got == expected, (c, p)
+            fast = c._frame is not None
+            assert fast == (len(c.rays) <= c.ambient_dim and bareiss_rank(c.rays) == len(c.rays)), c
+            seen["frame" if fast else "lp", got] += 1
+            seen[type(p[0]).__name__] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 100, seen
 
 
 class TestFans:
@@ -402,6 +516,20 @@ class TestConeLocate:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             cone_locate(complete_orthant_fan(2), ratvec((1, 0, 0)))
+
+    def test_overlap_refused_without_an_lp(self, monkeypatch):
+        # two simplicial cones that overlap: the second lies in the first
+        f = build_fan(2, [[(1, 0), (0, 1)], [(1, 0), (1, 1)]])
+        assert len(f.cones) == 6  # with their faces
+        p = ratvec((2, 1))  # in the interior of both
+        calls = _count_lps(monkeypatch)
+        with pytest.raises(ValueError, match="^fan cones overlap or miss a face near the given point$"):
+            cone_locate(f, p)
+        assert calls == []  # both memberships read cached eliminations
+        assert _outcome(lp_cone_locate, f, p) is ValueError  # one LP per cone, same refusal
+        diags = fan_validate(f)
+        assert diags == ref_fan_validate(f)
+        assert "cones ((0, 1), (1, 0)) and ((1, 0), (1, 1)) do not meet in a common face" in diags
 
     def test_relint_property(self):
         # locate returns a cone whose proper faces all miss the point
@@ -562,17 +690,20 @@ class TestAgainstMembershipReferences:
             fan_cone_intersection(f, [cone(3, a), cone(3, b)])
 
     def test_shortcuts_agree_with_the_lp_path(self, monkeypatch):
-        """The rank and ray-containment shortcuts against the LP-only
-        canonical form, pointedness, common face, face list and location,
-        on the 200 seeded random fans and the builder fans.  Each shortcut
-        and each LP fallback is taken at least 20 times."""
+        """The rank, cached-elimination and ray-containment shortcuts
+        against the LP-only canonical form, pointedness, common face, face
+        list and location, on the 200 seeded random fans and the builder
+        fans.  Each shortcut and each LP fallback is taken at least 20
+        times; location skips cones, reads cached eliminations and poses
+        LPs."""
         branches = collections.Counter()
-        independent = exactgeom._independent
 
-        def counting_independent(rays):
-            got = independent(rays)
-            branches[sys._getframe(1).f_code.co_name, "rank" if got else "lp"] += 1
-            return got
+        def counting(independent):
+            def counted(rays):
+                got = independent(rays)
+                branches[sys._getframe(1).f_code.co_name, "rank" if got else "lp"] += 1
+                return got
+            return counted
 
         contains = exactgeom.cone_contains
         tested = []
@@ -581,7 +712,8 @@ class TestAgainstMembershipReferences:
             tested.append(c)
             return contains(c, p)
 
-        monkeypatch.setattr(exactgeom, "_independent", counting_independent)
+        monkeypatch.setattr(exactgeom, "_independent", counting(exactgeom._independent))
+        monkeypatch.setattr(exactgeom, "_simplicial", counting(exactgeom._simplicial))
         monkeypatch.setattr(exactgeom, "cone_contains", counting_contains)
         rng = random.Random(20161018)
         fans = []
@@ -609,11 +741,13 @@ class TestAgainstMembershipReferences:
                 tested.clear()
                 got = _outcome(exactgeom.cone_locate, f, p)
                 branches["cone_locate", "skip"] += len(f.cones) - len(tested)
-                branches["cone_locate", "lp"] += sum(1 for c in tested if c.rays)
+                branches["cone_locate", "frame"] += sum(1 for c in tested if c.rays and c._frame is not None)
+                branches["cone_locate", "lp"] += sum(1 for c in tested if c.rays and c._frame is None)
                 assert got == _outcome(lp_cone_locate, f, p), (f, p)
         for name in ("canonical_cone", "cone_is_pointed", "_common_face", "_faces", "cone_locate"):
             shortcut = "skip" if name == "cone_locate" else "rank"
             assert branches[name, shortcut] >= 20 and branches[name, "lp"] >= 20, (name, branches)
+        assert branches["cone_locate", "frame"] >= 20, branches
 
     def test_orthant_build_lp_count(self, monkeypatch):
         calls = _count_lps(monkeypatch)
@@ -637,31 +771,46 @@ class TestAgainstMembershipReferences:
     def test_orthant_location_lp_count(self, monkeypatch):
         fans = {n: complete_orthant_fan(n) for n in (2, 3)}
         calls = _count_lps(monkeypatch)
+        tested, eliminations = [], []
+        contains, eliminate = exactgeom.cone_contains, exactgeom._eliminate
+        # the nonzero cones tested; the zero cone's test is a zero test
+        monkeypatch.setattr(exactgeom, "cone_contains", lambda c, p: c.rays and tested.append(c) or contains(c, p))
+        monkeypatch.setattr(exactgeom, "_eliminate", lambda rows: eliminations.append(rows) or eliminate(rows))
         for n, f in fans.items():
             points = [ratvec(p) for p in itertools.product((-2, 0, 3), repeat=n)]
             calls.clear()
+            tested.clear()
+            eliminations.clear()
             located = [cone_locate(f, p) for p in points]
-            lps = len(calls)
             assert located == [ref_cone_locate(f, p) for p in points]
-            # with z zero coordinates in p: one LP per orthant, then one per
-            # lower cone that contains p (every other one lies in an
-            # orthant or a cone that misses p); the zero cone needs none
+            # with z zero coordinates in p: one membership test per orthant,
+            # then one per lower cone that contains p (every other one lies
+            # in an orthant or a cone that misses p), the zero cone aside
             zeros = [sum(x == 0 for x in p) for p in points]
-            assert lps == sum(2**n + 3**z - 2**z - (z == n) for z in zeros)
-        assert lps == 276  # n = 3, against 27 * 26 = 702 at one LP per nonzero cone
+            assert len(tested) == sum(2**n + 3**z - 2**z - (z == n) for z in zeros)
+            # every cone of the fan is simplicial, so a test reads the dot
+            # products of its cone's cached elimination and poses no LP.
+            # The orthants' eliminations were made when the fan was built,
+            # and each lower cone's is made at its first test, once
+            assert calls == []
+            assert len(eliminations) == len({c for c in tested if len(c.rays) < n})
+        assert len(tested) == 276  # n = 3, against 27 * 26 = 702 at one test per nonzero cone
 
     def test_non_simplicial_fan_lp_count(self, monkeypatch):
         calls = _count_lps(monkeypatch)
         f = build_fan(3, [_SQUARE_CONE])
-        # one membership LP per ray, pointedness, one LP per proper nonempty
-        # ray subset
-        assert len(calls) == 4 + 1 + 14
+        # any three of the four rays are independent, so the test of each
+        # ray against the other three reads a cached elimination: no LP.
+        # Then one pointedness LP, and one common-face LP per proper
+        # nonempty ray subset (with the other rays of the square cone its
+        # rays are dependent)
+        assert len(calls) == 0 + 1 + 14
         assert len(f.cones) == 10
         calls.clear()
         assert fan_validate(f) == []
         # the square cone again (its four edges and rays are simplicial);
         # it is the only maximal cone, so no pair needs an LP
-        assert len(calls) == 19
+        assert len(calls) == 0 + 1 + 14
 
 
 def _count_lps(monkeypatch) -> list[int]:
