@@ -14,9 +14,11 @@ first pivots fall on them, which settles pointedness, extreme rays and
 faces of a simplicial cone, and membership in it is then a few dot
 products with the rows of that elimination (:func:`cone_contains`).
 Whether two cones whose rays together are independent meet in a common
-face is one :func:`rank`.  Every other question (those on dependent rays,
-membership included) is one non-negative combination problem, solved
-exactly by an integer-preserving phase-one simplex (:func:`solve_nonneg`),
+face is one :func:`rank`; when they are dependent, the rows of either
+cone's elimination often give a separating covector outright.  Every
+other question (those on dependent rays, membership included) is one
+non-negative combination problem, solved exactly by an
+integer-preserving phase-one simplex (:func:`solve_nonneg`),
 the only LP in the package and the LP counterpart of that elimination:
 every row of the LP is scaled by one common denominator, and the tableau
 is kept in ints as T = d * R, with R the rational tableau and d > 0 the
@@ -24,10 +26,10 @@ last pivot.  The denominator is common to all rows because Bland's rule
 reads sums of rows, so each pivot, and each witness, is the one the
 rational simplex would choose.  Faces, intersections and point locations
 are read off canonical ray sets (sorted primitive extreme rays), with one
-rank test or common-face LP deciding whether two cones meet in a face of
-both.  Two cones meet in a common face whenever two cones that have them
-as faces do, so :func:`fan_validate` tests the pairs of maximal cones and
-scans all pairs only to list a failure.
+rank test, covector or common-face LP deciding whether two cones meet in a
+face of both.  Two cones meet in a common face whenever two cones that
+have them as faces do, so :func:`fan_validate` tests the pairs of maximal
+cones and scans all pairs only to list a failure.
 """
 
 from __future__ import annotations
@@ -364,14 +366,18 @@ def cone_contains(c: Cone, p: Sequence[Fraction]) -> bool:
     """
     if len(p) != c.ambient_dim:
         raise ValueError(f"point of length {len(p)} in ambient dimension {c.ambient_dim}")
+    return _contains(c, _integer_rows([p])[0])
+
+
+def _contains(c: Cone, q: Sequence[int]) -> bool:
+    """:func:`cone_contains` on p scaled to integers (a positive multiple
+    of p, so it lies in exactly the cones that hold p)."""
     if not c.rays:
-        return is_zero_vec(p)
+        return not any(q)
     frame = c._frame
     if frame is None:
-        return solve_nonneg([list(col) for col in zip(*c.rays)], p) is not None
+        return solve_nonneg([list(col) for col in zip(*c.rays)], q) is not None
     coords, annihilator = frame
-    den = lcm(*(x.denominator for x in p))
-    q = [x.numerator * (den // x.denominator) for x in p]
     return not any(sum(map(mul, row, q)) for row in annihilator) and all(sum(map(mul, row, q)) >= 0 for row in coords)
 
 
@@ -454,6 +460,21 @@ def _common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
     unshared rays of ``c2`` are independent: a covector then takes any
     prescribed values on them, 0 on the shared rays, -1 on the other rays
     of ``c1`` and +1 on the other rays of ``c2``.
+
+    Otherwise a candidate covector is read off the cached elimination of
+    either cone, and the LP is posed only when neither is one.  The
+    coordinate rows l_r of ``c1``'s :attr:`Cone._frame`, one per ray r,
+    are |d| times the rows of E_top (see :func:`cone_contains`), and
+    E_top R^T = I_k, so they form a dual basis up to the scale |d| > 0:
+    l_r . r' = |d| when r' = r and 0 for every other ray r' of ``c1``.
+    Hence x = -sum l_r over the rays r of ``c1`` not shared is 0 on the
+    shared rays and -|d| on the others.  If moreover x . s > 0 for every
+    unshared ray s of ``c2``, then x / min(|d|, min x . s) is 0 on the
+    shared rays, -|d| / min(...) <= -1 on the other rays of ``c1`` and
+    >= 1 on the other rays of ``c2``: the covector above, so by the same
+    lemma the LP is infeasible and the answer is the LP's.  With the roles
+    of the cones swapped, the negation of the covector found for ``c2``
+    serves.  A cone on dependent rays has no frame and yields none.
     """
     in_c1, in_c2 = set(c1.rays), set(c2.rays)
     shared = tuple(r for r in c1.rays if r in in_c2)
@@ -461,12 +482,29 @@ def _common_face(c1: Cone, c2: Cone) -> Optional[Cone]:
         return c1
     if _independent(c1.rays + tuple(r for r in c2.rays if r not in in_c1)):
         return Cone(c1.ambient_dim, shared)
+    if _frame_separates(c1, c2, in_c2, in_c1) or _frame_separates(c2, c1, in_c1, in_c2):
+        return Cone(c1.ambient_dim, shared)
     columns = [*c1.rays, *([-x for x in r] for r in c2.rays)]
     rows = [list(coord) for coord in zip(*columns)]
     rows.append([int(r not in in_c2) for r in c1.rays] + [int(r not in in_c1) for r in c2.rays])
     if solve_nonneg(rows, [0] * c1.ambient_dim + [1]) is not None:
         return None
     return Cone(c1.ambient_dim, shared)
+
+
+def _frame_separates(a: Cone, b: Cone, in_b: set[IntVec], in_a: set[IntVec]) -> bool:
+    """Is minus the sum of the coordinate rows of ``a``'s elimination over
+    its rays outside ``in_b`` (the rays of ``b``) positive on every ray of
+    ``b`` outside ``in_a`` (the rays of ``a``)?  Then it separates the two
+    cones as :func:`_common_face` requires; False decides nothing."""
+    frame = a._frame
+    if frame is None:
+        return False
+    x = [0] * a.ambient_dim
+    for r, row in zip(a.rays, frame[0]):
+        if r not in in_b:
+            x = [xi - li for xi, li in zip(x, row)]
+    return all(sum(map(mul, x, s)) > 0 for s in b.rays if s not in in_a)
 
 
 def cone_is_face(face: Cone, c: Cone) -> bool:
@@ -615,16 +653,20 @@ def cone_locate(f: Fan, p: Sequence[Fraction]) -> Optional[Cone]:
     A cone on a subset of another cone's rays lies inside it, so a point
     outside the larger cone is outside the smaller one.  The cones are
     tested from the most rays to the fewest, and a cone whose rays lie in
-    those of a cone already found not to contain p is not tested.
+    those of a cone already found not to contain p is not tested.  p is
+    scaled to integers once, and each cone is tested as
+    :func:`cone_contains` tests it: by the dot products with the rows of
+    its cached elimination, or by one LP when its rays are dependent.
     """
     if len(p) != f.ambient_dim:
         raise ValueError(f"point of length {len(p)} located in fan of ambient dimension {f.ambient_dim}")
+    q = _integer_rows([p])[0]
     candidates: list[tuple[Cone, frozenset[IntVec]]] = []
     outside: list[frozenset[IntVec]] = []
     for c, rays in f._by_rays:
         if any(rays <= o for o in outside):
             continue
-        if cone_contains(c, p):
+        if _contains(c, q):
             candidates.append((c, rays))
         else:
             outside.append(rays)

@@ -651,6 +651,35 @@ class TestOverlappingStrictFan:
         assert json.loads(out)["results"]["valid"] is True
 
 
+STRICT_PENTAGON_FAN_MAP = Path(__file__).parent / "data" / "strict_pentagon_fan_map.json"
+OVERLAPPING_PENTAGON_FAN_MAP = Path(__file__).parent / "data" / "overlapping_pentagon_fan_map.json"
+
+
+class TestStrictPentagonFanMap:
+    """A two-vertex line on the strict complete fan of R^2 with the five
+    maximal cones (1,0)(1,1), (1,1)(0,1), (0,1)(-1,0), (-1,0)(0,-1) and
+    (0,-1)(1,0).  Two pairs of them are separated by no covector read off
+    either cone's elimination, so validating the fan poses the common-face
+    LP; in the overlapping copy the second cone's (0,1) is (-1,1)."""
+
+    def test_validates(self, capsys, monkeypatch):
+        doc = load_document(STRICT_PENTAGON_FAN_MAP.read_text()).document
+        assert {vid: c.rays for vid, c in doc.payload.located_cones.items()} == {"c0": (), "c1": ((1, 1),)}
+        code, out, err = run_cli(capsys, monkeypatch, ["validate", str(STRICT_PENTAGON_FAN_MAP)])
+        assert code == 0
+        assert json.loads(out)["results"]["valid"] is True
+        assert "Traceback" not in err
+
+    def test_overlapping_copy_is_refused(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["validate", str(OVERLAPPING_PENTAGON_FAN_MAP)])
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [{
+            "pointer": "/fan/cones",
+            "message": "not a fan: cones ((-1, 1),) and ((-1, 0), (0, 1)) do not meet in a common face",
+        }]
+        assert "Traceback" not in err
+
+
 STRICT_ORTHANT_FAN_MAP = Path(__file__).parent / "data" / "strict_orthant_fan_map.json"
 
 # every command that reads a map and applies --fan to it, with its extra arguments

@@ -1,6 +1,7 @@
 """Rationals, exact elimination, cones, and fans."""
 
 import collections
+import functools
 import itertools
 import random
 import sys
@@ -214,6 +215,12 @@ class TestLp:
         for _ in range(30):
             rays = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(5)]
             exactgeom.canonical_cone(cone(3, rays))
+        # pairs of maximal cones that neither cone's elimination separates
+        # keep the common-face LP: the pentagon fan (2 LPs) and seeded
+        # complete fans of R^2
+        assert fan_validate(build_fan(2, _PENTAGON_CONES)) == []
+        for _ in range(12):
+            assert fan_validate(_random_complete_fan_2d(rng)) == []
         assert len(recorded) > 300
         for rows, rhs in recorded:
             _assert_same_witness(rows, rhs)
@@ -221,6 +228,33 @@ class TestLp:
 
 # the cone over a square in R^3: four extreme rays, so no rank test applies
 _SQUARE_CONE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+# the maximal cones of a complete fan of R^2 in which neither elimination
+# separates cone((1, 0), (1, 1)) from cone((0, 1), (-1, 0)), nor
+# cone((1, 1), (0, 1)) from cone((0, -1), (1, 0)): two common-face LPs
+_PENTAGON_CONES = [[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]]
+
+
+def _random_complete_fan_2d(rng: random.Random) -> exactgeom.Fan:
+    """A complete fan of R^2 on four to seven primitive rays with entries
+    in [-3, 3], each two consecutive rays (by angle) less than a half-turn
+    apart, so that every maximal cone is pointed."""
+
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def by_angle(u, v):
+        return half(u) - half(v) or -cross(u, v)
+
+    pool = sorted({exactgeom.primitive(v) for v in itertools.product(range(-3, 4), repeat=2) if any(v)})
+    while True:
+        rays = sorted(rng.sample(pool, rng.randint(4, 7)), key=functools.cmp_to_key(by_angle))
+        pairs = list(zip(rays, rays[1:] + rays[:1]))
+        if all(cross(u, v) > 0 for u, v in pairs):
+            return build_fan(2, pairs)
 
 
 def _random_lp(rng):
@@ -694,27 +728,44 @@ class TestAgainstMembershipReferences:
         against the LP-only canonical form, pointedness, common face, face
         list and location, on the 200 seeded random fans and the builder
         fans.  Each shortcut and each LP fallback is taken at least 20
-        times; location skips cones, reads cached eliminations and poses
-        LPs."""
+        times; the common face is also settled by a covector at least 20
+        times, and location skips cones, reads cached eliminations and
+        poses LPs."""
         branches = collections.Counter()
 
         def counting(independent):
             def counted(rays):
                 got = independent(rays)
-                branches[sys._getframe(1).f_code.co_name, "rank" if got else "lp"] += 1
+                caller = sys._getframe(1).f_code.co_name
+                # a common face that no rank settles tries the covectors
+                # next; its LP is counted where it is posed
+                if got or caller != "_common_face":
+                    branches[caller, "rank" if got else "lp"] += 1
                 return got
             return counted
 
-        contains = exactgeom.cone_contains
+        contains, separates, solve = exactgeom._contains, exactgeom._frame_separates, exactgeom.solve_nonneg
         tested = []
 
-        def counting_contains(c, p):
+        def counting_contains(c, q):
             tested.append(c)
-            return contains(c, p)
+            return contains(c, q)
+
+        def counting_separates(a, b, in_b, in_a):
+            got = separates(a, b, in_b, in_a)
+            branches["_common_face", "covector"] += got
+            return got
+
+        def counting_solve(rows, rhs):
+            if sys._getframe(1).f_code.co_name == "_common_face":
+                branches["_common_face", "lp"] += 1
+            return solve(rows, rhs)
 
         monkeypatch.setattr(exactgeom, "_independent", counting(exactgeom._independent))
         monkeypatch.setattr(exactgeom, "_simplicial", counting(exactgeom._simplicial))
-        monkeypatch.setattr(exactgeom, "cone_contains", counting_contains)
+        monkeypatch.setattr(exactgeom, "_contains", counting_contains)
+        monkeypatch.setattr(exactgeom, "_frame_separates", counting_separates)
+        monkeypatch.setattr(exactgeom, "solve_nonneg", counting_solve)
         rng = random.Random(20161018)
         fans = []
         while len(fans) < 200:
@@ -747,7 +798,51 @@ class TestAgainstMembershipReferences:
         for name in ("canonical_cone", "cone_is_pointed", "_common_face", "_faces", "cone_locate"):
             shortcut = "skip" if name == "cone_locate" else "rank"
             assert branches[name, shortcut] >= 20 and branches[name, "lp"] >= 20, (name, branches)
+        assert branches["_common_face", "covector"] >= 20, branches
         assert branches["cone_locate", "frame"] >= 20, branches
+
+    def test_common_face_against_the_lp_on_seeded_pairs(self, monkeypatch):
+        """_common_face against the LP-only common face on every ordered
+        pair of canonical pointed cones drawn from one pool of up to six
+        primitive rays in R^1 ... R^4, over 2 000 pairs.  Simplicial and non-simplicial cones,
+        pairs with and without shared rays, and overlapping pairs (None) are
+        each met at least 100 times; a rank, the first cone's covector, the
+        second cone's covector alone, and the LP each settle at least 50."""
+        separates = exactgeom._frame_separates
+        sides = []
+
+        def recording(a, b, in_b, in_a):
+            sides.append(separates(a, b, in_b, in_a))
+            return sides[-1]
+
+        monkeypatch.setattr(exactgeom, "_frame_separates", recording)
+        rng = random.Random(3030)
+        seen = collections.Counter()
+        pairs = 0
+        while pairs < 2000:
+            n = rng.randint(1, 4)
+            draws = (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(6))
+            pool = sorted({exactgeom.primitive(r) for r in draws if any(r)})
+            cones = set()
+            for _ in range(6):
+                rays = rng.sample(pool, rng.randint(1, min(len(pool), n + 2)))
+                try:
+                    cones.add(exactgeom._canonical_pointed(cone(n, rays)))
+                except ValueError:  # not pointed
+                    pass
+            for a, b in itertools.permutations(sorted(cones, key=lambda c: c.rays), 2):
+                sides.clear()
+                got = exactgeom._common_face(a, b)
+                assert got == lp_common_face(a, b), (a, b)
+                pairs += 1
+                seen["simplicial" if exactgeom._simplicial(a) and exactgeom._simplicial(b) else "not simplicial"] += 1
+                seen["shared" if set(a.rays) & set(b.rays) else "none shared"] += 1
+                seen["overlap" if got is None else "face"] += 1
+                seen[{(): "rank", (True,): "first", (False, True): "second"}.get(tuple(sides), "lp")] += 1
+        for kind in ("simplicial", "not simplicial", "shared", "none shared", "overlap", "face"):
+            assert seen[kind] >= 100, seen
+        for way in ("rank", "first", "second", "lp"):
+            assert seen[way] >= 50, seen
 
     def test_orthant_build_lp_count(self, monkeypatch):
         calls = _count_lps(monkeypatch)
@@ -764,17 +859,39 @@ class TestAgainstMembershipReferences:
             assert fan_validate(f) == []
             # faces need no LP, and only the 2^n orthants, the maximal
             # cones, are paired.  Two orthants differ in some sign, so
-            # their rays together are dependent: one LP per pair,
-            # 2^(n-1) (2^n - 1) of them, 6 and 28
-            assert len(calls) == 2 ** (n - 1) * (2**n - 1)
+            # their rays together are dependent, but the elimination of
+            # the first gives a covector: minus the coordinates of the
+            # rays it does not share is 0 on the shared rays, -1 on its
+            # other rays and +1 on the other rays of the second.  No LP
+            # for any of the 2^(n-1) (2^n - 1) pairs, 6 and 28
+            assert calls == []
+
+    def test_pentagon_fan_validation_lp_count(self, monkeypatch):
+        f = build_fan(2, _PENTAGON_CONES)
+        calls = _count_lps(monkeypatch)
+        assert fan_validate(f) == []
+        # of the 10 pairs of maximal cones, the two that neither covector
+        # separates pose one LP each
+        assert len(calls) == 2
+        overlapping = [list(c) for c in _PENTAGON_CONES]
+        overlapping[1] = [(1, 1), (-1, 1)]
+        # with (0, 1) moved to (-1, 1) the second cone overlaps the third
+        # and holds the ray (0, 1); every failing pair is listed
+        overlapping_fan = build_fan(2, overlapping)
+        assert fan_validate(overlapping_fan) == ref_fan_validate(overlapping_fan) == [
+            "cones ((-1, 1),) and ((-1, 0), (0, 1)) do not meet in a common face",
+            "cones ((0, 1),) and ((-1, 1), (1, 1)) do not meet in a common face",
+            "cones ((-1, 0), (0, 1)) and ((-1, 1), (1, 1)) do not meet in a common face",
+        ]
 
     def test_orthant_location_lp_count(self, monkeypatch):
         fans = {n: complete_orthant_fan(n) for n in (2, 3)}
         calls = _count_lps(monkeypatch)
         tested, eliminations = [], []
-        contains, eliminate = exactgeom.cone_contains, exactgeom._eliminate
-        # the nonzero cones tested; the zero cone's test is a zero test
-        monkeypatch.setattr(exactgeom, "cone_contains", lambda c, p: c.rays and tested.append(c) or contains(c, p))
+        contains, eliminate = exactgeom._contains, exactgeom._eliminate
+        # the nonzero cones tested on the point scaled to integers once;
+        # the zero cone's test is a zero test
+        monkeypatch.setattr(exactgeom, "_contains", lambda c, q: c.rays and tested.append(c) or contains(c, q))
         monkeypatch.setattr(exactgeom, "_eliminate", lambda rows: eliminations.append(rows) or eliminate(rows))
         for n, f in fans.items():
             points = [ratvec(p) for p in itertools.product((-2, 0, 3), repeat=n)]
