@@ -41,7 +41,6 @@ from .maps import (
     EdgeMapData,
     TropicalStableMap,
     TypeAutomorphism,
-    canonical_map,
     canonical_type,
     combinatorial_type,
     make_type,
@@ -61,7 +60,6 @@ from .moduli import (
     affine,
     cone_metrics,
     contract_type,
-    evaluate_family,
     is_face,
     limit_of_family,
     make_family,

@@ -381,8 +381,7 @@ def main(argv=None) -> int:
         )
     io = _Io(args.format == "pretty")
     try:
-        with documents.shared_fans():
-            return args.fn(args, io)
+        return args.fn(args, io)
     except DocumentError as exc:
         return io.fail(args.command, [{"pointer": exc.pointer, "message": exc.message}])
     except (ValueError, KeyError) as exc:

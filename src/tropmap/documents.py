@@ -13,13 +13,11 @@ is refused with a DocumentError, which the CLI reports with exit 2.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, NoReturn, Optional, Sequence
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from . import curves
 from .curves import Edge, InfiniteLength, Marking, TropicalCurve, Vertex
@@ -173,33 +171,7 @@ def _read_int_vector(raw, ambient: int, pointer: str, *tokens) -> tuple[int, ...
 # ---------------------------------------------------------------------------
 # fans
 
-# fans parsed inside the innermost ``shared_fans`` block, by their raw JSON
-_shared_fans: ContextVar[Optional[dict[str, Fan]]] = ContextVar("tropmap_shared_fans", default=None)
-
-
-@contextmanager
-def shared_fans() -> Iterator[None]:
-    """Within the block, each distinct fan document is built once: a map
-    and a family that carry the same fan share one :class:`Fan`.  The CLI
-    opens one block per command, so nothing is kept across commands."""
-    token = _shared_fans.set({})
-    try:
-        yield
-    finally:
-        _shared_fans.reset(token)
-
-
 def parse_fan(raw, pointer: str, warnings: list[str]) -> Fan:
-    memo = _shared_fans.get()
-    if memo is None:
-        return _parse_fan(raw, pointer)
-    key = json.dumps(raw, sort_keys=True)
-    if key not in memo:
-        memo[key] = _parse_fan(raw, pointer)
-    return memo[key]
-
-
-def _parse_fan(raw, pointer: str) -> Fan:
     ambient = _get(raw, "ambient_dim", pointer, typ=int)
     if ambient < 0:
         raise DocumentError(_at(pointer, "ambient_dim"), "expected a natural number")

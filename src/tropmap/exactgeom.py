@@ -29,18 +29,21 @@ are read off canonical ray sets (sorted primitive extreme rays), with one
 rank test, covector or common-face LP deciding whether two cones meet in a
 face of both.  Two cones meet in a common face whenever two cones that
 have them as faces do, so :func:`fan_validate` tests the pairs of maximal
-cones and scans all pairs only to list a failure.
+cones and scans all pairs only to list a failure.  A fan that
+:func:`build_fan` made keeps each enumerated cone's face list, so no cone
+of it is enumerated again and only those pairs are checked; a raw
+collection gets every check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 RatVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -585,11 +588,16 @@ class Fan:
     ``embedded`` marks fans used for maps into the full vector space (the
     torus workflows): vertex positions then roam the whole space and the
     combinatorial type records the zero cone at every vertex.
+
+    ``face_lists``, None on a raw collection and outside equality, maps
+    each cone that :func:`build_fan` enumerated to its :func:`cone_faces`
+    list; every cone of the fan is in one of them.
     """
 
     ambient_dim: int
     cones: tuple[Cone, ...]
     embedded: bool = False
+    face_lists: Optional[Mapping[Cone, list[Cone]]] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _by_rays(self) -> tuple[tuple[Cone, frozenset[IntVec]], ...]:
@@ -605,21 +613,31 @@ def fan(ambient_dim: int, cones_: Iterable[Cone], embedded: bool = False) -> Fan
 
 def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], embedded: bool = False) -> Fan:
     """Fan from generator lists; rays are primitivized and all faces added.
-    A one-ray cone is the cone on its primitive ray, whose faces are itself
-    and the zero cone; it needs no canonical form or face enumeration."""
-    all_cones: set[Cone] = {zero_cone(ambient_dim)}
+    A ray of a length other than ``ambient_dim`` raises ValueError.  The
+    fan keeps the face list of each canonical cone it enumerates
+    (:attr:`Fan.face_lists`), and ``[zero]`` for the zero cone; faces of a
+    face get no list of their own.  A one-ray cone is the cone on its
+    primitive ray, with faces the zero cone and itself, and needs no
+    canonical form or face enumeration."""
+    zero = zero_cone(ambient_dim)
+    face_lists: dict[Cone, list[Cone]] = {zero: [zero]}
     for rays in ray_lists:
         rays = list(rays)
+        for r in rays:
+            if len(r) != ambient_dim:
+                raise ValueError(f"ray {tuple(r)} has length {len(r)}, expected {ambient_dim}")
         if len(rays) == 1:
             if any(rays[0]):
-                all_cones.add(Cone(ambient_dim, (primitive(rays[0]),)))
+                c = Cone(ambient_dim, (primitive(rays[0]),))
+                face_lists[c] = [zero, c]
             continue
         c = _canonical_pointed(cone(ambient_dim, rays))
         if len(c.rays) > 14:
             raise ValueError("cone with more than 14 extreme rays: out of desk scale")
-        for f in _faces(c):
-            all_cones.add(f)
-    return fan(ambient_dim, all_cones, embedded)
+        if c not in face_lists:
+            face_lists[c] = _faces(c)
+    raw = fan(ambient_dim, {face for faces in face_lists.values() for face in faces}, embedded)
+    return replace(raw, face_lists=face_lists)
 
 
 def auto_rays_fan(ambient_dim: int, directions: Iterable[Sequence[int]], embedded: bool = True) -> Fan:
@@ -699,7 +717,8 @@ def fan_validate(f: Fan) -> list[str]:
 
     Checks: nonzero primitive rays, pointedness, presence of the zero cone,
     no duplicates, closure under faces, and pairwise intersection in common
-    faces.
+    faces.  On a fan that :func:`build_fan` made, all but the last hold by
+    construction, and its :attr:`Fan.face_lists` give the maximal cones.
 
     Pairs are decided on maximal cones, those that are not a proper face of
     another cone of the collection.  Every cone is a face of a maximal one
@@ -715,40 +734,42 @@ def fan_validate(f: Fan) -> list[str]:
     inside sigma', hence a face of sigma'.  The argument does not need the
     collection to be closed under faces, so it holds whatever the earlier
     checks found.  All pairs are scanned only when a maximal pair fails, to
-    list every pair that does not meet in a common face.
+    list every pair that does not meet in a common face, as on the raw
+    collection of the same cones.
     """
     diags: list[str] = []
-    usable: list[tuple[Cone, list[Cone]]] = []
-    for c in f.cones:
-        bad = False
-        for r in c.rays:
-            if len(r) != f.ambient_dim:
-                diags.append(f"ray {r} has length {len(r)}, expected {f.ambient_dim}")
-                bad = True
-            elif all(x == 0 for x in r):
-                diags.append(f"zero ray generator in cone {c.rays}")
-                bad = True
-            elif vector_content(r) != 1:
-                diags.append(f"non-primitive ray {r} (content {vector_content(r)})")
-        if bad:
-            continue
-        try:
-            usable.append((c, cone_faces(c)))
-        except ValueError:
-            diags.append(f"cone {c.rays} is not pointed")
-    canon = {faces[-1] for _, faces in usable}  # each cone's own canonical form
-    if zero_cone(f.ambient_dim) not in canon:
-        diags.append("missing zero cone")
-    if len(canon) != len(usable):
-        diags.append("duplicate cones (equal after canonicalization)")
-    for c, faces in usable:
-        for face in faces:
-            if face not in canon:
-                diags.append(f"missing face {face.rays} of cone {c.rays}")
-    faces_of = {faces[-1]: faces for _, faces in usable}
-    ordered = sorted(canon, key=lambda c: (len(c.rays), c.rays))
+    faces_of, ordered = f.face_lists, f.cones
+    if faces_of is None:
+        usable: list[tuple[Cone, list[Cone]]] = []
+        for c in f.cones:
+            bad = False
+            for r in c.rays:
+                if len(r) != f.ambient_dim:
+                    diags.append(f"ray {r} has length {len(r)}, expected {f.ambient_dim}")
+                    bad = True
+                elif all(x == 0 for x in r):
+                    diags.append(f"zero ray generator in cone {c.rays}")
+                    bad = True
+                elif vector_content(r) != 1:
+                    diags.append(f"non-primitive ray {r} (content {vector_content(r)})")
+            if bad:
+                continue
+            try:
+                usable.append((c, cone_faces(c)))
+            except ValueError:
+                diags.append(f"cone {c.rays} is not pointed")
+        faces_of = {faces[-1]: faces for _, faces in usable}  # by each cone's own canonical form
+        if zero_cone(f.ambient_dim) not in faces_of:
+            diags.append("missing zero cone")
+        if len(faces_of) != len(usable):
+            diags.append("duplicate cones (equal after canonicalization)")
+        for c, faces in usable:
+            for face in faces:
+                if face not in faces_of:
+                    diags.append(f"missing face {face.rays} of cone {c.rays}")
+        ordered = sorted(faces_of, key=lambda c: (len(c.rays), c.rays))
     proper = {face for faces in faces_of.values() for face in faces[:-1]}
-    maximal = [c for c in ordered if c not in proper]
+    maximal = [c for c in ordered if c in faces_of and c not in proper]
     if all(_meet_in_a_face(c1, c2, faces_of) for c1, c2 in itertools.combinations(maximal, 2)):
         return diags
     for c1, c2 in itertools.combinations(ordered, 2):
@@ -757,11 +778,12 @@ def fan_validate(f: Fan) -> list[str]:
     return diags
 
 
-def _meet_in_a_face(c1: Cone, c2: Cone, faces_of: dict[Cone, list[Cone]]) -> bool:
+def _meet_in_a_face(c1: Cone, c2: Cone, faces_of: Mapping[Cone, list[Cone]]) -> bool:
     """Do two canonical cones, ``c1`` with no more rays than ``c2``, meet
     in a common face?  A cone on a subset of the rays of ``c2`` is its own
     intersection with ``c2``, so it meets ``c2`` in a common face exactly
-    when it is a face of ``c2``."""
+    when it is a face of ``c2``; its face list is read from ``faces_of`` or,
+    when that has none, made by :func:`cone_faces`."""
     if set(c1.rays) <= set(c2.rays):
-        return c1 in faces_of[c2]
+        return c1 in (faces_of.get(c2) or cone_faces(c2))
     return _common_face(c1, c2) is not None

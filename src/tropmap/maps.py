@@ -656,10 +656,6 @@ def canonical_type(t: CombinatorialType) -> CombinatorialType:
     return t if canonical is None else canonical
 
 
-def canonical_map(m: TropicalStableMap) -> TropicalStableMap:
-    return TropicalStableMap(m.curve, m.fan, dict(m.positions), canonical_edge_data(m.curve, m.edge_data))
-
-
 # ---------------------------------------------------------------------------
 # decorated isomorphisms and automorphisms
 

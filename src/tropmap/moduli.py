@@ -647,8 +647,8 @@ class FamilyMember:
 
     The graph's lengths are the type's placeholders.  The genus-one
     analysis reads lengths and positions from ``scaled`` only, so it takes
-    a member where it takes a map; :func:`evaluate_family` gives the member
-    as a map."""
+    a member where it takes a map; for t < 1 the member as a map is
+    ``limit_of_family(fam, t).map``."""
 
     curve: TropicalCurve
     fan: Fan
@@ -768,11 +768,6 @@ def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[
     )
 
 
-def evaluate_family(fam: Family, t_val) -> TropicalStableMap:
-    """The member map at one parameter value (no contraction applied)."""
-    return _map_from_lengths(fam.type, *_family_at(fam, Fraction(t_val)))
-
-
 @dataclass(frozen=True)
 class LimitResult:
     t: Fraction
@@ -810,8 +805,8 @@ def _merge_positions(vmap: Mapping[str, str], positions: Mapping[str, tuple]) ->
 
 def _is_limit(fam: Family, m: TropicalStableMap) -> bool:
     """Is ``m`` the family's t = 1 limit, up to edge orientation?  The same
-    answer as comparing
-    ``canonical_map`` of ``limit_of_family(fam, 1).map`` and of ``m``, read
+    answer as comparing ``limit_of_family(fam, 1).map`` and ``m`` with
+    their edge data in canonical form (:func:`canonical_edge_data`), read
     on the family's (const, slope) pairs at t = 1, c + s over the family's
     denominator D, and on m's integers over its denominator D_m: x/D equals
     y/D_m exactly when x*D_m = y*D.  The limit is never built as a map."""

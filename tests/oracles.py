@@ -30,7 +30,8 @@ mapped neighbour's image, and they read each vertex profile and adjacency
 off the vertex's own incidence list, where the library reads them all in
 one pass over the edges.
 The R4 family certificate builds the limit and each probe member as a
-map and decides each member on the member's own cycle frame, computed in
+map, the members in Fractions from each function's value at t, and
+decides each member on the member's own cycle frame, computed in
 Fractions, and on trapped subcurves cut by vertex levels with Fraction distances, where
 the library compares the limit on the family's integers, builds one
 integer frame per family, projects each vertex offset once per family,
@@ -70,7 +71,8 @@ from tropmap.exactgeom import (
 from tropmap.maps import (
     STABILITY_VIOLATED,
     CombinatorialType,
-    canonical_map,
+    TropicalStableMap,
+    canonical_edge_data,
     canonical_type,
     stable_map,
     validate_map,
@@ -81,7 +83,6 @@ from tropmap.moduli import (
     FaceWitness,
     _contract_with_map,
     affine,
-    evaluate_family,
     format_affine,
     limit_of_family,
 )
@@ -1236,19 +1237,40 @@ def ref_well_spaced(m, frame: CycleFrame) -> bool:
     return True
 
 
+def canonical_map(m: TropicalStableMap) -> TropicalStableMap:
+    """The map with its edge data in canonical form: two maps are equal up
+    to edge orientation exactly when these are equal."""
+    return TropicalStableMap(m.curve, m.fan, dict(m.positions), canonical_edge_data(m.curve, m.edge_data))
+
+
+def ref_member(fam, t_val) -> TropicalStableMap:
+    """The family's member at ``t_val`` as a map, built unchecked in
+    Fractions from each length and position function's value
+    (``AffineFn.at``), where the library reads it off the family's
+    integer (const, slope) pairs.  No edge is contracted."""
+    graph = fam.type.graph
+    edges = [
+        e if graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, fam.lengths[e.id].at(t_val))
+        for e in graph.edges
+    ]
+    points = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in fam.positions.items()}
+    return stable_map(tropical_curve(graph.vertices, edges, graph.markings), fam.type.fan, points, fam.type.edge_data)
+
+
 def ref_check_family_certificate(m, assume: Assumptions) -> None:
-    """The R4 family certificate with every probe member built as a map,
-    validated with stability waived, and decided on a cycle frame of its
-    own, on the Fraction path (:func:`ref_cycle_frame`), and on level cuts
-    (:func:`ref_well_spaced`): the limit, built as a map, must be ``m`` up
-    to edge orientation and each member realizable by R1 or R3."""
+    """The R4 family certificate with every probe member built as a map in
+    Fractions (:func:`ref_member`), validated with stability waived, and
+    decided on a cycle frame of its own, on the Fraction path
+    (:func:`ref_cycle_frame`), and on level cuts (:func:`ref_well_spaced`):
+    the limit, built as a map, must be ``m`` up to edge orientation and
+    each member realizable by R1 or R3."""
     fam = assume.family
     limit = limit_of_family(fam, Fraction(1))
     if canonical_map(limit.map) != canonical_map(m):
         raise CertificateError("family limit at t = 1 differs from the given map")
     direct = Assumptions(star_realizable=assume.star_realizable)
     for t in _PROBES:
-        member = evaluate_family(fam, t)
+        member = ref_member(fam, t)
         member_diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
         if member_diags:
             raise CertificateError(f"family member at t={t} invalid: {member_diags[0]}")

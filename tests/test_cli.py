@@ -231,26 +231,6 @@ class TestPerCommandWork:
         assert (code, json.loads(out)["command"]) == (0, "cone")
         assert json.loads(out)["results"]["dim"] == 5
 
-    def test_each_fan_is_built_once_per_command(self, capsys, monkeypatch, tmp_path):
-        _, fam_doc, _ = run_cli(capsys, monkeypatch, ["example", "figure1", "--n", "4"])
-        fam_path = tmp_path / "family.json"
-        fam_path.write_text(fam_doc)
-        _, limit_doc, _ = run_cli(capsys, monkeypatch, ["limit", "--t", "1"], stdin=fam_doc)
-        calls = []
-        real = tropmap.documents.build_fan
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(tropmap.documents, "build_fan", counting)
-        for expected in (1, 2):
-            # the map and the family carry the same fan; a new command
-            # parses it again
-            code, _, _ = run_cli(capsys, monkeypatch, ["verdict", "--family", str(fam_path)], stdin=limit_doc)
-            assert code == 0
-            assert len(calls) == expected
-
 
 class TestUnbalancedTypes:
     @staticmethod

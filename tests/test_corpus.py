@@ -51,8 +51,6 @@ EXPORTED_WITHOUT_A_CALLER = {
     "type_automorphisms": "ROADMAP item 11 reports |Aut| of each face with it",
     "subcurve_in_flat": "the per-layer metric wellspaced.subcurve_in_flat.self_ms names it (ROADMAP item 15)",
     "rref": "the per-layer metrics exactgeom.rref.* name it; cycle frames eliminate on the integers",
-    "canonical_map": "equality of maps up to edge orientation; moduli._is_limit decides it on the integers",
-    "evaluate_family": "a family member as a map, where FamilyMember reads it on the family's integers",
 }
 
 

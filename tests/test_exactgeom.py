@@ -6,11 +6,12 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmap import combinatorial_type, exactgeom, moduli
+from tropmap import combinatorial_type, documents, exactgeom, moduli
 from tropmap.exactgeom import (
     auto_rays_fan,
     build_fan,
@@ -221,6 +222,11 @@ class TestLp:
         assert fan_validate(build_fan(2, _PENTAGON_CONES)) == []
         for _ in range(12):
             assert fan_validate(_random_complete_fan_2d(rng)) == []
+        # a raw collection is validated from its cones alone: the square
+        # cone's faces again (one pointedness LP and 14 common-face LPs)
+        # and the pentagon fan's two unseparated pairs
+        for built in (square, build_fan(2, _PENTAGON_CONES)):
+            assert fan_validate(fan(built.ambient_dim, built.cones)) == []
         assert len(recorded) > 300
         for rows, rhs in recorded:
             _assert_same_witness(rows, rhs)
@@ -533,6 +539,107 @@ class TestFans:
         assert len(complete_orthant_fan(2).cones) == 9
         assert len(complete_orthant_fan(3).cones) == 27
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_fan(2, [[(1, 0, 0)], [(0, 1)]]),
+            lambda: build_fan(2, [[(0, 1), (1, 0, 0)]]),
+            lambda: auto_rays_fan(2, [(1, 0, 0), (0, 1)]),
+        ],
+        ids=["one-ray path", "canonicalizing path", "auto_rays_fan"],
+    )
+    def test_ray_of_the_wrong_length_is_refused(self, monkeypatch, build):
+        # before any cone is canonicalized
+        calls = []
+        real = exactgeom.canonical_cone
+        monkeypatch.setattr(exactgeom, "canonical_cone", lambda c: calls.append(c) or real(c))
+        with pytest.raises(ValueError, match=r"^ray \(1, 0, 0\) has length 3, expected 2$"):
+            build()
+        assert calls == []
+
+
+_STRICT_ORTHANT_FAN_MAP = Path(__file__).parent / "data" / "strict_orthant_fan_map.json"
+
+
+def _built_fans() -> list[exactgeom.Fan]:
+    """The fans the suite builds with ``build_fan``: the orthant fans of
+    R^1 ... R^4, the square cone's and the pentagon fan, 12 seeded complete
+    fans of R^2 and an ``auto_rays_fan``."""
+    rng = random.Random(3131)
+    fans = [complete_orthant_fan(n) for n in (1, 2, 3, 4)]
+    fans += [build_fan(3, [_SQUARE_CONE]), build_fan(2, _PENTAGON_CONES)]
+    fans += [_random_complete_fan_2d(rng) for _ in range(12)]
+    fans.append(auto_rays_fan(3, [(1, 0, 0), (0, -2, 0), (1, 1, 1), (-1, 0, 0)]))
+    return fans
+
+
+class TestBuiltFanFaceLists:
+    def test_face_lists_are_the_cone_faces(self):
+        for f in _built_fans():
+            lists = f.face_lists
+            assert lists is not None and zero_cone(f.ambient_dim) in lists
+            for c, faces in lists.items():
+                assert faces == cone_faces(c), c
+            # the listed faces are the fan's cones
+            assert {face for faces in lists.values() for face in faces} == set(f.cones)
+            raw = fan(f.ambient_dim, f.cones, f.embedded)
+            assert raw == f and raw.face_lists is None
+            assert fan_validate(f) == ref_fan_validate(f) == fan_validate(raw) == []
+
+    def test_overlapping_built_fans_list_the_raw_diagnostics(self):
+        # a failing maximal pair sends a built fan through the all-pairs
+        # scan, which takes face lists from cone_faces for the cones the
+        # build did not enumerate
+        overlapping = [list(c) for c in _PENTAGON_CONES]
+        overlapping[1] = [(1, 1), (-1, 1)]
+        for f in (
+            build_fan(2, overlapping),
+            build_fan(3, [_SQUARE_CONE, [_SQUARE_CONE[0], _SQUARE_CONE[2]]]),
+            build_fan(2, [[(1, 0), (0, 1)], [(1, 0), (1, 1)]]),
+            build_fan(2, [[(1, 0), (0, 1)], [(1, 1)]]),
+        ):
+            diags = fan_validate(f)
+            assert diags and diags == ref_fan_validate(f) == fan_validate(fan(f.ambient_dim, f.cones))
+
+    @staticmethod
+    def _count_enumerations(monkeypatch) -> collections.Counter:
+        """Calls of ``exactgeom._faces`` and ``exactgeom.canonical_cone``
+        from now on, by name."""
+        calls = collections.Counter()
+        for name in ("_faces", "canonical_cone"):
+            real = getattr(exactgeom, name)
+            monkeypatch.setattr(exactgeom, name, lambda c, name=name, real=real: calls.update([name]) or real(c))
+        return calls
+
+    def test_validation_enumerates_nothing_again(self, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        f = complete_orthant_fan(3)
+        # one canonical form and one face enumeration per orthant
+        assert calls == {"_faces": 8, "canonical_cone": 8}
+        calls.clear()
+        assert fan_validate(f) == []
+        assert calls == {}
+
+    def test_loading_enumerates_each_cone_once(self, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        at_build = []
+        build = documents.build_fan
+
+        def counting_build(*args, **kwargs):
+            f = build(*args, **kwargs)
+            at_build.append(dict(calls))
+            return f
+
+        monkeypatch.setattr(documents, "build_fan", counting_build)
+        loaded = documents.load_document(_STRICT_ORTHANT_FAN_MAP.read_text())
+        assert loaded.document.kind == "map"
+        # the document lists all 27 cones: the zero cone, 12 quadrants and
+        # 8 octants are canonicalized, and each is enumerated once but the
+        # zero cone, whose face list the build starts from; the 6 rays
+        # need neither.  Validation and the map read no cone again
+        assert at_build == [{"_faces": 20, "canonical_cone": 21}]
+        assert calls == at_build[0]
+
 
 class TestConeLocate:
     def test_origin_in_zero_cone(self):
@@ -653,7 +760,7 @@ def _check_against_references(f: exactgeom.Fan, rng: random.Random) -> bool:
     valid the answers must be equal; otherwise an answer may only turn into
     a ValueError.  Returns whether the fan is valid."""
     diags = fan_validate(f)
-    assert diags == ref_fan_validate(f)
+    assert diags == ref_fan_validate(f) == fan_validate(fan(f.ambient_dim, f.cones, f.embedded))
     valid = not diags
 
     def agree(got, want):
@@ -925,9 +1032,9 @@ class TestAgainstMembershipReferences:
         assert len(f.cones) == 10
         calls.clear()
         assert fan_validate(f) == []
-        # the square cone again (its four edges and rays are simplicial);
-        # it is the only maximal cone, so no pair needs an LP
-        assert len(calls) == 0 + 1 + 14
+        # the fan keeps the square cone's face list from the build, which
+        # shows it to be the only maximal cone: no pair, so no LP
+        assert len(calls) == 0
 
 
 def _count_lps(monkeypatch) -> list[int]:

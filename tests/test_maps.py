@@ -12,7 +12,6 @@ import pytest
 
 from tropmap import maps
 from tropmap import (
-    canonical_map,
     combinatorial_type,
     stable_map,
     star,
@@ -40,6 +39,7 @@ from builders import (
     unchecked_type,
 )
 from oracles import (
+    canonical_map,
     compatible_subsets,
     exhaustive_automorphisms,
     ref_adjacency,

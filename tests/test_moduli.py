@@ -17,7 +17,6 @@ from tropmap import (
     combinatorial_type,
     cone_metrics,
     contract_type,
-    evaluate_family,
     is_face,
     limit_of_family,
     make_family,
@@ -55,6 +54,7 @@ from oracles import (
     dense_pull_back,
     ref_family_positions,
     ref_invalid_member,
+    ref_member,
     ref_positions_from_lengths,
     ref_spanning_tree,
 )
@@ -161,7 +161,7 @@ def _walk_types():
     types = [combinatorial_type(gallery_map(name, t=Fraction(1, 2))) for name in GALLERY_NAMES]
     for n in range(3, 7):
         fam = build_figure1_family(n)
-        types += [fam.type, combinatorial_type(moduli.evaluate_family(fam, Fraction(1, 3))),
+        types += [fam.type, combinatorial_type(moduli.limit_of_family(fam, Fraction(1, 3)).map),
                   moduli.limit_of_family(fam, 1).type]
     types += [combinatorial_type(rectangle_cycle(a, b)) for a in range(1, 9) for b in range(a, 9)]
     rng = random.Random(1909)
@@ -552,7 +552,7 @@ class TestFamilies:
         lim = limit_of_family(fam, 1)
         assert lim.contracted_edges == ()
         assert canonical_type(lim.type) == canonical_type(t)
-        member = evaluate_family(fam, Fraction(1, 3))
+        member = limit_of_family(fam, Fraction(1, 3)).map
         assert validate_map(member) == []
 
     def test_positive_on_interval_enforced(self):
@@ -741,7 +741,7 @@ class TestFamilyConstruction:
                 seen[None] += 1
                 for t_val in FAMILY_PROBES:
                     member = got.member(t_val)
-                    m = evaluate_family(got, t_val)
+                    m = ref_member(got, t_val)
                     den = member.scaled.denominator
                     assert {v: tuple(Fraction(x, den) for x in p) for v, p in member.scaled.positions.items()} == m.positions
                     lengths = {e.id: e.length for e in m.curve.edges if not m.curve.is_marked_leaf_edge(e)}
@@ -761,7 +761,7 @@ class TestFamilyPositions:
             lengths = {eid: fn.at(t_val) for eid, fn in fam.lengths.items()}
             point = tuple(fn.at(t_val) for fn in fam.positions[base])
             walk = ref_positions_from_lengths(fam.type, lengths, base, point)
-            assert evaluate_family(fam, t_val).positions == walk
+            assert limit_of_family(fam, t_val).map.positions == walk
 
     @staticmethod
     def _derived_cases():

@@ -35,8 +35,8 @@ from tropmap.curves import Edge, tropical_curve
 from tropmap.documents import Document, serialize_document
 from tropmap.exactgeom import build_fan, canonical_cone, cone, primitive, ratvec, vdot, vector_content
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
-from tropmap.maps import STABILITY_VIOLATED, canonical_map, make_type, stable_map
-from tropmap.moduli import InfeasibleCone, evaluate_family, moduli_cone, sample_interior
+from tropmap.maps import STABILITY_VIOLATED, make_type, stable_map
+from tropmap.moduli import InfeasibleCone, moduli_cone, sample_interior
 from tropmap.wellspaced import (
     _PROBES,
     cycle_frame,
@@ -60,6 +60,7 @@ from builders import (
     turning_branch_family,
 )
 from oracles import (
+    canonical_map,
     first_sources,
     fraction_projection,
     lift_pattern,
@@ -68,6 +69,7 @@ from oracles import (
     ref_cycle_frame,
     ref_invalid_member,
     ref_level_cut,
+    ref_member,
     ref_member_defect,
     ref_positions_from_lengths,
     ref_unique_cycle,
@@ -442,7 +444,7 @@ class TestSharedFrame:
             if betti_and_genus(m.curve)[1] == 1:
                 pairs += [(m, s) for s in TestSharedFrame._samples(m)]
         for _, _, fam in _certificate_families():
-            members = [evaluate_family(fam, t) for t in _PROBES]
+            members = [limit_of_family(fam, t).map for t in _PROBES]
             valid = [x for x in members if _valid_but_unstable(x)]
             if valid and betti_and_genus(valid[0].curve)[1] == 1:
                 pairs += [(x, valid[0]) for x in valid]
@@ -503,7 +505,7 @@ class TestIntegerPaths:
         for n in (3, 4, 5, 6):
             fam = build_figure1_family(n)
             maps.append(limit_of_family(fam, 1).map)
-            maps += [evaluate_family(fam, t) for t in (*_PROBES, Fraction(1, 3), Fraction(5, 7))]
+            maps += [ref_member(fam, t) for t in (*_PROBES, Fraction(1, 3), Fraction(5, 7))]
             maps += [fam.member(t) for t in (*_PROBES, Fraction(2, 9))]
         rng = random.Random(18)
         maps += [random_feasible_map(rng, max_vertices=5) for _ in range(200)]
@@ -540,7 +542,7 @@ class TestIntegerPaths:
         want = ("CertificateError", "family member at t=99/100 is not realizable by the direct rules (R2)")
         assert _outcome(lambda: ref_check_family_certificate(target, Assumptions(family=fam))) == want
         assert _outcome(lambda: wellspaced._check_family_certificate(target, Assumptions(family=fam))) == want
-        spaced = [is_well_spaced(evaluate_family(fam, t)).overall for t in _PROBES]
+        spaced = [is_well_spaced(limit_of_family(fam, t).map).overall for t in _PROBES]
         assert spaced == [True, True, True, True, False]
 
     def test_trapped_component_depends_on_the_normal_alone(self):
