@@ -41,6 +41,9 @@ EXIT_INPUT_ERROR = 2
 
 # ``--fan complete`` closes 2^n orthants under their 2^n faces: about 4^n steps
 MAX_COMPLETE_FAN_DIM = 8
+# ``example figure1 --n N`` pads its three active coordinates with N - 3
+# zeros in every position and direction, so its output grows like N
+MAX_EXAMPLE_DIM = 64
 
 
 def _digest(text: str) -> str:
@@ -284,16 +287,21 @@ def _cmd_hat(args, io: _Io) -> int:
 
 def _cmd_example(args, io: _Io) -> int:
     """Write the named example as a bare document (no envelope): the
-    figure1 family, or a map (the figure1 member at ``--t``).  ``--t`` is
-    refused for the other examples, which have no members."""
-    if args.name != "figure1" and args.t is not None:
-        raise DocumentError("", f"--t applies to the figure1 example only, not to {args.name}")
+    figure1 family, or a map (the figure1 member at ``--t``).  ``--t`` and
+    ``--n`` are refused for the other examples, which have no members and
+    no dimension to choose, and ``--n`` above :data:`MAX_EXAMPLE_DIM`."""
+    for option, value in (("--t", args.t), ("--n", args.n)):
+        if args.name != "figure1" and value is not None:
+            raise DocumentError("", f"{option} applies to the figure1 example only, not to {args.name}")
+    n = 3 if args.n is None else args.n
+    if n > MAX_EXAMPLE_DIM:
+        raise DocumentError("", f"--n is capped at ambient dimension {MAX_EXAMPLE_DIM}, got {n}")
     if args.name == "figure1" and args.t is None:
-        doc = Document("family", build_figure1_family(args.n))
-        summary = f"example figure1 family (n={args.n})"
+        doc = Document("family", build_figure1_family(n))
+        summary = f"example figure1 family (n={n})"
     else:
         t = parse_rational(args.t) if args.t is not None else None
-        doc = Document("map", gallery.gallery_map(args.name, n=args.n, t=t))
+        doc = Document("map", gallery.gallery_map(args.name, n=n, t=t))
         summary = f"example {args.name}"
     sys.stdout.write(serialize_document(doc, io.pretty))
     print(summary, file=sys.stderr)
@@ -360,7 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1", help="self-loop length (default 1)")
     p = add("example", _cmd_example, "emit a builtin example document", with_input=False, with_fan=False)
     p.add_argument("name", choices=gallery.GALLERY_NAMES)
-    p.add_argument("--n", type=int, default=3, help="ambient dimension for figure1")
+    p.add_argument(
+        "--n", type=int, default=None, help=f"ambient dimension for figure1, 3 to {MAX_EXAMPLE_DIM} (default 3)"
+    )
     p.add_argument("--t", default=None, help="parameter: emit the figure1 member at t")
     p = add("plot", _cmd_plot, "write an SVG projection")
     p.add_argument("--axes", default="0,1", help="coordinate pair, e.g. 0,2")

@@ -126,12 +126,27 @@ class TropicalCurve:
 
     def valence(self, vid: str) -> int:
         """Number of half-edges at the vertex; a self-loop counts twice."""
-        val = 0
-        for e in self._incidence[vid]:
-            val += 2 if e.ends[0] == e.ends[1] else 1
+        return self._valence[vid]
+
+    @cached_property
+    def _valence(self) -> Mapping[str, int]:
+        """The half-edges at each vertex, counted over the edges: as
+        :attr:`_incidence` lists them, but with a self-loop's two ends both
+        counted and no tuple built."""
+        val = dict.fromkeys(self._vertex_index, 0)
+        for e in self.edges:
+            a, b = e.ends
+            if a in val:
+                val[a] += 1
+            if b in val:
+                val[b] += 1
         return val
 
     def unmarked_vertex_ids(self) -> tuple[str, ...]:
+        return self._unmarked_vertex_ids
+
+    @cached_property
+    def _unmarked_vertex_ids(self) -> tuple[str, ...]:
         marked = self.marked_vertex_ids
         return tuple(v.id for v in self.vertices if v.id not in marked)
 

@@ -639,6 +639,9 @@ def serialize_document(doc: Document, pretty: bool = False) -> str:
 
 
 def dumps(obj, pretty: bool = False) -> str:
+    """The JSON text of a document or envelope.  Each is a tree that this
+    module has just built, so the encoder's check for circular references
+    is skipped."""
     if pretty:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, check_circular=False) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"

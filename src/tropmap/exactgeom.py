@@ -38,12 +38,12 @@ collection gets every check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 RatVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -222,6 +222,27 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -
 def integer_nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[IntVec]:
     """The :func:`nullspace` basis times one common positive integer."""
     return _kernel(rows, ncols)[0]
+
+
+def integer_nullspace_combination(rows: Sequence[Sequence], ncols: int, draw: Callable[[], int]) -> list[int]:
+    """sum_i c_i k_i over the :func:`integer_nullspace` basis k_i, with one
+    ``c_i = draw()`` per basis vector in basis order, read off the one
+    elimination of the rows without building the basis.  k_i is s*d at its
+    free column f_i and -s*m[r][f_i] at the pivot column of row r, s the
+    sign of the scale d (:func:`_kernel_of`), so the sum is s*d*c_i at f_i
+    and -s * sum_i c_i m[r][f_i] at the pivot column of row r: O(ncols *
+    rank) work."""
+    m, pivots, d = _eliminate(rows)
+    sign = 1 if d > 0 else -1
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    coeffs = [draw() for _ in free]
+    out = [0] * ncols
+    for c, cf in zip(free, coeffs):
+        out[c] = sign * d * cf
+    for row, pc in zip(m, pivots):
+        out[pc] = -sign * sum(cf * row[c] for c, cf in zip(free, coeffs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +559,9 @@ def cone_faces(c: Cone) -> list[Cone]:
     return _faces(_canonical_pointed(c))
 
 
+NOT_POINTED = "face enumeration requires a pointed cone"
+
+
 def _canonical_pointed(c: Cone) -> Cone:
     """:func:`canonical_cone` of a cone that must be pointed; raises
     ValueError when it is not.
@@ -552,7 +576,7 @@ def _canonical_pointed(c: Cone) -> Cone:
         return cc
     prim = {primitive(r) for r in c.rays if any(r)}
     if len(cc.rays) < len(prim) and not cone_is_pointed(Cone(c.ambient_dim, tuple(sorted(prim)))):
-        raise ValueError("face enumeration requires a pointed cone")
+        raise ValueError(NOT_POINTED)
     return cc
 
 
@@ -565,7 +589,7 @@ def _faces(cc: Cone) -> list[Cone]:
     """
     simplicial = _simplicial(cc)
     if not simplicial and not cone_is_pointed(cc):
-        raise ValueError("face enumeration requires a pointed cone")
+        raise ValueError(NOT_POINTED)
     faces = {zero_cone(cc.ambient_dim), cc}  # pointed: the empty ray set is a face
     for size in range(1, len(cc.rays)):
         for subset in itertools.combinations(cc.rays, size):
@@ -618,26 +642,47 @@ def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], em
     (:attr:`Fan.face_lists`), and ``[zero]`` for the zero cone; faces of a
     face get no list of their own.  A one-ray cone is the cone on its
     primitive ray, with faces the zero cone and itself, and needs no
-    canonical form or face enumeration."""
+    canonical form or face enumeration.
+
+    Every listed cone is checked and put in canonical form first, in list
+    order.  The cones are then enumerated from the most rays to the fewest,
+    and a cone already in a recorded face list is not: its faces are faces
+    of the recorded cone, so they are listed already.  A document that
+    lists every face of a fan has only its maximal cones enumerated.
+
+    The refusal is the one an enumeration in list order raises.  Only
+    :func:`_faces` refuses a canonical cone, as not pointed, with one
+    message whichever cone it is, and a cone that is not pointed is in no
+    face list, so it is reached.  When a later list is refused first, the
+    cones listed before it are tested for pointedness, and a cone that is
+    not pointed is refused instead, as its enumeration would have been."""
     zero = zero_cone(ambient_dim)
+    listed: list[Cone] = []
+    try:
+        for rays in ray_lists:
+            rays = list(rays)
+            for r in rays:
+                if len(r) != ambient_dim:
+                    raise ValueError(f"ray {tuple(r)} has length {len(r)}, expected {ambient_dim}")
+            if len(rays) == 1:
+                if any(rays[0]):
+                    listed.append(Cone(ambient_dim, (primitive(rays[0]),)))
+                continue
+            c = _canonical_pointed(cone(ambient_dim, rays))
+            if len(c.rays) > 14:
+                raise ValueError("cone with more than 14 extreme rays: out of desk scale")
+            listed.append(c)
+    except ValueError:
+        if not all(map(cone_is_pointed, listed)):
+            raise ValueError(NOT_POINTED) from None
+        raise
     face_lists: dict[Cone, list[Cone]] = {zero: [zero]}
-    for rays in ray_lists:
-        rays = list(rays)
-        for r in rays:
-            if len(r) != ambient_dim:
-                raise ValueError(f"ray {tuple(r)} has length {len(r)}, expected {ambient_dim}")
-        if len(rays) == 1:
-            if any(rays[0]):
-                c = Cone(ambient_dim, (primitive(rays[0]),))
-                face_lists[c] = [zero, c]
-            continue
-        c = _canonical_pointed(cone(ambient_dim, rays))
-        if len(c.rays) > 14:
-            raise ValueError("cone with more than 14 extreme rays: out of desk scale")
-        if c not in face_lists:
-            face_lists[c] = _faces(c)
-    raw = fan(ambient_dim, {face for faces in face_lists.values() for face in faces}, embedded)
-    return replace(raw, face_lists=face_lists)
+    recorded = {zero}
+    for c in sorted(listed, key=lambda c: len(c.rays), reverse=True):
+        if c not in recorded:
+            face_lists[c] = faces = [zero, c] if len(c.rays) == 1 else _faces(c)
+            recorded.update(faces)
+    return Fan(ambient_dim, tuple(sorted(recorded, key=lambda c: (len(c.rays), c.rays))), embedded, face_lists)
 
 
 def auto_rays_fan(ambient_dim: int, directions: Iterable[Sequence[int]], embedded: bool = True) -> Fan:

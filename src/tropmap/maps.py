@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
@@ -91,8 +92,12 @@ class _EdgeDirections:
         return d.u if d.tail == vid else tuple(-x for x in d.u)
 
     def weighted_direction(self, edge_id: str) -> IntVec:
-        d = self.edge_data[edge_id]
-        return tuple(d.w * x for x in d.u)
+        return self._weighted_directions[edge_id]
+
+    @cached_property
+    def _weighted_directions(self) -> Mapping[str, IntVec]:
+        """w*u of every edge, built once per map or type."""
+        return {eid: tuple(d.w * x for x in d.u) for eid, d in self.edge_data.items()}
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,13 @@ PLACEHOLDER_LENGTH = Fraction(1)
 
 
 class _LocalInvariants(NamedTuple):
-    """What a type's isomorphism search reads of each vertex's own edges."""
+    """What a type's isomorphism search reads of each vertex's own edges,
+    all kept by isomorphisms: ``profiles`` holds (genus, valence, sorted
+    edge signatures) of each finite vertex, where an edge's signature read
+    from one end is (weight, direction read outward) and a self-loop is
+    read once; ``adjacency`` the sorted signatures of the edges joining
+    each vertex to each neighbour, read from the vertex; ``neighbours``
+    the sorted neighbours of each vertex."""
 
     profiles: Mapping[str, tuple]
     adjacency: Mapping[tuple[str, str], tuple]
@@ -414,19 +425,6 @@ class CombinatorialType(_EdgeDirections):
         tree = {e.id for _, e, _ in parent.values()}
         non_tree = tuple(g.edge(eid) for eid in self.bounded_edge_ids() if eid not in tree)
         return parent, non_tree
-
-    @property
-    def vertex_profiles(self) -> Mapping[str, tuple]:
-        """(genus, valence, sorted edge signatures) of each finite vertex;
-        isomorphisms preserve it.  An edge's signature read from one end is
-        (weight, direction read outward); a self-loop is read once."""
-        return self._local.profiles
-
-    @property
-    def adjacency(self) -> Mapping[tuple[str, str], tuple]:
-        """The sorted edge signatures of the edges joining each vertex to
-        each neighbour, read from the vertex; isomorphisms preserve it."""
-        return self._local.adjacency
 
     @cached_property
     def _local(self) -> _LocalInvariants:
@@ -553,6 +551,55 @@ class InvalidType(ValueError):
         self.field = field
 
 
+def _type_axioms_hold(c: TropicalCurve, edge_data: Mapping[str, EdgeMapData], ambient: int) -> bool:
+    """Are :func:`_curve_diagnostics`, :func:`_edge_data_diagnostics` and
+    :func:`balancing_diagnostics` all empty?  Decided in one pass over the
+    edges, which reads each edge's ends, length and data once and adds its
+    weighted direction to the net of each finite end; the scans themselves
+    run only when this says no, to name the first fault.  Data that the
+    pass cannot read (a TypeError or AttributeError) counts as a fault, so
+    the scans meet it in their own order."""
+    index = c._vertex_index
+    marked = c.marked_vertex_ids
+    if not index or not c.connected or any(v.genus < 0 for v in c.vertices) or len(marked) != len(c.markings):
+        return False
+    if not all(vid in index and index[vid].genus == 0 and c.valence(vid) == 1 for vid in marked):
+        return False
+    if len(edge_data) != len(c._edge_index):
+        return False  # an edge without data or data for an unknown edge
+    net = dict.fromkeys(c.unmarked_vertex_ids(), (0,) * ambient)
+    try:
+        for e in c.edges:
+            d = edge_data.get(e.id)
+            a, b = e.ends
+            if d is None or a not in index or b not in index:
+                return False
+            length = e.length
+            if not isinstance(length, InfiniteLength):
+                # a marked vertex is 1-valent, so an edge at one is its leaf-edge
+                if a in marked or b in marked or not isinstance(length, Fraction) or length.numerator < 0:
+                    return False
+            u, w, tail = d.u, d.w, d.tail
+            if (tail != a and tail != b) or len(u) != ambient or w < 0:
+                return False
+            if not any(u):
+                if w != 0:
+                    return False
+                continue  # a contracted edge, a self-loop among them, adds nothing
+            if w == 0 or a == b or gcd(*u) != 1:
+                return False
+            if w != 1:
+                u = tuple(w * x for x in u)
+            head = b if tail == a else a
+            if tail in net:
+                net[tail] = tuple(map(add, net[tail], u))
+            if head in net:
+                net[head] = tuple(map(sub, net[head], u))
+    except (TypeError, AttributeError):
+        return False
+    return not any(map(any, net.values()))
+
+
 def make_type(
     graph: TropicalCurve,
     fan: Fan,
@@ -573,12 +620,13 @@ def make_type(
     families pass through 2-valent vertices; the commands that read a type
     check it (``documents.require_stable``)."""
     graph = _strip_lengths(graph)
-    for vid, message in _curve_diagnostics(graph):
-        raise InvalidType(message, vid)
-    for message in _edge_data_diagnostics(graph, edge_data, fan.ambient_dim):
-        raise InvalidType(message)
-    for vid, message in balancing_diagnostics(graph, edge_data, fan.ambient_dim):
-        raise InvalidType(message, vid)
+    if not _type_axioms_hold(graph, edge_data, fan.ambient_dim):
+        for vid, message in _curve_diagnostics(graph):
+            raise InvalidType(message, vid)
+        for message in _edge_data_diagnostics(graph, edge_data, fan.ambient_dim):
+            raise InvalidType(message)
+        for vid, message in balancing_diagnostics(graph, edge_data, fan.ambient_dim):
+            raise InvalidType(message, vid)
     marked = graph.marked_vertex_ids
     cones = dict(vertex_cones or {})
     zero = zero_cone(fan.ambient_dim)

@@ -16,11 +16,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
-from .curves import Edge, TropicalCurve, betti_and_genus, tropical_curve
+from .curves import Edge, TropicalCurve, betti_and_genus
 from .exactgeom import (
     Cone,
     Fan,
@@ -30,7 +30,7 @@ from .exactgeom import (
     cone_contains,
     cone_is_face,
     format_rational,
-    integer_nullspace,
+    integer_nullspace_combination,
     nullspace,
     fan_cone_intersection,
     rank,
@@ -46,13 +46,11 @@ from .maps import (
     TropicalStableMap,
     _integrality_diagnostics,
     _lex_positive,
-    _orient_leaves,
     _outside_support,
     _position_diagnostics,
     canonical_edge_data,
     canonical_type,
     decorated_isomorphisms,
-    stable_map,
 )
 
 
@@ -738,21 +736,24 @@ def format_affine(fn: AffineFn) -> str:
     return f"{format_rational(fn.const)} + ({format_rational(fn.slope)})*t"
 
 
-def _curve_with_lengths(t: CombinatorialType, lengths: Mapping[str, Fraction]) -> TropicalCurve:
-    """The type's graph with the given lengths on its non-leaf edges."""
-    edges = [
-        e if t.graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, lengths[e.id])
-        for e in t.graph.edges
-    ]
-    return tropical_curve(t.graph.vertices, edges, t.graph.markings)
-
-
 def _map_from_lengths(
-    t: CombinatorialType, lengths: Mapping[str, Fraction], positions: Mapping[str, Sequence]
+    t: CombinatorialType, lengths: Mapping[str, Fraction], positions: dict[str, RatVec]
 ) -> TropicalStableMap:
     """The map of type ``t`` with the given lengths on its non-leaf edges and
-    the given vertex positions (not validated)."""
-    return stable_map(_curve_with_lengths(t, lengths), t.fan, positions, t.edge_data)
+    the given vertex positions, tuples of ``Fraction`` (not validated).
+
+    The curve and the map are built directly: the type's graph is sorted
+    and its edge data leaf-oriented, as :func:`maps.make_type` and
+    contraction leave them, so :func:`curves.tropical_curve` and
+    :func:`maps.stable_map` would change nothing.  The map shares the
+    type's edge data."""
+    g = t.graph
+    marked = g.marked_vertex_ids
+    edges = tuple(
+        e if e.ends[0] in marked or e.ends[1] in marked else Edge(e.id, e.ends, lengths[e.id])
+        for e in g.edges
+    )
+    return TropicalStableMap(TropicalCurve(g.vertices, edges, g.markings), t.fan, positions, t.edge_data)
 
 
 def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
@@ -836,7 +837,7 @@ def _is_limit(fam: Family, m: TropicalStableMap) -> bool:
         q = ms.positions[vid]
         if len(q) != len(p) or any(x * d != y * dm for x, y in zip(q, p)):
             return False
-    return canonical_edge_data(curve, m.edge_data) == canonical_edge_data(graph, _orient_leaves(graph, t.edge_data))
+    return canonical_edge_data(curve, m.edge_data) == canonical_edge_data(graph, t.edge_data)
 
 
 # ---------------------------------------------------------------------------
@@ -863,10 +864,10 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
         )
     t = mc.type
     if t.fan.embedded:
-        positions, lengths = _sample_embedded(mc, seed)
+        m = _map_from_scaled(t, _sample_embedded(mc, seed))
     else:
         positions, lengths = _strict_point(t, _vertex_rays(t), mc.support_point)
-    m = _map_from_lengths(t, lengths, positions)
+        m = _map_from_lengths(t, lengths, positions)
     diags = [f"length of {eid} is not positive" for eid, x in m.scaled.lengths.items() if x <= 0]
     bounded = (t.graph.edge(eid) for eid in t.bounded_edge_ids())
     diags += _integrality_diagnostics(m.edge_data, m.scaled, (e for e in bounded if e.ends[0] != e.ends[1]))
@@ -880,32 +881,67 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
     return m
 
 
-def _sample_embedded(mc: ModuliCone, seed: int) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
-    """The positions and lengths of one point of the embedded-mode cone with
-    every length positive: the support point perturbed along the cycle
-    space by the seed.
+def _sample_embedded(mc: ModuliCone, seed: int) -> ScaledMap:
+    """The positions and lengths, as integers over one denominator, of one
+    point of the embedded-mode cone with every length positive: the support
+    point perturbed along the cycle space by the seed.
 
     The perturbation P is a seeded integer combination of the integer
-    kernel basis, summed in ints, and length j moves by
+    kernel basis of the cycle rows, read off their one elimination
+    (:func:`integer_nullspace_combination`), and length j moves by
     min(ell) / (2 max |P|) * P_j, which keeps it positive.  The kernel's
     common positive scale cancels from that ratio, so the point is the one
-    the rational :func:`nullspace` basis gives."""
+    the rational :func:`nullspace` basis gives.  With the support point at
+    its common denominator D0, as integers A, the moved lengths are
+    2 max|P| * A + min(A) * P over 2 max|P| * D0, and the tree steps are
+    taken on those integers and the seeded base position's at one common
+    denominator (:func:`_positions`)."""
     rng = random.Random(seed)
     t = mc.type
-    n = t.fan.ambient_dim
     bounded = t.bounded_edge_ids()
-    ell = mc.support_point
-    kernel = integer_nullspace(mc.cycle_rows, ncols=len(bounded))
-    if kernel and bounded:
-        coeffs = [rng.randint(-8, 8) for _ in kernel]
-        perturb = [sum(cf * vec[j] for cf, vec in zip(coeffs, kernel)) for j in range(len(bounded))]
-        biggest = max(abs(x) for x in perturb)
-        if biggest > 0:
-            step = min(ell) / (2 * biggest)
-            ell = [a + step * b for a, b in zip(ell, perturb)]
-    lengths = dict(zip(bounded, ell))
-    base = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
-    # the tree steps taken at the points' common denominator, as pairs of slope 0
-    d, scaled = _scaled_pairs([affine(x) for x in (*ell, *base)])
-    walked = _positions(t, dict(zip(bounded, scaled)), _finite_vertices(t)[0], scaled[len(bounded):])
-    return {vid: tuple(Fraction(c, d) for c, _ in pairs) for vid, pairs in walked.items()}, lengths
+    d, lengths = _integers(mc.support_point)
+    perturb = integer_nullspace_combination(mc.cycle_rows, len(bounded), lambda: rng.randint(-8, 8))
+    biggest = max(map(abs, perturb), default=0)
+    if biggest > 0:
+        low = min(lengths)
+        lengths = [2 * biggest * a + low * p for a, p in zip(lengths, perturb)]
+        d *= 2 * biggest
+    d_base, base = _integers([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(t.fan.ambient_dim)])
+    common = lcm(d, d_base)
+    pairs = dict(zip(bounded, ((x * (common // d), 0) for x in lengths)))
+    walked = _positions(t, pairs, _finite_vertices(t)[0], [(x * (common // d_base), 0) for x in base])
+    return ScaledMap(
+        common,
+        {vid: tuple(c for c, _ in p) for vid, p in walked.items()},
+        {eid: c for eid, (c, _) in pairs.items()},
+    )
+
+
+def _integers(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators, and each value times D."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _map_from_scaled(t: CombinatorialType, scaled: ScaledMap) -> TropicalStableMap:
+    """The map of type ``t`` whose positions and bounded edge lengths
+    ``scaled`` holds, as integers over its denominator, with one
+    ``Fraction`` per distinct value.  Divided by g, the gcd of the
+    denominator and every integer, they are the map's own
+    :attr:`TropicalStableMap.scaled`, over the lcm of the values'
+    denominators, so that is set here and not derived again."""
+    values = {*scaled.lengths.values(), *(x for p in scaled.positions.values() for x in p)}
+    g = gcd(scaled.denominator, *values)
+    d = scaled.denominator // g
+    fraction = {x: Fraction(x // g, d) for x in values}.__getitem__
+    m = _map_from_lengths(
+        t,
+        {eid: fraction(x) for eid, x in scaled.lengths.items()},
+        {vid: tuple(map(fraction, p)) for vid, p in scaled.positions.items()},
+    )
+    m.__dict__["scaled"] = ScaledMap(
+        d,
+        {vid: tuple(x // g for x in p) for vid, p in scaled.positions.items()},
+        {eid: x // g for eid, x in scaled.lengths.items()},
+    )
+    return m

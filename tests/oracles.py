@@ -47,7 +47,11 @@ Fractions, where the library walks the integer (const, slope) pairs once
 and tests them.  A family's members are built unchecked as maps, in
 Fractions, from each function's value at t, and judged by ``validate_map``
 and membership LPs, where the library checks the family once on its
-integer pairs when it is built.
+integer pairs when it is built.  Valences, unmarked vertices and weighted
+directions are derived afresh on each call, where the library caches
+them per curve, map or type, and a type's axioms are judged by the three
+full scans in order, where ``make_type`` runs them only when its one pass
+over the edges finds a fault.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from tropmap.curves import INF, Edge, TropicalCurve, Vertex, betti_and_genus, tropical_curve
+from tropmap.curves import INF, Edge, TropicalCurve, Vertex, _curve_diagnostics, betti_and_genus, tropical_curve
 from tropmap.exactgeom import (
     Cone,
     cone_is_face,
@@ -72,6 +76,8 @@ from tropmap.maps import (
     STABILITY_VIOLATED,
     CombinatorialType,
     TropicalStableMap,
+    _edge_data_diagnostics,
+    balancing_diagnostics,
     canonical_edge_data,
     canonical_type,
     stable_map,
@@ -958,6 +964,40 @@ def ref_vertex_profiles(t: CombinatorialType) -> dict[str, tuple]:
         vid: (g.vertex(vid).genus, g.valence(vid), tuple(sorted(_edge_signature(t, e, vid) for e in g.edges_at(vid))))
         for vid in g.unmarked_vertex_ids()
     }
+
+
+def ref_valences(c: TropicalCurve) -> dict[str, int]:
+    """The half-edges at each listed vertex, found by scanning every edge's
+    two ends for the vertex (a self-loop's two ends both count)."""
+    return {v.id: sum((e.ends[0] == v.id) + (e.ends[1] == v.id) for e in c.edges) for v in c.vertices}
+
+
+def ref_unmarked_vertex_ids(c: TropicalCurve) -> tuple[str, ...]:
+    """The listed vertices that no marking names, in curve order, each
+    tested against every marking."""
+    return tuple(v.id for v in c.vertices if all(m.vertex != v.id for m in c.markings))
+
+
+def ref_weighted_direction(map_or_type, edge_id: str) -> tuple[int, ...]:
+    """w*u of the edge, from its data."""
+    d = map_or_type.edge_data[edge_id]
+    return tuple(d.w * x for x in d.u)
+
+
+def ref_type_refusal(
+    graph: TropicalCurve, edge_data: Mapping, ambient: int
+) -> Optional[tuple[str, Optional[str], str]]:
+    """(message, vertex, field) of the first fault that the three scans of
+    a type's axioms find, run in full and in order on the graph as given:
+    the curve, the edge data, then balancing, which reads edge data and so
+    runs only when the edge data scan is empty; None when all three are."""
+    for vid, message in _curve_diagnostics(graph):
+        return message, vid, "curve"
+    for message in _edge_data_diagnostics(graph, edge_data, ambient):
+        return message, None, "curve"
+    for vid, message in balancing_diagnostics(graph, edge_data, ambient):
+        return message, vid, "curve"
+    return None
 
 
 def ref_decorated_isomorphisms(

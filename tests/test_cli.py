@@ -851,6 +851,32 @@ class TestErrorHandling:
         assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
         assert err == f"error at /: {message}\n"
 
+    @pytest.mark.parametrize("name", ["square-loop", "speyer-tree", "hat-demo"])
+    def test_example_n_on_an_example_without_a_dimension_exit_two(self, capsys, monkeypatch, name):
+        # --n was ignored, so the caller got the plain example with exit 0
+        for n in ("3", "5"):
+            code, out, err = run_cli(capsys, monkeypatch, ["example", name, "--n", n])
+            assert code == 2
+            message = f"--n applies to the figure1 example only, not to {name}"
+            assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+            assert err == f"error at /: {message}\n"
+
+    @pytest.mark.parametrize("t", [None, "1/2"])
+    def test_example_figure1_above_the_dimension_cap_exit_two(self, capsys, monkeypatch, t):
+        # --n 100000 wrote a 31.8 MB family, and nothing bounded larger values
+        cap = tropmap.cli.MAX_EXAMPLE_DIM
+        argv = ["example", "figure1"] + (["--t", t] if t else [])
+        code, out, err = run_cli(capsys, monkeypatch, argv + ["--n", str(cap + 1)])
+        assert code == 2
+        message = f"--n is capped at ambient dimension {cap}, got {cap + 1}"
+        assert json.loads(out)["diagnostics"] == [{"pointer": "", "message": message}]
+        assert err == f"error at /: {message}\n"
+        # the cap itself is allowed, and figure1 without --n is n = 3
+        code, doc, _ = run_cli(capsys, monkeypatch, argv + ["--n", str(cap)])
+        raw = json.loads(doc)
+        assert code == 0 and (raw["type"] if t is None else raw)["fan"]["ambient_dim"] == cap
+        assert run_cli(capsys, monkeypatch, argv) == run_cli(capsys, monkeypatch, argv + ["--n", "3"])
+
     def test_deeply_nested_input_exit_two(self, capsys, monkeypatch):
         text = '{"a":' * 5000 + "1" + "}" * 5000
         code, out, err = run_cli(capsys, monkeypatch, ["cone"], stdin=text)

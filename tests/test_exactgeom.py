@@ -528,7 +528,7 @@ class TestFans:
 
     def test_one_ray_cones_match_the_general_path(self):
         # a doubled ray is one ray of the cone but two generators, so the
-        # second fan is built through canonicalization and face enumeration
+        # second fan is built through canonicalization
         rng = random.Random(1921)
         for _ in range(200):
             n = rng.randint(1, 4)
@@ -634,11 +634,76 @@ class TestBuiltFanFaceLists:
         loaded = documents.load_document(_STRICT_ORTHANT_FAN_MAP.read_text())
         assert loaded.document.kind == "map"
         # the document lists all 27 cones: the zero cone, 12 quadrants and
-        # 8 octants are canonicalized, and each is enumerated once but the
-        # zero cone, whose face list the build starts from; the 6 rays
-        # need neither.  Validation and the map read no cone again
-        assert at_build == [{"_faces": 20, "canonical_cone": 21}]
+        # 8 octants are canonicalized, and only the octants are enumerated,
+        # as their face lists hold every other cone; the 6 rays need
+        # neither.  Validation and the map read no cone again
+        assert at_build == [{"_faces": 8, "canonical_cone": 21}]
         assert calls == at_build[0]
+
+
+    def test_listed_faces_are_not_enumerated(self, monkeypatch):
+        # the quadrants listed before the octants lie in the octants' face
+        # lists, so only the octants are enumerated, in any listing order
+        f = complete_orthant_fan(3)
+        rng = random.Random(3237)
+        for _ in range(5):
+            listed = rng.sample(f.cones, len(f.cones))
+            calls = self._count_enumerations(monkeypatch)
+            built = build_fan(3, [c.rays for c in listed], embedded=True)
+            assert calls["_faces"] == 8
+            assert built == f and set(built.face_lists) == set(f.face_lists)
+            monkeypatch.undo()
+
+    def test_refusals_and_cones_are_those_of_a_list_order_build(self):
+        # seeded lists in R^2 and R^3 with opposite rays (cones that are not
+        # pointed, some keeping every ray in canonical form), repeated and
+        # nested cones and now and then a ray of the wrong length
+        rng = random.Random(3238)
+        outcomes = collections.Counter()
+        for _ in range(400):
+            n = rng.choice((2, 3))
+            ray_lists = []
+            for _ in range(rng.randint(1, 5)):
+                rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.05:
+                    rays.append((1,) * (n + 1))
+                ray_lists.append(rays)
+            want = _outcome_or_message(_list_order_fan, n, ray_lists)
+            got = _outcome_or_message(lambda *a: set(build_fan(*a).cones), n, ray_lists)
+            assert got == want, ray_lists
+            outcomes[want if isinstance(want, str) else "built"] += 1
+        assert outcomes["built"] > 100 and outcomes[exactgeom.NOT_POINTED] > 50
+        assert sum(v for k, v in outcomes.items() if k.startswith("ray ")) > 20
+
+
+def _list_order_fan(n: int, ray_lists) -> set:
+    """The cones of a fan built one list at a time, in list order: each
+    list's rays checked, its cone put in canonical form and its faces
+    enumerated, a cone enumerated before skipped."""
+    zero = zero_cone(n)
+    lists = {zero: [zero]}
+    for rays in ray_lists:
+        for r in rays:
+            if len(r) != n:
+                raise ValueError(f"ray {tuple(r)} has length {len(r)}, expected {n}")
+        if len(rays) == 1:
+            if any(rays[0]):
+                c = cone(n, [exactgeom.primitive(rays[0])])
+                lists[c] = [zero, c]
+            continue
+        c = exactgeom._canonical_pointed(cone(n, rays))
+        if len(c.rays) > 14:
+            raise ValueError("cone with more than 14 extreme rays: out of desk scale")
+        if c not in lists:
+            lists[c] = cone_faces(c)
+    return {face for faces in lists.values() for face in faces}
+
+
+def _outcome_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestConeLocate:

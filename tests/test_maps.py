@@ -28,14 +28,19 @@ from tropmap.wellspaced import build_figure1_family
 import face_witnesses
 from builders import (
     build_map,
+    collinear_chain_family,
+    fractional_chain_family,
     parallel_pair,
     path_two_vertices,
     random_decorated_type,
     random_strict_type,
     random_unmarked_type,
     random_walk_type,
+    rectangle_family,
     relabeled_type,
+    strict_unstable_member_family,
     three_rays,
+    turning_branch_family,
     unchecked_type,
 )
 from oracles import (
@@ -46,7 +51,11 @@ from oracles import (
     ref_decorated_isomorphisms,
     ref_is_face,
     ref_neighbours,
+    ref_type_refusal,
+    ref_unmarked_vertex_ids,
+    ref_valences,
     ref_vertex_profiles,
+    ref_weighted_direction,
 )
 
 
@@ -378,7 +387,7 @@ class TestAutomorphisms:
             count = len(type_automorphisms(t))
             assert count == _exhaustive_count(t), seed
             loops += any(e.ends[0] == e.ends[1] for e in t.graph.edges)
-            parallel += any(len(sigs) > 1 for (v, u), sigs in t.adjacency.items() if v != u)
+            parallel += any(len(sigs) > 1 for (v, u), sigs in t._local.adjacency.items() if v != u)
             symmetric += count > 1
         assert loops > 10 and parallel > 10 and symmetric > 20
 
@@ -538,7 +547,7 @@ class TestFaceSearchSubsets:
                 assert tc.edge_data == {
                     eid: EdgeMapData(d.u, d.w, vmap[d.tail]) for eid, d in tb.edge_data.items() if tc.graph.has_edge(eid)
                 }, (name, subset)
-                assert tc.vertex_profiles == ref_vertex_profiles(tc), (name, subset)
+                assert tc._local.profiles == ref_vertex_profiles(tc), (name, subset)
                 _same_search(tc, ta, _face_vertex_ok(ta, tb, classes))
                 subsets += 1
                 nonzero += any(c.rays for c in tc.vertex_cones.values())
@@ -657,22 +666,22 @@ def test_local_invariants_match_the_references():
         ta, tb = canonical_type(ta), canonical_type(tb)
         types += [ta, tb] + [_contract_with_map(tb, s)[0] for s in compatible_subsets(ta, tb)[:3]]
     for t in types:
-        assert t.vertex_profiles == ref_vertex_profiles(t)
-        assert t.adjacency == ref_adjacency(t)
+        assert t._local.profiles == ref_vertex_profiles(t)
+        assert t._local.adjacency == ref_adjacency(t)
         assert t._local.neighbours == ref_neighbours(t)
     assert len(types) > 400
 
 
 def test_adjacency_reads_edge_signatures_from_the_vertex():
     t = combinatorial_type(parallel_pair())
-    assert t.adjacency[("A", "B")] == ((1, (1, 0)), (1, (1, 0)))
-    assert set(t.adjacency) == {(v, u) for e in t.graph.edges for v, u in (e.ends, e.ends[::-1])}
-    for (v, u), sigs in t.adjacency.items():
+    assert t._local.adjacency[("A", "B")] == ((1, (1, 0)), (1, (1, 0)))
+    assert set(t._local.adjacency) == {(v, u) for e in t.graph.edges for v, u in (e.ends, e.ends[::-1])}
+    for (v, u), sigs in t._local.adjacency.items():
         assert sigs == tuple(sorted(
             (t.edge_data[e.id].w, t.direction_from(e, v))
             for e in t.graph.edges_at(v) if set(e.ends) == {v, u}
         ))
-        assert sorted((w, tuple(-x for x in d)) for w, d in t.adjacency[(u, v)]) == list(sigs)
+        assert sorted((w, tuple(-x for x in d)) for w, d in t._local.adjacency[(u, v)]) == list(sigs)
 
 
 class TestStar:
@@ -697,3 +706,99 @@ class TestStar:
     def test_unknown_vertex(self):
         with pytest.raises(ValueError):
             star(three_rays(), "nope")
+
+
+# ---------------------------------------------------------------------------
+# per-element data cached per curve, map or type, and the one-pass axioms
+
+def _cached_data_types() -> list[CombinatorialType]:
+    """The gallery's types, the certificate families' types, and 200
+    seeded ``random_walk_type`` types with one seeded contraction each."""
+    types = [combinatorial_type(gallery_map(name)) for name in GALLERY_NAMES]
+    families = [build_figure1_family(n) for n in (3, 4, 5, 6)]
+    families += [rectangle_family(1, 2, {"s1", "s5"}), collinear_chain_family(4, {"c1", "c2"})]
+    families += [fractional_chain_family(), turning_branch_family(), strict_unstable_member_family()]
+    types += [fam.type for fam in families]
+    rng = random.Random(3232)
+    for _ in range(200):
+        t = random_walk_type(rng)
+        bounded = t.bounded_edge_ids()
+        types += [t, contract_type(t, rng.sample(bounded, rng.randint(0, len(bounded))))]
+    return types
+
+
+def test_cached_per_element_data_matches_a_fresh_derivation():
+    types = _cached_data_types()
+    objects = [(t.graph, t) for t in types]
+    objects += [(m.curve, m) for m in (gallery_map(name) for name in GALLERY_NAMES)]
+    contracted = 0
+    for curve, obj in objects:
+        for _ in range(2):  # the first call fills each cache, the second reads it
+            assert {v.id: curve.valence(v.id) for v in curve.vertices} == ref_valences(curve)
+            assert curve.unmarked_vertex_ids() == ref_unmarked_vertex_ids(curve)
+            for e in curve.edges:
+                assert obj.weighted_direction(e.id) == ref_weighted_direction(obj, e.id)
+        contracted += any(e.ends[0] == e.ends[1] for e in curve.edges)
+    assert len(types) > 400 and contracted > 50
+
+
+def _single_defects(t: CombinatorialType, rng: random.Random) -> list[tuple[str, TropicalCurve, dict]]:
+    """Seeded copies of the type's graph and edge data with one defect each:
+    a foreign tail, an unbalanced vertex, a direction that is not
+    primitive, a second marking, a finite leaf length and an isolated
+    vertex (where the type has an edge to break)."""
+    g, data = t.graph, dict(t.edge_data)
+    out = [("none", g, data)]
+    if g.edges:
+        e = rng.choice(g.edges)
+        foreign = [v.id for v in g.vertices if v.id not in e.ends]
+        if foreign:
+            d = data[e.id]
+            out.append(("foreign tail", g, {**data, e.id: EdgeMapData(d.u, d.w, rng.choice(foreign))}))
+    moving = [e for e in g.edges if e.ends[0] != e.ends[1] and any(data[e.id].u)]
+    if moving:
+        e = rng.choice(moving)
+        d = data[e.id]
+        out.append(("unbalanced vertex", g, {**data, e.id: EdgeMapData(d.u, d.w + 1, d.tail)}))
+    even = [e for e in moving if data[e.id].w % 2 == 0]
+    if even:
+        # the same weighted direction, so every vertex stays balanced
+        e = rng.choice(even)
+        d = data[e.id]
+        out.append(("not primitive", g, {**data, e.id: EdgeMapData(tuple(2 * x for x in d.u), d.w // 2, d.tail)}))
+    on = rng.choice(sorted(g.marked_vertex_ids) or [v.id for v in g.vertices])
+    out.append(("second marking", tropical_curve(g.vertices, g.edges, [*g.markings, Marking("extra", on)]), data))
+    leaves = [e for e in g.edges if g.is_marked_leaf_edge(e)]
+    if leaves:
+        leaf = rng.choice(leaves)
+        edges = [Edge(e.id, e.ends, Fraction(1)) if e is leaf else e for e in g.edges]
+        out.append(("finite leaf length", tropical_curve(g.vertices, edges, g.markings), data))
+    out.append(("isolated vertex", tropical_curve([*g.vertices, Vertex("isolated")], g.edges, g.markings), data))
+    return out
+
+
+def test_one_pass_axioms_match_the_three_scans():
+    rng = random.Random(3233)
+    defects = Counter()
+    for t in _cached_data_types():
+        n = t.fan.ambient_dim
+        # a contraction can turn a parallel edge into an uncontracted loop
+        valid = ref_type_refusal(t.graph, t.edge_data, n) is None
+        for name, graph, data in _single_defects(t, rng):
+            for g in (graph, maps._strip_lengths(graph)):
+                assert maps._type_axioms_hold(g, data, n) == (ref_type_refusal(g, data, n) is None), name
+            # make_type judges the graph with placeholder lengths
+            want = ref_type_refusal(maps._strip_lengths(graph), data, n)
+            try:
+                got = make_type(graph, t.fan, data, t.vertex_cones)
+            except maps.InvalidType as exc:
+                assert (str(exc), exc.vertex, exc.field) == want, name
+                defects[name, valid] += 1
+            else:
+                assert want is None, name
+                assert got.graph == maps._strip_lengths(graph) and got.edge_data == maps._orient_leaves(got.graph, data)
+    # on a valid type, a finite leaf length is stripped away and every
+    # other defect is refused
+    assert defects["none", True] == defects["finite leaf length", True] == 0
+    for name in ("foreign tail", "unbalanced vertex", "not primitive", "second marking", "isolated vertex"):
+        assert defects[name, True] > 250, (name, defects)
