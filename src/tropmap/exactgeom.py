@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 RatVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -222,27 +222,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -
 def integer_nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[IntVec]:
     """The :func:`nullspace` basis times one common positive integer."""
     return _kernel(rows, ncols)[0]
-
-
-def integer_nullspace_combination(rows: Sequence[Sequence], ncols: int, draw: Callable[[], int]) -> list[int]:
-    """sum_i c_i k_i over the :func:`integer_nullspace` basis k_i, with one
-    ``c_i = draw()`` per basis vector in basis order, read off the one
-    elimination of the rows without building the basis.  k_i is s*d at its
-    free column f_i and -s*m[r][f_i] at the pivot column of row r, s the
-    sign of the scale d (:func:`_kernel_of`), so the sum is s*d*c_i at f_i
-    and -s * sum_i c_i m[r][f_i] at the pivot column of row r: O(ncols *
-    rank) work."""
-    m, pivots, d = _eliminate(rows)
-    sign = 1 if d > 0 else -1
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    coeffs = [draw() for _ in free]
-    out = [0] * ncols
-    for c, cf in zip(free, coeffs):
-        out[c] = sign * d * cf
-    for row, pc in zip(m, pivots):
-        out[pc] = -sign * sum(cf * row[c] for c, cf in zip(free, coeffs))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +593,8 @@ class Fan:
     combinatorial type records the zero cone at every vertex.
 
     ``face_lists``, None on a raw collection and outside equality, maps
-    each cone that :func:`build_fan` enumerated to its :func:`cone_faces`
-    list; every cone of the fan is in one of them.
+    the cones whose faces :func:`build_fan` recorded to their
+    :func:`cone_faces` lists; every cone of the fan is in one of them.
     """
 
     ambient_dim: int
@@ -638,49 +617,42 @@ def fan(ambient_dim: int, cones_: Iterable[Cone], embedded: bool = False) -> Fan
 def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], embedded: bool = False) -> Fan:
     """Fan from generator lists; rays are primitivized and all faces added.
     A ray of a length other than ``ambient_dim`` raises ValueError.  The
-    fan keeps the face list of each canonical cone it enumerates
-    (:attr:`Fan.face_lists`), and ``[zero]`` for the zero cone; faces of a
-    face get no list of their own.  A one-ray cone is the cone on its
-    primitive ray, with faces the zero cone and itself, and needs no
-    canonical form or face enumeration.
+    fan keeps in :attr:`Fan.face_lists` the face list of each listed cone
+    that no other kept list holds, and ``[zero]`` for the zero cone.  A
+    one-ray cone is the cone on its primitive ray, with faces the zero
+    cone and itself, and needs no canonical form or face enumeration.
 
-    Every listed cone is checked and put in canonical form first, in list
-    order.  The cones are then enumerated from the most rays to the fewest,
-    and a cone already in a recorded face list is not: its faces are faces
-    of the recorded cone, so they are listed already.  A document that
-    lists every face of a fan has only its maximal cones enumerated.
-
-    The refusal is the one an enumeration in list order raises.  Only
-    :func:`_faces` refuses a canonical cone, as not pointed, with one
-    message whichever cone it is, and a cone that is not pointed is in no
-    face list, so it is reached.  When a later list is refused first, the
-    cones listed before it are tested for pointedness, and a cone that is
-    not pointed is refused instead, as its enumeration would have been."""
+    The listed cones are checked and put in canonical form in list order.
+    A cone that is not simplicial is enumerated there, as its enumeration
+    is what tests it for pointedness, so a refusal is the one a build in
+    list order raises; a simplicial cone is pointed.  The cones are then
+    taken from the most rays to the fewest, and one already in a recorded
+    face list gets no list of its own: its faces are faces of the recorded
+    cone.  So a document that lists every face of a simplicial fan has
+    only its maximal cones enumerated."""
     zero = zero_cone(ambient_dim)
     listed: list[Cone] = []
-    try:
-        for rays in ray_lists:
-            rays = list(rays)
-            for r in rays:
-                if len(r) != ambient_dim:
-                    raise ValueError(f"ray {tuple(r)} has length {len(r)}, expected {ambient_dim}")
-            if len(rays) == 1:
-                if any(rays[0]):
-                    listed.append(Cone(ambient_dim, (primitive(rays[0]),)))
-                continue
-            c = _canonical_pointed(cone(ambient_dim, rays))
-            if len(c.rays) > 14:
-                raise ValueError("cone with more than 14 extreme rays: out of desk scale")
-            listed.append(c)
-    except ValueError:
-        if not all(map(cone_is_pointed, listed)):
-            raise ValueError(NOT_POINTED) from None
-        raise
+    enumerated: dict[Cone, list[Cone]] = {}  # the cones that are not simplicial
+    for rays in ray_lists:
+        rays = list(rays)
+        for r in rays:
+            if len(r) != ambient_dim:
+                raise ValueError(f"ray {tuple(r)} has length {len(r)}, expected {ambient_dim}")
+        if len(rays) == 1:
+            if any(rays[0]):
+                listed.append(Cone(ambient_dim, (primitive(rays[0]),)))
+            continue
+        c = _canonical_pointed(cone(ambient_dim, rays))
+        if len(c.rays) > 14:
+            raise ValueError("cone with more than 14 extreme rays: out of desk scale")
+        if not _simplicial(c) and c not in enumerated:
+            enumerated[c] = _faces(c)
+        listed.append(c)
     face_lists: dict[Cone, list[Cone]] = {zero: [zero]}
     recorded = {zero}
     for c in sorted(listed, key=lambda c: len(c.rays), reverse=True):
         if c not in recorded:
-            face_lists[c] = faces = [zero, c] if len(c.rays) == 1 else _faces(c)
+            face_lists[c] = faces = enumerated.get(c) or ([zero, c] if len(c.rays) == 1 else _faces(c))
             recorded.update(faces)
     return Fan(ambient_dim, tuple(sorted(recorded, key=lambda c: (len(c.rays), c.rays))), embedded, face_lists)
 
@@ -817,18 +789,21 @@ def fan_validate(f: Fan) -> list[str]:
     maximal = [c for c in ordered if c in faces_of and c not in proper]
     if all(_meet_in_a_face(c1, c2, faces_of) for c1, c2 in itertools.combinations(maximal, 2)):
         return diags
+    faces_of = dict(faces_of)  # filled with the face lists the scan makes
     for c1, c2 in itertools.combinations(ordered, 2):
         if not _meet_in_a_face(c1, c2, faces_of):
             diags.append(f"cones {c1.rays} and {c2.rays} do not meet in a common face")
     return diags
 
 
-def _meet_in_a_face(c1: Cone, c2: Cone, faces_of: Mapping[Cone, list[Cone]]) -> bool:
+def _meet_in_a_face(c1: Cone, c2: Cone, faces_of: dict[Cone, list[Cone]]) -> bool:
     """Do two canonical cones, ``c1`` with no more rays than ``c2``, meet
     in a common face?  A cone on a subset of the rays of ``c2`` is its own
     intersection with ``c2``, so it meets ``c2`` in a common face exactly
     when it is a face of ``c2``; its face list is read from ``faces_of`` or,
-    when that has none, made by :func:`cone_faces`."""
+    when that has none, made by :func:`cone_faces` and kept there."""
     if set(c1.rays) <= set(c2.rays):
-        return c1 in (faces_of.get(c2) or cone_faces(c2))
+        if c2 not in faces_of:
+            faces_of[c2] = cone_faces(c2)
+        return c1 in faces_of[c2]
     return _common_face(c1, c2) is not None

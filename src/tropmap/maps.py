@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import add, sub
+from itertools import islice
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
@@ -100,6 +100,12 @@ class _EdgeDirections:
         return {eid: tuple(d.w * x for x in d.u) for eid, d in self.edge_data.items()}
 
 
+def _integers(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators, and each value times D."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
 @dataclass(frozen=True)
 class ScaledMap:
     """A map's positions and finite edge lengths times one common positive
@@ -123,13 +129,13 @@ class TropicalStableMap(_EdgeDirections):
         denominators.  The per-map decisions (validation, cycle span,
         arrangement, trapped subcurves) run on these integers; every one of
         them is invariant under scaling by D."""
-        lengths = {e.id: e.length for e in self.curve.edges if not isinstance(e.length, InfiniteLength)}
-        d = lcm(*(x.denominator for x in lengths.values()),
-                *(x.denominator for p in self.positions.values() for x in p))
+        lengths = [e for e in self.curve.edges if not isinstance(e.length, InfiniteLength)]
+        d, scaled = _integers([*(x for p in self.positions.values() for x in p), *(e.length for e in lengths)])
+        values = iter(scaled)
         return ScaledMap(
             d,
-            {vid: tuple(x.numerator * (d // x.denominator) for x in p) for vid, p in self.positions.items()},
-            {eid: x.numerator * (d // x.denominator) for eid, x in lengths.items()},
+            {vid: tuple(islice(values, len(p))) for vid, p in self.positions.items()},
+            {e.id: x for e, x in zip(lengths, values)},
         )
 
     @cached_property
@@ -551,55 +557,6 @@ class InvalidType(ValueError):
         self.field = field
 
 
-def _type_axioms_hold(c: TropicalCurve, edge_data: Mapping[str, EdgeMapData], ambient: int) -> bool:
-    """Are :func:`_curve_diagnostics`, :func:`_edge_data_diagnostics` and
-    :func:`balancing_diagnostics` all empty?  Decided in one pass over the
-    edges, which reads each edge's ends, length and data once and adds its
-    weighted direction to the net of each finite end; the scans themselves
-    run only when this says no, to name the first fault.  Data that the
-    pass cannot read (a TypeError or AttributeError) counts as a fault, so
-    the scans meet it in their own order."""
-    index = c._vertex_index
-    marked = c.marked_vertex_ids
-    if not index or not c.connected or any(v.genus < 0 for v in c.vertices) or len(marked) != len(c.markings):
-        return False
-    if not all(vid in index and index[vid].genus == 0 and c.valence(vid) == 1 for vid in marked):
-        return False
-    if len(edge_data) != len(c._edge_index):
-        return False  # an edge without data or data for an unknown edge
-    net = dict.fromkeys(c.unmarked_vertex_ids(), (0,) * ambient)
-    try:
-        for e in c.edges:
-            d = edge_data.get(e.id)
-            a, b = e.ends
-            if d is None or a not in index or b not in index:
-                return False
-            length = e.length
-            if not isinstance(length, InfiniteLength):
-                # a marked vertex is 1-valent, so an edge at one is its leaf-edge
-                if a in marked or b in marked or not isinstance(length, Fraction) or length.numerator < 0:
-                    return False
-            u, w, tail = d.u, d.w, d.tail
-            if (tail != a and tail != b) or len(u) != ambient or w < 0:
-                return False
-            if not any(u):
-                if w != 0:
-                    return False
-                continue  # a contracted edge, a self-loop among them, adds nothing
-            if w == 0 or a == b or gcd(*u) != 1:
-                return False
-            if w != 1:
-                u = tuple(w * x for x in u)
-            head = b if tail == a else a
-            if tail in net:
-                net[tail] = tuple(map(add, net[tail], u))
-            if head in net:
-                net[head] = tuple(map(sub, net[head], u))
-    except (TypeError, AttributeError):
-        return False
-    return not any(map(any, net.values()))
-
-
 def make_type(
     graph: TropicalCurve,
     fan: Fan,
@@ -620,13 +577,12 @@ def make_type(
     families pass through 2-valent vertices; the commands that read a type
     check it (``documents.require_stable``)."""
     graph = _strip_lengths(graph)
-    if not _type_axioms_hold(graph, edge_data, fan.ambient_dim):
-        for vid, message in _curve_diagnostics(graph):
-            raise InvalidType(message, vid)
-        for message in _edge_data_diagnostics(graph, edge_data, fan.ambient_dim):
-            raise InvalidType(message)
-        for vid, message in balancing_diagnostics(graph, edge_data, fan.ambient_dim):
-            raise InvalidType(message, vid)
+    for vid, message in _curve_diagnostics(graph):
+        raise InvalidType(message, vid)
+    for message in _edge_data_diagnostics(graph, edge_data, fan.ambient_dim):
+        raise InvalidType(message)
+    for vid, message in balancing_diagnostics(graph, edge_data, fan.ambient_dim):
+        raise InvalidType(message, vid)
     marked = graph.marked_vertex_ids
     cones = dict(vertex_cones or {})
     zero = zero_cone(fan.ambient_dim)

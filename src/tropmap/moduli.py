@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import curves
@@ -30,7 +30,7 @@ from .exactgeom import (
     cone_contains,
     cone_is_face,
     format_rational,
-    integer_nullspace_combination,
+    integer_nullspace,
     nullspace,
     fan_cone_intersection,
     rank,
@@ -44,6 +44,7 @@ from .maps import (
     EdgeMapData,
     ScaledMap,
     TropicalStableMap,
+    _integers,
     _integrality_diagnostics,
     _lex_positive,
     _outside_support,
@@ -758,9 +759,13 @@ def _map_from_lengths(
 
 def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
     """The lengths and the positions of the member at ``t_val``, read off
-    the family's integers (:meth:`Family.member`), one ``Fraction``
+    the family's integers (:meth:`Family.member`)."""
+    return _fractions(fam.member(t_val).scaled)
+
+
+def _fractions(scaled: ScaledMap) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
+    """The lengths and the positions that ``scaled`` holds, one ``Fraction``
     per distinct value."""
-    scaled = fam.member(t_val).scaled
     values = {*scaled.lengths.values(), *(x for p in scaled.positions.values() for x in p)}
     fraction = {x: Fraction(x, scaled.denominator) for x in values}.__getitem__
     return (
@@ -864,10 +869,10 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
         )
     t = mc.type
     if t.fan.embedded:
-        m = _map_from_scaled(t, _sample_embedded(mc, seed))
+        lengths, positions = _fractions(_sample_embedded(mc, seed))
     else:
         positions, lengths = _strict_point(t, _vertex_rays(t), mc.support_point)
-        m = _map_from_lengths(t, lengths, positions)
+    m = _map_from_lengths(t, lengths, positions)
     diags = [f"length of {eid} is not positive" for eid, x in m.scaled.lengths.items() if x <= 0]
     bounded = (t.graph.edge(eid) for eid in t.bounded_edge_ids())
     diags += _integrality_diagnostics(m.edge_data, m.scaled, (e for e in bounded if e.ends[0] != e.ends[1]))
@@ -887,8 +892,7 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> ScaledMap:
     point perturbed along the cycle space by the seed.
 
     The perturbation P is a seeded integer combination of the integer
-    kernel basis of the cycle rows, read off their one elimination
-    (:func:`integer_nullspace_combination`), and length j moves by
+    kernel basis, summed in ints, and length j moves by
     min(ell) / (2 max |P|) * P_j, which keeps it positive.  The kernel's
     common positive scale cancels from that ratio, so the point is the one
     the rational :func:`nullspace` basis gives.  With the support point at
@@ -900,7 +904,9 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> ScaledMap:
     t = mc.type
     bounded = t.bounded_edge_ids()
     d, lengths = _integers(mc.support_point)
-    perturb = integer_nullspace_combination(mc.cycle_rows, len(bounded), lambda: rng.randint(-8, 8))
+    kernel = integer_nullspace(mc.cycle_rows, ncols=len(bounded))
+    coeffs = [rng.randint(-8, 8) for _ in kernel]
+    perturb = [sum(cf * vec[j] for cf, vec in zip(coeffs, kernel)) for j in range(len(bounded))]
     biggest = max(map(abs, perturb), default=0)
     if biggest > 0:
         low = min(lengths)
@@ -915,33 +921,3 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> ScaledMap:
         {vid: tuple(c for c, _ in p) for vid, p in walked.items()},
         {eid: c for eid, (c, _) in pairs.items()},
     )
-
-
-def _integers(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """D, the lcm of the denominators, and each value times D."""
-    d = lcm(*(x.denominator for x in xs))
-    return d, [x.numerator * (d // x.denominator) for x in xs]
-
-
-def _map_from_scaled(t: CombinatorialType, scaled: ScaledMap) -> TropicalStableMap:
-    """The map of type ``t`` whose positions and bounded edge lengths
-    ``scaled`` holds, as integers over its denominator, with one
-    ``Fraction`` per distinct value.  Divided by g, the gcd of the
-    denominator and every integer, they are the map's own
-    :attr:`TropicalStableMap.scaled`, over the lcm of the values'
-    denominators, so that is set here and not derived again."""
-    values = {*scaled.lengths.values(), *(x for p in scaled.positions.values() for x in p)}
-    g = gcd(scaled.denominator, *values)
-    d = scaled.denominator // g
-    fraction = {x: Fraction(x // g, d) for x in values}.__getitem__
-    m = _map_from_lengths(
-        t,
-        {eid: fraction(x) for eid, x in scaled.lengths.items()},
-        {vid: tuple(map(fraction, p)) for vid, p in scaled.positions.items()},
-    )
-    m.__dict__["scaled"] = ScaledMap(
-        d,
-        {vid: tuple(x // g for x in p) for vid, p in scaled.positions.items()},
-        {eid: x // g for eid, x in scaled.lengths.items()},
-    )
-    return m

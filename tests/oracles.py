@@ -49,9 +49,7 @@ Fractions, from each function's value at t, and judged by ``validate_map``
 and membership LPs, where the library checks the family once on its
 integer pairs when it is built.  Valences, unmarked vertices and weighted
 directions are derived afresh on each call, where the library caches
-them per curve, map or type, and a type's axioms are judged by the three
-full scans in order, where ``make_type`` runs them only when its one pass
-over the edges finds a fault.
+them per curve, map or type.
 """
 
 from __future__ import annotations

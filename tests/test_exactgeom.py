@@ -640,6 +640,26 @@ class TestBuiltFanFaceLists:
         assert at_build == [{"_faces": 8, "canonical_cone": 21}]
         assert calls == at_build[0]
 
+    def test_overlapping_fan_listing_every_face_enumerates_each_cone_once(self, monkeypatch):
+        # the octants of R^3 and a cone inside the first octant, with every
+        # face of each listed: only the 3-ray cones are enumerated at build,
+        # and the failing maximal pairs send validation through the
+        # all-pairs scan, which makes the face list of each other cone that
+        # it reads once, however many pairs read it
+        inner = cone_faces(cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
+        listed = [c.rays for c in complete_orthant_fan(3).cones] + [c.rays for c in inner]
+        f = build_fan(3, listed, embedded=True)
+        assert {c for c, faces in f.face_lists.items() if len(c.rays) == 3} == {
+            c for c in f.cones if len(c.rays) == 3
+        }
+        enumerated = collections.Counter()
+        real = exactgeom._faces
+        monkeypatch.setattr(exactgeom, "_faces", lambda c: enumerated.update([c]) or real(c))
+        diags = fan_validate(f)
+        assert len(enumerated) > 10 and set(enumerated.values()) == {1}
+        assert not set(enumerated) & set(f.face_lists)
+        monkeypatch.undo()
+        assert diags and diags == ref_fan_validate(f) == fan_validate(fan(3, f.cones, True))
 
     def test_listed_faces_are_not_enumerated(self, monkeypatch):
         # the quadrants listed before the octants lie in the octants' face

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,7 +30,7 @@ from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.documents import Document, load_document, serialize_document
 from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, nullspace, rank
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
-from tropmap.maps import EdgeMapData, InvalidType, make_type, stable_map
+from tropmap.maps import EdgeMapData, InvalidType, ScaledMap, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
 
 from builders import (
@@ -865,36 +866,9 @@ class TestSampleInterior:
         mc = moduli_cone(combinatorial_type(square_loop()))
         assert sample_interior(mc, 5) == sample_interior(mc, 5)
 
-    def test_perturbation_is_the_kernel_basis_combination(self):
-        # the combination read off one elimination equals the seeded
-        # combination of the whole integer_nullspace basis, with the same
-        # draws, on seeded integer rows and on the cycle rows of moduli cones
-        rng = random.Random(3235)
-        cases = []
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 5))]
-            if rows and rng.random() < 0.3:
-                rows.append([2 * x for x in rng.choice(rows)])
-            cases.append((rows, n))
-        types = [combinatorial_type(rectangle_cycle(a, b)) for a, b in ((1, 1), (2, 3), (4, 4))]
-        types += [random_walk_type(rng) for _ in range(100)]
-        cases += [(moduli_cone(t).cycle_rows, len(t.bounded_edge_ids())) for t in types]
-        cycles = 0
-        for rows, n in cases:
-            seed = rng.randrange(10**6)
-            draws, ref_draws = random.Random(seed), random.Random(seed)
-            got = exactgeom.integer_nullspace_combination(rows, n, lambda: draws.randint(-8, 8))
-            kernel = exactgeom.integer_nullspace(rows, ncols=n)
-            coeffs = [ref_draws.randint(-8, 8) for _ in kernel]
-            assert got == [sum(c * vec[j] for c, vec in zip(coeffs, kernel)) for j in range(n)], rows
-            assert draws.random() == ref_draws.random()  # as many draws
-            cycles += len(rows) > 0 < len(kernel)
-        assert cycles > 150
-
-    def test_a_sample_holds_the_integers_of_its_walk(self):
-        # the sample's scaled positions and lengths are set from the walk;
-        # they are the ones the map derives afresh from its Fractions
+    def test_a_sample_is_the_point_of_its_integer_walk(self):
+        # the sample's positions and lengths are the walk's integers over
+        # its denominator, and the map's own integers are those reduced
         rng = random.Random(3236)
         types = [combinatorial_type(m) for m in (square_loop(), speyer_tree(), hat_demo(), rectangle_cycle(8, 8))]
         types += [random_walk_type(rng) for _ in range(60)]
@@ -906,10 +880,17 @@ class TestSampleInterior:
                 continue
             for seed in range(3):
                 m = sample_interior(mc, seed)
-                assert "scaled" in m.__dict__
-                fresh = dataclasses.replace(m)
-                assert "scaled" not in fresh.__dict__
-                assert fresh.scaled == m.scaled
+                walk = moduli._sample_embedded(mc, seed)
+                d = walk.denominator
+                assert m.positions == {vid: tuple(Fraction(x, d) for x in p) for vid, p in walk.positions.items()}
+                lengths = {e.id: e.length for e in m.curve.edges if e.id in walk.lengths}
+                assert lengths == {eid: Fraction(x, d) for eid, x in walk.lengths.items()}
+                g = math.gcd(d, *walk.lengths.values(), *(x for p in walk.positions.values() for x in p))
+                assert m.scaled == ScaledMap(
+                    d // g,
+                    {vid: tuple(x // g for x in p) for vid, p in walk.positions.items()},
+                    {eid: x // g for eid, x in walk.lengths.items()},
+                )
                 samples += 1
         assert samples > 120
 
