@@ -16,7 +16,6 @@ from .curves import (
     betti_and_genus,
     contract_edges,
     curve_lints,
-    genus,
     is_smooth,
     tropical_curve,
     validate_curve,

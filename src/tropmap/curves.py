@@ -268,10 +268,6 @@ def betti_and_genus(c: TropicalCurve) -> tuple[int, int]:
     return b1, b1 + sum(v.genus for v in c.vertices)
 
 
-def genus(c: TropicalCurve) -> int:
-    return betti_and_genus(c)[1]
-
-
 def is_smooth(c: TropicalCurve) -> bool:
     """True iff every non-marked edge has finite length."""
     return all(

@@ -2,7 +2,7 @@
 
 No floating point is used anywhere.  Values are rationals: ``int`` where
 they are integral and :class:`fractions.Fraction` otherwise.  Elimination
-(:func:`rref`, :func:`rank`, :func:`nullspace`) scales each row to integers
+(:func:`rref`, :func:`rank`, :func:`integer_nullspace`) scales each row to integers
 and runs fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
 1968), so the per-map layers, which hold each map at one common
 denominator, compute on integers throughout and build a ``Fraction`` only
@@ -91,15 +91,6 @@ def format_rational(x: Fraction) -> str:
 
 def ratvec(values: Iterable) -> RatVec:
     return tuple(parse_rational(v) for v in values)
-
-
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> RatVec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a: Sequence) -> RatVec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
 
 
 def _exact(x):
@@ -192,8 +183,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _kernel(rows: Sequence[Sequence], ncols: Optional[int]) -> tuple[list[IntVec], int]:
-    """Integer vectors s*k for the :func:`nullspace` basis vectors k, and the
-    common positive scale s."""
+    """The :func:`integer_nullspace` basis and its common positive scale s."""
     n = (len(rows[0]) if rows else 0) if ncols is None else ncols
     return _kernel_of(*_eliminate(rows), n)
 
@@ -212,15 +202,11 @@ def _kernel_of(m: list[list[int]], pivots: list[int], d: int, n: int) -> tuple[l
     return basis, sign * d
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[RatVec]:
-    """Basis of the right kernel {x : Ax = 0}: one vector per non-pivot
-    column, with 1 there and 0 in every other non-pivot column."""
-    basis, scale = _kernel(rows, ncols)
-    return [tuple(Fraction(x, scale) for x in vec) for vec in basis]
-
-
 def integer_nullspace(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[IntVec]:
-    """The :func:`nullspace` basis times one common positive integer."""
+    """Basis of the right kernel {x : Ax = 0}, in ints: one vector per
+    non-pivot column, with one common positive integer s there and 0 in
+    every other non-pivot column.  Over s it is the rational basis with 1
+    on its non-pivot column."""
     return _kernel(rows, ncols)[0]
 
 
@@ -607,11 +593,6 @@ class Fan:
         """The cones from the most rays to the fewest, each with its ray
         set: the order in which :func:`cone_locate` tests them."""
         return tuple((c, frozenset(c.rays)) for c in sorted(self.cones, key=lambda c: len(c.rays), reverse=True))
-
-
-def fan(ambient_dim: int, cones_: Iterable[Cone], embedded: bool = False) -> Fan:
-    """Raw fan constructor: no face completion, no canonicalization."""
-    return Fan(ambient_dim, tuple(sorted(set(cones_), key=lambda c: (len(c.rays), c.rays))), embedded)
 
 
 def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], embedded: bool = False) -> Fan:

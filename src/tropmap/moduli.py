@@ -31,13 +31,9 @@ from .exactgeom import (
     cone_is_face,
     format_rational,
     integer_nullspace,
-    nullspace,
     fan_cone_intersection,
     rank,
-    ratvec,
     solve_nonneg,
-    vadd,
-    vscale,
 )
 from .maps import (
     CombinatorialType,
@@ -249,8 +245,8 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
     (:func:`_positions`).  The dimension is the ambient dimension plus E
     minus the rank of those rows together with one selector row per
     forced-zero length.  In strict fan mode positions are confined to their
-    vertex cones and the dimension is recomputed through the cone
-    generators.
+    vertex cones, and the dimension is a rank difference over the cone
+    generators (:func:`_strict_dim`).
     """
     equations = _edge_equations(t)
     bounded = t.bounded_edge_ids()
@@ -278,7 +274,7 @@ def moduli_cone(t: CombinatorialType) -> ModuliCone:
 
 def _strict_generator_system(
     t: CombinatorialType, equations: Sequence[EdgeEquation]
-) -> tuple[list[tuple[str, RatVec]], list[list[Fraction]]]:
+) -> tuple[list[tuple[str, IntVec]], list[list[int]]]:
     """Parametrize positions by non-negative coefficients y on the
     vertex-cone rays, followed by one coordinate per bounded length.
 
@@ -290,55 +286,52 @@ def _strict_generator_system(
     rows = []
     for i, eq in enumerate(equations):
         for k, x in enumerate(eq.wu):
-            row = [ZERO] * (len(rays) + len(equations))
+            row = [0] * (len(rays) + len(equations))
             if eq.head != eq.tail:
                 for j, (vid, r) in enumerate(rays):
                     if vid == eq.head:
                         row[j] = r[k]
                     elif vid == eq.tail:
                         row[j] = -r[k]
-            row[len(rays) + i] = -Fraction(x)
+            row[len(rays) + i] = -x
             rows.append(row)
     return rays, rows
 
 
-def _vertex_rays(t: CombinatorialType) -> list[tuple[str, RatVec]]:
+def _vertex_rays(t: CombinatorialType) -> list[tuple[str, IntVec]]:
     """The rays of every finite vertex's cone as (vertex, ray), in y order."""
-    return [
-        (vid, ratvec(r))
-        for vid in _finite_vertices(t)
-        for r in t.vertex_cones[vid].rays
-    ]
-
-
-def _strict_point(
-    t: CombinatorialType, rays: Sequence[tuple[str, RatVec]], y: Sequence[Fraction]
-) -> tuple[dict[str, RatVec], dict[str, Fraction]]:
-    """The positions and lengths of the generator coordinates ``y``."""
-    n = t.fan.ambient_dim
-    positions = {vid: tuple([ZERO] * n) for vid in _finite_vertices(t)}
-    for (vid, r), c in zip(rays, y):
-        if c != 0:
-            positions[vid] = vadd(positions[vid], vscale(c, r))
-    return positions, dict(zip(t.bounded_edge_ids(), y[len(rays):]))
+    return [(vid, r) for vid in _finite_vertices(t) for r in t.vertex_cones[vid].rays]
 
 
 def _strict_dim(
     t: CombinatorialType, equations: Sequence[EdgeEquation]
 ) -> tuple[int, tuple[str, ...], list[Fraction]]:
     """The dimension, the forced-zero lengths and the support point of the
-    strict-mode cone."""
+    strict-mode cone.
+
+    The cone is the image, under the linear map M: y -> (positions,
+    lengths), of the cone of generator coordinates y >= 0 that satisfy the
+    edge equations.  Let B be those equations together with one selector
+    row per coordinate outside the support, and K = ker B: the support
+    point is positive on every other coordinate, so the y-cone spans K, and
+    the dimension is that of M(K), which is dim K - dim (K ∩ ker M).  A
+    vector lies in K ∩ ker M exactly when both B and M annihilate it, so
+    K ∩ ker M = ker [B; M], and the dimension is
+    (ny - rank B) - (ny - rank [B; M]) = rank [B; M] - rank B.
+    M's rows are integers: per finite vertex and coordinate k, r[k] on each
+    of the vertex's rays, and a unit row per length."""
     bounded = t.bounded_edge_ids()
     rays, eq_y = _strict_generator_system(t, equations)
     ny = len(rays) + len(bounded)
     support, point = _nonneg_support(eq_y, ny)
     rows = eq_y + [_unit(ny, j) for j in range(ny) if j not in support]
-    # dimension of the image cone in (positions, lengths) space
-    images = []
-    for vec in nullspace(rows, ncols=ny):
-        positions, lengths = _strict_point(t, rays, vec)
-        images.append([x for p in positions.values() for x in p] + list(lengths.values()))
-    dim = rank(images) if images else 0
+    m_rows = [
+        [r[k] if v == vid else 0 for v, r in rays] + [0] * len(bounded)
+        for vid in _finite_vertices(t)
+        for k in range(t.fan.ambient_dim)
+    ]
+    m_rows += [_unit(ny, j) for j in range(len(rays), ny)]
+    dim = rank(rows + m_rows) - rank(rows)
     forced = tuple(eid for i, eid in enumerate(bounded) if len(rays) + i not in support)
     return dim, forced, point
 
@@ -524,9 +517,6 @@ class AffineFn:
     const: Fraction
     slope: Fraction
 
-    def at(self, t: Fraction) -> Fraction:
-        return self.const + self.slope * Fraction(t)
-
 
 def affine(const, slope=0) -> AffineFn:
     return AffineFn(Fraction(const), Fraction(slope))
@@ -611,8 +601,7 @@ class Family:
     def scaled(self) -> ScaledFamily:
         """The constants and slopes times D, the lcm of their denominators:
         at t = p/q every length and coordinate is (D*const*q + D*slope*p)
-        over D*q.  A family that :func:`make_family` derives positions for
-        holds the integers of its walk here, which are these."""
+        over D*q."""
         d, pairs = _scaled_pairs([*self.lengths.values(), *(fn for fns in self.positions.values() for fn in fns)])
         it = iter(pairs)
         return ScaledFamily(
@@ -697,34 +686,23 @@ def make_family(
 
     Missing positions are walked along the type's spanning tree
     (:func:`_positions`) at the integer (const, slope) pairs of the lengths
-    and base position at D, the lcm of their denominators, and those
-    integers are the family's :attr:`Family.scaled`, set before the family
-    checks itself.
+    and base position at D, the lcm of their denominators.  Each walked
+    pair over D is a position function, so D is also the lcm that
+    :attr:`Family.scaled` finds, and the family's integers are the walk's.
     """
     t = canonical_type(t)
-    if positions is not None:
-        return Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
-    _require_length_keys(t, lengths)
-    n = t.fan.ambient_dim
-    base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
-    base_pos = tuple(base_position) if base_position is not None else (affine(0),) * n
-    d, pairs = _scaled_pairs([*lengths.values(), *base_pos])
-    length_pairs = dict(zip(lengths, pairs))
-    walked = _positions(t, length_pairs, base, pairs[len(lengths):])
-    # one function per distinct pair, as a family document has one per spelling
-    distinct = {pair for pair_vec in walked.values() for pair in pair_vec}
-    fn = {(c, s): AffineFn(Fraction(c, d), Fraction(s, d)) for c, s in distinct}.__getitem__
-    # built without __init__, so that the walk's integers fill the cached
-    # property's slot before the check reads them
-    fam = object.__new__(Family)
-    fam.__dict__.update(
-        type=t,
-        lengths=dict(lengths),
-        positions={vid: tuple(map(fn, pair_vec)) for vid, pair_vec in walked.items()},
-        scaled=ScaledFamily(d, length_pairs, walked),
-    )
-    fam.__post_init__()
-    return fam
+    if positions is None:
+        _require_length_keys(t, lengths)
+        n = t.fan.ambient_dim
+        base = base_vertex if base_vertex is not None else _finite_vertices(t)[0]
+        base_pos = tuple(base_position) if base_position is not None else (affine(0),) * n
+        d, pairs = _scaled_pairs([*lengths.values(), *base_pos])
+        walked = _positions(t, dict(zip(lengths, pairs)), base, pairs[len(lengths):])
+        # one function per distinct pair, as a family document has one per spelling
+        distinct = {pair for pair_vec in walked.values() for pair in pair_vec}
+        fn = {(c, s): AffineFn(Fraction(c, d), Fraction(s, d)) for c, s in distinct}.__getitem__
+        positions = {vid: tuple(map(fn, pair_vec)) for vid, pair_vec in walked.items()}
+    return Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
 
 
 def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
@@ -757,12 +735,6 @@ def _map_from_lengths(
     return TropicalStableMap(TropicalCurve(g.vertices, edges, g.markings), t.fan, positions, t.edge_data)
 
 
-def _family_at(fam: Family, t_val: Fraction) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
-    """The lengths and the positions of the member at ``t_val``, read off
-    the family's integers (:meth:`Family.member`)."""
-    return _fractions(fam.member(t_val).scaled)
-
-
 def _fractions(scaled: ScaledMap) -> tuple[dict[str, Fraction], dict[str, RatVec]]:
     """The lengths and the positions that ``scaled`` holds, one ``Fraction``
     per distinct value."""
@@ -782,6 +754,24 @@ class LimitResult:
     contracted_edges: tuple[str, ...]
 
 
+def _limit(fam: Family, t_val: Fraction) -> tuple[CombinatorialType, tuple[str, ...], ScaledMap]:
+    """The family's member at ``t_val`` with its zero-length edges
+    contracted: the contracted type, the contracted edges, and the
+    member's integers (:meth:`Family.member`) on that type.  The family's
+    edge equations hold identically, so the vertices merged into one
+    survivor share the position it takes, keyed by the survivor."""
+    scaled = fam.member(t_val).scaled
+    zero_edges = tuple(sorted(eid for eid, x in scaled.lengths.items() if x == 0))
+    if not zero_edges:
+        return fam.type, (), scaled
+    t, vmap, _ = _contract_with_map(fam.type, zero_edges)
+    return t, zero_edges, ScaledMap(
+        scaled.denominator,
+        {vmap[old]: p for old, p in scaled.positions.items()},
+        {eid: x for eid, x in scaled.lengths.items() if x != 0},
+    )
+
+
 def limit_of_family(fam: Family, t_star) -> LimitResult:
     """Evaluate the family at t in [0, 1].
 
@@ -792,40 +782,21 @@ def limit_of_family(fam: Family, t_star) -> LimitResult:
     t_star = Fraction(t_star)
     if t_star < 0 or t_star > 1:
         raise ValueError(f"parameter {format_rational(t_star)} outside [0, 1]")
-    lengths, positions = _family_at(fam, t_star)
-    zero_edges = tuple(sorted(eid for eid, ell in lengths.items() if ell == 0))
-    if not zero_edges:
-        return LimitResult(t_star, _map_from_lengths(fam.type, lengths, positions), fam.type, ())
-    limit_type, vmap, _ = _contract_with_map(fam.type, zero_edges)
-    limit_map = _map_from_lengths(limit_type, lengths, _merge_positions(vmap, positions))
-    return LimitResult(t_star, limit_map, limit_type, zero_edges)
-
-
-def _merge_positions(vmap: Mapping[str, str], positions: Mapping[str, tuple]) -> dict[str, tuple]:
-    """The positions of the surviving vertices of a contraction of a
-    family's zero-length edges at t = 1: the family's edge equations hold
-    identically, so the vertices merged into one survivor share the
-    position it takes."""
-    return {vmap[old]: p for old, p in positions.items()}
+    t, zero_edges, scaled = _limit(fam, t_star)
+    lengths, positions = _fractions(scaled)
+    return LimitResult(t_star, _map_from_lengths(t, lengths, positions), t, zero_edges)
 
 
 def _is_limit(fam: Family, m: TropicalStableMap) -> bool:
     """Is ``m`` the family's t = 1 limit, up to edge orientation?  The same
     answer as comparing ``limit_of_family(fam, 1).map`` and ``m`` with
     their edge data in canonical form (:func:`canonical_edge_data`), read
-    on the family's (const, slope) pairs at t = 1, c + s over the family's
-    denominator D, and on m's integers over its denominator D_m: x/D equals
-    y/D_m exactly when x*D_m = y*D.  The limit is never built as a map."""
-    scaled = fam.scaled
-    lengths = {eid: c + s for eid, (c, s) in scaled.lengths.items()}
-    positions = {vid: tuple(c + s for c, s in pairs) for vid, pairs in scaled.positions.items()}
-    zero_edges = tuple(sorted(eid for eid, ell in lengths.items() if ell == 0))
-    t = fam.type
-    if zero_edges:
-        t, vmap, _ = _contract_with_map(t, zero_edges)
-        positions = _merge_positions(vmap, positions)
+    on the limit's integers over its denominator D (:func:`_limit`) and on
+    m's integers over its denominator D_m: x/D equals y/D_m exactly when
+    x*D_m = y*D.  The limit is never built as a map."""
+    t, _, limit = _limit(fam, Fraction(1))
     graph, curve, ms = t.graph, m.curve, m.scaled
-    d, dm = scaled.denominator, ms.denominator
+    d, dm = limit.denominator, ms.denominator
     if (curve.vertices, curve.markings, m.fan) != (graph.vertices, graph.markings, t.fan):
         return False
     if [(e.id, e.ends) for e in curve.edges] != [(e.id, e.ends) for e in graph.edges]:
@@ -834,11 +805,11 @@ def _is_limit(fam: Family, m: TropicalStableMap) -> bool:
         if graph.is_marked_leaf_edge(e):
             if e.id in ms.lengths:
                 return False
-        elif e.id not in ms.lengths or ms.lengths[e.id] * d != lengths[e.id] * dm:
+        elif e.id not in ms.lengths or ms.lengths[e.id] * d != limit.lengths[e.id] * dm:
             return False
-    if m.positions.keys() != positions.keys():
+    if m.positions.keys() != limit.positions.keys():
         return False
-    for vid, p in positions.items():
+    for vid, p in limit.positions.items():
         q = ms.positions[vid]
         if len(q) != len(p) or any(x * d != y * dm for x, y in zip(q, p)):
             return False
@@ -868,10 +839,7 @@ def sample_interior(mc: ModuliCone, seed: int) -> TropicalStableMap:
             f"lengths {mc.forced_zero_lengths} are zero on the whole cone"
         )
     t = mc.type
-    if t.fan.embedded:
-        lengths, positions = _fractions(_sample_embedded(mc, seed))
-    else:
-        positions, lengths = _strict_point(t, _vertex_rays(t), mc.support_point)
+    lengths, positions = _fractions(_sample_embedded(mc, seed) if t.fan.embedded else _sample_strict(mc))
     m = _map_from_lengths(t, lengths, positions)
     diags = [f"length of {eid} is not positive" for eid, x in m.scaled.lengths.items() if x <= 0]
     bounded = (t.graph.edge(eid) for eid in t.bounded_edge_ids())
@@ -895,8 +863,8 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> ScaledMap:
     kernel basis, summed in ints, and length j moves by
     min(ell) / (2 max |P|) * P_j, which keeps it positive.  The kernel's
     common positive scale cancels from that ratio, so the point is the one
-    the rational :func:`nullspace` basis gives.  With the support point at
-    its common denominator D0, as integers A, the moved lengths are
+    the rational basis (1 on each free column) gives.  With the support
+    point at its common denominator D0, as integers A, the moved lengths are
     2 max|P| * A + min(A) * P over 2 max|P| * D0, and the tree steps are
     taken on those integers and the seeded base position's at one common
     denominator (:func:`_positions`)."""
@@ -920,4 +888,25 @@ def _sample_embedded(mc: ModuliCone, seed: int) -> ScaledMap:
         common,
         {vid: tuple(c for c, _ in p) for vid, p in walked.items()},
         {eid: c for eid, (c, _) in pairs.items()},
+    )
+
+
+def _sample_strict(mc: ModuliCone) -> ScaledMap:
+    """The positions and lengths, as integers over one denominator, of the
+    strict-mode support point: with the ray coefficients and lengths at
+    their common denominator, each position is its vertex's rays times
+    their coefficients, summed in ints."""
+    t = mc.type
+    rays = _vertex_rays(t)
+    d, y = _integers(mc.support_point)
+    positions = {vid: [0] * t.fan.ambient_dim for vid in _finite_vertices(t)}
+    for (vid, r), c in zip(rays, y):
+        if c:
+            p = positions[vid]
+            for k, x in enumerate(r):
+                p[k] += c * x
+    return ScaledMap(
+        d,
+        {vid: tuple(p) for vid, p in positions.items()},
+        dict(zip(t.bounded_edge_ids(), y[len(rays):])),
     )

@@ -129,8 +129,8 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
     - one fraction-free elimination of those rows gives d times their
       reduced row echelon form, whose rank rows over d are the basis, and
       the kernel vectors :func:`exactgeom._kernel_of` reads off it are |d|
-      times the quotient rows (:func:`nullspace`, a function of the
-      echelon form alone);
+      times the quotient rows (the rational kernel basis, a function of
+      the echelon form alone);
     - the integer rows are the rational rows times the lcm of their
       denominators (:func:`_common_multiple`).  Scaling every quotient row
       by one common positive integer changes no projective class of a
@@ -444,14 +444,11 @@ def pattern_of_normal(cd: CycleData, normal: Sequence[Fraction]) -> tuple[IntVec
 @dataclass(frozen=True)
 class TrappedSubcurve:
     """The connected component through the cycle of the vertices and edges
-    mapping into a hyperplane, with its boundary distance multiset."""
+    mapping into a hyperplane, with its boundary vertices' distances."""
 
     vertex_ids: tuple[str, ...]
     edge_ids: tuple[str, ...]
     boundary: tuple[tuple[str, Fraction], ...]
-
-    def distance_multiset(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(d for _, d in self.boundary))
 
 
 def subcurve_in_flat(m: TropicalStableMap, flat: HyperplaneFlat) -> TrappedSubcurve:

@@ -7,8 +7,14 @@ from fractions import Fraction
 
 from tropmap import INF, affine, combinatorial_type, make_family, stable_map, validate_map
 from tropmap.curves import Edge, Marking, Vertex, tropical_curve
-from tropmap.exactgeom import auto_rays_fan, complete_orthant_fan, primitive, vector_content, zero_cone
+from tropmap.exactgeom import Fan, auto_rays_fan, complete_orthant_fan, primitive, vector_content, zero_cone
 from tropmap.maps import CombinatorialType, EdgeMapData, _orient_leaves, _strip_lengths, make_type
+
+
+def fan(ambient_dim, cones_, embedded=False) -> Fan:
+    """A raw collection of cones as a fan: no face completion, no
+    canonical form, and no face lists, so every fan check runs on it."""
+    return Fan(ambient_dim, tuple(sorted(set(cones_), key=lambda c: (len(c.rays), c.rays))), embedded)
 
 
 def build_map(ambient, vertices, bounded, rays, positions):

@@ -8,6 +8,9 @@ raw adjacency data, and non-negative linear systems by a phase-one simplex
 over Fractions.  General linear systems (free variables, inequalities)
 reach that simplex through a front end, :func:`ref_lp_feasible`, where the
 library poses each cone question as a non-negative combination problem.
+Kernels are read off that Fraction elimination, and the strict-mode cone
+dimension is the rank of a Fraction kernel basis's images, where the
+library takes the rank difference of two integer matrices.
 The cone and fan references decide faces, intersections and locations by LP
 membership tests of every ray and point, where the library reads them off
 canonical ray sets.  Each membership test is one LP posed through that
@@ -160,6 +163,21 @@ def ref_rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def ref_nullspace(rows, ncols=None) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel from :func:`ref_rref` over Fractions: one
+    vector per non-pivot column, with 1 there and 0 in every other
+    non-pivot column."""
+    red, pivots = ref_rref(rows)
+    n = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(n)]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def subset_closure_flats(vectors, max_rank) -> set[frozenset]:
@@ -404,9 +422,43 @@ def dense_pull_back(t, equations):
         col[n * len(finite) + i] = Fraction(1)
         columns.append(col)
     return [
-        [sum(row[j] * col[j] for j in range(width)) for col in columns]
+        [sum((a * b for a, b in zip(row, col) if a and b), Fraction(0)) for col in columns]
         for row in equations
     ]
+
+
+def ref_strict_dim(t) -> tuple[int, tuple[str, ...]]:
+    """The strict-mode moduli cone's dimension and forced-zero lengths, by
+    the rational algorithm: the generator coordinates y (ray coefficients,
+    then lengths) that can be positive, by one Fraction simplex
+    (:func:`ref_solve_nonneg`) for all of them and else one for each; a
+    Fraction kernel basis of the pulled-back edge equations
+    (:func:`dense_pull_back`) with a selector row per other coordinate; and
+    the rank of the basis's images in (positions, lengths) space, where the
+    library takes the rank difference of two integer matrices."""
+    n = t.fan.ambient_dim
+    marked = {mk.vertex for mk in t.graph.markings}
+    finite = [v.id for v in t.graph.vertices if v.id not in marked]
+    bounded = [e.id for e in t.graph.edges if not (set(e.ends) & marked)]
+    rays = [(vid, r) for vid in finite for r in t.vertex_cones[vid].rays]
+    rows = dense_pull_back(t, dense_equations(t))
+    ny = len(rays) + len(bounded)
+    unit = [[int(j == i) for j in range(ny)] for i in range(ny)]
+
+    def positive(shift) -> bool:
+        # y = shift + s with s >= 0
+        return not rows or ref_solve_nonneg(rows, [-sum(a * b for a, b in zip(row, shift)) for row in rows]) is not None
+
+    # a cone: some point is at least 1 on every coordinate that can be positive
+    support = list(range(ny)) if positive([1] * ny) else [i for i in range(ny) if positive(unit[i])]
+    images = []
+    for y in ref_nullspace(rows + [unit[i] for i in range(ny) if i not in support], ncols=ny):
+        positions = {vid: [Fraction(0)] * n for vid in finite}
+        for (vid, r), c in zip(rays, y):
+            positions[vid] = [a + c * x for a, x in zip(positions[vid], r)]
+        images.append([x for vid in finite for x in positions[vid]] + list(y[len(rays):]))
+    forced = tuple(eid for i, eid in enumerate(bounded) if len(rays) + i not in support)
+    return bareiss_rank(images), forced
 
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -1281,17 +1333,22 @@ def canonical_map(m: TropicalStableMap) -> TropicalStableMap:
     return TropicalStableMap(m.curve, m.fan, dict(m.positions), canonical_edge_data(m.curve, m.edge_data))
 
 
+def ref_value(fn: AffineFn, t_val) -> Fraction:
+    """An affine function's value const + slope * t, in Fractions."""
+    return fn.const + fn.slope * Fraction(t_val)
+
+
 def ref_member(fam, t_val) -> TropicalStableMap:
     """The family's member at ``t_val`` as a map, built unchecked in
     Fractions from each length and position function's value
-    (``AffineFn.at``), where the library reads it off the family's
+    (:func:`ref_value`), where the library reads it off the family's
     integer (const, slope) pairs.  No edge is contracted."""
     graph = fam.type.graph
     edges = [
-        e if graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, fam.lengths[e.id].at(t_val))
+        e if graph.is_marked_leaf_edge(e) else Edge(e.id, e.ends, ref_value(fam.lengths[e.id], t_val))
         for e in graph.edges
     ]
-    points = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in fam.positions.items()}
+    points = {vid: tuple(ref_value(fn, t_val) for fn in fns) for vid, fns in fam.positions.items()}
     return stable_map(tropical_curve(graph.vertices, edges, graph.markings), fam.type.fan, points, fam.type.edge_data)
 
 
@@ -1343,12 +1400,12 @@ def ref_member_defect(t: CombinatorialType, lengths, positions, t_val: Fraction)
     edges = []
     for e in graph.edges:
         if e.id in lengths:
-            edges.append(Edge(e.id, e.ends, lengths[e.id].at(t_val)))
+            edges.append(Edge(e.id, e.ends, ref_value(lengths[e.id], t_val)))
         elif graph.is_marked_leaf_edge(e):
             edges.append(Edge(e.id, e.ends, INF))
         else:
             return f"edge {e.id} has no length"
-    points = {vid: tuple(fn.at(t_val) for fn in fns) for vid, fns in positions.items()}
+    points = {vid: tuple(ref_value(fn, t_val) for fn in fns) for vid, fns in positions.items()}
     member = stable_map(tropical_curve(graph.vertices, edges, graph.markings), t.fan, points, t.edge_data)
     diags = [d for d in validate_map(member) if not d.startswith(STABILITY_VIOLATED)]
     if diags:

@@ -7,6 +7,7 @@ benchmark metric."""
 import ast
 import json
 from pathlib import Path
+from typing import Iterator
 
 import corpus
 
@@ -54,10 +55,72 @@ EXPORTED_WITHOUT_A_CALLER = {
 }
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(function: ast.AST) -> list[ast.arg]:
+    a = function.args
+    return [x for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+
+
+def _bound_names(function: ast.AST) -> set[str]:
+    """The names a function or lambda binds: its parameters, and each name
+    it assigns, imports or defines, its comprehensions' targets included,
+    outside the functions and classes nested in it."""
+    bound = {x.arg for x in _parameters(function)}
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _references(tree: ast.Module, modules: set[str]) -> Iterator[tuple[str, ast.AST]]:
+    """(name, node) for each read of a name that no enclosing function
+    binds, and for each attribute read on a package module (``moduli.x``).
+    A function's decorators, defaults and annotations are read in the
+    scope that encloses it."""
+    stack: list[tuple[ast.AST, frozenset[str]]] = [(tree, frozenset())]
+    while stack:
+        node, shadowed = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            yield node.id, node
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules - shadowed
+        ):
+            yield node.attr, node
+        if isinstance(node, _FUNCTIONS):
+            a = node.args
+            outer = [*getattr(node, "decorator_list", ()), *a.defaults, *a.kw_defaults, getattr(node, "returns", None)]
+            outer += [x.annotation for x in _parameters(node)]
+            inner = shadowed | _bound_names(node)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            stack.extend((child, shadowed) for child in outer if child is not None)
+            stack.extend((child, inner) for child in body)
+        else:
+            stack.extend((child, shadowed) for child in ast.iter_child_nodes(node))
+
+
 def _top_level_references():
     """(every top-level function and class of the package, the nodes that
-    read each name outside the ``__init__`` exports, the exported names)."""
+    read each name outside the ``__init__`` exports, the exported names).
+    A name counts where no enclosing function binds it, and an attribute
+    only on a package module, so a parameter ``fan`` or an attribute
+    ``v.genus`` reads no top-level ``fan`` or ``genus``."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    modules = {path.stem for path in trees}
     definitions = [
         (path, node)
         for path, tree in trees.items()
@@ -67,13 +130,10 @@ def _top_level_references():
     referenced: dict[str, list[ast.AST]] = {}
     exported: set[str] = set()
     for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                referenced.setdefault(node.attr, []).append(node)
-            elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
-                exported.update(alias.name for alias in node.names)
+        if path.name == "__init__.py":
+            exported.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names)
+        for name, node in _references(tree, modules):
+            referenced.setdefault(name, []).append(node)
     return definitions, referenced, exported
 
 

@@ -22,12 +22,10 @@ from tropmap.exactgeom import (
     cone_is_face,
     cone_is_pointed,
     cone_locate,
-    fan,
     fan_cone_intersection,
     fan_validate,
     format_rational,
     integer_nullspace,
-    nullspace,
     parse_rational,
     rank,
     ratvec,
@@ -37,7 +35,7 @@ from tropmap.exactgeom import (
 )
 from tropmap.wellspaced import build_figure1_family
 
-from builders import rectangle_cycle, strict_unstable_member_family
+from builders import fan, rectangle_cycle, strict_unstable_member_family
 from oracles import (
     bareiss_rank,
     dense_equations,
@@ -53,6 +51,7 @@ from oracles import (
     ref_fan_cone_intersection,
     ref_fan_validate,
     ref_lp_feasible,
+    ref_nullspace,
     ref_pair_meets_in_common_face,
     ref_rref,
     ref_solve_nonneg,
@@ -134,7 +133,7 @@ class TestRank:
         red, pivots = rref(rows)
         assert (red, pivots) == ref_rref(rows)
         assert rank(rows) == len(pivots)
-        kernel = nullspace(rows)
+        kernel = ref_nullspace(rows)
         free = [c for c in range(len(rows[0])) if c not in pivots]
         assert len(kernel) == len(free)
         for vec, fc in zip(kernel, free):
@@ -142,16 +141,17 @@ class TestRank:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
         scaled = integer_nullspace(rows)
         assert all(type(x) is int for vec in scaled for x in vec)
+        assert len(scaled) == len(kernel)
         if kernel:
             scale = scaled[0][free[0]]
             assert scale > 0
             assert [[scale * x for x in vec] for vec in kernel] == [list(vec) for vec in scaled]
 
     def test_empty_kernels(self):
-        assert nullspace([], ncols=2) == [(1, 0), (0, 1)]
-        assert integer_nullspace([], ncols=2) == [(1, 0), (0, 1)]
-        assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(Fraction(-2, 3), 1)]
+        assert ref_nullspace([], ncols=2) == integer_nullspace([], ncols=2) == [(1, 0), (0, 1)]
+        assert ref_nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(Fraction(-2, 3), 1)]
         assert integer_nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(-2, 3)]
+        assert integer_nullspace([[1, 0], [0, 2]]) == [] == ref_nullspace([[1, 0], [0, 2]])
 
 
 class TestLp:

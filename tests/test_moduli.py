@@ -28,7 +28,7 @@ from tropmap import (
 )
 from tropmap.curves import Edge, INF, Marking, Vertex, tropical_curve
 from tropmap.documents import Document, load_document, serialize_document
-from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, nullspace, rank
+from tropmap.exactgeom import auto_rays_fan, build_fan, complete_orthant_fan, cone, integer_nullspace, rank
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import EdgeMapData, InvalidType, ScaledMap, make_type, stable_map
 from tropmap.wellspaced import build_figure1_family
@@ -39,6 +39,7 @@ from builders import (
     path_two_vertices,
     random_feasible_map,
     random_shrinking_family,
+    random_strict_type,
     random_walk_type,
     rectangle_cycle,
     rectangle_family,
@@ -58,6 +59,8 @@ from oracles import (
     ref_member,
     ref_positions_from_lengths,
     ref_spanning_tree,
+    ref_strict_dim,
+    ref_value,
 )
 
 
@@ -199,8 +202,8 @@ class TestSpanningTree:
                 continue
             mc = moduli_cone(t)
             n_lengths = len(t.bounded_edge_ids())
-            closing = nullspace(mc.cycle_rows, ncols=n_lengths)
-            dense = nullspace(dense_equations(t), ncols=len(mc.variables))
+            closing = integer_nullspace(mc.cycle_rows, ncols=n_lengths)
+            dense = integer_nullspace(dense_equations(t), ncols=len(mc.variables))
             projected = [vec[len(mc.variables) - n_lengths:] for vec in dense]
             assert bareiss_rank(closing) == bareiss_rank(projected) == bareiss_rank(closing + projected)
             checked += 1
@@ -283,6 +286,54 @@ class TestStrictGeneratorRows:
         types = [combinatorial_type(m) for m in maps] + [fam.type, limit_of_family(fam, 1).type]
         for t in types:
             self._check(t)
+
+
+class TestStrictDimension:
+    """The strict-mode dimension and forced-zero lengths, a rank difference
+    of two integer matrices, against the rational kernel algorithm
+    (:func:`ref_strict_dim`)."""
+
+    @staticmethod
+    def _check(t):
+        mc = moduli_cone(t)
+        assert (mc.dim, mc.forced_zero_lengths) == ref_strict_dim(t)
+
+    def test_fixtures(self):
+        line = build_fan(1, [[(1,)], [(-1,)]], embedded=False)
+        maps = [_strict_origin(), _strict_ray_vertex(), _strict_segment(line, {"o": (0,), "x": (2,)})]
+        fam = strict_unstable_member_family()
+        for t in [combinatorial_type(m) for m in maps] + [fam.type, limit_of_family(fam, 1).type]:
+            self._check(t)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_translated_rectangle_cycles(self, a):
+        rng = random.Random(a)
+        fan = complete_orthant_fan(3, embedded=False)
+        for b in range(1, 5):
+            m = rectangle_cycle(a, b)
+            for _ in range(3):
+                shift = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3))
+                positions = {vid: tuple(x + y for x, y in zip(p, shift)) for vid, p in m.positions.items()}
+                self._check(combinatorial_type(stable_map(m.curve, fan, positions, m.edge_data)))
+
+    def test_random_feasible(self):
+        rng = random.Random(515)
+        for _ in range(60):
+            self._check(random_strict_type(rng))
+
+    def test_forced_zero_lengths(self):
+        # vertex cones drawn at random from the fan, checked by no axiom,
+        # force some lengths to zero
+        rng = random.Random(516)
+        forced = 0
+        for _ in range(60):
+            m = random_feasible_map(rng)
+            fan = complete_orthant_fan(m.fan.ambient_dim, embedded=False)
+            cones = {vid: rng.choice(fan.cones) for vid in m.curve.unmarked_vertex_ids()}
+            t = unchecked_type(m.curve, fan, m.edge_data, cones)
+            self._check(t)
+            forced += bool(moduli_cone(t).forced_zero_lengths)
+        assert forced >= 10
 
 
 def _expand(mc):
@@ -759,8 +810,8 @@ class TestFamilyPositions:
     def test_members_match_the_walk(self, t_val):
         for fam in _linearity_families():
             base = fam.type.graph.unmarked_vertex_ids()[0]
-            lengths = {eid: fn.at(t_val) for eid, fn in fam.lengths.items()}
-            point = tuple(fn.at(t_val) for fn in fam.positions[base])
+            lengths = {eid: ref_value(fn, t_val) for eid, fn in fam.lengths.items()}
+            point = tuple(ref_value(fn, t_val) for fn in fam.positions[base])
             walk = ref_positions_from_lengths(fam.type, lengths, base, point)
             assert limit_of_family(fam, t_val).map.positions == walk
 
@@ -794,16 +845,29 @@ class TestFamilyPositions:
         return cases
 
     def test_one_walk_equals_the_two_fraction_walks(self, monkeypatch):
-        scalings = []
-        real = moduli._scaled_pairs
-        monkeypatch.setattr(moduli, "_scaled_pairs", lambda fns: scalings.append(fns) or real(fns))
+        scalings, walks = [], []
+        real_scaled_pairs, real_positions = moduli._scaled_pairs, moduli._positions
+
+        def scaled_pairs(fns):
+            scalings.append(real_scaled_pairs(fns))
+            return scalings[-1]
+
+        def positions(*args):
+            walks.append(real_positions(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(moduli, "_scaled_pairs", scaled_pairs)
+        monkeypatch.setattr(moduli, "_positions", positions)
         for name, t, lengths, base, base_position in self._derived_cases():
             scalings.clear()
+            walks.clear()
             fam = make_family(t, lengths, base_vertex=base, base_position=base_position)
-            # the family's check reads the walk's integers, not the functions again
-            assert len(scalings) == 1, name
+            # one scaling for the walk, and one when the family derives its integers
+            assert len(scalings) == 2 and len(walks) == 1, name
             assert fam.positions == ref_family_positions(t, lengths, base, base_position), name
             # the walk's integers are the ones the functions give
+            d, pairs = scalings[0]
+            assert fam.scaled == moduli.ScaledFamily(d, dict(zip(lengths, pairs)), walks[0]), name
             assert fam.scaled == moduli.Family(fam.type, fam.lengths, fam.positions).scaled, name
 
     def test_the_first_short_length_in_mapping_order_is_refused(self):
