@@ -363,11 +363,27 @@ def _contains(c: Cone, q: Sequence[int]) -> bool:
     of p, so it lies in exactly the cones that hold p)."""
     if not c.rays:
         return not any(q)
-    frame = c._frame
-    if frame is None:
+    if c._frame is None:
         return solve_nonneg([list(col) for col in zip(*c.rays)], q) is not None
-    coords, annihilator = frame
-    return not any(sum(map(mul, row, q)) for row in annihilator) and all(sum(map(mul, row, q)) >= 0 for row in coords)
+    return _coordinates(c, q) is not None
+
+
+def _coordinates(c: Cone, q: Sequence[int]) -> Optional[list[int]]:
+    """The coordinates of q on the rays of a cone that has a
+    :attr:`Cone._frame`, times |d| > 0, when q lies in the cone; else None.
+    They are the coordinate rows' dot products with q, unique when q lies
+    in the span (see :func:`cone_contains`)."""
+    coords, annihilator = c._frame
+    for row in annihilator:
+        if sum(map(mul, row, q)):
+            return None
+    lam = []
+    for row in coords:
+        x = sum(map(mul, row, q))
+        if x < 0:
+            return None
+        lam.append(x)
+    return lam
 
 
 def _independent(rays: Sequence[IntVec]) -> bool:
@@ -579,20 +595,16 @@ class Fan:
     combinatorial type records the zero cone at every vertex.
 
     ``face_lists``, None on a raw collection and outside equality, maps
-    the cones whose faces :func:`build_fan` recorded to their
-    :func:`cone_faces` lists; every cone of the fan is in one of them.
+    the cones whose faces :func:`build_fan` recorded, the heads, to their
+    :func:`cone_faces` lists, each with its head last; every cone of the
+    fan is in one of them.  :func:`fan_validate` reads the maximal cones
+    off them, and :func:`cone_locate` tests a point against the heads.
     """
 
     ambient_dim: int
     cones: tuple[Cone, ...]
     embedded: bool = False
     face_lists: Optional[Mapping[Cone, list[Cone]]] = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def _by_rays(self) -> tuple[tuple[Cone, frozenset[IntVec]], ...]:
-        """The cones from the most rays to the fewest, each with its ray
-        set: the order in which :func:`cone_locate` tests them."""
-        return tuple((c, frozenset(c.rays)) for c in sorted(self.cones, key=lambda c: len(c.rays), reverse=True))
 
 
 def build_fan(ambient_dim: int, ray_lists: Iterable[Iterable[Sequence[int]]], embedded: bool = False) -> Fan:
@@ -664,35 +676,54 @@ def cone_locate(f: Fan, p: Sequence[Fraction]) -> Optional[Cone]:
     The fan's cones must be canonical, as :func:`build_fan` makes them: the
     minimal cone is the one whose rays every cone containing p shares.
     Raises ValueError on a dimension mismatch, and when no such cone exists
-    because cones of the fan overlap or a face is missing.
+    because cones of the fan overlap or a face is missing.  A raw
+    collection that lacks a face can also yield a cone that holds p only on
+    its boundary; :func:`fan_validate` reports such a collection.
 
-    A cone on a subset of another cone's rays lies inside it, so a point
-    outside the larger cone is outside the smaller one.  The cones are
-    tested from the most rays to the fewest, and a cone whose rays lie in
-    those of a cone already found not to contain p is not tested.  p is
-    scaled to integers once, and each cone is tested as
-    :func:`cone_contains` tests it: by the dot products with the rows of
-    its cached elimination, or by one LP when its rays are dependent.
+    p is scaled to integers once and tested against the heads of
+    :attr:`Fan.face_lists`; on a raw collection each cone heads the list
+    of itself alone.  The cones found to contain p are exactly those a
+    test of every cone finds (Cox, Little and Schenck, *Toric Varieties*,
+    1.2, for the faces of a simplicial cone):
+
+    - every cone of the fan is in some head's list, and each cone of a
+      list is a face of its head, so it lies inside the head: when the head
+      misses p, so does every cone of its list;
+    - a simplicial head (independent rays r_1 ... r_k, with a
+      :attr:`Cone._frame`) is tested by the dot products of its frame.
+      When it holds p, these give p's coordinates lam >= 0 on its rays
+      (times a positive scale), unique as the rays are independent.  Its
+      faces are the cones on subsets S of its rays.  If p is in the face on
+      S, p = sum mu_i r_i over i in S with mu >= 0, and uniqueness gives
+      lam = mu on S and 0 elsewhere, so the support of lam lies in S.
+      Conversely, if it does, p = sum lam_i r_i over i in S lies in that
+      face.  So no face of the head is tested on its own;
+    - the zero head gets the zero test, and a head on dependent rays one
+      LP; only when it holds p is each cone of its list tested as
+      :func:`cone_contains` tests it.
     """
     if len(p) != f.ambient_dim:
         raise ValueError(f"point of length {len(p)} located in fan of ambient dimension {f.ambient_dim}")
     q = _integer_rows([p])[0]
-    candidates: list[tuple[Cone, frozenset[IntVec]]] = []
-    outside: list[frozenset[IntVec]] = []
-    for c, rays in f._by_rays:
-        if any(rays <= o for o in outside):
+    heads = f.face_lists.items() if f.face_lists is not None else ((c, [c]) for c in f.cones)
+    found: list[Cone] = []  # the cones that hold p; a face of two heads may come twice
+    for head, faces in heads:
+        if head._frame is None:  # the zero cone, or dependent rays
+            if _contains(head, q):
+                found.append(head)
+                found += [c for c in faces[:-1] if _contains(c, q)]
             continue
-        if _contains(c, q):
-            candidates.append((c, rays))
-        else:
-            outside.append(rays)
-    if not candidates:
+        lam = _coordinates(head, q)
+        if lam is not None:
+            support = {r for r, x in zip(head.rays, lam) if x}
+            found += [c for c in faces if len(c.rays) >= len(support) and support.issubset(c.rays)]
+    if not found:
         return None
-    shared = frozenset.intersection(*(rays for _, rays in candidates))
-    minimal = [c for c, rays in candidates if rays == shared]
+    shared = set(found[0].rays).intersection(*(c.rays for c in found))
+    minimal = {c for c in found if shared.issuperset(c.rays)}
     if len(minimal) != 1:
         raise ValueError("fan cones overlap or miss a face near the given point")
-    return minimal[0]
+    return minimal.pop()
 
 
 def fan_cone_intersection(f: Fan, cones_: Sequence[Cone]) -> Cone:

@@ -575,11 +575,11 @@ class Family:
         for message in _position_diagnostics(t.graph, self.positions, t.fan.ambient_dim):
             raise ValueError(message)
         if not t.fan.embedded:
-            for probe in (Fraction(0), Fraction(1)):
+            for probe in (0, 1):
                 for vid, pairs in scaled.positions.items():
                     # membership is invariant under scaling, so it is tested on the integers
-                    if not cone_contains(t.vertex_cones[vid], tuple(_scaled_at(x, probe) for x in pairs)):
-                        raise ValueError(f"position of {vid} exits its cone at t={format_rational(probe)}")
+                    if not cone_contains(t.vertex_cones[vid], tuple(_scaled_at(x, probe, 1) for x in pairs)):
+                        raise ValueError(f"position of {vid} exits its cone at t={probe}")
         # the first edge that fails at t = 0, else the first at t = 1/2 (an
         # affine residual that is zero at both is zero)
         slope_only = None
@@ -615,14 +615,15 @@ class Family:
         The type's edge data is oriented as every member carries it."""
         t = self.type
         scaled = self.scaled
+        p, q = t_val.numerator, t_val.denominator
         return FamilyMember(
             t.graph,
             t.fan,
             t.edge_data,
             ScaledMap(
-                scaled.denominator * t_val.denominator,
-                {vid: tuple(_scaled_at(x, t_val) for x in pairs) for vid, pairs in scaled.positions.items()},
-                {eid: _scaled_at(scaled.lengths[eid], t_val) for eid in t.bounded_edge_ids()},
+                scaled.denominator * q,
+                {vid: tuple(_scaled_at(x, p, q) for x in pairs) for vid, pairs in scaled.positions.items()},
+                {eid: _scaled_at(scaled.lengths[eid], p, q) for eid in t.bounded_edge_ids()},
             ),
         )
 
@@ -705,10 +706,10 @@ def make_family(
     return Family(t, dict(lengths), {vid: tuple(p) for vid, p in positions.items()})
 
 
-def _scaled_at(pair: tuple[int, int], t_val: Fraction) -> int:
+def _scaled_at(pair: tuple[int, int], p: int, q: int) -> int:
     """A (const, slope) pair of a :class:`ScaledFamily` at t = p/q, times q."""
     const, slope = pair
-    return const * t_val.denominator + slope * t_val.numerator
+    return const * q + slope * p
 
 
 def format_affine(fn: AffineFn) -> str:

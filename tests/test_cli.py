@@ -20,6 +20,7 @@ from tropmap.maps import combinatorial_type, validate_map
 from tropmap.moduli import moduli_cone, sample_interior
 
 from builders import rectangle_cycle, strict_unstable_member_family
+from oracles import lp_cone_locate
 
 
 def run_cli(capsys, monkeypatch, args, stdin=""):
@@ -657,6 +658,37 @@ class TestStrictPentagonFanMap:
             "pointer": "/fan/cones",
             "message": "not a fan: cones ((-1, 1),) and ((-1, 0), (0, 1)) do not meet in a common face",
         }]
+        assert "Traceback" not in err
+
+
+STRICT_SQUARE_CONE_FAN_MAP = Path(__file__).parent / "data" / "strict_square_cone_fan_map.json"
+
+
+class TestStrictSquareConeFanMap:
+    """Two bounded edges from an interior vertex on the strict fan of the
+    cone over a square in R^3, with rays (1,0,1), (0,1,1), (-1,0,1) and
+    (0,-1,1): its one maximal cone is not simplicial, so locating a vertex
+    tests it by an LP and then each of its faces.  The finite vertices lie
+    in its interior (c0), on its ray (1,0,1) (c1) and in the relative
+    interior of its facet on (0,1,1) and (1,0,1) (c2)."""
+
+    def test_validates(self, capsys, monkeypatch):
+        m = load_document(STRICT_SQUARE_CONE_FAN_MAP.read_text()).document.payload
+        assert validate_map(m) == []
+        assert {vid: lp_cone_locate(m.fan, m.positions[vid]) for vid in m.located_cones} == m.located_cones
+        code, out, err = run_cli(capsys, monkeypatch, ["validate", str(STRICT_SQUARE_CONE_FAN_MAP)])
+        assert code == 0
+        assert json.loads(out)["results"]["valid"] is True
+        assert "Traceback" not in err
+
+    def test_type_pins_the_vertex_cones(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["type", str(STRICT_SQUARE_CONE_FAN_MAP)])
+        assert code == 0
+        assert json.loads(out)["results"]["type"]["vertex_cones"] == {
+            "c0": {"rays": [[-1, 0, 1], [0, -1, 1], [0, 1, 1], [1, 0, 1]]},
+            "c1": {"rays": [[1, 0, 1]]},
+            "c2": {"rays": [[0, 1, 1], [1, 0, 1]]},
+        }
         assert "Traceback" not in err
 
 

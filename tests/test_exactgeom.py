@@ -869,6 +869,102 @@ def _check_against_references(f: exactgeom.Fan, rng: random.Random) -> bool:
     return valid
 
 
+_QUADRANT = cone(2, [(1, 0), (0, 1)])
+
+# raw collections, no face lists: each cone heads the list of itself alone
+_RAW_LOCATION_CASES = {
+    # two simplicial cones that overlap, each with all its faces
+    "overlap": [*cone_faces(_QUADRANT), *cone_faces(cone(2, [(1, 0), (1, 1)]))],
+    # the ray (1, 1) lies inside the quadrant without being a face of it
+    "ray inside a 2-cone": [*cone_faces(_QUADRANT), cone(2, [(1, 1)])],
+    # the quadrant's ray (0, 1) is missing, and in the next collection the zero cone
+    "missing ray": [zero_cone(2), cone(2, [(1, 0)]), _QUADRANT],
+    "missing zero cone": [cone(2, [(1, 0)]), cone(2, [(0, 1)]), _QUADRANT],
+    # the square cone of R^3 with its faces: its own test is an LP
+    "square cone": cone_faces(cone(3, _SQUARE_CONE)),
+}
+
+
+def _ray_sum(c: exactgeom.Cone) -> tuple[Fraction, ...]:
+    """The sum of a cone's rays, a point of its relative interior."""
+    return ratvec(sum(r[k] for r in c.rays) for k in range(c.ambient_dim))
+
+
+class TestConeLocateAgainstOracles:
+    """cone_locate against one membership LP per cone with the same
+    minimal-cone rule (lp_cone_locate), and against the reference that
+    takes the candidate lying in every other (ref_cone_locate): the
+    outcome, a cone, None or ValueError, is the same.  On raw collections
+    the reference also answers where the candidates' shared rays span no
+    candidate, a nested cone that is no face of the others; cone_locate
+    refuses there, as it did when it tested every cone."""
+
+    @pytest.mark.parametrize("case", list(_RAW_LOCATION_CASES))
+    def test_raw_collections(self, case):
+        cones = _RAW_LOCATION_CASES[case]
+        n = cones[0].ambient_dim
+        f = fan(n, cones)
+        assert f.face_lists is None
+        points = [ratvec(p) for p in itertools.product(range(-1, 3), repeat=n)]
+        points += [_ray_sum(c) for c in f.cones]
+        nested = []
+        for p in points:
+            got = _outcome(cone_locate, f, p)
+            assert got == _outcome(lp_cone_locate, f, p), p
+            want = _outcome(ref_cone_locate, f, p)
+            if got != want:
+                assert got is ValueError and want is not ValueError, p
+                nested.append((tuple(p), want.rays))
+        if case == "overlap":
+            # the reference answers the cone that every other candidate holds
+            assert ((2, 1), ((1, 0), (1, 1))) in nested and ((1, 1), ((1, 1),)) in nested
+        elif case == "ray inside a 2-cone":
+            assert set(nested) == {((1, 1), ((1, 1),)), ((2, 2), ((1, 1),))}
+        else:
+            assert nested == []
+        if case == "missing ray":
+            # no cone lies in the quadrant on that ray, so nothing is seen missing there
+            assert cone_locate(f, ratvec((0, 1))) == _QUADRANT
+        if case == "missing zero cone":
+            with pytest.raises(ValueError, match="miss a face"):
+                cone_locate(f, ratvec((0, 0)))
+        if case == "square cone":
+            assert fan_validate(f) == [] and cone_locate(f, ratvec((0, 0, 1))) == cone(3, _SQUARE_CONE)
+
+    def test_built_fans_with_non_simplicial_heads(self):
+        """Seeded ``_random_fan`` draws with a head on dependent rays, the
+        square cone's fan, the pentagon fan and its overlapping copy (a
+        fan in no valid sense: only a refusal may differ there).  On a
+        valid fan the ray sum of every cone locates to that cone."""
+        rng = random.Random(3434)
+        fans = [build_fan(3, [_SQUARE_CONE]), build_fan(3, [_SQUARE_CONE, [(1, 0, 1), (0, 1, 1), (1, 1, 0)]])]
+        while len(fans) < 22:
+            f = _random_fan(rng)
+            if f is not None and not all(exactgeom._simplicial(head) for head in f.face_lists):
+                fans.append(f)
+        overlapping = [list(c) for c in _PENTAGON_CONES]
+        overlapping[1] = [(1, 1), (-1, 1)]
+        fans += [build_fan(2, _PENTAGON_CONES), build_fan(2, overlapping)]
+        located = valid = 0
+        for f in fans:
+            ok = not fan_validate(f)
+            valid += ok
+            n = f.ambient_dim
+            points = [ratvec(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
+            for c in f.cones:
+                p = _ray_sum(c)
+                points.append(p)
+                if ok:
+                    assert cone_locate(f, p) == c, (f, c)
+            for p in points:
+                got = _outcome(cone_locate, f, p)
+                assert got == _outcome(lp_cone_locate, f, p), (f, p)
+                want = _outcome(ref_cone_locate, f, p)
+                assert got == want or (not ok and got is ValueError), (f, p)
+                located += got is not None and got is not ValueError
+        assert valid >= 12 and len(fans) - valid >= 2 and located >= 100, (valid, located)
+
+
 class TestAgainstMembershipReferences:
     def test_random_fans(self):
         rng = random.Random(20161018)
@@ -921,8 +1017,9 @@ class TestAgainstMembershipReferences:
         list and location, on the 200 seeded random fans and the builder
         fans.  Each shortcut and each LP fallback is taken at least 20
         times; the common face is also settled by a covector at least 20
-        times, and location skips cones, reads cached eliminations and
-        poses LPs."""
+        times, and location skips cones, reads cached eliminations, poses
+        LPs and decides at least 20 faces from the support of a point's
+        coordinates on a simplicial cone that holds it."""
         branches = collections.Counter()
 
         def counting(independent):
@@ -936,12 +1033,25 @@ class TestAgainstMembershipReferences:
                 return got
             return counted
 
-        contains, separates, solve = exactgeom._contains, exactgeom._frame_separates, exactgeom.solve_nonneg
-        tested = []
+        contains, coordinates = exactgeom._contains, exactgeom._coordinates
+        separates, solve = exactgeom._frame_separates, exactgeom.solve_nonneg
+        tested = []  # (cone, how): each membership test that location makes
 
         def counting_contains(c, q):
-            tested.append(c)
+            if c.rays and c._frame is None:
+                tested.append((c, "lp"))
+            elif not c.rays:
+                tested.append((c, "zero"))
             return contains(c, q)
+
+        def counting_coordinates(c, q):
+            lam = coordinates(c, q)
+            tested.append((c, "frame"))
+            if lam is not None and sys._getframe(1).f_code.co_name == "cone_locate":
+                # a head that holds the point: its other faces are decided
+                # by the support of the coordinates, with no test
+                branches["cone_locate", "support"] += len(f.face_lists[c]) - 1
+            return lam
 
         def counting_separates(a, b, in_b, in_a):
             got = separates(a, b, in_b, in_a)
@@ -956,6 +1066,7 @@ class TestAgainstMembershipReferences:
         monkeypatch.setattr(exactgeom, "_independent", counting(exactgeom._independent))
         monkeypatch.setattr(exactgeom, "_simplicial", counting(exactgeom._simplicial))
         monkeypatch.setattr(exactgeom, "_contains", counting_contains)
+        monkeypatch.setattr(exactgeom, "_coordinates", counting_coordinates)
         monkeypatch.setattr(exactgeom, "_frame_separates", counting_separates)
         monkeypatch.setattr(exactgeom, "solve_nonneg", counting_solve)
         rng = random.Random(20161018)
@@ -983,15 +1094,16 @@ class TestAgainstMembershipReferences:
             for p in points:
                 tested.clear()
                 got = _outcome(exactgeom.cone_locate, f, p)
-                branches["cone_locate", "skip"] += len(f.cones) - len(tested)
-                branches["cone_locate", "frame"] += sum(1 for c in tested if c.rays and c._frame is not None)
-                branches["cone_locate", "lp"] += sum(1 for c in tested if c.rays and c._frame is None)
+                branches["cone_locate", "skip"] += len(f.cones) - len({c for c, _ in tested})
+                for _, how in tested:
+                    branches["cone_locate", how] += 1
                 assert got == _outcome(lp_cone_locate, f, p), (f, p)
         for name in ("canonical_cone", "cone_is_pointed", "_common_face", "_faces", "cone_locate"):
             shortcut = "skip" if name == "cone_locate" else "rank"
             assert branches[name, shortcut] >= 20 and branches[name, "lp"] >= 20, (name, branches)
         assert branches["_common_face", "covector"] >= 20, branches
         assert branches["cone_locate", "frame"] >= 20, branches
+        assert branches["cone_locate", "support"] >= 20, branches
 
     def test_common_face_against_the_lp_on_seeded_pairs(self, monkeypatch):
         """_common_face against the LP-only common face on every ordered
@@ -1079,31 +1191,34 @@ class TestAgainstMembershipReferences:
     def test_orthant_location_lp_count(self, monkeypatch):
         fans = {n: complete_orthant_fan(n) for n in (2, 3)}
         calls = _count_lps(monkeypatch)
-        tested, eliminations = [], []
-        contains, eliminate = exactgeom._contains, exactgeom._eliminate
-        # the nonzero cones tested on the point scaled to integers once;
+        tested, zero_tests, eliminations = [], [], []
+        coordinates, contains, eliminate = exactgeom._coordinates, exactgeom._contains, exactgeom._eliminate
+        # a membership test reads the dot products of a cone's cached
+        # elimination (_coordinates), on the point scaled to integers once;
         # the zero cone's test is a zero test
-        monkeypatch.setattr(exactgeom, "_contains", lambda c, q: c.rays and tested.append(c) or contains(c, q))
+        monkeypatch.setattr(exactgeom, "_coordinates", lambda c, q: tested.append(c) or coordinates(c, q))
+        monkeypatch.setattr(exactgeom, "_contains", lambda c, q: zero_tests.append(c) or contains(c, q))
         monkeypatch.setattr(exactgeom, "_eliminate", lambda rows: eliminations.append(rows) or eliminate(rows))
         for n, f in fans.items():
             points = [ratvec(p) for p in itertools.product((-2, 0, 3), repeat=n)]
             calls.clear()
             tested.clear()
+            zero_tests.clear()
             eliminations.clear()
             located = [cone_locate(f, p) for p in points]
             assert located == [ref_cone_locate(f, p) for p in points]
-            # with z zero coordinates in p: one membership test per orthant,
-            # then one per lower cone that contains p (every other one lies
-            # in an orthant or a cone that misses p), the zero cone aside
-            zeros = [sum(x == 0 for x in p) for p in points]
-            assert len(tested) == sum(2**n + 3**z - 2**z - (z == n) for z in zeros)
-            # every cone of the fan is simplicial, so a test reads the dot
-            # products of its cone's cached elimination and poses no LP.
-            # The orthants' eliminations were made when the fan was built,
-            # and each lower cone's is made at its first test, once
-            assert calls == []
-            assert len(eliminations) == len({c for c in tested if len(c.rays) < n})
-        assert len(tested) == 276  # n = 3, against 27 * 26 = 702 at one test per nonzero cone
+            # the 2^n orthants and the zero cone head the fan's face lists.
+            # Each orthant is tested once per point, and the coordinates of
+            # p on the rays of an orthant that holds p decide its lower
+            # faces: the faces on the rays where p's coordinate is nonzero
+            # and more.  No lower cone is tested on its own
+            orthants = [c for c in f.cones if len(c.rays) == n]
+            assert len(tested) == 2**n * len(points) and set(tested) == set(orthants)
+            assert zero_tests == [zero_cone(n)] * len(points)
+            # the orthants' eliminations were made when the fan was built,
+            # and no LP is posed
+            assert calls == [] and eliminations == []
+        assert len(tested) == 216  # n = 3: 27 points, 8 tests each (276 with a test per lower cone holding p)
 
     def test_non_simplicial_fan_lp_count(self, monkeypatch):
         calls = _count_lps(monkeypatch)
