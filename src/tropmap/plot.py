@@ -124,9 +124,10 @@ def _hyperplane_trace(m: TropicalStableMap, axes):
     a, b = normal[i], normal[j]
     if a == 0 and b == 0:
         return None
-    c = vdot(normal, cd.base_point)
+    base = m.positions[cd.frame.cycle_vertices[0]]
+    c = vdot(normal, base)
     # the trace of {normal . x = normal . base} in the (i, j)-plane through base
-    off = sum(normal[k] * cd.base_point[k] for k in range(len(normal)) if k not in (i, j))
+    off = sum(normal[k] * base[k] for k in range(len(normal)) if k not in (i, j))
     return (a, b, c - off)
 
 

@@ -21,23 +21,23 @@ are exactly the flats of rank at most codim(V) - 1 of the projected
 arrangement.
 
 All that the spacing questions read of a map or family member is its
-:class:`CycleData`: the cycle frame (fixed by the type), the base point,
-and the arrangement's vectors with their sources.  The flats, the patterns
-and the spacing loop take it, and no function takes cycle data that the
-library computes itself.
+:class:`CycleData`: the cycle frame (fixed by the type) and the
+arrangement, the projective classes of the projected vectors and nothing
+more.  The flats and the spacing loop take it, and no function takes
+cycle data that the library computes itself.
 
 Maps and family members take one path.  A map is the slope-zero member of
-a family at t = 0: each vertex offset is a (const, slope) pair, projected
-once, and at t = p/q the offset and its image are const*q + slope*p
-(:func:`_cycle_data`).  On a valid map the trapped component of the
-hyperplane H with normal phi is the closure of the cycle over the edges
-whose direction phi annihilates (:func:`_flat_component`): the cycle lies
-in V, inside H, and such an edge joins two points at one level of phi,
-since its ends differ by length times weight times direction.  The proof
-uses the edge equations alone, so it also holds for family members, which
-may fail the stability axiom; it reads no vertex level, so the members of a
-family, which share the type's graph and edge data, share each component,
-and only their boundary distances differ.  One loop over the flats
+a family at t = 0: each vertex offset is a (const, slope) pair whose two
+parts are projected once, and at t = p/q the offset's image is
+const*q + slope*p (:func:`_cycle_data`).  On a valid map the trapped
+component of the hyperplane H with normal phi is the closure of the cycle
+over the edges whose direction phi annihilates (:func:`_flat_component`):
+the cycle lies in V, inside H, and such an edge joins two points at one
+level of phi, since its ends differ by length times weight times
+direction.  The proof uses the edge equations alone, so it also holds for
+family members, which may fail the stability axiom; it reads no vertex
+level, so the members of a family, which share the type's graph and edge
+data, share each component, and only their boundary distances differ.  One loop over the flats
 (:func:`_flat_spacings`) decides every spacing question.
 
 A boundary vertex's distance to the cycle is the sum of the lengths along
@@ -65,7 +65,6 @@ from . import curves
 from .curves import Edge, Marking, TropicalCurve, Vertex, betti_and_genus, tropical_curve
 from .exactgeom import (
     IntVec,
-    RatVec,
     _eliminate,
     _kernel_of,
     auto_rays_fan,
@@ -98,12 +97,11 @@ class CycleFrame:
     """What the spacing predicate and the rule cascade read off a map's type
     rather than its lengths: the first Betti number and the genus, and, in
     genus one, whether every vertex has genus zero and every finite vertex
-    is trivalent, the unique cycle, the reduced row echelon basis of the
-    cycle span's directions, the codimension, the quotient map onto the
-    span's annihilator (rows are a basis of it) and the projected edge
-    directions: (u, projective class of its image) for every edge, in curve
-    order, whose direction leaves the span.  The basis and the quotient rows
-    are integer rows: the rational rows times the lcm of their denominators.
+    is trivalent, the unique cycle, the codimension of the cycle span V,
+    the quotient map onto V's annihilator (rows are a basis of it, integer
+    rows: the rational rows times the lcm of their denominators) and the
+    edge classes: the projective classes, sorted, of the images of the edge
+    directions that leave V.
 
     The genus-one fields stay empty for other genera."""
 
@@ -113,10 +111,9 @@ class CycleFrame:
     trivalent: bool = False
     cycle_vertices: tuple[str, ...] = ()
     cycle_edges: tuple[str, ...] = ()
-    integer_basis: tuple[IntVec, ...] = ()
     codim: int = 0
     integer_quotient: tuple[IntVec, ...] = ()
-    edge_projections: tuple[tuple[IntVec, IntVec], ...] = ()
+    edge_classes: tuple[IntVec, ...] = ()
 
 
 def cycle_frame(m: AnyMap) -> CycleFrame:
@@ -127,10 +124,10 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
     The frame is computed on the integers, with the values the rational
     computation gives:
     - one fraction-free elimination of those rows gives d times their
-      reduced row echelon form, whose rank rows over d are the basis, and
-      the kernel vectors :func:`exactgeom._kernel_of` reads off it are |d|
-      times the quotient rows (the rational kernel basis, a function of
-      the echelon form alone);
+      reduced row echelon form, and the kernel vectors
+      :func:`exactgeom._kernel_of` reads off it are |d| times the quotient
+      rows (the rational kernel basis, a function of the echelon form
+      alone);
     - the integer rows are the rational rows times the lcm of their
       denominators (:func:`_common_multiple`).  Scaling every quotient row
       by one common positive integer changes no projective class of a
@@ -151,9 +148,8 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
     dirs += [m.edge_data[eid].u for eid in cyc_e]
     ambient = m.fan.ambient_dim
     rows, pivots, d = _eliminate([row for row in dirs if any(row)])
-    rows = rows[:len(pivots)]
-    kernel, scale = _kernel_of(rows, pivots, d, ambient)
-    integral = _common_multiple(kernel, scale)
+    integral = _common_multiple(*_kernel_of(rows, pivots, d, ambient))
+    directions = {m.edge_data[e.id].u for e in m.curve.edges}
     return CycleFrame(
         b1,
         g,
@@ -161,10 +157,9 @@ def cycle_frame(m: AnyMap) -> CycleFrame:
         all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
         cyc_v,
         cyc_e,
-        _common_multiple(rows, d),
         ambient - len(pivots),
         integral,
-        _projections(integral, (m.edge_data[e.id].u for e in m.curve.edges)),
+        tuple(sorted({_projective_rep(_image(integral, u)) for u in directions} - {None})),
     )
 
 
@@ -179,21 +174,8 @@ def _common_multiple(rows: Sequence[Sequence[int]], d: int) -> tuple[IntVec, ...
     return tuple(tuple(x // g for x in row) for row in rows)
 
 
-def _projections(
-    integral: Sequence[IntVec], vectors: Iterable[IntVec]
-) -> tuple[tuple[IntVec, IntVec], ...]:
-    """(vector, projective class of its image under ``integral``) for each
-    vector, in order, whose image is not zero; each distinct vector is
-    projected once."""
-    reps: dict[IntVec, Optional[IntVec]] = {}
-    out = []
-    for vec in vectors:
-        vec = tuple(vec)
-        if vec not in reps:
-            reps[vec] = _projective_rep([sum(map(mul, row, vec)) for row in integral])
-        if reps[vec] is not None:
-            out.append((vec, reps[vec]))
-    return tuple(out)
+def _image(integral: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
+    return tuple(sum(map(mul, row, vec)) for row in integral)
 
 
 def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
@@ -205,20 +187,12 @@ def _projective_rep(vec: Sequence[int]) -> Optional[IntVec]:
 @dataclass(frozen=True)
 class CycleData:
     """The spacing analysis's one value for a genus-one map or family
-    member: its cycle frame, a base point (the first cycle vertex's
-    position) and the projected arrangement in the quotient by the cycle
-    span, the deduplicated primitive projective representatives, sorted.
-
-    ``sources[i]`` is an ambient vector whose projection represents
-    ``vectors[i]``: a positive integral multiple of a vertex offset from the
-    base point or of an edge direction.  A covector vanishing on V vanishes
-    on a representative exactly when it vanishes on its source, so
-    containment patterns are read off the sources without lifting."""
+    member: its cycle frame and the projected arrangement in the quotient
+    by the cycle span, the deduplicated primitive projective
+    representatives, sorted."""
 
     frame: CycleFrame
-    base_point: RatVec
     vectors: tuple[IntVec, ...]
-    sources: tuple[IntVec, ...]
 
 
 def cycle_data(m: AnyMap) -> CycleData:
@@ -234,54 +208,45 @@ def _map_cycle_data(frame: CycleFrame, m: AnyMap) -> CycleData:
     at t = 0."""
     pairs = {vid: tuple((x, 0) for x in p) for vid, p in m.scaled.positions.items()}
     offsets = _projected_offsets(frame, m.curve.unmarked_vertex_ids(), pairs)
-    return _cycle_data(frame, offsets, m, Fraction(0))
+    return _cycle_data(frame, offsets, Fraction(0))
 
 
-# a finite vertex's offset from the base vertex as its constant and slope
-# parts, and their images under the frame's integer quotient
-_Offset = tuple[IntVec, IntVec, IntVec, IntVec]
+# a finite vertex's offset from the base vertex, as the images of its
+# constant and slope parts under the frame's integer quotient
+_Offset = tuple[IntVec, IntVec]
 
 
 def _projected_offsets(
     frame: CycleFrame, vertex_ids: Iterable[str], positions: Mapping[str, Sequence[tuple[int, int]]]
 ) -> tuple[_Offset, ...]:
-    """The offset of each finite vertex, in the order of ``vertex_ids``,
-    from positions given as one (const, slope) pair of integers per
-    coordinate."""
+    """The projected offset of each finite vertex, in the order of
+    ``vertex_ids``, from positions given as one (const, slope) pair of
+    integers per coordinate."""
     base = positions[frame.cycle_vertices[0]]
-    out = []
-    for vid in vertex_ids:
-        const = tuple(c - b for (c, _), (b, _) in zip(positions[vid], base))
-        slope = tuple(s - b for (_, s), (_, b) in zip(positions[vid], base))
-        images = (tuple(sum(map(mul, row, vec)) for row in frame.integer_quotient) for vec in (const, slope))
-        out.append((const, slope, *images))
-    return tuple(out)
+    quotient = frame.integer_quotient
+    return tuple(
+        (
+            _image(quotient, [c - b for (c, _), (b, _) in zip(positions[vid], base)]),
+            _image(quotient, [s - b for (_, s), (_, b) in zip(positions[vid], base)]),
+        )
+        for vid in vertex_ids
+    )
 
 
-def _vertex_projections(offsets: Sequence[_Offset], t: Fraction) -> tuple[tuple[IntVec, IntVec], ...]:
-    """(primitive offset, projective class of its image) for every offset
-    off V, in order, at t = p/q: the offset is const*q + slope*p, and so is
-    its image.  Projection is linear, and the integer quotient is the
-    rational one times a positive integer, which changes no projective
-    class."""
+def _vertex_projections(offsets: Sequence[_Offset], t: Fraction) -> tuple[IntVec, ...]:
+    """The projective class of the image of every offset off V, in order,
+    at t = p/q: the image is const*q + slope*p.  Projection is linear, and
+    the integer quotient is the rational one times a positive integer,
+    which changes no projective class."""
     p, q = t.numerator, t.denominator
-    projected = []
-    for const, slope, image_const, image_slope in offsets:
-        vec = [c * q + s * p for c, s in zip(const, slope)]
-        if any(vec):
-            rep = _projective_rep([c * q + s * p for c, s in zip(image_const, image_slope)])
-            if rep is not None:
-                projected.append((primitive(vec), rep))
-    return tuple(projected)
+    classes = (_projective_rep([c * q + s * p for c, s in zip(const, slope)]) for const, slope in offsets)
+    return tuple(rep for rep in classes if rep is not None)
 
 
-def _cycle_data(frame: CycleFrame, offsets: Sequence[_Offset], m: AnyMap, t: Fraction) -> CycleData:
-    """The cycle data of m, the member at t of the family whose projected
-    offsets on m's cycle frame are ``offsets``."""
-    vectors, sources = build_arrangement(frame, _vertex_projections(offsets, t))
-    scaled = m.scaled
-    base = scaled.positions[frame.cycle_vertices[0]]
-    return CycleData(frame, tuple(Fraction(x, scaled.denominator) for x in base), vectors, sources)
+def _cycle_data(frame: CycleFrame, offsets: Sequence[_Offset], t: Fraction) -> CycleData:
+    """The cycle data of the member at t of the family whose projected
+    offsets on the member's cycle frame are ``offsets``."""
+    return CycleData(frame, build_arrangement(frame, _vertex_projections(offsets, t)))
 
 
 def _unique_cycle(c: TropicalCurve) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -318,21 +283,13 @@ class HyperplaneFlat:
     rank: int
 
 
-def build_arrangement(
-    frame: CycleFrame, vertex_projections: Sequence[tuple[IntVec, IntVec]]
-) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """The projected arrangement of a map on its cycle frame, as
-    (vectors, sources) of :class:`CycleData`: the projective classes met
-    among the projected vertex offsets (:func:`_vertex_projections`) and the
-    frame's projected edge directions, sorted, and the first vector met in
-    each class (vertices before edges) as its source.  Both were projected
-    over the integers, the edge directions once per frame and the offsets
-    once per family."""
-    sources: dict[IntVec, IntVec] = {}
-    for vec, rep in (*vertex_projections, *frame.edge_projections):
-        sources.setdefault(rep, vec)
-    reps = sorted(sources)
-    return tuple(reps), tuple(sources[r] for r in reps)
+def build_arrangement(frame: CycleFrame, vertex_classes: Iterable[IntVec]) -> tuple[IntVec, ...]:
+    """The projected arrangement of a map on its cycle frame, the vectors of
+    :class:`CycleData`: the projective classes met among the projected
+    vertex offsets (:func:`_vertex_projections`) and the frame's edge
+    classes, sorted.  Both were projected over the integers, the edge
+    directions once per frame and the offsets once per family."""
+    return tuple(sorted({*vertex_classes, *frame.edge_classes}))
 
 
 def _closure(vectors: Sequence[IntVec], subset: frozenset[IntVec]) -> frozenset[IntVec]:
@@ -428,16 +385,6 @@ def _certifying_normal(cd: CycleData, flat: frozenset[IntVec]) -> IntVec:
     return primitive(phi)
 
 
-def pattern_of_normal(cd: CycleData, normal: Sequence[Fraction]) -> tuple[IntVec, ...]:
-    """The containment pattern that an explicit hyperplane normal cuts on a
-    map's cycle data: the arrangement vectors whose sources it annihilates.
-    The normal must vanish on V's directions, tested on the integer basis."""
-    for b in cd.frame.integer_basis:
-        if vdot(normal, b) != 0:
-            raise ValueError("normal does not vanish on the cycle span")
-    return tuple(rep for rep, src in zip(cd.vectors, cd.sources) if vdot(normal, src) == 0)
-
-
 # ---------------------------------------------------------------------------
 # trapped subcurves and distances
 
@@ -454,10 +401,10 @@ class TrappedSubcurve:
 def subcurve_in_flat(m: TropicalStableMap, flat: HyperplaneFlat) -> TrappedSubcurve:
     """The trapped subcurve of a flat on a valid genus-one map, from the
     spacing loop on the map's cycle data, with the intrinsic distances of
-    its boundary vertices to the cycle.  Raises ValueError unless the
-    flat's normal cuts the flat's pattern on this map."""
+    its boundary vertices to the cycle.  Raises ValueError unless the flat
+    is one of ``enumerate_flats(cycle_data(m))``, normal included."""
     cd = cycle_data(m)
-    if pattern_of_normal(cd, flat.normal) != flat.zero_set:
+    if flat not in enumerate_flats(cd):
         raise ValueError("flat was not generated for this map")
     _, component, dist, _ = next(_flat_spacings(m, cd, (flat,), {}))
     return _subcurve(m, component, dist)
@@ -679,7 +626,7 @@ def build_figure1_family(n: int = 3) -> Family:
     graph = tropical_curve(vertices, edges, markings)
     fan = auto_rays_fan(n, [u for _, _, u in rays], embedded=True)
     t = make_type(graph, fan, data)
-    return make_family(t, lengths, base_vertex="a", base_position=tuple(affine(0) for _ in range(n)))
+    return make_family(t, lengths)
 
 
 def figure1_member(n: int = 3, t=Fraction(0)) -> TropicalStableMap:
@@ -798,7 +745,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
       cycle edges' directions, and at every member the rows given to the
       elimination span exactly that space;
     - a row space has one reduced row echelon form, and the quotient map
-      and the projected edge directions are computed from it alone.
+      and the edge classes are computed from it alone.
 
     Each vertex offset's (const, slope) pair is projected once per family,
     each member's cycle data is read off the images, and the members share
@@ -821,7 +768,7 @@ def _check_family_certificate(m: TropicalStableMap, assume: Assumptions) -> None
             if frame.genus == 1:
                 offsets = _projected_offsets(frame, fam.type.graph.unmarked_vertex_ids(), fam.scaled.positions)
         spaced = frame.genus == 1 and _first_failing_flat(
-            member, _cycle_data(frame, offsets, member, t), flats, components
+            member, _cycle_data(frame, offsets, t), flats, components
         ) is None
         verdict = _first_rule(member, direct, frame, spaced)
         if verdict.rule not in ("R1", "R3"):

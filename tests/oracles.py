@@ -337,31 +337,6 @@ def _solve(rows, rhs):
     return x
 
 
-def first_sources(m, base_point, quotient) -> dict:
-    """Projective class -> the first vector met in it: the primitive integral
-    offsets of the finite vertices from ``base_point`` in curve order, then
-    the edge directions in curve order."""
-    vecs = []
-    for vid in m.curve.unmarked_vertex_ids():
-        offset = [Fraction(p) - Fraction(b) for p, b in zip(m.positions[vid], base_point)]
-        if any(offset):
-            den = 1
-            for x in offset:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in offset]
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
-            vecs.append(tuple(x // g for x in ints))
-    vecs += [tuple(m.edge_data[e.id].u) for e in m.curve.edges]
-    out: dict = {}
-    for vec in vecs:
-        rep = projective_class(quotient, vec)
-        if rep is not None and rep not in out:
-            out[rep] = vec
-    return out
-
-
 def lift_pattern(quotient, vectors, normal):
     """The representatives annihilated by an ambient covector vanishing on
     the cycle span: lift each representative through the quotient map and
@@ -1240,8 +1215,8 @@ def ref_cycle_frame(m) -> tuple[CycleFrame, tuple, tuple]:
     quotient rows it was built from: the vertex offsets as Fractions, the
     span's reduced row echelon form by Gauss-Jordan elimination over
     Fractions (:func:`ref_rref`), the quotient rows read off it (1 in a free
-    column, minus the echelon entries in the pivot columns), each set of
-    rows times the lcm of all its denominators, and every edge direction
+    column, minus the echelon entries in the pivot columns), the quotient
+    rows times the lcm of all their denominators, and every edge direction
     projected in Fractions on its own."""
     b1, g = betti_and_genus(m.curve)
     if g != 1:
@@ -1264,12 +1239,7 @@ def ref_cycle_frame(m) -> tuple[CycleFrame, tuple, tuple]:
             vec[pc] = -basis[r][fc]
         quotient.append(tuple(vec))
     quotient = tuple(quotient)
-    projected = []
-    for e in m.curve.edges:
-        u = m.edge_data[e.id].u
-        rep = projective_class(quotient, u)
-        if rep is not None:
-            projected.append((tuple(u), rep))
+    classes = {projective_class(quotient, m.edge_data[e.id].u) for e in m.curve.edges}
     frame = CycleFrame(
         b1,
         g,
@@ -1277,10 +1247,9 @@ def ref_cycle_frame(m) -> tuple[CycleFrame, tuple, tuple]:
         all(m.curve.valence(vid) == 3 for vid in m.curve.unmarked_vertex_ids()),
         cyc_v,
         cyc_e,
-        _lcm_rows(basis),
         n - len(basis),
         _lcm_rows(quotient),
-        tuple(projected),
+        tuple(sorted(classes - {None})),
     )
     return frame, basis, quotient
 

@@ -114,8 +114,9 @@ def _independent_subcurve_verdict(m, cd, normal):
     sharing no code with the flat machinery."""
     phi = ratvec(normal)
     marked = m.curve.marked_vertex_ids
+    base = m.positions[cd.frame.cycle_vertices[0]]
     in_vertex = {
-        vid: vdot(phi, [x - y for x, y in zip(m.positions[vid], cd.base_point, strict=True)]) == 0
+        vid: vdot(phi, [x - y for x, y in zip(m.positions[vid], base, strict=True)]) == 0
         for vid in m.curve.unmarked_vertex_ids()
     }
 

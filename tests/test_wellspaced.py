@@ -33,7 +33,7 @@ from tropmap import moduli, wellspaced
 from tropmap.cli import main
 from tropmap.curves import Edge, tropical_curve
 from tropmap.documents import Document, serialize_document
-from tropmap.exactgeom import build_fan, canonical_cone, cone, primitive, ratvec, vdot, vector_content
+from tropmap.exactgeom import build_fan, canonical_cone, cone, primitive, vdot, vector_content
 from tropmap.gallery import GALLERY_NAMES, gallery_map, hat_demo, speyer_tree, square_loop
 from tropmap.maps import STABILITY_VIOLATED, make_type, stable_map
 from tropmap.moduli import InfeasibleCone, moduli_cone, sample_interior
@@ -41,7 +41,6 @@ from tropmap.wellspaced import (
     _PROBES,
     cycle_frame,
     multiset_passes,
-    pattern_of_normal,
 )
 
 from builders import (
@@ -61,10 +60,8 @@ from builders import (
 )
 from oracles import (
     canonical_map,
-    first_sources,
     fraction_projection,
     lift_pattern,
-    projective_class,
     ref_check_family_certificate,
     ref_cycle_frame,
     ref_invalid_member,
@@ -80,16 +77,23 @@ from oracles import (
 
 class TestCycleData:
     def test_square_loop_plane(self):
-        cd = cycle_data(square_loop())
+        m = square_loop()
+        cd = cycle_data(m)
         assert set(cd.frame.cycle_edges) == {"s0", "s1", "s2", "s3"}
         assert cd.frame.codim == 1
-        # the span is the horizontal plane: both directions have last entry 0
-        assert all(b[2] == 0 for b in cd.frame.integer_basis)
+        # the span is the horizontal plane: the cycle edges' directions have
+        # last entry 0, and the one quotient row annihilates them
+        directions = [m.edge_data[eid].u for eid in cd.frame.cycle_edges]
+        assert all(u[2] == 0 for u in directions)
+        assert cd.frame.integer_quotient == ((0, 0, 1),)
+        assert all(vdot(row, u) == 0 for row in cd.frame.integer_quotient for u in directions)
 
     def test_lone_vertex_point_span(self):
         cd = cycle_data(lone_genus_one_vertex(3))
         assert cd.frame.codim == 3
-        assert cd.frame.integer_basis == ()
+        # the span is a point: no cycle edge, and the quotient is the identity
+        assert cd.frame.cycle_edges == ()
+        assert cd.frame.integer_quotient == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_contracted_loop_point_span(self):
         cd = cycle_data(speyer_tree())
@@ -132,11 +136,12 @@ class TestCycleData:
 
 class TestFlats:
     def test_unique_flat_when_codim_one(self):
-        cd = cycle_data(square_loop())
+        m = square_loop()
+        cd = cycle_data(m)
         flats = enumerate_flats(cd)
         assert len(flats) == 1
         assert flats[0].zero_set == ()
-        assert all(vdot(flats[0].normal, b) == 0 for b in cd.frame.integer_basis)
+        assert all(vdot(flats[0].normal, m.edge_data[eid].u) == 0 for eid in cd.frame.cycle_edges)
 
     def test_contracted_loop_two_directions(self):
         # a contracted loop with exactly two independent departing classes:
@@ -174,8 +179,9 @@ class TestFlats:
     def test_normals_certify(self):
         for m in (speyer_tree(), hat_demo(), bent_square(), square_loop()):
             cd = cycle_data(m)
+            _, _, q = ref_cycle_frame(m)
             for flat in enumerate_flats(cd):
-                assert pattern_of_normal(cd, ratvec(flat.normal)) == flat.zero_set
+                assert lift_pattern(q, cd.vectors, flat.normal) == flat.zero_set
 
 
 def many_directions_pair():
@@ -225,8 +231,8 @@ class TestArrangementCap:
 
 
 class TestIntegerProjection:
-    """The integer projection and the source-vector patterns against the
-    Fraction projection and the lift-based patterns of the oracles."""
+    """The integer projection and the enumerated flats against the Fraction
+    projection and the lift-based patterns of the oracles."""
 
     @staticmethod
     def _maps():
@@ -249,15 +255,17 @@ class TestIntegerProjection:
         for m in self._maps():
             cd = cycle_data(m)
             _, _, q = ref_cycle_frame(m)
-            assert cd.vectors == fraction_projection(m, cd.base_point, q)
-            assert [projective_class(q, src) for src in cd.sources] == list(cd.vectors)
+            assert cd.vectors == fraction_projection(m, m.positions[cd.frame.cycle_vertices[0]], q)
             denominators.add(frozenset(max(x.denominator for x in row) for row in q))
-            normals = [f.normal for f in enumerate_flats(cd)]
+            flats = enumerate_flats(cd)
+            for f in flats:
+                assert lift_pattern(q, cd.vectors, f.normal) == f.zero_set
+            # every hyperplane through the span cuts one of the flats
             for _ in range(5):
                 psi = [rng.randint(-3, 3) for _ in q]
-                normals.append([vdot(psi, col) for col in zip(*q)])
-            for normal in normals:
-                assert pattern_of_normal(cd, normal) == lift_pattern(q, cd.vectors, normal)
+                normal = [vdot(psi, col) for col in zip(*q)]
+                if any(normal):
+                    assert lift_pattern(q, cd.vectors, normal) in {f.zero_set for f in flats}
         # quotient rows with different denominators share one common scale
         assert frozenset({1, 3}) in denominators
 
@@ -473,9 +481,6 @@ class TestSharedFrame:
                 continue
             # the arrangement on the other map's frame is m's own
             assert wellspaced._map_cycle_data(cycle_frame(other), m) == cd
-            # vertex offsets come before edge directions as sources
-            sources = dict(zip(cd.vectors, cd.sources))
-            assert sources == first_sources(m, cd.base_point, cd.frame.integer_quotient)
             checked += 1
         assert checked >= 60
 
@@ -533,7 +538,7 @@ class TestIntegerPaths:
                 assert wellspaced._vertex_projections(offsets, t) == wellspaced._vertex_projections(
                     own_offsets, Fraction(0)
                 ), name
-                assert wellspaced._cycle_data(frame, offsets, member, t) == cycle_data(member), name
+                assert wellspaced._cycle_data(frame, offsets, t) == cycle_data(member), name
                 checked += 1
         assert checked >= 100
 
@@ -754,6 +759,27 @@ class TestSubcurve:
         with pytest.raises(ValueError):
             subcurve_in_flat(m, flat)
 
+    def test_equals_the_report_and_refuses_other_flats(self):
+        # the subcurve of each of m's flats is the one in is_well_spaced's
+        # record of that flat; any other flat is refused, also one with one
+        # of m's zero sets and another normal
+        maps = [gallery_map(name) for name in GALLERY_NAMES]
+        maps += [figure1_member(n, t) for n in (3, 4, 5, 6) for t in (0, Fraction(1, 2), 1)]
+        maps = [m for m in maps if betti_and_genus(m.curve)[1] == 1 and cycle_data(m).frame.codim > 0]
+        assert len(maps) == 16
+        every_flat = [f for m in maps for f in enumerate_flats(cycle_data(m))]
+        for m in maps:
+            records = is_well_spaced(m).flats
+            for rec in records:
+                assert subcurve_in_flat(m, rec.flat) == rec.subcurve
+            own = [rec.flat for rec in records]
+            others = [f for f in every_flat if f not in own]
+            others += [replace(f, normal=tuple(2 * x for x in f.normal)) for f in own]
+            assert others
+            for flat in others:
+                with pytest.raises(ValueError, match="^flat was not generated for this map$"):
+                    subcurve_in_flat(m, flat)
+
 
 class TestWellSpaced:
     def test_multiset_rule(self):
@@ -798,6 +824,7 @@ class TestWellSpaced:
         rng = random.Random(11)
         m = speyer_tree()
         cd = cycle_data(m)
+        _, _, q = ref_cycle_frame(m)
         flats = enumerate_flats(cd)
         by_pattern = {f.zero_set: f for f in flats}
         for _ in range(25):
@@ -808,7 +835,7 @@ class TestWellSpaced:
                 sum(c * row[k] for c, row in zip(psi, cd.frame.integer_quotient))
                 for k in range(m.fan.ambient_dim)
             ]
-            pattern = pattern_of_normal(cd, ratvec(normal))
+            pattern = lift_pattern(q, cd.vectors, normal)
             assert pattern in by_pattern
             flat = by_pattern[pattern]
             direct = subcurve_in_flat(m, flat)
